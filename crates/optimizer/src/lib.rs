@@ -21,6 +21,8 @@
 
 pub mod greedy;
 pub mod nsga2;
+#[cfg(test)]
+mod nsga2_reference;
 pub mod plan;
 pub mod scaling;
 pub mod warm_start;

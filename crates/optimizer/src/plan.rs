@@ -214,10 +214,15 @@ impl ReconfigSpace {
 
     /// Decodes a gene in `[0, 1)` into a plan index over [`Self::plans`].
     pub fn decode(&self, gene: f64, spec_batch: u32) -> ExecPlan {
-        let plans = self.plans(spec_batch);
-        let idx = ((gene.clamp(0.0, 1.0) * plans.len() as f64) as usize).min(plans.len() - 1);
-        plans[idx]
+        pick_plan(&self.plans(spec_batch), gene)
     }
+}
+
+/// The plan a gene in `[0, 1)` indexes in an enumeration from
+/// [`ReconfigSpace::plans`] (never empty: it always holds the default plan).
+pub(crate) fn pick_plan(plans: &[ExecPlan], gene: f64) -> ExecPlan {
+    let idx = ((gene.clamp(0.0, 1.0) * plans.len() as f64) as usize).min(plans.len() - 1);
+    plans[idx]
 }
 
 /// Scaling-overhead estimator: the `Overhead(A)` term of Eqn. 8, estimated

@@ -11,7 +11,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::nsga2::{Nsga2, Nsga2Config};
-use crate::plan::{PriceTable, ReconfigSpace, ResourceAllocation, ScalingOverheadModel};
+use crate::plan::{pick_plan, PriceTable, ReconfigSpace, ResourceAllocation, ScalingOverheadModel};
 
 /// One scored plan candidate on (or near) the Pareto frontier.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -139,10 +139,14 @@ pub fn rightsize_search(
     target_throughput: f64,
 ) -> Option<ResourceAllocation> {
     let mut best: Option<(f64, ResourceAllocation)> = None;
-    for &w in &power_count_grid(space.workers.0, space.workers.1) {
-        for &p in &power_count_grid(space.ps.0, space.ps.1) {
-            for &cw in &power_grid(space.worker_cpu.0, space.worker_cpu.1) {
-                for &cp in &power_grid(space.ps_cpu.0, space.ps_cpu.1) {
+    let worker_counts = power_count_grid(space.workers.0, space.workers.1);
+    let ps_counts = power_count_grid(space.ps.0, space.ps.1);
+    let worker_cpus = power_grid(space.worker_cpu.0, space.worker_cpu.1);
+    let ps_cpus = power_grid(space.ps_cpu.0, space.ps_cpu.1);
+    for &w in &worker_counts {
+        for &p in &ps_counts {
+            for &cw in &worker_cpus {
+                for &cp in &ps_cpus {
                     let shape = JobShape::new(w, p, cw, cp, batch);
                     if model.throughput(&shape) < target_throughput {
                         continue;
@@ -233,7 +237,18 @@ impl NsgaPlanGenerator {
         current: &ResourceAllocation,
         allocation: ResourceAllocation,
     ) -> PlanCandidate {
-        let thp_old = model.throughput(&current.shape);
+        self.score_against(model.throughput(&current.shape), model, current, allocation)
+    }
+
+    /// [`Self::score`] with the current allocation's throughput already
+    /// predicted, so a search pays for it once instead of per genome.
+    fn score_against(
+        &self,
+        thp_old: f64,
+        model: &ThroughputModel,
+        current: &ResourceAllocation,
+        allocation: ResourceAllocation,
+    ) -> PlanCandidate {
         let thp_new = model.throughput(&allocation.shape);
         let gain = self.overhead.throughput_gain(thp_old, thp_new, current, &allocation);
         PlanCandidate {
@@ -259,6 +274,20 @@ impl NsgaPlanGenerator {
         exec: ExecPlan,
     ) -> PlanCandidate {
         let thp_old = plan_throughput(model, &current.shape, current_exec);
+        self.score_plan_against(thp_old, model, current, current_exec, allocation, exec)
+    }
+
+    /// [`Self::score_with_plan`] with the current plan's throughput already
+    /// priced, so a search pays for it once instead of per genome.
+    fn score_plan_against(
+        &self,
+        thp_old: f64,
+        model: &ThroughputModel,
+        current: &ResourceAllocation,
+        current_exec: &ExecPlan,
+        allocation: ResourceAllocation,
+        exec: ExecPlan,
+    ) -> PlanCandidate {
         let thp_new = plan_throughput(model, &allocation.shape, &exec);
         let mut gain = self.overhead.throughput_gain(thp_old, thp_new, current, &allocation);
         let reconfig_pause = self.overhead.reconfig_pause_seconds(current_exec, &exec, false);
@@ -287,45 +316,48 @@ impl ScalingAlgorithm for NsgaPlanGenerator {
             upper.push(1.0);
         }
         let batch = current.shape.batch_size;
-        let thp_old = model.throughput(&current.shape);
-
-        let evaluate = |genome: &[f64]| -> Vec<f64> {
+        // What every genome is scored against is priced once per search:
+        // the current throughput, and for the widened search the plan
+        // enumeration the fifth gene indexes.
+        let current_exec = ExecPlan::default();
+        let thp_old = match self.reconfig {
+            None => model.throughput(&current.shape),
+            Some(_) => plan_throughput(model, &current.shape, &current_exec),
+        };
+        let exec_plans = self.reconfig.map(|space| space.plans(batch));
+        let score = |genome: &[f64]| -> PlanCandidate {
             let alloc = self.space.decode(&genome[..4], batch);
-            let (gain, rc) = match self.reconfig {
-                None => {
-                    let thp_new = model.throughput(&alloc.shape);
-                    let gain = self.overhead.throughput_gain(thp_old, thp_new, current, &alloc);
-                    (gain, self.prices.resource_cost(&alloc))
+            match &exec_plans {
+                None => self.score_against(thp_old, model, current, alloc),
+                Some(plans) => {
+                    let exec = pick_plan(plans, genome[4]);
+                    self.score_plan_against(thp_old, model, current, &current_exec, alloc, exec)
                 }
-                Some(space) => {
-                    let exec = space.decode(genome[4], batch);
-                    let c = self.score_with_plan(model, current, &ExecPlan::default(), alloc, exec);
-                    (c.throughput_gain, c.resource_cost)
-                }
-            };
+            }
+        };
+
+        let evaluate = |genome: &[f64]| -> [f64; 2] {
+            let candidate = score(genome);
+            let gain = candidate.throughput_gain;
             // Minimize (RC, 1/TG); non-positive gains get a large finite
-            // penalty so the sort stays well-defined (Eqn. 9).
-            let inv_gain = if gain > 1e-9 { 1.0 / gain } else { 1e9 - gain };
-            vec![rc, inv_gain]
+            // penalty so the sort stays well-defined (Eqn. 9). A gain the
+            // model cannot price (all-zero coefficients predict infinite
+            // throughput, and ∞ − ∞ is NaN) counts as no gain at all.
+            let inv_gain = if gain > 1e-9 {
+                1.0 / gain
+            } else if gain.is_finite() {
+                1e9 - gain
+            } else {
+                1e9
+            };
+            [candidate.resource_cost, inv_gain]
         };
 
         let optimizer = Nsga2::new(evaluate, lower, upper, self.nsga);
         let front = optimizer.run(rng);
 
-        let mut plans: Vec<PlanCandidate> = front
-            .into_iter()
-            .map(|p| match self.reconfig {
-                None => self.score(model, current, self.space.decode(&p.genome, batch)),
-                Some(space) => self.score_with_plan(
-                    model,
-                    current,
-                    &ExecPlan::default(),
-                    self.space.decode(&p.genome[..4], batch),
-                    space.decode(p.genome[4], batch),
-                ),
-            })
-            .filter(|c| c.throughput_gain > 0.0)
-            .collect();
+        let mut plans: Vec<PlanCandidate> =
+            front.iter().map(|p| score(&p.genome)).filter(|c| c.throughput_gain > 0.0).collect();
 
         // Decoding rounds genomes onto a grid, so distinct genomes can
         // collapse to the same allocation: dedupe, keep the best gain first.
@@ -590,6 +622,138 @@ mod tests {
         let b = gen.candidates(&model(), &small_current(), &mut rng());
         assert_eq!(a, b);
         assert!(a.iter().all(|c| c.exec.is_default()));
+    }
+}
+
+#[cfg(test)]
+mod engine_differential {
+    //! `candidates()` against the generator as it stood before the
+    //! flat-population engine: the old evaluation closure (a `Vec` per
+    //! genome, `ReconfigSpace::decode` re-enumerating the plans each time)
+    //! driving `nsga2_reference::run`.
+
+    use super::*;
+    use crate::nsga2_reference;
+    use dlrover_perfmodel::{ModelCoefficients, WorkloadConstants};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    fn reference_candidates(
+        gen: &NsgaPlanGenerator,
+        model: &ThroughputModel,
+        current: &ResourceAllocation,
+        rng: &mut StdRng,
+    ) -> Vec<PlanCandidate> {
+        let (mut lower, mut upper) = gen.space.bounds();
+        if gen.reconfig.is_some() {
+            lower.push(0.0);
+            upper.push(1.0);
+        }
+        let batch = current.shape.batch_size;
+        let thp_old = model.throughput(&current.shape);
+
+        let evaluate = |genome: &[f64]| -> Vec<f64> {
+            let alloc = gen.space.decode(&genome[..4], batch);
+            let (gain, rc) = match gen.reconfig {
+                None => {
+                    let thp_new = model.throughput(&alloc.shape);
+                    let gain = gen.overhead.throughput_gain(thp_old, thp_new, current, &alloc);
+                    (gain, gen.prices.resource_cost(&alloc))
+                }
+                Some(space) => {
+                    let exec = space.decode(genome[4], batch);
+                    let c = gen.score_with_plan(model, current, &ExecPlan::default(), alloc, exec);
+                    (c.throughput_gain, c.resource_cost)
+                }
+            };
+            let inv_gain = if gain > 1e-9 { 1.0 / gain } else { 1e9 - gain };
+            vec![rc, inv_gain]
+        };
+        let front = nsga2_reference::run(evaluate, &lower, &upper, gen.nsga, rng);
+
+        let mut plans: Vec<PlanCandidate> = front
+            .into_iter()
+            .map(|p| match gen.reconfig {
+                None => gen.score(model, current, gen.space.decode(&p.genome, batch)),
+                Some(space) => gen.score_with_plan(
+                    model,
+                    current,
+                    &ExecPlan::default(),
+                    gen.space.decode(&p.genome[..4], batch),
+                    space.decode(p.genome[4], batch),
+                ),
+            })
+            .filter(|c| c.throughput_gain > 0.0)
+            .collect();
+        plans.sort_by(|a, b| b.throughput_gain.partial_cmp(&a.throughput_gain).expect("NaN gain"));
+        plans.dedup_by(|a, b| {
+            a.exec == b.exec
+                && a.allocation.shape.workers == b.allocation.shape.workers
+                && a.allocation.shape.ps == b.allocation.shape.ps
+                && (a.allocation.shape.worker_cpu - b.allocation.shape.worker_cpu).abs() < 0.5
+                && (a.allocation.shape.ps_cpu - b.allocation.shape.ps_cpu).abs() < 0.5
+        });
+        if gen.reconfig.is_some() {
+            let snapshot = plans.clone();
+            plans.retain(|c| {
+                !snapshot.iter().any(|o| {
+                    (o.resource_cost < c.resource_cost - 1e-12
+                        && o.throughput_gain >= c.throughput_gain)
+                        || (o.resource_cost <= c.resource_cost
+                            && o.throughput_gain > c.throughput_gain + 1e-12)
+                })
+            });
+        }
+        plans
+    }
+
+    #[test]
+    fn candidates_and_rng_draws_match_the_old_engine() {
+        let model = ThroughputModel::new(
+            WorkloadConstants::default(),
+            ModelCoefficients::paper_reference(),
+        );
+        let mut nonempty = 0;
+        for seed in 0..64u64 {
+            // Starved, balanced and over-provisioned starting points.
+            let (w, p) = (1 + (seed % 7) as u32 * 3, 1 + (seed % 5) as u32 * 2);
+            let (cw, cp) = (1.0 + (seed % 4) as f64 * 5.0, 1.0 + (seed % 3) as f64 * 7.5);
+            let current =
+                ResourceAllocation::new(JobShape::new(w, p, cw, cp, 512), cw * 4.0, cp * 8.0);
+            for reconfig in [None, Some(ReconfigSpace::default())] {
+                let gen = NsgaPlanGenerator { reconfig, ..NsgaPlanGenerator::default() };
+                let mut rng_new = StdRng::seed_from_u64(seed);
+                let mut rng_old = StdRng::seed_from_u64(seed);
+                let plans = gen.candidates(&model, &current, &mut rng_new);
+                let expected = reference_candidates(&gen, &model, &current, &mut rng_old);
+                assert_eq!(plans, expected, "seed {seed}, reconfig {reconfig:?}");
+                assert_eq!(rng_new.gen::<u64>(), rng_old.gen::<u64>(), "RNG draws, seed {seed}");
+                nonempty += usize::from(!plans.is_empty());
+            }
+        }
+        assert!(nonempty > 64, "the comparison must mostly be over real fronts: {nonempty}");
+    }
+
+    /// ROADMAP 4d: a fit that zeroes every coefficient predicts infinite
+    /// throughput, `TG = ∞ − ∞` is NaN, and the search used to panic on it
+    /// in release builds (`NaN objective`).
+    #[test]
+    fn unpriceable_model_yields_no_candidates_instead_of_panicking() {
+        let zero = ModelCoefficients {
+            alpha_grad: 0.0,
+            alpha_upd: 0.0,
+            alpha_sync: 0.0,
+            alpha_emb: 0.0,
+            beta_total: 0.0,
+        };
+        let model = ThroughputModel::new(WorkloadConstants::default(), zero);
+        let current = ResourceAllocation::new(JobShape::new(2, 2, 4.0, 4.0, 512), 16.0, 32.0);
+        assert!(model.throughput(&current.shape).is_infinite());
+        for reconfig in [None, Some(ReconfigSpace::default())] {
+            let gen = NsgaPlanGenerator { reconfig, ..NsgaPlanGenerator::default() };
+            let plans = gen.candidates(&model, &current, &mut StdRng::seed_from_u64(3));
+            assert!(plans.is_empty(), "no plan can be priced: {plans:?}");
+        }
     }
 }
 

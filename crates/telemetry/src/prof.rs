@@ -26,8 +26,9 @@
 //! elapsed time minus the time spent in child scopes, so for every node
 //! `self + Σ(child totals) == total` exactly. Because the accumulators
 //! are thread-local there is no cross-thread contention on the hot path;
-//! a thread folds its tree into the global [`Mutex`]-guarded table once,
-//! when the thread exits (TLS drop) or on an explicit [`flush`].
+//! a thread folds its tree into the global [`Mutex`]-guarded table when
+//! its outermost scope closes (and, as a backstop, on an explicit
+//! [`flush`] or when the thread exits).
 //!
 //! Sites also carry throughput counters: [`add_items`] / [`add_bytes`]
 //! attribute work units to the innermost active scope, which turns the
@@ -156,22 +157,27 @@ impl ThreadProf {
     }
 
     fn exit(&mut self, site: &'static str) {
-        let Some(frame) = self.stack.pop() else {
-            self.mismatched += 1;
-            return;
-        };
-        if self.nodes[frame.node].site != site {
-            // Out-of-order drop: put nothing back, count it.
-            self.mismatched += 1;
-            return;
+        match self.stack.pop() {
+            Some(frame) if self.nodes[frame.node].site == site => {
+                let elapsed = frame.started.elapsed().as_nanos() as u64;
+                let stats = &mut self.nodes[frame.node].stats;
+                stats.calls += 1;
+                stats.total_ns += elapsed;
+                stats.self_ns += elapsed.saturating_sub(frame.child_ns);
+                if let Some(parent) = self.stack.last_mut() {
+                    parent.child_ns += elapsed;
+                }
+            }
+            // No open scope, or an out-of-order drop: put nothing back,
+            // count it.
+            _ => self.mismatched += 1,
         }
-        let elapsed = frame.started.elapsed().as_nanos() as u64;
-        let stats = &mut self.nodes[frame.node].stats;
-        stats.calls += 1;
-        stats.total_ns += elapsed;
-        stats.self_ns += elapsed.saturating_sub(frame.child_ns);
-        if let Some(parent) = self.stack.last_mut() {
-            parent.child_ns += elapsed;
+        // Fold into the global table as soon as the outermost scope closes.
+        // The TLS destructor alone is not enough: it runs after a scoped
+        // thread's closure returns, which is all `std::thread::scope` waits
+        // for, so a reader on the spawning thread could miss the samples.
+        if self.stack.is_empty() {
+            self.flush_into_global();
         }
     }
 
@@ -283,10 +289,9 @@ pub fn add_bytes(n: u64) {
     }
 }
 
-/// Folds the *current thread's* accumulators into the global table
-/// without waiting for thread exit. Call on the main thread before
-/// [`take_profile`]; worker threads flush automatically when their TLS
-/// drops at `std::thread::scope` exit.
+/// Folds the *current thread's* accumulators into the global table. Every
+/// thread already does so whenever its outermost scope closes, so this is a
+/// backstop; call it with no scope open.
 pub fn flush() {
     TLS.with(|tls| tls.borrow_mut().flush_into_global());
 }
@@ -365,11 +370,15 @@ pub fn reset() {
 mod tests {
     use super::*;
 
-    /// Serializes the enable flag across tests: cargo runs tests on
-    /// concurrent threads and this module's gate is process-global.
-    fn with_prof<T>(f: impl FnOnce() -> T) -> T {
+    /// Serializes the enable flag and the global table across tests: cargo
+    /// runs tests on concurrent threads and both are process-global.
+    fn gate() -> std::sync::MutexGuard<'static, ()> {
         static GATE: Mutex<()> = Mutex::new(());
-        let _g = GATE.lock().expect("prof test gate poisoned");
+        GATE.lock().expect("prof test gate poisoned")
+    }
+
+    fn with_prof<T>(f: impl FnOnce() -> T) -> T {
+        let _g = gate();
         reset();
         set_enabled(true);
         let out = f();
@@ -380,7 +389,9 @@ mod tests {
 
     #[test]
     fn disabled_scope_records_nothing() {
-        // Outside with_prof: the default-off path.
+        // The default-off path (gated: draining the table or clearing the
+        // flag under another test would fail it).
+        let _g = gate();
         set_enabled(false);
         {
             let _g = scope("off/site");
