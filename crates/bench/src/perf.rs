@@ -13,6 +13,7 @@
 //! | `parallel`       | `exp all` at 1 thread vs the pool          | `speedup`           |
 //! | `fleetscale`     | sharded fleet sweep to `--max-pods`        | `pod_events_per_sec`|
 //! | `ckptplane`      | 20k dedup'd saves + restores, 32 jobs      | `saves_per_sec`     |
+//! | `realtrain`      | one Fig. 8 elastic SGD leg per model family| `samples_per_sec`   |
 //!
 //! Every artefact keeps the prior run's headline numbers under
 //! `previous` (the PR 6 format), so the trajectory is legible from the
@@ -30,11 +31,14 @@
 
 use std::path::{Path, PathBuf};
 
+use dlrover_dlrm::model::{CtrModel, DlrmModel, ModelKind};
+use dlrover_dlrm::{auc, logloss, Gradients, SyntheticCriteo};
 use dlrover_optimizer::{
     Nsga2, Nsga2Config, NsgaPlanGenerator, ReconfigSpace, ResourceAllocation, ScalingAlgorithm,
 };
 use dlrover_perfmodel::{JobShape, ModelCoefficients, ThroughputModel, WorkloadConstants};
 use dlrover_pstrain::cost::{AsyncCostModel, PodState};
+use dlrover_pstrain::RealModeConfig;
 use dlrover_sim::{RngStreams, SimTime};
 use dlrover_telemetry::{prof, EventKind, SpanCategory, Telemetry};
 
@@ -44,8 +48,16 @@ use crate::results_dir;
 use crate::sysmetrics::peak_rss_bytes;
 
 /// Every perf area, in the order `exp perf` runs them.
-pub const AREAS: [&str; 7] =
-    ["costmodel", "nsga2", "reconfig", "telemetry-merge", "parallel", "fleetscale", "ckptplane"];
+pub const AREAS: [&str; 8] = [
+    "costmodel",
+    "nsga2",
+    "reconfig",
+    "telemetry-merge",
+    "parallel",
+    "fleetscale",
+    "ckptplane",
+    "realtrain",
+];
 
 /// Options shared by every area (parsed from the `exp perf` CLI).
 #[derive(Debug, Clone)]
@@ -559,6 +571,119 @@ fn ckptplane_area() -> AreaOutcome {
     }
 }
 
+/// One Fig. 8-shaped elastic leg of real SGD: `RealModeConfig::small`'s
+/// model and data budget, rounds of mutually stale gradients (every live
+/// worker computes against the round-start parameters, then all apply in
+/// order — `RealModeTrainer::train_round`'s async-PS profile), the Fig. 8
+/// churn as a worker-count schedule, and a held-out evaluation every 25
+/// rounds. The loop is the area's own so the four `real/*` scopes can sit
+/// between the kernels while `dlrover-dlrm` stays telemetry-free. Returns
+/// `(samples trained, FNV of every round loss and evaluation)` — the
+/// digest is the witness that two runs did the same arithmetic.
+fn realtrain_leg(kind: ModelKind, seed: u64) -> (u64, u64) {
+    const EVAL_START: u64 = 40_000_000;
+    const EVAL_N: usize = 1_500;
+    let config = RealModeConfig::small(kind, seed);
+    let batch_size = u64::from(config.sharding.batch_size);
+    let data = SyntheticCriteo::new(config.dataset.clone(), seed);
+    let mut model = DlrmModel::new(kind, config.model.clone(), seed);
+    let mut digest = Vec::new();
+    let evaluate = |model: &DlrmModel, digest: &mut Vec<u8>| {
+        let _p = prof::scope("real/eval");
+        let batch = {
+            let _p = prof::scope("real/datagen");
+            data.batch(EVAL_START, EVAL_N)
+        };
+        let probs = model.predict(&batch);
+        let labels: Vec<bool> = batch.iter().map(|s| s.label).collect();
+        digest.extend_from_slice(&logloss(&probs, &labels).to_bits().to_le_bytes());
+        digest.extend_from_slice(&auc(&probs, &labels).to_bits().to_le_bytes());
+        prof::add_items(EVAL_N as u64);
+    };
+
+    let (mut workers, mut next, mut round) = (3u64, 0u64, 0u64);
+    // One batch buffer and a pool of gradients, kept between rounds as
+    // `train_round` keeps them.
+    let (mut batch, mut grads) = (Vec::new(), Vec::new());
+    while next < config.total_samples {
+        match round {
+            40 | 150 => workers -= 1, // a worker fails / is scaled in
+            70 | 100 => workers += 1, // scale-out
+            _ => {}
+        }
+        let mut computed = 0;
+        for _ in 0..workers {
+            let take = batch_size.min(config.total_samples - next);
+            if take == 0 {
+                break;
+            }
+            {
+                let _p = prof::scope("real/datagen");
+                prof::add_items(take);
+                data.batch_into(next, take as usize, &mut batch);
+            }
+            next += take;
+            let _p = prof::scope("real/grad");
+            prof::add_items(take);
+            if computed == grads.len() {
+                grads.push(Gradients::default());
+            }
+            model.compute_gradients_into(&batch, &mut grads[computed]);
+            computed += 1;
+        }
+        let grads = &grads[..computed];
+        let mean = grads.iter().map(|g| g.mean_loss).sum::<f32>() / grads.len() as f32;
+        digest.extend_from_slice(&mean.to_bits().to_le_bytes());
+        {
+            let _p = prof::scope("real/apply");
+            for g in grads {
+                prof::add_items(g.samples as u64);
+                model.apply_gradients(g);
+            }
+        }
+        round += 1;
+        if round.is_multiple_of(25) {
+            evaluate(&model, &mut digest);
+        }
+    }
+    evaluate(&model, &mut digest);
+    (next, fnv64(&digest))
+}
+
+/// Fixed real-SGD workload: one [`realtrain_leg`] per model family.
+/// Returns `(samples, digest)` summed / folded over the three legs.
+fn realtrain_workload(seed: u64) -> (u64, u64) {
+    ModelKind::all().into_iter().fold((0, 0), |(samples, digest), kind| {
+        let (s, d) = realtrain_leg(kind, seed);
+        (samples + s, digest.rotate_left(1) ^ d)
+    })
+}
+
+fn realtrain_area(seed: u64) -> AreaOutcome {
+    let ((samples, digest), wall_s) = measured(|| realtrain_workload(seed));
+    let (_, profile) = profiled(|| realtrain_workload(seed));
+    let samples_per_sec = samples as f64 / wall_s.max(1e-9);
+    AreaOutcome {
+        stem: "realtrain".into(),
+        headline_key: "samples_per_sec",
+        headline: samples_per_sec,
+        higher_is_better: true,
+        previous_keys: &["samples_per_sec", "wall_s"],
+        body: serde_json::json!({
+            "experiment": "perf-realtrain",
+            "description": "one Fig. 8-shaped elastic leg of real Adagrad SGD per model family \
+                            (dlrm kernels: datagen, gradients, apply, held-out evaluation)",
+            "legs": 3,
+            "samples": samples,
+            "wall_s": wall_s,
+            "samples_per_sec": samples_per_sec,
+            "trained_fnv": format!("{digest:#018x}"),
+            "prof": prof_block(&profile),
+        }),
+        folded: profile.folded(),
+    }
+}
+
 /// The fleetscale sweep plus its `BENCH_fleetscale.json` body (shared by
 /// `exp fleetscale` and `exp perf fleetscale`). The headline is the
 /// single-shard pod-events/sec at the largest target.
@@ -781,6 +906,7 @@ pub fn run(areas: &[String], opts: &PerfOpts) -> Result<(), String> {
             "parallel" => parallel_area(opts.threads),
             "fleetscale" => fleetscale_area(opts.seed, opts.max_pods),
             "ckptplane" => Ok(ckptplane_area()),
+            "realtrain" => Ok(realtrain_area(opts.seed)),
             other => unreachable!("area {other} validated above"),
         };
         let outcome = match outcome {
@@ -847,6 +973,16 @@ mod tests {
         assert_eq!(evals_a, 50_000 * 6);
         assert_eq!(evals_a, evals_b);
         assert_eq!(acc_a.to_bits(), acc_b.to_bits());
+    }
+
+    /// The real-SGD workload trains the same samples to the same bits on
+    /// every run (one family is enough for the unit test's budget).
+    #[test]
+    fn realtrain_leg_is_fixed_work() {
+        let a = realtrain_leg(ModelKind::XDeepFm, 42);
+        let b = realtrain_leg(ModelKind::XDeepFm, 42);
+        assert_eq!(a.0, RealModeConfig::small(ModelKind::XDeepFm, 42).total_samples);
+        assert_eq!(a, b);
     }
 
     /// Unknown areas are rejected before any work runs.

@@ -150,7 +150,15 @@ impl SyntheticCriteo {
 
     /// Generates the half-open index range `[start, start + n)` as a batch.
     pub fn batch(&self, start: u64, n: usize) -> Vec<Sample> {
-        (start..start + n as u64).map(|i| self.sample(i)).collect()
+        let mut out = Vec::new();
+        self.batch_into(start, n, &mut out);
+        out
+    }
+
+    /// [`Self::batch`] into a caller-owned buffer, replacing its contents.
+    pub fn batch_into(&self, start: u64, n: usize, out: &mut Vec<Sample>) {
+        out.clear();
+        out.extend((start..start + n as u64).map(|i| self.sample(i)));
     }
 }
 

@@ -9,22 +9,62 @@
 //!
 //! Updates use Adagrad, the standard optimizer for sparse CTR features
 //! (per-row accumulators mean hot rows take smaller steps).
+//!
+//! Storage is one flat arena: row `r` is the `2·D` floats at `r·2·D`,
+//! weights first, Adagrad accumulators right behind them, so a lookup
+//! reads one contiguous block and an update is one pass over it (on CPUs
+//! the sparse side of a DLRM is bound by memory traffic and row layout —
+//! Kalamkar et al., PAPERS.md). A slot → arena-offset map finds the row
+//! with one probe. A row's initial value depends on `(slot, seed)` only,
+//! so the order rows enter the arena is free; nothing observable walks
+//! the arena in that order ([`EmbeddingTable::export_rows`] sorts by slot).
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use dlrover_sim::splitmix64;
-use serde::{Deserialize, Serialize};
+
+/// Multiplicative-fold hasher for the slot → row map: each word is xored
+/// into the state, multiplied by an odd 64-bit constant to 128 bits, and
+/// the two halves are xored together, so both the low bits (bucket index)
+/// and the high bits (control byte) of the result depend on every input
+/// bit. The keys are slots this program computes itself; a map keyed by
+/// outside input should keep the default SipHash.
+#[derive(Debug, Clone, Copy, Default)]
+struct FoldHasher(u64);
+
+impl Hasher for FoldHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        let wide = u128::from(self.0 ^ word) * 0x9E37_79B9_7F4A_7C15_u128;
+        self.0 = wide as u64 ^ (wide >> 64) as u64;
+    }
+}
+
+/// A `HashMap` hashed by [`FoldHasher`].
+type FoldMap<K, V> = HashMap<K, V, BuildHasherDefault<FoldHasher>>;
 
 /// One embedding table: `virtual_rows` addressable slots, materialised
 /// lazily.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EmbeddingTable {
     dim: usize,
     virtual_rows: u64,
     init_scale: f32,
     seed: u64,
-    /// Materialised rows: slot -> (weights, adagrad accumulators).
-    rows: HashMap<u64, (Vec<f32>, Vec<f32>)>,
+    /// Slot → offset of the row's first weight in `arena`.
+    index: FoldMap<u64, usize>,
+    /// Materialised rows back to back: `dim` weights, then `dim` Adagrad
+    /// accumulators.
+    arena: Vec<f32>,
 }
 
 impl EmbeddingTable {
@@ -37,7 +77,14 @@ impl EmbeddingTable {
     pub fn new(virtual_rows: u64, dim: usize, seed: u64) -> Self {
         assert!(dim > 0, "embedding dim must be positive");
         assert!(virtual_rows > 0, "table must have at least one row");
-        EmbeddingTable { dim, virtual_rows, init_scale: 0.05, seed, rows: HashMap::new() }
+        EmbeddingTable {
+            dim,
+            virtual_rows,
+            init_scale: 0.05,
+            seed,
+            index: FoldMap::default(),
+            arena: Vec::new(),
+        }
     }
 
     /// Embedding dimension.
@@ -52,12 +99,33 @@ impl EmbeddingTable {
 
     /// Number of *materialised* rows (distinct categories seen).
     pub fn materialized_rows(&self) -> usize {
-        self.rows.len()
+        self.index.len()
     }
 
     /// Resident bytes: weights + accumulators, 4 bytes each.
     pub fn resident_bytes(&self) -> usize {
-        self.rows.len() * self.dim * 4 * 2
+        self.index.len() * self.dim * 4 * 2
+    }
+
+    /// Arena offset of the row of `id`, materialising it (initial weights,
+    /// zero accumulators) on first touch. One map probe.
+    fn row_offset(&mut self, id: u64) -> usize {
+        let slot = self.slot(id);
+        match self.index.entry(slot) {
+            Entry::Occupied(row) => *row.get(),
+            Entry::Vacant(vacant) => {
+                let offset = self.arena.len();
+                vacant.insert(offset);
+                let mut s = splitmix64(slot ^ self.seed ^ 0xE5B3);
+                for _ in 0..self.dim {
+                    s = splitmix64(s);
+                    let u = (s >> 11) as f32 / (1u64 << 53) as f32;
+                    self.arena.push((u - 0.5) * 2.0 * self.init_scale);
+                }
+                self.arena.resize(offset + 2 * self.dim, 0.0);
+                offset
+            }
+        }
     }
 
     /// Looks up (materialising if needed) and copies the row for `id` into
@@ -67,29 +135,16 @@ impl EmbeddingTable {
     /// Panics if `out.len() != dim`.
     pub fn lookup(&mut self, id: u64, out: &mut [f32]) {
         assert_eq!(out.len(), self.dim, "output buffer dim mismatch");
-        let slot = self.slot(id);
-        let dim = self.dim;
-        let scale = self.init_scale;
-        let seed = self.seed;
-        let (weights, _) = self.rows.entry(slot).or_insert_with(|| {
-            let mut w = Vec::with_capacity(dim);
-            let mut s = splitmix64(slot ^ seed ^ 0xE5B3);
-            for _ in 0..dim {
-                s = splitmix64(s);
-                let u = (s >> 11) as f32 / (1u64 << 53) as f32;
-                w.push((u - 0.5) * 2.0 * scale);
-            }
-            (w, vec![0.0; dim])
-        });
-        out.copy_from_slice(weights);
+        let offset = self.row_offset(id);
+        out.copy_from_slice(&self.arena[offset..offset + self.dim]);
     }
 
     /// Read-only lookup: returns zeros for never-seen ids (inference on a
     /// frozen model must not allocate).
     pub fn lookup_frozen(&self, id: u64, out: &mut [f32]) {
         assert_eq!(out.len(), self.dim, "output buffer dim mismatch");
-        match self.rows.get(&self.slot(id)) {
-            Some((w, _)) => out.copy_from_slice(w),
+        match self.index.get(&self.slot(id)) {
+            Some(&offset) => out.copy_from_slice(&self.arena[offset..offset + self.dim]),
             None => out.fill(0.0),
         }
     }
@@ -101,11 +156,8 @@ impl EmbeddingTable {
     /// Panics if `grad.len() != dim`.
     pub fn apply_grad(&mut self, id: u64, grad: &[f32], lr: f32) {
         assert_eq!(grad.len(), self.dim, "gradient dim mismatch");
-        // Touch ensures the row exists.
-        let mut scratch = vec![0.0; self.dim];
-        self.lookup(id, &mut scratch);
-        let slot = self.slot(id);
-        let (weights, acc) = self.rows.get_mut(&slot).expect("row just materialised");
+        let offset = self.row_offset(id);
+        let (weights, acc) = self.arena[offset..offset + 2 * self.dim].split_at_mut(self.dim);
         for ((w, a), &g) in weights.iter_mut().zip(acc.iter_mut()).zip(grad) {
             *a += g * g;
             *w -= lr * g / (a.sqrt() + 1e-8);
@@ -113,20 +165,36 @@ impl EmbeddingTable {
     }
 
     /// Serialises the materialised rows (used by checkpointing). Row order
-    /// is sorted for determinism.
+    /// is sorted by slot for determinism.
     pub fn export_rows(&self) -> Vec<(u64, Vec<f32>, Vec<f32>)> {
-        let mut rows: Vec<_> =
-            self.rows.iter().map(|(&slot, (w, a))| (slot, w.clone(), a.clone())).collect();
-        rows.sort_by_key(|(slot, _, _)| *slot);
-        rows
+        let mut rows: Vec<(u64, usize)> = self.index.iter().map(|(&s, &o)| (s, o)).collect();
+        rows.sort_unstable();
+        rows.into_iter()
+            .map(|(slot, o)| {
+                let (w, a) = self.arena[o..o + 2 * self.dim].split_at(self.dim);
+                (slot, w.to_vec(), a.to_vec())
+            })
+            .collect()
     }
 
-    /// Restores rows previously produced by [`Self::export_rows`].
-    pub fn import_rows(&mut self, rows: Vec<(u64, Vec<f32>, Vec<f32>)>) {
-        self.rows.clear();
+    /// Replaces the table's rows with `rows`, as previously produced by
+    /// [`Self::export_rows`].
+    ///
+    /// # Panics
+    /// Panics if a row's weights or accumulators are not `dim` wide, or if
+    /// a slot occurs twice: in the flat arena a short row would misalign
+    /// every row behind it.
+    pub fn import_rows(&mut self, rows: &[(u64, Vec<f32>, Vec<f32>)]) {
+        self.index.clear();
+        self.arena.clear();
+        self.arena.reserve(rows.len() * 2 * self.dim);
         for (slot, w, a) in rows {
-            debug_assert_eq!(w.len(), self.dim);
-            self.rows.insert(slot, (w, a));
+            assert_eq!(w.len(), self.dim, "row weight width mismatch");
+            assert_eq!(a.len(), self.dim, "row accumulator width mismatch");
+            let previous = self.index.insert(*slot, self.arena.len());
+            assert!(previous.is_none(), "duplicate row slot {slot}");
+            self.arena.extend_from_slice(w);
+            self.arena.extend_from_slice(a);
         }
     }
 }
@@ -228,7 +296,7 @@ mod tests {
         }
         let exported = t.export_rows();
         let mut t2 = EmbeddingTable::new(1000, 4, 7);
-        t2.import_rows(exported);
+        t2.import_rows(&exported);
         assert_eq!(t2.materialized_rows(), t.materialized_rows());
         let mut a = vec![0.0; 4];
         let mut b = vec![0.0; 4];
@@ -248,6 +316,69 @@ mod tests {
         }
         let rows = t.export_rows();
         assert!(rows.windows(2).all(|w| w[0].0 < w[1].0));
+    }
+
+    /// A row that survives export/import keeps its accumulators too: the
+    /// next update takes the same (smaller) step on both tables.
+    #[test]
+    fn import_rebuilds_the_arena_in_any_row_order() {
+        let mut t = EmbeddingTable::new(1000, 3, 7);
+        for id in [9, 2, 40, 17] {
+            t.apply_grad(id, &[0.5, -0.25, 0.125], 0.1);
+        }
+        let mut rows = t.export_rows();
+        rows.reverse();
+        let mut t2 = EmbeddingTable::new(1000, 3, 7);
+        t2.lookup(555, &mut [0.0; 3]); // replaced by the import
+        t2.import_rows(&rows);
+        assert_eq!(t2.materialized_rows(), 4);
+        assert_eq!(t2.resident_bytes(), t.resident_bytes());
+        for id in [9, 2, 40, 17] {
+            t.apply_grad(id, &[0.5, -0.25, 0.125], 0.1);
+            t2.apply_grad(id, &[0.5, -0.25, 0.125], 0.1);
+        }
+        assert_eq!(t2.export_rows(), t.export_rows());
+    }
+
+    #[test]
+    #[should_panic(expected = "row weight width mismatch")]
+    fn import_rejects_a_short_weight_row() {
+        let mut t = EmbeddingTable::new(1000, 4, 7);
+        t.import_rows(&[(1, vec![0.0; 4], vec![0.0; 4]), (2, vec![0.0; 3], vec![0.0; 4])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row accumulator width mismatch")]
+    fn import_rejects_a_short_accumulator_row() {
+        let mut t = EmbeddingTable::new(1000, 4, 7);
+        t.import_rows(&[(1, vec![0.0; 4], vec![0.0; 2])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate row slot 5")]
+    fn import_rejects_duplicate_slots() {
+        let mut t = EmbeddingTable::new(1000, 2, 7);
+        t.import_rows(&[(5, vec![0.0; 2], vec![0.0; 2]), (5, vec![1.0; 2], vec![0.0; 2])]);
+    }
+
+    /// The fold hasher must spread small keys over both ends of the hash:
+    /// the map takes its bucket from the low bits and its control byte
+    /// from the high ones.
+    #[test]
+    fn fold_hasher_spreads_small_keys() {
+        let hash = |x: u64| {
+            let mut h = FoldHasher::default();
+            h.write_u64(x);
+            h.finish()
+        };
+        let (mut low, mut high) =
+            (std::collections::HashSet::new(), std::collections::HashSet::new());
+        for slot in 0..4096u64 {
+            low.insert(hash(slot) & 0xFFF);
+            high.insert(hash(slot) >> 57);
+        }
+        assert!(low.len() > 2_000, "low bits collapse: {} of 4096 distinct", low.len());
+        assert_eq!(high.len(), 128, "control bytes unused");
     }
 
     #[test]

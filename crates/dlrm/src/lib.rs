@@ -28,6 +28,8 @@ pub mod embedding;
 pub mod metrics;
 pub mod mlp;
 pub mod model;
+#[cfg(test)]
+mod reference;
 
 pub use data::{DatasetConfig, Sample, SyntheticCriteo};
 pub use embedding::EmbeddingTable;

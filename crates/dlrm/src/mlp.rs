@@ -17,17 +17,23 @@ pub struct Mlp {
     acc: Vec<f32>,
 }
 
-/// Intermediate activations retained for backprop.
-#[derive(Debug, Clone)]
+/// Outputs of a layer whose sums [`Mlp::forward_into`] advances together.
+const LANES: usize = 8;
+
+/// Intermediate activations retained for backprop. Reusable: a trace
+/// handed back to [`Mlp::forward_into`] keeps its buffer.
+#[derive(Debug, Clone, Default)]
 pub struct ForwardTrace {
-    /// Post-activation values per layer, `trace[0]` being the input.
-    activations: Vec<Vec<f32>>,
+    /// Post-activation values of every layer back to back, the input first.
+    activations: Vec<f32>,
+    /// Width of the last layer, whose values end `activations`.
+    output_dim: usize,
 }
 
 impl ForwardTrace {
     /// The network output (last layer activations).
     pub fn output(&self) -> &[f32] {
-        self.activations.last().expect("trace has at least the input")
+        &self.activations[self.activations.len() - self.output_dim..]
     }
 }
 
@@ -112,30 +118,64 @@ impl Mlp {
     /// # Panics
     /// Panics if `input.len() != input_dim()`.
     pub fn forward(&self, input: &[f32]) -> ForwardTrace {
+        let mut trace = ForwardTrace::default();
+        self.forward_into(input, &mut trace);
+        trace
+    }
+
+    /// [`Self::forward`] into a caller-owned trace, which allocates only
+    /// the first time it sees a network of this size. Every output is
+    /// `bias + Σ_i w[o][i]·x[i]` summed left to right.
+    ///
+    /// # Panics
+    /// Panics if `input.len() != input_dim()`.
+    pub fn forward_into(&self, input: &[f32], trace: &mut ForwardTrace) {
         assert_eq!(input.len(), self.dims[0], "input dim mismatch");
-        let mut activations = Vec::with_capacity(self.dims.len());
-        activations.push(input.to_vec());
-        let mut offset = 0;
+        trace.output_dim = self.output_dim();
+        let acts = &mut trace.activations;
+        acts.resize(self.dims.iter().sum(), 0.0);
+        acts[..input.len()].copy_from_slice(input);
+        let (mut offset, mut start) = (0, 0);
         for (layer, w) in self.dims.windows(2).enumerate() {
             let (fan_in, fan_out) = (w[0], w[1]);
-            let prev = &activations[layer];
-            let weights = &self.params[offset..offset + fan_in * fan_out];
-            let biases =
-                &self.params[offset + fan_in * fan_out..offset + fan_in * fan_out + fan_out];
-            let mut out = vec![0.0f32; fan_out];
-            for (o, out_v) in out.iter_mut().enumerate() {
-                let row = &weights[o * fan_in..(o + 1) * fan_in];
-                let mut acc = biases[o];
-                for (wv, xv) in row.iter().zip(prev) {
-                    acc += wv * xv;
+            let (prev, rest) = acts[start..].split_at_mut(fan_in);
+            let (weights, biases) =
+                self.params[offset..offset + fan_in * fan_out + fan_out].split_at(fan_in * fan_out);
+            let prev = &prev[..fan_in];
+            let out = &mut rest[..fan_out];
+            // `LANES` outputs advance together: their addition chains are
+            // independent, so they overlap in the pipeline, and each sum
+            // still runs left to right.
+            let mut o = 0;
+            while o < fan_out {
+                let lanes = LANES.min(fan_out - o);
+                let mut acc = [0.0f32; LANES];
+                acc[..lanes].copy_from_slice(&biases[o..o + lanes]);
+                if lanes == LANES {
+                    let rows: [&[f32]; LANES] =
+                        std::array::from_fn(|l| &weights[(o + l) * fan_in..(o + l + 1) * fan_in]);
+                    for i in 0..fan_in {
+                        for l in 0..LANES {
+                            acc[l] += rows[l][i] * prev[i];
+                        }
+                    }
+                } else {
+                    for (a, row) in acc.iter_mut().zip(weights[o * fan_in..].chunks_exact(fan_in)) {
+                        for (wv, xv) in row.iter().zip(prev) {
+                            *a += wv * xv;
+                        }
+                    }
                 }
                 // ReLU on hidden layers only.
-                *out_v = if layer + 2 < self.dims.len() { acc.max(0.0) } else { acc };
+                if layer + 2 < self.dims.len() {
+                    acc.iter_mut().for_each(|a| *a = a.max(0.0));
+                }
+                out[o..o + lanes].copy_from_slice(&acc[..lanes]);
+                o += lanes;
             }
-            activations.push(out);
             offset += fan_in * fan_out + fan_out;
+            start += fan_in;
         }
-        ForwardTrace { activations }
     }
 
     /// Backward pass: given `d loss / d output`, accumulates parameter
@@ -150,29 +190,44 @@ impl Mlp {
         output_grad: &[f32],
         param_grads: &mut [f32],
     ) -> Vec<f32> {
+        self.backward_into(trace, output_grad, param_grads, &mut Vec::new()).to_vec()
+    }
+
+    /// [`Self::backward`] with its working memory in the caller-owned
+    /// `act_grads` (`d loss / d activation` of every layer, laid out like
+    /// the trace); the returned `d loss / d input` is its head.
+    ///
+    /// # Panics
+    /// Panics on shape mismatches.
+    pub fn backward_into<'a>(
+        &self,
+        trace: &ForwardTrace,
+        output_grad: &[f32],
+        param_grads: &mut [f32],
+        act_grads: &'a mut Vec<f32>,
+    ) -> &'a mut [f32] {
         assert_eq!(output_grad.len(), self.output_dim(), "output grad dim mismatch");
         assert_eq!(param_grads.len(), self.params.len(), "grad buffer mismatch");
+        let total: usize = self.dims.iter().sum();
+        assert_eq!(trace.activations.len(), total, "trace is from another network");
+        act_grads.resize(total, 0.0);
+        let mut out_at = total - output_grad.len();
+        act_grads[out_at..].copy_from_slice(output_grad);
 
-        let mut upstream = output_grad.to_vec();
-        // Walk layers in reverse; track the flat offset of each layer.
-        let mut offsets = Vec::with_capacity(self.dims.len() - 1);
-        let mut off = 0;
-        for w in self.dims.windows(2) {
-            offsets.push(off);
-            off += w[0] * w[1] + w[1];
-        }
-
+        // Walk layers in reverse: `offset` is the layer's first parameter,
+        // `out_at` its first output activation.
+        let mut offset = self.params.len();
         for layer in (0..self.dims.len() - 1).rev() {
-            let fan_in = self.dims[layer];
-            let fan_out = self.dims[layer + 1];
-            let offset = offsets[layer];
-            let prev = &trace.activations[layer];
-            let out = &trace.activations[layer + 1];
-            let is_hidden = layer + 2 < self.dims.len();
+            let (fan_in, fan_out) = (self.dims[layer], self.dims[layer + 1]);
+            offset -= fan_in * fan_out + fan_out;
+            let in_at = out_at - fan_in;
+            let prev = &trace.activations[in_at..out_at];
+            let out = &trace.activations[out_at..out_at + fan_out];
+            let (dx, rest) = act_grads[in_at..].split_at_mut(fan_in);
 
             // d loss / d pre-activation.
-            let mut dz = upstream;
-            if is_hidden {
+            let dz = &mut rest[..fan_out];
+            if layer + 2 < self.dims.len() {
                 for (g, &a) in dz.iter_mut().zip(out) {
                     if a <= 0.0 {
                         *g = 0.0;
@@ -180,9 +235,12 @@ impl Mlp {
                 }
             }
 
-            // Weight & bias grads.
+            // Weight & bias grads, and the downstream gradient. A zero `g`
+            // is skipped, not added: `-0.0 + 0.0` is not a no-op.
+            let weights = &self.params[offset..offset + fan_in * fan_out];
             let (w_grads, b_grads) = param_grads[offset..offset + fan_in * fan_out + fan_out]
                 .split_at_mut(fan_in * fan_out);
+            dx.fill(0.0);
             for (o, &g) in dz.iter().enumerate() {
                 if g == 0.0 {
                     continue;
@@ -192,23 +250,13 @@ impl Mlp {
                     *wg += g * xv;
                 }
                 b_grads[o] += g;
-            }
-
-            // Downstream gradient.
-            let weights = &self.params[offset..offset + fan_in * fan_out];
-            let mut dx = vec![0.0f32; fan_in];
-            for (o, &g) in dz.iter().enumerate() {
-                if g == 0.0 {
-                    continue;
-                }
-                let row = &weights[o * fan_in..(o + 1) * fan_in];
-                for (d, &wv) in dx.iter_mut().zip(row) {
+                for (d, &wv) in dx.iter_mut().zip(&weights[o * fan_in..(o + 1) * fan_in]) {
                     *d += g * wv;
                 }
             }
-            upstream = dx;
+            out_at = in_at;
         }
-        upstream
+        &mut act_grads[..self.dims[0]]
     }
 
     /// Applies a flat gradient with Adagrad.
@@ -345,7 +393,7 @@ mod tests {
         let m = Mlp::new(&[1, 1, 1], 5);
         let x = [-100.0f32]; // drives hidden unit far negative
         let trace = m.forward(&x);
-        if trace.activations[1][0] <= 0.0 {
+        if trace.activations[1] <= 0.0 {
             let mut grads = vec![0.0; m.param_count()];
             let dx = m.backward(&trace, &[1.0], &mut grads);
             assert_eq!(dx[0], 0.0);

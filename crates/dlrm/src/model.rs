@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::data::{Sample, NUM_DENSE, NUM_SPARSE};
 use crate::embedding::EmbeddingTable;
-use crate::mlp::Mlp;
+use crate::mlp::{ForwardTrace, Mlp};
 
 /// Which model family to instantiate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -80,18 +80,88 @@ impl Default for ModelConfig {
     }
 }
 
-/// A batch gradient: flat dense part + sparse per-row part.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A batch gradient: flat dense part + sparse per-row part. Reusable: a
+/// value handed back to [`CtrModel::compute_gradients_into`] keeps its
+/// buffers.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Gradients {
     /// Flat gradient over all dense parameters (cross ‖ head ‖ pairs ‖ MLP).
     pub dense: Vec<f32>,
-    /// Sparse gradients: `(table_index, id, grad)`. Wide-part rows use table
-    /// indices `NUM_SPARSE..2·NUM_SPARSE`.
-    pub sparse: Vec<(usize, u64, Vec<f32>)>,
+    /// Sparse gradients per `(table_index, id)`.
+    pub sparse: SparseGrads,
     /// Mean logloss over the batch (diagnostic).
     pub mean_loss: f32,
     /// Number of samples in the batch.
     pub samples: usize,
+}
+
+/// The sparse part of a batch gradient: one accumulated row gradient per
+/// distinct `(table_index, id)` the batch touched, all in one flat value
+/// array. Wide-part rows use table indices `NUM_SPARSE..2·NUM_SPARSE` and
+/// are one value wide; embedding rows are `embedding_dim` wide.
+///
+/// Keys are `(table, id)`, never the slot the id hashes to: two ids that
+/// share a row are two Adagrad steps on it, not one step with the summed
+/// gradient.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct SparseGrads {
+    /// `(table_index, id, offset of the gradient in values)`, ascending by
+    /// `(table_index, id)` — the order the rows are updated in.
+    keys: Vec<(usize, u64, usize)>,
+    /// The gradients, back to back in key order.
+    values: Vec<f32>,
+    /// Width of an embedding row's gradient.
+    dim: usize,
+}
+
+impl SparseGrads {
+    /// `(table_index, id, gradient)` in ascending `(table_index, id)`.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, u64, &[f32])> {
+        self.keys
+            .iter()
+            .map(|&(table, id, at)| (table, id, &self.values[at..at + self.width(table)]))
+    }
+
+    fn width(&self, table: usize) -> usize {
+        if table < NUM_SPARSE {
+            self.dim
+        } else {
+            1
+        }
+    }
+
+    /// Empties the gradient for a batch of `dim`-wide embeddings.
+    fn reset(&mut self, dim: usize) {
+        self.keys.clear();
+        self.values.clear();
+        self.dim = dim;
+    }
+
+    /// Appends the keys of `table`, which must be larger than every table
+    /// pushed before. `touches` lists the `(id, sample)` pairs that
+    /// contribute and `grad(sample)` is that sample's gradient for the
+    /// table; an id's gradients are summed in sample order, from zero.
+    fn push_table<'a>(
+        &mut self,
+        table: usize,
+        touches: &mut [(u64, usize)],
+        grad: impl Fn(usize) -> &'a [f32],
+    ) {
+        let width = self.width(table);
+        touches.sort_unstable();
+        let mut open = None;
+        for &(id, sample) in touches.iter() {
+            if open != Some(id) {
+                open = Some(id);
+                self.keys.push((table, id, self.values.len()));
+                self.values.resize(self.values.len() + width, 0.0);
+            }
+            let at = self.values.len() - width;
+            for (a, &g) in self.values[at..].iter_mut().zip(grad(sample)) {
+                *a += g;
+            }
+        }
+    }
 }
 
 /// Exported rows of one embedding table: `(slot, weights, accumulators)`.
@@ -129,8 +199,33 @@ impl ModelCheckpoint {
     }
 }
 
-/// Cached cross-tower state: per-layer inputs and scalars.
-type CrossState = (Vec<Vec<f32>>, Vec<f32>);
+/// Per-sample working memory of the forward and backward passes, owned by
+/// the model so that neither allocates once the buffers have grown.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Assembled input of the current sample: embeddings ‖ dense features.
+    x: Vec<f32>,
+    /// Deep-tower activations.
+    trace: ForwardTrace,
+    /// [`Mlp::backward_into`]'s working memory; its head is `dL/dx`.
+    act_grads: Vec<f32>,
+    /// xDeepFM: `⟨e_i, e_j⟩` of every field pair `i < j`, in pair order.
+    pair_dots: Vec<f32>,
+    /// DCN: the cross layers' inputs `x_0..x_L`, back to back.
+    cross_states: Vec<f32>,
+    /// DCN: the cross layers' scalars `s_l = w_lᵀx_l`.
+    cross_scalars: Vec<f32>,
+    /// DCN backward: `dL/dx_l` as it walks down the cross layers.
+    g_next: Vec<f32>,
+    /// DCN backward: the gradient the cross layers send into `x_0`.
+    g_x0: Vec<f32>,
+    /// Batch-wide: every sample's gradient into its `NUM_SPARSE`
+    /// embeddings, and its `dlogit`.
+    emb_grads: Vec<f32>,
+    dlogits: Vec<f32>,
+    /// The `(id, sample)` pairs of one table while its keys are reduced.
+    touches: Vec<(u64, usize)>,
+}
 
 /// A trainable CTR model (one of the three families).
 #[derive(Debug, Clone)]
@@ -144,6 +239,7 @@ pub struct DlrmModel {
     /// Flat dense parameters *other than* the MLP: cross ‖ head ‖ pairs.
     extra: Vec<f32>,
     extra_acc: Vec<f32>,
+    scratch: Scratch,
 }
 
 /// The trait face of [`DlrmModel`], kept object-safe for engine plumbing.
@@ -151,8 +247,14 @@ pub trait CtrModel {
     /// Forward pass returning click probabilities (no parameter updates,
     /// no row materialisation).
     fn predict(&self, batch: &[Sample]) -> Vec<f32>;
+    /// Computes batch gradients into `out` without applying them.
+    fn compute_gradients_into(&mut self, batch: &[Sample], out: &mut Gradients);
     /// Computes batch gradients without applying them.
-    fn compute_gradients(&mut self, batch: &[Sample]) -> Gradients;
+    fn compute_gradients(&mut self, batch: &[Sample]) -> Gradients {
+        let mut out = Gradients::default();
+        self.compute_gradients_into(batch, &mut out);
+        out
+    }
     /// Applies gradients with Adagrad.
     fn apply_gradients(&mut self, grads: &Gradients);
     /// Convenience: compute + apply, returning the mean logloss.
@@ -213,7 +315,16 @@ impl DlrmModel {
             *v = (((s >> 11) as f32 / (1u64 << 53) as f32) - 0.5) * 0.02;
         }
 
-        DlrmModel { kind, tables, wide, deep, extra_acc: vec![0.0; extra.len()], extra, config }
+        DlrmModel {
+            kind,
+            tables,
+            wide,
+            deep,
+            extra_acc: vec![0.0; extra.len()],
+            extra,
+            config,
+            scratch: Scratch::default(),
+        }
     }
 
     /// Model family.
@@ -230,163 +341,145 @@ impl DlrmModel {
         NUM_SPARSE * self.config.embedding_dim + NUM_DENSE
     }
 
-    /// Assembles the dense input vector for one sample, materialising rows
-    /// when `frozen` is false.
-    fn assemble_input(&mut self, sample: &Sample, frozen: bool) -> Vec<f32> {
+    /// Assembles the dense input vector of one sample into `x`,
+    /// materialising the embedding rows it touches.
+    fn assemble_input(&mut self, sample: &Sample, x: &mut Vec<f32>) {
         let d = self.config.embedding_dim;
-        let mut x = vec![0.0f32; self.input_dim()];
+        x.resize(self.input_dim(), 0.0);
         for (f, &id) in sample.sparse.iter().enumerate() {
-            let slice = &mut x[f * d..(f + 1) * d];
-            if frozen {
-                self.tables[f].lookup_frozen(id, slice);
-            } else {
-                self.tables[f].lookup(id, slice);
-            }
+            self.tables[f].lookup(id, &mut x[f * d..(f + 1) * d]);
         }
-        let dense_off = NUM_SPARSE * d;
-        x[dense_off..].copy_from_slice(&sample.dense);
-        x
+        x[NUM_SPARSE * d..].copy_from_slice(&sample.dense);
     }
 
-    /// Cross-tower forward; returns (per-layer inputs x_0..x_L, per-layer
-    /// scalars s_l). `x_states.last()` is x_L.
-    fn cross_forward(&self, x0: &[f32]) -> (Vec<Vec<f32>>, Vec<f32>) {
+    /// Cross-tower forward over `x0`: fills `states` with the per-layer
+    /// inputs `x_0..x_L` and `scalars` with the per-layer `s_l`.
+    fn cross_forward(&self, x0: &[f32], states: &mut Vec<f32>, scalars: &mut Vec<f32>) {
         let dim = x0.len();
         let l = self.config.cross_layers;
-        let mut states = Vec::with_capacity(l + 1);
-        let mut scalars = Vec::with_capacity(l);
-        states.push(x0.to_vec());
+        states.resize((l + 1) * dim, 0.0);
+        states[..dim].copy_from_slice(x0);
+        scalars.clear();
         for layer in 0..l {
             let off = layer * 2 * dim;
             let w = &self.extra[off..off + dim];
             let b = &self.extra[off + dim..off + 2 * dim];
-            let x_l = &states[layer];
+            let (done, rest) = states.split_at_mut((layer + 1) * dim);
+            let x_l = &done[layer * dim..];
             let s: f32 = w.iter().zip(x_l).map(|(a, b)| a * b).sum();
-            let next: Vec<f32> = (0..dim).map(|i| x0[i] * s + b[i] + x_l[i]).collect();
-            states.push(next);
+            for (i, next) in rest[..dim].iter_mut().enumerate() {
+                *next = x0[i] * s + b[i] + x_l[i];
+            }
             scalars.push(s);
         }
-        (states, scalars)
     }
 
-    /// Logit of one sample given the assembled input, plus the cached
-    /// per-branch state needed for backprop.
-    fn forward_logit(
-        &self,
-        sample: &Sample,
-        x: &[f32],
-        frozen: bool,
-    ) -> (f32, crate::mlp::ForwardTrace, Option<CrossState>) {
-        let trace = self.deep.forward(x);
-        let mut logit = trace.output()[0];
-        let mut cross_state = None;
+    /// Logit of the sample assembled in `s.x`; leaves the per-branch state
+    /// backprop needs in `s`.
+    fn forward_logit(&self, sample: &Sample, s: &mut Scratch) -> f32 {
+        self.deep.forward_into(&s.x, &mut s.trace);
+        let mut logit = s.trace.output()[0];
 
         match self.kind {
             ModelKind::WideDeep => {
+                // A frozen read keeps forward immutable: a wide row counts
+                // as 0.0 until its first update materialises it.
                 let mut buf = [0.0f32; 1];
                 for (f, &id) in sample.sparse.iter().enumerate() {
-                    if frozen {
-                        self.wide[f].lookup_frozen(id, &mut buf);
-                    } else {
-                        // Wide rows materialise during compute_gradients via
-                        // apply path; here use frozen read (zero default) to
-                        // keep forward immutable.
-                        self.wide[f].lookup_frozen(id, &mut buf);
-                    }
+                    self.wide[f].lookup_frozen(id, &mut buf);
                     logit += buf[0];
                 }
             }
             ModelKind::XDeepFm => {
                 let d = self.config.embedding_dim;
-                let mut k = 0;
+                s.pair_dots.clear();
                 for i in 0..NUM_SPARSE {
-                    let ei = &x[i * d..(i + 1) * d];
+                    let ei = &s.x[i * d..(i + 1) * d];
                     for j in (i + 1)..NUM_SPARSE {
-                        let ej = &x[j * d..(j + 1) * d];
+                        let ej = &s.x[j * d..(j + 1) * d];
                         let dot: f32 = ei.iter().zip(ej).map(|(a, b)| a * b).sum();
-                        logit += self.extra[k] * dot;
-                        k += 1;
+                        logit += self.extra[s.pair_dots.len()] * dot;
+                        s.pair_dots.push(dot);
                     }
                 }
             }
             ModelKind::Dcn => {
-                let (states, scalars) = self.cross_forward(x);
-                let dim = x.len();
+                self.cross_forward(&s.x, &mut s.cross_states, &mut s.cross_scalars);
+                let dim = s.x.len();
                 let head_off = self.config.cross_layers * 2 * dim;
                 let head_w = &self.extra[head_off..head_off + dim];
                 let head_b = self.extra[head_off + dim];
-                let x_l = states.last().expect("cross states nonempty");
+                let x_l = &s.cross_states[self.config.cross_layers * dim..];
                 logit += head_w.iter().zip(x_l).map(|(a, b)| a * b).sum::<f32>() + head_b;
-                cross_state = Some((states, scalars));
             }
         }
-        (logit, trace, cross_state)
+        logit
     }
 }
 
 impl CtrModel for DlrmModel {
     fn predict(&self, batch: &[Sample]) -> Vec<f32> {
         let d = self.config.embedding_dim;
+        let mut s = Scratch::default();
+        s.x.resize(self.input_dim(), 0.0);
         batch
             .iter()
             .map(|sample| {
-                let mut x = vec![0.0f32; self.input_dim()];
                 for (f, &id) in sample.sparse.iter().enumerate() {
-                    self.tables[f].lookup_frozen(id, &mut x[f * d..(f + 1) * d]);
+                    self.tables[f].lookup_frozen(id, &mut s.x[f * d..(f + 1) * d]);
                 }
-                x[NUM_SPARSE * d..].copy_from_slice(&sample.dense);
-                let (logit, _, _) = self.forward_logit(sample, &x, true);
+                s.x[NUM_SPARSE * d..].copy_from_slice(&sample.dense);
+                let logit = self.forward_logit(sample, &mut s);
                 1.0 / (1.0 + (-logit).exp())
             })
             .collect()
     }
 
-    fn compute_gradients(&mut self, batch: &[Sample]) -> Gradients {
+    fn compute_gradients_into(&mut self, batch: &[Sample], out: &mut Gradients) {
         assert!(!batch.is_empty(), "empty batch");
         let d = self.config.embedding_dim;
-        let input_dim = self.input_dim();
+        let dim = self.input_dim();
         let inv_n = 1.0 / batch.len() as f32;
 
-        let mut dense_grad = vec![0.0f32; self.extra.len() + self.deep.param_count()];
-        let (extra_grad, mlp_grad) = dense_grad.split_at_mut(self.extra.len());
-        let mut sparse_acc: std::collections::HashMap<(usize, u64), Vec<f32>> =
-            std::collections::HashMap::new();
+        // The scratch leaves the model for the batch so that `&self`
+        // helpers can fill it.
+        let mut s = std::mem::take(&mut self.scratch);
+        s.emb_grads.clear();
+        s.dlogits.clear();
+        out.dense.clear();
+        out.dense.resize(self.extra.len() + self.deep.param_count(), 0.0);
+        let (extra_grad, mlp_grad) = out.dense.split_at_mut(self.extra.len());
         let mut total_loss = 0.0f32;
 
         for sample in batch {
-            let x = self.assemble_input(sample, false);
-            let (logit, trace, cross_state) = self.forward_logit(sample, &x, false);
+            self.assemble_input(sample, &mut s.x);
+            let logit = self.forward_logit(sample, &mut s);
             let p = 1.0 / (1.0 + (-logit).exp());
             let y = if sample.label { 1.0 } else { 0.0 };
             total_loss += -(y * (p.max(1e-7)).ln() + (1.0 - y) * ((1.0 - p).max(1e-7)).ln());
             let dlogit = (p - y) * inv_n;
 
             // Deep tower.
-            let mut dx = self.deep.backward(&trace, &[dlogit], mlp_grad);
+            let x = &s.x;
+            let dx = self.deep.backward_into(&s.trace, &[dlogit], mlp_grad, &mut s.act_grads);
 
             // Family-specific terms also feed gradient into x.
             match self.kind {
-                ModelKind::WideDeep => {
-                    for (f, &id) in sample.sparse.iter().enumerate() {
-                        sparse_acc.entry((NUM_SPARSE + f, id)).or_insert_with(|| vec![0.0; 1])
-                            [0] += dlogit;
-                    }
-                }
+                // The wide rows' gradient is `dlogit` itself (reduced below).
+                ModelKind::WideDeep => {}
                 ModelKind::XDeepFm => {
                     let mut k = 0;
                     for i in 0..NUM_SPARSE {
                         for j in (i + 1)..NUM_SPARSE {
-                            let (head, tail) = x.split_at(j * d);
-                            let ei = &head[i * d..(i + 1) * d];
-                            let ej = &tail[..d];
-                            let dot: f32 = ei.iter().zip(ej).map(|(a, b)| a * b).sum();
-                            extra_grad[k] += dlogit * dot;
-                            let w = self.extra[k];
-                            let coef = dlogit * w;
+                            extra_grad[k] += dlogit * s.pair_dots[k];
+                            let coef = dlogit * self.extra[k];
                             if coef != 0.0 {
-                                for t in 0..d {
-                                    dx[i * d + t] += coef * ej[t];
-                                    dx[j * d + t] += coef * ei[t];
+                                let (ei, ej) = (&x[i * d..(i + 1) * d], &x[j * d..(j + 1) * d]);
+                                let (head, tail) = dx.split_at_mut(j * d);
+                                let dxi = head[i * d..(i + 1) * d].iter_mut().zip(ej);
+                                for ((di, &b), (dj, &a)) in dxi.zip(tail[..d].iter_mut().zip(ei)) {
+                                    *di += coef * b;
+                                    *dj += coef * a;
                                 }
                             }
                             k += 1;
@@ -394,11 +487,9 @@ impl CtrModel for DlrmModel {
                     }
                 }
                 ModelKind::Dcn => {
-                    let (states, scalars) =
-                        cross_state.expect("DCN forward always produces cross state");
-                    let dim = input_dim;
-                    let head_off = self.config.cross_layers * 2 * dim;
-                    let x_l = states.last().expect("nonempty");
+                    let layers = self.config.cross_layers;
+                    let head_off = layers * 2 * dim;
+                    let x_l = &s.cross_states[layers * dim..];
                     // Head gradients.
                     for t in 0..dim {
                         extra_grad[head_off + t] += dlogit * x_l[t];
@@ -406,29 +497,31 @@ impl CtrModel for DlrmModel {
                     extra_grad[head_off + dim] += dlogit;
                     // dL/dx_L from the head.
                     let head_w = &self.extra[head_off..head_off + dim];
-                    let mut g_next: Vec<f32> = head_w.iter().map(|&w| dlogit * w).collect();
-                    let mut g_x0 = vec![0.0f32; dim];
-                    for layer in (0..self.config.cross_layers).rev() {
+                    let g_next = &mut s.g_next;
+                    g_next.clear();
+                    g_next.extend(head_w.iter().map(|&w| dlogit * w));
+                    let g_x0 = &mut s.g_x0;
+                    g_x0.clear();
+                    g_x0.resize(dim, 0.0);
+                    for layer in (0..layers).rev() {
                         let off = layer * 2 * dim;
                         let w = &self.extra[off..off + dim];
-                        let x_layer = &states[layer];
-                        let s = scalars[layer];
+                        let x_layer = &s.cross_states[layer * dim..(layer + 1) * dim];
+                        let sc = s.cross_scalars[layer];
                         // dL/ds = Σ g_next[i] * x0[i]
-                        let ds: f32 = g_next.iter().zip(&x).map(|(g, xv)| g * xv).sum();
+                        let ds: f32 = g_next.iter().zip(x).map(|(g, xv)| g * xv).sum();
                         for t in 0..dim {
                             // b grad
                             extra_grad[off + dim + t] += g_next[t];
                             // w grad
                             extra_grad[off + t] += ds * x_layer[t];
                             // x0 accumulation
-                            g_x0[t] += g_next[t] * s;
+                            g_x0[t] += g_next[t] * sc;
                         }
                         // dL/dx_l = g_next + w * ds
-                        let mut g_prev = g_next.clone();
                         for t in 0..dim {
-                            g_prev[t] += w[t] * ds;
+                            g_next[t] += w[t] * ds;
                         }
-                        g_next = g_prev;
                     }
                     // Total gradient into x from the cross branch.
                     for t in 0..dim {
@@ -437,25 +530,38 @@ impl CtrModel for DlrmModel {
                 }
             }
 
-            // Embedding gradients from dx.
-            for (f, &id) in sample.sparse.iter().enumerate() {
-                let slice = &dx[f * d..(f + 1) * d];
-                if slice.iter().all(|&g| g == 0.0) {
-                    continue;
-                }
-                let acc = sparse_acc.entry((f, id)).or_insert_with(|| vec![0.0; d]);
-                for (a, &g) in acc.iter_mut().zip(slice) {
-                    *a += g;
-                }
-            }
+            s.emb_grads.extend_from_slice(&dx[..NUM_SPARSE * d]);
+            s.dlogits.push(dlogit);
         }
 
-        // Flatten sparse grads deterministically.
-        let mut sparse: Vec<(usize, u64, Vec<f32>)> =
-            sparse_acc.into_iter().map(|((t, id), g)| (t, id, g)).collect();
-        sparse.sort_by_key(|(t, id, _)| (*t, *id));
-
-        Gradients { dense: dense_grad, sparse, mean_loss: total_loss * inv_n, samples: batch.len() }
+        // Sparse gradients: per (table, id), the batch's samples summed in
+        // batch order. A sample whose slice is all zero enters no key
+        // (adding it would not be a no-op either: `-0.0 + 0.0`).
+        out.sparse.reset(d);
+        for f in 0..NUM_SPARSE {
+            let slice = |i: usize| &s.emb_grads[(i * NUM_SPARSE + f) * d..][..d];
+            s.touches.clear();
+            s.touches.extend(
+                batch
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| slice(i).iter().any(|&g| g != 0.0))
+                    .map(|(i, sample)| (sample.sparse[f], i)),
+            );
+            out.sparse.push_table(f, &mut s.touches, slice);
+        }
+        if self.kind == ModelKind::WideDeep {
+            // Wide rows are always entered, even when `dlogit == 0`: the
+            // update then still materialises the row.
+            for f in 0..NUM_SPARSE {
+                s.touches.clear();
+                s.touches.extend(batch.iter().enumerate().map(|(i, b)| (b.sparse[f], i)));
+                out.sparse.push_table(NUM_SPARSE + f, &mut s.touches, |i| &s.dlogits[i..=i]);
+            }
+        }
+        out.mean_loss = total_loss * inv_n;
+        out.samples = batch.len();
+        self.scratch = s;
     }
 
     fn apply_gradients(&mut self, grads: &Gradients) {
@@ -471,14 +577,14 @@ impl CtrModel for DlrmModel {
             *p -= lr * g / (a.sqrt() + 1e-8);
         }
         self.deep.apply_grads(mlp_grad, lr);
-        for (table_idx, id, g) in &grads.sparse {
-            if *table_idx < NUM_SPARSE {
-                self.tables[*table_idx].apply_grad(*id, g, lr);
+        for (table_idx, id, g) in grads.sparse.iter() {
+            if table_idx < NUM_SPARSE {
+                self.tables[table_idx].apply_grad(id, g, lr);
             } else {
                 let f = table_idx - NUM_SPARSE;
                 assert!(f < NUM_SPARSE, "bad wide table index {table_idx}");
                 assert_eq!(self.kind, ModelKind::WideDeep, "wide grads on non-wide model");
-                self.wide[f].apply_grad(*id, g, lr);
+                self.wide[f].apply_grad(id, g, lr);
             }
         }
     }
@@ -512,17 +618,23 @@ impl CtrModel for DlrmModel {
     fn restore(&mut self, ckpt: &ModelCheckpoint) {
         assert_eq!(ckpt.kind, self.kind, "checkpoint is for a different model family");
         assert_eq!(ckpt.dense.len(), self.dense_param_count(), "dense shape mismatch");
+        assert_eq!(
+            ckpt.dense_acc.len(),
+            self.dense_param_count(),
+            "dense accumulator shape mismatch"
+        );
         assert_eq!(ckpt.tables.len(), self.tables.len(), "table count mismatch");
+        assert_eq!(ckpt.wide.len(), self.wide.len(), "wide table count mismatch");
         let split = self.extra.len();
         self.extra.copy_from_slice(&ckpt.dense[..split]);
         self.extra_acc.copy_from_slice(&ckpt.dense_acc[..split]);
         self.deep.set_params(&ckpt.dense[split..]);
         self.deep.set_accumulators(&ckpt.dense_acc[split..]);
         for (t, rows) in self.tables.iter_mut().zip(&ckpt.tables) {
-            t.import_rows(rows.clone());
+            t.import_rows(rows);
         }
         for (t, rows) in self.wide.iter_mut().zip(&ckpt.wide) {
-            t.import_rows(rows.clone());
+            t.import_rows(rows);
         }
     }
 }
@@ -674,6 +786,70 @@ mod tests {
         let mut a = DlrmModel::new(ModelKind::Dcn, small_config(), 7);
         let b = DlrmModel::new(ModelKind::XDeepFm, small_config(), 7);
         a.restore(&b.snapshot());
+    }
+
+    #[test]
+    #[should_panic(expected = "dense accumulator shape mismatch")]
+    fn restore_rejects_short_dense_accumulators() {
+        let mut model = DlrmModel::new(ModelKind::XDeepFm, small_config(), 7);
+        let mut ckpt = model.snapshot();
+        ckpt.dense_acc.pop();
+        model.restore(&ckpt);
+    }
+
+    #[test]
+    #[should_panic(expected = "wide table count mismatch")]
+    fn restore_rejects_missing_wide_tables() {
+        let mut model = DlrmModel::new(ModelKind::WideDeep, small_config(), 7);
+        let mut ckpt = model.snapshot();
+        ckpt.wide.pop();
+        model.restore(&ckpt);
+    }
+
+    #[test]
+    #[should_panic(expected = "row accumulator width mismatch")]
+    fn restore_rejects_a_misshapen_row() {
+        let data = dataset();
+        let mut model = DlrmModel::new(ModelKind::Dcn, small_config(), 7);
+        model.train_batch(&data.batch(0, 8));
+        let mut ckpt = model.snapshot();
+        ckpt.tables[3][0].2.pop();
+        model.restore(&ckpt);
+    }
+
+    /// Two ids of one table that hash to the same row are two Adagrad
+    /// steps on it, in id order — not one step with the summed gradient.
+    #[test]
+    fn colliding_ids_stay_separate_keys() {
+        let config = ModelConfig { hash_size: 1, ..small_config() };
+        let data = dataset();
+        let batch = data.batch(0, 32);
+        let mut model = DlrmModel::new(ModelKind::WideDeep, config, 7);
+        let g = model.compute_gradients(&batch);
+        let last = NUM_SPARSE - 1; // ~200K categories: the ids all differ
+        let mut ids: Vec<u64> = batch.iter().map(|s| s.sparse[last]).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert!(ids.len() > 1);
+        let keyed: Vec<u64> =
+            g.sparse.iter().filter(|&(t, _, _)| t == last).map(|(_, id, _)| id).collect();
+        assert_eq!(keyed, ids, "one key per id, ascending");
+        let keys: Vec<(usize, u64)> = g.sparse.iter().map(|(t, id, _)| (t, id)).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys ascend by (table, id)");
+        model.apply_gradients(&g);
+        assert_eq!(model.materialized_rows(), 2 * NUM_SPARSE, "one row per table");
+    }
+
+    /// A reused `Gradients` carries nothing over from the batch before.
+    #[test]
+    fn reused_gradient_buffers_start_clean() {
+        let data = dataset();
+        let mut model = DlrmModel::new(ModelKind::Dcn, small_config(), 7);
+        let mut reused = Gradients::default();
+        model.compute_gradients_into(&data.batch(0, 64), &mut reused);
+        model.compute_gradients_into(&data.batch(64, 5), &mut reused);
+        let fresh = model.compute_gradients(&data.batch(64, 5));
+        assert_eq!(reused, fresh);
     }
 
     #[test]

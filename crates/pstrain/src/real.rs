@@ -14,7 +14,7 @@
 //!   and the shard queue guarantees no sample is dropped or duplicated.
 
 use dlrover_dlrm::model::{CtrModel, DlrmModel, ModelConfig, ModelKind};
-use dlrover_dlrm::{auc, logloss, DatasetConfig, SyntheticCriteo};
+use dlrover_dlrm::{auc, logloss, DatasetConfig, Gradients, Sample, SyntheticCriteo};
 use dlrover_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -109,6 +109,10 @@ pub struct RealModeTrainer {
     next_worker_id: u64,
     round: u64,
     loss_history: Vec<(u64, f32)>,
+    /// The batch being trained, and one gradient per worker of a round:
+    /// kept between rounds so that a round allocates nothing.
+    batch: Vec<Sample>,
+    grads: Vec<Gradients>,
 }
 
 impl RealModeTrainer {
@@ -127,6 +131,8 @@ impl RealModeTrainer {
             next_worker_id: 0,
             round: 0,
             loss_history: Vec::new(),
+            batch: Vec::new(),
+            grads: Vec::new(),
         };
         for _ in 0..initial_workers {
             t.apply(ElasticEvent::AddWorker);
@@ -173,6 +179,8 @@ impl RealModeTrainer {
             next_worker_id: 0,
             round: ckpt.round,
             loss_history: Vec::new(),
+            batch: Vec::new(),
+            grads: Vec::new(),
         };
         for _ in 0..initial_workers {
             t.apply(ElasticEvent::AddWorker);
@@ -239,13 +247,13 @@ impl RealModeTrainer {
         self.round += 1;
         let now = SimTime::from_secs(self.round);
         let batch_size = self.config.sharding.batch_size as u64;
-        let mut grads = Vec::new();
+        // Gradients computed this round: the first `computed` of the pool.
+        let mut computed = 0;
 
-        let live: Vec<usize> = (0..self.workers.len()).filter(|&i| self.workers[i].alive).collect();
-        if live.is_empty() {
-            return None;
-        }
-        for &i in &live {
+        for i in 0..self.workers.len() {
+            if !self.workers[i].alive {
+                continue;
+            }
             let wid = self.workers[i].shard_id;
             // Ensure a shard.
             let holding = self.shards.worker(wid).and_then(|s| s.current_shard);
@@ -264,10 +272,14 @@ impl RealModeTrainer {
             if take == 0 {
                 continue;
             }
-            let batch = self.dataset.batch(shard.start + offset, take as usize);
+            self.dataset.batch_into(shard.start + offset, take as usize, &mut self.batch);
             // Gradient against the *round-start* parameters: all gradients
             // in this round are computed before any is applied below.
-            grads.push(self.model.compute_gradients(&batch));
+            if computed == self.grads.len() {
+                self.grads.push(Gradients::default());
+            }
+            self.model.compute_gradients_into(&self.batch, &mut self.grads[computed]);
+            computed += 1;
             let new_offset = offset + take;
             self.shards.heartbeat(wid, new_offset, now);
             if new_offset >= shard.len {
@@ -277,11 +289,13 @@ impl RealModeTrainer {
                 self.workers[i].offset = new_offset;
             }
         }
-        if grads.is_empty() {
+        // No live worker, or none of them got data.
+        if computed == 0 {
             return None;
         }
+        let grads = &self.grads[..computed];
         let mean_loss = grads.iter().map(|g| g.mean_loss).sum::<f32>() / grads.len() as f32;
-        for g in &grads {
+        for g in grads {
             self.model.apply_gradients(g);
         }
         self.loss_history.push((self.round, mean_loss));
