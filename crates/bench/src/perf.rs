@@ -520,22 +520,34 @@ fn parallel_area(threads: usize) -> Result<AreaOutcome, String> {
     })
 }
 
-/// Fixed checkpoint-plane workload: 20k content-chunked saves across 32
-/// jobs in 8 model families against one shared plane (dedup, eviction,
-/// and the FIFO remote queue all on the hot path), with a restore every
-/// 64th save. Returns `(saves, plane digest)` — the digest doubles as a
-/// determinism witness across optimisation passes.
-fn ckptplane_workload() -> (u64, u64) {
-    const SAVES: u64 = 20_000;
-    const JOBS: u64 = 32;
-    let mut plane =
-        dlrover_master::CheckpointPlane::new(dlrover_master::CkptPlaneConfig::default());
+/// Saves per pass of the checkpoint-plane workload, and the jobs they
+/// rotate over.
+const CKPT_SAVES: u64 = 20_000;
+const CKPT_JOBS: u64 = 32;
+/// Checkpoint size of the area's historical row: ~11 chunks per save.
+const CKPT_SMALL_BYTES: u64 = 500_000_000;
+/// What `core::chaos` actually saves (2 GB static + the embedding of a
+/// job well under way): ~125 chunks per save, so the per-chunk store
+/// operations dominate the way they do in a chaos job.
+const CKPT_CHAOS_BYTES: u64 = 8_000_000_000;
+
+/// Fixed checkpoint-plane workload: 20k content-chunked saves of about
+/// `base_bytes` each across 32 jobs in 8 model families against one shared
+/// plane (dedup, eviction, and the FIFO remote queue all on the hot path),
+/// with a restore every 64th save. Returns `(saves, chunks staged, plane
+/// digest)` — the digest doubles as a determinism witness across
+/// optimisation passes.
+fn ckptplane_workload(base_bytes: u64) -> (u64, u64, u64) {
+    let cfg = dlrover_master::CkptPlaneConfig::default();
+    let mut plane = dlrover_master::CheckpointPlane::new(cfg);
     let mut t = SimTime::ZERO;
-    for i in 0..SAVES {
-        let job = i % JOBS;
-        let step = i / JOBS;
+    let mut chunks = 0u64;
+    for i in 0..CKPT_SAVES {
+        let job = i % CKPT_JOBS;
+        let step = i / CKPT_JOBS;
         let samples = step * 1_024;
-        let bytes = 500_000_000 + samples * 64 + (job % 8) * 50_000_000;
+        let bytes = base_bytes + samples * 64 + (job % 8) * 50_000_000;
+        chunks += bytes.div_ceil(cfg.chunking.chunk_bytes);
         t += dlrover_sim::SimDuration::from_secs(7);
         let _ = plane.save(job, job % 8, step, samples, bytes, t);
         if i % 64 == 0 {
@@ -543,28 +555,47 @@ fn ckptplane_workload() -> (u64, u64) {
         }
     }
     plane.advance(t);
-    (SAVES, plane.digest())
+    (CKPT_SAVES, chunks, plane.digest())
+}
+
+/// One measured pass of [`ckptplane_workload`] as the row the artefact
+/// carries per checkpoint size.
+fn ckptplane_row(base_bytes: u64) -> (f64, serde_json::Value) {
+    let ((saves, chunks, digest), wall_s) = measured(|| ckptplane_workload(base_bytes));
+    let saves_per_sec = saves as f64 / wall_s.max(1e-9);
+    let row = serde_json::json!({
+        "base_bytes": base_bytes,
+        "chunks_per_save": chunks as f64 / saves as f64,
+        "wall_s": wall_s,
+        "saves_per_sec": saves_per_sec,
+        "plane_digest": format!("{digest:#018x}"),
+    });
+    (saves_per_sec, row)
 }
 
 fn ckptplane_area() -> AreaOutcome {
-    let ((saves, digest), wall_s) = measured(ckptplane_workload);
-    let (_, profile) = profiled(ckptplane_workload);
-    let saves_per_sec = saves as f64 / wall_s.max(1e-9);
+    let (saves_per_sec, small) = ckptplane_row(CKPT_SMALL_BYTES);
+    let (_, chaos_sized) = ckptplane_row(CKPT_CHAOS_BYTES);
+    let (_, profile) = profiled(|| ckptplane_workload(CKPT_SMALL_BYTES));
     AreaOutcome {
         stem: "ckptplane".into(),
         headline_key: "saves_per_sec",
         headline: saves_per_sec,
         higher_is_better: true,
-        previous_keys: &["saves_per_sec", "wall_s"],
+        previous_keys: &["saves_per_sec", "wall_s", "chaos_sized"],
         body: serde_json::json!({
             "experiment": "perf-ckptplane",
             "description": "20k content-chunked checkpoint saves + periodic restores \
-                            against one shared tiered plane (§5.3 flash tier hot path)",
-            "saves": saves,
-            "jobs": 32,
-            "wall_s": wall_s,
+                            against one shared tiered plane (§5.3 flash tier hot path); \
+                            headline at 0.5 GB checkpoints, `chaos_sized` the same loop \
+                            at the 8 GB checkpoints core::chaos stages",
+            "saves": CKPT_SAVES,
+            "jobs": CKPT_JOBS,
+            "chunks_per_save": small["chunks_per_save"],
+            "wall_s": small["wall_s"],
             "saves_per_sec": saves_per_sec,
-            "plane_digest": format!("{digest:#018x}"),
+            "plane_digest": small["plane_digest"],
+            "chaos_sized": chaos_sized,
             "prof": prof_block(&profile),
         }),
         folded: profile.folded(),

@@ -166,13 +166,15 @@ struct Parked {
 
 /// Fault-free reference run: same spec/allocation/config, no plan, no
 /// cluster. Returns the JCT (deadline-clamped when the job never ends).
+/// Only the JCT leaves this function, and nothing under the master reads
+/// its sink back, so the run records into the null sink.
 fn baseline_jct(
     spec: &TrainingJobSpec,
     alloc: ResourceAllocation,
     cfg: &RunnerConfig,
 ) -> SimDuration {
     let mut master = JobMaster::new(0, spec.clone(), alloc, cfg.master);
-    master.set_telemetry(Telemetry::default());
+    master.set_telemetry(Telemetry::null());
     while master.engine().now() < cfg.deadline {
         for e in master.tick(cfg.profile_interval) {
             if let MasterEvent::Completed(t) = e {
@@ -197,7 +199,8 @@ pub fn run_chaos_job(
     cfg: &ChaosConfig,
     telemetry: &Telemetry,
 ) -> ChaosReport {
-    run_chaos_job_inner(spec, alloc, None, plan, cfg, telemetry)
+    let baseline = baseline_jct(spec, alloc, &cfg.runner);
+    run_chaos_job_inner(spec, alloc, None, plan, cfg, telemetry, baseline)
 }
 
 /// Like [`run_chaos_job`], but a [`SchedulerPolicy`] drives the job's
@@ -217,9 +220,13 @@ pub fn run_chaos_job_with_policy(
     telemetry: &Telemetry,
 ) -> ChaosReport {
     let alloc = policy.initial_allocation();
-    run_chaos_job_inner(spec, alloc, Some(policy), plan, cfg, telemetry)
+    let baseline = baseline_jct(spec, alloc, &cfg.runner);
+    run_chaos_job_inner(spec, alloc, Some(policy), plan, cfg, telemetry, baseline)
 }
 
+/// The driver proper. `baseline` is [`baseline_jct`] of the same
+/// `(spec, alloc, cfg.runner)` — a pure function of them, so a suite
+/// computes it once for all its plans.
 fn run_chaos_job_inner(
     spec: &TrainingJobSpec,
     alloc: ResourceAllocation,
@@ -227,8 +234,8 @@ fn run_chaos_job_inner(
     plan: &FaultPlan,
     cfg: &ChaosConfig,
     telemetry: &Telemetry,
+    baseline: SimDuration,
 ) -> ChaosReport {
-    let baseline = baseline_jct(spec, alloc, &cfg.runner);
     let streams = RngStreams::new(cfg.runner.seed);
     let mut startup_rng = streams.stream("chaos-startup");
     let mut organic_rng = streams.stream("chaos-organic");
@@ -643,7 +650,7 @@ fn run_chaos_job_inner(
                     // tier copy is gone, so whichever path recovers must
                     // pay a real restore.
                     plane.invalidate_hot(0, now);
-                    let replayed = ReplayedJobState::from_events(&telemetry.snapshot().events);
+                    let replayed = ReplayedJobState::from_events(&telemetry.events());
 
                     // Witness path (when preferred and available): the
                     // surviving peers detect the silence, elect a
@@ -1112,8 +1119,7 @@ fn run_chaos_job_inner(
         leaked_cpu_millis: leaked.cpu_millis,
         leaked_mem_bytes: leaked.mem_bytes,
     };
-    let snapshot = telemetry.snapshot();
-    let oracle = Oracle::new(cfg.oracle).check(plan, &snapshot.events, &truth);
+    let oracle = Oracle::new(cfg.oracle).check(plan, &telemetry.events(), &truth);
     ChaosReport {
         plan_len: plan.len(),
         faults_injected,
@@ -1141,11 +1147,12 @@ pub fn run_chaos_suite(
     cfg: &ChaosConfig,
 ) -> Vec<(FaultPlan, ChaosReport)> {
     let streams = RngStreams::new(cfg.runner.seed);
+    let baseline = baseline_jct(spec, alloc, &cfg.runner);
     (0..plans)
         .map(|i| {
             let plan = FaultPlan::generate(&cfg.plan, &streams, i);
             let telemetry = Telemetry::default();
-            let report = run_chaos_job(spec, alloc, &plan, cfg, &telemetry);
+            let report = run_chaos_job_inner(spec, alloc, None, &plan, cfg, &telemetry, baseline);
             (plan, report)
         })
         .collect()

@@ -100,15 +100,46 @@ pub fn manifest_chunks(
     out
 }
 
+/// Hasher for maps keyed by chunk keys: the key *is* the hash. Chunk keys
+/// are [`mix64`] outputs — already uniform over 64 bits — so a second hash
+/// (SipHash by default) or a tree walk per lookup buys nothing. Private to
+/// this module: only content keys minted by [`manifest_chunks`] may reach
+/// it.
+#[derive(Debug, Clone, Copy, Default)]
+struct KeyHasher(u64);
+
+impl std::hash::Hasher for KeyHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("KeyHasher hashes u64 chunk keys only");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type KeyMap<V> = std::collections::HashMap<u64, V, std::hash::BuildHasherDefault<KeyHasher>>;
+
 /// A refcounted content-addressed chunk store (one per storage tier).
 ///
 /// `acquire` returns whether the chunk was *newly* stored — the caller
 /// charges transfer bytes only for those; duplicate acquisitions are the
 /// dedup hits. `release` returns the bytes freed when the last reference
 /// drops.
+///
+/// A save touches every chunk of its manifest four times (remote acquire,
+/// hot acquire, hot release of the superseded copy, remote release at
+/// retirement) and a chaos-sized checkpoint has ~125 chunks, so the store
+/// is a hash map keyed by the content key itself (a pass-through hasher).
+/// Nothing but [`Self::digest`] iterates it, and that sorts first: map
+/// order never reaches a result. Equality is set equality.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChunkStore {
-    entries: std::collections::BTreeMap<u64, ChunkEntry>,
+    entries: KeyMap<ChunkEntry>,
     stored_bytes: u64,
 }
 
@@ -122,13 +153,14 @@ impl ChunkStore {
     /// Adds a reference to `chunk`, storing it if absent. Returns `true`
     /// when the chunk was newly stored (bytes must be transferred).
     pub fn acquire(&mut self, chunk: ChunkRef) -> bool {
-        match self.entries.get_mut(&chunk.key) {
-            Some(e) => {
-                e.refs += 1;
+        use std::collections::hash_map::Entry;
+        match self.entries.entry(chunk.key) {
+            Entry::Occupied(mut e) => {
+                e.get_mut().refs += 1;
                 false
             }
-            None => {
-                self.entries.insert(chunk.key, ChunkEntry { bytes: chunk.bytes, refs: 1 });
+            Entry::Vacant(v) => {
+                v.insert(ChunkEntry { bytes: chunk.bytes, refs: 1 });
                 self.stored_bytes += chunk.bytes;
                 true
             }
@@ -138,11 +170,11 @@ impl ChunkStore {
     /// Drops a reference to `key`. Returns the bytes freed (non-zero only
     /// when the last reference dropped). Unknown keys are ignored.
     pub fn release(&mut self, key: u64) -> u64 {
-        let Some(e) = self.entries.get_mut(&key) else { return 0 };
-        e.refs -= 1;
-        if e.refs == 0 {
-            let bytes = e.bytes;
-            self.entries.remove(&key);
+        use std::collections::hash_map::Entry;
+        let Entry::Occupied(mut e) = self.entries.entry(key) else { return 0 };
+        e.get_mut().refs -= 1;
+        if e.get().refs == 0 {
+            let bytes = e.remove().bytes;
             self.stored_bytes -= bytes;
             bytes
         } else {
@@ -166,15 +198,89 @@ impl ChunkStore {
         self.entries.len()
     }
 
-    /// Order-independent digest of the store's full state (keys, sizes,
-    /// refcounts, total). Used by determinism tests to compare stores
-    /// built through different interleavings.
+    /// Digest of the store's full state (keys, sizes, refcounts, total),
+    /// independent of the order the state was built in. Used by
+    /// determinism tests to compare stores built through different
+    /// interleavings. The fold is a chain, so entries are visited in
+    /// ascending key order — the order `results/ckptplane.json` and the
+    /// cross-shard comparison were recorded in.
     pub fn digest(&self) -> u64 {
+        let mut entries: Vec<(u64, ChunkEntry)> =
+            self.entries.iter().map(|(&key, &e)| (key, e)).collect();
+        entries.sort_unstable_by_key(|&(key, _)| key);
         let mut acc = mix64(self.stored_bytes ^ 0x00D1_6E57);
-        for (key, e) in &self.entries {
-            acc = mix64(acc ^ mix64(*key) ^ mix64(e.bytes) ^ mix64(e.refs));
+        for (key, e) in entries {
+            acc = mix64(acc ^ mix64(key) ^ mix64(e.bytes) ^ mix64(e.refs));
         }
         acc
+    }
+}
+
+/// The `BTreeMap`-backed store this module shipped with through PR 14,
+/// kept verbatim as the reference [`ChunkStore`] is tested against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{mix64, ChunkRef};
+
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub(crate) struct ChunkStore {
+        entries: std::collections::BTreeMap<u64, ChunkEntry>,
+        stored_bytes: u64,
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct ChunkEntry {
+        bytes: u64,
+        refs: u64,
+    }
+
+    impl ChunkStore {
+        pub(crate) fn acquire(&mut self, chunk: ChunkRef) -> bool {
+            match self.entries.get_mut(&chunk.key) {
+                Some(e) => {
+                    e.refs += 1;
+                    false
+                }
+                None => {
+                    self.entries.insert(chunk.key, ChunkEntry { bytes: chunk.bytes, refs: 1 });
+                    self.stored_bytes += chunk.bytes;
+                    true
+                }
+            }
+        }
+
+        pub(crate) fn release(&mut self, key: u64) -> u64 {
+            let Some(e) = self.entries.get_mut(&key) else { return 0 };
+            e.refs -= 1;
+            if e.refs == 0 {
+                let bytes = e.bytes;
+                self.entries.remove(&key);
+                self.stored_bytes -= bytes;
+                bytes
+            } else {
+                0
+            }
+        }
+
+        pub(crate) fn contains(&self, key: u64) -> bool {
+            self.entries.contains_key(&key)
+        }
+
+        pub(crate) fn stored_bytes(&self) -> u64 {
+            self.stored_bytes
+        }
+
+        pub(crate) fn chunk_count(&self) -> usize {
+            self.entries.len()
+        }
+
+        pub(crate) fn digest(&self) -> u64 {
+            let mut acc = mix64(self.stored_bytes ^ 0x00D1_6E57);
+            for (key, e) in &self.entries {
+                acc = mix64(acc ^ mix64(*key) ^ mix64(e.bytes) ^ mix64(e.refs));
+            }
+            acc
+        }
     }
 }
 
@@ -229,20 +335,21 @@ mod tests {
     #[test]
     fn store_refcounts_and_dedups() {
         let mut s = ChunkStore::default();
-        let c = ChunkRef { key: 42, bytes: 100 };
+        let key = mix64(42);
+        let c = ChunkRef { key, bytes: 100 };
         assert!(s.acquire(c), "first acquire stores");
         assert!(!s.acquire(c), "second acquire dedups");
         assert_eq!(s.stored_bytes(), 100);
-        assert_eq!(s.release(42), 0, "one ref remains");
-        assert_eq!(s.release(42), 100, "last ref frees");
+        assert_eq!(s.release(key), 0, "one ref remains");
+        assert_eq!(s.release(key), 100, "last ref frees");
         assert_eq!(s.stored_bytes(), 0);
-        assert!(!s.contains(42));
+        assert!(!s.contains(key));
     }
 
     #[test]
     fn digest_is_order_independent_but_state_sensitive() {
-        let a1 = ChunkRef { key: 1, bytes: 10 };
-        let a2 = ChunkRef { key: 2, bytes: 20 };
+        let a1 = ChunkRef { key: mix64(1), bytes: 10 };
+        let a2 = ChunkRef { key: mix64(2), bytes: 20 };
         let mut s1 = ChunkStore::default();
         s1.acquire(a1);
         s1.acquire(a2);
@@ -252,5 +359,107 @@ mod tests {
         assert_eq!(s1.digest(), s2.digest());
         s2.acquire(a1);
         assert_ne!(s1.digest(), s2.digest(), "refcounts are part of the digest");
+    }
+
+    /// The pinned `BENCH_ckptplane.json` digest is a fold in ascending key
+    /// order; a store that folded in map order would pass every
+    /// self-comparison and still move `results/ckptplane.json`.
+    #[test]
+    fn digest_folds_in_ascending_key_order() {
+        let mut s = ChunkStore::default();
+        let mut expect: Vec<(u64, u64)> = Vec::new();
+        for i in 0..200u64 {
+            let c = ChunkRef { key: mix64(i ^ 0xD16E), bytes: 1 + i };
+            s.acquire(c);
+            expect.push((c.key, c.bytes));
+        }
+        expect.sort_unstable();
+        let mut acc = mix64(s.stored_bytes() ^ 0x00D1_6E57);
+        for (key, bytes) in expect {
+            acc = mix64(acc ^ mix64(key) ^ mix64(bytes) ^ mix64(1));
+        }
+        assert_eq!(s.digest(), acc);
+    }
+}
+
+/// Differential tests: the hashed store against the B-tree store it
+/// replaced, under the traffic the plane generates (every chunk acquired
+/// and released many times, keys shared across manifests).
+#[cfg(test)]
+mod differential {
+    use super::*;
+    use proptest::prelude::*;
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Acquire chunk `i` of the key pool.
+        Acquire(usize),
+        /// Release chunk `i` of the key pool (possibly absent).
+        Release(usize),
+        /// Stage a whole manifest, as `CheckpointPlane::save` does.
+        Save { job: u64, family: u64, step: u64, bytes: u64 },
+        /// Release a previously staged manifest's chunks (retirement).
+        Retire(usize),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0usize..48).prop_map(Op::Acquire),
+            (0usize..48).prop_map(Op::Release),
+            (0u64..4, 0u64..3, 0u64..400, 1u64..2_000_000_000)
+                .prop_map(|(job, family, step, bytes)| Op::Save { job, family, step, bytes }),
+            (0usize..32).prop_map(Op::Retire),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        #[test]
+        fn hashed_store_matches_btree_reference(ops in proptest::collection::vec(op(), 1..300)) {
+            // A small pool with planted duplicates: indices 32.. alias the
+            // first sixteen keys, so acquires and releases of "different"
+            // chunks land on one entry.
+            let pool: Vec<ChunkRef> = (0..48u64)
+                .map(|i| {
+                    let k = if i >= 32 { i - 32 } else { i };
+                    ChunkRef { key: mix64(k ^ 0x00C0_FFEE), bytes: 1_000 + k * 7 }
+                })
+                .collect();
+            let cfg = ChunkingConfig::default();
+            let mut live = ChunkStore::default();
+            let mut reference = reference::ChunkStore::default();
+            let mut manifests: Vec<Vec<ChunkRef>> = Vec::new();
+            for op in ops {
+                match op {
+                    Op::Acquire(i) => {
+                        prop_assert_eq!(live.acquire(pool[i]), reference.acquire(pool[i]));
+                    }
+                    Op::Release(i) => {
+                        prop_assert_eq!(live.release(pool[i].key), reference.release(pool[i].key));
+                    }
+                    Op::Save { job, family, step, bytes } => {
+                        let chunks = manifest_chunks(job, family, step, bytes, &cfg);
+                        for c in &chunks {
+                            prop_assert_eq!(live.acquire(*c), reference.acquire(*c));
+                        }
+                        manifests.push(chunks);
+                    }
+                    Op::Retire(i) => {
+                        if !manifests.is_empty() {
+                            let chunks = manifests.swap_remove(i % manifests.len());
+                            for c in &chunks {
+                                prop_assert_eq!(live.release(c.key), reference.release(c.key));
+                            }
+                        }
+                    }
+                }
+                prop_assert_eq!(live.stored_bytes(), reference.stored_bytes());
+                prop_assert_eq!(live.chunk_count(), reference.chunk_count());
+                prop_assert_eq!(live.digest(), reference.digest());
+            }
+            for c in &pool {
+                prop_assert_eq!(live.contains(c.key), reference.contains(c.key));
+            }
+        }
     }
 }

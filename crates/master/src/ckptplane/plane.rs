@@ -504,9 +504,9 @@ impl CheckpointPlane {
         let Some(pos) = self.hot_residents.iter().position(|&m| m == id) else { return };
         self.hot_residents.remove(pos);
         let m = self.manifests.get(&id).expect("resident manifest exists");
-        let (job, keys): (u64, Vec<u64>) = (m.job, m.chunks.iter().map(|c| c.key).collect());
-        for key in keys {
-            self.hot.release(key);
+        let job = m.job;
+        for c in &m.chunks {
+            self.hot.release(c.key);
         }
         if self.hot_manifest_of_job.get(&job) == Some(&id) {
             self.hot_manifest_of_job.remove(&job);
@@ -529,11 +529,17 @@ impl CheckpointPlane {
     /// manifests are never retired.
     fn retire_old_manifests(&mut self, job: u64) {
         let Some(ids) = self.by_job.get(&job) else { return };
-        let committed: Vec<u64> = ids
-            .iter()
-            .copied()
-            .filter(|id| self.manifests.get(id).is_some_and(|m| m.committed_at.is_some()))
-            .collect();
+        // The transfer queue is FIFO, so a job's manifests commit in save
+        // order: the committed ones are a prefix of `ids`, and the scan
+        // stops at the first in-flight one instead of walking a backlog
+        // of staged manifests on every commit.
+        let is_committed =
+            |id: &u64| self.manifests.get(id).is_some_and(|m| m.committed_at.is_some());
+        let committed: Vec<u64> = ids.iter().copied().take_while(is_committed).collect();
+        debug_assert!(
+            !ids[committed.len()..].iter().any(is_committed),
+            "a manifest committed ahead of an earlier save of its job"
+        );
         if committed.len() <= self.cfg.retain_per_job {
             return;
         }

@@ -117,15 +117,47 @@ impl AsyncCostModel {
         (balanced_capacity / self.ps_effective_capacity(partitions)).max(1.0)
     }
 
+    /// The server-side phase times `[t_upd, t_sync, t_emb, β]` of one
+    /// iteration under the given PS layout and worker count. These are
+    /// properties of the *layout* (Kalamkar et al.'s CPU-cluster DLRM
+    /// analysis: update, synchronisation and lookup are bound by the
+    /// servers and the network, only gradient compute by the worker), so
+    /// callers pricing many workers against one layout evaluate them once
+    /// and hand them to [`Self::phase_times_on`].
+    ///
+    /// The homogeneous `1/(p·λ_p)` becomes the bottleneck capacity, and the
+    /// lookup phase inherits the same slowdown (a slow or overloaded PS
+    /// serves its partition's lookups late). `T_sync` is bandwidth-bound
+    /// and keeps the plain `1/p`.
+    pub fn server_phases(&self, partitions: &[PsPartition], workers: u32) -> [f64; 4] {
+        let c = self.coefficients;
+        let m = f64::from(self.batch_size);
+        let w = f64::from(workers.max(1));
+        let ps_cap = self.ps_effective_capacity(partitions);
+        let p = partitions.len() as f64;
+        [
+            c.alpha_upd * w / ps_cap,
+            c.alpha_sync * self.constants.model_size * w / (p * self.constants.bandwidth),
+            c.alpha_emb * m * self.constants.embedding_dim / p * self.ps_slowdown(partitions),
+            c.beta_total,
+        ]
+    }
+
+    /// The five phase times `[t_grad, t_upd, t_sync, t_emb, β]` of one
+    /// iteration of `worker` against already-evaluated
+    /// [`Self::server_phases`]: its own gradient computation in front of
+    /// the shared server side.
+    pub fn phase_times_on(&self, worker: &PodState, server: &[f64; 4]) -> [f64; 5] {
+        let t_grad =
+            self.coefficients.alpha_grad * f64::from(self.batch_size) / worker.effective_cpu();
+        [t_grad, server[0], server[1], server[2], server[3]]
+    }
+
     /// The five phase times `[t_grad, t_upd, t_sync, t_emb, β]` of one
     /// iteration of `worker` under the given PS layout — the single source
     /// of truth shared by [`Self::worker_iter_time`] and
-    /// [`Self::phase_fractions`].
-    ///
-    /// Server phases: the homogeneous `1/(p·λ_p)` becomes the bottleneck
-    /// capacity, and the lookup phase inherits the same slowdown (a slow or
-    /// overloaded PS serves its partition's lookups late). `T_sync` is
-    /// bandwidth-bound and keeps the plain `1/p`.
+    /// [`Self::phase_fractions`]: [`Self::phase_times_on`] over
+    /// [`Self::server_phases`].
     pub fn phase_times(
         &self,
         worker: &PodState,
@@ -133,18 +165,7 @@ impl AsyncCostModel {
         workers: u32,
     ) -> [f64; 5] {
         let _p = dlrover_telemetry::prof::scope("cost/phase_times");
-        let c = self.coefficients;
-        let m = f64::from(self.batch_size);
-        let w = f64::from(workers.max(1));
-        let ps_cap = self.ps_effective_capacity(partitions);
-        let p = partitions.len() as f64;
-        [
-            c.alpha_grad * m / worker.effective_cpu(),
-            c.alpha_upd * w / ps_cap,
-            c.alpha_sync * self.constants.model_size * w / (p * self.constants.bandwidth),
-            c.alpha_emb * m * self.constants.embedding_dim / p * self.ps_slowdown(partitions),
-            c.beta_total,
-        ]
+        self.phase_times_on(worker, &self.server_phases(partitions, workers))
     }
 
     /// Per-iteration time of worker `j` (seconds): its own gradient
@@ -192,6 +213,22 @@ impl AsyncCostModel {
         self.phase_times_exec(worker, partitions, workers, exec).iter().sum()
     }
 
+    /// [`Self::worker_iter_time_exec`] against already-evaluated
+    /// [`Self::server_phases`] for the same layout and `workers`: the plan
+    /// transform is still applied per worker, after assembly, exactly as
+    /// the optimizer prices it.
+    pub fn worker_iter_time_on(
+        &self,
+        worker: &PodState,
+        server: &[f64; 4],
+        workers: u32,
+        exec: &dlrover_perfmodel::ExecPlan,
+    ) -> f64 {
+        dlrover_perfmodel::adjust_phases(exec, self.phase_times_on(worker, server), workers)
+            .iter()
+            .sum()
+    }
+
     fn mean_ps_cpu(&self, partitions: &[PsPartition]) -> f64 {
         partitions.iter().map(|p| p.pod.effective_cpu()).sum::<f64>() / partitions.len() as f64
     }
@@ -201,10 +238,12 @@ impl AsyncCostModel {
     pub fn throughput(&self, workers: &[PodState], partitions: &[PsPartition]) -> f64 {
         let _p = dlrover_telemetry::prof::scope("cost/throughput");
         dlrover_telemetry::prof::add_items(workers.len() as u64);
-        let n = workers.len() as u32;
+        let server = self.server_phases(partitions, workers.len() as u32);
         workers
             .iter()
-            .map(|wk| f64::from(self.batch_size) / self.worker_iter_time(wk, partitions, n))
+            .map(|wk| {
+                f64::from(self.batch_size) / self.phase_times_on(wk, &server).iter().sum::<f64>()
+            })
             .sum()
     }
 
@@ -601,5 +640,127 @@ mod tests {
         let t = m.throughput(&workers, &ps);
         assert!(t.is_finite());
         assert!(t >= 0.0);
+    }
+}
+
+/// Differential tests: [`AsyncCostModel::phase_times_on`] over
+/// [`AsyncCostModel::server_phases`] against the single-body `phase_times`
+/// this module shipped with through PR 14, bit for bit.
+#[cfg(test)]
+mod differential {
+    use super::*;
+    use dlrover_perfmodel::{adjust_phases, ExecPlan, GradientMode};
+    use proptest::prelude::*;
+
+    /// The pre-split body of `phase_times`, verbatim.
+    fn reference_phase_times(
+        model: &AsyncCostModel,
+        worker: &PodState,
+        partitions: &[PsPartition],
+        workers: u32,
+    ) -> [f64; 5] {
+        let c = model.coefficients;
+        let m = f64::from(model.batch_size);
+        let w = f64::from(workers.max(1));
+        let ps_cap = model.ps_effective_capacity(partitions);
+        let p = partitions.len() as f64;
+        [
+            c.alpha_grad * m / worker.effective_cpu(),
+            c.alpha_upd * w / ps_cap,
+            c.alpha_sync * model.constants.model_size * w / (p * model.constants.bandwidth),
+            c.alpha_emb * m * model.constants.embedding_dim / p * model.ps_slowdown(partitions),
+            c.beta_total,
+        ]
+    }
+
+    /// The pre-split `throughput`: the reference body per worker.
+    fn reference_throughput(
+        model: &AsyncCostModel,
+        workers: &[PodState],
+        partitions: &[PsPartition],
+    ) -> f64 {
+        let n = workers.len() as u32;
+        workers
+            .iter()
+            .map(|wk| {
+                f64::from(model.batch_size)
+                    / reference_phase_times(model, wk, partitions, n).iter().sum::<f64>()
+            })
+            .sum()
+    }
+
+    fn bits(a: [f64; 5]) -> [u64; 5] {
+        a.map(f64::to_bits)
+    }
+
+    /// Skewed shares (normalised), uneven CPUs, and sometimes one PS at the
+    /// paper's 3 % straggler speed.
+    fn layout() -> impl Strategy<Value = Vec<PsPartition>> {
+        (proptest::collection::vec((0.05f64..1.0, 0.5f64..32.0), 1..65), 0usize..128).prop_map(
+            |(raw, slow)| {
+                let total: f64 = raw.iter().map(|(s, _)| s).sum();
+                let n = raw.len();
+                raw.into_iter()
+                    .enumerate()
+                    .map(|(i, (share, cpu))| PsPartition {
+                        share: share / total,
+                        pod: PodState { cpu, speed: if slow % (2 * n) == i { 0.03 } else { 1.0 } },
+                    })
+                    .collect()
+            },
+        )
+    }
+
+    fn worker_set() -> impl Strategy<Value = Vec<PodState>> {
+        proptest::collection::vec(
+            (0.5f64..32.0, 0.03f64..1.0).prop_map(|(cpu, speed)| PodState { cpu, speed }),
+            1..257,
+        )
+    }
+
+    fn exec_plans() -> [ExecPlan; 3] {
+        [
+            ExecPlan::default(),
+            ExecPlan { gradient_mode: GradientMode::Sync, ..ExecPlan::default() },
+            ExecPlan { ps_replicas: 3, ..ExecPlan::default() },
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn split_phases_match_the_single_body(
+            partitions in layout(),
+            workers in worker_set(),
+            batch in 1u32..4096,
+        ) {
+            let model = AsyncCostModel::new(
+                ModelCoefficients::simulation_truth(),
+                WorkloadConstants::default(),
+                batch,
+            );
+            let n = workers.len() as u32;
+            let server = model.server_phases(&partitions, n);
+            for wk in &workers {
+                let want = reference_phase_times(&model, wk, &partitions, n);
+                prop_assert_eq!(bits(model.phase_times_on(wk, &server)), bits(want));
+                prop_assert_eq!(bits(model.phase_times(wk, &partitions, n)), bits(want));
+                for exec in exec_plans() {
+                    let want_iter: f64 = adjust_phases(&exec, want, n).iter().sum();
+                    prop_assert_eq!(
+                        model.worker_iter_time_on(wk, &server, n, &exec).to_bits(),
+                        want_iter.to_bits()
+                    );
+                    prop_assert_eq!(
+                        model.worker_iter_time_exec(wk, &partitions, n, &exec).to_bits(),
+                        want_iter.to_bits()
+                    );
+                }
+            }
+            prop_assert_eq!(
+                model.throughput(&workers, &partitions).to_bits(),
+                reference_throughput(&model, &workers, &partitions).to_bits()
+            );
+        }
     }
 }

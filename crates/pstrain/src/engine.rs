@@ -413,14 +413,28 @@ impl PsTrainingEngine {
     /// in-flight offset is discarded, because the gradients from that
     /// prefix may be lost (§5.1 failure recovery re-trains the shard).
     pub fn samples_done(&self) -> u64 {
-        let in_flight: u64 = self
-            .workers
+        // The queue's own in-flight sum equals the sum over live slots
+        // because a slot is alive exactly while its id is registered:
+        // `fail_worker`/`remove_worker` drop both sides, and a hung worker
+        // is alive *and* registered.
+        debug_assert_eq!(
+            self.shards.in_flight_samples(),
+            self.in_flight_over_live_slots(),
+            "engine slot alive <=> shard-queue id registered"
+        );
+        self.shards.completed_samples() + self.shards.in_flight_samples()
+    }
+
+    /// In-flight samples summed slot by slot — the expression
+    /// [`Self::samples_done`] used before the queue kept the sum's operands
+    /// dense; kept as its cross-check.
+    fn in_flight_over_live_slots(&self) -> u64 {
+        self.workers
             .iter()
             .filter(|w| w.alive)
             .filter_map(|w| self.shards.worker(w.shard_worker_id))
             .map(|p| p.offset_in_shard)
-            .sum();
-        self.shards.completed_samples() + in_flight
+            .sum()
     }
 
     /// Samples in fully completed (acked) shards — the monotone watermark
@@ -467,9 +481,10 @@ impl PsTrainingEngine {
         }
         let n = pods.len() as u32;
         let eb = f64::from(self.cost.batch_size);
+        let server = self.cost.server_phases(&self.partitions, n);
         let iters: Vec<f64> = pods
             .iter()
-            .map(|wk| self.cost.worker_iter_time_exec(wk, &self.partitions, n, &self.exec))
+            .map(|wk| self.cost.worker_iter_time_on(wk, &server, n, &self.exec))
             .collect();
         if self.exec.gradient_mode == GradientMode::Sync {
             let worst = iters.iter().cloned().fold(0.0f64, f64::max).max(1e-12);
@@ -598,13 +613,16 @@ impl PsTrainingEngine {
     /// Records one `iteration` span over the trained part of a slice, with
     /// `iteration/{lookup,compute,push,pull}` children split proportionally
     /// to the cost model's phase decomposition (Eqns. 2–6) for the mean
-    /// live worker pod, plus a `straggler` child per worker whose rate fell
-    /// under a third of the fastest (the §4.2 lag signal).
+    /// live worker pod (`server` is the slice's already-evaluated
+    /// [`AsyncCostModel::server_phases`] for `workers`), plus a `straggler`
+    /// child per worker whose rate fell under a third of the fastest (the
+    /// §4.2 lag signal).
     fn record_iteration_spans(
         &self,
         start: SimTime,
         end: SimTime,
         workers: u32,
+        server: &[f64; 4],
         stragglers: &[usize],
     ) {
         let pods = self.workers();
@@ -624,7 +642,11 @@ impl PsTrainingEngine {
             speed: pods.iter().map(|p| p.speed).sum::<f64>() / pods.len() as f64,
         };
         // [t_grad, t_upd, t_sync, t_emb, β] → lookup, compute(+β), push, pull.
-        let pt = self.cost.phase_times_exec(&mean, &self.partitions, workers, &self.exec);
+        let pt = dlrover_perfmodel::adjust_phases(
+            &self.exec,
+            self.cost.phase_times_on(&mean, server),
+            workers,
+        );
         let phases = [
             (SpanCategory::IterLookup, pt[3]),
             (SpanCategory::IterCompute, pt[0] + pt[4]),
@@ -709,6 +731,11 @@ impl PsTrainingEngine {
         let n = live.len() as u32;
         let mut total_new = 0.0f64;
         let mut stragglers: Vec<usize> = Vec::new();
+        // The server side of the cost model depends on the layout and the
+        // live worker count only: evaluated once per slice, shared by every
+        // worker's rate and by the iteration spans.
+        let server = self.cost.server_phases(&self.partitions, n);
+        let mut shards_acked = 0u64;
 
         if n > 0 {
             // Per-worker rates under the current layout and execution plan
@@ -717,9 +744,9 @@ impl PsTrainingEngine {
                 .iter()
                 .map(|&i| {
                     f64::from(self.cost.batch_size)
-                        / self.cost.worker_iter_time_exec(
+                        / self.cost.worker_iter_time_on(
                             &self.workers[i].pod,
-                            &self.partitions,
+                            &server,
                             n,
                             &self.exec,
                         )
@@ -747,22 +774,23 @@ impl PsTrainingEngine {
                 let wid = self.workers[i].shard_worker_id;
                 let mut produced = 0.0f64;
                 loop {
-                    // Ensure the worker holds a shard.
-                    let holding = self.shards.worker(wid).and_then(|s| s.current_shard).is_some();
-                    if !holding {
-                        match self.shards.checkout(wid, pace, self.now) {
+                    // The worker's shard and its offset in it, checking one
+                    // out (offset 0) when it holds none.
+                    let state = self.shards.worker(wid).expect("registered");
+                    let (shard, state_off) = match state.current_shard {
+                        Some(shard) => (shard, state.offset_in_shard),
+                        None => match self.shards.checkout(wid, pace, self.now) {
                             Some(shard) => {
                                 self.telemetry.record(
                                     self.now,
                                     EventKind::ShardCheckedOut { worker: wid, len: shard.len },
                                 );
+                                (shard, 0)
                             }
                             None => break, // dataset drained
-                        }
-                    }
-                    let state = self.shards.worker(wid).expect("registered");
-                    let shard = state.current_shard.expect("just ensured");
-                    let left_in_shard = (shard.len - state.offset_in_shard) as f64;
+                        },
+                    };
+                    let left_in_shard = (shard.len - state_off) as f64;
                     if budget + 1e-9 >= left_in_shard {
                         budget -= left_in_shard;
                         produced += left_in_shard;
@@ -772,10 +800,9 @@ impl PsTrainingEngine {
                             self.now,
                             EventKind::ShardAcked { worker: wid, len: acked.len },
                         );
-                        self.telemetry.count("engine.shards_acked", 1);
+                        shards_acked += 1;
                     } else {
                         let whole = budget.floor() as u64;
-                        let state_off = state.offset_in_shard;
                         self.shards.heartbeat(wid, state_off + whole, self.now);
                         produced += whole as f64;
                         self.workers[i].carry = budget - whole as f64;
@@ -790,10 +817,13 @@ impl PsTrainingEngine {
                 total_new += produced;
             }
         }
+        if shards_acked > 0 {
+            self.telemetry.count("engine.shards_acked", shards_acked);
+        }
         self.now += remaining;
         self.liveness_heartbeats();
         if total_new > 0.0 {
-            self.record_iteration_spans(train_start, self.now, n, &stragglers);
+            self.record_iteration_spans(train_start, self.now, n, &server, &stragglers);
         }
 
         // Memory / OOM check.
@@ -906,6 +936,11 @@ mod proptests {
                     ),
                 }
                 let done = e.samples_done();
+                prop_assert_eq!(
+                    done,
+                    e.shards.completed_samples() + e.in_flight_over_live_slots(),
+                    "queue-side in-flight sum diverged from the per-slot sum"
+                );
                 prop_assert!(done <= total, "overcounted: {done} > {total}");
                 if failed_someone {
                     last_done = done; // retrained prefix may lower the count

@@ -36,6 +36,8 @@ pub mod migration;
 pub mod real;
 pub mod rebalance;
 pub mod sharding;
+#[cfg(test)]
+mod sharding_reference;
 
 pub use ckpt::{CheckpointStore, FlashStore, RdsStore, TieredCheckpointer};
 pub use cost::{

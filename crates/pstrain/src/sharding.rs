@@ -16,8 +16,6 @@
 //! Progress offsets piggyback on worker heartbeats; the job master uses them
 //! for liveness, straggler detection, and completion accounting.
 
-use std::collections::BTreeMap;
-
 use dlrover_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -93,8 +91,13 @@ pub struct ShardQueue {
     /// Samples covered by *completed* shards.
     completed_samples: u64,
     next_shard_id: u64,
-    /// Worker states, keyed by caller-assigned worker ids.
-    workers: BTreeMap<u64, WorkerProgress>,
+    /// Worker states by caller-assigned worker id, **ascending by id**.
+    /// Ids are handed out ascending (the engine's counter), so registering
+    /// appends, and a lookup is a search over a handful of entries.
+    /// Iteration order is part of the contract: [`Self::quiesced`] fails
+    /// workers in this order and each failure `push_front`s its shard, so
+    /// the order decides which sample range is served next.
+    workers: Vec<(u64, WorkerProgress)>,
 }
 
 impl ShardQueue {
@@ -117,8 +120,37 @@ impl ShardQueue {
             total_samples,
             completed_samples: 0,
             next_shard_id: id,
-            workers: BTreeMap::new(),
+            workers: Vec::new(),
         }
+    }
+
+    /// Position of `worker` in the id-sorted table, or where it would go.
+    fn slot(&self, worker: u64) -> Result<usize, usize> {
+        self.workers.binary_search_by_key(&worker, |&(id, _)| id)
+    }
+
+    /// Position of `worker`, registering it first when unknown.
+    fn slot_or_register(&mut self, worker: u64, now: SimTime) -> usize {
+        self.slot(worker).unwrap_or_else(|i| {
+            let fresh = WorkerProgress {
+                completed_samples: 0,
+                offset_in_shard: 0,
+                last_heartbeat: now,
+                current_shard: None,
+            };
+            self.workers.insert(i, (worker, fresh));
+            i
+        })
+    }
+
+    fn worker_mut(&mut self, worker: u64) -> Option<&mut WorkerProgress> {
+        let i = self.slot(worker).ok()?;
+        Some(&mut self.workers[i].1)
+    }
+
+    fn take_worker(&mut self, worker: u64) -> Option<WorkerProgress> {
+        let i = self.slot(worker).ok()?;
+        Some(self.workers.remove(i).1)
     }
 
     /// Rebuilds a queue from a replayed completion watermark (master
@@ -147,19 +179,14 @@ impl ShardQueue {
 
     /// Registers a worker (idempotent).
     pub fn register_worker(&mut self, worker: u64, now: SimTime) {
-        self.workers.entry(worker).or_insert(WorkerProgress {
-            completed_samples: 0,
-            offset_in_shard: 0,
-            last_heartbeat: now,
-            current_shard: None,
-        });
+        self.slot_or_register(worker, now);
     }
 
     /// Removes a worker *gracefully* (e.g. scale-down): its unfinished data
     /// returns to the queue **minus what it already processed**, so nothing
     /// is trained twice.
     pub fn deregister_worker(&mut self, worker: u64) {
-        let Some(state) = self.workers.remove(&worker) else { return };
+        let Some(state) = self.take_worker(worker) else { return };
         if let Some(shard) = state.current_shard {
             // The processed prefix counts as done; the tail is re-queued.
             self.completed_samples += state.offset_in_shard;
@@ -182,7 +209,7 @@ impl ShardQueue {
     /// worker to the shards queue"). No data is omitted; the partially done
     /// prefix is retrained, which is safe for model quality.
     pub fn fail_worker(&mut self, worker: u64) {
-        let Some(state) = self.workers.remove(&worker) else { return };
+        let Some(state) = self.take_worker(worker) else { return };
         if let Some(shard) = state.current_shard {
             self.pending.push_front(shard);
         }
@@ -194,9 +221,11 @@ impl ShardQueue {
     ///
     /// Returns `None` when the queue is drained.
     pub fn checkout(&mut self, worker: u64, pace: f64, now: SimTime) -> Option<DataShard> {
-        self.register_worker(worker, now);
-        let state = self.workers.get_mut(&worker).expect("just registered");
-        assert!(state.current_shard.is_none(), "worker {worker} already holds a shard");
+        let slot = self.slot_or_register(worker, now);
+        assert!(
+            self.workers[slot].1.current_shard.is_none(),
+            "worker {worker} already holds a shard"
+        );
         let mut shard = self.pending.pop_front()?;
 
         // Straggler pacing: shrink the shard to match the worker's pace.
@@ -215,6 +244,7 @@ impl ShardQueue {
             shard.len = target;
         }
 
+        let state = &mut self.workers[slot].1;
         state.current_shard = Some(shard);
         state.offset_in_shard = 0;
         state.last_heartbeat = now;
@@ -224,7 +254,7 @@ impl ShardQueue {
     /// Heartbeat: the worker reports progress within its current shard.
     /// Progress is monotone; regressions are ignored.
     pub fn heartbeat(&mut self, worker: u64, offset_in_shard: u64, now: SimTime) {
-        let Some(state) = self.workers.get_mut(&worker) else { return };
+        let Some(state) = self.worker_mut(worker) else { return };
         state.last_heartbeat = now;
         if let Some(shard) = state.current_shard {
             state.offset_in_shard = state.offset_in_shard.max(offset_in_shard.min(shard.len));
@@ -236,7 +266,7 @@ impl ShardQueue {
     /// # Panics
     /// Panics if the worker holds no shard.
     pub fn complete(&mut self, worker: u64, now: SimTime) -> DataShard {
-        let state = self.workers.get_mut(&worker).expect("unknown worker");
+        let state = self.worker_mut(worker).expect("unknown worker");
         let shard = state.current_shard.take().expect("worker holds no shard");
         state.completed_samples += shard.len;
         state.offset_in_shard = 0;
@@ -251,7 +281,7 @@ impl ShardQueue {
         self.workers
             .iter()
             .filter(|(_, s)| now.saturating_since(s.last_heartbeat) > timeout)
-            .map(|(&id, _)| id)
+            .map(|&(id, _)| id)
             .collect()
     }
 
@@ -262,7 +292,7 @@ impl ShardQueue {
         if self.workers.len() < 2 {
             return Vec::new();
         }
-        let mut totals: Vec<u64> = self.workers.values().map(|s| s.total_samples()).collect();
+        let mut totals: Vec<u64> = self.workers.iter().map(|(_, s)| s.total_samples()).collect();
         totals.sort_unstable();
         let median = totals[totals.len() / 2];
         if median == 0 {
@@ -272,18 +302,26 @@ impl ShardQueue {
         self.workers
             .iter()
             .filter(|(_, s)| s.total_samples() < threshold)
-            .map(|(&id, _)| id)
+            .map(|&(id, _)| id)
             .collect()
     }
 
     /// Worker state (for the job master).
     pub fn worker(&self, worker: u64) -> Option<&WorkerProgress> {
-        self.workers.get(&worker)
+        let i = self.slot(worker).ok()?;
+        Some(&self.workers[i].1)
     }
 
-    /// Registered workers.
+    /// Registered workers, ascending.
     pub fn worker_ids(&self) -> Vec<u64> {
-        self.workers.keys().copied().collect()
+        self.workers.iter().map(|&(id, _)| id).collect()
+    }
+
+    /// Samples processed inside shards still checked out, summed over every
+    /// registered worker (completed shards are in
+    /// [`Self::completed_samples`]).
+    pub fn in_flight_samples(&self) -> u64 {
+        self.workers.iter().map(|(_, s)| s.offset_in_shard).sum()
     }
 
     /// Samples in completed shards.
@@ -319,7 +357,7 @@ impl ShardQueue {
     /// worker holds an in-flight shard.
     pub fn is_drained(&self) -> bool {
         self.pending.is_empty()
-            && self.workers.values().all(|s| s.current_shard.is_none())
+            && self.workers.iter().all(|(_, s)| s.current_shard.is_none())
             && self.completed_samples >= self.total_samples
     }
 
@@ -349,6 +387,26 @@ impl ShardQueue {
             h = mix(h, len);
         }
         h
+    }
+}
+
+/// Everything a [`ShardQueue`] holds, in a representation-neutral shape:
+/// `(pending, total, completed, next shard id, workers ascending)`.
+#[cfg(test)]
+pub(crate) type QueueState = (Vec<DataShard>, u64, u64, u64, Vec<(u64, WorkerProgress)>);
+
+#[cfg(test)]
+impl ShardQueue {
+    /// Full state, for the differential tests against
+    /// `sharding_reference`.
+    pub(crate) fn state(&self) -> QueueState {
+        (
+            self.pending.iter().copied().collect(),
+            self.total_samples,
+            self.completed_samples,
+            self.next_shard_id,
+            self.workers.clone(),
+        )
     }
 }
 
@@ -684,6 +742,118 @@ mod proptests {
                 cursor = start + len;
             }
             prop_assert_eq!(cursor, total);
+        }
+    }
+
+    /// Ops for the differential walk: the exactly-once walk above plus
+    /// registration, the detectors and quiescing, over ids that arrive
+    /// out of order and get re-registered after removal.
+    #[derive(Debug, Clone)]
+    enum DiffOp {
+        Register(u64),
+        Queue(Op),
+        Silent(u64),
+        Stragglers(f64),
+        Quiesce,
+    }
+
+    fn diff_op() -> impl Strategy<Value = DiffOp> {
+        prop_oneof![
+            (0u64..6).prop_map(DiffOp::Register),
+            op_strategy().prop_map(DiffOp::Queue),
+            op_strategy().prop_map(DiffOp::Queue),
+            op_strategy().prop_map(DiffOp::Queue),
+            (0u64..40).prop_map(DiffOp::Silent),
+            (0.0f64..1.0).prop_map(DiffOp::Stragglers),
+            Just(DiffOp::Quiesce),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        /// The id-sorted `Vec` queue and the B-tree queue it replaced agree
+        /// on every return value, on the full state after every op, and on
+        /// `coverage_digest` — which quiesces, so it sees the order workers
+        /// are failed in.
+        #[test]
+        fn vec_queue_matches_btree_reference(
+            ops in proptest::collection::vec(diff_op(), 1..250),
+            total in 1_000u64..20_000,
+            resume_at in 0u64..4_000,
+        ) {
+            use crate::sharding_reference::ShardQueue as RefQueue;
+            let cfg = ShardingConfig {
+                batches_per_shard: 4,
+                batch_size: 128,
+                min_batches_per_shard: 1,
+            };
+            let (mut live, mut reference) = if resume_at % 2 == 0 {
+                (ShardQueue::new(total, cfg), RefQueue::new(total, cfg))
+            } else {
+                (ShardQueue::resume(total, resume_at, cfg), RefQueue::resume(total, resume_at, cfg))
+            };
+            let mut clock = 0u64;
+            for op in ops {
+                clock += 1;
+                let now = SimTime::from_secs(clock);
+                match op {
+                    DiffOp::Register(w) => {
+                        live.register_worker(w, now);
+                        reference.register_worker(w, now);
+                    }
+                    DiffOp::Queue(Op::Checkout(w, pace)) => {
+                        live.register_worker(w, now);
+                        reference.register_worker(w, now);
+                        if live.worker(w).unwrap().current_shard.is_none() {
+                            prop_assert_eq!(
+                                live.checkout(w, pace, now),
+                                reference.checkout(w, pace, now)
+                            );
+                        }
+                    }
+                    DiffOp::Queue(Op::Complete(w)) => {
+                        if live.worker(w).and_then(|s| s.current_shard).is_some() {
+                            prop_assert_eq!(live.complete(w, now), reference.complete(w, now));
+                        }
+                    }
+                    DiffOp::Queue(Op::Fail(w)) => {
+                        live.fail_worker(w);
+                        reference.fail_worker(w);
+                    }
+                    DiffOp::Queue(Op::Deregister(w)) => {
+                        live.deregister_worker(w);
+                        reference.deregister_worker(w);
+                    }
+                    DiffOp::Queue(Op::Heartbeat(w, off)) => {
+                        live.heartbeat(w, off, now);
+                        reference.heartbeat(w, off, now);
+                    }
+                    DiffOp::Silent(secs) => {
+                        let timeout = dlrover_sim::SimDuration::from_secs(secs);
+                        prop_assert_eq!(
+                            live.silent_workers(now, timeout),
+                            reference.silent_workers(now, timeout)
+                        );
+                    }
+                    DiffOp::Stragglers(lag) => {
+                        prop_assert_eq!(live.stragglers(lag), reference.stragglers(lag));
+                    }
+                    DiffOp::Quiesce => {
+                        live = live.quiesced();
+                        reference = reference.quiesced();
+                    }
+                }
+                prop_assert_eq!(live.state(), reference.state());
+                prop_assert_eq!(live.worker_ids(), reference.worker_ids());
+                prop_assert_eq!(live.is_drained(), reference.is_drained());
+                prop_assert_eq!(live.coverage_digest(), reference.coverage_digest());
+                let in_flight: u64 = reference
+                    .worker_ids()
+                    .iter()
+                    .map(|&w| reference.worker(w).unwrap().offset_in_shard)
+                    .sum();
+                prop_assert_eq!(live.in_flight_samples(), in_flight);
+            }
         }
     }
 }

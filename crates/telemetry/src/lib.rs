@@ -48,9 +48,20 @@ struct Inner {
 
 /// A shared telemetry sink. Clones are handles to the *same* log and
 /// registry; see the crate docs for the threading model.
-#[derive(Debug, Clone, Default)]
+///
+/// [`Telemetry::null`] is the one handle with no sink behind it: every
+/// write is dropped before it takes a lock or builds a record, every read
+/// sees an empty sink.
+#[derive(Debug, Clone)]
 pub struct Telemetry {
-    inner: Arc<Mutex<Inner>>,
+    /// `None` is the null sink.
+    inner: Option<Arc<Mutex<Inner>>>,
+}
+
+impl Default for Telemetry {
+    fn default() -> Self {
+        Telemetry { inner: Some(Arc::default()) }
+    }
 }
 
 impl Telemetry {
@@ -60,16 +71,26 @@ impl Telemetry {
     /// Panics when `capacity` is zero.
     pub fn with_capacity(capacity: usize) -> Self {
         Telemetry {
-            inner: Arc::new(Mutex::new(Inner {
+            inner: Some(Arc::new(Mutex::new(Inner {
                 log: EventLog::with_capacity(capacity),
                 metrics: MetricsRegistry::default(),
                 spans: SpanLog::default(),
-            })),
+            }))),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner.lock().expect("telemetry lock poisoned")
+    /// The no-op sink: records nothing, retains nothing, reads as empty.
+    /// For runs whose telemetry nobody will read (the chaos driver's
+    /// fault-free baseline) and for pricing instrumentation against a run
+    /// without it. Span ids it hands out are dummies — valid only as
+    /// arguments back into the same null handle.
+    pub fn null() -> Self {
+        Telemetry { inner: None }
+    }
+
+    /// The sink's state under its lock; `None` for the null sink.
+    fn lock(&self) -> Option<std::sync::MutexGuard<'_, Inner>> {
+        Some(self.inner.as_ref()?.lock().expect("telemetry lock poisoned"))
     }
 
     /// Pre-allocates the event log for about `hint` more events (bounded
@@ -77,48 +98,66 @@ impl Telemetry {
     /// [`EventLog::reserve`]; recorded state and serialized bytes are
     /// unaffected.
     pub fn reserve_events(&self, hint: usize) {
-        self.lock().log.reserve(hint);
+        if let Some(mut inner) = self.lock() {
+            inner.log.reserve(hint);
+        }
     }
 
     /// Records an event stamped `at`.
     pub fn record(&self, at: SimTime, kind: EventKind) {
+        let Some(inner) = &self.inner else { return };
         let _p = prof::scope("telemetry/record");
-        self.lock().log.record(at, kind);
+        inner.lock().expect("telemetry lock poisoned").log.record(at, kind);
     }
 
     /// Increments counter `name` by `n`.
     pub fn count(&self, name: &str, n: u64) {
-        self.lock().metrics.count(name, n);
+        if let Some(mut inner) = self.lock() {
+            inner.metrics.count(name, n);
+        }
     }
 
     /// Sets gauge `name` to `value`.
     pub fn gauge(&self, name: &str, value: f64) {
-        self.lock().metrics.gauge(name, value);
+        if let Some(mut inner) = self.lock() {
+            inner.metrics.gauge(name, value);
+        }
     }
 
     /// Records `value` into histogram `name`.
     pub fn observe(&self, name: &str, value: f64) {
-        self.lock().metrics.observe(name, value);
+        if let Some(mut inner) = self.lock() {
+            inner.metrics.observe(name, value);
+        }
     }
 
     /// Appends a time-series sample.
     pub fn sample(&self, name: &str, at: SimTime, value: f64) {
-        self.lock().metrics.sample(name, at, value);
+        if let Some(mut inner) = self.lock() {
+            inner.metrics.sample(name, at, value);
+        }
     }
 
     /// Total events ever recorded.
     pub fn event_count(&self) -> u64 {
-        self.lock().log.total_recorded()
+        self.lock().map_or(0, |inner| inner.log.total_recorded())
     }
 
     /// Current counter value (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
-        self.lock().metrics.counter(name)
+        self.lock().map_or(0, |inner| inner.metrics.counter(name))
     }
 
     /// Serializes the retained events as JSON Lines.
     pub fn to_jsonl(&self) -> String {
-        self.lock().log.to_jsonl()
+        self.lock().map_or_else(String::new, |inner| inner.log.to_jsonl())
+    }
+
+    /// The retained events, oldest first — the `events` of
+    /// [`Self::snapshot`] without copying the spans and the metrics
+    /// registry along.
+    pub fn events(&self) -> Vec<Event> {
+        self.lock().map_or_else(Vec::new, |inner| inner.log.iter().cloned().collect())
     }
 
     /// Opens a span starting at `at`; pair with [`Self::span_close`].
@@ -130,12 +169,14 @@ impl Telemetry {
         track: u64,
         parent: Option<SpanId>,
     ) -> SpanId {
-        self.lock().spans.open(at, cat, label, track, parent)
+        self.lock().map_or(SpanId(0), |mut inner| inner.spans.open(at, cat, label, track, parent))
     }
 
     /// Closes an open span at `at` (unmatched ids are counted, not fatal).
     pub fn span_close(&self, at: SimTime, id: SpanId) {
-        self.lock().spans.close(at, id);
+        if let Some(mut inner) = self.lock() {
+            inner.spans.close(at, id);
+        }
     }
 
     /// Records an already-complete span `[start, end]`.
@@ -148,17 +189,19 @@ impl Telemetry {
         track: u64,
         parent: Option<SpanId>,
     ) -> SpanId {
-        self.lock().spans.complete(start, end, cat, label, track, parent)
+        self.lock().map_or(SpanId(0), |mut inner| {
+            inner.spans.complete(start, end, cat, label, track, parent)
+        })
     }
 
     /// Total spans ever closed.
     pub fn span_count(&self) -> u64 {
-        self.lock().spans.total_closed()
+        self.lock().map_or(0, |inner| inner.spans.total_closed())
     }
 
     /// Serializes the retained closed spans as JSON Lines.
     pub fn spans_to_jsonl(&self) -> String {
-        self.lock().spans.to_jsonl()
+        self.lock().map_or_else(String::new, |inner| inner.spans.to_jsonl())
     }
 
     /// Absorbs another sink's state into this one (`other` is left
@@ -173,18 +216,19 @@ impl Telemetry {
     /// Locking: `other` is snapshotted under its own lock *before* this
     /// sink's lock is taken, so the two locks are never held together and
     /// concurrent absorbs cannot deadlock. Absorbing a sink into itself is
-    /// a no-op.
+    /// a no-op, and so is absorbing into or from the null sink.
     pub fn absorb(&self, other: &Telemetry) {
-        if Arc::ptr_eq(&self.inner, &other.inner) {
+        let (Some(mine), Some(theirs)) = (&self.inner, &other.inner) else { return };
+        if Arc::ptr_eq(mine, theirs) {
             return;
         }
         let _p = prof::scope("telemetry/absorb");
         let (log, metrics, spans) = {
-            let theirs = other.lock();
+            let theirs = theirs.lock().expect("telemetry lock poisoned");
             (theirs.log.clone(), theirs.metrics.clone(), theirs.spans.clone())
         };
         prof::add_items(log.len() as u64 + spans.len() as u64);
-        let mut inner = self.lock();
+        let mut inner = mine.lock().expect("telemetry lock poisoned");
         inner.log.absorb_owned(log);
         inner.metrics.absorb_owned(metrics);
         inner.spans.absorb_owned(spans);
@@ -210,7 +254,7 @@ impl Telemetry {
 
     /// An owned, serializable snapshot of the sink's current state.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let inner = self.lock();
+        let Some(inner) = self.lock() else { return TelemetrySnapshot::default() };
         TelemetrySnapshot {
             events: inner.log.iter().cloned().collect(),
             total_events: inner.log.total_recorded(),
@@ -224,7 +268,7 @@ impl Telemetry {
 
     /// A compact run summary (event totals + top kinds).
     pub fn summary(&self) -> TelemetrySummary {
-        let inner = self.lock();
+        let Some(inner) = self.lock() else { return TelemetrySummary::default() };
         TelemetrySummary {
             total_events: inner.log.total_recorded(),
             dropped_events: inner.log.dropped(),
@@ -248,7 +292,7 @@ impl Telemetry {
 }
 
 /// Owned copy of a sink's state, for export next to experiment results.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct TelemetrySnapshot {
     /// Retained events, oldest first.
     pub events: Vec<Event>,
@@ -267,7 +311,7 @@ pub struct TelemetrySnapshot {
 }
 
 /// One-line-able summary of a run's telemetry.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct TelemetrySummary {
     /// Total events ever recorded.
     pub total_events: u64,
@@ -417,5 +461,59 @@ mod tests {
         let line = t.summary().one_line();
         assert!(line.contains("events=3"), "{line}");
         assert!(line.contains("ShardAcked x3"), "{line}");
+    }
+
+    #[test]
+    fn events_is_the_snapshot_event_list() {
+        let t = Telemetry::with_capacity(8);
+        for i in 0..12u64 {
+            t.record(SimTime::from_secs(i), EventKind::WorkerAdded { worker: i });
+        }
+        let events = t.events();
+        assert_eq!(events.len(), 8, "the ring unrolled, evicted events gone");
+        assert_eq!(events.first().map(|e| e.seq), Some(4), "oldest retained first");
+        assert_eq!(
+            serde_json::to_string(&events).unwrap(),
+            serde_json::to_string(&t.snapshot().events).unwrap()
+        );
+    }
+
+    #[test]
+    fn null_sink_drops_writes_and_reads_empty() {
+        let t = Telemetry::null();
+        t.reserve_events(100);
+        t.record(SimTime::from_secs(1), EventKind::JobStarted { job: 7 });
+        t.count("ticks", 3);
+        t.gauge("g", 1.0);
+        t.observe("h", 1.0);
+        t.sample("s", SimTime::from_secs(1), 1.0);
+        let open = t.span_open(SimTime::from_secs(1), SpanCategory::Job, "job", 0, None);
+        let done = t.span_complete(
+            SimTime::from_secs(1),
+            SimTime::from_secs(2),
+            SpanCategory::Checkpoint,
+            "save",
+            0,
+            Some(open),
+        );
+        t.span_close(SimTime::from_secs(3), done);
+        assert_eq!(t.event_count(), 0);
+        assert_eq!(t.counter("ticks"), 0);
+        assert_eq!(t.span_count(), 0);
+        assert!(t.events().is_empty());
+        assert!(t.to_jsonl().is_empty() && t.spans_to_jsonl().is_empty());
+        let empty = Telemetry::default();
+        assert_eq!(
+            serde_json::to_string(&t.snapshot()).unwrap(),
+            serde_json::to_string(&empty.snapshot()).unwrap()
+        );
+        assert_eq!(t.summary().one_line(), empty.summary().one_line());
+        // Clones stay null, and absorbing in either direction is a no-op.
+        let real = Telemetry::default();
+        real.record(SimTime::ZERO, EventKind::JobStarted { job: 1 });
+        t.clone().absorb(&real);
+        real.absorb(&t);
+        assert_eq!(t.event_count(), 0);
+        assert_eq!(real.event_count(), 1);
     }
 }

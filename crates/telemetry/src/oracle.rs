@@ -585,8 +585,12 @@ impl Oracle {
             if !is_kill {
                 continue;
             }
-            let degraded_or_reshaped = events.iter().any(|f| {
-                f.at_us > e.at_us
+            // A degradation or reshape waives the deadline when it comes
+            // after the fault: later in time, or at the same instant and
+            // after the marker in log order (the driver degrades in the
+            // tick it exhausts its retries in).
+            let degraded_or_reshaped = events.iter().enumerate().any(|(j, f)| {
+                (f.at_us > e.at_us || (f.at_us == e.at_us && j > i))
                     && f.at_us <= e.at_us + deadline
                     && matches!(
                         f.kind,
@@ -599,10 +603,14 @@ impl Oracle {
                     .map(|done| done.as_micros() <= e.at_us + deadline)
                     .unwrap_or(false);
             // Count the workers this fault actually killed (driver emits
-            // them at the same instant, after the injection marker).
+            // them at the same instant, after the injection marker). The
+            // next marker ends the count: a second fault on the same tick
+            // owns the failures that follow *it*.
             let killed = events[i + 1..]
                 .iter()
-                .take_while(|f| f.at_us == e.at_us)
+                .take_while(|f| {
+                    f.at_us == e.at_us && !matches!(f.kind, EventKind::FaultInjected { .. })
+                })
                 .filter(|f| matches!(f.kind, EventKind::WorkerFailed { .. }))
                 .count();
             for _ in 0..killed {
@@ -833,6 +841,55 @@ mod tests {
         let report = Oracle::default().check(&kill_plan(), &events, &truth);
         let ck = report.checks.iter().find(|c| c.invariant == Invariant::RecoveryDeadline).unwrap();
         assert!(ck.passed);
+    }
+
+    #[test]
+    fn two_kills_on_one_tick_each_own_their_victims() {
+        // Both faults land at t=100; each kills one worker and each gets a
+        // replacement. Counting victims up to the end of the instant made
+        // fault 0 claim both failures and both replacements, leaving
+        // fault 1 with a false "no replacement worker".
+        let marker =
+            |fault| EventKind::FaultInjected { fault, kind: "WorkerKill".into(), target: 0 };
+        let events = vec![
+            ev(100, 0, marker(0)),
+            ev(100, 1, EventKind::WorkerFailed { worker: 1 }),
+            ev(100, 2, marker(1)),
+            ev(100, 3, EventKind::WorkerFailed { worker: 2 }),
+            ev(130, 4, EventKind::WorkerAdded { worker: 4 }),
+            ev(140, 5, EventKind::WorkerAdded { worker: 5 }),
+        ];
+        let truth = GroundTruth { completed_at: Some(SimTime::from_secs(36_000)), ..clean_truth() };
+        let report = Oracle::default().check(&kill_plan(), &events, &truth);
+        let ck = report.checks.iter().find(|c| c.invariant == Invariant::RecoveryDeadline).unwrap();
+        assert!(ck.passed, "{:?}", ck.violations);
+        assert_eq!(report.recovery_latencies_us, vec![30_000_000, 40_000_000]);
+    }
+
+    #[test]
+    fn same_instant_degradation_after_the_marker_waives_the_deadline() {
+        let kill = |seq| {
+            ev(
+                100,
+                seq,
+                EventKind::FaultInjected { fault: 0, kind: "WorkerKill".into(), target: 1 },
+            )
+        };
+        let degraded = |seq| ev(100, seq, EventKind::JobDegraded { job: 0, workers: 3, ps: 2 });
+        let truth = GroundTruth { completed_at: Some(SimTime::from_secs(36_000)), ..clean_truth() };
+        let deadline_check = |events: &[Event]| {
+            let report = Oracle::default().check(&kill_plan(), events, &truth);
+            report.checks.into_iter().find(|c| c.invariant == Invariant::RecoveryDeadline).unwrap()
+        };
+        // Degraded in the tick of the kill, after the marker: no
+        // replacement is owed.
+        let after = vec![kill(0), ev(100, 1, EventKind::WorkerFailed { worker: 1 }), degraded(2)];
+        let ck = deadline_check(&after);
+        assert!(ck.passed, "{:?}", ck.violations);
+        // A degradation already in the log when the fault lands explains
+        // nothing about it.
+        let before = vec![degraded(0), kill(1), ev(100, 2, EventKind::WorkerFailed { worker: 1 })];
+        assert!(!deadline_check(&before).passed);
     }
 
     #[test]
