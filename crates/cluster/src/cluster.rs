@@ -377,10 +377,9 @@ impl Cluster {
 
     fn bind(&mut self, id: PodId, node_id: NodeId, events: &mut Vec<ClusterEvent>) {
         let node = &mut self.nodes[node_id.0 as usize];
-        let pod = self.pods.get_mut(id).expect("binding unknown pod");
+        let pod = self.pods.set_phase(id, PodPhase::Starting).expect("binding unknown pod");
         node.reserve(pod.spec.resources);
         pod.node = Some(node_id);
-        pod.phase = PodPhase::Starting;
         pod.placed_at = Some(self.clock);
         pod.node_speed = node.speed;
         events.push(ClusterEvent::PodPlaced(id, node_id));
@@ -505,9 +504,9 @@ impl Cluster {
     /// # Panics
     /// Panics if the pod is unknown or not in `Starting`.
     pub fn mark_running(&mut self, id: PodId, now: SimTime) {
-        let pod = self.pods.get_mut(id).expect("unknown pod");
-        assert_eq!(pod.phase, PodPhase::Starting, "pod {id:?} not starting");
-        pod.phase = PodPhase::Running;
+        let phase = self.pods.get(id).expect("unknown pod").phase;
+        assert_eq!(phase, PodPhase::Starting, "pod {id:?} not starting");
+        let pod = self.pods.set_phase(id, PodPhase::Running).expect("unknown pod");
         pod.running_at = Some(now);
         let started = pod.placed_at.unwrap_or(now);
         self.telemetry.span_complete(started, now, SpanCategory::PodStartup, "init", id.0, None);
@@ -522,7 +521,7 @@ impl Cluster {
     }
 
     fn detach(&mut self, id: PodId, phase: PodPhase) {
-        let Some(pod) = self.pods.get_mut(id) else { return };
+        let Some(pod) = self.pods.get(id) else { return };
         if pod.phase.is_terminal() {
             return;
         }
@@ -531,8 +530,7 @@ impl Cluster {
                 self.nodes[node_id.0 as usize].release(pod.spec.resources);
             }
         }
-        pod.phase = phase;
-        pod.node = None;
+        self.pods.set_phase(id, phase).expect("pod just read").node = None;
     }
 
     /// Fails one pod (process kill, OOM kill, organic churn, chaos

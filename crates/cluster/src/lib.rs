@@ -53,7 +53,8 @@ pub use node::{Node, NodeId};
 pub use pod::{Pod, PodId, PodPhase, PodRole, PodSpec, Priority};
 pub use resources::Resources;
 pub use shard::{
-    CellAggregates, FleetAggregates, FleetScaleConfig, FleetShard, FleetTotals, ShardedFleet,
+    CellAggregates, FleetAggregates, FleetConfigError, FleetScaleConfig, FleetShard, FleetTotals,
+    ShardedFleet,
 };
 pub use startup::StartupLatencyModel;
 pub use store::{GenSlab, PodTable, SlabKey};

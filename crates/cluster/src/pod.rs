@@ -81,8 +81,9 @@ pub struct Pod {
     pub id: PodId,
     /// The spec it was created from.
     pub spec: PodSpec,
-    /// Current phase.
-    pub phase: PodPhase,
+    /// Current phase. Read through [`Pod::phase`]; written only by
+    /// [`crate::PodTable`], whose per-page live counts must follow it.
+    pub(crate) phase: PodPhase,
     /// Node it is bound to (`None` while pending or after eviction).
     pub node: Option<NodeId>,
     /// When the pod was requested.
@@ -95,6 +96,13 @@ pub struct Pod {
     /// Relative CPU speed of its node (1.0 = nominal); used by the training
     /// engine to derive straggler behaviour from placement.
     pub node_speed: f64,
+}
+
+impl Pod {
+    /// Current phase.
+    pub fn phase(&self) -> PodPhase {
+        self.phase
+    }
 }
 
 #[cfg(test)]

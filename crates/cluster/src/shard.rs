@@ -123,6 +123,24 @@ impl FleetScaleConfig {
         FleetScaleConfig { cells, ..FleetScaleConfig::default() }
     }
 
+    /// Checks the fields a run divides by, indexes with or loops on, so a
+    /// degenerate configuration is refused at the door instead of panicking
+    /// (or spinning) deep inside an epoch.
+    pub fn validate(&self) -> Result<(), FleetConfigError> {
+        let checks = [
+            (self.cells == 0, FleetConfigError::NoCells),
+            (self.nodes_per_cell == 0, FleetConfigError::NoNodes),
+            (self.epoch == SimDuration::ZERO, FleetConfigError::ZeroEpoch),
+            (self.retry_interval == SimDuration::ZERO, FleetConfigError::ZeroRetryInterval),
+            (self.telemetry_capacity == 0, FleetConfigError::ZeroTelemetryCapacity),
+            (self.min_job_duration > self.max_job_duration, FleetConfigError::JobDurationRange),
+        ];
+        match checks.into_iter().find(|(bad, _)| *bad) {
+            Some((_, err)) => Err(err),
+            None => Ok(()),
+        }
+    }
+
     /// A deliberately tiny configuration for tests: `cells` cells with a
     /// handful of jobs each, short durations, tight epochs.
     pub fn small(cells: u32, training_jobs: usize, background_jobs: usize) -> Self {
@@ -147,8 +165,42 @@ impl FleetScaleConfig {
     }
 }
 
+/// Why a [`FleetScaleConfig`] cannot be run ([`FleetScaleConfig::validate`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FleetConfigError {
+    /// `cells` is zero: there is no cell to submit a job to.
+    NoCells,
+    /// `nodes_per_cell` is zero: nothing could ever be placed, and a routed
+    /// node fault would have no node to name.
+    NoNodes,
+    /// `epoch` is zero: barriers would not advance.
+    ZeroEpoch,
+    /// `retry_interval` is zero: a pending job would re-arm its retry at
+    /// the same instant forever and `forward_after` would never elapse.
+    ZeroRetryInterval,
+    /// `telemetry_capacity` is zero: an event ring holds at least one event.
+    ZeroTelemetryCapacity,
+    /// `min_job_duration` exceeds `max_job_duration`.
+    JobDurationRange,
+}
+
+impl std::fmt::Display for FleetConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            FleetConfigError::NoCells => "cells must be at least 1",
+            FleetConfigError::NoNodes => "nodes_per_cell must be at least 1",
+            FleetConfigError::ZeroEpoch => "epoch must be positive",
+            FleetConfigError::ZeroRetryInterval => "retry_interval must be positive",
+            FleetConfigError::ZeroTelemetryCapacity => "telemetry_capacity must be at least 1",
+            FleetConfigError::JobDurationRange => "min_job_duration exceeds max_job_duration",
+        })
+    }
+}
+
+impl std::error::Error for FleetConfigError {}
+
 /// A job description portable between cells (what travels in an envelope).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct JobSpec {
     /// `(origin_cell << 32) | workload index` — globally unique and
     /// shard-count independent.
@@ -170,6 +222,11 @@ struct JobState {
     spec: JobSpec,
     arrived_at: SimTime,
     pending: bool,
+    /// [`Cell::node_gen`] at this job's last failed placement, `None` until
+    /// one was attempted here. While the cell is still at that generation
+    /// its nodes are exactly as that attempt left them — a failed attempt
+    /// rolls back to the bit — so the same first-fit would fail again.
+    failed_at_gen: Option<u64>,
     /// Live pods (cleared as they fail) and the node each sits on.
     pods: Vec<(PodId, u32)>,
 }
@@ -261,6 +318,22 @@ pub struct CellAggregates {
     /// Checkpoint-plane stall windows delivered (remote-tier outage /
     /// bandwidth collapse freezing admissions).
     pub ckpt_stalls: u64,
+}
+
+impl CellAggregates {
+    /// The `fleet.*` telemetry counters and the fields they are.
+    fn counters(&self) -> [(&'static str, u64); 8] {
+        [
+            ("fleet.jobs.submitted", self.jobs_submitted),
+            ("fleet.jobs.forwarded_in", self.jobs_forwarded_in),
+            ("fleet.jobs.forwarded_out", self.jobs_forwarded_out),
+            ("fleet.jobs.gave_up", self.jobs_gave_up),
+            ("fleet.jobs.admitted", self.jobs_admitted),
+            ("fleet.jobs.finished", self.jobs_finished),
+            ("fleet.jobs.failed", self.jobs_failed),
+            ("fleet.ckpt.stalls", self.ckpt_stalls),
+        ]
+    }
 }
 
 /// Fleet-wide rollup of [`CellAggregates`] (derived, also K-independent).
@@ -384,37 +457,91 @@ struct Cell {
     telemetry: Telemetry,
     agg: CellAggregates,
     msg_seq: u64,
+    /// Bumped on every change to `nodes`: a gang reserved, a pod released,
+    /// a node failed or recovered. It keys on *any* change because
+    /// first-fit is not monotone in free capacity (DESIGN.md §9): a gang
+    /// that fails can succeed after a node *loses* room.
+    node_gen: u64,
+    /// The node of each pod of the gang [`Cell::try_place`] just placed
+    /// (workers first, then PS); scratch reused across placements.
+    assignment: Vec<u32>,
+    #[cfg(test)]
+    probe: RetryProbe,
     /// Admissions are frozen until this instant (checkpoint-plane
     /// degradation, [`ChaosAction::CkptStall`]); pending jobs resume
     /// through their retry timers once the window passes.
     ckpt_stalled_until: SimTime,
 }
 
-impl Cell {
-    /// First-fit gang placement; returns one node index per pod (workers
-    /// first, then PS) or rolls back and returns `None`.
-    fn try_place_gang(&mut self, spec: &JobSpec) -> Option<Vec<u32>> {
-        let total = (spec.workers + spec.ps) as usize;
-        let mut assignment = Vec::with_capacity(total);
-        for i in 0..total {
-            let res = if (i as u32) < spec.workers { spec.worker_res } else { spec.ps_res };
-            match self.nodes.iter_mut().position(|n| n.fits(&res)) {
-                Some(idx) => {
-                    self.nodes[idx].reserve(res);
-                    assignment.push(idx as u32);
+/// First-fit gang placement over `nodes`: writes one node index per pod
+/// into `out` (workers first, then PS) and returns true, or rolls back —
+/// leaving every node exactly as found — and returns false.
+///
+/// Pods of one role ask for the same `res`, so each resumes the scan at the
+/// previous pod's node instead of at node 0: the nodes before that hit did
+/// not fit `res` then and have only lost capacity since, while the hit
+/// itself may fit again. The cursor is exact only for identical requests
+/// within one call, so it restarts at the worker → PS boundary.
+fn place_gang(nodes: &mut [Node], spec: &JobSpec, out: &mut Vec<u32>) -> bool {
+    out.clear();
+    for (count, res) in [(spec.workers, spec.worker_res), (spec.ps, spec.ps_res)] {
+        let mut cursor = 0usize;
+        for _ in 0..count {
+            let Some(offset) = nodes[cursor..].iter().position(|n| n.fits(&res)) else {
+                // Roll back partial reservations, in assignment order.
+                for (j, &idx) in out.iter().enumerate() {
+                    let res = if (j as u32) < spec.workers { spec.worker_res } else { spec.ps_res };
+                    nodes[idx as usize].release(res);
                 }
-                None => {
-                    // Roll back partial reservations.
-                    for (j, &idx) in assignment.iter().enumerate() {
-                        let res =
-                            if (j as u32) < spec.workers { spec.worker_res } else { spec.ps_res };
-                        self.nodes[idx as usize].release(res);
-                    }
-                    return None;
-                }
-            }
+                return false;
+            };
+            cursor += offset;
+            nodes[cursor].reserve(res);
+            out.push(cursor as u32);
         }
-        Some(assignment)
+    }
+    true
+}
+
+/// Test-only view of the retry gate: a switch that turns it off (the
+/// always-place reference of the differential tests) and a count of the
+/// placements it skipped.
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct RetryProbe {
+    always_place: bool,
+    skipped: u64,
+}
+
+impl Cell {
+    /// Places pending job `key`'s gang into `self.assignment`, or records
+    /// the generation the attempt failed at.
+    fn try_place(&mut self, key: SlabKey) -> bool {
+        let job = self.jobs.get_mut(key).expect("placing a live job");
+        if place_gang(&mut self.nodes, &job.spec, &mut self.assignment) {
+            self.node_gen += 1;
+            true
+        } else {
+            job.failed_at_gen = Some(self.node_gen);
+            false
+        }
+    }
+
+    /// [`Self::try_place`] for a retry timer: skipped — it would fail
+    /// again — while no node changed since the job's last failed attempt.
+    fn retry_place(&mut self, key: SlabKey) -> bool {
+        let _p = dlrover_telemetry::prof::scope("shard/retry");
+        let unchanged = self.jobs.get(key).and_then(|j| j.failed_at_gen) == Some(self.node_gen);
+        #[cfg(test)]
+        let unchanged = {
+            self.probe.skipped += u64::from(unchanged);
+            unchanged && !self.probe.always_place
+        };
+        if unchanged {
+            return false;
+        }
+        dlrover_telemetry::prof::add_items(1);
+        self.try_place(key)
     }
 
     /// Terminates one live pod of a running job; returns true when the job
@@ -423,13 +550,10 @@ impl Cell {
         let Some(job) = self.jobs.get_mut(key) else { return false };
         let Some(pos) = job.pods.iter().position(|(p, _)| *p == pod) else { return false };
         let (_, node_idx) = job.pods.remove(pos);
-        let res = {
-            let p = self.pods.get_mut(pod).expect("live pod present");
-            debug_assert_eq!(p.phase, PodPhase::Running);
-            p.phase = phase;
-            p.spec.resources
-        };
+        debug_assert_eq!(self.pods.get(pod).map(Pod::phase), Some(PodPhase::Running));
+        let res = self.pods.set_phase(pod, phase).expect("live pod present").spec.resources;
         self.nodes[node_idx as usize].release(res);
+        self.node_gen += 1;
         self.agg.pod_events += 1;
         match phase {
             PodPhase::Preempted => {
@@ -489,6 +613,7 @@ impl FleetShard {
             self.handle(ev.at, ev.event, bound);
         }
         // Epoch housekeeping: reclaim pod pages that went fully terminal.
+        let _p = dlrover_telemetry::prof::scope("shard/reap");
         for cell in &mut self.cells {
             cell.pods.reap_terminal();
         }
@@ -501,15 +626,13 @@ impl FleetShard {
         cell.agg.last_event_us = cell.agg.last_event_us.max(now.as_micros());
         match ev {
             FleetEv::Submit { cell: c, wl_idx } => {
-                let spec = cell.workload[wl_idx as usize].clone();
+                let spec = cell.workload[wl_idx as usize];
                 cell.agg.jobs_submitted += 1;
-                cell.telemetry.count("fleet.jobs.submitted", 1);
                 debug_assert_eq!(c, cell.id);
                 Self::arrive(cell, &mut self.wheel, &self.cfg, spec, now);
             }
             FleetEv::Deliver { spec, .. } => {
                 cell.agg.jobs_forwarded_in += 1;
-                cell.telemetry.count("fleet.jobs.forwarded_in", 1);
                 Self::arrive(cell, &mut self.wheel, &self.cfg, spec, now);
             }
             FleetEv::Retry { key, .. } => {
@@ -517,7 +640,7 @@ impl FleetShard {
                 if !job.pending {
                     return;
                 }
-                let (spec, arrived_at) = (job.spec.clone(), job.arrived_at);
+                let arrived_at = job.arrived_at;
                 if now < cell.ckpt_stalled_until {
                     // Checkpoint plane degraded: no placements (and no
                     // forwarding — every cell shares the remote tier, so
@@ -526,18 +649,16 @@ impl FleetShard {
                         .push(now + self.cfg.retry_interval, FleetEv::Retry { cell: cell.id, key });
                     return;
                 }
-                if let Some(assignment) = cell.try_place_gang(&spec) {
+                if cell.retry_place(key) {
                     cell.pending.retain(|k| *k != key);
-                    Self::admit(cell, &mut self.wheel, &self.cfg, key, assignment, now);
+                    Self::admit(cell, &mut self.wheel, &self.cfg, key, now);
                 } else if now.saturating_since(arrived_at) >= self.cfg.forward_after {
                     cell.pending.retain(|k| *k != key);
                     let job = cell.jobs.remove(key).expect("pending job in slab");
                     if job.spec.hops >= self.cfg.hop_limit || self.cfg.cells <= 1 {
                         cell.agg.jobs_gave_up += 1;
-                        cell.telemetry.count("fleet.jobs.gave_up", 1);
                     } else {
                         cell.agg.jobs_forwarded_out += 1;
-                        cell.telemetry.count("fleet.jobs.forwarded_out", 1);
                         let mut spec = job.spec;
                         spec.hops += 1;
                         let seq = cell.msg_seq;
@@ -559,18 +680,15 @@ impl FleetShard {
                 let Some(job) = cell.jobs.remove(key) else { return };
                 debug_assert!(!job.pending);
                 for (pod, node_idx) in &job.pods {
-                    let res = {
-                        let p = cell.pods.get_mut(*pod).expect("live pod present");
-                        p.phase = PodPhase::Succeeded;
-                        p.spec.resources
-                    };
+                    let pod = cell.pods.set_phase(*pod, PodPhase::Succeeded);
+                    let res = pod.expect("live pod present").spec.resources;
                     cell.nodes[*node_idx as usize].release(res);
                     cell.agg.pod_events += 1;
                 }
+                cell.node_gen += 1;
                 cell.agg.jobs_finished += 1;
                 cell.agg.completion_us_sum +=
                     now.saturating_since(job.spec.submitted_at).as_micros();
-                cell.telemetry.count("fleet.jobs.finished", 1);
                 // Freed capacity: admit pending jobs in arrival order.
                 Self::admit_pending(cell, &mut self.wheel, &self.cfg, now);
             }
@@ -578,7 +696,6 @@ impl FleetShard {
                 if cell.kill_pod(key, pod, now, PodPhase::Failed) {
                     cell.jobs.remove(key);
                     cell.agg.jobs_failed += 1;
-                    cell.telemetry.count("fleet.jobs.failed", 1);
                 }
             }
             FleetEv::Chaos { action, .. } => {
@@ -598,14 +715,16 @@ impl FleetShard {
         now: SimTime,
     ) {
         let key = cell.jobs.insert(JobState {
-            spec: spec.clone(),
+            spec,
             arrived_at: now,
             pending: true,
+            failed_at_gen: None,
             pods: Vec::new(),
         });
-        let placeable = now >= cell.ckpt_stalled_until;
-        if let Some(assignment) = placeable.then(|| cell.try_place_gang(&spec)).flatten() {
-            Self::admit(cell, wheel, cfg, key, assignment, now);
+        // During a checkpoint stall nothing is attempted, so no generation
+        // is recorded either: the first retry after the window must place.
+        if now >= cell.ckpt_stalled_until && cell.try_place(key) {
+            Self::admit(cell, wheel, cfg, key, now);
         } else {
             cell.pending.push(key);
             cell.agg.peak_pending = cell.agg.peak_pending.max(cell.pending.len() as u64);
@@ -613,19 +732,22 @@ impl FleetShard {
         }
     }
 
-    /// Binds the gang's pods, schedules its finish and organic pod failures.
+    /// Binds the pods of the gang [`Cell::try_place`] just placed (its
+    /// nodes are in `cell.assignment`), schedules its finish and organic
+    /// pod failures.
     fn admit(
         cell: &mut Cell,
         wheel: &mut TimerWheel<FleetEv>,
         cfg: &FleetScaleConfig,
         key: SlabKey,
-        assignment: Vec<u32>,
         now: SimTime,
     ) {
-        let spec = cell.jobs.get(key).expect("admitting live job").spec.clone();
+        let job = cell.jobs.get_mut(key).expect("admitting live job");
+        let spec = job.spec;
         let mut min_speed = f64::INFINITY;
-        let mut pods = Vec::with_capacity(assignment.len());
-        for (i, &node_idx) in assignment.iter().enumerate() {
+        job.pending = false;
+        job.pods = Vec::with_capacity(cell.assignment.len());
+        for (i, &node_idx) in cell.assignment.iter().enumerate() {
             let i = i as u32;
             let (res, role) = if i < spec.workers {
                 (spec.worker_res, if spec.is_service { PodRole::Other } else { PodRole::Worker })
@@ -650,7 +772,7 @@ impl FleetShard {
                 running_at: Some(now),
                 node_speed: node.speed,
             });
-            pods.push((id, node_idx));
+            job.pods.push((id, node_idx));
             cell.agg.pods_created += 1;
             cell.agg.pod_events += 1;
             cell.telemetry.record(now, EventKind::PodPlaced { pod: id.0, node: node_idx });
@@ -658,18 +780,14 @@ impl FleetShard {
         // Gang-gated: the slowest node paces the whole job (§2.2 stragglers).
         let slowdown = if min_speed.is_finite() && min_speed > 0.0 { 1.0 / min_speed } else { 1.0 };
         let runtime = spec.duration.mul_f64(slowdown);
-        let job = cell.jobs.get_mut(key).expect("admitting live job");
-        job.pending = false;
-        job.pods = pods.clone();
         cell.agg.jobs_admitted += 1;
         cell.agg.wait_us_sum += now.saturating_since(spec.submitted_at).as_micros();
-        cell.telemetry.count("fleet.jobs.admitted", 1);
         wheel.push(now + runtime, FleetEv::Finish { cell: cell.id, key });
         // Organic pod churn (§2.2 / Table 4), sampled per pod in pod order.
         let p = cfg.fleet.pod_daily_failure_rate.clamp(0.0, 0.999_999);
         if p > 0.0 {
             let rate_per_sec = -(1.0 - p).ln() / 86_400.0;
-            for (pod, _) in pods {
+            for &(pod, _) in &job.pods {
                 let u: f64 = cell.rng.gen_range(1e-12..1.0);
                 let delay = SimDuration::from_secs_f64(-u.ln() / rate_per_sec);
                 if delay < runtime {
@@ -691,13 +809,11 @@ impl FleetShard {
         }
         let queue = std::mem::take(&mut cell.pending);
         for key in queue {
-            let Some(job) = cell.jobs.get(key) else { continue };
-            if !job.pending {
+            if !cell.jobs.get(key).is_some_and(|job| job.pending) {
                 continue;
             }
-            let spec = job.spec.clone();
-            if let Some(assignment) = cell.try_place_gang(&spec) {
-                Self::admit(cell, wheel, cfg, key, assignment, now);
+            if cell.try_place(key) {
+                Self::admit(cell, wheel, cfg, key, now);
             } else {
                 cell.pending.push(key);
             }
@@ -707,8 +823,9 @@ impl FleetShard {
     fn chaos(cell: &mut Cell, now: SimTime, action: ChaosAction) {
         match action {
             ChaosAction::NodeFail(n) => {
-                let n = n % cell.nodes.len().max(1) as u32;
+                let n = n % cell.nodes.len() as u32;
                 cell.nodes[n as usize].healthy = false;
+                cell.node_gen += 1;
                 cell.telemetry.record(now, EventKind::NodeFailed { node: n });
                 // Every resident pod dies with the node.
                 let victims: Vec<(SlabKey, PodId)> = cell
@@ -725,13 +842,13 @@ impl FleetShard {
                     if cell.kill_pod(key, pod, now, PodPhase::Failed) {
                         cell.jobs.remove(key);
                         cell.agg.jobs_failed += 1;
-                        cell.telemetry.count("fleet.jobs.failed", 1);
                     }
                 }
             }
             ChaosAction::NodeRecover(n) => {
-                let n = n % cell.nodes.len().max(1) as u32;
+                let n = n % cell.nodes.len() as u32;
                 cell.nodes[n as usize].healthy = true;
+                cell.node_gen += 1;
             }
             ChaosAction::KillWorker(i) | ChaosAction::KillPs(i) => {
                 let want_ps = matches!(action, ChaosAction::KillPs(_));
@@ -748,13 +865,11 @@ impl FleetShard {
                 if cell.kill_pod(key, pod, now, PodPhase::Failed) {
                     cell.jobs.remove(key);
                     cell.agg.jobs_failed += 1;
-                    cell.telemetry.count("fleet.jobs.failed", 1);
                 }
             }
             ChaosAction::CkptStall(window) => {
                 cell.ckpt_stalled_until = cell.ckpt_stalled_until.max(now + window);
                 cell.agg.ckpt_stalls += 1;
-                cell.telemetry.count("fleet.ckpt.stalls", 1);
             }
             ChaosAction::Burst(pods) => {
                 // A high-priority burst preempts the first `pods` live pods.
@@ -768,7 +883,6 @@ impl FleetShard {
                     if cell.kill_pod(key, pod, now, PodPhase::Preempted) {
                         cell.jobs.remove(key);
                         cell.agg.jobs_failed += 1;
-                        cell.telemetry.count("fleet.jobs.failed", 1);
                     }
                 }
             }
@@ -789,6 +903,9 @@ pub struct ShardedFleet {
 impl ShardedFleet {
     /// Builds the fleet with `shard_count` shards (clamped to the cell
     /// count). Same `cfg` + `seed` ⇒ same results for every `shard_count`.
+    ///
+    /// # Panics
+    /// Panics when `cfg` fails [`FleetScaleConfig::validate`].
     pub fn new(cfg: &FleetScaleConfig, shard_count: u32, seed: u64) -> Self {
         Self::with_chaos(cfg, shard_count, seed, None)
     }
@@ -796,13 +913,29 @@ impl ShardedFleet {
     /// Like [`ShardedFleet::new`], with a scripted [`FaultPlan`] whose events
     /// are routed to cells by their suggested target index (mod the cell
     /// count) — a shard-count-independent mapping.
+    ///
+    /// # Panics
+    /// Panics when `cfg` fails [`FleetScaleConfig::validate`]; use
+    /// [`ShardedFleet::try_with_chaos`] for a configuration from outside.
     pub fn with_chaos(
         cfg: &FleetScaleConfig,
         shard_count: u32,
         seed: u64,
         plan: Option<&FaultPlan>,
     ) -> Self {
-        assert!(cfg.cells > 0, "fleet needs at least one cell");
+        Self::try_with_chaos(cfg, shard_count, seed, plan)
+            .unwrap_or_else(|e| panic!("invalid fleet configuration: {e}"))
+    }
+
+    /// [`ShardedFleet::with_chaos`], reporting a degenerate configuration
+    /// as a typed error.
+    pub fn try_with_chaos(
+        cfg: &FleetScaleConfig,
+        shard_count: u32,
+        seed: u64,
+        plan: Option<&FaultPlan>,
+    ) -> Result<Self, FleetConfigError> {
+        cfg.validate()?;
         let root = RngStreams::new(seed);
         let shard_count = shard_count.clamp(1, cfg.cells);
 
@@ -888,7 +1021,7 @@ impl ShardedFleet {
                 cfg: cfg.clone(),
             });
         }
-        ShardedFleet { shards, exchange: Exchange::new(), cfg: cfg.clone(), planned_pods }
+        Ok(ShardedFleet { shards, exchange: Exchange::new(), cfg: cfg.clone(), planned_pods })
     }
 
     /// Generates one cell's nodes and workload and seeds its shard's wheel;
@@ -968,6 +1101,10 @@ impl ShardedFleet {
             telemetry: Telemetry::with_capacity(cfg.telemetry_capacity),
             agg: CellAggregates { cell: cell_id, ..CellAggregates::default() },
             msg_seq: 0,
+            node_gen: 0,
+            assignment: Vec::new(),
+            #[cfg(test)]
+            probe: RetryProbe::default(),
             ckpt_stalled_until: SimTime::ZERO,
         };
         (cell, planned_pods)
@@ -1000,7 +1137,7 @@ impl ShardedFleet {
             }
         }
         let t = next?;
-        let epoch = self.cfg.epoch.as_micros().max(1);
+        let epoch = self.cfg.epoch.as_micros();
         let bound =
             SimTime::from_micros((t.as_micros() / epoch).saturating_add(1).saturating_mul(epoch));
         Some((bound, std::mem::take(&mut self.shards)))
@@ -1063,11 +1200,26 @@ impl ShardedFleet {
     }
 
     /// Cell telemetry merged in ascending cell order (the same key-sorted
-    /// merge discipline the parallel engine uses).
+    /// merge discipline the parallel engine uses), plus the `fleet.*`
+    /// counters. The counters are the like-named [`CellAggregates`] fields
+    /// summed over the cells as they stand now — cells keep no counters of
+    /// their own — and, like a counter that was never incremented, a zero
+    /// sum creates no key.
     pub fn merged_telemetry(&self) -> Telemetry {
-        Telemetry::merge_ordered(
-            self.shards.iter().flat_map(|s| s.cells.iter().map(|c| &c.telemetry)),
-        )
+        let cells = || self.shards.iter().flat_map(|s| &s.cells);
+        let merged = Telemetry::merge_ordered(cells().map(|c| &c.telemetry));
+        let mut totals = CellAggregates::default().counters();
+        for cell in cells() {
+            for (total, (_, n)) in totals.iter_mut().zip(cell.agg.counters()) {
+                total.1 += n;
+            }
+        }
+        for (name, total) in totals {
+            if total > 0 {
+                merged.count(name, total);
+            }
+        }
+        merged
     }
 
     /// Pods currently resident across all pod tables (after reaping).
@@ -1080,6 +1232,7 @@ impl ShardedFleet {
 mod tests {
     use super::*;
     use dlrover_sim::{FaultEvent, FaultPlanConfig};
+    use proptest::prelude::*;
 
     fn small_cfg() -> FleetScaleConfig {
         FleetScaleConfig::small(3, 12, 4)
@@ -1222,5 +1375,318 @@ mod tests {
         let fleet = ShardedFleet::new(&FleetScaleConfig::for_target_pods(20_000), 4, 1);
         let planned = fleet.planned_pods();
         assert!((10_000..40_000).contains(&planned), "planned pods {planned} far from 20k target");
+    }
+
+    // ---- Differential references (DESIGN.md §9) -------------------------
+
+    /// The first-fit `place_gang` replaces: every pod scans from node 0.
+    fn place_gang_from_zero(nodes: &mut [Node], spec: &JobSpec, out: &mut Vec<u32>) -> bool {
+        out.clear();
+        let res_of =
+            |i: usize| if (i as u32) < spec.workers { spec.worker_res } else { spec.ps_res };
+        for i in 0..(spec.workers + spec.ps) as usize {
+            match nodes.iter().position(|n| n.fits(&res_of(i))) {
+                Some(idx) => {
+                    nodes[idx].reserve(res_of(i));
+                    out.push(idx as u32);
+                }
+                None => {
+                    for (j, &idx) in out.iter().enumerate() {
+                        nodes[idx as usize].release(res_of(j));
+                    }
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    fn gang(workers: u32, worker_res: Resources, ps: u32, ps_res: Resources) -> JobSpec {
+        JobSpec {
+            global_id: 0,
+            workers,
+            ps,
+            worker_res,
+            ps_res,
+            duration: SimDuration::from_mins(30),
+            submitted_at: SimTime::ZERO,
+            hops: 0,
+            is_service: false,
+            high_priority: false,
+        }
+    }
+
+    fn node_with_free(id: u32, cpu_millis: u64, mem_bytes: u64) -> Node {
+        Node::new(NodeId(id), Resources::from_raw(cpu_millis, mem_bytes), 1.0)
+    }
+
+    /// The two-resource anomaly: first-fit is not monotone in free capacity.
+    /// A (4 cpu, 6 mem), B (4, 1); gang = worker (4, 1) + PS (1, 6).
+    fn anomaly() -> (Vec<Node>, JobSpec) {
+        let nodes = vec![node_with_free(0, 4, 6), node_with_free(1, 4, 1)];
+        (nodes, gang(1, Resources::from_raw(4, 1), 1, Resources::from_raw(1, 6)))
+    }
+
+    #[test]
+    fn first_fit_can_succeed_after_a_node_loses_capacity() {
+        let (mut nodes, spec) = anomaly();
+        let before = nodes.clone();
+        let mut out = Vec::new();
+        // The worker takes A, the PS then fits nowhere.
+        assert!(!place_gang(&mut nodes, &spec, &mut out));
+        assert_eq!(nodes, before, "a failed attempt leaves the nodes as found");
+        // Shrink A to (3, 6): the worker goes to B, the PS back to A — the
+        // scan for the PS must restart at node 0, not at the worker's hit.
+        nodes[0].reserve(Resources::from_raw(1, 0));
+        assert!(place_gang(&mut nodes, &spec, &mut out));
+        assert_eq!(out, vec![1, 0]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The resuming scan is the from-zero scan: same verdict, same
+        /// assignment, same node state — on random two-resource nodes with
+        /// unhealthy ones among them, and on the anomaly's shapes.
+        #[test]
+        fn resuming_first_fit_matches_from_zero(
+            free in proptest::collection::vec((0u64..9, 0u64..9, 0u32..8), 1..12),
+            workers in 0u32..7,
+            ps in 0u32..5,
+            worker_res in (0u64..5, 0u64..5),
+            ps_res in (0u64..5, 0u64..7),
+        ) {
+            let mut nodes: Vec<Node> = free
+                .iter()
+                .enumerate()
+                .map(|(i, &(cpu, mem, health))| {
+                    let mut n = node_with_free(i as u32, cpu, mem);
+                    n.healthy = health != 0;
+                    n
+                })
+                .collect();
+            let spec = gang(
+                workers,
+                Resources::from_raw(worker_res.0, worker_res.1),
+                ps,
+                Resources::from_raw(ps_res.0, ps_res.1),
+            );
+            let mut reference = nodes.clone();
+            let (mut got, mut want) = (vec![9], Vec::new());
+            let placed = place_gang(&mut nodes, &spec, &mut got);
+            prop_assert_eq!(placed, place_gang_from_zero(&mut reference, &spec, &mut want));
+            prop_assert_eq!(&nodes, &reference);
+            if placed {
+                prop_assert_eq!(got, want);
+            }
+        }
+    }
+
+    /// Aggregates, merged event bytes and merged counters of one run.
+    type RunOutput = (FleetAggregates, String, std::collections::BTreeMap<String, u64>);
+
+    /// Runs `cfg` once with the retry gate and once placing on every retry;
+    /// returns what each produced and how many placements the gate skipped.
+    fn gated_vs_always(
+        cfg: &FleetScaleConfig,
+        shards: u32,
+        seed: u64,
+        plan: Option<&FaultPlan>,
+    ) -> ([RunOutput; 2], u64) {
+        let run = |always_place: bool| {
+            let mut fleet = ShardedFleet::with_chaos(cfg, shards, seed, plan);
+            for cell in fleet.shards.iter_mut().flat_map(|s| &mut s.cells) {
+                cell.probe.always_place = always_place;
+            }
+            let agg = fleet.run_to_completion();
+            let merged = fleet.merged_telemetry();
+            let skipped = fleet.shards.iter().flat_map(|s| &s.cells).map(|c| c.probe.skipped).sum();
+            ((agg, merged.to_jsonl(), merged.summary().counters), skipped)
+        };
+        let (gated, skipped) = run(false);
+        let (always, would_skip) = run(true);
+        assert_eq!(skipped, would_skip, "the gate saw different retries in the two runs");
+        ([gated, always], skipped)
+    }
+
+    #[test]
+    fn retry_gate_fires_and_changes_nothing_when_starved() {
+        let mut cfg = FleetScaleConfig::small(3, 20, 4);
+        cfg.nodes_per_cell = 2;
+        let ([gated, always], skipped) = gated_vs_always(&cfg, 2, 21, None);
+        assert_eq!(gated, always);
+        let retries = gated.0.totals().wheel_events;
+        assert!(skipped > 0 && skipped < retries, "gate skipped {skipped} of <{retries} events");
+    }
+
+    /// Every node lost before a checkpoint stall and recovered during it:
+    /// the recoveries are the only changes to the cell's nodes, and the
+    /// stall keeps `admit_pending` from trying at once, so only the bump on
+    /// `NodeRecover` lets the pending jobs' retries place afterwards.
+    #[test]
+    fn retries_place_after_nodes_recover_during_a_stall() {
+        let mut cfg = FleetScaleConfig::small(1, 10, 0);
+        cfg.nodes_per_cell = 6;
+        cfg.forward_after = SimDuration::from_hours(2);
+        let mut faults: Vec<FaultEvent> = (0..cfg.nodes_per_cell)
+            .map(|node| FaultEvent {
+                at: SimTime::from_secs(1),
+                kind: FaultKind::NodeLoss { node },
+            })
+            .collect();
+        faults.push(FaultEvent {
+            at: SimTime::from_secs(14 * 60),
+            kind: FaultKind::RemoteTierOutage { window: SimDuration::from_mins(5) },
+        });
+        let plan = FaultPlan::from_events(faults);
+        let ([gated, always], skipped) = gated_vs_always(&cfg, 1, 3, Some(&plan));
+        assert_eq!(gated, always);
+        assert!(skipped > 0, "the lost nodes must have gated retries");
+        assert!(gated.0.totals().jobs_admitted > 0, "jobs must place once the nodes are back");
+    }
+
+    /// The anomaly inside a cell: a gang fails, a second job's *successful*
+    /// reservation shrinks node A, and the gang's next retry — no release,
+    /// no node fault in between — must place.
+    #[test]
+    fn retry_places_after_another_gang_reserved() {
+        let cfg = FleetScaleConfig::small(1, 0, 0);
+        let mut fleet = ShardedFleet::new(&cfg, 1, 1);
+        let shard = &mut fleet.shards[0];
+        let (nodes, spec) = anomaly();
+        shard.cells[0].nodes = nodes;
+        let t = SimTime::from_secs(1);
+        FleetShard::arrive(&mut shard.cells[0], &mut shard.wheel, &cfg, spec, t);
+        assert_eq!(shard.cells[0].pending.len(), 1, "the gang does not fit yet");
+        let filler = gang(1, Resources::from_raw(1, 0), 0, Resources::ZERO);
+        FleetShard::arrive(&mut shard.cells[0], &mut shard.wheel, &cfg, filler, t);
+        assert_eq!(shard.cells[0].agg.jobs_admitted, 1, "the filler takes 1 cpu of node A");
+        shard.run_epoch(t + cfg.retry_interval + SimDuration::from_secs(1));
+        assert_eq!(shard.cells[0].agg.jobs_admitted, 2, "the retry must run the placement");
+        assert!(shard.cells[0].pending.is_empty());
+    }
+
+    fn fault_strategy() -> impl Strategy<Value = FaultEvent> {
+        (0u64..3_600, 0u32..6, 0u32..40).prop_map(|(secs, kind, n)| FaultEvent {
+            at: SimTime::from_secs(secs),
+            kind: match kind {
+                0 => FaultKind::NodeLoss { node: n },
+                1 => FaultKind::PreemptionBurst { pods: n },
+                2 => FaultKind::WorkerKill { worker: n },
+                3 => FaultKind::PsKill { ps: n },
+                4 => FaultKind::BandwidthCollapse {
+                    factor_permille: 1_500 + 100 * n,
+                    window: SimDuration::from_secs(u64::from(n) * 30),
+                },
+                // Early stalls, while cells still have room: jobs that
+                // arrive inside one are parked without an attempt.
+                _ => FaultKind::RemoteTierOutage {
+                    window: SimDuration::from_secs(60 + u64::from(n) * 10),
+                },
+            },
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Skipping a placement whose cell has not changed since it last
+        /// failed changes nothing: aggregates, merged event bytes and
+        /// counters equal the always-place run, under chaos and stalls.
+        #[test]
+        fn gated_retries_match_always_place(
+            seed in 0u64..1_000,
+            cells in 1u32..4,
+            nodes_per_cell in 1u32..7,
+            training in 4usize..24,
+            background in 0usize..6,
+            shards in 1u32..4,
+            early_stall in 0u64..200,
+            faults in proptest::collection::vec(fault_strategy(), 0..7),
+        ) {
+            let mut cfg = FleetScaleConfig::small(cells, training, background);
+            cfg.nodes_per_cell = nodes_per_cell;
+            let mut faults = faults;
+            faults.push(FaultEvent {
+                at: SimTime::from_secs(early_stall),
+                kind: FaultKind::RemoteTierOutage { window: SimDuration::from_secs(90) },
+            });
+            let plan = FaultPlan::from_events(faults);
+            let ([gated, always], _) = gated_vs_always(&cfg, shards, seed, Some(&plan));
+            prop_assert_eq!(gated, always);
+        }
+
+        /// A configuration either fails `validate` — and the fleet reports
+        /// that instead of building — or runs to completion without a panic
+        /// and resolves every job.
+        #[test]
+        fn validated_configs_do_not_panic(
+            seed in 0u64..1_000,
+            cells in 0u32..4,
+            nodes_per_cell in 0u32..4,
+            epoch_s in 0u64..200,
+            retry_s in 0u64..40,
+            forward_s in 0u64..200,
+            hop_limit in 0u32..4,
+            telemetry_capacity in 0usize..40,
+            min_mins in 0u64..30,
+            max_mins in 0u64..90,
+            samples_per_sec in 0.0f64..80_000.0,
+            faults in proptest::collection::vec(fault_strategy(), 0..5),
+        ) {
+            let cfg = FleetScaleConfig {
+                cells,
+                nodes_per_cell,
+                epoch: SimDuration::from_secs(epoch_s),
+                retry_interval: SimDuration::from_secs(retry_s),
+                forward_after: SimDuration::from_secs(forward_s),
+                hop_limit,
+                telemetry_capacity,
+                samples_per_sec_per_worker: samples_per_sec,
+                min_job_duration: SimDuration::from_mins(min_mins),
+                max_job_duration: SimDuration::from_mins(max_mins),
+                ..FleetScaleConfig::small(cells, 8, 2)
+            };
+            let plan = FaultPlan::from_events(faults);
+            match (cfg.validate(), ShardedFleet::try_with_chaos(&cfg, 2, seed, Some(&plan))) {
+                (Err(want), Err(got)) => prop_assert_eq!(want, got),
+                (Ok(()), Ok(mut fleet)) => {
+                    let t = fleet.run_to_completion().totals();
+                    prop_assert_eq!(t.jobs_submitted, t.jobs_finished + t.jobs_failed + t.jobs_gave_up);
+                    prop_assert_eq!(t.jobs_submitted, u64::from(cells) * 10);
+                    fleet.merged_telemetry();
+                }
+                (want, got) => prop_assert!(false, "validate {:?} but build {:?}", want, got.err()),
+            }
+        }
+    }
+
+    #[test]
+    fn degenerate_configs_are_typed_errors() {
+        let base = FleetScaleConfig::small(2, 4, 1);
+        type Breakage = fn(&mut FleetScaleConfig);
+        let cases: [(Breakage, FleetConfigError); 6] = [
+            (|c| c.cells = 0, FleetConfigError::NoCells),
+            (|c| c.nodes_per_cell = 0, FleetConfigError::NoNodes),
+            (|c| c.epoch = SimDuration::ZERO, FleetConfigError::ZeroEpoch),
+            (|c| c.retry_interval = SimDuration::ZERO, FleetConfigError::ZeroRetryInterval),
+            (|c| c.telemetry_capacity = 0, FleetConfigError::ZeroTelemetryCapacity),
+            (
+                |c| c.max_job_duration = SimDuration::from_secs(1),
+                FleetConfigError::JobDurationRange,
+            ),
+        ];
+        assert_eq!(base.validate(), Ok(()));
+        for (breakage, want) in cases {
+            let mut cfg = base.clone();
+            breakage(&mut cfg);
+            assert_eq!(cfg.validate(), Err(want));
+            let plan = FaultPlan::from_events(vec![FaultEvent {
+                at: SimTime::from_secs(5),
+                kind: FaultKind::NodeLoss { node: 3 },
+            }]);
+            let built = ShardedFleet::try_with_chaos(&cfg, 1, 1, Some(&plan));
+            assert_eq!(built.err(), Some(want), "{want}");
+        }
     }
 }

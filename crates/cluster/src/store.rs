@@ -12,11 +12,13 @@
 //!   exactly the order the previous `BTreeMap<PodId, Pod>` produced — so the
 //!   golden-trace corpus is unaffected by the swap. Pages whose pods have all
 //!   reached a terminal phase can be reclaimed ([`PodTable::reap_terminal`])
-//!   to bound resident memory during 1M-pod sweeps.
+//!   to bound resident memory during 1M-pod sweeps; the table counts the
+//!   live pods of each page as their phases are written
+//!   ([`PodTable::set_phase`]), so finding those pages reads no pod.
 
 use serde::{Deserialize, Serialize};
 
-use crate::pod::{Pod, PodId};
+use crate::pod::{Pod, PodId, PodPhase};
 
 /// A generational key into a [`GenSlab`].
 ///
@@ -166,9 +168,15 @@ const PAGE_SIZE: usize = 1 << PAGE_BITS;
 /// `BTreeMap<PodId, Pod>` it replaces. Full pages whose pods are all in a
 /// terminal phase can be dropped wholesale to cap resident memory at fleet
 /// scale (PAPER.md Table 4).
+///
+/// The table is the one writer of [`Pod::phase`]: `insert` and
+/// [`Self::set_phase`] keep `live[page]` equal to the page's non-terminal
+/// pods, which is what lets [`Self::reap_terminal`] run in O(pages).
 #[derive(Debug, Clone, Default)]
 pub struct PodTable {
     pages: Vec<Option<Vec<Pod>>>,
+    /// Non-terminal pods per page (parallel to `pages`; 0 once reaped).
+    live: Vec<u32>,
     /// Total pods ever inserted (== next expected id).
     inserted: u64,
     /// Pods dropped by [`Self::reap_terminal`].
@@ -206,9 +214,11 @@ impl PodTable {
         let page_idx = (pod.id.0 >> PAGE_BITS) as usize;
         if page_idx == self.pages.len() {
             self.pages.push(Some(Vec::with_capacity(PAGE_SIZE)));
+            self.live.push(0);
         }
         let page =
             self.pages[page_idx].as_mut().expect("append page was reaped while still filling");
+        self.live[page_idx] += u32::from(!pod.phase.is_terminal());
         page.push(pod);
         self.inserted += 1;
     }
@@ -219,10 +229,33 @@ impl PodTable {
         page.get((id.0 & (PAGE_SIZE as u64 - 1)) as usize)
     }
 
-    /// Mutable lookup; returns `None` for unknown or reaped ids.
+    /// Mutable lookup; returns `None` for unknown or reaped ids. Every
+    /// field but the phase may be written through it — the phase goes
+    /// through [`Self::set_phase`].
     pub fn get_mut(&mut self, id: PodId) -> Option<&mut Pod> {
         let page = self.pages.get_mut((id.0 >> PAGE_BITS) as usize)?.as_mut()?;
         page.get_mut((id.0 & (PAGE_SIZE as u64 - 1)) as usize)
+    }
+
+    /// Moves a pod to `phase` — the only place a stored pod's phase is
+    /// written, so the per-page live counts follow every transition.
+    /// Returns the pod for the caller's other field updates, `None` for
+    /// unknown or reaped ids.
+    ///
+    /// # Panics
+    /// Panics in debug builds on a terminal → live transition: a terminal
+    /// pod's page may already be reaped, so nothing may revive one.
+    pub fn set_phase(&mut self, id: PodId, phase: PodPhase) -> Option<&mut Pod> {
+        let page_idx = (id.0 >> PAGE_BITS) as usize;
+        let page = self.pages.get_mut(page_idx)?.as_mut()?;
+        let pod = page.get_mut((id.0 & (PAGE_SIZE as u64 - 1)) as usize)?;
+        match (pod.phase.is_terminal(), phase.is_terminal()) {
+            (false, true) => self.live[page_idx] -= 1,
+            (true, false) => debug_assert!(false, "pod {id:?}: {:?} -> {phase:?}", pod.phase),
+            _ => {}
+        }
+        pod.phase = phase;
+        Some(pod)
     }
 
     /// Iterates stored pods in ascending id order.
@@ -230,12 +263,11 @@ impl PodTable {
         self.pages.iter().filter_map(|p| p.as_deref()).flat_map(|p| p.iter())
     }
 
-    /// Iterates stored pods mutably in ascending id order.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut Pod> {
-        self.pages.iter_mut().filter_map(|p| p.as_deref_mut()).flat_map(|p| p.iter_mut())
-    }
-
     /// Drops full pages whose pods are all terminal; returns pods reclaimed.
+    ///
+    /// Only *full* pages are candidates: the filling page still takes
+    /// inserts, and an id must never land on a dropped page. Which pages
+    /// are all-terminal comes from the live counts, never from the pods.
     ///
     /// Looking up a reaped pod afterwards returns `None`, so callers must
     /// only reap once they no longer dereference finished pods (the sharded
@@ -244,12 +276,12 @@ impl PodTable {
     pub fn reap_terminal(&mut self) -> usize {
         let mut reclaimed = 0usize;
         let full_pages = (self.inserted >> PAGE_BITS) as usize;
-        for page in self.pages.iter_mut().take(full_pages) {
-            let all_terminal = match page.as_deref() {
-                Some(pods) => pods.iter().all(|p| p.phase.is_terminal()),
-                None => false,
-            };
-            if all_terminal {
+        for (page, live) in self.pages.iter_mut().zip(&self.live).take(full_pages) {
+            debug_assert!(
+                page.as_deref().is_none_or(|pods| *live as usize == scan_live(pods)),
+                "a phase was written around PodTable::set_phase"
+            );
+            if *live == 0 && page.is_some() {
                 *page = None;
                 reclaimed += PAGE_SIZE;
             }
@@ -257,6 +289,12 @@ impl PodTable {
         self.reaped += reclaimed as u64;
         reclaimed
     }
+}
+
+/// Non-terminal pods of a page by reading every pod: what the live counts
+/// replace, kept as the debug-build cross-check and the tests' reference.
+fn scan_live(pods: &[Pod]) -> usize {
+    pods.iter().filter(|p| !p.phase.is_terminal()).count()
 }
 
 impl std::ops::Index<&PodId> for PodTable {
@@ -269,9 +307,10 @@ impl std::ops::Index<&PodId> for PodTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pod::{PodPhase, PodRole, PodSpec, Priority};
+    use crate::pod::{PodRole, PodSpec, Priority};
     use crate::resources::Resources;
     use dlrover_sim::SimTime;
+    use proptest::prelude::*;
 
     fn pod(id: u64, phase: PodPhase) -> Pod {
         Pod {
@@ -341,12 +380,16 @@ mod tests {
     }
 
     #[test]
-    fn pod_table_get_mut_updates_in_place() {
+    fn pod_table_updates_in_place() {
         let mut table = PodTable::new();
         table.insert(pod(0, PodPhase::Pending));
-        table.get_mut(PodId(0)).unwrap().phase = PodPhase::Running;
-        assert_eq!(table.get(PodId(0)).unwrap().phase, PodPhase::Running);
+        table.set_phase(PodId(0), PodPhase::Running).unwrap().node_speed = 0.5;
+        table.get_mut(PodId(0)).unwrap().running_at = Some(SimTime::from_secs(3));
+        let p = table.get(PodId(0)).unwrap();
+        assert_eq!((p.phase, p.node_speed), (PodPhase::Running, 0.5));
+        assert_eq!(p.running_at, Some(SimTime::from_secs(3)));
         assert!(table.get(PodId(7)).is_none());
+        assert!(table.set_phase(PodId(7), PodPhase::Failed).is_none());
     }
 
     #[test]
@@ -361,25 +404,136 @@ mod tests {
         let mut table = PodTable::new();
         // Two full pages of terminal pods plus a partial live page.
         for id in 0..(2 * PAGE_SIZE as u64) {
-            table.insert(pod(id, PodPhase::Succeeded));
+            let straggler = id == PAGE_SIZE as u64;
+            table.insert(pod(id, if straggler { PodPhase::Running } else { PodPhase::Succeeded }));
         }
         for id in (2 * PAGE_SIZE as u64)..(2 * PAGE_SIZE as u64 + 10) {
             table.insert(pod(id, PodPhase::Running));
         }
         // Second page has one straggler still running: not reapable.
-        table.get_mut(PodId(PAGE_SIZE as u64)).unwrap().phase = PodPhase::Running;
+        // (Built live: nothing may revive a terminal pod.)
         assert_eq!(table.reap_terminal(), PAGE_SIZE);
         assert!(table.get(PodId(0)).is_none(), "reaped pod is gone");
         assert!(table.get(PodId(PAGE_SIZE as u64)).is_some());
         assert_eq!(table.len(), PAGE_SIZE + 10);
         // Finish the straggler page and reap again.
         for id in PAGE_SIZE as u64..(2 * PAGE_SIZE as u64) {
-            table.get_mut(PodId(id)).unwrap().phase = PodPhase::Failed;
+            table.set_phase(PodId(id), PodPhase::Failed).unwrap();
         }
         assert_eq!(table.reap_terminal(), PAGE_SIZE);
         assert_eq!(table.len(), 10);
         // Iteration skips reaped pages but keeps id order.
         let ids: Vec<u64> = table.values().map(|p| p.id.0).collect();
         assert_eq!(ids, (2 * PAGE_SIZE as u64..2 * PAGE_SIZE as u64 + 10).collect::<Vec<_>>());
+    }
+
+    /// The scanning reap the live counts replace, over a flat model of the
+    /// table (`None` = reaped): a full page goes when no pod on it is live.
+    fn scan_reap(model: &mut [Option<Pod>]) -> usize {
+        let mut reclaimed = 0;
+        for page in model.chunks_exact_mut(PAGE_SIZE) {
+            let pods: Option<Vec<Pod>> = page.iter().copied().collect();
+            if pods.is_some_and(|pods| scan_live(&pods) == 0) {
+                page.fill(None);
+                reclaimed += PAGE_SIZE;
+            }
+        }
+        reclaimed
+    }
+
+    const PHASES: [PodPhase; 6] = [
+        PodPhase::Pending,
+        PodPhase::Starting,
+        PodPhase::Running,
+        PodPhase::Succeeded,
+        PodPhase::Failed,
+        PodPhase::Preempted,
+    ];
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Insert `n` pods in phase `PHASES[phase]`.
+        Insert {
+            n: usize,
+            phase: usize,
+        },
+        /// Move up to `n` pods starting at `from` (mod inserted) to a phase.
+        SetPhase {
+            from: usize,
+            n: usize,
+            phase: usize,
+        },
+        Reap,
+        /// Continue on a clone (the legacy `Cluster` clones a trial table).
+        Clone,
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (1usize..700, 0usize..6).prop_map(|(n, phase)| Op::Insert { n, phase }),
+            (0usize..4_000, 1usize..1_500, 0usize..6).prop_map(|(from, n, phase)| Op::SetPhase {
+                from,
+                n,
+                phase
+            }),
+            // Mostly terminal writes, so whole pages do drain.
+            (0usize..4_000, 1usize..1_500, 3usize..6).prop_map(|(from, n, phase)| Op::SetPhase {
+                from,
+                n,
+                phase
+            }),
+            Just(Op::Reap),
+            Just(Op::Clone),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Counted reaping is the scanning reap: same pages at the same
+        /// call, same `len`, same `get` afterwards, through clones.
+        #[test]
+        fn counted_reap_matches_scanning_reap(
+            ops in proptest::collection::vec(op_strategy(), 1..60),
+        ) {
+            let mut table = PodTable::new();
+            let mut model: Vec<Option<Pod>> = Vec::new();
+            for op in ops {
+                match op {
+                    Op::Insert { n, phase } => {
+                        for _ in 0..n {
+                            let p = pod(model.len() as u64, PHASES[phase]);
+                            table.insert(p);
+                            model.push(Some(p));
+                        }
+                    }
+                    Op::SetPhase { from, n, phase } => {
+                        let (phase, len) = (PHASES[phase], model.len().max(1));
+                        for i in (from..from + n).map(|i| i % len) {
+                            let id = PodId(i as u64);
+                            match model.get_mut(i).and_then(Option::as_mut) {
+                                // Nothing revives a terminal pod.
+                                Some(p) if p.phase.is_terminal() && !phase.is_terminal() => {}
+                                Some(p) => {
+                                    p.phase = phase;
+                                    prop_assert!(table.set_phase(id, phase).is_some());
+                                }
+                                None => prop_assert!(table.set_phase(id, phase).is_none()),
+                            }
+                        }
+                    }
+                    Op::Reap => prop_assert_eq!(table.reap_terminal(), scan_reap(&mut model)),
+                    Op::Clone => table = table.clone(),
+                }
+                prop_assert_eq!(table.len(), model.iter().flatten().count());
+                prop_assert_eq!(table.total_inserted(), model.len() as u64);
+            }
+            prop_assert_eq!(table.reap_terminal(), scan_reap(&mut model));
+            for (i, want) in model.iter().enumerate() {
+                prop_assert_eq!(table.get(PodId(i as u64)), want.as_ref());
+            }
+            let stored: Vec<Pod> = table.values().copied().collect();
+            prop_assert_eq!(stored, model.iter().flatten().copied().collect::<Vec<_>>());
+        }
     }
 }

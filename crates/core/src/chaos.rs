@@ -302,7 +302,7 @@ fn run_chaos_job_inner(
                          organic: &mut Vec<(SimTime, PodId)>,
                          rng: &mut dlrover_sim::StreamRng| {
         let (id, _) = cluster.request_pod(spec, SimTime::ZERO).expect("initial pod fits a node");
-        if cluster.pod(id).map(|p| p.phase) == Some(PodPhase::Starting) {
+        if cluster.pod(id).map(|p| p.phase()) == Some(PodPhase::Starting) {
             cluster.mark_running(id, SimTime::ZERO);
         }
         if let Some(delay) = cluster.sample_pod_failure_delay(rng) {
@@ -357,7 +357,7 @@ fn run_chaos_job_inner(
         //    Running; the master materialises the matching engine worker
         //    in the same tick (same ready time, same clock).
         pending.retain(|&(ready, id, role)| {
-            let phase = cluster.pod(id).map(|p| p.phase);
+            let phase = cluster.pod(id).map(|p| p.phase());
             if phase.is_none_or(|p| p.is_terminal()) {
                 return false; // killed while starting (e.g. node loss)
             }
@@ -418,7 +418,7 @@ fn run_chaos_job_inner(
                 } else {
                     match cluster.request_pod(pod_spec, now) {
                         Ok((id, _))
-                            if cluster.pod(id).map(|p| p.phase) == Some(PodPhase::Starting) =>
+                            if cluster.pod(id).map(|p| p.phase()) == Some(PodPhase::Starting) =>
                         {
                             let startup = cfg
                                 .runner
@@ -517,7 +517,7 @@ fn run_chaos_job_inner(
                     // any other dead target.
                     let live: Vec<usize> = (0..ps_pods.len())
                         .filter(|&i| {
-                            cluster.pod(ps_pods[i]).is_some_and(|p| !p.phase.is_terminal())
+                            cluster.pod(ps_pods[i]).is_some_and(|p| !p.phase().is_terminal())
                         })
                         .collect();
                     if !live.is_empty() {
@@ -568,7 +568,7 @@ fn run_chaos_job_inner(
                                 kill_ps!(idx);
                             }
                         }
-                        if cluster.pod(id).map(|p| p.phase) == Some(PodPhase::Starting) {
+                        if cluster.pod(id).map(|p| p.phase()) == Some(PodPhase::Starting) {
                             cluster.mark_running(id, now);
                             service_pod_ends.push((now + BURST_RESIDENCY, id));
                         } else {
@@ -628,7 +628,7 @@ fn run_chaos_job_inner(
                             job_id: u64::MAX,
                         };
                         let Ok((id, _)) = cluster.request_pod(filler, now) else { continue };
-                        if cluster.pod(id).map(|p| p.phase) == Some(PodPhase::Starting) {
+                        if cluster.pod(id).map(|p| p.phase()) == Some(PodPhase::Starting) {
                             cluster.mark_running(id, now);
                             service_pod_ends.push((now + window, id));
                         } else {
@@ -806,7 +806,7 @@ fn run_chaos_job_inner(
             organic.iter().filter(|&&(t, _)| t <= now).map(|&(_, id)| id).collect();
         organic.retain(|&(t, _)| t > now);
         for pod in due {
-            let alive = cluster.pod(pod).is_some_and(|p| !p.phase.is_terminal());
+            let alive = cluster.pod(pod).is_some_and(|p| !p.phase().is_terminal());
             if !alive {
                 continue;
             }
@@ -905,10 +905,10 @@ fn run_chaos_job_inner(
                         master.record_scale_denial();
                         continue;
                     };
-                    if cluster.pod(id).map(|x| x.phase) == Some(PodPhase::Pending) {
+                    if cluster.pod(id).map(|x| x.phase()) == Some(PodPhase::Pending) {
                         cluster.schedule_pending();
                     }
-                    if cluster.pod(id).map(|x| x.phase) == Some(PodPhase::Starting) {
+                    if cluster.pod(id).map(|x| x.phase()) == Some(PodPhase::Starting) {
                         retries.succeed(&p.op);
                         let startup = cfg
                             .runner
@@ -993,7 +993,7 @@ fn run_chaos_job_inner(
                     for _ in tracked_workers..shape.workers as usize {
                         match cluster.request_pod(worker_spec, now) {
                             Ok((id, _))
-                                if cluster.pod(id).map(|p| p.phase) == Some(PodPhase::Starting) =>
+                                if cluster.pod(id).map(|p| p.phase()) == Some(PodPhase::Starting) =>
                             {
                                 cluster.mark_running(id, now);
                                 if let Some(delay) =
@@ -1015,7 +1015,7 @@ fn run_chaos_job_inner(
                     while ps_pods.len() < master.engine().partitions().len() {
                         match cluster.request_pod(ps_spec, now) {
                             Ok((id, _))
-                                if cluster.pod(id).map(|p| p.phase) == Some(PodPhase::Starting) =>
+                                if cluster.pod(id).map(|p| p.phase()) == Some(PodPhase::Starting) =>
                             {
                                 cluster.mark_running(id, now);
                                 if let Some(delay) =
@@ -1108,7 +1108,7 @@ fn run_chaos_job_inner(
     for (_, id) in service_pod_ends {
         cluster.terminate_pod(id, PodPhase::Succeeded);
     }
-    let leaked_pods = cluster.pods().filter(|p| !p.phase.is_terminal()).count() as u64;
+    let leaked_pods = cluster.pods().filter(|p| !p.phase().is_terminal()).count() as u64;
     let leaked = cluster.total_allocated();
     let truth = GroundTruth {
         total_samples: spec.total_samples,

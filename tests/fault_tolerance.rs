@@ -116,7 +116,7 @@ fn node_failure_kills_pods_and_jobs_recover() {
         _ => panic!("expected placement"),
     };
     cluster.fail_node(node);
-    assert_eq!(cluster.pod(pod).unwrap().phase, PodPhase::Failed);
+    assert_eq!(cluster.pod(pod).unwrap().phase(), PodPhase::Failed);
 
     // Re-request lands on a different (healthy) node.
     let (pod2, ev2) = cluster
