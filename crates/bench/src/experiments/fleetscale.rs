@@ -165,6 +165,8 @@ pub fn sweep_target(target_pods: u64, shard_counts: &[u32], seed: u64) -> Target
 }
 
 /// [`sweep_target`] over an explicit config (tests use small fleets).
+/// Shard counts above the cell count clamp to it, and a fleet is run once
+/// per *effective* count: `[1, 2, 4, 8]` on three cells is `[1, 2, 3]`.
 pub fn sweep_config(
     cfg: &FleetScaleConfig,
     target_pods: u64,
@@ -174,7 +176,13 @@ pub fn sweep_config(
     let mut runs = Vec::new();
     let mut canonical: Option<FleetAggregates> = None;
     let mut identical = true;
-    for &k in shard_counts {
+    let mut effective: Vec<u32> = Vec::new();
+    for k in shard_counts.iter().map(|k| (*k).clamp(1, cfg.cells)) {
+        if !effective.contains(&k) {
+            effective.push(k);
+        }
+    }
+    for k in effective {
         let (run, agg) = measure(cfg, k, seed);
         match &canonical {
             None => canonical = Some(agg),
@@ -307,12 +315,11 @@ mod tests {
     fn sweep_is_cross_shard_identical_and_complete() {
         let sweep = sweep_config(&tiny(), 200, &[1, 2, 4, 7], 5);
         assert!(sweep.cross_shard_identical, "digests diverged across shard counts");
-        assert_eq!(sweep.runs.len(), 4);
+        let counts: Vec<usize> = sweep.runs.iter().map(|r| r.shards).collect();
+        assert_eq!(counts, [1, 2, 3], "4 and 7 both clamp to the 3 cells and run once");
         let t = &sweep.totals;
         assert_eq!(t.jobs_submitted, t.jobs_finished + t.jobs_failed + t.jobs_gave_up);
         assert!(t.pod_events >= t.pods_created, "every pod logs at least its creation");
-        // Shard counts above the cell count clamp rather than fail.
-        assert_eq!(sweep.runs.last().unwrap().shards, 3);
     }
 
     /// Same seed ⇒ byte-identical serialized sweep (the determinism

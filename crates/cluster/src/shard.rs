@@ -44,7 +44,7 @@
 //! `dlrover-bench` enforce this bit-for-bit.
 
 use dlrover_sim::{FaultKind, FaultPlan, RngStreams, SimDuration, SimTime, StreamRng};
-use dlrover_telemetry::{EventKind, Telemetry};
+use dlrover_telemetry::{EventKind, Sink, Telemetry};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -454,7 +454,9 @@ struct Cell {
     /// Workload jobs, indexed by `Submit::wl_idx`.
     workload: Vec<JobSpec>,
     rng: StreamRng,
-    telemetry: Telemetry,
+    /// The cell is its sink's only writer, so it owns the sink: a record
+    /// takes no lock.
+    telemetry: Sink,
     agg: CellAggregates,
     msg_seq: u64,
     /// Bumped on every change to `nodes`: a gang reserved, a pod released,
@@ -613,7 +615,7 @@ impl FleetShard {
             self.handle(ev.at, ev.event, bound);
         }
         // Epoch housekeeping: reclaim pod pages that went fully terminal.
-        let _p = dlrover_telemetry::prof::scope("shard/reap");
+        let _reap = dlrover_telemetry::prof::scope("shard/reap");
         for cell in &mut self.cells {
             cell.pods.reap_terminal();
         }
@@ -1098,7 +1100,7 @@ impl ShardedFleet {
             pending: Vec::new(),
             workload: specs,
             rng: streams.stream("cell-events"),
-            telemetry: Telemetry::with_capacity(cfg.telemetry_capacity),
+            telemetry: Sink::with_capacity(cfg.telemetry_capacity),
             agg: CellAggregates { cell: cell_id, ..CellAggregates::default() },
             msg_seq: 0,
             node_gen: 0,
@@ -1207,7 +1209,7 @@ impl ShardedFleet {
     /// sum creates no key.
     pub fn merged_telemetry(&self) -> Telemetry {
         let cells = || self.shards.iter().flat_map(|s| &s.cells);
-        let merged = Telemetry::merge_ordered(cells().map(|c| &c.telemetry));
+        let mut merged = Sink::merge_ordered(cells().map(|c| &c.telemetry));
         let mut totals = CellAggregates::default().counters();
         for cell in cells() {
             for (total, (_, n)) in totals.iter_mut().zip(cell.agg.counters()) {
@@ -1216,10 +1218,10 @@ impl ShardedFleet {
         }
         for (name, total) in totals {
             if total > 0 {
-                merged.count(name, total);
+                merged.metrics.count(name, total);
             }
         }
-        merged
+        merged.into()
     }
 
     /// Pods currently resident across all pod tables (after reaping).

@@ -993,7 +993,8 @@ fn run_chaos_job_inner(
                     for _ in tracked_workers..shape.workers as usize {
                         match cluster.request_pod(worker_spec, now) {
                             Ok((id, _))
-                                if cluster.pod(id).map(|p| p.phase()) == Some(PodPhase::Starting) =>
+                                if cluster.pod(id).map(|p| p.phase())
+                                    == Some(PodPhase::Starting) =>
                             {
                                 cluster.mark_running(id, now);
                                 if let Some(delay) =
@@ -1015,7 +1016,8 @@ fn run_chaos_job_inner(
                     while ps_pods.len() < master.engine().partitions().len() {
                         match cluster.request_pod(ps_spec, now) {
                             Ok((id, _))
-                                if cluster.pod(id).map(|p| p.phase()) == Some(PodPhase::Starting) =>
+                                if cluster.pod(id).map(|p| p.phase())
+                                    == Some(PodPhase::Starting) =>
                             {
                                 cluster.mark_running(id, now);
                                 if let Some(delay) =

@@ -456,8 +456,8 @@ impl JobMaster {
         if let Some(obs) = self.engine.observation() {
             self.profiler.record_observation(obs);
         }
-        let used: u64 = self.engine.ps_memory_used().iter().sum();
-        self.profiler.record_memory(self.engine.now(), used);
+        let mut used = self.engine.ps_memory_used();
+        self.profiler.record_memory(self.engine.now(), used.iter().sum());
 
         if let Some(ps) = progress.oom_ps {
             events.push(MasterEvent::Oomed(ps));
@@ -475,7 +475,8 @@ impl JobMaster {
         // re-queues its in-flight shard in full, preserving exactly-once)
         // and surface the event; the driver requests the replacement pod
         // exactly as for a crashed worker.
-        for idx in self.engine.silent_workers(self.config.silent_worker_timeout) {
+        let silent = self.engine.silent_workers(self.config.silent_worker_timeout);
+        for &idx in &silent {
             self.engine.fail_worker(idx);
             self.telemetry.record(
                 self.engine.now(),
@@ -484,6 +485,12 @@ impl JobMaster {
             self.telemetry.count("master.silent_workers", 1);
             events.push(MasterEvent::SilentWorker(idx));
         }
+        if !silent.is_empty() {
+            // A failed worker's in-flight shard is re-queued in full, which
+            // lowers `samples_done` and the embedding memory that grows
+            // with it: the profiled reading above no longer holds.
+            used = self.engine.ps_memory_used();
+        }
 
         // OOM prevention (§5.3). The engine OOMs *per PS* (used_i >
         // alloc_i), so the forecast must use the binding constraint: scale
@@ -491,7 +498,6 @@ impl JobMaster {
         // even allocations and a skewed partition, one PS hits its wall
         // long before the total does — forecasting against the raw total
         // would sleep through exactly the skewed case.
-        let used = self.engine.ps_memory_used();
         let alloc = self.engine.ps_memory_alloc();
         let used_total: u64 = used.iter().sum();
         let effective_capacity = used

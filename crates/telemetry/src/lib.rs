@@ -13,11 +13,14 @@
 //!   fleet trace costs the same memory as a 10-minute one.
 //!
 //! The [`Telemetry`] handle is a cheaply clonable reference to one shared
-//! sink: the runner creates it, hands clones to the job master, engine,
+//! [`Sink`]: the runner creates it, hands clones to the job master, engine,
 //! cluster, and brain, and each component records into the same interleaved
 //! log. Components constructed without a caller-provided handle get a
 //! private default sink, which keeps instrumentation unconditional (no
-//! `Option` plumbing) at the cost of an `Arc` per component.
+//! `Option` plumbing) at the cost of an `Arc` per component. A component
+//! that is its sink's only writer (a fleet cell) can own the [`Sink`]
+//! itself and record without the handle's lock; [`Sink::merge_ordered`]
+//! and `Telemetry::from` bring it back to a handle for export.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,15 +42,89 @@ use dlrover_sim::SimTime;
 use serde::Serialize;
 use std::sync::{Arc, Mutex};
 
+/// The state of one telemetry sink: what a [`Telemetry`] handle shares
+/// behind its lock, and what a single-writer component can own outright.
+/// The three stores are independent, so they are plain fields.
 #[derive(Debug, Default)]
-struct Inner {
-    log: EventLog,
-    metrics: MetricsRegistry,
-    spans: SpanLog,
+pub struct Sink {
+    /// The event ring.
+    pub log: EventLog,
+    /// Counters, gauges, histograms, series.
+    pub metrics: MetricsRegistry,
+    /// The span ring.
+    pub spans: SpanLog,
 }
 
-/// A shared telemetry sink. Clones are handles to the *same* log and
-/// registry; see the crate docs for the threading model.
+impl Sink {
+    /// A sink whose event log holds at most `capacity` events.
+    ///
+    /// # Panics
+    /// Panics when `capacity` is zero.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Sink { log: EventLog::with_capacity(capacity), ..Sink::default() }
+    }
+
+    /// Records an event stamped `at`.
+    pub fn record(&mut self, at: SimTime, kind: EventKind) {
+        let _p = prof::scope("telemetry/record");
+        self.log.record(at, kind);
+    }
+
+    /// Merges `parts` into one fresh sink with *default* capacities, in the
+    /// given order; see [`Telemetry::merge_ordered`], which is this over
+    /// shared handles.
+    pub fn merge_ordered<'a>(parts: impl IntoIterator<Item = &'a Sink>) -> Sink {
+        let parts: Vec<&Sink> = parts.into_iter().collect();
+        merge_tails(Sink::default(), parts.len(), |i, room| Some(parts[i].merge_part(room)))
+    }
+
+    /// A copy of this sink for a merge whose event ring has `room` left:
+    /// the newest `room` events ([`EventLog::tail`]), all spans and metrics.
+    fn merge_part(&self, room: usize) -> Sink {
+        Sink { log: self.log.tail(room), metrics: self.metrics.clone(), spans: self.spans.clone() }
+    }
+
+    /// Moves `other`'s stores in: events re-sequenced and span ids remapped
+    /// in absorb order; see [`EventLog::absorb_owned`],
+    /// [`SpanLog::absorb_owned`] and [`MetricsRegistry::absorb_owned`].
+    fn absorb_owned(&mut self, other: Sink) {
+        let _p = prof::scope("telemetry/absorb");
+        prof::add_items(other.log.len() as u64 + other.spans.len() as u64);
+        self.log.absorb_owned(other.log);
+        self.metrics.absorb_owned(other.metrics);
+        self.spans.absorb_owned(other.spans);
+    }
+}
+
+/// Absorbs parts `0..n` into `merged`, in that order, copying only the
+/// events `merged`'s ring will still hold at the end. `part(i, room)` hands
+/// over part `i` cut to its newest `room` events (`None`: nothing to
+/// absorb); it is asked newest part first, because what a part may keep is
+/// what the parts *after* it leave free. The state is that of absorbing
+/// every part whole, one by one: an event cut here would have been evicted
+/// there, and both count one `seq` and one drop.
+fn merge_tails(
+    mut merged: Sink,
+    n: usize,
+    mut part: impl FnMut(usize, usize) -> Option<Sink>,
+) -> Sink {
+    let mut room = merged.log.capacity();
+    let mut tails: Vec<Sink> = (0..n)
+        .rev()
+        .filter_map(|i| {
+            let tail = part(i, room)?;
+            room -= tail.log.len();
+            Some(tail)
+        })
+        .collect();
+    while let Some(tail) = tails.pop() {
+        merged.absorb_owned(tail);
+    }
+    merged
+}
+
+/// A shared telemetry sink. Clones are handles to the *same* [`Sink`]; see
+/// the crate docs for the threading model.
 ///
 /// [`Telemetry::null`] is the one handle with no sink behind it: every
 /// write is dropped before it takes a lock or builds a record, every read
@@ -55,12 +132,19 @@ struct Inner {
 #[derive(Debug, Clone)]
 pub struct Telemetry {
     /// `None` is the null sink.
-    inner: Option<Arc<Mutex<Inner>>>,
+    inner: Option<Arc<Mutex<Sink>>>,
 }
 
 impl Default for Telemetry {
     fn default() -> Self {
-        Telemetry { inner: Some(Arc::default()) }
+        Sink::default().into()
+    }
+}
+
+impl From<Sink> for Telemetry {
+    /// Shares an owned sink behind a handle.
+    fn from(sink: Sink) -> Self {
+        Telemetry { inner: Some(Arc::new(Mutex::new(sink))) }
     }
 }
 
@@ -70,13 +154,7 @@ impl Telemetry {
     /// # Panics
     /// Panics when `capacity` is zero.
     pub fn with_capacity(capacity: usize) -> Self {
-        Telemetry {
-            inner: Some(Arc::new(Mutex::new(Inner {
-                log: EventLog::with_capacity(capacity),
-                metrics: MetricsRegistry::default(),
-                spans: SpanLog::default(),
-            }))),
-        }
+        Sink::with_capacity(capacity).into()
     }
 
     /// The no-op sink: records nothing, retains nothing, reads as empty.
@@ -89,7 +167,7 @@ impl Telemetry {
     }
 
     /// The sink's state under its lock; `None` for the null sink.
-    fn lock(&self) -> Option<std::sync::MutexGuard<'_, Inner>> {
+    fn lock(&self) -> Option<std::sync::MutexGuard<'_, Sink>> {
         Some(self.inner.as_ref()?.lock().expect("telemetry lock poisoned"))
     }
 
@@ -105,9 +183,9 @@ impl Telemetry {
 
     /// Records an event stamped `at`.
     pub fn record(&self, at: SimTime, kind: EventKind) {
-        let Some(inner) = &self.inner else { return };
-        let _p = prof::scope("telemetry/record");
-        inner.lock().expect("telemetry lock poisoned").log.record(at, kind);
+        if let Some(mut inner) = self.lock() {
+            inner.record(at, kind);
+        }
     }
 
     /// Increments counter `name` by `n`.
@@ -209,9 +287,10 @@ impl Telemetry {
     /// order; see [`EventLog::absorb_owned`], [`SpanLog::absorb_owned`],
     /// and [`MetricsRegistry::absorb_owned`] for the per-store rules.
     ///
-    /// Cost: one snapshot copy of `other`'s stores; the merge itself then
-    /// moves that snapshot in (bulk appends + in-place remaps), so events
-    /// and span labels are copied once, not twice.
+    /// Cost: one snapshot copy of `other`'s spans, metrics and the events
+    /// this sink's ring can still retain ([`EventLog::tail`]); the merge
+    /// itself then moves that snapshot in (bulk appends + in-place remaps),
+    /// so events and span labels are copied once, not twice.
     ///
     /// Locking: `other` is snapshotted under its own lock *before* this
     /// sink's lock is taken, so the two locks are never held together and
@@ -222,16 +301,9 @@ impl Telemetry {
         if Arc::ptr_eq(mine, theirs) {
             return;
         }
-        let _p = prof::scope("telemetry/absorb");
-        let (log, metrics, spans) = {
-            let theirs = theirs.lock().expect("telemetry lock poisoned");
-            (theirs.log.clone(), theirs.metrics.clone(), theirs.spans.clone())
-        };
-        prof::add_items(log.len() as u64 + spans.len() as u64);
-        let mut inner = mine.lock().expect("telemetry lock poisoned");
-        inner.log.absorb_owned(log);
-        inner.metrics.absorb_owned(metrics);
-        inner.spans.absorb_owned(spans);
+        let capacity = mine.lock().expect("telemetry lock poisoned").log.capacity();
+        let part = theirs.lock().expect("telemetry lock poisoned").merge_part(capacity);
+        mine.lock().expect("telemetry lock poisoned").absorb_owned(part);
     }
 
     /// Merges per-unit sinks into one fresh sink, in the given order.
@@ -244,12 +316,16 @@ impl Telemetry {
     /// the merge evicts oldest-first like any other recording (the drops
     /// are counted and surface in the summary line), keeping merged
     /// artefacts the same bounded size as serial ones.
+    ///
+    /// The merged sink is the one [`Self::absorb`]ing the parts one by one
+    /// into a fresh sink gives — every `seq`, `total_recorded`, `dropped` —
+    /// but events the merged ring would have evicted again are never
+    /// copied: each part is locked once, newest first, and cut to what the
+    /// later parts leave free.
     pub fn merge_ordered<'a>(parts: impl IntoIterator<Item = &'a Telemetry>) -> Telemetry {
-        let merged = Telemetry::default();
-        for part in parts {
-            merged.absorb(part);
-        }
-        merged
+        let parts: Vec<&Telemetry> = parts.into_iter().collect();
+        let part = |i: usize, room| parts[i].lock().map(|sink| sink.merge_part(room));
+        merge_tails(Sink::default(), parts.len(), part).into()
     }
 
     /// An owned, serializable snapshot of the sink's current state.
@@ -515,5 +591,97 @@ mod tests {
         real.absorb(&t);
         assert_eq!(t.event_count(), 0);
         assert_eq!(real.event_count(), 1);
+    }
+
+    /// A unit sink: `events` events into a ring of `capacity`, one counter,
+    /// one parent/child span pair.
+    fn unit(track: u64, capacity: usize, events: u64) -> Telemetry {
+        let t = Telemetry::with_capacity(capacity);
+        for i in 0..events {
+            t.record(SimTime::from_secs(i), EventKind::WorkerAdded { worker: track * 100 + i });
+        }
+        t.count("units", 1);
+        let p = t.span_open(SimTime::from_secs(track), SpanCategory::Job, "job", track, None);
+        t.span_complete(
+            SimTime::from_secs(track),
+            SimTime::from_secs(track + 1),
+            SpanCategory::Checkpoint,
+            "save",
+            track,
+            Some(p),
+        );
+        t.span_close(SimTime::from_secs(track + 2), p);
+        t
+    }
+
+    fn serialized(t: &Telemetry) -> (String, String) {
+        (serde_json::to_string(&t.snapshot()).unwrap(), t.summary().one_line())
+    }
+
+    /// The tail-only merge against absorbing every part whole, in order:
+    /// target rings of 1, 3, exactly the parts' retained events, and 64;
+    /// wrapped, plain and empty parts; a null part; a pre-filled target.
+    #[test]
+    fn tail_only_merge_matches_sequential_absorb() {
+        let parts = [unit(1, 8, 3), unit(2, 2, 5), unit(3, 4, 0), Telemetry::null(), unit(4, 4, 9)];
+        let retained: usize = parts.iter().map(|p| p.events().len()).sum();
+        for capacity in [1, 3, retained, 64] {
+            for prefill in [0u64, 2, capacity as u64 + 2] {
+                let target = || unit(9, capacity, prefill);
+                let want = target();
+                for part in &parts {
+                    want.absorb(part);
+                }
+                let start = target().inner.unwrap();
+                let start = Arc::try_unwrap(start).unwrap().into_inner().unwrap();
+                let got: Telemetry = merge_tails(start, parts.len(), |i, room| {
+                    parts[i].lock().map(|sink| sink.merge_part(room))
+                })
+                .into();
+                assert_eq!(serialized(&got), serialized(&want), "cap {capacity} prefill {prefill}");
+                assert_eq!(got.to_jsonl(), want.to_jsonl());
+                assert_eq!(got.event_count(), want.event_count());
+                // Both keep recording alike afterwards.
+                for t in [&got, &want] {
+                    t.record(SimTime::from_secs(99), EventKind::JobCompleted { job: 1 });
+                }
+                assert_eq!(serialized(&got), serialized(&want), "then record");
+            }
+        }
+    }
+
+    /// More retained events in the parts than the merged (default) ring
+    /// holds: `merge_ordered` skips whole parts, `absorb` copies and evicts.
+    #[test]
+    fn merge_ordered_matches_absorb_when_parts_overflow_the_ring() {
+        let parts: Vec<Telemetry> = (0..5).map(|i| unit(i, 20_000, 15_000 + 3_000 * i)).collect();
+        let sequential = Telemetry::default();
+        for part in &parts {
+            sequential.absorb(part);
+        }
+        let merged = Telemetry::merge_ordered(&parts);
+        assert_eq!(merged.events().len(), DEFAULT_EVENT_CAPACITY);
+        assert_eq!(serialized(&merged), serialized(&sequential));
+        let owned = Sink::merge_ordered(
+            parts
+                .iter()
+                .map(|p| p.lock().unwrap().merge_part(usize::MAX))
+                .collect::<Vec<_>>()
+                .iter(),
+        );
+        assert_eq!(serialized(&owned.into()), serialized(&sequential));
+    }
+
+    #[test]
+    fn an_owned_sink_records_like_a_handle() {
+        let mut owned = Sink::with_capacity(2);
+        let shared = Telemetry::with_capacity(2);
+        for i in 0..3u64 {
+            owned.record(SimTime::from_secs(i), EventKind::WorkerAdded { worker: i });
+            shared.record(SimTime::from_secs(i), EventKind::WorkerAdded { worker: i });
+        }
+        owned.metrics.count("n", 2);
+        shared.count("n", 2);
+        assert_eq!(serialized(&owned.into()), serialized(&shared));
     }
 }

@@ -70,6 +70,11 @@ impl EventLog {
         first.iter().chain(wrapped.iter())
     }
 
+    /// Most events the ring retains.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
     /// Events retained.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -119,8 +124,30 @@ impl EventLog {
     /// `next_seq`, so `total_recorded` of the merge equals the sum of the
     /// parts; the merge target's own ring buffer may evict further (counted
     /// as usual) when the parts together exceed its capacity.
+    ///
+    /// Only the events this ring can still retain are copied: the rest of
+    /// `other` would be evicted by its own newer events on the way in, so
+    /// they are accounted (sequence numbers, `dropped`) without a clone.
     pub fn absorb(&mut self, other: &EventLog) {
-        self.absorb_owned(other.clone());
+        self.absorb_owned(other.tail(self.capacity));
+    }
+
+    /// This log having forgotten all but its newest `keep` retained events:
+    /// same sequence numbers, same `total_recorded`, the forgotten events
+    /// counted as dropped. Absorbing the tail is absorbing the whole log
+    /// whenever the forgotten events would not have survived in the target
+    /// anyway — an event evicted at the target and one dropped by the part
+    /// both just advance `next_seq` and `dropped` by one — which is what
+    /// lets a merge copy only what its ring will keep.
+    pub fn tail(&self, keep: usize) -> EventLog {
+        let forgotten = self.buf.len().saturating_sub(keep);
+        EventLog {
+            buf: self.iter().skip(forgotten).cloned().collect(),
+            capacity: self.capacity,
+            head: 0,
+            next_seq: self.next_seq,
+            dropped: self.dropped + forgotten as u64,
+        }
     }
 
     /// [`Self::absorb`], consuming the other log: events *move* in (no
@@ -195,6 +222,7 @@ pub fn diff_jsonl(left: &str, right: &str, limit: usize) -> Vec<LogDiff> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn stamp(i: u64) -> SimTime {
         SimTime::from_secs(i)
@@ -310,5 +338,90 @@ mod tests {
         assert_eq!(d[0].right.as_deref(), Some("Y"));
         assert_eq!(d[1].right, None);
         assert!(diff_jsonl(a, a, 10).is_empty());
+    }
+
+    /// Absorb by definition: carry the part's drops, then record every
+    /// retained event one by one, letting the target ring evict as it goes.
+    /// What `absorb` (tail copy + bulk append) must be indistinguishable from.
+    fn absorb_by_record(target: &mut EventLog, part: &EventLog) {
+        target.next_seq += part.dropped;
+        target.dropped += part.dropped;
+        for e in part.iter() {
+            target.record(SimTime::from_micros(e.at_us), e.kind.clone());
+        }
+    }
+
+    fn filled(capacity: usize, recorded: u64, tag: u64) -> EventLog {
+        let mut log = EventLog::with_capacity(capacity);
+        for i in 0..recorded {
+            log.record(stamp(i), EventKind::WorkerAdded { worker: tag * 1_000 + i });
+        }
+        log
+    }
+
+    fn assert_same(got: &EventLog, want: &EventLog, what: &str) {
+        assert_eq!(got.to_jsonl(), want.to_jsonl(), "{what}: retained events / seq");
+        assert_eq!(got.total_recorded(), want.total_recorded(), "{what}: total");
+        assert_eq!(got.dropped(), want.dropped(), "{what}: dropped");
+        assert_eq!(got.len(), want.len(), "{what}: len");
+    }
+
+    /// Target capacities 1, 3, exact fit and roomy; wrapped, plain and empty
+    /// parts; empty, part-filled and already-wrapped targets.
+    #[test]
+    fn absorb_matches_record_by_record() {
+        let parts = [filled(8, 3, 1), filled(2, 5, 2), filled(4, 0, 3), filled(4, 9, 4)];
+        let retained: usize = parts.iter().map(EventLog::len).sum();
+        for capacity in [1, 3, retained, 64] {
+            for prefill in [0, 2, capacity as u64 + 2] {
+                let mut got = filled(capacity, prefill, 9);
+                let mut want = got.clone();
+                for (i, part) in parts.iter().enumerate() {
+                    got.absorb(part);
+                    absorb_by_record(&mut want, part);
+                    assert_same(&got, &want, &format!("cap {capacity} prefill {prefill} part {i}"));
+                }
+                // The ring keeps evicting oldest-first after the merge.
+                for log in [&mut got, &mut want] {
+                    log.record(stamp(99), EventKind::JobCompleted { job: 1 });
+                }
+                assert_same(&got, &want, &format!("cap {capacity} prefill {prefill} then record"));
+            }
+        }
+    }
+
+    #[test]
+    fn tail_forgets_oldest_and_counts_them_dropped() {
+        let log = filled(4, 6, 0); // retains seq 2..=5, dropped 2
+        let tail = log.tail(3);
+        assert_eq!(tail.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![3, 4, 5]);
+        assert_eq!((tail.total_recorded(), tail.dropped()), (6, 3));
+        assert_same(&log.tail(4), &log, "a tail as long as the log is the log");
+        assert_same(&log.tail(99), &log, "a longer one too");
+        assert_eq!((log.tail(0).len(), log.tail(0).dropped()), (0, 6));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn absorb_matches_record_by_record_on_random_logs(
+            capacity in 1usize..12,
+            prefill in 0u64..20,
+            parts in proptest::collection::vec((1usize..10, 0u64..25), 0..6),
+        ) {
+            let mut got = filled(capacity, prefill, 9);
+            let mut want = got.clone();
+            for (tag, (cap, recorded)) in parts.into_iter().enumerate() {
+                let part = filled(cap, recorded, tag as u64);
+                got.absorb(&part);
+                absorb_by_record(&mut want, &part);
+                prop_assert_eq!(got.to_jsonl(), want.to_jsonl());
+                prop_assert_eq!(
+                    (got.total_recorded(), got.dropped(), got.len()),
+                    (want.total_recorded(), want.dropped(), want.len())
+                );
+            }
+        }
     }
 }
