@@ -75,7 +75,7 @@ impl Sink {
     /// shared handles.
     pub fn merge_ordered<'a>(parts: impl IntoIterator<Item = &'a Sink>) -> Sink {
         let parts: Vec<&Sink> = parts.into_iter().collect();
-        merge_tails(Sink::default(), parts.len(), |i, room| Some(parts[i].merge_part(room)))
+        merge_tails(Sink::default(), &parts, |part, room| Some(part.merge_part(room)))
     }
 
     /// A copy of this sink for a merge whose event ring has `room` left:
@@ -96,23 +96,20 @@ impl Sink {
     }
 }
 
-/// Absorbs parts `0..n` into `merged`, in that order, copying only the
-/// events `merged`'s ring will still hold at the end. `part(i, room)` hands
-/// over part `i` cut to its newest `room` events (`None`: nothing to
-/// absorb); it is asked newest part first, because what a part may keep is
-/// what the parts *after* it leave free. The state is that of absorbing
-/// every part whole, one by one: an event cut here would have been evicted
-/// there, and both count one `seq` and one drop.
-fn merge_tails(
-    mut merged: Sink,
-    n: usize,
-    mut part: impl FnMut(usize, usize) -> Option<Sink>,
-) -> Sink {
+/// Absorbs `parts` into `merged`, in order, copying only the events
+/// `merged`'s ring will still hold at the end. `cut(part, room)` hands over
+/// a part cut to its newest `room` events (`None`: nothing to absorb); the
+/// parts are asked newest first, because what a part may keep is what the
+/// parts *after* it leave free. The state is that of absorbing every part
+/// whole, one by one: an event cut here would have been evicted there, and
+/// both count one `seq` and one drop.
+fn merge_tails<P>(mut merged: Sink, parts: &[P], cut: impl Fn(&P, usize) -> Option<Sink>) -> Sink {
     let mut room = merged.log.capacity();
-    let mut tails: Vec<Sink> = (0..n)
+    let mut tails: Vec<Sink> = parts
+        .iter()
         .rev()
-        .filter_map(|i| {
-            let tail = part(i, room)?;
+        .filter_map(|part| {
+            let tail = cut(part, room)?;
             room -= tail.log.len();
             Some(tail)
         })
@@ -324,8 +321,8 @@ impl Telemetry {
     /// later parts leave free.
     pub fn merge_ordered<'a>(parts: impl IntoIterator<Item = &'a Telemetry>) -> Telemetry {
         let parts: Vec<&Telemetry> = parts.into_iter().collect();
-        let part = |i: usize, room| parts[i].lock().map(|sink| sink.merge_part(room));
-        merge_tails(Sink::default(), parts.len(), part).into()
+        let cut = |part: &&Telemetry, room| part.lock().map(|sink| sink.merge_part(room));
+        merge_tails(Sink::default(), &parts, cut).into()
     }
 
     /// An owned, serializable snapshot of the sink's current state.
@@ -634,10 +631,8 @@ mod tests {
                 }
                 let start = target().inner.unwrap();
                 let start = Arc::try_unwrap(start).unwrap().into_inner().unwrap();
-                let got: Telemetry = merge_tails(start, parts.len(), |i, room| {
-                    parts[i].lock().map(|sink| sink.merge_part(room))
-                })
-                .into();
+                let cut = |part: &Telemetry, room| part.lock().map(|s| s.merge_part(room));
+                let got: Telemetry = merge_tails(start, &parts, cut).into();
                 assert_eq!(serialized(&got), serialized(&want), "cap {capacity} prefill {prefill}");
                 assert_eq!(got.to_jsonl(), want.to_jsonl());
                 assert_eq!(got.event_count(), want.event_count());
