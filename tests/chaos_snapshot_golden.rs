@@ -11,9 +11,17 @@
 //! `PsTrainingEngine::advance` → `master::ckptplane` that moves one span
 //! bound, one counter or one report field fails here.
 //!
+//! The second group (node loss, preemption burst, denial storms, engine-side
+//! windows, witness fallback, organic churn, the policy arm) was recorded on
+//! PR 16's tree, before `run_chaos_job_inner` became the stepped
+//! `ChaosDriver`: together the two groups reach every fault family and both
+//! placement paths of the driver.
+//!
 //! A constant may change only with a change that means to alter simulated
 //! behaviour, and `results/chaos.json` then changes with it.
 
+use dlrover_rm::master::replay::RecoveryPath;
+use dlrover_rm::master::{JobHealth, JobRuntimeProfile, RetryPolicy};
 use dlrover_rm::prelude::*;
 use dlrover_rm::sim::{FaultEvent, FaultKind, FaultPlan};
 
@@ -32,17 +40,37 @@ fn at(secs: u64, kind: FaultKind) -> FaultEvent {
     FaultEvent { at: SimTime::from_secs(secs), kind }
 }
 
-/// Runs one job and digests `(snapshot, report)`.
-fn digests(steps: u64, plan: &FaultPlan, cfg: &ChaosConfig) -> (u64, u64) {
-    let sink = Telemetry::default();
-    let report =
-        run_chaos_job(&TrainingJobSpec::paper_default(steps), allocation(), plan, cfg, &sink);
+/// Digests `(snapshot, report)` of a finished run.
+fn digest_run(sink: &Telemetry, report: &ChaosReport, cfg: &ChaosConfig) -> (u64, u64) {
     assert!(report.jct_us.is_some(), "job must complete");
     assert!(report.oracle.passed(), "{:?}", report.oracle.violations());
     assert!(report.ckpt.commits > cfg.ckpt.retain_per_job as u64, "retirement must run");
     let snapshot = serde_json::to_string(&sink.snapshot()).expect("snapshot serializes");
-    let report = serde_json::to_string(&report).expect("report serializes");
+    let report = serde_json::to_string(report).expect("report serializes");
     (fnv(snapshot.as_bytes()), fnv(report.as_bytes()))
+}
+
+/// Runs one static-gang job and digests it.
+fn digests(steps: u64, plan: &FaultPlan, cfg: &ChaosConfig) -> (u64, u64) {
+    run_and_digest(steps, plan, cfg).0
+}
+
+/// [`digests`], plus the sink and report so a test can assert that the run
+/// went down the arm it is there to pin.
+fn run_and_digest(
+    steps: u64,
+    plan: &FaultPlan,
+    cfg: &ChaosConfig,
+) -> ((u64, u64), Telemetry, ChaosReport) {
+    let sink = Telemetry::default();
+    let report =
+        run_chaos_job(&TrainingJobSpec::paper_default(steps), allocation(), plan, cfg, &sink);
+    (digest_run(&sink, &report, cfg), sink, report)
+}
+
+/// Events of the run matching `pred`.
+fn count(sink: &Telemetry, pred: impl Fn(&EventKind) -> bool) -> usize {
+    sink.events().iter().filter(|e| pred(&e.kind)).count()
 }
 
 fn check(name: &str, got: (u64, u64), want: (u64, u64)) {
@@ -105,4 +133,207 @@ fn ps_kill_inside_remote_outage_run_is_pinned() {
 fn fault_free_run_is_pinned() {
     let got = digests(60_000, &FaultPlan::default(), &ChaosConfig::default());
     check("fault_free", got, (0x7912_42a7_946e_8862, 0x9837_7530_663b_41a7));
+}
+
+// The second group. Each test also asserts that the run took the arm it pins.
+
+/// The job's six pods all pack onto node 0 (best-fit), so losing it kills the
+/// whole gang at once; the replacements land on node 1 through the fast
+/// path. The burst of High-priority quarter-node service pods then has to
+/// preempt training pods to fit on the two-node cluster.
+#[test]
+fn node_loss_then_preemption_burst_run_is_pinned() {
+    let cfg = ChaosConfig {
+        cluster: ClusterConfig { nodes: 2, ..ChaosConfig::default().cluster },
+        ..ChaosConfig::default()
+    };
+    let plan = FaultPlan::from_events(vec![
+        at(300, FaultKind::NodeLoss { node: 0 }),
+        at(1_500, FaultKind::PreemptionBurst { pods: 8 }),
+    ]);
+    let (got, sink, report) = run_and_digest(40_000, &plan, &cfg);
+    assert_eq!(report.faults_injected, 2);
+    assert_eq!(count(&sink, |k| matches!(k, EventKind::PodFailed { .. })), 6, "whole gang lost");
+    assert!(count(&sink, |k| matches!(k, EventKind::PodPreempted { .. })) >= 2);
+    check("node_loss/burst", got, (0x42e5_d090_e209_bf7c, 0x7bdd_8501_64a9_671c));
+}
+
+/// A one-node cluster loses its node: every replacement is parked by the
+/// cluster (`pod: Some`, `Pending`) and placed by a retry's
+/// `schedule_pending` once the node returns after its 15-minute outage.
+#[test]
+fn node_loss_on_a_one_node_cluster_parks_replacements_run_is_pinned() {
+    let cfg = ChaosConfig {
+        cluster: ClusterConfig { nodes: 1, ..ChaosConfig::default().cluster },
+        ..ChaosConfig::default()
+    };
+    let plan = FaultPlan::from_events(vec![at(300, FaultKind::NodeLoss { node: 0 })]);
+    let (got, sink, report) = run_and_digest(40_000, &plan, &cfg);
+    assert!(count(&sink, |k| matches!(k, EventKind::PodPending { .. })) >= 6);
+    assert!(count(&sink, |k| matches!(k, EventKind::RetryAttempt { .. })) > 6);
+    assert_eq!(count(&sink, |k| matches!(k, EventKind::RetryExhausted { .. })), 0);
+    assert_eq!(report.health, JobHealth::Healthy);
+    check("node_loss/parked", got, (0x2e3c_8a4f_57f4_77ec, 0x0dac_5aff_75f1_ce64));
+}
+
+/// A worker dies inside a denial storm: the request is frozen
+/// (`pod: None`), retried with backoff, and placed after the freeze lifts.
+#[test]
+fn denial_storm_retry_places_the_replacement_run_is_pinned() {
+    let plan = FaultPlan::from_events(vec![
+        at(100, FaultKind::DenialStorm { pods: 8, window: SimDuration::from_secs(240) }),
+        at(130, FaultKind::WorkerKill { worker: 0 }),
+        at(160, FaultKind::PsKill { ps: 1 }),
+    ]);
+    let (got, sink, report) = run_and_digest(40_000, &plan, &ChaosConfig::default());
+    assert!(sink.snapshot().metrics.counter("chaos.storm_denials") >= 2);
+    assert_eq!(count(&sink, |k| matches!(k, EventKind::RetryExhausted { .. })), 0);
+    assert_eq!(report.health, JobHealth::Healthy);
+    check("denial_storm/retry", got, (0x64ce_073b_9746_3edd, 0x6204_7d2a_c755_ae3a));
+}
+
+/// A storm longer than the retry deadline (the configuration of
+/// `retry_exhaustion_degrades_instead_of_looping`): the backoff exhausts and
+/// the master degrades to the surviving shape.
+#[test]
+fn denial_storm_exhaustion_degrades_run_is_pinned() {
+    let cfg = ChaosConfig {
+        retry: RetryPolicy {
+            base: SimDuration::from_secs(10),
+            jitter_permille: 0,
+            max_attempts: 3,
+            deadline: SimDuration::from_mins(2),
+            ..ChaosConfig::default().retry
+        },
+        ..ChaosConfig::default()
+    };
+    let plan = FaultPlan::from_events(vec![
+        at(100, FaultKind::DenialStorm { pods: 4, window: SimDuration::from_mins(8) }),
+        at(130, FaultKind::WorkerKill { worker: 0 }),
+    ]);
+    let (got, sink, report) = run_and_digest(40_000, &plan, &cfg);
+    assert_eq!(count(&sink, |k| matches!(k, EventKind::RetryExhausted { .. })), 1);
+    assert_eq!(report.health, JobHealth::Degraded);
+    check("denial_storm/exhausted", got, (0x013f_b3fa_16cc_b6aa, 0x103a_8686_b00e_e0dc));
+}
+
+/// The two engine-side windows: PS memory pressure (set, then cleared when
+/// the window ends) overlapping a network delay that scales every worker.
+#[test]
+fn memory_pressure_and_network_delay_run_is_pinned() {
+    let plan = FaultPlan::from_events(vec![
+        at(
+            400,
+            FaultKind::MemoryPressure {
+                ps: 1,
+                headroom_permille: 500,
+                window: SimDuration::from_mins(4),
+            },
+        ),
+        at(
+            520,
+            FaultKind::NetworkDelay { factor_permille: 2_000, window: SimDuration::from_mins(3) },
+        ),
+    ]);
+    let (got, _, report) = run_and_digest(40_000, &plan, &ChaosConfig::default());
+    assert_eq!(report.faults_injected, 2);
+    assert!(report.jct_us.unwrap() > report.baseline_jct_us);
+    check("pressure/network", got, (0xad9a_b7d9_b9c8_9545, 0x331c_db19_3d6a_c1d4));
+}
+
+/// `prefer_witness` with the quorum partitioned away at crash time falls
+/// back to replay. A worker and a PS die just before the crash, so the crash
+/// arm also runs with a worker replacement (released, re-requested through
+/// the rebuilt master) and a PS replacement (kept) still starting.
+#[test]
+fn witness_partition_falls_back_to_replay_run_is_pinned() {
+    let plan = FaultPlan::from_events(vec![
+        at(250, FaultKind::WitnessPartition { peers: 2, window: SimDuration::from_secs(800) }),
+        at(840, FaultKind::PsKill { ps: 0 }),
+        at(870, FaultKind::WorkerKill { worker: 1 }),
+        at(900, FaultKind::MasterCrash { restart: SimDuration::from_secs(60) }),
+    ]);
+    let cfg = ChaosConfig { prefer_witness: true, ..ChaosConfig::default() };
+    let (got, _, report) = run_and_digest(40_000, &plan, &cfg);
+    assert_eq!(report.recoveries.len(), 1);
+    assert_eq!(report.recoveries[0].path, RecoveryPath::MasterReplay);
+    check("witness_partition/replay", got, (0x6bbf_7dd0_d750_164d, 0x4ea4_2759_1d9b_7948));
+}
+
+/// Organic churn only: no scripted fault, but a daily pod hazard high enough
+/// that sampled time-to-failure kills land inside the run (no
+/// `FaultInjected` marker; same kill machinery).
+#[test]
+fn organic_churn_run_is_pinned() {
+    let cfg = ChaosConfig {
+        cluster: ClusterConfig { pod_daily_failure_rate: 0.9999, ..ChaosConfig::default().cluster },
+        ..ChaosConfig::default()
+    };
+    let (got, sink, report) = run_and_digest(40_000, &FaultPlan::default(), &cfg);
+    assert_eq!(report.faults_injected, 0);
+    assert!(count(&sink, |k| matches!(k, EventKind::WorkerFailed { .. })) >= 1, "a worker dies");
+    assert!(count(&sink, |k| matches!(k, EventKind::PsReshaped { .. })) >= 1, "a PS dies");
+    check("organic_churn", got, (0xbe8b_11e8_e561_c03b, 0x7635_373a_cace_25da));
+}
+
+/// A policy that follows a script: the `n`th adjustment call (from 1) applies
+/// the allocation listed for `n`, if any.
+struct Scripted {
+    initial: ResourceAllocation,
+    script: Vec<(u32, ResourceAllocation, MigrationStrategy)>,
+    calls: u32,
+}
+
+impl SchedulerPolicy for Scripted {
+    fn name(&self) -> &str {
+        "scripted"
+    }
+    fn initial_allocation(&mut self) -> ResourceAllocation {
+        self.initial
+    }
+    fn adjust(&mut self, _profile: &JobRuntimeProfile) -> Option<PolicyDecision> {
+        self.calls += 1;
+        let &(_, allocation, strategy) = self.script.iter().find(|(n, _, _)| *n == self.calls)?;
+        Some(PolicyDecision { allocation, strategy, reconfig: None })
+    }
+}
+
+/// The policy arm under kills: shrink workers and PS (a PS replacement is
+/// still starting for the partition the shrink removes, and is retired), grow
+/// both past the initial shape, then resize vertically — with a worker and a
+/// PS kill in between. Adjustments fall on t = 150 s + 180 s·(n − 1).
+#[test]
+fn policy_shrinks_then_grows_under_kills_run_is_pinned() {
+    let shape = |w, p, wc| ResourceAllocation::new(JobShape::new(w, p, wc, 4.0, 512), 8.0, 64.0);
+    let mut policy = Scripted {
+        initial: allocation(),
+        script: vec![
+            (2, shape(2, 1, 4.0), MigrationStrategy::Seamless),
+            (4, shape(6, 3, 4.0), MigrationStrategy::Seamless),
+            (6, shape(5, 2, 6.0), MigrationStrategy::StopAndRestart),
+        ],
+        calls: 0,
+    };
+    let plan = FaultPlan::from_events(vec![
+        at(300, FaultKind::PsKill { ps: 1 }),
+        at(600, FaultKind::WorkerKill { worker: 0 }),
+        at(960, FaultKind::PsKill { ps: 2 }),
+        at(990, FaultKind::WorkerKill { worker: 4 }),
+    ]);
+    let cfg = ChaosConfig::default();
+    let sink = Telemetry::default();
+    let report = run_chaos_job_with_policy(
+        &TrainingJobSpec::paper_default(40_000),
+        &mut policy,
+        &plan,
+        &cfg,
+        &sink,
+    );
+    assert_eq!(report.faults_injected, 4);
+    assert_eq!(count(&sink, |k| matches!(k, EventKind::PolicyAdjusted { .. })), 3);
+    check(
+        "policy/shrink_grow",
+        digest_run(&sink, &report, &cfg),
+        (0xc6ad_a395_6e07_adc3, 0xa2ab_9ec8_f09e_c31a),
+    );
 }
