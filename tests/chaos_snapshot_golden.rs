@@ -24,6 +24,7 @@ use dlrover_rm::master::replay::RecoveryPath;
 use dlrover_rm::master::{JobHealth, JobRuntimeProfile, RetryPolicy};
 use dlrover_rm::prelude::*;
 use dlrover_rm::sim::{FaultEvent, FaultKind, FaultPlan};
+use dlrover_rm::telemetry::SpanCategory;
 
 /// FNV-1a over bytes.
 fn fnv(bytes: &[u8]) -> u64 {
@@ -260,20 +261,43 @@ fn witness_partition_falls_back_to_replay_run_is_pinned() {
     check("witness_partition/replay", got, (0x6bbf_7dd0_d750_164d, 0x4ea4_2759_1d9b_7948));
 }
 
+/// A worker and a PS are killed, and a second PS kill lands at t = 390 s —
+/// the tick on which the first PS replacement finishes starting. Promotion
+/// runs before fault delivery, so partition 0 is live again and is the one
+/// hit (delivered first, the kill would find only partition 1 alive).
+#[test]
+fn ps_kill_on_its_replacements_promotion_tick_run_is_pinned() {
+    let plan = FaultPlan::from_events(vec![
+        at(120, FaultKind::WorkerKill { worker: 1 }),
+        at(150, FaultKind::PsKill { ps: 0 }),
+        at(390, FaultKind::PsKill { ps: 0 }),
+    ]);
+    let (got, sink, report) = run_and_digest(40_000, &plan, &ChaosConfig::default());
+    assert_eq!(report.faults_injected, 3);
+    let startups: Vec<_> = (sink.snapshot().spans.iter())
+        .filter(|s| s.cat == SpanCategory::PodStartup && s.start_us == 150_000_000)
+        .map(|s| s.end_us)
+        .collect();
+    assert_eq!(startups, [390_000_000], "the first PS replacement is promoted at t = 390 s");
+    check("ps_kill/promotion_tick", got, (0xba6d_7e1b_76cb_4a21, 0x42c3_3aaf_1b23_3897));
+}
+
 /// Organic churn only: no scripted fault, but a daily pod hazard high enough
-/// that sampled time-to-failure kills land inside the run (no
-/// `FaultInjected` marker; same kill machinery).
+/// (mean time-to-failure ~1.7 h a pod, over a ~3 h job) that sampled kills
+/// keep landing inside the run — no `FaultInjected` marker, same kill
+/// machinery. Every replacement draws its own time-to-failure from the same
+/// stream, so one draw more or fewer moves every later kill.
 #[test]
 fn organic_churn_run_is_pinned() {
     let cfg = ChaosConfig {
         cluster: ClusterConfig { pod_daily_failure_rate: 0.9999, ..ChaosConfig::default().cluster },
         ..ChaosConfig::default()
     };
-    let (got, sink, report) = run_and_digest(40_000, &FaultPlan::default(), &cfg);
+    let (got, sink, report) = run_and_digest(100_000, &FaultPlan::default(), &cfg);
     assert_eq!(report.faults_injected, 0);
-    assert!(count(&sink, |k| matches!(k, EventKind::WorkerFailed { .. })) >= 1, "a worker dies");
-    assert!(count(&sink, |k| matches!(k, EventKind::PsReshaped { .. })) >= 1, "a PS dies");
-    check("organic_churn", got, (0xbe8b_11e8_e561_c03b, 0x7635_373a_cace_25da));
+    assert!(count(&sink, |k| matches!(k, EventKind::WorkerFailed { .. })) >= 3, "workers die");
+    assert!(count(&sink, |k| matches!(k, EventKind::PsReshaped { .. })) >= 2, "PS die");
+    check("organic_churn", got, (0xb063_7196_3e56_a349, 0x089d_5c17_d1cd_f96b));
 }
 
 /// A policy that follows a script: the `n`th adjustment call (from 1) applies
@@ -301,7 +325,10 @@ impl SchedulerPolicy for Scripted {
 /// The policy arm under kills: shrink workers and PS (a PS replacement is
 /// still starting for the partition the shrink removes, and is retired), grow
 /// both past the initial shape, then resize vertically — with a worker and a
-/// PS kill in between. Adjustments fall on t = 150 s + 180 s·(n − 1).
+/// PS kill in between. Adjustments fall on t = 150 s + 180 s·(n − 1); the
+/// worker killed at t = 600 s inside the denial storm is parked and placed by
+/// the retry at t = 690 s, the tick of the growing adjustment, so the order
+/// of the retry and policy phases shows in the startup draws.
 #[test]
 fn policy_shrinks_then_grows_under_kills_run_is_pinned() {
     let shape = |w, p, wc| ResourceAllocation::new(JobShape::new(w, p, wc, 4.0, 512), 8.0, 64.0);
@@ -316,6 +343,7 @@ fn policy_shrinks_then_grows_under_kills_run_is_pinned() {
     };
     let plan = FaultPlan::from_events(vec![
         at(300, FaultKind::PsKill { ps: 1 }),
+        at(560, FaultKind::DenialStorm { pods: 4, window: SimDuration::from_secs(120) }),
         at(600, FaultKind::WorkerKill { worker: 0 }),
         at(960, FaultKind::PsKill { ps: 2 }),
         at(990, FaultKind::WorkerKill { worker: 4 }),
@@ -329,11 +357,12 @@ fn policy_shrinks_then_grows_under_kills_run_is_pinned() {
         &cfg,
         &sink,
     );
-    assert_eq!(report.faults_injected, 4);
+    assert_eq!(report.faults_injected, 5);
     assert_eq!(count(&sink, |k| matches!(k, EventKind::PolicyAdjusted { .. })), 3);
+    assert!(count(&sink, |k| matches!(k, EventKind::RetryAttempt { .. })) >= 2);
     check(
         "policy/shrink_grow",
         digest_run(&sink, &report, &cfg),
-        (0xc6ad_a395_6e07_adc3, 0xa2ab_9ec8_f09e_c31a),
+        (0xb468_2b00_eb25_4185, 0x7ac0_c8de_0d00_050b),
     );
 }
