@@ -28,6 +28,7 @@
 use dlrover_master::{
     CheckpointPlane, CkptPlaneConfig, RestoreSource, WitnessBoard, WitnessConfig,
 };
+use dlrover_pstrain::RdsStore;
 use dlrover_sim::{RngStreams, SimDuration, SimTime};
 use dlrover_telemetry::{Oracle, Telemetry};
 use rand::Rng;
@@ -247,12 +248,17 @@ fn run_trace(
     // figure while letting the pipe drain JOBS concurrent channels —
     // otherwise any sub-15 s fleet save cadence would diverge the queue
     // unboundedly and durability would lag by hours.
+    let tenant = RdsStore::default();
     let mut plane = CheckpointPlane::new(CkptPlaneConfig {
         interval: policy.interval,
         hot_capacity_bytes: policy.hot_capacity_bytes,
-        remote_write_bandwidth: 60.0e6 * JOBS as f64,
-        remote_read_bandwidth: 120.0e6 * JOBS as f64,
-        remote_base_latency: SimDuration::from_secs_f64(15.0 / JOBS as f64),
+        remote: RdsStore {
+            write_bandwidth: tenant.write_bandwidth * JOBS as f64,
+            read_bandwidth: tenant.read_bandwidth * JOBS as f64,
+            base_latency: SimDuration::from_secs_f64(
+                tenant.base_latency.as_secs_f64() / JOBS as f64,
+            ),
+        },
         ..CkptPlaneConfig::default()
     });
     plane.set_telemetry(telemetry.clone());

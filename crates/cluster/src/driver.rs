@@ -7,23 +7,15 @@
 //! heterogeneity), jobs queue FIFO when they don't fit, and completion
 //! events free their nodes. Used to cross-validate pending-time
 //! distributions and to give per-pod node speeds to stragglers-from-
-//! placement analyses.
-//!
-//! [`drive_fleet_chaos`] layers cloud churn on top: *organic* pod failures
-//! sampled from the cluster's configured daily hazard (which
-//! [`crate::fleet::FleetConfig::cluster_config`] threads through instead of
-//! the zero rate older call sites hardcoded) compose with *scripted*
-//! [`FaultPlan`] events (node losses, preemption bursts, targeted pod
-//! kills). Static gangs (`gated_by_slowest`) die when they lose a pod —
-//! the §2.2 pathology — while elastic gangs replace the pod and keep
-//! going, which is precisely the delta DLRover-RM claims.
+//! placement analyses. It injects no churn: job-level faults are
+//! `dlrover_rm::chaos`'s subject, fleet-scale ones
+//! [`crate::ShardedFleet::with_chaos`]'s.
 
-use dlrover_sim::{FaultKind, FaultPlan, RngStreams, SimDuration, SimTime};
+use dlrover_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::cluster::{Cluster, ClusterEvent};
-use crate::pod::{Pod, PodId, PodPhase, PodSpec, Priority};
-use crate::resources::Resources;
+use crate::pod::{Pod, PodId, PodPhase, PodSpec};
 use crate::timerwheel::TimerWheel;
 
 /// One job to drive through the cluster.
@@ -63,11 +55,6 @@ pub struct GangOutcome {
     /// preemption before finishing (its `finished` stays `None`; recovery
     /// is the job master's concern, not this driver's).
     pub preempted: bool,
-    /// Pod failures (organic churn or chaos plans) this gang absorbed.
-    pub pod_failures: usize,
-    /// True when a pod failure killed the whole gang (static jobs cannot
-    /// survive losing a pod; `finished` stays `None`).
-    pub failed: bool,
 }
 
 impl GangOutcome {
@@ -89,42 +76,11 @@ impl GangOutcome {
 enum Ev {
     Submit(usize),
     Finish(usize),
-    /// One pod's sampled organic failure comes due.
-    PodFail(usize, PodId),
-    /// A scripted fault plan event comes due (index into the plan).
-    Fault(usize),
-    /// A preemption-burst service pod ends its residency.
-    BurstEnd(PodId),
-    /// A chaos-failed node comes back.
-    NodeRecover(usize),
 }
 
-/// How long a [`FaultKind::NodeLoss`] keeps its node out of the pool, and
-/// how long a [`FaultKind::PreemptionBurst`] service pod stays resident.
-const NODE_OUTAGE: SimDuration = SimDuration::from_mins(15);
-const BURST_RESIDENCY: SimDuration = SimDuration::from_mins(10);
-
-/// Drives `jobs` through `cluster` to completion with no injected churn;
-/// returns per-job outcomes sorted by job id. Jobs that never fit remain
-/// `admitted: None`. Equivalent to [`drive_fleet_chaos`] with no plan and
-/// no failure streams.
+/// Drives `jobs` through `cluster` to completion; returns per-job outcomes
+/// sorted by job id. Jobs that never fit remain `admitted: None`.
 pub fn drive_fleet(cluster: &mut Cluster, jobs: &[GangJob]) -> Vec<GangOutcome> {
-    drive_fleet_chaos(cluster, jobs, None, None)
-}
-
-/// [`drive_fleet`] plus cloud churn: organic pod failures sampled from the
-/// cluster's `pod_daily_failure_rate` (when `streams` is given) and the
-/// cluster-scoped events of a scripted `plan` — node losses, preemption
-/// bursts, and worker/PS kills resolved against the running pod
-/// population. Engine-scoped fault kinds (memory pressure, stragglers,
-/// network delay) are no-ops here; they belong to the job-level chaos
-/// runner which owns a training engine.
-pub fn drive_fleet_chaos(
-    cluster: &mut Cluster,
-    jobs: &[GangJob],
-    plan: Option<&FaultPlan>,
-    streams: Option<&RngStreams>,
-) -> Vec<GangOutcome> {
     let mut outcomes: Vec<GangOutcome> = jobs
         .iter()
         .map(|j| GangOutcome {
@@ -135,182 +91,34 @@ pub fn drive_fleet_chaos(
             node_speeds: Vec::new(),
             preempted_others: 0,
             preempted: false,
-            pod_failures: 0,
-            failed: false,
         })
         .collect();
     // The driver is the sharded fleet core's K = 1 special case: one
-    // hierarchical timer wheel over the whole fleet. The wheel pops in the
-    // same (time, push-seq) order as the linear `EventQueue` it replaced
-    // (enforced by the wheel's equivalence proptest), so results are
-    // byte-identical — the golden-trace corpus pins this.
+    // hierarchical timer wheel over the whole fleet, popping in
+    // `(time, push-seq)` order.
     let mut queue: TimerWheel<Ev> = TimerWheel::new();
     for (i, j) in jobs.iter().enumerate() {
         queue.push(j.submit, Ev::Submit(i));
     }
-    if let Some(plan) = plan {
-        for (k, e) in plan.events.iter().enumerate() {
-            queue.push(e.at, Ev::Fault(k));
-        }
-    }
-    let mut failure_rng = streams.map(|s| s.stream("driver-pod-failures"));
     let mut waiting: Vec<usize> = Vec::new();
     let mut held_pods: Vec<Vec<PodId>> = vec![Vec::new(); jobs.len()];
 
-    // Kills `pod` of gang `i`: static gangs die outright, elastic gangs
-    // absorb the loss (a replacement is attempted in the admission pass
-    // below via the normal placement path when capacity allows — the
-    // driver models the loss, the job master models the recovery).
-    fn lose_pod(
-        cluster: &mut Cluster,
-        jobs: &[GangJob],
-        outcomes: &mut [GangOutcome],
-        held_pods: &mut [Vec<PodId>],
-        i: usize,
-        pod: PodId,
-    ) {
-        if !held_pods[i].contains(&pod) || outcomes[i].finished.is_some() {
-            return;
-        }
-        outcomes[i].pod_failures += 1;
-        held_pods[i].retain(|&p| p != pod);
-        if jobs[i].gated_by_slowest {
-            // Synchronous/static gang: one lost pod wedges the whole job.
-            outcomes[i].failed = true;
-            for &other in held_pods[i].iter() {
-                cluster.terminate_pod(other, PodPhase::Failed);
-            }
-            held_pods[i].clear();
-        }
-    }
-
     while let Some(ev) = queue.pop() {
         let now = ev.at;
-        // Untimed cluster calls below (fail_pod/fail_node) stamp their
-        // telemetry at the passive clock; keep it on this event's time.
-        cluster.advance_clock(now);
         match ev.event {
             Ev::Submit(i) => {
                 waiting.push(i);
             }
             Ev::Finish(i) => {
-                // A gang whose pods were preempted or failed mid-run did
-                // NOT finish; its stale Finish event must not record a
-                // phantom completion.
-                if !outcomes[i].preempted && !outcomes[i].failed {
+                // A gang whose pods were preempted mid-run did NOT finish;
+                // its stale Finish event must not record a phantom
+                // completion.
+                if !outcomes[i].preempted {
                     for &pod in &held_pods[i] {
                         cluster.terminate_pod(pod, PodPhase::Succeeded);
                     }
                     outcomes[i].finished = Some(now);
                 }
-            }
-            Ev::PodFail(i, pod) => {
-                if cluster.fail_pod(pod).is_empty() {
-                    // Already terminal (job done, preempted, or the pod
-                    // died to an earlier fault): organic churn raced and
-                    // lost.
-                } else {
-                    lose_pod(cluster, jobs, &mut outcomes, &mut held_pods, i, pod);
-                }
-            }
-            Ev::Fault(k) => {
-                let kind = plan.expect("fault event without plan").events[k].kind;
-                match kind {
-                    FaultKind::NodeLoss { node } => {
-                        let n = node as usize % cluster.nodes().len().max(1);
-                        let events = cluster.fail_node(crate::node::NodeId(n as u32));
-                        for e in events {
-                            if let ClusterEvent::PodFailed(pod) = e {
-                                if let Some(i) =
-                                    held_pods.iter().position(|pods| pods.contains(&pod))
-                                {
-                                    lose_pod(cluster, jobs, &mut outcomes, &mut held_pods, i, pod);
-                                }
-                            }
-                        }
-                        queue.push(now + NODE_OUTAGE, Ev::NodeRecover(n));
-                    }
-                    FaultKind::PreemptionBurst { pods } => {
-                        // High-priority service pods sized at a quarter
-                        // node barge in (Table 2's co-located services).
-                        let quarter = Resources {
-                            cpu_millis: cluster.config().node_capacity.cpu_millis / 4,
-                            mem_bytes: cluster.config().node_capacity.mem_bytes / 4,
-                        };
-                        for _ in 0..pods {
-                            let spec = PodSpec {
-                                resources: quarter,
-                                role: crate::pod::PodRole::Other,
-                                priority: Priority::High,
-                                job_id: u64::MAX,
-                            };
-                            let Ok((id, events)) = cluster.request_pod(spec, now) else {
-                                continue;
-                            };
-                            let placed = events
-                                .iter()
-                                .any(|e| matches!(e, ClusterEvent::PodPlaced(p, _) if *p == id));
-                            for e in events {
-                                if let ClusterEvent::PodPreempted(pod) = e {
-                                    if let Some(i) =
-                                        held_pods.iter().position(|pods| pods.contains(&pod))
-                                    {
-                                        outcomes[i].pod_failures += 1;
-                                        outcomes[i].preempted = true;
-                                        for &other in &held_pods[i] {
-                                            cluster.terminate_pod(other, PodPhase::Preempted);
-                                        }
-                                        held_pods[i].clear();
-                                    }
-                                }
-                            }
-                            if placed {
-                                cluster.mark_running(id, now);
-                                queue.push(now + BURST_RESIDENCY, Ev::BurstEnd(id));
-                            } else {
-                                // Never placed: drop it rather than leak a
-                                // pending service pod past the trace.
-                                cluster.terminate_pod(id, PodPhase::Succeeded);
-                            }
-                        }
-                    }
-                    FaultKind::WorkerKill { worker } | FaultKind::PsKill { ps: worker } => {
-                        // Resolve the index against the running training
-                        // pod population, in gang order.
-                        let running: Vec<(usize, PodId)> = held_pods
-                            .iter()
-                            .enumerate()
-                            .filter(|(i, _)| outcomes[*i].finished.is_none())
-                            .flat_map(|(i, pods)| pods.iter().map(move |&p| (i, p)))
-                            .collect();
-                        if !running.is_empty() {
-                            let (i, pod) = running[worker as usize % running.len()];
-                            cluster.fail_pod(pod);
-                            lose_pod(cluster, jobs, &mut outcomes, &mut held_pods, i, pod);
-                        }
-                    }
-                    // Engine-scoped kinds: the fleet driver has no
-                    // training engine to press on. Control-plane kinds
-                    // (denial storms, master crashes) likewise belong to
-                    // the job-level chaos runner, which owns a master,
-                    // and checkpoint-plane kinds to the runners that own
-                    // a `CheckpointPlane`/`WitnessBoard`.
-                    FaultKind::MemoryPressure { .. }
-                    | FaultKind::StragglerWindow { .. }
-                    | FaultKind::NetworkDelay { .. }
-                    | FaultKind::DenialStorm { .. }
-                    | FaultKind::MasterCrash { .. }
-                    | FaultKind::RemoteTierOutage { .. }
-                    | FaultKind::BandwidthCollapse { .. }
-                    | FaultKind::ManifestCorruption { .. }
-                    | FaultKind::WitnessPartition { .. } => {}
-                }
-            }
-            Ev::BurstEnd(pod) => {
-                cluster.terminate_pod(pod, PodPhase::Succeeded);
-            }
-            Ev::NodeRecover(n) => {
-                cluster.recover_node(crate::node::NodeId(n as u32));
             }
         }
         // Admission pass after every event: FIFO-ordered *backfill* — the
@@ -357,15 +165,6 @@ pub fn drive_fleet_chaos(
                     };
                     let duration = job.nominal_duration.mul_f64(slowdown);
                     queue.push(now + duration, Ev::Finish(i));
-                    // Organic churn: each placed pod draws its time-to-
-                    // failure from the cluster's daily hazard.
-                    if let Some(rng) = failure_rng.as_mut() {
-                        for &id in &ids {
-                            if let Some(delay) = cluster.sample_pod_failure_delay(rng) {
-                                queue.push(now + delay, Ev::PodFail(i, id));
-                            }
-                        }
-                    }
                     held_pods[i] = ids;
                     outcomes[i].admitted = Some(now);
                     outcomes[i].node_speeds = speeds;
@@ -393,7 +192,7 @@ mod tests {
     use crate::fleet::FleetConfig;
     use crate::pod::{PodRole, Priority};
     use crate::resources::Resources;
-    use dlrover_sim::{FaultEvent, RngStreams};
+    use dlrover_sim::RngStreams;
 
     fn pod_spec(cores: f64, job_id: u64, priority: Priority) -> PodSpec {
         PodSpec { resources: Resources::new(cores, 8.0), role: PodRole::Worker, priority, job_id }
@@ -409,9 +208,7 @@ mod tests {
         }
     }
 
-    /// A driver test cluster. The hazard comes from [`FleetConfig`] (the
-    /// old code hardcoded `pod_daily_failure_rate: 0.0` here); failures
-    /// stay off in timing-sensitive tests by not passing streams.
+    /// A driver test cluster.
     fn cluster(nodes: usize) -> Cluster {
         Cluster::new(
             ClusterConfig {
@@ -520,104 +317,5 @@ mod tests {
         let pendings: Vec<f64> = outcomes.iter().map(|o| o.pending().as_mins_f64()).collect();
         assert!(pendings.windows(2).all(|w| w[1] >= w[0]), "{pendings:?}");
         assert!(pendings[5] > 100.0, "deep queue should wait hours: {pendings:?}");
-    }
-
-    /// ISSUE-3 satellite: the hazard comes from `FleetConfig` and organic
-    /// failures actually fire — static gangs die, elastic gangs absorb.
-    #[test]
-    fn organic_failures_kill_static_gangs_but_not_elastic() {
-        let fleet = FleetConfig { pod_daily_failure_rate: 0.9999, ..FleetConfig::default() };
-        let run = |gated| {
-            let mut c = Cluster::new(
-                ClusterConfig {
-                    node_capacity: Resources::new(16.0, 64.0),
-                    slow_node_fraction: 0.0,
-                    ..fleet.cluster_config(4)
-                },
-                &RngStreams::new(1),
-            );
-            // Day-long jobs under a ~100%/day hazard: failures certain.
-            let jobs: Vec<GangJob> = (0..4)
-                .map(|i| {
-                    let mut g = gang(i, i, 2, 4.0, 24 * 60);
-                    g.gated_by_slowest = gated;
-                    g
-                })
-                .collect();
-            drive_fleet_chaos(&mut c, &jobs, None, Some(&RngStreams::new(9)))
-        };
-        let static_outcomes = run(true);
-        assert!(
-            static_outcomes.iter().any(|o| o.failed && o.finished.is_none()),
-            "static gangs must die to organic churn: {static_outcomes:?}"
-        );
-        let elastic_outcomes = run(false);
-        assert!(elastic_outcomes.iter().all(|o| !o.failed));
-        assert!(
-            elastic_outcomes.iter().all(|o| o.finished.is_some()),
-            "elastic gangs absorb pod loss: {elastic_outcomes:?}"
-        );
-        assert!(elastic_outcomes.iter().any(|o| o.pod_failures > 0));
-    }
-
-    /// Scripted plan faults compose with the fleet: a node loss kills the
-    /// static gang resident there; the node later recovers and admits the
-    /// next job.
-    #[test]
-    fn plan_node_loss_composes_with_fleet() {
-        let mut c = cluster(1);
-        let mut victim = gang(1, 0, 2, 8.0, 60);
-        victim.gated_by_slowest = true;
-        let late = gang(2, 30 * 60, 2, 8.0, 10); // after the outage window
-        let plan = FaultPlan::from_events(vec![FaultEvent {
-            at: SimTime::from_secs(600),
-            kind: FaultKind::NodeLoss { node: 7 }, // resolves mod 1 -> node 0
-        }]);
-        let outcomes = drive_fleet_chaos(&mut c, &[victim, late], Some(&plan), None);
-        assert!(outcomes[0].failed);
-        assert_eq!(outcomes[0].finished, None);
-        assert!(outcomes[0].pod_failures >= 1);
-        // The node recovered after its outage: the late job runs normally.
-        assert_eq!(outcomes[1].admitted, Some(SimTime::from_secs(30 * 60)));
-        assert!(outcomes[1].finished.is_some());
-        assert!(!outcomes[1].failed);
-    }
-
-    /// A preemption burst evicts low-priority training pods and the burst
-    /// pods leave after their residency, freeing capacity again.
-    #[test]
-    fn preemption_burst_evicts_and_releases() {
-        let mut c = cluster(1);
-        let victim = gang(1, 0, 2, 8.0, 60);
-        let late = gang(2, 20 * 60, 2, 8.0, 5); // after the burst residency
-        let plan = FaultPlan::from_events(vec![FaultEvent {
-            at: SimTime::from_secs(300),
-            kind: FaultKind::PreemptionBurst { pods: 4 },
-        }]);
-        let outcomes = drive_fleet_chaos(&mut c, &[victim, late], Some(&plan), None);
-        assert!(outcomes[0].preempted, "{outcomes:?}");
-        assert_eq!(outcomes[0].finished, None);
-        assert!(outcomes[1].finished.is_some());
-        assert_eq!(c.total_allocated(), Resources::ZERO, "burst pods must not leak");
-    }
-
-    #[test]
-    fn chaos_driver_is_deterministic_and_plain_driver_unchanged() {
-        let jobs: Vec<GangJob> =
-            (0..12).map(|i| gang(i, i * 30, 1 + (i as usize % 3), 4.0, 60 + i % 7)).collect();
-        let plan = FaultPlan::from_events(vec![
-            FaultEvent { at: SimTime::from_secs(900), kind: FaultKind::WorkerKill { worker: 5 } },
-            FaultEvent { at: SimTime::from_secs(1800), kind: FaultKind::NodeLoss { node: 1 } },
-        ]);
-        let run = || {
-            let mut c = cluster(3);
-            drive_fleet_chaos(&mut c, &jobs, Some(&plan), Some(&RngStreams::new(4)))
-        };
-        assert_eq!(run(), run());
-        // And the churn-free entry point matches the chaos path given no
-        // plan and no streams (same code, no draws).
-        let mut c1 = cluster(3);
-        let mut c2 = cluster(3);
-        assert_eq!(drive_fleet(&mut c1, &jobs), drive_fleet_chaos(&mut c2, &jobs, None, None));
     }
 }

@@ -39,6 +39,8 @@ pub mod exchange;
 pub mod fleet;
 pub mod node;
 pub mod pod;
+#[cfg(test)]
+mod queue;
 pub mod resources;
 pub mod shard;
 pub mod startup;
@@ -46,7 +48,7 @@ pub mod store;
 pub mod timerwheel;
 
 pub use cluster::{Cluster, ClusterConfig, ClusterEvent, DenialReason, ScheduleError};
-pub use driver::{drive_fleet, drive_fleet_chaos, GangJob, GangOutcome};
+pub use driver::{drive_fleet, GangJob, GangOutcome};
 pub use exchange::{Envelope, Exchange};
 pub use fleet::{FleetConfig, FleetJob, FleetWorkload, JobClass};
 pub use node::{Node, NodeId};

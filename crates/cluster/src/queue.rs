@@ -1,26 +1,17 @@
-//! A deterministic event queue.
+//! The binary-heap event queue the fleet simulators ran on before
+//! [`TimerWheel`](crate::TimerWheel), kept as the test-only reference model
+//! the wheel's equivalence proptest checks against.
 //!
 //! [`EventQueue`] is a min-heap ordered by `(fire_time, sequence)`; the
 //! monotone sequence number guarantees that events scheduled for the same
-//! virtual instant pop in insertion order. Simulations built on top of it
-//! (the cluster simulator, the PS training engine) are therefore fully
-//! deterministic for a given seed.
+//! virtual instant pop in insertion order.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::time::SimTime;
+use dlrover_sim::SimTime;
 
-/// An event stored in the queue together with its fire time and sequence id.
-#[derive(Debug, Clone)]
-pub struct ScheduledEvent<E> {
-    /// Virtual instant at which the event fires.
-    pub at: SimTime,
-    /// Monotone insertion sequence, used as a FIFO tie-breaker.
-    pub seq: u64,
-    /// The payload.
-    pub event: E,
-}
+use crate::timerwheel::ScheduledEvent;
 
 impl<E> PartialEq for ScheduledEvent<E> {
     fn eq(&self, other: &Self) -> bool {
@@ -45,19 +36,6 @@ impl<E> Ord for ScheduledEvent<E> {
 }
 
 /// A deterministic min-heap of timed events.
-///
-/// ```
-/// use dlrover_sim::{EventQueue, SimTime};
-///
-/// let mut q = EventQueue::new();
-/// q.push(SimTime::from_secs(2), "late");
-/// q.push(SimTime::from_secs(1), "early");
-/// q.push(SimTime::from_secs(1), "early-second");
-/// assert_eq!(q.pop().unwrap().event, "early");
-/// assert_eq!(q.pop().unwrap().event, "early-second");
-/// assert_eq!(q.pop().unwrap().event, "late");
-/// assert!(q.pop().is_none());
-/// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<ScheduledEvent<E>>,
@@ -127,7 +105,7 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
+    use dlrover_sim::SimDuration;
 
     #[test]
     fn pops_in_time_order() {

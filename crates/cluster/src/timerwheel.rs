@@ -1,8 +1,8 @@
-//! A hierarchical timer wheel with exact [`dlrover_sim::EventQueue`]
-//! semantics.
+//! A hierarchical timer wheel with the exact semantics of a binary-heap
+//! event queue ordered by `(fire_time, sequence)`.
 //!
-//! [`TimerWheel`] replaces the binary-heap event queue on the fleet-scale
-//! path: push/pop are O(1) amortised instead of O(log n), and — more
+//! [`TimerWheel`] replaced that heap (now the test-only reference model
+//! `queue::EventQueue` beside this file) on the fleet-scale path: push/pop are O(1) amortised instead of O(log n), and — more
 //! importantly at a million pods — the hot slots for near-future events stay
 //! cache-resident instead of churning a heap that spans the whole horizon.
 //!
@@ -12,17 +12,27 @@
 //! sentinel timestamps ever get there). Each level keeps a 64-bit occupancy
 //! bitmap, so "find the next pending slot" is a mask + `trailing_zeros`.
 //!
-//! Determinism contract (property-tested against a `BTreeMap` reference
-//! model in the tests below):
-//! `push` returns the same monotone sequence numbers, and `pop` yields events
-//! in exactly `(fire_time, sequence)` order — same-instant events fire in
-//! insertion order. The golden-trace corpus therefore cannot tell the two
-//! apart, which is what lets `driver.rs` switch over without re-blessing 18
-//! experiment digests.
+//! Determinism contract (property-tested against the heap in the tests
+//! below): `push` returns the same monotone sequence numbers, and `pop`
+//! yields events in exactly `(fire_time, sequence)` order — same-instant
+//! events fire in insertion order. The golden-trace corpus therefore cannot
+//! tell the two apart, which is what let `driver.rs` switch over without
+//! re-blessing the experiment digests.
 
 use std::collections::VecDeque;
 
-use dlrover_sim::{ScheduledEvent, SimTime};
+use dlrover_sim::SimTime;
+
+/// A popped event together with its fire time and sequence id.
+#[derive(Debug, Clone)]
+pub struct ScheduledEvent<E> {
+    /// Virtual instant at which the event fires.
+    pub at: SimTime,
+    /// Monotone insertion sequence, used as a FIFO tie-breaker.
+    pub seq: u64,
+    /// The payload.
+    pub event: E,
+}
 
 /// log2 of the tick length in microseconds (tick = 1024 µs).
 const TICK_SHIFT: u32 = 10;
@@ -33,8 +43,7 @@ const SLOTS: usize = 1 << LEVEL_BITS;
 /// Wheel levels; level `l` spans 64^(l+1) ticks.
 const LEVELS: usize = 7;
 
-/// A deterministic hierarchical timer wheel, API-compatible with
-/// [`dlrover_sim::EventQueue`].
+/// A deterministic hierarchical timer wheel.
 ///
 /// ```
 /// use dlrover_cluster::TimerWheel;
@@ -262,7 +271,8 @@ impl<E> TimerWheel<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlrover_sim::{EventQueue, SimDuration};
+    use crate::queue::EventQueue;
+    use dlrover_sim::SimDuration;
     use proptest::prelude::*;
 
     #[test]

@@ -16,6 +16,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use dlrover_pstrain::{CheckpointStore, FlashStore, RdsStore};
 use dlrover_sim::{SimDuration, SimTime};
 use dlrover_telemetry::{EventKind, Telemetry};
 use serde::{Deserialize, Serialize};
@@ -30,22 +31,14 @@ pub struct CkptPlaneConfig {
     /// Hot-tier capacity in bytes (physical, after dedup). Oldest
     /// resident manifests are evicted when exceeded.
     pub hot_capacity_bytes: u64,
-    /// Hot-tier write bandwidth, bytes/s ("less than 1 second for a
-    /// 20 GB model", §5.3).
-    pub hot_write_bandwidth: f64,
-    /// Hot-tier read bandwidth, bytes/s.
-    pub hot_read_bandwidth: f64,
-    /// Fixed hot-tier per-operation latency.
-    pub hot_base_latency: SimDuration,
-    /// Remote-tier write bandwidth, bytes/s, shared by the single FIFO
-    /// transfer queue (§2.2: throttled RDS).
-    pub remote_write_bandwidth: f64,
-    /// Remote-tier read bandwidth, bytes/s (restores bypass the write
-    /// queue).
-    pub remote_read_bandwidth: f64,
-    /// Fixed remote-tier per-operation latency, folded into each
-    /// transfer as equivalent bytes.
-    pub remote_base_latency: SimDuration,
+    /// Hot-tier bandwidths and per-operation latency ("less than 1 second
+    /// for a 20 GB model", §5.3).
+    pub hot: FlashStore,
+    /// Remote-tier physics (§2.2: throttled RDS). The write bandwidth is
+    /// shared by the single FIFO transfer queue, with the per-operation
+    /// latency folded into each transfer as equivalent bytes; restores
+    /// read beside the queue.
+    pub remote: RdsStore,
     /// How checkpoints are cut into content-addressed chunks.
     pub chunking: ChunkingConfig,
     /// Committed manifests retained per job before the oldest is
@@ -56,16 +49,11 @@ pub struct CkptPlaneConfig {
 
 impl Default for CkptPlaneConfig {
     fn default() -> Self {
-        // Bandwidth figures match `dlrover_pstrain::ckpt` (§2.2/§5.3).
         CkptPlaneConfig {
             interval: SimDuration::from_secs(120),
             hot_capacity_bytes: 16_000_000_000,
-            hot_write_bandwidth: 25.0e9,
-            hot_read_bandwidth: 30.0e9,
-            hot_base_latency: SimDuration::from_millis(50),
-            remote_write_bandwidth: 60.0e6,
-            remote_read_bandwidth: 120.0e6,
-            remote_base_latency: SimDuration::from_secs(15),
+            hot: FlashStore::default(),
+            remote: RdsStore::default(),
             chunking: ChunkingConfig::default(),
             retain_per_job: 3,
         }
@@ -350,7 +338,7 @@ impl CheckpointPlane {
     /// Remote write rate at `t` and the next instant (bounded by `now`)
     /// where the rate may change.
     fn rate_and_boundary(&self, t: SimTime, now: SimTime) -> (f64, SimTime) {
-        let mut rate = self.cfg.remote_write_bandwidth;
+        let mut rate = self.cfg.remote.write_bandwidth;
         let mut boundary = now;
         for &(from, until, factor) in &self.collapses {
             if t >= from && t < until {
@@ -480,13 +468,12 @@ impl CheckpointPlane {
             self.drop_hot_copy(oldest, now);
         }
 
-        let latency_bytes =
-            self.cfg.remote_base_latency.as_secs_f64() * self.cfg.remote_write_bandwidth;
+        let remote = &self.cfg.remote;
+        let latency_bytes = remote.base_latency.as_secs_f64() * remote.write_bandwidth;
         self.queue
             .push_back(Transfer { manifest: id, cost_bytes: new_remote as f64 + latency_bytes });
 
-        let hot_pause = self.cfg.hot_base_latency
-            + SimDuration::from_secs_f64(new_hot as f64 / self.cfg.hot_write_bandwidth);
+        let hot_pause = self.cfg.hot.save_duration(new_hot);
 
         self.stats.saves += 1;
         self.stats.staged_bytes += bytes;
@@ -589,8 +576,7 @@ impl CheckpointPlane {
         if let Some(&id) = self.hot_manifest_of_job.get(&job) {
             let m = &self.manifests[&id];
             if !m.corrupted {
-                let duration = self.cfg.hot_base_latency
-                    + SimDuration::from_secs_f64(m.bytes as f64 / self.cfg.hot_read_bandwidth);
+                let duration = self.cfg.hot.load_duration(m.bytes);
                 let out = RestoreOutcome {
                     manifest: id,
                     step: m.step,
@@ -616,8 +602,7 @@ impl CheckpointPlane {
                 continue;
             }
             let ready_at = self.remote_reachable_at(now);
-            let duration = self.cfg.remote_base_latency
-                + SimDuration::from_secs_f64(m.bytes as f64 / self.cfg.remote_read_bandwidth);
+            let duration = self.cfg.remote.load_duration(m.bytes);
             let out = RestoreOutcome {
                 manifest: id,
                 step: m.step,

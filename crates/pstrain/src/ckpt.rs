@@ -4,11 +4,13 @@
 //! minutes" because the RDS bandwidth is shared and throttled; the
 //! flash-checkpoint path writes to a distributed caching service instead
 //! ("less than 1 second for a 20GB model") and flushes to RDS
-//! *asynchronously* for durability. [`TieredCheckpointer`] models both tiers
-//! and reports the synchronous (critical-path) and asynchronous components
-//! of every save/load.
+//! *asynchronously* for durability. This module is the physics of the two
+//! tiers — `base latency + bytes / bandwidth` — and nothing else: the
+//! migration timelines price pauses with it, and `dlrover_master`'s
+//! checkpoint plane (which owns the state: manifests, the shared transfer
+//! queue, commits, restores) is configured by the same two structs.
 
-use dlrover_sim::{SimDuration, SimTime};
+use dlrover_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
 /// A storage tier for checkpoints: bandwidth + fixed latency.
@@ -94,80 +96,6 @@ impl CheckpointStore for FlashStore {
     }
 }
 
-/// Record of the most recent checkpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CheckpointRecord {
-    /// Training step at which the checkpoint was taken.
-    pub step: u64,
-    /// Serialized size.
-    pub bytes: u64,
-    /// When the synchronous (flash) write completed.
-    pub cached_at: SimTime,
-    /// When the asynchronous RDS flush will complete (durability point).
-    pub durable_at: SimTime,
-}
-
-/// Two-tier checkpointer: synchronous flash write + asynchronous RDS flush.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TieredCheckpointer {
-    /// Fast tier.
-    pub flash: FlashStore,
-    /// Durable tier.
-    pub rds: RdsStore,
-    /// Latest checkpoint, if any.
-    pub latest: Option<CheckpointRecord>,
-}
-
-impl TieredCheckpointer {
-    /// Creates a tiered checkpointer.
-    pub fn new(flash: FlashStore, rds: RdsStore) -> Self {
-        TieredCheckpointer { flash, rds, latest: None }
-    }
-
-    /// Saves a checkpoint of `bytes` at `now`. Returns the *synchronous*
-    /// pause (flash write); the RDS flush happens in the background and
-    /// completes at the recorded `durable_at`.
-    pub fn save(&mut self, step: u64, bytes: u64, now: SimTime) -> SimDuration {
-        let sync = self.flash.save_duration(bytes);
-        let cached_at = now + sync;
-        let durable_at = cached_at + self.rds.save_duration(bytes);
-        self.latest = Some(CheckpointRecord { step, bytes, cached_at, durable_at });
-        sync
-    }
-
-    /// Loads the latest checkpoint at `now`. Prefers the flash tier when the
-    /// cached copy exists (migration path); falls back to RDS when only the
-    /// durable copy would be available (recovery after cache loss, i.e. the
-    /// flash copy is only usable if `now >= cached_at`; RDS only if
-    /// `now >= durable_at`).
-    ///
-    /// Returns `(load_duration, from_flash)` or `None` when nothing usable
-    /// exists yet.
-    pub fn load(&self, now: SimTime, cache_intact: bool) -> Option<(SimDuration, bool)> {
-        let rec = self.latest?;
-        if cache_intact && now >= rec.cached_at {
-            Some((self.flash.load_duration(rec.bytes), true))
-        } else if now >= rec.durable_at {
-            Some((self.rds.load_duration(rec.bytes), false))
-        } else {
-            None
-        }
-    }
-
-    /// Steps of training lost if the job crashes at `now` and must restore
-    /// from the best available copy, given training progressed to
-    /// `current_step`.
-    pub fn lost_steps(&self, current_step: u64, now: SimTime, cache_intact: bool) -> u64 {
-        match self.load(now, cache_intact) {
-            Some((_, _)) => {
-                let rec = self.latest.expect("load implies record");
-                current_step.saturating_sub(rec.step)
-            }
-            None => current_step,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,61 +123,6 @@ mod tests {
     fn flash_load_is_fast_too() {
         let flash = FlashStore::default();
         assert!(flash.load_duration(20 * GB).as_secs_f64() < 1.0);
-    }
-
-    #[test]
-    fn tiered_save_returns_only_sync_cost() {
-        let mut t = TieredCheckpointer::new(FlashStore::default(), RdsStore::default());
-        let pause = t.save(1000, 20 * GB, SimTime::from_secs(100));
-        assert!(pause.as_secs_f64() < 1.0, "critical path must be the flash write");
-        let rec = t.latest.unwrap();
-        assert!(rec.durable_at > rec.cached_at, "RDS flush is asynchronous");
-        assert!(rec.durable_at.saturating_since(rec.cached_at).as_mins_f64() > 3.0);
-    }
-
-    #[test]
-    fn load_prefers_flash_when_cache_intact() {
-        let mut t = TieredCheckpointer::new(FlashStore::default(), RdsStore::default());
-        t.save(1000, 20 * GB, SimTime::from_secs(100));
-        let later = SimTime::from_secs(2_000);
-        let (d, from_flash) = t.load(later, true).unwrap();
-        assert!(from_flash);
-        assert!(d.as_secs_f64() < 1.0);
-    }
-
-    #[test]
-    fn load_falls_back_to_rds_when_cache_lost() {
-        let mut t = TieredCheckpointer::new(FlashStore::default(), RdsStore::default());
-        t.save(1000, 20 * GB, SimTime::from_secs(100));
-        let after_flush = t.latest.unwrap().durable_at + SimDuration::from_secs(1);
-        let (d, from_flash) = t.load(after_flush, false).unwrap();
-        assert!(!from_flash);
-        assert!(d.as_mins_f64() > 2.0, "RDS load should be slow: {d}");
-    }
-
-    #[test]
-    fn crash_before_durability_with_lost_cache_loses_everything() {
-        let mut t = TieredCheckpointer::new(FlashStore::default(), RdsStore::default());
-        t.save(1000, 20 * GB, SimTime::from_secs(100));
-        // Crash 10s later: flash gone, RDS flush incomplete.
-        let crash = SimTime::from_secs(110);
-        assert!(t.load(crash, false).is_none());
-        assert_eq!(t.lost_steps(1500, crash, false), 1500);
-    }
-
-    #[test]
-    fn lost_steps_counts_since_checkpoint() {
-        let mut t = TieredCheckpointer::new(FlashStore::default(), RdsStore::default());
-        t.save(1000, GB, SimTime::from_secs(100));
-        let later = SimTime::from_secs(5_000);
-        assert_eq!(t.lost_steps(1700, later, true), 700);
-    }
-
-    #[test]
-    fn no_checkpoint_means_total_loss() {
-        let t = TieredCheckpointer::new(FlashStore::default(), RdsStore::default());
-        assert!(t.load(SimTime::from_secs(10), true).is_none());
-        assert_eq!(t.lost_steps(500, SimTime::from_secs(10), true), 500);
     }
 
     #[test]

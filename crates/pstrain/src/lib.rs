@@ -13,9 +13,9 @@
 //!   small, variably-sized shards checked out by workers on demand, with
 //!   progress offsets, straggler-aware shard sizing, failure requeueing, and
 //!   an exactly-once consumption guarantee (property-tested).
-//! * [`ckpt`] — checkpoint stores (§5.2): a slow remote RDS tier, a fast
-//!   in-memory **flash-checkpoint** tier, and the tiered writer that saves to
-//!   cache synchronously and flushes to RDS asynchronously.
+//! * [`ckpt`] — checkpoint store physics (§5.2): a slow remote RDS tier and
+//!   a fast in-memory **flash-checkpoint** tier (the stateful two-tier plane
+//!   built on them is `dlrover_master::ckptplane`).
 //! * [`migration`] — the **seamless migration** state machine (§5.2):
 //!   timelines for no-intervention, stop-and-restart, and
 //!   seamless+flash-checkpoint strategies (Figs. 12–13).
@@ -39,7 +39,7 @@ pub mod sharding;
 #[cfg(test)]
 mod sharding_reference;
 
-pub use ckpt::{CheckpointStore, FlashStore, RdsStore, TieredCheckpointer};
+pub use ckpt::{CheckpointStore, FlashStore, RdsStore};
 pub use cost::{
     dynamic_sharding_completion_seconds, static_partition_completion_seconds, AsyncCostModel,
     HybridCostModel, PodState, PsPartition,

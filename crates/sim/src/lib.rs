@@ -2,16 +2,13 @@
 //!
 //! Every experiment in this workspace runs on *virtual time*: latencies such
 //! as pod start-up, checkpoint writes, or training iterations are modelled as
-//! durations and advanced through an event queue, so a 15-hour training job
-//! simulates in milliseconds and a 12-month fleet trace simulates in seconds.
+//! durations, so a 15-hour training job simulates in milliseconds and a
+//! 12-month fleet trace simulates in seconds. (The event queue that orders
+//! them lives with its users: `dlrover_cluster::TimerWheel`.)
 //!
-//! The kernel provides three things:
+//! The kernel provides:
 //!
 //! * [`SimTime`] / [`SimDuration`] — a microsecond-resolution virtual clock.
-//! * [`EventQueue`] — a binary-heap priority queue with *stable* FIFO
-//!   tie-breaking, so two events scheduled for the same instant fire in the
-//!   order they were pushed. This is what makes whole-cluster simulations
-//!   reproducible bit-for-bit.
 //! * [`RngStreams`] / [`distributions`] — named, independently seeded random
 //!   streams plus the latency/size distributions the cluster model needs
 //!   (normal, log-normal, exponential, Zipf, …). Streams are derived from the
@@ -24,13 +21,11 @@
 pub mod distributions;
 pub mod episode;
 pub mod faultplan;
-pub mod queue;
 pub mod rng;
 pub mod time;
 
 pub use distributions::{Bernoulli, Exponential, LogNormal, Normal, Pareto, Sample, Uniform, Zipf};
 pub use episode::{Episode, EpisodeSchedule};
 pub use faultplan::{FaultEvent, FaultKind, FaultPlan, FaultPlanConfig};
-pub use queue::{EventQueue, ScheduledEvent};
 pub use rng::{splitmix64, RngStreams, StreamRng};
 pub use time::{SimDuration, SimTime};

@@ -2,10 +2,22 @@
 //! loss must never lose or duplicate training data, and jobs must finish.
 
 use dlrover_rm::cluster::{PodPhase, PodRole, PodSpec, Priority};
+use dlrover_rm::master::{CheckpointPlane, CkptPlaneConfig, RestoreSource};
 use dlrover_rm::prelude::*;
+use dlrover_rm::pstrain::{CheckpointStore, RdsStore};
 
 const SLICE: SimDuration = SimDuration::from_secs(30);
 const FAR: SimTime = SimTime::from_secs(3_600 * 24 * 30);
+
+const MODEL_BYTES: u64 = 20_000_000_000;
+
+/// A checkpoint plane for one job whose hot tier holds a whole 20 GB model.
+fn one_job_plane() -> CheckpointPlane {
+    CheckpointPlane::new(CkptPlaneConfig {
+        hot_capacity_bytes: 2 * MODEL_BYTES,
+        ..CkptPlaneConfig::default()
+    })
+}
 
 fn engine(steps: u64, w: usize) -> PsTrainingEngine {
     PsTrainingEngine::new(
@@ -141,19 +153,24 @@ fn node_failure_kills_pods_and_jobs_recover() {
 
 #[test]
 fn flash_checkpoint_bounds_work_lost_to_failures() {
-    use dlrover_rm::pstrain::{FlashStore, RdsStore, TieredCheckpointer};
-    let mut ckpt = TieredCheckpointer::new(FlashStore::default(), RdsStore::default());
+    let mut plane = one_job_plane();
+    assert!(plane.restore(0, SimTime::ZERO).is_none(), "no checkpoint yet: total loss");
     // Checkpoint every 1000 steps; crash at step 4321 with cache intact.
-    for step in (0..=4_000).step_by(1_000) {
-        ckpt.save(step as u64, 20_000_000_000, SimTime::from_secs(step as u64));
+    for step in (0..=4_000u64).step_by(1_000) {
+        plane.save(0, 0, step, step * 512, MODEL_BYTES, SimTime::from_secs(step));
     }
-    let lost = ckpt.lost_steps(4_321, SimTime::from_secs(5_000), true);
-    assert_eq!(lost, 321, "flash checkpoint caps the loss to one interval");
+    let crash = SimTime::from_secs(5_000);
+    let cached = plane.restore(0, crash).expect("hot copy");
+    assert_eq!(cached.source, RestoreSource::Hot);
+    assert!(cached.duration.as_secs_f64() < 1.0, "flash load is sub-second");
+    assert_eq!(4_321 - cached.step, 321, "flash checkpoint caps the loss to one interval");
     // With the cache destroyed (node loss) we fall back to the last durable
     // RDS flush, which may be one interval older but never loses the job.
-    let lost_rds = ckpt.lost_steps(4_321, SimTime::from_secs(5_000), false);
-    assert!(lost_rds >= 321);
-    assert!(lost_rds <= 1_321);
+    plane.invalidate_hot(0, crash);
+    let durable = plane.restore(0, crash).expect("durable copy");
+    assert_eq!(durable.source, RestoreSource::Remote);
+    assert!(durable.duration.as_mins_f64() > 2.0, "RDS load is slow: {}", durable.duration);
+    assert!((321..=1_321).contains(&(4_321 - durable.step)));
 }
 
 #[test]
@@ -200,21 +217,24 @@ fn ps_failure_during_inflight_seamless_migration() {
 
 #[test]
 fn node_loss_during_flash_checkpoint_falls_back_to_durable_tier() {
-    use dlrover_rm::pstrain::{FlashStore, RdsStore, TieredCheckpointer};
     // The node hosting the flash cache dies while a checkpoint write is
     // still in flight: the cached copy is gone and the asynchronous RDS
-    // flush has not landed yet, so nothing is restorable until `durable_at`
-    // — at which point recovery comes from the durable tier (§6.3).
-    let mut tiered = TieredCheckpointer::new(FlashStore::default(), RdsStore::default());
+    // flush has not landed yet, so nothing is restorable until the manifest
+    // commits — at which point recovery comes from the durable tier (§6.3).
+    let mut plane = one_job_plane();
     let t0 = SimTime::from_secs(1_000);
-    tiered.save(3_000, 20_000_000_000, t0);
-    let rec = tiered.latest.expect("record exists");
-    assert!(tiered.load(t0, false).is_none(), "mid-write crash: nothing restorable yet");
-    assert_eq!(tiered.lost_steps(3_100, t0, false), 3_100);
-    let (load, from_flash) = tiered.load(rec.durable_at, false).expect("durable copy lands");
-    assert!(!from_flash, "cache destroyed by node loss: restore must use RDS");
-    assert!(load > SimDuration::ZERO);
-    assert_eq!(tiered.lost_steps(3_100, rec.durable_at, false), 100);
+    let saved = plane.save(0, 0, 3_000, 3_000 * 512, MODEL_BYTES, t0);
+    assert!(saved.hot_pause.as_secs_f64() < 1.0, "critical path is the flash write");
+    plane.invalidate_hot(0, t0);
+    assert!(plane.restore(0, t0).is_none(), "mid-write crash: nothing restorable yet");
+    let flush = RdsStore::default().save_duration(saved.new_bytes);
+    assert!(flush.as_mins_f64() > 3.0, "the RDS flush is asynchronous and slow");
+    let margin = SimDuration::from_secs(1);
+    assert!(plane.restore(0, t0 + flush - margin).is_none(), "flush still in flight");
+    let restored = plane.restore(0, t0 + flush + margin).expect("durable copy lands");
+    assert_eq!(restored.source, RestoreSource::Remote, "cache destroyed: restore must use RDS");
+    assert!(restored.duration > SimDuration::ZERO);
+    assert_eq!(3_100 - restored.step, 100);
 
     // The quiesced engine checkpoint restored onto fresh pods (a different
     // node) replays at most the in-flight shards and never skips data.
