@@ -2,9 +2,10 @@
 //! event queue ordered by `(fire_time, sequence)`.
 //!
 //! [`TimerWheel`] replaced that heap (now the test-only reference model
-//! `queue::EventQueue` beside this file) on the fleet-scale path: push/pop are O(1) amortised instead of O(log n), and — more
-//! importantly at a million pods — the hot slots for near-future events stay
-//! cache-resident instead of churning a heap that spans the whole horizon.
+//! `queue::EventQueue` beside this file) on the fleet-scale path: push/pop
+//! are O(1) amortised instead of O(log n), and — more importantly at a
+//! million pods — the hot slots for near-future events stay cache-resident
+//! instead of churning a heap that spans the whole horizon.
 //!
 //! Layout: virtual time is bucketed into ticks of 2^10 µs (≈1 ms). Seven
 //! levels of 64 slots each cover 64^7 ≈ 4.4·10^12 ticks (≈140 years of

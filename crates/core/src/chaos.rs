@@ -163,6 +163,12 @@ enum JobPod {
     Ps(usize),
 }
 
+impl JobPod {
+    fn is_worker(self) -> bool {
+        matches!(self, JobPod::Worker)
+    }
+}
+
 /// A placed replacement whose startup has not finished.
 #[derive(Debug, Clone, Copy)]
 struct Starting {
@@ -213,8 +219,8 @@ impl JobPods {
     fn tracked_workers(&self) -> usize {
         self.workers.len()
             + self.ready.len()
-            + self.starting.iter().filter(|s| matches!(s.role, JobPod::Worker)).count()
-            + self.parked.iter().filter(|p| matches!(p.role, JobPod::Worker)).count()
+            + self.starting.iter().filter(|s| s.role.is_worker()).count()
+            + self.parked.iter().filter(|p| p.role.is_worker()).count()
     }
 
     /// Every pod held, collection by collection.
@@ -230,22 +236,12 @@ impl JobPods {
     /// (starting, parked, ready) and returns them. PS placements stay: they
     /// carry their partition index.
     fn take_unbound_workers(&mut self) -> Vec<PodId> {
-        let mut released = Vec::new();
-        self.starting.retain(|s| match s.role {
-            JobPod::Worker => {
-                released.push(s.pod);
-                false
-            }
-            JobPod::Ps(_) => true,
-        });
-        self.parked.retain(|p| match p.role {
-            JobPod::Worker => {
-                released.extend(p.pod);
-                false
-            }
-            JobPod::Ps(_) => true,
-        });
-        released.extend(self.ready.drain(..));
+        let starting = self.starting.iter().filter(|s| s.role.is_worker()).map(|s| s.pod);
+        let parked = self.parked.iter().filter(|p| p.role.is_worker()).filter_map(|p| p.pod);
+        let released = starting.chain(parked).chain(self.ready.iter().copied()).collect();
+        self.starting.retain(|s| !s.role.is_worker());
+        self.parked.retain(|p| !p.role.is_worker());
+        self.ready.clear();
         released
     }
 }
@@ -267,6 +263,18 @@ struct TimedEffects {
     node_recoveries: Vec<(SimTime, usize)>,
     /// Admission for the job's replacement requests is frozen before this.
     storm_until: SimTime,
+}
+
+/// Removes the entries of `timed` whose time has come (`until <= now`),
+/// handing each one's payload to `on_expiry` in list order.
+fn expire<T: Copy>(timed: &mut Vec<(SimTime, T)>, now: SimTime, mut on_expiry: impl FnMut(T)) {
+    timed.retain(|&(until, what)| {
+        let live = until > now;
+        if !live {
+            on_expiry(what);
+        }
+        live
+    });
 }
 
 /// Fault-free reference run: same spec/allocation/config, no plan, no
@@ -597,7 +605,7 @@ impl<'a> ChaosDriver<'a> {
     /// replacement was announced by `handle_ps_failure`), and wait.
     fn begin_startup(&mut self, pod: PodId, role: JobPod) {
         let startup = self.sample_startup();
-        if matches!(role, JobPod::Worker) {
+        if role.is_worker() {
             self.master.replace_failed_worker(startup);
         }
         self.pods.starting.push(Starting { ready_at: self.now + startup, pod, role });
@@ -1051,10 +1059,8 @@ impl<'a> ChaosDriver<'a> {
     /// 3. Organic churn due now: same kill machinery, no FaultInjected
     ///    marker (the oracle only deadline-checks scripted kills).
     fn deliver_organic_churn(&mut self) {
-        let now = self.now;
-        let due: Vec<PodId> =
-            self.effects.organic.iter().filter(|&&(t, _)| t <= now).map(|&(_, id)| id).collect();
-        self.effects.organic.retain(|&(t, _)| t > now);
+        let mut due = Vec::new();
+        expire(&mut self.effects.organic, self.now, |pod| due.push(pod));
         for pod in due {
             let slot_already_dead = (self.pods.worker_slot_of(pod))
                 .is_some_and(|idx| !self.master.engine().worker_is_alive(idx));
@@ -1069,28 +1075,10 @@ impl<'a> ChaosDriver<'a> {
         let now = self.now;
         let fx = &mut self.effects;
         let engine = self.master.engine_mut();
-        fx.pressure_clears.retain(|&(until, idx)| {
-            let expired = until <= now;
-            if expired {
-                engine.set_ps_mem_pressure(idx, 0);
-            }
-            !expired
-        });
+        expire(&mut fx.pressure_clears, now, |idx| engine.set_ps_mem_pressure(idx, 0));
         let cluster = &mut self.cluster;
-        fx.service_pod_ends.retain(|&(until, id)| {
-            let expired = until <= now;
-            if expired {
-                cluster.terminate_pod(id, PodPhase::Succeeded);
-            }
-            !expired
-        });
-        fx.node_recoveries.retain(|&(until, n)| {
-            let expired = until <= now;
-            if expired {
-                cluster.recover_node(NodeId(n as u32));
-            }
-            !expired
-        });
+        expire(&mut fx.service_pod_ends, now, |id| cluster.terminate_pod(id, PodPhase::Succeeded));
+        expire(&mut fx.node_recoveries, now, |n| cluster.recover_node(NodeId(n as u32)));
         fx.stragglers.retain(|&(_, until, _)| until > now);
         fx.network = fx.network.filter(|&(until, _)| until > now);
         let net_factor = fx.network.map_or(1.0, |(_, f)| f);
