@@ -361,9 +361,9 @@ mod tests {
         assert_ne!(s1.digest(), s2.digest(), "refcounts are part of the digest");
     }
 
-    /// The pinned `BENCH_ckptplane.json` digest is a fold in ascending key
-    /// order; a store that folded in map order would pass every
-    /// self-comparison and still move `results/ckptplane.json`.
+    /// The digest `plane::tests::churned_plane_digest_is_pinned` pins is a
+    /// fold in ascending key order; a store that folded in map order would
+    /// pass every self-comparison and still move `results/ckptplane.json`.
     #[test]
     fn digest_folds_in_ascending_key_order() {
         let mut s = ChunkStore::default();

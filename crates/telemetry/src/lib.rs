@@ -667,6 +667,53 @@ mod tests {
         assert_eq!(serialized(&owned.into()), serialized(&sequential));
     }
 
+    /// FNV-1a 64, the hash of the golden corpus (`dlrover_bench::golden`).
+    fn fnv64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    /// The standing witness of the merge path: 64 unit sinks of 4 000
+    /// events and 1 200 spans (600 parent/child pairs) each, merged, to the
+    /// bytes they merged to before the tail-only merge, the owned sinks and
+    /// every serializer change since.
+    #[test]
+    fn merged_unit_corpus_bytes_are_pinned() {
+        let parts: Vec<Telemetry> = (0..64u64)
+            .map(|u| {
+                let t = Telemetry::default();
+                t.reserve_events(4_000);
+                for i in 0..4_000u64 {
+                    t.record(
+                        SimTime::from_micros(u * 1_000_000 + i),
+                        EventKind::WorkerAdded { worker: i },
+                    );
+                }
+                for i in 0..600u64 {
+                    let at = SimTime::from_micros(u * 1_000_000 + i * 10);
+                    let p = t.span_open(at, SpanCategory::Iteration, "slice", u, None);
+                    t.span_complete(
+                        at,
+                        SimTime::from_micros(at.as_micros() + 5),
+                        SpanCategory::IterLookup,
+                        "lookup",
+                        u,
+                        Some(p),
+                    );
+                    t.span_close(SimTime::from_micros(at.as_micros() + 9), p);
+                }
+                t.count("units", 1);
+                t.observe("iter_s", 0.25 + (u % 7) as f64 * 0.05);
+                t
+            })
+            .collect();
+        let merged = Telemetry::merge_ordered(parts.iter());
+        let digest =
+            fnv64(merged.to_jsonl().as_bytes()) ^ fnv64(merged.spans_to_jsonl().as_bytes());
+        assert_eq!(digest, 0x31a2_31ce_41e2_a1c1);
+    }
+
     #[test]
     fn an_owned_sink_records_like_a_handle() {
         let mut owned = Sink::with_capacity(2);
