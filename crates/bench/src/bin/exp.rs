@@ -10,46 +10,44 @@
 //! cargo run --release -p dlrover-bench --bin exp -- trace --chrome fig12
 //! cargo run --release -p dlrover-bench --bin exp -- critpath fig12
 //! ```
+//!
+//! Every file `exp` writes is a function of the seed. How fast the
+//! reproduction runs is measured by `benchmark/` (see `BENCHMARK.json`);
+//! the only wall-clock here goes to stderr, the `fleetscale` stdout table
+//! and, under `DLROVER_PROF=1`, the git-ignored `results/prof/`.
 
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
-use dlrover_bench::experiments as exp;
-use dlrover_bench::experiments::REGISTRY;
+use dlrover_bench::experiments::{fleetscale, RunArgs, Runner, REGISTRY};
 use dlrover_bench::golden::{write_golden, GoldenDigest};
 use dlrover_bench::{
-    chrome_trace_json, critpath_report, events_per_sec, format_bytes, peak_rss_bytes, perf,
+    chrome_trace_json, critpath_report, dump_profile, events_per_sec, format_bytes, peak_rss_bytes,
     results_dir,
 };
-use dlrover_telemetry::{parse_spans_jsonl, Event};
+use dlrover_telemetry::{parse_spans_jsonl, prof, Event};
 
 fn usage() -> ! {
-    eprintln!("usage: exp [--seed N] [--threads N] <experiment|all> [more experiments...]");
+    eprintln!("usage: exp [--seed N] [--threads N] [--plans K] [--episodes E] <experiment|all>...");
     eprintln!("       exp [--seed N] [--threads N] --regen-golden");
-    eprintln!("       exp perf [--check] [--tolerance X] [--seed N] [--max-pods P] [areas...]");
-    eprintln!("       exp bench-parallel [--threads N]");
     eprintln!("       exp fleetscale [--seed N] [--max-pods P] [--shards A,B,...]");
-    eprintln!("       exp chaos [--seed N] [--plans K]");
-    eprintln!("       exp ckptplane [--seed N]");
-    eprintln!("       exp tournament [--seed N] [--plans K] [--episodes E]");
-    eprintln!("       exp reconfig [--seed N] [--plans K]");
     eprintln!("       exp trace [--filter KINDS] <id|trace.jsonl>");
     eprintln!("       exp trace --diff <left.jsonl> <right.jsonl>");
     eprintln!("       exp trace --chrome <id|spans.jsonl>");
     eprintln!("       exp critpath <id|spans.jsonl>\n");
     eprintln!("--threads N caps the per-experiment worker pool (default: the");
     eprintln!("machine's available parallelism; output is identical at any N).");
+    eprintln!("--plans K sizes the fault-plan sweeps of chaos, tournament and");
+    eprintln!("reconfig, --episodes E the training of tournament's learned");
+    eprintln!("contenders (defaults: what the committed artefacts were run at);");
+    eprintln!("either one given with none of its experiments selected is an error.");
+    eprintln!("An experiment whose oracle reports a violation (or, ckptplane,");
+    eprintln!("whose shard counts diverge) makes exp exit non-zero.");
     eprintln!("--regen-golden reruns everything and refreshes tests/golden/.");
-    eprintln!("perf runs one fixed wall-clock workload per hot area (areas:");
-    eprintln!("{}) and refreshes BENCH_<area>.json +", perf::AREAS.join(", "));
-    eprintln!("results/prof/<area>.folded; with --check it instead gates fresh");
-    eprintln!("numbers against the checked-in baselines (fail beyond --tolerance,");
-    eprintln!("default 2x) without touching any artefact.");
-    eprintln!("bench-parallel times `exp all` at 1 vs N threads, byte-diffs the");
-    eprintln!("results, and writes BENCH_parallel.json at the workspace root.");
     eprintln!("fleetscale sweeps the sharded fleet core to --max-pods (default");
     eprintln!("1000000) across shard counts, verifies cross-shard digest");
     eprintln!("identity (non-zero exit on divergence), and writes");
-    eprintln!("results/fleetscale.json + BENCH_fleetscale.json.\n");
+    eprintln!("results/fleetscale.json.\n");
     eprintln!("KINDS is comma-separated event kind names; a trailing `*` globs");
     eprintln!("(e.g. --filter 'Pod*,JobStarted').\n");
     eprintln!("experiments:");
@@ -57,6 +55,45 @@ fn usage() -> ! {
         eprintln!("  {id:<10} {desc}");
     }
     std::process::exit(2);
+}
+
+/// The command line, split once for every subcommand: `--name value` pairs
+/// (the bare `--regen-golden` switch is kept with an empty value) and, in
+/// order, everything else.
+struct Flags {
+    pairs: Vec<(String, String)>,
+    rest: Vec<String>,
+}
+
+impl Flags {
+    /// `None` when a flag is missing its value.
+    fn parse(args: &[String]) -> Option<Flags> {
+        let mut flags = Flags { pairs: Vec::new(), rest: Vec::new() };
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            match arg.strip_prefix("--") {
+                Some("regen-golden") => flags.pairs.push(("regen-golden".into(), String::new())),
+                Some(name) => flags.pairs.push((name.to_string(), it.next()?.clone())),
+                None => flags.rest.push(arg.clone()),
+            }
+        }
+        Some(flags)
+    }
+
+    /// The parsed value of `--name` (the last one given), `None` when the
+    /// flag is absent; a value that does not parse is a usage error.
+    fn get<T: FromStr>(&self, name: &str) -> Option<T> {
+        let (_, value) = self.pairs.iter().rev().find(|(k, _)| k == name)?;
+        Some(value.parse().unwrap_or_else(|_| usage()))
+    }
+
+    /// Usage error unless every flag given is `--threads` (global) or one
+    /// of `allowed`.
+    fn only(&self, allowed: &[&str]) {
+        if self.pairs.iter().any(|(k, _)| k != "threads" && !allowed.contains(&k.as_str())) {
+            usage();
+        }
+    }
 }
 
 fn read_trace(path: &Path) -> String {
@@ -155,14 +192,16 @@ fn critpath_command(arg: &str) -> ! {
 }
 
 /// `exp trace`: dump, filter, diff, or export serialized event logs.
-fn trace_command(args: &[String]) -> ! {
-    if let Some(pos) = args.iter().position(|a| a == "--diff") {
-        let mut rest: Vec<&String> = args.iter().collect();
-        rest.remove(pos);
-        if rest.len() != 2 {
+fn trace_command(flags: &Flags) -> ! {
+    flags.only(&["diff", "filter", "chrome"]);
+    let rest = &flags.rest[1..];
+    let filter = flags.get::<String>("filter");
+    let chrome = flags.get::<String>("chrome");
+    if let Some(left) = flags.get::<String>("diff") {
+        if rest.len() != 1 || filter.is_some() || chrome.is_some() {
             usage();
         }
-        let (left, right) = (read_trace(Path::new(rest[0])), read_trace(Path::new(rest[1])));
+        let (left, right) = (read_trace(Path::new(&left)), read_trace(Path::new(&rest[0])));
         let diffs = dlrover_telemetry::diff_jsonl(&left, &right, 50);
         if diffs.is_empty() {
             println!("identical: {} events", left.lines().count());
@@ -176,19 +215,6 @@ fn trace_command(args: &[String]) -> ! {
         println!("{} differing line(s) (showing at most 50)", diffs.len());
         std::process::exit(1);
     }
-    let mut filter = None;
-    let mut chrome = None;
-    let mut rest: Vec<&String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--filter" {
-            filter = Some(it.next().unwrap_or_else(|| usage()).clone());
-        } else if a == "--chrome" {
-            chrome = Some(it.next().unwrap_or_else(|| usage()).clone());
-        } else {
-            rest.push(a);
-        }
-    }
     if let Some(arg) = chrome {
         if !rest.is_empty() || filter.is_some() {
             usage();
@@ -198,7 +224,7 @@ fn trace_command(args: &[String]) -> ! {
     if rest.len() != 1 {
         usage();
     }
-    let (_, path) = resolve_artefact(rest[0], "trace.jsonl");
+    let (_, path) = resolve_artefact(&rest[0], "trace.jsonl");
     let body = read_trace(&path);
     let mut shown = 0usize;
     for line in body.lines() {
@@ -217,250 +243,22 @@ fn trace_command(args: &[String]) -> ! {
     std::process::exit(0);
 }
 
-/// `exp chaos --seed N --plans K`: run K generated fault plans through the
-/// chaos harness and exit non-zero if any oracle invariant was violated
-/// (the CI smoke gate). Writes `results/chaos.json`.
-fn chaos_command(args: &[String]) -> ! {
-    let mut seed = 42u64;
-    let mut plans = 100u64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                seed = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--plans" => {
-                plans = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-            }
-            _ => usage(),
+/// `exp fleetscale`: sweep the sharded fleet core to `--max-pods` across
+/// `--shards` shard counts. The experiment module prints the table
+/// (pod-events/s per shard count included) and writes the deterministic
+/// `results/fleetscale.json`; this command exits non-zero if any shard
+/// count diverged from the single-shard digests.
+fn fleetscale_command(flags: &Flags) -> ! {
+    flags.only(&["seed", "max-pods", "shards"]);
+    let seed = flags.get("seed").unwrap_or(42u64);
+    let max_pods = flags.get("max-pods").unwrap_or(1_000_000u64);
+    let shards: Vec<u32> = match flags.get::<String>("shards") {
+        Some(list) => {
+            list.split(',').map(|s| s.trim().parse().unwrap_or_else(|_| usage())).collect()
         }
-    }
-    let (_, violations) = exp::chaos::run_chaos(seed, plans);
-    if violations > 0 {
-        eprintln!("chaos: {violations} invariant violation(s)");
-        std::process::exit(1);
-    }
-    std::process::exit(0);
-}
-
-/// `exp ckptplane --seed N`: sweep the tiered checkpoint plane (policy x
-/// recovery path) over the diurnal fleet trace and exit non-zero on any
-/// durability-oracle violation or cross-shard digest divergence (the CI
-/// smoke gate). Writes `results/ckptplane.json`.
-fn ckptplane_command(args: &[String]) -> ! {
-    let mut seed = 42u64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                seed = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-            }
-            _ => usage(),
-        }
-    }
-    let (_, violations, shard_invariant) = exp::ckptplane::run_ckptplane(seed);
-    if violations > 0 {
-        eprintln!("ckptplane: {violations} durability violation(s)");
-        std::process::exit(1);
-    }
-    if !shard_invariant {
-        eprintln!("ckptplane: shard counts DIVERGED — see results/ckptplane.json");
-        std::process::exit(1);
-    }
-    std::process::exit(0);
-}
-
-/// `exp tournament --seed N --plans K --episodes E`: train the learned
-/// contenders and race the full roster through the chaos gauntlet,
-/// exiting non-zero on any oracle invariant violation (the CI smoke
-/// gate). Writes `results/tournament.json`.
-fn tournament_command(args: &[String]) -> ! {
-    let mut seed = 42u64;
-    let mut plans = 4u64;
-    let mut episodes = 8u32;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                seed = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--plans" => {
-                plans = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--episodes" => {
-                episodes = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-            }
-            _ => usage(),
-        }
-    }
-    let (_, violations) = exp::tournament::run_tournament(seed, plans, episodes);
-    if violations > 0 {
-        eprintln!("tournament: {violations} invariant violation(s)");
-        std::process::exit(1);
-    }
-    std::process::exit(0);
-}
-
-/// `exp reconfig --seed N --plans K`: run the execution-plan
-/// reconfiguration ablation (off vs on, clean + K chaos plans per arm)
-/// and exit non-zero if any oracle invariant — including the
-/// reconfig-consistency invariant — was violated (the CI smoke gate).
-/// Writes `results/reconfig.json`.
-fn reconfig_command(args: &[String]) -> ! {
-    let mut seed = 42u64;
-    let mut plans = 4u64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                seed = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--plans" => {
-                plans = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-            }
-            _ => usage(),
-        }
-    }
-    let (_, violations) = exp::reconfig::run_reconfig(seed, plans);
-    if violations > 0 {
-        eprintln!("reconfig: {violations} invariant violation(s)");
-        std::process::exit(1);
-    }
-    std::process::exit(0);
-}
-
-/// `exp --regen-golden`: rerun every registered experiment at `seed`,
-/// then digest the artefacts it left in `results/` into
-/// `tests/golden/<id>.digest`. The tier-1 golden tests compare against
-/// exactly these files, so this is the one sanctioned way to bless an
-/// intentional behaviour change.
-fn regen_golden_command(seed: u64) -> ! {
-    for (id, _, run) in REGISTRY {
-        eprintln!(">>> running {id} (seed {seed})");
-        run(seed);
-    }
-    let dir = results_dir();
-    for (id, _, _) in REGISTRY {
-        let trace = read_trace(&dir.join(format!("{id}.trace.jsonl")));
-        let spans = read_trace(&dir.join(format!("{id}.spans.jsonl")));
-        let digest = GoldenDigest::of(&trace, &spans);
-        write_golden(id, &digest).unwrap_or_else(|e| {
-            eprintln!("cannot write golden digest for {id}: {e}");
-            std::process::exit(2);
-        });
-        eprintln!(
-            "golden {id}: trace_fnv={:#018x} spans_fnv={:#018x}",
-            digest.trace_fnv, digest.spans_fnv
-        );
-    }
-    eprintln!("refreshed {} digests in tests/golden/", REGISTRY.len());
-    std::process::exit(0);
-}
-
-/// `exp bench-parallel`: run `exp all` twice in child processes — once at
-/// one thread, once at `threads` — byte-diff the two output sets
-/// ([`perf::run_parallel_bench`]), and record honest wall-clock numbers
-/// in `BENCH_parallel.json` at the workspace root. Exits non-zero if any
-/// output byte differs (the ISSUE's determinism acceptance gate).
-fn bench_parallel_command(threads: usize) -> ! {
-    let bench = perf::run_parallel_bench(threads).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(1);
-    });
-    let out = perf::write_bench(
-        "parallel",
-        &["serial_s", "parallel_s", "speedup"],
-        &perf::parallel_body(&bench),
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let avail = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
-    println!(
-        "serial {:.1}s, parallel({threads}) {:.1}s, speedup {:.2}x \
-         (available_parallelism={avail}) -> {}",
-        bench.serial_s,
-        bench.parallel_s,
-        bench.speedup,
-        out.display()
-    );
-    std::process::exit(0);
-}
-
-/// `exp perf`: the self-profiling plane's entry point. Runs one fixed
-/// workload per hot area, refreshing `BENCH_<area>.json` and the folded
-/// profiles under `results/prof/` — or, with `--check`, gates fresh
-/// numbers against the checked-in baselines (the CI perf-smoke job).
-fn perf_command(args: &[String], threads_flag: Option<usize>) -> ! {
-    let mut opts = perf::PerfOpts {
-        threads: threads_flag
-            .unwrap_or_else(|| std::thread::available_parallelism().map(usize::from).unwrap_or(4))
-            .max(2),
-        ..perf::PerfOpts::default()
+        None => vec![1, 2, 4, 8],
     };
-    let mut areas: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--check" => opts.check = true,
-            "--tolerance" => {
-                opts.tolerance = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-                if opts.tolerance <= 1.0 || opts.tolerance.is_nan() {
-                    usage();
-                }
-            }
-            "--seed" => {
-                opts.seed = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--max-pods" => {
-                opts.max_pods = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-                if opts.max_pods == 0 {
-                    usage();
-                }
-            }
-            other if !other.starts_with('-') => areas.push(other.to_string()),
-            _ => usage(),
-        }
-    }
-    match perf::run(&areas, &opts) {
-        Ok(()) => std::process::exit(0),
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// `exp fleetscale`: sweep the sharded fleet core (ISSUE-6 tentpole) to
-/// `--max-pods` across `--shards` shard counts. Determinism lands in
-/// `results/fleetscale.json` via the experiment module; this command adds
-/// the wall-clock artefact `BENCH_fleetscale.json` (pod-events/sec per
-/// shard count, peak RSS, shard-scaling curves) at the workspace root and
-/// exits non-zero if any shard count diverged from the single-shard
-/// digests.
-fn fleetscale_command(args: &[String]) -> ! {
-    let mut seed = 42u64;
-    let mut max_pods = 1_000_000u64;
-    let mut shards: Vec<u32> = vec![1, 2, 4, 8];
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                seed = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--max-pods" => {
-                max_pods = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--shards" => {
-                let list = it.next().unwrap_or_else(|| usage());
-                shards =
-                    list.split(',').map(|s| s.trim().parse().unwrap_or_else(|_| usage())).collect();
-            }
-            _ => usage(),
-        }
-    }
-    if shards.is_empty() || shards.contains(&0) || max_pods == 0 {
+    if flags.rest.len() != 1 || shards.contains(&0) || max_pods == 0 {
         usage();
     }
     let mut targets: Vec<u64> =
@@ -468,111 +266,30 @@ fn fleetscale_command(args: &[String]) -> ! {
     if targets.is_empty() {
         targets.push(max_pods);
     }
-
-    let (outcome, body) = perf::run_fleetscale_bench(seed, &targets, &shards);
-    let out = perf::write_bench("fleetscale", &["pod_events_per_sec"], &body).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    println!("wrote {}", out.display());
-    if !outcome.all_identical {
+    let all_identical = fleetscale::run_sweep(seed, &targets, &shards);
+    if let Some(hot) = dump_profile("fleetscale") {
+        eprintln!("prof: {hot}");
+    }
+    if !all_identical {
         eprintln!("fleetscale: shard counts DIVERGED — see results/fleetscale.json");
         std::process::exit(1);
     }
     std::process::exit(0);
 }
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // `--threads N` is global: it caps the worker pool for every
-    // subcommand (output is identical at any value, only wall-clock
-    // changes). Parsed and stripped before dispatch.
-    let mut threads_flag = None;
-    if let Some(pos) = args.iter().position(|a| a == "--threads") {
-        if pos + 1 >= args.len() {
-            usage();
-        }
-        let n: usize = args[pos + 1].parse().unwrap_or_else(|_| usage());
-        if n == 0 {
-            usage();
-        }
-        dlrover_bench::parallel::set_threads(n);
-        threads_flag = Some(n);
-        args.drain(pos..=pos + 1);
-    }
-    if args.first().map(String::as_str) == Some("chaos") {
-        chaos_command(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("ckptplane") && args.len() > 1 {
-        ckptplane_command(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("tournament") && args.len() > 1 {
-        tournament_command(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("reconfig") && args.len() > 1 {
-        reconfig_command(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("fleetscale") {
-        fleetscale_command(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("trace") {
-        trace_command(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("critpath") {
-        if args.len() != 2 {
-            usage();
-        }
-        critpath_command(&args[1]);
-    }
-    if args.first().map(String::as_str) == Some("bench-parallel") {
-        if args.len() != 1 {
-            usage();
-        }
-        let threads = threads_flag
-            .unwrap_or_else(|| std::thread::available_parallelism().map(usize::from).unwrap_or(4))
-            .max(2);
-        bench_parallel_command(threads);
-    }
-    if args.first().map(String::as_str) == Some("perf") {
-        perf_command(&args[1..], threads_flag);
-    }
-    let mut seed = 42u64;
-    if let Some(pos) = args.iter().position(|a| a == "--seed") {
-        if pos + 1 >= args.len() {
-            usage();
-        }
-        seed = args[pos + 1].parse().unwrap_or_else(|_| usage());
-        args.drain(pos..=pos + 1);
-    }
-    if args.iter().any(|a| a == "--regen-golden") {
-        if args.len() != 1 {
-            usage();
-        }
-        regen_golden_command(seed);
-    }
-    if args.is_empty() {
-        usage();
-    }
-    let selected: Vec<&dlrover_bench::experiments::Runner> = if args.iter().any(|a| a == "all") {
-        REGISTRY.iter().collect()
-    } else {
-        args.iter()
-            .map(|a| {
-                REGISTRY.iter().find(|(id, _, _)| id == a).unwrap_or_else(|| {
-                    eprintln!("unknown experiment: {a}\n");
-                    usage()
-                })
-            })
-            .collect()
-    };
+/// Runs `selected` in order at `args` and returns the violations they
+/// reported, summed. Every experiment runs even after one has failed its
+/// gate: the artefacts of the rest are still wanted.
+fn run_experiments(selected: &[&Runner], args: &RunArgs) -> usize {
+    let mut violations = 0;
     for (id, _, run) in selected {
-        eprintln!(">>> running {id} (seed {seed})");
+        eprintln!(">>> running {id} (seed {})", args.seed);
         let started = std::time::Instant::now();
-        run(seed);
+        let (_, violated) = run(args);
         let secs = started.elapsed().as_secs_f64();
-        // Harness-side observability (ISSUE-6 satellite): telemetry events
-        // emitted per wall-clock second (from the trace the run just wrote)
-        // and the process peak RSS, on every one-line summary.
+        // Harness-side observability: telemetry events emitted per
+        // wall-clock second (from the trace the run just wrote), the
+        // process peak RSS and, when profiling, the hottest site.
         let mut extras = String::new();
         if let Ok(body) = std::fs::read_to_string(results_dir().join(format!("{id}.trace.jsonl"))) {
             let events = body.lines().count() as u64;
@@ -584,13 +301,113 @@ fn main() {
         if let Some(rss) = peak_rss_bytes() {
             extras.push_str(&format!(" · peak_rss {}", format_bytes(rss)));
         }
+        if let Some(hot) = dump_profile(id) {
+            extras.push_str(&format!(" · prof {hot}"));
+        }
         eprintln!("<<< {id} done in {secs:.1}s{extras}\n");
+        if violated > 0 {
+            eprintln!("{id}: {violated} invariant violation(s) — see results/{id}.json");
+        }
+        violations += violated;
+    }
+    violations
+}
+
+/// `exp <ids...|all>` and `exp --regen-golden`. The latter reruns every
+/// registered experiment at its default size, then digests the artefacts
+/// it left in `results/` into `tests/golden/<id>.digest`. The tier-1
+/// golden tests compare against exactly these files, so this is the one
+/// sanctioned way to bless an intentional behaviour change.
+fn run_command(flags: &Flags) -> ! {
+    flags.only(&["seed", "plans", "episodes", "regen-golden"]);
+    let args = RunArgs {
+        seed: flags.get("seed").unwrap_or(42),
+        plans: flags.get("plans"),
+        episodes: flags.get("episodes"),
+    };
+    let regen = flags.get::<String>("regen-golden").is_some();
+    // A run names its experiments; a regen names none and takes no sizes
+    // (the corpus is the committed artefacts', at the defaults).
+    let sized = args.plans.is_some() || args.episodes.is_some();
+    if flags.rest.is_empty() != regen || (regen && sized) {
+        usage();
+    }
+    let selected: Vec<&Runner> = if regen || flags.rest.iter().any(|a| a == "all") {
+        REGISTRY.iter().collect()
+    } else {
+        flags
+            .rest
+            .iter()
+            .map(|a| {
+                REGISTRY.iter().find(|(id, _, _)| id == a).unwrap_or_else(|| {
+                    eprintln!("unknown experiment: {a}\n");
+                    usage()
+                })
+            })
+            .collect()
+    };
+    // A size no selected experiment reads is a mistake, not a no-op.
+    let ids: Vec<&str> = selected.iter().map(|(id, _, _)| *id).collect();
+    if !args.sizes_are_read_by(&ids) {
+        usage();
+    }
+    if run_experiments(&selected, &args) > 0 {
+        std::process::exit(1);
+    }
+    if regen {
+        let dir = results_dir();
+        for (id, _, _) in REGISTRY {
+            let trace = read_trace(&dir.join(format!("{id}.trace.jsonl")));
+            let spans = read_trace(&dir.join(format!("{id}.spans.jsonl")));
+            let digest = GoldenDigest::of(&trace, &spans);
+            write_golden(id, &digest).unwrap_or_else(|e| {
+                eprintln!("cannot write golden digest for {id}: {e}");
+                std::process::exit(2);
+            });
+            eprintln!(
+                "golden {id}: trace_fnv={:#018x} spans_fnv={:#018x}",
+                digest.trace_fnv, digest.spans_fnv
+            );
+        }
+        eprintln!("refreshed {} digests in tests/golden/", REGISTRY.len());
+    }
+    std::process::exit(0);
+}
+
+fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let flags = Flags::parse(&argv).unwrap_or_else(|| usage());
+    // The workspace's one read of DLROVER_PROF: the library never consults
+    // the environment, so `prof::set_enabled` always has the last word.
+    if std::env::var("DLROVER_PROF").is_ok_and(|v| v == "1") {
+        prof::set_enabled(true);
+    }
+    // `--threads N` is global: it caps the worker pool for every
+    // subcommand (output is identical at any value, only wall-clock
+    // changes).
+    if let Some(n) = flags.get::<usize>("threads") {
+        if n == 0 {
+            usage();
+        }
+        dlrover_bench::parallel::set_threads(n);
+    }
+    match flags.rest.first().map(String::as_str) {
+        Some("trace") => trace_command(&flags),
+        Some("critpath") => {
+            flags.only(&[]);
+            if flags.rest.len() != 2 {
+                usage();
+            }
+            critpath_command(&flags.rest[1])
+        }
+        Some("fleetscale") => fleetscale_command(&flags),
+        _ => run_command(&flags),
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::filter_matches;
+    use super::*;
 
     /// ISSUE-2 satellite: `--filter` takes comma-separated kinds and
     /// `prefix*` globs.
@@ -609,5 +426,64 @@ mod tests {
         assert!(!filter_matches(",,", "JobStarted"));
         // A bare `*` matches everything.
         assert!(filter_matches("*", "Anything"));
+    }
+
+    fn parse(line: &str) -> Option<Flags> {
+        Flags::parse(&line.split_whitespace().map(str::to_string).collect::<Vec<_>>())
+    }
+
+    /// Flags and positionals separate wherever they stand, so the global
+    /// `--threads` / `--seed` may lead and a subcommand's flags may follow.
+    #[test]
+    fn flags_parse_once_for_every_subcommand() {
+        let f = parse("--threads 4 tournament --seed 7 --plans 2 --episodes 3 reconfig").unwrap();
+        assert_eq!(f.rest, ["tournament", "reconfig"]);
+        assert_eq!(f.get::<usize>("threads"), Some(4));
+        assert_eq!(f.get::<u64>("seed"), Some(7));
+        assert_eq!(f.get::<u64>("plans"), Some(2));
+        assert_eq!(f.get::<u32>("episodes"), Some(3));
+        assert_eq!(f.get::<u64>("max-pods"), None);
+
+        let f = parse("trace --diff a.jsonl b.jsonl").unwrap();
+        assert_eq!(
+            (f.get::<String>("diff").as_deref(), &f.rest[1..]),
+            (Some("a.jsonl"), &["b.jsonl".to_string()][..])
+        );
+
+        let f = parse("--seed 9 --regen-golden").unwrap();
+        assert!(f.rest.is_empty() && f.get::<String>("regen-golden").is_some());
+        assert!(parse("chaos --plans").is_none(), "a flag without its value");
+    }
+
+    /// `--plans` / `--episodes` need a selected experiment that reads them;
+    /// `all` selects the whole registry, so it reads both.
+    #[test]
+    fn a_size_nobody_reads_is_rejected() {
+        let plans = RunArgs { plans: Some(5), ..RunArgs::new(42) };
+        let episodes = RunArgs { episodes: Some(3), ..RunArgs::new(42) };
+        assert!(RunArgs::new(42).sizes_are_read_by(&["fig7"]));
+        assert!(!plans.sizes_are_read_by(&["fig7"]));
+        assert!(plans.sizes_are_read_by(&["fig7", "chaos"]));
+        assert!(!episodes.sizes_are_read_by(&["ckptplane"]));
+        assert!(!episodes.sizes_are_read_by(&["chaos", "reconfig"]));
+        assert!(episodes.sizes_are_read_by(&["tournament"]));
+        let all: Vec<&str> = REGISTRY.iter().map(|(id, _, _)| *id).collect();
+        assert!(RunArgs { plans: Some(5), ..episodes }.sizes_are_read_by(&all));
+        for reader in RunArgs::PLANS_READ_BY.iter().chain(&RunArgs::EPISODES_READ_BY) {
+            assert!(all.contains(reader), "{reader} is not a registered experiment");
+        }
+    }
+
+    /// The gate every `exp <ids>` / `exp all` invocation goes through: a
+    /// runner's violation count reaches the caller (which exits non-zero
+    /// on it) and does not stop the experiments after it.
+    #[test]
+    fn a_violation_from_any_runner_is_counted() {
+        let clean: Runner = ("stub-clean", "", |a| (format!("seed {}", a.seed), 0));
+        let failing: Runner = ("stub-failing", "", |_| (String::new(), 1));
+        let args = RunArgs::new(42);
+        assert_eq!(run_experiments(&[&clean], &args), 0);
+        assert_eq!(run_experiments(&[&failing, &clean], &args), 1);
+        assert_eq!(run_experiments(&[&clean, &failing, &failing], &args), 2);
     }
 }

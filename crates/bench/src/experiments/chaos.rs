@@ -19,8 +19,13 @@ use dlrover_sim::{FaultPlan, FaultPlanConfig, RngStreams};
 use dlrover_telemetry::Invariant;
 use serde::Serialize;
 
+use super::RunArgs;
 use crate::parallel::{merge_telemetry, run_units_auto, Unit, UnitOutput};
 use crate::Report;
+
+/// Generated plans in the default suite (`exp chaos` / `exp all`), the
+/// size of the committed artefact.
+const DEFAULT_PLANS: u64 = 20;
 
 /// Per-plan outcome row persisted into `results/chaos.json`.
 #[derive(Debug, Serialize)]
@@ -137,9 +142,10 @@ pub fn run_chaos(seed: u64, plans: u64) -> (String, usize) {
     (report.finish(), total_violations)
 }
 
-/// `EXPERIMENTS`-table entry (used by `exp all`): a modest default suite.
-pub fn run(seed: u64) -> String {
-    run_chaos(seed, 20).0
+/// Registry entry point: the default suite unless the command line sizes
+/// it with `--plans`.
+pub fn run(args: &RunArgs) -> (String, usize) {
+    run_chaos(args.seed, args.plans.unwrap_or(DEFAULT_PLANS))
 }
 
 #[cfg(test)]

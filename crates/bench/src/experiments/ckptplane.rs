@@ -34,6 +34,7 @@ use dlrover_telemetry::{Oracle, Telemetry};
 use rand::Rng;
 use serde::Serialize;
 
+use super::RunArgs;
 use crate::golden::fnv64;
 use crate::parallel::{merge_telemetry, run_units_auto, Unit};
 use crate::Report;
@@ -569,9 +570,11 @@ pub fn run_ckptplane(seed: u64) -> (String, usize, bool) {
     (report.finish(), total_violations, all_invariant)
 }
 
-/// `EXPERIMENTS`-table entry (used by `exp all`).
-pub fn run(seed: u64) -> String {
-    run_ckptplane(seed).0
+/// Registry entry point. A shard-count divergence counts as one more
+/// violation, so `exp` gates on both with the one number.
+pub fn run(args: &RunArgs) -> (String, usize) {
+    let (text, violations, shard_invariant) = run_ckptplane(args.seed);
+    (text, violations + usize::from(!shard_invariant))
 }
 
 #[cfg(test)]

@@ -16,10 +16,9 @@
 //!   this module verifies on every run (`cross_shard_identical`).
 //!
 //! Determinism (aggregates, digests, totals) goes to
-//! `results/fleetscale.json`; wall-clock (pod-events/sec, peak RSS,
-//! shard-scaling curves) is reported separately by the `exp fleetscale`
-//! subcommand into `BENCH_fleetscale.json`, keeping the results artefact
-//! byte-reproducible per seed.
+//! `results/fleetscale.json`; wall-clock (pod-events/sec per shard count,
+//! peak RSS) is printed in the stdout table and written nowhere, keeping
+//! the results artefact byte-reproducible per seed.
 //!
 //! This module is *not* in the golden-trace registry: its artefact is the
 //! aggregate digest itself (asserted identical across shard counts every
@@ -58,9 +57,9 @@ pub fn run_pooled(fleet: &mut ShardedFleet) -> u64 {
 }
 
 /// One (target, shard count) execution: deterministic outcome plus the
-/// wall-clock observations the bench artefact reports. The wall-clock
-/// fields (`wall_s`, `*_per_sec`) never enter `results/fleetscale.json` —
-/// only [`TargetSweep::deterministic_json`] is serialized there.
+/// wall-clock rates the stdout table prints. The `*_per_sec` fields never
+/// enter `results/fleetscale.json` — only
+/// [`TargetSweep::deterministic_json`] is serialized there.
 #[derive(Debug, Clone)]
 pub struct ShardRun {
     /// Shard count this execution used.
@@ -71,8 +70,6 @@ pub struct ShardRun {
     pub aggregate_digest: String,
     /// FNV-1a 64 of the merged telemetry event log.
     pub telemetry_fnv: String,
-    /// Harness wall-clock for the run, seconds (bench artefact only).
-    pub wall_s: f64,
     /// Pod lifecycle transitions processed per wall-clock second.
     pub pod_events_per_sec: f64,
     /// Wheel events processed per wall-clock second.
@@ -125,16 +122,6 @@ impl TargetSweep {
     }
 }
 
-/// Everything `exp fleetscale` needs: the deterministic report data plus
-/// the wall-clock scaling observations.
-#[derive(Debug)]
-pub struct SweepOutcome {
-    /// Per-target sweeps, ascending by pod target.
-    pub targets: Vec<TargetSweep>,
-    /// True only if every target was shard-count-identical.
-    pub all_identical: bool,
-}
-
 /// Measures one execution of the `cfg` fleet at `shard_count` shards.
 fn measure(cfg: &FleetScaleConfig, shard_count: u32, seed: u64) -> (ShardRun, FleetAggregates) {
     let mut fleet = ShardedFleet::new(cfg, shard_count, seed);
@@ -150,7 +137,6 @@ fn measure(cfg: &FleetScaleConfig, shard_count: u32, seed: u64) -> (ShardRun, Fl
         epochs,
         aggregate_digest: format!("{:#018x}", agg.digest()),
         telemetry_fnv: format!("{telemetry_fnv:#018x}"),
-        wall_s,
         pod_events_per_sec: totals.pod_events as f64 / wall_s,
         wheel_events_per_sec: totals.wheel_events as f64 / wall_s,
     };
@@ -211,9 +197,9 @@ pub fn sweep_config(
 /// Runs the full sweep and renders the report (the `exp fleetscale`
 /// entry point). Prints the paper's production-fleet rows (Table 4 /
 /// Fig. 3 context), writes `results/fleetscale.json` (deterministic
-/// content only), and returns the outcome so the CLI can emit the
-/// wall-clock artefact and exit non-zero on a cross-shard mismatch.
-pub fn run_sweep(seed: u64, targets: &[u64], shard_counts: &[u32]) -> SweepOutcome {
+/// content only), and returns whether every target was
+/// shard-count-identical so the CLI can exit non-zero on a mismatch.
+pub fn run_sweep(seed: u64, targets: &[u64], shard_counts: &[u32]) -> bool {
     let mut report = Report::new(
         "fleetscale",
         "production fleet replay at 10K-1M pods (Table 4 / Fig. 3 context)",
@@ -281,7 +267,7 @@ pub fn run_sweep(seed: u64, targets: &[u64], shard_counts: &[u32]) -> SweepOutco
     report.record("targets", &det);
     report.record("cross_shard_identical", &all_identical);
     report.finish();
-    SweepOutcome { targets: sweeps, all_identical }
+    all_identical
 }
 
 #[cfg(test)]

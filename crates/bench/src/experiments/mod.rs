@@ -1,31 +1,71 @@
-//! One module per table/figure. Each exposes `run(seed) -> String`
-//! (the rendered report).
+//! One module per table/figure. Each exposes `run(seed) -> String` (the
+//! rendered report); the four that audit their runs with the oracle take
+//! [`RunArgs`] and also return what the oracle found.
 
-/// One experiment registry entry: `(id, description, entry point)`.
-pub type Runner = (&'static str, &'static str, fn(u64) -> String);
+/// What the `exp` command line can tell an experiment.
+#[derive(Debug, Clone, Copy)]
+pub struct RunArgs {
+    /// `--seed` (42 regenerates the committed artefacts).
+    pub seed: u64,
+    /// `--plans`: fault plans for the experiments that sweep them
+    /// (`chaos`, `tournament`, `reconfig`); `None` is the experiment's own
+    /// default, the size of its committed artefact.
+    pub plans: Option<u64>,
+    /// `--episodes`: training episodes of `tournament`'s learned contenders.
+    pub episodes: Option<u32>,
+}
+
+impl RunArgs {
+    /// The experiments that read `plans`.
+    pub const PLANS_READ_BY: [&'static str; 3] = ["chaos", "tournament", "reconfig"];
+    /// The experiments that read `episodes`.
+    pub const EPISODES_READ_BY: [&'static str; 1] = ["tournament"];
+
+    /// Every experiment at its default size.
+    pub fn new(seed: u64) -> Self {
+        RunArgs { seed, plans: None, episodes: None }
+    }
+
+    /// Whether every size given has a reader among the experiments `ids`:
+    /// `exp fig7 --plans 5` would otherwise run `fig7` at its only size
+    /// and leave the caller believing the flag did something.
+    pub fn sizes_are_read_by(&self, ids: &[&str]) -> bool {
+        let read_by = |readers: &[&str]| ids.iter().any(|id| readers.contains(id));
+        (self.plans.is_none() || read_by(&Self::PLANS_READ_BY))
+            && (self.episodes.is_none() || read_by(&Self::EPISODES_READ_BY))
+    }
+}
+
+/// One experiment registry entry: `(id, description, entry point)`. The
+/// entry point returns the rendered report and the number of oracle
+/// invariant violations the run saw (0 from an experiment that gates on
+/// none); `exp` exits non-zero when any experiment it ran reports one.
+pub type Runner = (&'static str, &'static str, fn(&RunArgs) -> (String, usize));
 
 /// Every experiment, in paper order. Shared by the `exp` binary's
 /// dispatcher, the [`crate::fixture`] test fixture, and the
 /// [`crate::golden`] regression corpus, so the three can never drift.
 pub const REGISTRY: &[Runner] = &[
-    ("fig1a", "operator time distribution (lookup share)", fig1::run_fig1a),
-    ("fig1b", "embedding memory growth over 15h", fig1::run_fig1b),
-    ("table1", "CPU-only vs hybrid cost", table1::run),
-    ("fig3", "fleet utilisation CDF + pending times", fig3::run),
-    ("table2", "cluster job mix", table2::run),
-    ("fig7", "JCT by scheduler and model", fig7::run),
-    ("fig8", "convergence under elasticity (real training)", fig8::run),
-    ("fig9", "warm-starting accuracy", fig9::run),
-    ("fig10", "cold-start throughput ramp", fig10::run),
-    ("fig11", "throughput model fit", fig11::run),
-    ("fig12", "hot-PS recovery strategies", fig12_13::run_fig12),
-    ("fig13", "worker-straggler recovery strategies", fig12_13::run_fig13),
-    ("fig14", "12-month migration ramp", production::run_fig14),
-    ("fig15", "cluster-level JCT reductions", production::run_fig15),
-    ("table4", "failure rates before/after", production::run_table4),
-    ("ablations", "design-choice ablations", ablations::run),
+    ("fig1a", "operator time distribution (lookup share)", |a| (fig1::run_fig1a(a.seed), 0)),
+    ("fig1b", "embedding memory growth over 15h", |a| (fig1::run_fig1b(a.seed), 0)),
+    ("table1", "CPU-only vs hybrid cost", |a| (table1::run(a.seed), 0)),
+    ("fig3", "fleet utilisation CDF + pending times", |a| (fig3::run(a.seed), 0)),
+    ("table2", "cluster job mix", |a| (table2::run(a.seed), 0)),
+    ("fig7", "JCT by scheduler and model", |a| (fig7::run(a.seed), 0)),
+    ("fig8", "convergence under elasticity (real training)", |a| (fig8::run(a.seed), 0)),
+    ("fig9", "warm-starting accuracy", |a| (fig9::run(a.seed), 0)),
+    ("fig10", "cold-start throughput ramp", |a| (fig10::run(a.seed), 0)),
+    ("fig11", "throughput model fit", |a| (fig11::run(a.seed), 0)),
+    ("fig12", "hot-PS recovery strategies", |a| (fig12_13::run_fig12(a.seed), 0)),
+    ("fig13", "worker-straggler recovery strategies", |a| (fig12_13::run_fig13(a.seed), 0)),
+    ("fig14", "12-month migration ramp", |a| (production::run_fig14(a.seed), 0)),
+    ("fig15", "cluster-level JCT reductions", |a| (production::run_fig15(a.seed), 0)),
+    ("table4", "failure rates before/after", |a| (production::run_table4(a.seed), 0)),
+    ("ablations", "design-choice ablations", |a| (ablations::run(a.seed), 0)),
     ("chaos", "scripted fault plans vs the invariant oracle", chaos::run),
-    ("resilience", "recovery latency + goodput retained per fault kind", resilience::run),
+    ("resilience", "recovery latency + goodput retained per fault kind", |a| {
+        (resilience::run(a.seed), 0)
+    }),
     ("ckptplane", "tiered checkpoint plane: policy x recovery path sweep", ckptplane::run),
     ("tournament", "scheduler round-robin: heuristics vs learned, under chaos", tournament::run),
     ("reconfig", "execution-plan reconfiguration ablation under PS contention", reconfig::run),

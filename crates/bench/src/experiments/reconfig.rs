@@ -23,6 +23,7 @@ use dlrover_telemetry::Telemetry;
 use serde::Serialize;
 
 use super::common::history_for;
+use super::RunArgs;
 use crate::parallel::{merge_telemetry, run_units_auto, Unit};
 use crate::Report;
 
@@ -209,9 +210,10 @@ pub fn run_reconfig(seed: u64, plans: u64) -> (String, usize) {
     (report.finish(), total_violations)
 }
 
-/// `EXPERIMENTS`-table entry (used by `exp all`): the default sweep.
-pub fn run(seed: u64) -> String {
-    run_reconfig(seed, DEFAULT_PLANS).0
+/// Registry entry point: the default sweep unless the command line sizes
+/// it with `--plans`.
+pub fn run(args: &RunArgs) -> (String, usize) {
+    run_reconfig(args.seed, args.plans.unwrap_or(DEFAULT_PLANS))
 }
 
 #[cfg(test)]

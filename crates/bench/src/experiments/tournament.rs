@@ -29,6 +29,7 @@ use rand::RngCore;
 use serde::Serialize;
 
 use super::common::{history_for, truth_for};
+use super::RunArgs;
 use crate::parallel::{merge_telemetry, run_units_auto, Unit};
 use crate::Report;
 
@@ -357,9 +358,14 @@ pub fn run_tournament(seed: u64, plans: u64, episodes: u32) -> (String, usize) {
     (report.finish(), total_violations)
 }
 
-/// `EXPERIMENTS`-table entry (used by `exp all`): the default gauntlet.
-pub fn run(seed: u64) -> String {
-    run_tournament(seed, DEFAULT_PLANS, DEFAULT_EPISODES).0
+/// Registry entry point: the default gauntlet unless the command line
+/// sizes it with `--plans` / `--episodes`.
+pub fn run(args: &RunArgs) -> (String, usize) {
+    run_tournament(
+        args.seed,
+        args.plans.unwrap_or(DEFAULT_PLANS),
+        args.episodes.unwrap_or(DEFAULT_EPISODES),
+    )
 }
 
 #[cfg(test)]

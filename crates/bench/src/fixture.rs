@@ -17,7 +17,7 @@
 
 use std::sync::OnceLock;
 
-use crate::experiments::REGISTRY;
+use crate::experiments::{RunArgs, REGISTRY};
 use crate::results_dir;
 
 /// The seed the committed `results/` artefacts, the golden corpus, and all
@@ -52,7 +52,7 @@ pub fn canonical(id: &str) -> &'static ExperimentRun {
         .unwrap_or_else(|| panic!("unknown experiment id {id:?}"));
     CELLS[idx].get_or_init(|| {
         let (_, _, run) = REGISTRY[idx];
-        let text = run(CANONICAL_SEED);
+        let (text, _) = run(&RunArgs::new(CANONICAL_SEED));
         let dir = results_dir();
         let read = |suffix: &str| {
             let path = dir.join(format!("{id}.{suffix}"));

@@ -18,12 +18,11 @@ pub mod experiments;
 pub mod fixture;
 pub mod golden;
 pub mod parallel;
-pub mod perf;
 pub mod report;
 pub mod sysmetrics;
 
 pub use chrome::{chrome_trace, chrome_trace_json};
 pub use critpath::{critical_path, critical_path_by_track, critpath_report, CritPath};
 pub use parallel::{merge_telemetry, run_units, run_units_auto, Unit, UnitOutput};
-pub use report::{results_dir, Report};
+pub use report::{dump_profile, results_dir, Report};
 pub use sysmetrics::{events_per_sec, format_bytes, peak_rss_bytes};

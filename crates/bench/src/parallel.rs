@@ -67,25 +67,17 @@ pub struct UnitOutput<T> {
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Sets the pool width used by [`run_units_auto`] (the `--threads N` CLI
-/// flag). `0` restores the default resolution order.
+/// flag). `0` restores the default, the machine's available parallelism.
 pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::SeqCst);
 }
 
 /// The pool width [`run_units_auto`] will use: the [`set_threads`]
-/// override, else the `DLROVER_THREADS` environment variable, else the
-/// machine's available parallelism.
+/// override, else the machine's available parallelism.
 pub fn threads() -> usize {
     let n = THREAD_OVERRIDE.load(Ordering::SeqCst);
     if n > 0 {
         return n;
-    }
-    if let Ok(v) = std::env::var("DLROVER_THREADS") {
-        if let Ok(n) = v.parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
     }
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }

@@ -5,7 +5,7 @@ use std::fmt::Display;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use dlrover_telemetry::{parse_spans_jsonl, Telemetry};
+use dlrover_telemetry::{parse_spans_jsonl, prof, Telemetry};
 use serde::Serialize;
 
 use crate::critpath::critpath_report;
@@ -67,6 +67,32 @@ pub fn atomic_write(path: &Path, contents: &[u8]) -> std::io::Result<()> {
     fs::rename(&tmp, path).inspect_err(|_| {
         let _ = fs::remove_file(&tmp);
     })
+}
+
+/// With the wall-clock profiler on (`DLROVER_PROF=1 exp ...`), drains what
+/// it recorded since the last drain into `results/prof/<id>.folded`
+/// (flamegraph input, git-ignored) and returns the hottest site as
+/// `path NN% of self time` for the caller's summary line. `None` with the
+/// profiler off or when no scope ran.
+///
+/// The dump is outside every golden digest and every per-file comparison
+/// of `results/<id>.*`, but it is wall-clock inside the results directory:
+/// a recursive `diff -r` of two results directories (CI's thread matrix)
+/// sees it, so such a comparison must run with `DLROVER_PROF` unset.
+pub fn dump_profile(id: &str) -> Option<String> {
+    if !prof::enabled() {
+        return None;
+    }
+    let profile = prof::take_profile();
+    let (path, share) = profile.hottest()?;
+    let dir = results_dir().join("prof");
+    let out = dir.join(format!("{id}.folded"));
+    if let Err(e) =
+        fs::create_dir_all(&dir).and_then(|()| atomic_write(&out, profile.folded().as_bytes()))
+    {
+        eprintln!("cannot write {}: {e}", out.display());
+    }
+    Some(format!("{path} {:.0}% of self time", share * 100.0))
 }
 
 /// Collects one experiment's output.

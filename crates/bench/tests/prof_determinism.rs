@@ -5,11 +5,13 @@
 //! are machine- and run-dependent — the one thing the determinism
 //! contract forbids inside `results/<id>.json`, the event traces, and the
 //! golden corpus. The profiler therefore writes only to its own
-//! side-channels (`BENCH_*.json`, `results/prof/`). This test proves the
-//! isolation end-to-end: it runs real registry experiments at the
-//! canonical seed with profiling off and again with profiling on, and
-//! requires byte-identical artefacts, golden-corpus digest matches, and a
-//! non-empty captured profile (so "nothing leaked" is not "nothing ran").
+//! side-channel (`results/prof/<id>.folded`, the dump `exp` makes under
+//! `DLROVER_PROF=1`). This test proves the isolation end-to-end: it runs
+//! real registry experiments at the canonical seed with profiling off and
+//! again with profiling on, dumping each profile as `exp` does, and
+//! requires byte-identical artefacts, an unchanged artefact file set,
+//! golden-corpus digest matches, and non-empty dumps (so "nothing leaked"
+//! is not "nothing ran").
 //!
 //! One `#[test]` on purpose: the enable flag is process-global, and an
 //! integration test binary owns its process.
@@ -17,21 +19,24 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use dlrover_bench::experiments::REGISTRY;
+use dlrover_bench::dump_profile;
+use dlrover_bench::experiments::{RunArgs, REGISTRY};
 use dlrover_bench::golden::{read_golden, GoldenDigest};
 use dlrover_telemetry::prof;
 
 /// Experiments exercised under the profiler: `table1` drives the cost
-/// model (the `cost/*` sites), `fig7` the autoscaler loop; both record
-/// telemetry (`telemetry/record`) and dispatch over the unit pool
+/// model (the `cost/*` sites), `fig7` the autoscaler loop with its
+/// telemetry (`telemetry/record`); both dispatch over the unit pool
 /// (`parallel/*` sites).
 const IDS: [&str; 2] = ["table1", "fig7"];
 
 /// The canonical seed — the one the golden corpus is generated at.
 const SEED: u64 = 42;
 
-/// Runs the selected experiments into `dir` and returns every produced
-/// file as `name -> bytes`.
+/// Runs the selected experiments into `dir`, draining the profiler after
+/// each the way `exp`'s run loop does, and returns every produced file of
+/// the directory itself — what the digests, CI's `diff`s and `git status`
+/// look at — as `name -> bytes`.
 fn run_into(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     let _ = std::fs::remove_dir_all(dir);
     std::fs::create_dir_all(dir).expect("create scratch results dir");
@@ -43,7 +48,8 @@ fn run_into(dir: &Path) -> BTreeMap<String, Vec<u8>> {
             .iter()
             .find(|(rid, _, _)| *rid == id)
             .unwrap_or_else(|| panic!("{id} not in REGISTRY"));
-        run(SEED);
+        run(&RunArgs::new(SEED));
+        assert_eq!(dump_profile(id).is_some(), prof::enabled(), "{id}: dump iff profiling");
     }
     let mut files = BTreeMap::new();
     for entry in std::fs::read_dir(dir).expect("read scratch dir") {
@@ -66,22 +72,35 @@ fn profiling_never_changes_deterministic_artifacts() {
     prof::set_enabled(false);
     let off = run_into(&base.join("off"));
     assert!(!off.is_empty(), "experiments produced no artefacts");
+    assert!(!base.join("off/prof").exists(), "a dump was written with profiling off");
 
     // Pass 2: identical work with the profiler recording.
     prof::reset();
     prof::set_enabled(true);
     let on = run_into(&base.join("on"));
     prof::set_enabled(false);
-    let profile = prof::take_profile();
 
-    // The profiler must have actually captured the run...
-    assert!(
-        profile.by_site("telemetry/record").calls > 0,
-        "profiler captured no telemetry/record frames — instrumentation didn't run"
-    );
-    assert!(profile.total_self_ns() > 0, "captured profile carries no time");
+    // The profiler must have actually captured each run, in `path µs` lines...
+    for id in IDS {
+        let folded = std::fs::read_to_string(base.join(format!("on/prof/{id}.folded")))
+            .unwrap_or_else(|e| panic!("no profile dump for {id}: {e}"));
+        let weight_of = |site: &str| -> u64 {
+            folded
+                .lines()
+                .filter_map(|l| l.rsplit_once(' '))
+                .filter(|(path, _)| path.rsplit(';').next() == Some(site))
+                .map(|(_, us)| us.parse::<u64>().expect("integer µs weight"))
+                .sum()
+        };
+        let site = if id == "fig7" { "telemetry/record" } else { "cost/throughput" };
+        assert!(
+            weight_of("parallel/unit") > 0 && weight_of(site) > 0,
+            "{id}: no {site} frames under the pool — instrumentation didn't run:\n{folded}"
+        );
+    }
 
-    // ...and the artefacts must not know about it.
+    // ...and the artefacts must not know about it: the dump sits in a
+    // sub-directory, so the artefact file set is the same with it.
     assert_eq!(
         off.keys().collect::<Vec<_>>(),
         on.keys().collect::<Vec<_>>(),

@@ -1,21 +1,24 @@
-//! Self-profiling plane: scoped *wall-clock* timers over the hot paths of
-//! the reproduction itself.
+//! In-code profiler: scoped *wall-clock* timers over the hot paths of the
+//! reproduction itself.
 //!
 //! Everything else in this crate runs on virtual time so artefacts are
 //! byte-reproducible per seed. This module is the deliberate exception: it
-//! measures how long the *harness* takes on real hardware, so the perf
-//! program (ROADMAP open item 1) has numbers to steer by. Two rules keep
+//! measures how long the *harness* takes on real hardware, to say which
+//! site a wall-clock number from `benchmark/` was spent in. Two rules keep
 //! the determinism contract intact:
 //!
 //! * **Off by default.** [`scope`] is a no-op (one relaxed atomic load,
 //!   no allocation, no clock read) unless [`set_enabled`]`(true)` was
-//!   called or `DLROVER_PROF=1` is in the environment.
+//!   called. This module reads no environment: `exp`'s `main` turns the
+//!   switch on under `DLROVER_PROF=1`.
 //! * **Side-channel output only.** Profiles are read back explicitly via
-//!   [`take_profile`] and written to `BENCH_*.json` / `results/prof/`
-//!   by the `exp perf` subcommand — never into `results/<id>.json`, the
-//!   trace/span JSONL artefacts, or anything a golden digest covers. A
-//!   determinism test in `dlrover-bench` runs an experiment with
-//!   profiling on vs off and asserts byte-identical artefacts.
+//!   [`take_profile`]; `exp` drains one per experiment into
+//!   `results/prof/<id>.folded` (git-ignored) — never into
+//!   `results/<id>.json`, the trace/span JSONL artefacts, or anything a
+//!   golden digest covers. A determinism test in `dlrover-bench` runs
+//!   experiments with profiling on vs off and asserts byte-identical
+//!   artefacts. The dump itself is wall-clock: compare two results
+//!   directories recursively (`diff -r`) only with profiling off.
 //!
 //! # Accumulator design
 //!
@@ -67,15 +70,8 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Whether profiling is currently enabled (either via [`set_enabled`] or
-/// the `DLROVER_PROF=1` environment variable, checked once at first use).
+/// Whether profiling is currently enabled (the last [`set_enabled`]).
 pub fn enabled() -> bool {
-    static ENV_CHECKED: OnceLock<()> = OnceLock::new();
-    ENV_CHECKED.get_or_init(|| {
-        if std::env::var("DLROVER_PROF").is_ok_and(|v| v == "1") {
-            ENABLED.store(true, Ordering::Relaxed);
-        }
-    });
     ENABLED.load(Ordering::Relaxed)
 }
 
@@ -327,6 +323,13 @@ impl Profile {
         acc
     }
 
+    /// The path with the most self time and its share of
+    /// [`Profile::total_self_ns`]; `None` for an empty profile.
+    pub fn hottest(&self) -> Option<(&str, f64)> {
+        let (path, stats) = self.sites.iter().max_by_key(|(_, s)| s.self_ns)?;
+        Some((path, stats.self_ns as f64 / self.total_self_ns().max(1) as f64))
+    }
+
     /// Renders the flamegraph-compatible folded-stack form: one
     /// `path;to;site <weight>` line per site, weighted by self-time
     /// microseconds (sites that round to zero weight are kept at 1 µs if
@@ -536,6 +539,8 @@ mod tests {
         assert_eq!(a.site("x").unwrap().total_ns, 40);
         assert_eq!(a.site("x").unwrap().items, 5);
         assert_eq!(a.site("y").unwrap().self_ns, 5);
+        assert_eq!(a.hottest(), Some(("x", 30.0 / 35.0)));
+        assert_eq!(Profile::default().hottest(), None);
     }
 
     #[test]
