@@ -277,6 +277,20 @@ fn fleetscale_command(flags: &Flags) -> ! {
     std::process::exit(0);
 }
 
+/// The experiments that read `RunArgs::plans`, and the one that reads
+/// `RunArgs::episodes`.
+const PLANS_READ_BY: [&str; 3] = ["chaos", "tournament", "reconfig"];
+const EPISODES_READ_BY: [&str; 1] = ["tournament"];
+
+/// Whether every size given has a reader among the experiments `ids`:
+/// `exp fig7 --plans 5` would otherwise run `fig7` at its only size and
+/// leave the caller believing the flag did something.
+fn sizes_are_read(args: &RunArgs, ids: &[&str]) -> bool {
+    let read_by = |readers: &[&str]| ids.iter().any(|id| readers.contains(id));
+    (args.plans.is_none() || read_by(&PLANS_READ_BY))
+        && (args.episodes.is_none() || read_by(&EPISODES_READ_BY))
+}
+
 /// Runs `selected` in order at `args` and returns the violations they
 /// reported, summed. Every experiment runs even after one has failed its
 /// gate: the artefacts of the rest are still wanted.
@@ -348,7 +362,7 @@ fn run_command(flags: &Flags) -> ! {
     };
     // A size no selected experiment reads is a mistake, not a no-op.
     let ids: Vec<&str> = selected.iter().map(|(id, _, _)| *id).collect();
-    if !args.sizes_are_read_by(&ids) {
+    if !sizes_are_read(&args, &ids) {
         usage();
     }
     if run_experiments(&selected, &args) > 0 {
@@ -461,15 +475,15 @@ mod tests {
     fn a_size_nobody_reads_is_rejected() {
         let plans = RunArgs { plans: Some(5), ..RunArgs::new(42) };
         let episodes = RunArgs { episodes: Some(3), ..RunArgs::new(42) };
-        assert!(RunArgs::new(42).sizes_are_read_by(&["fig7"]));
-        assert!(!plans.sizes_are_read_by(&["fig7"]));
-        assert!(plans.sizes_are_read_by(&["fig7", "chaos"]));
-        assert!(!episodes.sizes_are_read_by(&["ckptplane"]));
-        assert!(!episodes.sizes_are_read_by(&["chaos", "reconfig"]));
-        assert!(episodes.sizes_are_read_by(&["tournament"]));
+        assert!(sizes_are_read(&RunArgs::new(42), &["fig7"]));
+        assert!(!sizes_are_read(&plans, &["fig7"]));
+        assert!(sizes_are_read(&plans, &["fig7", "chaos"]));
+        assert!(!sizes_are_read(&episodes, &["ckptplane"]));
+        assert!(!sizes_are_read(&episodes, &["chaos", "reconfig"]));
+        assert!(sizes_are_read(&episodes, &["tournament"]));
         let all: Vec<&str> = REGISTRY.iter().map(|(id, _, _)| *id).collect();
-        assert!(RunArgs { plans: Some(5), ..episodes }.sizes_are_read_by(&all));
-        for reader in RunArgs::PLANS_READ_BY.iter().chain(&RunArgs::EPISODES_READ_BY) {
+        assert!(sizes_are_read(&RunArgs { plans: Some(5), ..episodes }, &all));
+        for reader in PLANS_READ_BY.iter().chain(&EPISODES_READ_BY) {
             assert!(all.contains(reader), "{reader} is not a registered experiment");
         }
     }

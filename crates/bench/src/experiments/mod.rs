@@ -16,23 +16,9 @@ pub struct RunArgs {
 }
 
 impl RunArgs {
-    /// The experiments that read `plans`.
-    pub const PLANS_READ_BY: [&'static str; 3] = ["chaos", "tournament", "reconfig"];
-    /// The experiments that read `episodes`.
-    pub const EPISODES_READ_BY: [&'static str; 1] = ["tournament"];
-
     /// Every experiment at its default size.
     pub fn new(seed: u64) -> Self {
         RunArgs { seed, plans: None, episodes: None }
-    }
-
-    /// Whether every size given has a reader among the experiments `ids`:
-    /// `exp fig7 --plans 5` would otherwise run `fig7` at its only size
-    /// and leave the caller believing the flag did something.
-    pub fn sizes_are_read_by(&self, ids: &[&str]) -> bool {
-        let read_by = |readers: &[&str]| ids.iter().any(|id| readers.contains(id));
-        (self.plans.is_none() || read_by(&Self::PLANS_READ_BY))
-            && (self.episodes.is_none() || read_by(&Self::EPISODES_READ_BY))
     }
 }
 

@@ -630,8 +630,8 @@ impl Oracle {
                     f.at_us > e.at_us && matches!(f.kind, EventKind::WorkerAdded { .. })
                 });
                 // This kill's replacement pod, and where it was placed.
-                let (request, placed) = replacement_pod(events, next_request.max(i));
-                next_request = request.map_or(next_request, |r| r + 1);
+                let (after_request, placed) = replacement_pod(events, next_request.max(i));
+                next_request = after_request;
                 let placed_in_time = |joined: usize| {
                     placed.is_some_and(|p| p < joined && events[p].at_us <= e.at_us + deadline)
                 };
@@ -735,20 +735,22 @@ impl Oracle {
     }
 }
 
-/// The first pod a job requested at or after index `from`: the index of
-/// its `PodRequested` and, when the scheduler granted it, of its
-/// `PodPlaced`. The service pods of preemption bursts and denial storms
-/// are requested under job `u64::MAX` and replace nothing.
-fn replacement_pod(events: &[Event], from: usize) -> (Option<usize>, Option<usize>) {
+/// The first pod a job requested at or after index `from`: the index
+/// just past its `PodRequested` (where the search for the next kill's pod
+/// starts; the end of the log when there is none) and, when the scheduler
+/// granted it, the index of its `PodPlaced`. The service pods of
+/// preemption bursts and denial storms are requested under job `u64::MAX`
+/// and replace nothing.
+fn replacement_pod(events: &[Event], from: usize) -> (usize, Option<usize>) {
     let request = events.iter().enumerate().skip(from).find_map(|(r, f)| match f.kind {
         EventKind::PodRequested { job, pod } if job != u64::MAX => Some((r, pod)),
         _ => None,
     });
-    let Some((r, pod)) = request else { return (None, None) };
+    let Some((r, pod)) = request else { return (events.len(), None) };
     let placed = events[r..]
         .iter()
         .position(|f| matches!(f.kind, EventKind::PodPlaced { pod: p, .. } if p == pod));
-    (Some(r), placed.map(|k| r + k))
+    (r + 1, placed.map(|k| r + k))
 }
 
 #[cfg(test)]
