@@ -18,7 +18,7 @@ use serde_json::{json, Value};
 pub fn chrome_trace(spans: &[Span], events: &[Event]) -> Value {
     let mut out: Vec<Value> = Vec::with_capacity(spans.len() + events.len());
     for s in spans {
-        let name = if s.label.is_empty() { s.cat.name().to_string() } else { s.label.clone() };
+        let name = if s.label.is_empty() { s.cat.name().to_string() } else { s.label.to_string() };
         out.push(json!({
             "name": name,
             "cat": s.cat.name(),
@@ -70,7 +70,7 @@ mod tests {
                 id: 1,
                 parent: Some(0),
                 cat: SpanCategory::IterLookup,
-                label: String::new(),
+                label: "".into(),
                 track: 3,
                 start_us: 1_000,
                 end_us: 4_000,

@@ -204,7 +204,7 @@ mod tests {
             id,
             parent,
             cat,
-            label: String::new(),
+            label: "".into(),
             track,
             start_us: s * 1_000_000,
             end_us: e * 1_000_000,

@@ -172,12 +172,16 @@ impl Cluster {
     /// `scheduling` span (request → grant, on the pod's own track); a
     /// preemption records an instant `preemption` span.
     fn record_events(&self, events: &[ClusterEvent]) {
+        if events.is_empty() {
+            return;
+        }
+        let Some(mut sink) = self.telemetry.batch() else { return };
         for e in events {
             let kind = match *e {
                 ClusterEvent::PodPlaced(p, n) => {
-                    self.telemetry.count("cluster.pods_placed", 1);
+                    sink.metrics.count("cluster.pods_placed", 1);
                     if let Some(pod) = self.pods.get(p) {
-                        self.telemetry.span_complete(
+                        sink.spans.complete(
                             pod.requested_at,
                             self.clock,
                             SpanCategory::Scheduling,
@@ -189,8 +193,8 @@ impl Cluster {
                     EventKind::PodPlaced { pod: p.0, node: n.0 }
                 }
                 ClusterEvent::PodPreempted(p) => {
-                    self.telemetry.count("cluster.preemptions", 1);
-                    self.telemetry.span_complete(
+                    sink.metrics.count("cluster.preemptions", 1);
+                    sink.spans.complete(
                         self.clock,
                         self.clock,
                         SpanCategory::Preemption,
@@ -201,12 +205,12 @@ impl Cluster {
                     EventKind::PodPreempted { pod: p.0 }
                 }
                 ClusterEvent::PodFailed(p) => {
-                    self.telemetry.count("cluster.pod_failures", 1);
+                    sink.metrics.count("cluster.pod_failures", 1);
                     EventKind::PodFailed { pod: p.0 }
                 }
                 ClusterEvent::NodeFailed(n) => EventKind::NodeFailed { node: n.0 },
             };
-            self.telemetry.record(self.clock, kind);
+            sink.record(self.clock, kind);
         }
     }
 

@@ -45,7 +45,8 @@ use dlrover_sim::{
     FaultEvent, FaultKind, FaultPlan, FaultPlanConfig, RngStreams, SimDuration, SimTime, StreamRng,
 };
 use dlrover_telemetry::{
-    EventKind, GroundTruth, Oracle, OracleConfig, OracleReport, SpanCategory, Telemetry,
+    Event, EventKind, GroundTruth, Invariant, Oracle, OracleConfig, OracleReport, SpanCategory,
+    Telemetry,
 };
 use serde::{Deserialize, Serialize};
 
@@ -529,8 +530,27 @@ impl<'a> ChaosDriver<'a> {
             leaked_cpu_millis: leaked.cpu_millis,
             leaked_mem_bytes: leaked.mem_bytes,
         };
-        let oracle =
-            Oracle::new(self.cfg.oracle).check(self.plan, &self.telemetry.events(), &truth);
+        let (mut oracle, auditable) = self.telemetry.with_events(|events| {
+            let started = |e: &Event| matches!(e.kind, EventKind::JobStarted { job: 0 });
+            (
+                Oracle::new(self.cfg.oracle).check(self.plan, events, &truth),
+                events.iter().any(started),
+            )
+        });
+        // `new` records `JobStarted` before anything else reaches the sink.
+        // A stream without it — the null sink, a ring that evicted the run's
+        // head — makes every stream check above pass vacuously, so a run that
+        // trained is flagged rather than audited as clean.
+        if truth.samples_done > 0 && !auditable {
+            let exactly_once = &mut oracle.checks[0];
+            debug_assert_eq!(exactly_once.invariant, Invariant::ExactlyOnce);
+            exactly_once.passed = false;
+            exactly_once.violations.push(format!(
+                "unauditable stream: {} samples trained but the event stream handed to the \
+                 oracle holds no JobStarted for the run (null sink, or the ring evicted it)",
+                truth.samples_done
+            ));
+        }
         ChaosReport {
             plan_len: self.plan.len(),
             faults_injected: self.faults_injected,
@@ -936,7 +956,7 @@ impl<'a> ChaosDriver<'a> {
     ) {
         let engine = self.master.engine();
         let idx = ps as usize % engine.partitions().len().max(1);
-        let used = engine.ps_memory_used().get(idx).copied().unwrap_or(0);
+        let used = engine.ps_memory_used().nth(idx).unwrap_or(0);
         let alloc = engine.ps_memory_alloc().get(idx).copied().unwrap_or(0);
         let bytes = alloc.saturating_sub(used) / 1000 * u64::from(headroom_permille);
         if bytes > 0 {
@@ -1034,7 +1054,7 @@ impl<'a> ChaosDriver<'a> {
         restart: SimDuration,
     ) -> (ReplayedJobState, RecoveryPath, SimTime) {
         let now = self.now;
-        let mut replayed = ReplayedJobState::from_events(&self.telemetry.events());
+        let mut replayed = self.telemetry.with_events(ReplayedJobState::from_events);
         let witness_start = now + self.witness.takeover_latency();
         let pinned =
             if self.cfg.prefer_witness { self.witness.restore(0, witness_start) } else { None };

@@ -229,6 +229,11 @@ pub struct CheckpointPlane {
     /// Bandwidth-collapse windows `(from, until, factor_permille)`.
     collapses: Vec<(SimTime, SimTime, u32)>,
     stats: PlaneStats,
+    /// Events of the call in progress, in record order; every public entry
+    /// point that can produce one ends with [`Self::flush_events`], so a
+    /// call costs the sink one acquisition however many manifests it
+    /// commits, evicts and stages.
+    outbox: Vec<(SimTime, EventKind)>,
 }
 
 impl CheckpointPlane {
@@ -250,6 +255,18 @@ impl CheckpointPlane {
             outages: Vec::new(),
             collapses: Vec::new(),
             stats: PlaneStats::default(),
+            outbox: Vec::new(),
+        }
+    }
+
+    /// Hands the call's events to the sink under one acquisition.
+    fn flush_events(&mut self) {
+        if self.outbox.is_empty() {
+            return;
+        }
+        match self.telemetry.batch() {
+            Some(mut sink) => self.outbox.drain(..).for_each(|(at, kind)| sink.record(at, kind)),
+            None => self.outbox.clear(),
         }
     }
 
@@ -363,6 +380,13 @@ impl CheckpointPlane {
     /// manifest whose record lands. Must be called with monotonically
     /// non-decreasing `now` (virtual time).
     pub fn advance(&mut self, now: SimTime) {
+        self.drain_queue(now);
+        self.flush_events();
+    }
+
+    /// [`Self::advance`] without the flush, for entry points that go on
+    /// producing events.
+    fn drain_queue(&mut self, now: SimTime) {
         while self.remote_clock < now {
             if self.queue.is_empty() {
                 self.remote_clock = now;
@@ -391,10 +415,10 @@ impl CheckpointPlane {
                 let m = self.manifests.get_mut(&id).expect("queued manifest exists");
                 m.committed_at = Some(finish);
                 self.stats.commits += 1;
-                self.telemetry.record(
+                self.outbox.push((
                     finish,
                     EventKind::CheckpointCommitted { job: m.job, manifest: id, step: m.step },
-                );
+                ));
                 let job = m.job;
                 self.retire_old_manifests(job);
             } else {
@@ -420,26 +444,22 @@ impl CheckpointPlane {
         bytes: u64,
         now: SimTime,
     ) -> SaveOutcome {
-        self.advance(now);
+        self.drain_queue(now);
         let chunks = manifest_chunks(job, family, step, bytes, &self.cfg.chunking);
-        let mut new_remote = 0u64;
-        let mut dedup = 0u64;
+        // One walk of the chunk list: the two tiers are separate stores, so
+        // each still sees its acquires in manifest order.
+        let (mut new_remote, mut dedup, mut new_hot, mut checksum) = (0u64, 0u64, 0u64, 0u64);
         for c in &chunks {
             if self.remote.acquire(*c) {
                 new_remote += c.bytes;
             } else {
                 dedup += c.bytes;
             }
-        }
-        let mut new_hot = 0u64;
-        for c in &chunks {
             if self.hot.acquire(*c) {
                 new_hot += c.bytes;
             }
+            checksum = super::chunks::mix64(checksum ^ super::chunks::mix64(c.key));
         }
-        let checksum = chunks
-            .iter()
-            .fold(0u64, |acc, c| super::chunks::mix64(acc ^ super::chunks::mix64(c.key)));
         let id = self.next_id;
         self.next_id += 1;
         let manifest = Manifest {
@@ -479,10 +499,11 @@ impl CheckpointPlane {
         self.stats.staged_bytes += bytes;
         self.stats.new_remote_bytes += new_remote;
         self.stats.dedup_bytes += dedup;
-        self.telemetry.record(
+        self.outbox.push((
             now,
             EventKind::CheckpointStaged { job, manifest: id, step, bytes, new_bytes: new_remote },
-        );
+        ));
+        self.flush_events();
         SaveOutcome { manifest: id, hot_pause, new_bytes: new_remote, dedup_bytes: dedup }
     }
 
@@ -499,7 +520,7 @@ impl CheckpointPlane {
             self.hot_manifest_of_job.remove(&job);
         }
         self.stats.hot_evictions += 1;
-        self.telemetry.record(now, EventKind::CheckpointHotEvicted { job, manifest: id });
+        self.outbox.push((now, EventKind::CheckpointHotEvicted { job, manifest: id }));
     }
 
     /// Drops every hot-tier copy owned by `job` — a master crash wipes
@@ -509,41 +530,43 @@ impl CheckpointPlane {
         while let Some(&id) = self.hot_manifest_of_job.get(&job) {
             self.drop_hot_copy(id, now);
         }
+        self.flush_events();
     }
 
     /// Retires committed manifests beyond the retention window,
     /// releasing their remote chunks. In-flight and hot-resident
     /// manifests are never retired.
     fn retire_old_manifests(&mut self, job: u64) {
-        let Some(ids) = self.by_job.get(&job) else { return };
+        let Some(ids) = self.by_job.get_mut(&job) else { return };
         // The transfer queue is FIFO, so a job's manifests commit in save
         // order: the committed ones are a prefix of `ids`, and the scan
         // stops at the first in-flight one instead of walking a backlog
         // of staged manifests on every commit.
-        let is_committed =
-            |id: &u64| self.manifests.get(id).is_some_and(|m| m.committed_at.is_some());
-        let committed: Vec<u64> = ids.iter().copied().take_while(is_committed).collect();
+        let manifests = &mut self.manifests;
+        let is_committed = |id: &u64| manifests.get(id).is_some_and(|m| m.committed_at.is_some());
+        let committed = ids.iter().take_while(|id| is_committed(id)).count();
         debug_assert!(
-            !ids[committed.len()..].iter().any(is_committed),
+            !ids[committed..].iter().any(is_committed),
             "a manifest committed ahead of an earlier save of its job"
         );
-        if committed.len() <= self.cfg.retain_per_job {
-            return;
-        }
-        let retire: Vec<u64> = committed[..committed.len() - self.cfg.retain_per_job]
-            .iter()
-            .copied()
-            .filter(|id| !self.hot_residents.contains(id))
-            .collect();
-        for id in retire {
-            let m = self.manifests.remove(&id).expect("retiring known manifest");
+        // Everything committed before the retention window goes, in save
+        // order, except what is still hot-resident; those slide to the
+        // front of the window they were in.
+        let window = committed.saturating_sub(self.cfg.retain_per_job);
+        let mut kept = 0;
+        for i in 0..window {
+            let id = ids[i];
+            if self.hot_residents.contains(&id) {
+                ids[kept] = id;
+                kept += 1;
+                continue;
+            }
+            let m = manifests.remove(&id).expect("retiring known manifest");
             for c in &m.chunks {
                 self.remote.release(c.key);
             }
-            if let Some(ids) = self.by_job.get_mut(&job) {
-                ids.retain(|&x| x != id);
-            }
         }
+        ids.drain(kept..window);
     }
 
     /// Marks the `nth` newest staged manifest of `job` as corrupted
@@ -572,7 +595,14 @@ impl CheckpointPlane {
     ///
     /// Records the `CheckpointRestored` event at the resume instant.
     pub fn restore(&mut self, job: u64, now: SimTime) -> Option<RestoreOutcome> {
-        self.advance(now);
+        self.drain_queue(now);
+        let out = self.quote_restore(job, now);
+        self.flush_events();
+        out
+    }
+
+    /// [`Self::restore`] once the queue has drained to `now`.
+    fn quote_restore(&mut self, job: u64, now: SimTime) -> Option<RestoreOutcome> {
         if let Some(&id) = self.hot_manifest_of_job.get(&job) {
             let m = &self.manifests[&id];
             if !m.corrupted {
@@ -624,7 +654,7 @@ impl CheckpointPlane {
     fn finish_restore(&mut self, out: &RestoreOutcome, job: u64) {
         self.stats.restores += 1;
         self.stats.restored_bytes += out.bytes;
-        self.telemetry.record(
+        self.outbox.push((
             out.resume_at(),
             EventKind::CheckpointRestored {
                 job,
@@ -633,7 +663,7 @@ impl CheckpointPlane {
                 bytes: out.bytes,
                 source: out.source.label().to_string(),
             },
-        );
+        ));
     }
 
     /// Order-independent digest over manifests, tier contents, and

@@ -138,6 +138,16 @@ pub struct JobMaster {
     /// Monotone reconfig-window id; survives master failover via replay.
     next_window: u64,
     telemetry: Telemetry,
+    scratch: TickScratch,
+}
+
+/// Working vectors of [`JobMaster::tick`], kept between ticks.
+#[derive(Debug, Default)]
+struct TickScratch {
+    /// Memory in use per PS, bytes.
+    ps_used: Vec<u64>,
+    /// Engine slots of the workers found silent this tick.
+    silent: Vec<usize>,
 }
 
 /// One in-flight reconfiguration window: the engine already runs `target`,
@@ -198,6 +208,7 @@ impl JobMaster {
             pending_reconfig: None,
             next_window: 0,
             telemetry: Telemetry::default(),
+            scratch: TickScratch::default(),
         }
     }
 
@@ -260,6 +271,7 @@ impl JobMaster {
             pending_reconfig: None,
             next_window: replayed.next_window,
             telemetry: Telemetry::default(),
+            scratch: TickScratch::default(),
         };
         (master, outcome)
     }
@@ -345,8 +357,9 @@ impl JobMaster {
         let step = self.engine.samples_done() / u64::from(self.engine.spec().batch_size.max(1));
         let bytes = self.checkpoint_bytes();
         let now = self.engine.now();
-        self.telemetry.record(now, EventKind::CheckpointSaved { step, bytes });
-        self.telemetry.span_complete(
+        let Some(mut sink) = self.telemetry.batch() else { return };
+        sink.record(now, EventKind::CheckpointSaved { step, bytes });
+        sink.spans.complete(
             now,
             now + self.flash.save_duration(bytes),
             SpanCategory::Checkpoint,
@@ -354,7 +367,7 @@ impl JobMaster {
             self.job_id,
             None,
         );
-        self.telemetry.count("master.flash_checkpoints", 1);
+        sink.metrics.count("master.flash_checkpoints", 1);
     }
 
     /// Records a migration plan as spans: one `migration` parent over the
@@ -364,8 +377,9 @@ impl JobMaster {
         if timeline.segments.is_empty() {
             return;
         }
+        let Some(mut sink) = self.telemetry.batch() else { return };
         let start = self.engine.now();
-        let parent = self.telemetry.span_complete(
+        let parent = sink.spans.complete(
             start,
             start + timeline.total(),
             SpanCategory::Migration,
@@ -384,21 +398,22 @@ impl JobMaster {
                 TimelineSegment::PauseData => (SpanCategory::Rebalance, "data"),
             };
             let end = t + *dur;
-            self.telemetry.span_complete(t, end, cat, seg_label, self.job_id, Some(parent));
+            sink.spans.complete(t, end, cat, seg_label, self.job_id, Some(parent));
             t = end;
         }
     }
 
     /// The profile snapshot a policy consumes.
     pub fn profile(&self) -> JobRuntimeProfile {
-        let used: u64 = self.engine.ps_memory_used().iter().sum();
+        let used: u64 = self.engine.ps_memory_used().sum();
         let alloc: u64 = self.engine.ps_memory_alloc().iter().sum();
+        let (observation, throughput) = self.engine.observation_and_throughput();
         JobRuntimeProfile {
             job_id: self.job_id,
             at: self.engine.now(),
-            throughput: self.engine.throughput(),
+            throughput,
             remaining_samples: self.engine.remaining_samples(),
-            observation: self.engine.observation(),
+            observation,
             ps_memory_used: used,
             ps_memory_alloc: alloc,
             exec: *self.engine.exec_plan(),
@@ -414,17 +429,16 @@ impl JobMaster {
             return events; // terminal: nothing to do
         }
 
-        // Materialise workers whose startup completed.
+        // Materialise workers whose startup completed, in request order.
         let now = self.engine.now();
-        let ready: Vec<PodState> = {
-            let (ready, waiting): (Vec<_>, Vec<_>) =
-                self.pending_workers.drain(..).partition(|(t, _)| *t <= now);
-            self.pending_workers = waiting;
-            ready.into_iter().map(|(_, p)| p).collect()
-        };
-        for pod in ready {
-            self.engine.add_worker(pod);
-        }
+        let engine = &mut self.engine;
+        self.pending_workers.retain(|&(ready_at, pod)| {
+            let ready = ready_at <= now;
+            if ready {
+                engine.add_worker(pod);
+            }
+            !ready
+        });
 
         let progress = self.engine.advance(dt);
 
@@ -434,40 +448,59 @@ impl JobMaster {
         if let Some(p) = self.pending_reconfig {
             if self.engine.now() >= p.commit_at {
                 self.pending_reconfig = None;
-                let spec_batch = self.engine.spec().batch_size;
-                self.telemetry.record(
-                    self.engine.now(),
-                    EventKind::ReconfigApplied {
-                        job: self.job_id,
-                        window: p.window,
-                        mode: p.target.gradient_mode.label().to_string(),
-                        batch: p.target.effective_batch(spec_batch),
-                        replicas: p.target.ps_replicas.max(1),
-                        shards: self.engine.partitions().len() as u32,
-                        samples_done: self.engine.completed_samples(),
-                        pause_us: p.pause.as_micros(),
-                    },
-                );
-                self.telemetry.count("master.reconfigs_committed", 1);
+                if let Some(mut sink) = self.telemetry.batch() {
+                    let spec_batch = self.engine.spec().batch_size;
+                    sink.record(
+                        self.engine.now(),
+                        EventKind::ReconfigApplied {
+                            job: self.job_id,
+                            window: p.window,
+                            mode: p.target.gradient_mode.label().to_string(),
+                            batch: p.target.effective_batch(spec_batch),
+                            replicas: p.target.ps_replicas.max(1),
+                            shards: self.engine.partitions().len() as u32,
+                            samples_done: self.engine.completed_samples(),
+                            pause_us: p.pause.as_micros(),
+                        },
+                    );
+                    sink.metrics.count("master.reconfigs_committed", 1);
+                }
             }
         }
 
-        // Profile.
-        if let Some(obs) = self.engine.observation() {
+        // Profile: one evaluation of the cost model serves the fitter's
+        // observation and the OOM horizon below.
+        let (observation, thp) = self.engine.observation_and_throughput();
+        if let Some(obs) = observation {
             self.profiler.record_observation(obs);
         }
-        let mut used = self.engine.ps_memory_used();
+        let mut used = std::mem::take(&mut self.scratch.ps_used);
+        used.clear();
+        used.extend(self.engine.ps_memory_used());
         self.profiler.record_memory(self.engine.now(), used.iter().sum());
+        self.handle_instability(progress, &mut used, thp, &mut events);
+        self.scratch.ps_used = used;
+        events
+    }
 
+    /// The part of a tick after profiling: what the slice's `progress` and
+    /// the profiled per-PS memory `used` / throughput `thp` call for.
+    fn handle_instability(
+        &mut self,
+        progress: dlrover_pstrain::JobProgress,
+        used: &mut Vec<u64>,
+        mut thp: f64,
+        events: &mut Vec<MasterEvent>,
+    ) {
         if let Some(ps) = progress.oom_ps {
             events.push(MasterEvent::Oomed(ps));
-            return events;
+            return;
         }
         if progress.completed && self.completed_at.is_none() {
             self.completed_at = Some(self.engine.now());
             events.push(MasterEvent::Completed(self.engine.now()));
             self.telemetry.record(self.engine.now(), EventKind::JobCompleted { job: self.job_id });
-            return events;
+            return;
         }
 
         // §6.1 liveness: a worker whose heartbeat went stale is a zombie —
@@ -475,22 +508,30 @@ impl JobMaster {
         // re-queues its in-flight shard in full, preserving exactly-once)
         // and surface the event; the driver requests the replacement pod
         // exactly as for a crashed worker.
-        let silent = self.engine.silent_workers(self.config.silent_worker_timeout);
+        let mut silent = std::mem::take(&mut self.scratch.silent);
+        silent.clear();
+        silent.extend(self.engine.silent_workers(self.config.silent_worker_timeout));
         for &idx in &silent {
             self.engine.fail_worker(idx);
-            self.telemetry.record(
-                self.engine.now(),
-                EventKind::SilentWorkerDetected { job: self.job_id, worker: idx as u64 },
-            );
-            self.telemetry.count("master.silent_workers", 1);
+            if let Some(mut sink) = self.telemetry.batch() {
+                sink.record(
+                    self.engine.now(),
+                    EventKind::SilentWorkerDetected { job: self.job_id, worker: idx as u64 },
+                );
+                sink.metrics.count("master.silent_workers", 1);
+            }
             events.push(MasterEvent::SilentWorker(idx));
         }
         if !silent.is_empty() {
             // A failed worker's in-flight shard is re-queued in full, which
             // lowers `samples_done` and the embedding memory that grows
-            // with it: the profiled reading above no longer holds.
-            used = self.engine.ps_memory_used();
+            // with it, and the gang is smaller: the profiled readings above
+            // no longer hold.
+            used.clear();
+            used.extend(self.engine.ps_memory_used());
+            thp = self.engine.throughput();
         }
+        self.scratch.silent = silent;
 
         // OOM prevention (§5.3). The engine OOMs *per PS* (used_i >
         // alloc_i), so the forecast must use the binding constraint: scale
@@ -515,7 +556,6 @@ impl JobMaster {
         } else {
             alloc.iter().sum::<u64>() as f64
         };
-        let thp = self.engine.throughput();
         if thp > 0.0 {
             let remaining_time = self.engine.remaining_samples() as f64 / thp;
             let horizon = remaining_time * self.config.oom_horizon_factor;
@@ -534,25 +574,35 @@ impl JobMaster {
                         );
                         self.scale_ps_memory(required);
                         events.push(MasterEvent::OomPrevented { new_alloc_bytes: required });
-                        self.telemetry.record(
-                            self.engine.now(),
-                            EventKind::OomPrevented { job: self.job_id, new_alloc_bytes: required },
-                        );
-                        self.telemetry.count("master.ooms_prevented", 1);
+                        if let Some(mut sink) = self.telemetry.batch() {
+                            sink.record(
+                                self.engine.now(),
+                                EventKind::OomPrevented {
+                                    job: self.job_id,
+                                    new_alloc_bytes: required,
+                                },
+                            );
+                            sink.metrics.count("master.ooms_prevented", 1);
+                        }
                     } else {
-                        self.telemetry.span_complete(
-                            at,
-                            at,
-                            SpanCategory::OomPredict,
-                            "predicted",
-                            self.job_id,
-                            None,
-                        );
                         events.push(MasterEvent::OomPredicted { required_bytes: required });
-                        self.telemetry.record(
-                            at,
-                            EventKind::OomPredicted { job: self.job_id, required_bytes: required },
-                        );
+                        if let Some(mut sink) = self.telemetry.batch() {
+                            sink.spans.complete(
+                                at,
+                                at,
+                                SpanCategory::OomPredict,
+                                "predicted",
+                                self.job_id,
+                                None,
+                            );
+                            sink.record(
+                                at,
+                                EventKind::OomPredicted {
+                                    job: self.job_id,
+                                    required_bytes: required,
+                                },
+                            );
+                        }
                     }
                 }
             }
@@ -563,11 +613,13 @@ impl JobMaster {
             if self.config.auto_ps_rebalance {
                 self.rebalance_hot_ps();
                 events.push(MasterEvent::HotPsMitigated { ps });
-                self.telemetry.record(
-                    self.engine.now(),
-                    EventKind::HotPsMitigated { job: self.job_id, ps: ps as u64 },
-                );
-                self.telemetry.count("master.hot_ps_mitigations", 1);
+                if let Some(mut sink) = self.telemetry.batch() {
+                    sink.record(
+                        self.engine.now(),
+                        EventKind::HotPsMitigated { job: self.job_id, ps: ps as u64 },
+                    );
+                    sink.metrics.count("master.hot_ps_mitigations", 1);
+                }
             } else {
                 events.push(MasterEvent::HotPsDetected { ps });
                 self.telemetry.record(
@@ -577,15 +629,21 @@ impl JobMaster {
             }
         }
 
-        // Straggler reporting (mitigation is automatic via shard pacing).
-        for idx in self.engine.straggling_workers(self.config.straggler_lag) {
-            events.push(MasterEvent::Straggler(idx));
-            self.telemetry.record(
-                self.engine.now(),
-                EventKind::StragglerDetected { job: self.job_id, worker: idx as u64 },
-            );
+        // Straggler reporting (mitigation is automatic via shard pacing):
+        // the sink is locked once, and only when somebody lags.
+        let mut lagging = self.engine.straggling_workers(self.config.straggler_lag).peekable();
+        if lagging.peek().is_some() {
+            let mut sink = self.telemetry.batch();
+            for idx in lagging {
+                events.push(MasterEvent::Straggler(idx));
+                if let Some(sink) = sink.as_mut() {
+                    sink.record(
+                        self.engine.now(),
+                        EventKind::StragglerDetected { job: self.job_id, worker: idx as u64 },
+                    );
+                }
+            }
         }
-        events
     }
 
     /// Detects a hot PS: a partition whose load per effective capacity
@@ -595,10 +653,9 @@ impl JobMaster {
         if parts.len() < 2 {
             return None;
         }
-        let ratios: Vec<f64> =
-            parts.iter().map(|p| p.share.max(1e-9) / p.pod.effective_cpu()).collect();
-        let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
-        ratios.iter().position(|&r| r > mean * self.config.hot_ps_factor.max(1.0))
+        let ratios = || parts.iter().map(|p| p.share.max(1e-9) / p.pod.effective_cpu());
+        let mean = ratios().sum::<f64>() / parts.len() as f64;
+        ratios().position(|r| r > mean * self.config.hot_ps_factor.max(1.0))
     }
 
     /// Seamless hot-PS mitigation: rebalance parameter shares evenly onto
@@ -646,7 +703,7 @@ impl JobMaster {
     /// the parameters actually live), using a seamless (flash-checkpoint)
     /// PS migration.
     pub fn scale_ps_memory(&mut self, required_bytes: u64) {
-        let used = self.engine.ps_memory_used();
+        let used: Vec<u64> = self.engine.ps_memory_used().collect();
         let used_total: u64 = used.iter().sum::<u64>().max(1);
         let p = self.engine.partitions().len().max(1);
         let per_ps: Vec<u64> = used
@@ -805,7 +862,7 @@ impl JobMaster {
     /// live requirement before applying it.
     pub fn apply_decision(&mut self, decision: PolicyDecision, startup: SimDuration) {
         let mut decision = decision;
-        let used_per_ps = self.engine.ps_memory_used().iter().copied().max().unwrap_or(0) as f64;
+        let used_per_ps = self.engine.ps_memory_used().max().unwrap_or(0) as f64;
         let floor_gb = used_per_ps * (1.0 + self.config.oom_headroom.max(0.0)) / 1e9;
         if decision.allocation.ps_mem_gb < floor_gb {
             decision.allocation.ps_mem_gb = floor_gb;
@@ -1077,7 +1134,7 @@ mod tests {
         m.engine_mut().fail_worker(0);
         m.replace_failed_worker(SimDuration::from_secs(90));
         assert_eq!(m.pending_worker_count(), 1);
-        assert_eq!(m.engine().workers().len(), 3);
+        assert_eq!(m.engine().live_pods().count(), 3);
         // The replacement sits out its startup window, then joins on the
         // first tick at or past ready time.
         let mut joined_at_tick = None;
@@ -1087,11 +1144,11 @@ mod tests {
                 joined_at_tick = Some(i);
                 break;
             }
-            assert_eq!(m.engine().workers().len(), 3, "early join at tick {i}");
+            assert_eq!(m.engine().live_pods().count(), 3, "early join at tick {i}");
         }
         let joined = joined_at_tick.expect("replacement joined");
         assert!(joined >= 2, "90s startup must span at least three 30s ticks");
-        assert_eq!(m.engine().workers().len(), 4);
+        assert_eq!(m.engine().live_pods().count(), 4);
         run_to_end(&mut m, 100_000).expect("completes");
         assert_eq!(m.engine().samples_done(), m.engine().spec().total_samples);
     }
@@ -1345,7 +1402,7 @@ mod tests {
             SimDuration::ZERO,
         );
         m.tick(DT);
-        assert_eq!(m.engine().workers().len(), 3);
+        assert_eq!(m.engine().live_pods().count(), 3);
     }
 
     #[test]
@@ -1443,7 +1500,7 @@ mod tests {
             },
             SimDuration::ZERO,
         );
-        let used_max = *m.engine().ps_memory_used().iter().max().unwrap();
+        let used_max = m.engine().ps_memory_used().max().unwrap();
         let alloc_min = *m.engine().ps_memory_alloc().iter().min().unwrap();
         assert!(alloc_min > used_max, "clamp failed: alloc {alloc_min} <= used {used_max}");
         // And the job still completes rather than OOMing on the next tick.
@@ -1686,7 +1743,7 @@ mod tests {
         assert_eq!(recovery.samples_done, replayed.samples_done);
         assert_eq!(m2.engine().now(), restart_at);
         assert_eq!(m2.engine().samples_done(), replayed.samples_done, "watermark adopted");
-        assert_eq!(m2.engine().workers().len(), replayed.live_workers.len().max(1));
+        assert_eq!(m2.engine().live_pods().count(), replayed.live_workers.len().max(1));
         let done = run_to_end(&mut m2, 100_000).expect("restarted job completes");
         assert!(done > restart_at);
         assert_eq!(
@@ -1709,12 +1766,12 @@ mod tests {
             SimDuration::from_secs(120),
         );
         // Immediately after: still 2 live workers.
-        assert_eq!(m.engine().workers().len(), 2);
+        assert_eq!(m.engine().live_pods().count(), 2);
         m.tick(DT); // 30s — not yet
-        assert_eq!(m.engine().workers().len(), 2);
+        assert_eq!(m.engine().live_pods().count(), 2);
         for _ in 0..4 {
             m.tick(DT);
         }
-        assert_eq!(m.engine().workers().len(), 6);
+        assert_eq!(m.engine().live_pods().count(), 6);
     }
 }

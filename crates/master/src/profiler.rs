@@ -54,7 +54,8 @@ impl Profiler {
     pub fn new(constants: WorkloadConstants, window: usize) -> Self {
         Profiler {
             constants,
-            observations: Vec::new(),
+            // Sized once: a tick records into the window and may not grow it.
+            observations: Vec::with_capacity(window.max(4) + 1),
             memory: MemoryPredictor::new(window.max(2)),
             window: window.max(4),
         }

@@ -200,12 +200,18 @@ impl WitnessBoard {
     /// `WitnessQuorumReached`; rounds that raced a partition are
     /// dropped.
     pub fn advance(&mut self, now: SimTime) {
-        let mut due: Vec<PendingCosign> =
-            self.pending.iter().copied().filter(|p| p.quorum_at <= now).collect();
-        self.pending.retain(|p| p.quorum_at > now);
+        if !self.pending.iter().any(|p| p.quorum_at <= now) {
+            return;
+        }
         // Deterministic completion order: by quorum time, then manifest id.
-        due.sort_by_key(|p| (p.quorum_at, p.manifest));
-        for p in due {
+        // Sorting the whole list (stably, in place) puts the due rounds in
+        // that order at its front and leaves the rest in an order the next
+        // call's sort does not depend on.
+        self.pending.sort_by_key(|p| (p.quorum_at, p.manifest));
+        let due = self.pending.partition_point(|p| p.quorum_at <= now);
+        let mut sink = self.telemetry.batch();
+        for i in 0..due {
+            let p = self.pending[i];
             let reachable = self.reachable(p.quorum_at);
             if reachable < self.cfg.quorum {
                 continue;
@@ -220,15 +226,18 @@ impl WitnessBoard {
                     witnessed_at: p.quorum_at,
                 },
             );
-            self.telemetry.record(
-                p.quorum_at,
-                EventKind::WitnessQuorumReached {
-                    job: p.job,
-                    manifest: p.manifest,
-                    peers: reachable.min(self.cfg.peers),
-                },
-            );
+            if let Some(sink) = sink.as_mut() {
+                sink.record(
+                    p.quorum_at,
+                    EventKind::WitnessQuorumReached {
+                        job: p.job,
+                        manifest: p.manifest,
+                        peers: reachable.min(self.cfg.peers),
+                    },
+                );
+            }
         }
+        self.pending.drain(..due);
     }
 
     /// The latest witnessed manifest for `job`, if any.

@@ -125,7 +125,10 @@ impl MemoryPredictor {
     /// Creates a predictor keeping the most recent `window` samples
     /// (minimum 2).
     pub fn new(window: usize) -> Self {
-        MemoryPredictor { window: window.max(2), samples: Vec::new() }
+        let window = window.max(2);
+        // Sized once: the caller observes every profiling interval, and the
+        // window never holds more than `window + 1` samples.
+        MemoryPredictor { window, samples: Vec::with_capacity(window + 1) }
     }
 
     /// Records a sample. Out-of-order samples (time not increasing) are

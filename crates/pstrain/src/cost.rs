@@ -236,13 +236,23 @@ impl AsyncCostModel {
     /// Job throughput in samples/second: asynchronous workers iterate
     /// independently, so rates add.
     pub fn throughput(&self, workers: &[PodState], partitions: &[PsPartition]) -> f64 {
+        self.throughput_of(workers.iter().copied(), workers.len() as u32, partitions)
+    }
+
+    /// [`Self::throughput`] of the `count` pods `workers` yields, for a
+    /// caller whose worker set is not a slice (the engine's live slots).
+    pub fn throughput_of(
+        &self,
+        workers: impl Iterator<Item = PodState>,
+        count: u32,
+        partitions: &[PsPartition],
+    ) -> f64 {
         let _p = dlrover_telemetry::prof::scope("cost/throughput");
-        dlrover_telemetry::prof::add_items(workers.len() as u64);
-        let server = self.server_phases(partitions, workers.len() as u32);
+        dlrover_telemetry::prof::add_items(u64::from(count));
+        let server = self.server_phases(partitions, count);
         workers
-            .iter()
             .map(|wk| {
-                f64::from(self.batch_size) / self.phase_times_on(wk, &server).iter().sum::<f64>()
+                f64::from(self.batch_size) / self.phase_times_on(&wk, &server).iter().sum::<f64>()
             })
             .sum()
     }

@@ -13,7 +13,7 @@ use dlrover_perfmodel::{
     ExecPlan, GradientMode, JobShape, MemoryModel, ThroughputObservation, WorkloadConstants,
 };
 use dlrover_sim::{SimDuration, SimTime};
-use dlrover_telemetry::{EventKind, SpanCategory, Telemetry};
+use dlrover_telemetry::{EventKind, Sink, SpanCategory, Telemetry};
 use serde::{Deserialize, Serialize};
 
 use crate::cost::{AsyncCostModel, PodState, PsPartition};
@@ -137,6 +137,17 @@ pub struct PsTrainingEngine {
     span_track: u64,
     /// Active execution plan (default = plain async PS training).
     exec: ExecPlan,
+    scratch: AdvanceScratch,
+}
+
+/// Working vectors of [`PsTrainingEngine::advance`], kept between slices so
+/// a slice allocates nothing once they have grown to the gang's size.
+#[derive(Debug, Clone, Default)]
+struct AdvanceScratch {
+    /// `(slot, samples/s)` of every live worker, slot order.
+    rates: Vec<(usize, f64)>,
+    /// Slots whose rate fell under a third of the fastest.
+    stragglers: Vec<usize>,
 }
 
 impl PsTrainingEngine {
@@ -207,6 +218,7 @@ impl PsTrainingEngine {
             telemetry: Telemetry::default(),
             span_track: 0,
             exec,
+            scratch: AdvanceScratch::default(),
         };
         for pod in workers {
             engine.add_worker(pod);
@@ -246,10 +258,24 @@ impl PsTrainingEngine {
         &self.events
     }
 
-    /// Live worker pods (hung workers excluded: a zombie contributes no
-    /// compute).
-    pub fn workers(&self) -> Vec<PodState> {
-        self.workers.iter().filter(|w| w.alive && !w.hung).map(|w| w.pod).collect()
+    /// Live worker pods in slot order (hung workers excluded: a zombie
+    /// contributes no compute).
+    pub fn live_pods(&self) -> impl Iterator<Item = PodState> + '_ {
+        self.workers.iter().filter(|w| w.alive && !w.hung).map(|w| w.pod)
+    }
+
+    /// The slots whose shard-queue id `ids` yields. Both sides ascend — an
+    /// id is minted from a counter as its slot is pushed — so one pass
+    /// joins them.
+    fn slots_of<'a>(
+        &'a self,
+        ids: impl Iterator<Item = u64> + 'a,
+    ) -> impl Iterator<Item = (usize, &'a WorkerSlot)> + 'a {
+        let mut ids = ids.peekable();
+        self.workers.iter().enumerate().filter(move |(_, w)| {
+            while ids.next_if(|&id| id < w.shard_worker_id).is_some() {}
+            ids.next_if_eq(&w.shard_worker_id).is_some()
+        })
     }
 
     /// Hangs a live worker: its pod stays up and it keeps any checked-out
@@ -271,14 +297,10 @@ impl PsTrainingEngine {
     /// `timeout` — the failure detector's candidates (§6.1). Healthy
     /// workers heartbeat every [`Self::advance`] slice (even while paused
     /// or waiting on a drained queue), so only hung workers go silent.
-    pub fn silent_workers(&self, timeout: SimDuration) -> Vec<usize> {
-        let ids = self.shards.silent_workers(self.now, timeout);
-        self.workers
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.alive && ids.contains(&w.shard_worker_id))
+    pub fn silent_workers(&self, timeout: SimDuration) -> impl Iterator<Item = usize> + '_ {
+        self.slots_of(self.shards.silent_workers(self.now, timeout))
+            .filter(|(_, w)| w.alive)
             .map(|(i, _)| i)
-            .collect()
     }
 
     /// Current PS partitions.
@@ -316,8 +338,10 @@ impl PsTrainingEngine {
         slot.carry = 0.0;
         self.shards.fail_worker(slot.shard_worker_id);
         self.events.push((self.now, EngineEvent::WorkerFailed(idx)));
-        self.telemetry.record(self.now, EventKind::WorkerFailed { worker: idx as u64 });
-        self.telemetry.count("engine.worker_failures", 1);
+        if let Some(mut sink) = self.telemetry.batch() {
+            sink.record(self.now, EventKind::WorkerFailed { worker: idx as u64 });
+            sink.metrics.count("engine.worker_failures", 1);
+        }
     }
 
     /// Removes a worker gracefully (scale-down): processed work is kept.
@@ -402,8 +426,10 @@ impl PsTrainingEngine {
         }
         self.pending_pause += d;
         self.events.push((self.now, EngineEvent::Paused(d)));
-        self.telemetry.record(self.now, EventKind::TrainingPaused { micros: d.as_micros() });
-        self.telemetry.observe("engine.pause_seconds", d.as_secs_f64());
+        if let Some(mut sink) = self.telemetry.batch() {
+            sink.record(self.now, EventKind::TrainingPaused { micros: d.as_micros() });
+            sink.metrics.observe("engine.pause_seconds", d.as_secs_f64());
+        }
     }
 
     /// Samples fully accounted (completed shards + in-flight progress).
@@ -463,34 +489,35 @@ impl PsTrainingEngine {
 
     /// Instantaneous throughput (samples/s) of the live configuration.
     pub fn throughput(&self) -> f64 {
-        let pods: Vec<PodState> = self.workers();
-        if pods.is_empty() || !self.pending_pause.is_zero() {
+        if !self.pending_pause.is_zero() {
             return 0.0;
         }
-        self.exec_throughput(&pods)
+        self.exec_throughput(self.live_pods().count() as u32)
     }
 
-    /// Throughput of `pods` under the active execution plan. Bit-identical
-    /// to [`AsyncCostModel::throughput`] on the default plan; otherwise the
+    /// Throughput of the `live` live pods under the active execution plan,
+    /// pauses ignored; 0 with no live worker. Bit-identical to
+    /// [`AsyncCostModel::throughput`] on the default plan; otherwise the
     /// per-phase times pass through [`dlrover_perfmodel::adjust_phases`]
     /// (the same transform the optimizer priced the plan with) and sync
     /// mode barriers every worker on the slowest iteration.
-    fn exec_throughput(&self, pods: &[PodState]) -> f64 {
-        if self.exec.is_default() {
-            return self.cost.throughput(pods, &self.partitions);
+    fn exec_throughput(&self, live: u32) -> f64 {
+        if live == 0 {
+            return 0.0;
         }
-        let n = pods.len() as u32;
+        if self.exec.is_default() {
+            return self.cost.throughput_of(self.live_pods(), live, &self.partitions);
+        }
         let eb = f64::from(self.cost.batch_size);
-        let server = self.cost.server_phases(&self.partitions, n);
-        let iters: Vec<f64> = pods
-            .iter()
-            .map(|wk| self.cost.worker_iter_time_on(wk, &server, n, &self.exec))
-            .collect();
+        let server = self.cost.server_phases(&self.partitions, live);
+        let iters = self
+            .live_pods()
+            .map(|wk| self.cost.worker_iter_time_on(&wk, &server, live, &self.exec));
         if self.exec.gradient_mode == GradientMode::Sync {
-            let worst = iters.iter().cloned().fold(0.0f64, f64::max).max(1e-12);
-            pods.len() as f64 * eb / worst
+            let worst = iters.fold(0.0f64, f64::max).max(1e-12);
+            f64::from(live) * eb / worst
         } else {
-            iters.iter().map(|t| eb / t).sum()
+            iters.map(|t| eb / t).sum()
         }
     }
 
@@ -500,12 +527,13 @@ impl PsTrainingEngine {
         if !self.pending_pause.is_zero() {
             return 0.0;
         }
-        self.cost.job_cpu_utilisation(&self.workers(), &self.partitions)
+        let pods: Vec<PodState> = self.live_pods().collect();
+        self.cost.job_cpu_utilisation(&pods, &self.partitions)
     }
 
     /// Memory utilisation: PS bytes in use over bytes allocated.
     pub fn memory_utilisation(&self) -> f64 {
-        let used: u64 = self.ps_memory_used().iter().sum();
+        let used: u64 = self.ps_memory_used().sum();
         let alloc: u64 = self.ps_mem_alloc.iter().sum();
         if alloc == 0 {
             return 0.0;
@@ -513,19 +541,14 @@ impl PsTrainingEngine {
         (used as f64 / alloc as f64).min(1.0)
     }
 
-    /// Memory in use per PS, bytes: its parameter share of the embedding
-    /// plus an even slice of the static part.
-    pub fn ps_memory_used(&self) -> Vec<u64> {
+    /// Memory in use per PS, bytes, in partition order: its parameter share
+    /// of the embedding plus an even slice of the static part.
+    pub fn ps_memory_used(&self) -> impl Iterator<Item = u64> + '_ {
         let emb = self.spec.memory.embedding_bytes(self.samples_done() as f64);
         let static_slice = self.spec.memory.static_bytes / self.partitions.len() as f64;
-        self.partitions
-            .iter()
-            .enumerate()
-            .map(|(i, ps)| {
-                (ps.share * emb + static_slice) as u64
-                    + self.mem_pressure.get(i).copied().unwrap_or(0)
-            })
-            .collect()
+        self.partitions.iter().enumerate().map(move |(i, ps)| {
+            (ps.share * emb + static_slice) as u64 + self.mem_pressure.get(i).copied().unwrap_or(0)
+        })
     }
 
     /// Injects external memory pressure on one PS pod: `bytes` of
@@ -568,14 +591,10 @@ impl PsTrainingEngine {
 
     /// Engine indices of workers whose progress lags the median by more
     /// than `lag_factor` (see [`ShardQueue::stragglers`]).
-    pub fn straggling_workers(&self, lag_factor: f64) -> Vec<usize> {
-        let ids = self.shards.stragglers(lag_factor);
-        self.workers
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.alive && !w.hung && ids.contains(&w.shard_worker_id))
+    pub fn straggling_workers(&self, lag_factor: f64) -> impl Iterator<Item = usize> + '_ {
+        self.slots_of(self.shards.stragglers(lag_factor))
+            .filter(|(_, w)| w.alive && !w.hung)
             .map(|(i, _)| i)
-            .collect()
     }
 
     /// A profiling observation of the current configuration, suitable for
@@ -589,25 +608,29 @@ impl PsTrainingEngine {
     /// within one tick (see `JobMaster::detect_hot_ps`), so the fitter
     /// effectively only ever trains on near-homogeneous samples.
     pub fn observation(&self) -> Option<ThroughputObservation> {
-        let pods = self.workers();
-        if pods.is_empty() {
-            return None;
+        self.observation_and_throughput().0
+    }
+
+    /// [`Self::observation`] and [`Self::throughput`] from one evaluation of
+    /// the cost model — what the master's tick reads, once.
+    pub fn observation_and_throughput(&self) -> (Option<ThroughputObservation>, f64) {
+        let w = self.live_pods().count() as u32;
+        if w == 0 {
+            return (None, 0.0);
         }
-        let w = pods.len() as u32;
-        let mean_cpu = pods.iter().map(|p| p.effective_cpu()).sum::<f64>() / pods.len() as f64;
-        let p = self.partitions.len() as u32;
-        let mean_ps_cpu = self.partitions.iter().map(|ps| ps.pod.effective_cpu()).sum::<f64>()
-            / self.partitions.len() as f64;
-        let thp = self.exec_throughput(&pods);
-        if thp <= 0.0 {
-            return None;
-        }
-        let batch = self.cost.batch_size;
-        let iter_time = f64::from(w) * f64::from(batch) / thp;
-        Some(ThroughputObservation {
-            shape: JobShape::new(w, p, mean_cpu, mean_ps_cpu, batch),
-            iter_time,
-        })
+        let thp = self.exec_throughput(w);
+        let observation = (thp > 0.0).then(|| {
+            let mean_cpu = self.live_pods().map(|p| p.effective_cpu()).sum::<f64>() / f64::from(w);
+            let p = self.partitions.len() as u32;
+            let mean_ps_cpu = self.partitions.iter().map(|ps| ps.pod.effective_cpu()).sum::<f64>()
+                / self.partitions.len() as f64;
+            let batch = self.cost.batch_size;
+            ThroughputObservation {
+                shape: JobShape::new(w, p, mean_cpu, mean_ps_cpu, batch),
+                iter_time: f64::from(w) * f64::from(batch) / thp,
+            }
+        });
+        (observation, if self.pending_pause.is_zero() { thp } else { 0.0 })
     }
 
     /// Records one `iteration` span over the trained part of a slice, with
@@ -619,27 +642,21 @@ impl PsTrainingEngine {
     /// §4.2 lag signal).
     fn record_iteration_spans(
         &self,
+        sink: &mut Sink,
         start: SimTime,
         end: SimTime,
         workers: u32,
         server: &[f64; 4],
         stragglers: &[usize],
     ) {
-        let pods = self.workers();
-        if pods.is_empty() || end <= start {
+        if workers == 0 || end <= start {
             return;
         }
-        let iter = self.telemetry.span_complete(
-            start,
-            end,
-            SpanCategory::Iteration,
-            "slice",
-            self.span_track,
-            None,
-        );
+        let track = self.span_track;
+        let iter = sink.spans.complete(start, end, SpanCategory::Iteration, "slice", track, None);
         let mean = PodState {
-            cpu: pods.iter().map(|p| p.cpu).sum::<f64>() / pods.len() as f64,
-            speed: pods.iter().map(|p| p.speed).sum::<f64>() / pods.len() as f64,
+            cpu: self.live_pods().map(|p| p.cpu).sum::<f64>() / f64::from(workers),
+            speed: self.live_pods().map(|p| p.speed).sum::<f64>() / f64::from(workers),
         };
         // [t_grad, t_upd, t_sync, t_emb, β] → lookup, compute(+β), push, pull.
         let pt = dlrover_perfmodel::adjust_phases(
@@ -665,19 +682,13 @@ impl PsTrainingEngine {
                 } else {
                     (t + dur.mul_f64(share / total)).min(end)
                 };
-                self.telemetry.span_complete(t, phase_end, *cat, "", self.span_track, Some(iter));
+                sink.spans.complete(t, phase_end, *cat, "", track, Some(iter));
                 t = phase_end;
             }
         }
         for &i in stragglers {
-            self.telemetry.span_complete(
-                start,
-                end,
-                SpanCategory::Straggler,
-                &format!("w{i}"),
-                self.span_track,
-                Some(iter),
-            );
+            let label = format!("w{i}");
+            sink.spans.complete(start, end, SpanCategory::Straggler, &label, track, Some(iter));
         }
     }
 
@@ -687,10 +698,10 @@ impl PsTrainingEngine {
     /// the silent-worker detector has no false positives across long
     /// migration pauses. An offset of zero leaves shard progress untouched
     /// (heartbeats are monotone).
-    fn liveness_heartbeats(&mut self) {
-        for w in &self.workers {
+    fn liveness_heartbeats(workers: &[WorkerSlot], shards: &mut ShardQueue, now: SimTime) {
+        for w in workers {
             if w.alive && !w.hung {
-                self.shards.heartbeat(w.shard_worker_id, 0, self.now);
+                shards.heartbeat(w.shard_worker_id, 0, now);
             }
         }
     }
@@ -698,6 +709,11 @@ impl PsTrainingEngine {
     /// Advances virtual time by `dt`, consuming pending pauses first, then
     /// training. Returns the slice's progress.
     pub fn advance(&mut self, dt: SimDuration) -> JobProgress {
+        // Everything the slice records goes through one acquisition; with
+        // the null sink (`None`) the span arithmetic is skipped with it.
+        // The guard borrows `self.telemetry`, so the body below touches the
+        // other fields directly and calls no `&mut self` method.
+        let mut sink = self.telemetry.batch();
         let mut remaining = dt;
         // Consume pause.
         if !self.pending_pause.is_zero() {
@@ -706,8 +722,8 @@ impl PsTrainingEngine {
             remaining = remaining.saturating_sub(consumed);
             let pause_start = self.now;
             self.now += consumed;
-            if !consumed.is_zero() {
-                self.telemetry.span_complete(
+            if let Some(sink) = sink.as_mut().filter(|_| !consumed.is_zero()) {
+                sink.spans.complete(
                     pause_start,
                     self.now,
                     SpanCategory::Migration,
@@ -719,58 +735,46 @@ impl PsTrainingEngine {
         }
         if remaining.is_zero() || self.oomed {
             self.now += remaining;
-            self.liveness_heartbeats();
+            Self::liveness_heartbeats(&self.workers, &mut self.shards, self.now);
             return JobProgress { samples: 0.0, completed: self.is_complete(), oom_ps: None };
         }
 
         let dt_s = remaining.as_secs_f64();
         let train_start = self.now;
-        let live: Vec<usize> = (0..self.workers.len())
-            .filter(|&i| self.workers[i].alive && !self.workers[i].hung)
-            .collect();
-        let n = live.len() as u32;
+        let n = self.live_pods().count() as u32;
         let mut total_new = 0.0f64;
-        let mut stragglers: Vec<usize> = Vec::new();
         // The server side of the cost model depends on the layout and the
         // live worker count only: evaluated once per slice, shared by every
         // worker's rate and by the iteration spans.
         let server = self.cost.server_phases(&self.partitions, n);
         let mut shards_acked = 0u64;
+        let AdvanceScratch { rates, stragglers } = &mut self.scratch;
+        stragglers.clear();
 
         if n > 0 {
             // Per-worker rates under the current layout and execution plan
             // (bit-identical to the legacy path on the default plan).
-            let mut rates: Vec<f64> = live
-                .iter()
-                .map(|&i| {
-                    f64::from(self.cost.batch_size)
-                        / self.cost.worker_iter_time_on(
-                            &self.workers[i].pod,
-                            &server,
-                            n,
-                            &self.exec,
-                        )
-                })
-                .collect();
-            let mut max_rate = rates.iter().cloned().fold(0.0f64, f64::max).max(1e-12);
-            stragglers = live
-                .iter()
-                .enumerate()
-                .filter(|(k, _)| rates[*k] < max_rate / 3.0)
-                .map(|(_, &i)| i)
-                .collect();
+            rates.clear();
+            rates.extend(self.workers.iter().enumerate().filter(|(_, w)| w.alive && !w.hung).map(
+                |(i, w)| {
+                    let iter_time = self.cost.worker_iter_time_on(&w.pod, &server, n, &self.exec);
+                    (i, f64::from(self.cost.batch_size) / iter_time)
+                },
+            ));
+            let mut max_rate = rates.iter().map(|&(_, r)| r).fold(0.0f64, f64::max).max(1e-12);
+            stragglers.extend(rates.iter().filter(|&&(_, r)| r < max_rate / 3.0).map(|&(i, _)| i));
             if self.exec.gradient_mode == GradientMode::Sync {
                 // Synchronous gradients barrier every iteration on the
                 // slowest worker (the Rubick trade the optimizer prices:
                 // cheaper updates, a shared pace).
-                let min_rate = rates.iter().cloned().fold(f64::INFINITY, f64::min);
-                rates.iter_mut().for_each(|r| *r = min_rate);
+                let min_rate = rates.iter().map(|&(_, r)| r).fold(f64::INFINITY, f64::min);
+                rates.iter_mut().for_each(|(_, r)| *r = min_rate);
                 max_rate = min_rate.max(1e-12);
             }
 
-            for (k, &i) in live.iter().enumerate() {
-                let mut budget = rates[k] * dt_s + self.workers[i].carry;
-                let pace = (rates[k] / max_rate).clamp(0.01, 1.0);
+            for &(i, rate) in rates.iter() {
+                let mut budget = rate * dt_s + self.workers[i].carry;
+                let pace = (rate / max_rate).clamp(0.01, 1.0);
                 let wid = self.workers[i].shard_worker_id;
                 let mut produced = 0.0f64;
                 loop {
@@ -781,10 +785,12 @@ impl PsTrainingEngine {
                         Some(shard) => (shard, state.offset_in_shard),
                         None => match self.shards.checkout(wid, pace, self.now) {
                             Some(shard) => {
-                                self.telemetry.record(
-                                    self.now,
-                                    EventKind::ShardCheckedOut { worker: wid, len: shard.len },
-                                );
+                                if let Some(sink) = sink.as_mut() {
+                                    sink.record(
+                                        self.now,
+                                        EventKind::ShardCheckedOut { worker: wid, len: shard.len },
+                                    );
+                                }
                                 (shard, 0)
                             }
                             None => break, // dataset drained
@@ -796,10 +802,12 @@ impl PsTrainingEngine {
                         produced += left_in_shard;
                         self.shards.heartbeat(wid, shard.len, self.now);
                         let acked = self.shards.complete(wid, self.now);
-                        self.telemetry.record(
-                            self.now,
-                            EventKind::ShardAcked { worker: wid, len: acked.len },
-                        );
+                        if let Some(sink) = sink.as_mut() {
+                            sink.record(
+                                self.now,
+                                EventKind::ShardAcked { worker: wid, len: acked.len },
+                            );
+                        }
                         shards_acked += 1;
                     } else {
                         let whole = budget.floor() as u64;
@@ -817,25 +825,27 @@ impl PsTrainingEngine {
                 total_new += produced;
             }
         }
-        if shards_acked > 0 {
-            self.telemetry.count("engine.shards_acked", shards_acked);
-        }
         self.now += remaining;
-        self.liveness_heartbeats();
-        if total_new > 0.0 {
-            self.record_iteration_spans(train_start, self.now, n, &server, &stragglers);
-        }
+        Self::liveness_heartbeats(&self.workers, &mut self.shards, self.now);
 
         // Memory / OOM check.
-        let oom_ps = self
-            .ps_memory_used()
-            .iter()
-            .zip(&self.ps_mem_alloc)
-            .position(|(used, alloc)| used > alloc);
+        let oom_ps =
+            self.ps_memory_used().zip(&self.ps_mem_alloc).position(|(used, alloc)| used > *alloc);
         if let Some(ps) = oom_ps {
             self.oomed = true;
             self.events.push((self.now, EngineEvent::Oom(ps)));
-            self.telemetry.record(self.now, EventKind::Oomed { job: 0, ps: ps as u64 });
+        }
+        if let Some(sink) = sink.as_mut() {
+            if shards_acked > 0 {
+                sink.metrics.count("engine.shards_acked", shards_acked);
+            }
+            if total_new > 0.0 {
+                let stragglers = &self.scratch.stragglers;
+                self.record_iteration_spans(sink, train_start, self.now, n, &server, stragglers);
+            }
+            if let Some(ps) = oom_ps {
+                sink.record(self.now, EventKind::Oomed { job: 0, ps: ps as u64 });
+            }
         }
 
         let completed = self.is_complete();
@@ -925,7 +935,7 @@ mod proptests {
                     Op::RemoveWorker(i) => {
                         // Keep at least one live worker so the drain below
                         // can finish.
-                        if e.workers().len() > 1 {
+                        if e.live_pods().count() > 1 {
                             e.remove_worker(i as usize);
                         }
                     }
@@ -950,7 +960,7 @@ mod proptests {
                 }
             }
             // Ensure at least one live worker, then drain.
-            if e.workers().is_empty() {
+            if e.live_pods().count() == 0 {
                 e.add_worker(PodState::new(8.0));
             }
             e.run_to_completion(SimDuration::from_secs(600), SimTime::MAX)
@@ -985,7 +995,7 @@ mod proptests {
                             e.add_worker(PodState::new(8.0));
                         }
                         Op::RemoveWorker(i) => {
-                            if e.workers().len() > 1 {
+                            if e.live_pods().count() > 1 {
                                 e.remove_worker(i as usize);
                             }
                         }
@@ -1072,14 +1082,14 @@ mod tests {
     fn memory_pressure_counts_toward_usage_and_oom() {
         let mut e = engine(1000, 4, 2, 8.0);
         e.advance(SLICE);
-        let base = e.ps_memory_used();
+        let base: Vec<u64> = e.ps_memory_used().collect();
         // Pressure shows up in usage and clears back out.
         e.set_ps_mem_pressure(1, 7_000_000);
-        let pressed = e.ps_memory_used();
+        let pressed: Vec<u64> = e.ps_memory_used().collect();
         assert_eq!(pressed[0], base[0]);
         assert_eq!(pressed[1], base[1] + 7_000_000);
         e.set_ps_mem_pressure(1, 0);
-        assert_eq!(e.ps_memory_used(), base);
+        assert_eq!(e.ps_memory_used().collect::<Vec<_>>(), base);
         // Out-of-range injection is a no-op.
         e.set_ps_mem_pressure(99, 1);
         assert!(!e.is_oomed());
@@ -1310,19 +1320,20 @@ mod tests {
         let timeout = SimDuration::from_secs(120);
         let mut e = engine(400, 4, 2, 8.0);
         e.advance(SLICE);
-        assert!(e.silent_workers(timeout).is_empty(), "everyone heartbeats");
+        assert_eq!(e.silent_workers(timeout).count(), 0, "everyone heartbeats");
         e.hang_worker(1);
-        assert_eq!(e.workers().len(), 3, "zombie contributes no compute");
+        assert_eq!(e.live_pods().count(), 3, "zombie contributes no compute");
         // Long pauses must not trip the detector for healthy workers.
         e.pause(SimDuration::from_secs(300));
         for _ in 0..12 {
             e.advance(SLICE);
         }
-        assert_eq!(e.silent_workers(timeout), vec![1], "only the zombie is silent");
+        let silent: Vec<usize> = e.silent_workers(timeout).collect();
+        assert_eq!(silent, vec![1], "only the zombie is silent");
         // The detector's remedy: fail the zombie (shard re-queues) and
         // exactly-once still holds end to end.
         e.fail_worker(1);
-        assert!(e.silent_workers(timeout).is_empty());
+        assert_eq!(e.silent_workers(timeout).count(), 0);
         e.run_to_completion(SLICE, SimTime::from_secs(100_000_000)).expect("finishes");
         assert_eq!(e.samples_done(), e.spec().total_samples);
     }

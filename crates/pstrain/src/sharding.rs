@@ -276,34 +276,55 @@ impl ShardQueue {
     }
 
     /// Workers whose last heartbeat is older than `timeout` — the failure
-    /// detector's candidates.
-    pub fn silent_workers(&self, now: SimTime, timeout: dlrover_sim::SimDuration) -> Vec<u64> {
+    /// detector's candidates, ascending by id.
+    pub fn silent_workers(
+        &self,
+        now: SimTime,
+        timeout: dlrover_sim::SimDuration,
+    ) -> impl Iterator<Item = u64> + '_ {
         self.workers
             .iter()
-            .filter(|(_, s)| now.saturating_since(s.last_heartbeat) > timeout)
+            .filter(move |(_, s)| now.saturating_since(s.last_heartbeat) > timeout)
             .map(|&(id, _)| id)
-            .collect()
     }
 
     /// Straggler detection: workers whose total progress lags the median of
     /// their peers by more than `lag_factor` (e.g. 0.5 = less than half the
-    /// median progress).
-    pub fn stragglers(&self, lag_factor: f64) -> Vec<u64> {
-        if self.workers.len() < 2 {
-            return Vec::new();
-        }
-        let mut totals: Vec<u64> = self.workers.iter().map(|(_, s)| s.total_samples()).collect();
-        totals.sort_unstable();
-        let median = totals[totals.len() / 2];
-        if median == 0 {
-            return Vec::new();
-        }
-        let threshold = (median as f64 * lag_factor.clamp(0.0, 1.0)) as u64;
+    /// median progress), ascending by id.
+    pub fn stragglers(&self, lag_factor: f64) -> impl Iterator<Item = u64> + '_ {
+        let threshold = self.straggler_threshold(lag_factor);
         self.workers
             .iter()
-            .filter(|(_, s)| s.total_samples() < threshold)
+            .filter(move |(_, s)| threshold.is_some_and(|t| s.total_samples() < t))
             .map(|&(id, _)| id)
-            .collect()
+    }
+
+    /// The progress below which a worker counts as a straggler: the upper
+    /// median of the workers' totals times `lag_factor`. `None` when nobody
+    /// can lag — fewer than two workers, or a median of zero.
+    fn straggler_threshold(&self, lag_factor: f64) -> Option<u64> {
+        /// Gangs up to this size find their median on the stack; the master
+        /// asks every tick.
+        const INLINE: usize = 64;
+        let n = self.workers.len();
+        if n < 2 {
+            return None;
+        }
+        let (mut inline, mut spilled) = ([0u64; INLINE], Vec::new());
+        let totals = if n <= INLINE {
+            &mut inline[..n]
+        } else {
+            spilled.resize(n, 0);
+            &mut spilled[..]
+        };
+        for (total, (_, s)) in totals.iter_mut().zip(&self.workers) {
+            *total = s.total_samples();
+        }
+        let median = *totals.select_nth_unstable(n / 2).1;
+        if median == 0 {
+            return None;
+        }
+        Some((median as f64 * lag_factor.clamp(0.0, 1.0)) as u64)
     }
 
     /// Worker state (for the job master).
@@ -519,7 +540,7 @@ mod tests {
         q.register_worker(1, t(0));
         q.register_worker(2, t(0));
         q.heartbeat(1, 0, t(100));
-        let silent = q.silent_workers(t(130), SimDuration::from_secs(60));
+        let silent: Vec<u64> = q.silent_workers(t(130), SimDuration::from_secs(60)).collect();
         assert_eq!(silent, vec![2]);
     }
 
@@ -537,7 +558,7 @@ mod tests {
             q.heartbeat(w, 500, t(2));
         }
         q.heartbeat(4, 100, t(2));
-        let stragglers = q.stragglers(0.5);
+        let stragglers: Vec<u64> = q.stragglers(0.5).collect();
         assert_eq!(stragglers, vec![4]);
     }
 
@@ -546,7 +567,7 @@ mod tests {
         let mut q = ShardQueue::new(10_000, cfg(10, 100));
         q.checkout(1, 1.0, t(0)).unwrap();
         q.heartbeat(1, 10, t(1));
-        assert!(q.stragglers(0.5).is_empty());
+        assert_eq!(q.stragglers(0.5).count(), 0);
     }
 
     #[test]
@@ -831,12 +852,15 @@ mod proptests {
                     DiffOp::Silent(secs) => {
                         let timeout = dlrover_sim::SimDuration::from_secs(secs);
                         prop_assert_eq!(
-                            live.silent_workers(now, timeout),
+                            live.silent_workers(now, timeout).collect::<Vec<_>>(),
                             reference.silent_workers(now, timeout)
                         );
                     }
                     DiffOp::Stragglers(lag) => {
-                        prop_assert_eq!(live.stragglers(lag), reference.stragglers(lag));
+                        prop_assert_eq!(
+                            live.stragglers(lag).collect::<Vec<_>>(),
+                            reference.stragglers(lag)
+                        );
                     }
                     DiffOp::Quiesce => {
                         live = live.quiesced();

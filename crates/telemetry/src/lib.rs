@@ -36,11 +36,13 @@ pub use event::{Event, EventKind, MigrationKind};
 pub use log::{diff_jsonl, EventLog, LogDiff, DEFAULT_EVENT_CAPACITY};
 pub use metrics::{Histogram, MetricsRegistry, SeriesPoint, TimeSeries};
 pub use oracle::{GroundTruth, Invariant, InvariantCheck, Oracle, OracleConfig, OracleReport};
-pub use span::{parse_spans_jsonl, Span, SpanCategory, SpanId, SpanLog, DEFAULT_SPAN_CAPACITY};
+pub use span::{
+    parse_spans_jsonl, Label, Span, SpanCategory, SpanId, SpanLog, DEFAULT_SPAN_CAPACITY,
+};
 
 use dlrover_sim::SimTime;
 use serde::Serialize;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The state of one telemetry sink: what a [`Telemetry`] handle shares
 /// behind its lock, and what a single-writer component can own outright.
@@ -163,8 +165,17 @@ impl Telemetry {
         Telemetry { inner: None }
     }
 
-    /// The sink's state under its lock; `None` for the null sink.
-    fn lock(&self) -> Option<std::sync::MutexGuard<'_, Sink>> {
+    /// The sink under its lock, for a group of writes (or reads) that
+    /// should cost one acquisition: a component that records several events,
+    /// counters and spans in one call takes a batch once and writes through
+    /// it (`sink.record(..)`, `sink.metrics.count(..)`,
+    /// `sink.spans.complete(..)`). `None` for the null sink, so a caller can
+    /// skip the arithmetic behind records nobody would keep. Every other
+    /// write on the handle is a batch of one.
+    ///
+    /// The lock is not re-entrant: hold a batch only across code that does
+    /// not record through another handle to the same sink.
+    pub fn batch(&self) -> Option<MutexGuard<'_, Sink>> {
         Some(self.inner.as_ref()?.lock().expect("telemetry lock poisoned"))
     }
 
@@ -173,66 +184,75 @@ impl Telemetry {
     /// [`EventLog::reserve`]; recorded state and serialized bytes are
     /// unaffected.
     pub fn reserve_events(&self, hint: usize) {
-        if let Some(mut inner) = self.lock() {
+        if let Some(mut inner) = self.batch() {
             inner.log.reserve(hint);
         }
     }
 
     /// Records an event stamped `at`.
     pub fn record(&self, at: SimTime, kind: EventKind) {
-        if let Some(mut inner) = self.lock() {
+        if let Some(mut inner) = self.batch() {
             inner.record(at, kind);
         }
     }
 
     /// Increments counter `name` by `n`.
     pub fn count(&self, name: &str, n: u64) {
-        if let Some(mut inner) = self.lock() {
+        if let Some(mut inner) = self.batch() {
             inner.metrics.count(name, n);
         }
     }
 
     /// Sets gauge `name` to `value`.
     pub fn gauge(&self, name: &str, value: f64) {
-        if let Some(mut inner) = self.lock() {
+        if let Some(mut inner) = self.batch() {
             inner.metrics.gauge(name, value);
         }
     }
 
     /// Records `value` into histogram `name`.
     pub fn observe(&self, name: &str, value: f64) {
-        if let Some(mut inner) = self.lock() {
+        if let Some(mut inner) = self.batch() {
             inner.metrics.observe(name, value);
         }
     }
 
     /// Appends a time-series sample.
     pub fn sample(&self, name: &str, at: SimTime, value: f64) {
-        if let Some(mut inner) = self.lock() {
+        if let Some(mut inner) = self.batch() {
             inner.metrics.sample(name, at, value);
         }
     }
 
     /// Total events ever recorded.
     pub fn event_count(&self) -> u64 {
-        self.lock().map_or(0, |inner| inner.log.total_recorded())
+        self.batch().map_or(0, |inner| inner.log.total_recorded())
     }
 
     /// Current counter value (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
-        self.lock().map_or(0, |inner| inner.metrics.counter(name))
+        self.batch().map_or(0, |inner| inner.metrics.counter(name))
     }
 
     /// Serializes the retained events as JSON Lines.
     pub fn to_jsonl(&self) -> String {
-        self.lock().map_or_else(String::new, |inner| inner.log.to_jsonl())
+        self.batch().map_or_else(String::new, |inner| inner.log.to_jsonl())
     }
 
-    /// The retained events, oldest first — the `events` of
-    /// [`Self::snapshot`] without copying the spans and the metrics
-    /// registry along.
+    /// Hands `read` the retained events, oldest first, as a slice borrowed
+    /// from the ring under the lock ([`EventLog::make_contiguous`]) — the
+    /// `events` of [`Self::snapshot`] without a copy. Empty for the null
+    /// sink.
+    pub fn with_events<R>(&self, read: impl FnOnce(&[Event]) -> R) -> R {
+        match self.batch() {
+            Some(mut sink) => read(sink.log.make_contiguous()),
+            None => read(&[]),
+        }
+    }
+
+    /// An owned copy of [`Self::with_events`]' slice.
     pub fn events(&self) -> Vec<Event> {
-        self.lock().map_or_else(Vec::new, |inner| inner.log.iter().cloned().collect())
+        self.with_events(<[Event]>::to_vec)
     }
 
     /// Opens a span starting at `at`; pair with [`Self::span_close`].
@@ -244,12 +264,12 @@ impl Telemetry {
         track: u64,
         parent: Option<SpanId>,
     ) -> SpanId {
-        self.lock().map_or(SpanId(0), |mut inner| inner.spans.open(at, cat, label, track, parent))
+        self.batch().map_or(SpanId(0), |mut inner| inner.spans.open(at, cat, label, track, parent))
     }
 
     /// Closes an open span at `at` (unmatched ids are counted, not fatal).
     pub fn span_close(&self, at: SimTime, id: SpanId) {
-        if let Some(mut inner) = self.lock() {
+        if let Some(mut inner) = self.batch() {
             inner.spans.close(at, id);
         }
     }
@@ -264,19 +284,19 @@ impl Telemetry {
         track: u64,
         parent: Option<SpanId>,
     ) -> SpanId {
-        self.lock().map_or(SpanId(0), |mut inner| {
+        self.batch().map_or(SpanId(0), |mut inner| {
             inner.spans.complete(start, end, cat, label, track, parent)
         })
     }
 
     /// Total spans ever closed.
     pub fn span_count(&self) -> u64 {
-        self.lock().map_or(0, |inner| inner.spans.total_closed())
+        self.batch().map_or(0, |inner| inner.spans.total_closed())
     }
 
     /// Serializes the retained closed spans as JSON Lines.
     pub fn spans_to_jsonl(&self) -> String {
-        self.lock().map_or_else(String::new, |inner| inner.spans.to_jsonl())
+        self.batch().map_or_else(String::new, |inner| inner.spans.to_jsonl())
     }
 
     /// Absorbs another sink's state into this one (`other` is left
@@ -321,13 +341,13 @@ impl Telemetry {
     /// later parts leave free.
     pub fn merge_ordered<'a>(parts: impl IntoIterator<Item = &'a Telemetry>) -> Telemetry {
         let parts: Vec<&Telemetry> = parts.into_iter().collect();
-        let cut = |part: &&Telemetry, room| part.lock().map(|sink| sink.merge_part(room));
+        let cut = |part: &&Telemetry, room| part.batch().map(|sink| sink.merge_part(room));
         merge_tails(Sink::default(), &parts, cut).into()
     }
 
     /// An owned, serializable snapshot of the sink's current state.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let Some(inner) = self.lock() else { return TelemetrySnapshot::default() };
+        let Some(inner) = self.batch() else { return TelemetrySnapshot::default() };
         TelemetrySnapshot {
             events: inner.log.iter().cloned().collect(),
             total_events: inner.log.total_recorded(),
@@ -341,7 +361,7 @@ impl Telemetry {
 
     /// A compact run summary (event totals + top kinds).
     pub fn summary(&self) -> TelemetrySummary {
-        let Some(inner) = self.lock() else { return TelemetrySummary::default() };
+        let Some(inner) = self.batch() else { return TelemetrySummary::default() };
         TelemetrySummary {
             total_events: inner.log.total_recorded(),
             dropped_events: inner.log.dropped(),
@@ -631,7 +651,7 @@ mod tests {
                 }
                 let start = target().inner.unwrap();
                 let start = Arc::try_unwrap(start).unwrap().into_inner().unwrap();
-                let cut = |part: &Telemetry, room| part.lock().map(|s| s.merge_part(room));
+                let cut = |part: &Telemetry, room| part.batch().map(|s| s.merge_part(room));
                 let got: Telemetry = merge_tails(start, &parts, cut).into();
                 assert_eq!(serialized(&got), serialized(&want), "cap {capacity} prefill {prefill}");
                 assert_eq!(got.to_jsonl(), want.to_jsonl());
@@ -660,7 +680,7 @@ mod tests {
         let owned = Sink::merge_ordered(
             parts
                 .iter()
-                .map(|p| p.lock().unwrap().merge_part(usize::MAX))
+                .map(|p| p.batch().unwrap().merge_part(usize::MAX))
                 .collect::<Vec<_>>()
                 .iter(),
         );

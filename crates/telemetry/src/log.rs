@@ -70,6 +70,17 @@ impl EventLog {
         first.iter().chain(wrapped.iter())
     }
 
+    /// The retained events as one slice, oldest first, for readers that
+    /// want the log without a copy (the oracle's audit, a master's replay).
+    /// The ring's storage is rotated in place so the oldest event sits at
+    /// index 0; what the log holds — order, sequence numbers, drop count,
+    /// every later record and eviction — is what it was.
+    pub fn make_contiguous(&mut self) -> &[Event] {
+        self.buf.rotate_left(self.head);
+        self.head = 0;
+        &self.buf
+    }
+
     /// Most events the ring retains.
     pub fn capacity(&self) -> usize {
         self.capacity

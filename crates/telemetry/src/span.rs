@@ -20,6 +20,7 @@
 use dlrover_sim::SimTime;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// Default closed-span capacity (spans beyond this evict the oldest).
 pub const DEFAULT_SPAN_CAPACITY: usize = 65_536;
@@ -119,6 +120,97 @@ impl SpanCategory {
     }
 }
 
+/// A span's free-form detail, stored inside the span when it is short.
+///
+/// Labels are overwhelmingly fixed words (`"slice"`, `"pause"`, `"w3"`), and
+/// a tick records several spans, so up to [`Label::INLINE`] bytes live in
+/// the span itself and only a longer label goes to the heap. Either way it
+/// reads as a `str` (it derefs to one) and serializes as a JSON string; the
+/// size is a `String`'s.
+#[derive(Clone)]
+pub struct Label(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline { len: u8, bytes: [u8; Label::INLINE] },
+    Heap(Box<str>),
+}
+
+impl Label {
+    /// Longest label, in bytes, stored without a heap allocation.
+    pub const INLINE: usize = 22;
+
+    /// The label's text.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            Repr::Inline { len, bytes } => std::str::from_utf8(&bytes[..usize::from(*len)])
+                .expect("inline label bytes are a whole str"),
+            Repr::Heap(text) => text,
+        }
+    }
+}
+
+impl From<&str> for Label {
+    fn from(text: &str) -> Self {
+        if text.len() > Label::INLINE {
+            return Label(Repr::Heap(text.into()));
+        }
+        let mut bytes = [0; Label::INLINE];
+        bytes[..text.len()].copy_from_slice(text.as_bytes());
+        Label(Repr::Inline { len: text.len() as u8, bytes })
+    }
+}
+
+impl Default for Label {
+    fn default() -> Self {
+        Label::from("")
+    }
+}
+
+impl std::ops::Deref for Label {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialEq for Label {
+    fn eq(&self, other: &Label) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl PartialEq<&str> for Label {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
+
+impl fmt::Debug for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl Serialize for Label {
+    fn to_json_value(&self) -> serde::json::Value {
+        self.as_str().to_json_value()
+    }
+}
+
+impl Deserialize for Label {
+    fn from_json_value(v: &serde::json::Value) -> Result<Self, serde::json::Error> {
+        String::from_json_value(v).map(|text| Label::from(text.as_str()))
+    }
+}
+
 /// One closed (or still-open) phase of virtual time.
 ///
 /// `track` groups spans that belong to one sequential timeline — a job's
@@ -133,7 +225,7 @@ pub struct Span {
     /// Phase category.
     pub cat: SpanCategory,
     /// Free-form detail (e.g. `"w3"`, `"pause"`, `"save"`).
-    pub label: String,
+    pub label: Label,
     /// Timeline lane (job id, pod id, or experiment case id).
     pub track: u64,
     /// Virtual start, microseconds since simulation start.
@@ -216,7 +308,7 @@ impl SpanLog {
                 id,
                 parent: parent.map(|p| p.0),
                 cat,
-                label: label.to_string(),
+                label: label.into(),
                 track,
                 start_us: at.as_micros(),
                 end_us: at.as_micros(),
@@ -254,7 +346,7 @@ impl SpanLog {
             id,
             parent: parent.map(|p| p.0),
             cat,
-            label: label.to_string(),
+            label: label.into(),
             track,
             start_us: start.as_micros(),
             end_us: end.as_micros().max(start.as_micros()),

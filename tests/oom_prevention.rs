@@ -51,7 +51,7 @@ fn prevention_scales_memory_before_the_wall() {
             match e {
                 dlrover_rm::master::MasterEvent::OomPrevented { new_alloc_bytes } => {
                     prevented = true;
-                    let used: u64 = master.engine().ps_memory_used().iter().sum();
+                    let used: u64 = master.engine().ps_memory_used().sum();
                     assert!(*new_alloc_bytes > used, "pre-scale must land above current use");
                 }
                 dlrover_rm::master::MasterEvent::Oomed(_) => {

@@ -101,6 +101,8 @@ fn steady_tick_allocations(sink: Telemetry) -> u64 {
     });
     assert!(master.completed_at().is_none(), "the job must still be training");
     assert!(master.engine().samples_done() > 0);
+    // Shown by `--nocapture`.
+    eprintln!("{allocs} allocations over {TICKS} fault-free ticks");
     allocs
 }
 
@@ -168,6 +170,7 @@ fn a_chaos_job_allocates_per_fault_and_save_not_per_tick() {
     assert_eq!(report.faults_injected, 6);
     let ticks = report.jct_us.expect("the job completes") / TICK.as_micros();
     assert!((220..=260).contains(&ticks), "the job ran {ticks} ticks, meant to be about 240");
+    eprintln!("{allocs} allocations over a {ticks}-tick chaos job and its baseline run");
     assert!(
         allocs <= 1_500,
         "{allocs} allocations over {ticks} ticks (+ the fault-free baseline run) = {:.1} per tick",
