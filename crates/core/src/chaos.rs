@@ -1327,6 +1327,35 @@ mod tests {
         assert_eq!(plain, driven);
     }
 
+    /// The oracle's stream checks pass vacuously on a stream that holds
+    /// nothing of the run, so a driver wired to the wrong sink — or a ring
+    /// that evicted the run's head — must not audit as clean.
+    #[test]
+    fn an_unauditable_stream_does_not_pass_the_oracle() {
+        let plan = FaultPlan::from_events(vec![FaultEvent {
+            at: SimTime::from_secs(120),
+            kind: FaultKind::WorkerKill { worker: 1 },
+        }]);
+        let cfg = ChaosConfig::default();
+        let audited = run_chaos_job(&spec(), allocation(), &plan, &cfg, &Telemetry::default());
+        assert!(audited.oracle.passed(), "{:?}", audited.oracle.violations());
+        assert_eq!(audited.oracle.recovery_latencies_us.len(), 1);
+
+        for (what, sink) in
+            [("the null sink", Telemetry::null()), ("a 4-event ring", Telemetry::with_capacity(4))]
+        {
+            let mut report = run_chaos_job(&spec(), allocation(), &plan, &cfg, &sink);
+            assert!(report.truth.samples_done > 0);
+            let violations = report.oracle.violations();
+            assert_eq!(violations.len(), 1, "{what}: {violations:?}");
+            assert!(violations[0].starts_with("exactly_once: unauditable stream"), "{what}");
+            assert!(!report.oracle.passed(), "{what} must not audit as clean");
+            // The sink changes what the oracle can see, never what happened.
+            report.oracle = audited.oracle.clone();
+            assert_eq!(report, audited, "{what}");
+        }
+    }
+
     #[test]
     fn scaling_policy_under_faults_passes_the_oracle() {
         // ES hill-climbs the worker count while the plan kills pods: the

@@ -550,23 +550,20 @@ impl CheckpointPlane {
             "a manifest committed ahead of an earlier save of its job"
         );
         // Everything committed before the retention window goes, in save
-        // order, except what is still hot-resident; those slide to the
-        // front of the window they were in.
+        // order, except what is still hot-resident.
         let window = committed.saturating_sub(self.cfg.retain_per_job);
-        let mut kept = 0;
-        for i in 0..window {
-            let id = ids[i];
-            if self.hot_residents.contains(&id) {
-                ids[kept] = id;
-                kept += 1;
-                continue;
+        let mut position = 0;
+        ids.retain(|id| {
+            position += 1;
+            if position > window || self.hot_residents.contains(id) {
+                return true;
             }
-            let m = manifests.remove(&id).expect("retiring known manifest");
+            let m = manifests.remove(id).expect("retiring known manifest");
             for c in &m.chunks {
                 self.remote.release(c.key);
             }
-        }
-        ids.drain(kept..window);
+            false
+        });
     }
 
     /// Marks the `nth` newest staged manifest of `job` as corrupted

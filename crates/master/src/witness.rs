@@ -329,6 +329,34 @@ mod tests {
         assert_eq!(pin.witnessed_at, SimTime::from_secs(102));
     }
 
+    /// Rounds complete in `(quorum time, manifest id)` order however the
+    /// saves were observed, a round not yet due waits in the list, and one
+    /// lock covers the call's records.
+    #[test]
+    fn due_rounds_complete_in_quorum_then_manifest_order() {
+        let sink = Telemetry::default();
+        let mut b = board();
+        b.set_telemetry(sink.clone());
+        b.observe_save(1, 5, 10, 0, GB, SimTime::from_secs(10));
+        b.observe_save(2, 3, 10, 0, GB, SimTime::from_secs(10));
+        b.observe_save(3, 9, 10, 0, GB, SimTime::from_secs(5));
+        b.observe_save(1, 11, 20, 0, GB, SimTime::from_secs(50));
+        b.advance(SimTime::from_secs(20));
+        let order = |sink: &Telemetry| -> Vec<u64> {
+            (sink.snapshot().events.iter())
+                .filter_map(|e| match e.kind {
+                    EventKind::WitnessQuorumReached { manifest, .. } => Some(manifest),
+                    _ => None,
+                })
+                .collect()
+        };
+        assert_eq!(order(&sink), vec![9, 3, 5]);
+        assert_eq!(b.latest(1).unwrap().manifest, 5, "the later round is still in flight");
+        b.advance(SimTime::from_secs(60));
+        assert_eq!(order(&sink), vec![9, 3, 5, 11]);
+        assert_eq!(b.latest(1).unwrap().manifest, 11);
+    }
+
     #[test]
     fn partition_below_quorum_blocks_pinning_and_restore() {
         let mut b = board();

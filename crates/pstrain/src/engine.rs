@@ -264,18 +264,19 @@ impl PsTrainingEngine {
         self.workers.iter().filter(|w| w.alive && !w.hung).map(|w| w.pod)
     }
 
-    /// The slots whose shard-queue id `ids` yields. Both sides ascend — an
-    /// id is minted from a counter as its slot is pushed — so one pass
-    /// joins them.
+    /// The slots whose shard-queue id `ids` (the queue's, ascending)
+    /// yields. An id is minted from a counter as its slot is pushed and
+    /// stays registered only while the slot is alive, so the slots ascend
+    /// too and every id meets its slot: one pass joins the two.
     fn slots_of<'a>(
         &'a self,
         ids: impl Iterator<Item = u64> + 'a,
     ) -> impl Iterator<Item = (usize, &'a WorkerSlot)> + 'a {
         let mut ids = ids.peekable();
-        self.workers.iter().enumerate().filter(move |(_, w)| {
-            while ids.next_if(|&id| id < w.shard_worker_id).is_some() {}
-            ids.next_if_eq(&w.shard_worker_id).is_some()
-        })
+        self.workers
+            .iter()
+            .enumerate()
+            .filter(move |(_, w)| ids.next_if_eq(&w.shard_worker_id).is_some())
     }
 
     /// Hangs a live worker: its pod stays up and it keeps any checked-out
@@ -1024,6 +1025,148 @@ mod proptests {
             }
             // Same script, fresh engine → byte-identical span log.
             prop_assert_eq!(sink.spans_to_jsonl(), run(&ops).spans_to_jsonl());
+        }
+    }
+}
+
+/// The `Vec`-building bodies the tick's getters had before they became
+/// iterators and one shared cost-model evaluation, kept as the reference the
+/// rewrites are compared against on inputs no golden run reaches: gangs
+/// past any inline size, hung and dead slots, non-default execution plans.
+#[cfg(test)]
+mod getter_reference {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn workers(e: &PsTrainingEngine) -> Vec<PodState> {
+        e.workers.iter().filter(|w| w.alive && !w.hung).map(|w| w.pod).collect()
+    }
+
+    fn exec_throughput(e: &PsTrainingEngine, pods: &[PodState]) -> f64 {
+        if e.exec.is_default() {
+            return e.cost.throughput(pods, &e.partitions);
+        }
+        let n = pods.len() as u32;
+        let eb = f64::from(e.cost.batch_size);
+        let server = e.cost.server_phases(&e.partitions, n);
+        let iters: Vec<f64> =
+            pods.iter().map(|wk| e.cost.worker_iter_time_on(wk, &server, n, &e.exec)).collect();
+        if e.exec.gradient_mode == GradientMode::Sync {
+            let worst = iters.iter().cloned().fold(0.0f64, f64::max).max(1e-12);
+            pods.len() as f64 * eb / worst
+        } else {
+            iters.iter().map(|t| eb / t).sum()
+        }
+    }
+
+    fn throughput(e: &PsTrainingEngine) -> f64 {
+        let pods = workers(e);
+        if pods.is_empty() || !e.pending_pause.is_zero() {
+            return 0.0;
+        }
+        exec_throughput(e, &pods)
+    }
+
+    fn observation(e: &PsTrainingEngine) -> Option<ThroughputObservation> {
+        let pods = workers(e);
+        if pods.is_empty() {
+            return None;
+        }
+        let w = pods.len() as u32;
+        let mean_cpu = pods.iter().map(|p| p.effective_cpu()).sum::<f64>() / pods.len() as f64;
+        let p = e.partitions.len() as u32;
+        let mean_ps_cpu = e.partitions.iter().map(|ps| ps.pod.effective_cpu()).sum::<f64>()
+            / e.partitions.len() as f64;
+        let thp = exec_throughput(e, &pods);
+        if thp <= 0.0 {
+            return None;
+        }
+        let batch = e.cost.batch_size;
+        Some(ThroughputObservation {
+            shape: JobShape::new(w, p, mean_cpu, mean_ps_cpu, batch),
+            iter_time: f64::from(w) * f64::from(batch) / thp,
+        })
+    }
+
+    fn silent_workers(e: &PsTrainingEngine, timeout: SimDuration) -> Vec<usize> {
+        let ids: Vec<u64> = e.shards.silent_workers(e.now, timeout).collect();
+        (e.workers.iter().enumerate())
+            .filter(|(_, w)| w.alive && ids.contains(&w.shard_worker_id))
+            .map(|(i, _)| i)
+            .collect()
+    }
+
+    fn straggling_workers(e: &PsTrainingEngine, lag_factor: f64) -> Vec<usize> {
+        let ids: Vec<u64> = e.shards.stragglers(lag_factor).collect();
+        (e.workers.iter().enumerate())
+            .filter(|(_, w)| w.alive && !w.hung && ids.contains(&w.shard_worker_id))
+            .map(|(i, _)| i)
+            .collect()
+    }
+
+    fn assert_getters_agree(e: &PsTrainingEngine) {
+        let (obs, thp) = e.observation_and_throughput();
+        assert_eq!(thp.to_bits(), throughput(e).to_bits());
+        assert_eq!(e.throughput().to_bits(), throughput(e).to_bits());
+        assert_eq!(obs, observation(e));
+        assert_eq!(e.observation(), observation(e));
+        assert_eq!(e.live_pods().collect::<Vec<_>>(), workers(e));
+        for lag in [0.0, 0.3, 0.5, 0.9, 1.0] {
+            let got: Vec<usize> = e.straggling_workers(lag).collect();
+            assert_eq!(got, straggling_workers(e, lag));
+        }
+        for secs in [0, 45, 100, 400] {
+            let timeout = SimDuration::from_secs(secs);
+            let got: Vec<usize> = e.silent_workers(timeout).collect();
+            assert_eq!(got, silent_workers(e, timeout));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn iterator_getters_match_the_vec_bodies(
+            pods in proptest::collection::vec((1u8..5, 2u8..101), 1..97),
+            ps in 1u32..9,
+            hot_share in 0.0f64..0.9,
+            plan in 0usize..3,
+            steps in 50u64..40_000,
+            ops in proptest::collection::vec((0u8..6, 0u8..96, 1u16..200), 0..24),
+        ) {
+            // Two-batch shards: a 30 s slice spans many, so totals spread.
+            let mut spec = TrainingJobSpec::paper_default(steps);
+            spec.sharding.batches_per_shard = 2;
+            spec.sharding.min_batches_per_shard = 1;
+            let workers: Vec<PodState> = (pods.iter())
+                .map(|&(cpu, speed)| PodState { cpu: f64::from(cpu) * 4.0, speed: f64::from(speed) / 100.0 })
+                .collect();
+            let parts = if hot_share < 0.3 {
+                AsyncCostModel::balanced_partitions(ps, 8.0)
+            } else {
+                AsyncCostModel::skewed_partitions(ps, 8.0, hot_share)
+            };
+            let mut e = PsTrainingEngine::new(spec, workers, parts, vec![u64::MAX / 2; ps as usize]);
+            e.set_exec_plan([
+                ExecPlan::default(),
+                ExecPlan { gradient_mode: GradientMode::Sync, ps_replicas: 2, batch_size: 0 },
+                ExecPlan { gradient_mode: GradientMode::Async, ps_replicas: 3, batch_size: 1024 },
+            ][plan]);
+            assert_getters_agree(&e); // nobody has trained: a median of zero
+            for (op, who, arg) in ops {
+                let who = usize::from(who) % e.worker_slot_count();
+                match op {
+                    0 | 1 => {
+                        e.advance(SimDuration::from_secs(u64::from(arg)));
+                    }
+                    2 => e.hang_worker(who),
+                    3 => e.fail_worker(who),
+                    4 => {
+                        e.add_worker(PodState { cpu: 8.0, speed: f64::from(arg % 100 + 1) / 100.0 });
+                    }
+                    _ => e.pause(SimDuration::from_secs(u64::from(arg % 90))),
+                }
+                assert_getters_agree(&e);
+            }
         }
     }
 }

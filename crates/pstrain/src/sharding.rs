@@ -880,4 +880,56 @@ mod proptests {
             }
         }
     }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        /// The detectors on gangs of 1–96 workers — across the size where
+        /// the median's scratch leaves the stack — against the B-tree
+        /// queue's sort-a-copy bodies: workers that never checked out (a
+        /// median of 0 when they are the majority), workers mid-shard,
+        /// workers several shards in, a queue small enough to drain, stale
+        /// and fresh heartbeats.
+        #[test]
+        fn detectors_match_the_reference_on_large_gangs(
+            progress in proptest::collection::vec((0u64..4, 0u64..600, 0u64..90), 1..97),
+            total in 2_000u64..400_000,
+            lags in proptest::collection::vec(0.0f64..1.2, 1..4),
+        ) {
+            use crate::sharding_reference::ShardQueue as RefQueue;
+            let cfg = ShardingConfig {
+                batches_per_shard: 4,
+                batch_size: 128,
+                min_batches_per_shard: 1,
+            };
+            let (mut live, mut reference) = (ShardQueue::new(total, cfg), RefQueue::new(total, cfg));
+            for (w, &(shards, offset, beat)) in progress.iter().enumerate() {
+                let (w, now) = (w as u64, SimTime::from_secs(beat));
+                live.register_worker(w, now);
+                reference.register_worker(w, now);
+                for _ in 0..shards {
+                    prop_assert_eq!(live.checkout(w, 1.0, now), reference.checkout(w, 1.0, now));
+                    if live.worker(w).unwrap().current_shard.is_none() {
+                        break; // drained
+                    }
+                    live.heartbeat(w, offset, now);
+                    reference.heartbeat(w, offset, now);
+                    if offset % 3 != 0 {
+                        prop_assert_eq!(live.complete(w, now), reference.complete(w, now));
+                    } else {
+                        break; // stays mid-shard
+                    }
+                }
+            }
+            for lag in lags {
+                prop_assert_eq!(live.stragglers(lag).collect::<Vec<_>>(), reference.stragglers(lag));
+            }
+            for timeout in [0u64, 20, 45, 89] {
+                let (now, timeout) = (SimTime::from_secs(90), dlrover_sim::SimDuration::from_secs(timeout));
+                prop_assert_eq!(
+                    live.silent_workers(now, timeout).collect::<Vec<_>>(),
+                    reference.silent_workers(now, timeout)
+                );
+            }
+        }
+    }
 }

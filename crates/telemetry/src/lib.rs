@@ -747,3 +747,239 @@ mod tests {
         assert_eq!(serialized(&owned.into()), serialized(&shared));
     }
 }
+
+/// The batch entry point, the borrowed event slice and the inline labels
+/// against the one-call-at-a-time handle and plain `String`s.
+#[cfg(test)]
+mod batch_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Labels on both sides of [`Label::INLINE`], multi-byte ones included.
+    const LABELS: [&str; 9] = [
+        "",
+        "slice",
+        "stop-and-restart",
+        "twenty-one-bytes-long",
+        "twenty-two-bytes-long!",
+        "twenty-three-bytes-long!",
+        "a label that was never going to fit inline",
+        "ééééééééééé",  // 22 bytes
+        "éééééééééééé", // 24 bytes
+    ];
+
+    #[derive(Debug, Clone)]
+    enum Write {
+        Event(u64),
+        Count(u8, u64),
+        Sample(u8, u64),
+        Observe(u8, u64),
+        Gauge(u8, u64),
+        Open(usize),
+        Close(usize),
+        Complete(usize),
+    }
+
+    fn write() -> impl Strategy<Value = Write> {
+        prop_oneof![
+            (0u64..50).prop_map(Write::Event),
+            (0u64..50).prop_map(Write::Event),
+            (0u8..3, 1u64..9).prop_map(|(n, by)| Write::Count(n, by)),
+            (0u8..3, 0u64..900).prop_map(|(n, v)| Write::Sample(n, v)),
+            (0u8..3, 0u64..900).prop_map(|(n, v)| Write::Observe(n, v)),
+            (0u8..3, 0u64..900).prop_map(|(n, v)| Write::Gauge(n, v)),
+            (0usize..LABELS.len()).prop_map(Write::Open),
+            (0usize..8).prop_map(Write::Close),
+            (0usize..LABELS.len()).prop_map(Write::Complete),
+            (0usize..LABELS.len()).prop_map(Write::Complete),
+        ]
+    }
+
+    const NAMES: [&str; 3] = ["a", "b.c", "engine.shards_acked"];
+
+    fn sink(capacity: usize) -> Telemetry {
+        Sink {
+            log: EventLog::with_capacity(capacity),
+            spans: SpanLog::with_capacity(capacity),
+            ..Sink::default()
+        }
+        .into()
+    }
+
+    /// The span a `Close(k)` closes: the `k`-th still-open one, or an id that
+    /// was never opened.
+    fn close_target(open: &mut Vec<SpanId>, k: usize) -> SpanId {
+        if open.is_empty() {
+            SpanId(u64::MAX)
+        } else {
+            open.remove(k % open.len())
+        }
+    }
+
+    /// One write through the handle: a batch of one.
+    fn write_through_handle(t: &Telemetry, at: SimTime, open: &mut Vec<SpanId>, w: &Write) {
+        match *w {
+            Write::Event(worker) => t.record(at, EventKind::WorkerAdded { worker }),
+            Write::Count(n, by) => t.count(NAMES[usize::from(n)], by),
+            Write::Sample(n, v) => t.sample(NAMES[usize::from(n)], at, v as f64),
+            Write::Observe(n, v) => t.observe(NAMES[usize::from(n)], v as f64 / 7.0),
+            Write::Gauge(n, v) => t.gauge(NAMES[usize::from(n)], v as f64),
+            Write::Open(l) => open.push(t.span_open(
+                at,
+                SpanCategory::Migration,
+                LABELS[l],
+                3,
+                open.last().copied(),
+            )),
+            Write::Close(k) => t.span_close(at, close_target(open, k)),
+            Write::Complete(l) => {
+                t.span_complete(
+                    at,
+                    at,
+                    SpanCategory::Iteration,
+                    LABELS[l],
+                    3,
+                    open.last().copied(),
+                );
+            }
+        }
+    }
+
+    /// The same write through a held batch.
+    fn write_through_batch(sink: &mut Sink, at: SimTime, open: &mut Vec<SpanId>, w: &Write) {
+        match *w {
+            Write::Event(worker) => sink.record(at, EventKind::WorkerAdded { worker }),
+            Write::Count(n, by) => sink.metrics.count(NAMES[usize::from(n)], by),
+            Write::Sample(n, v) => sink.metrics.sample(NAMES[usize::from(n)], at, v as f64),
+            Write::Observe(n, v) => sink.metrics.observe(NAMES[usize::from(n)], v as f64 / 7.0),
+            Write::Gauge(n, v) => sink.metrics.gauge(NAMES[usize::from(n)], v as f64),
+            Write::Open(l) => open.push(sink.spans.open(
+                at,
+                SpanCategory::Migration,
+                LABELS[l],
+                3,
+                open.last().copied(),
+            )),
+            Write::Close(k) => sink.spans.close(at, close_target(open, k)),
+            Write::Complete(l) => {
+                sink.spans.complete(
+                    at,
+                    at,
+                    SpanCategory::Iteration,
+                    LABELS[l],
+                    3,
+                    open.last().copied(),
+                );
+            }
+        }
+    }
+
+    fn json(t: &Telemetry) -> String {
+        serde_json::to_string(&t.snapshot()).expect("snapshot serializes")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// Any interleaving of events, counters, gauges, samples and span
+        /// opens / closes / completes leaves the same snapshot whether each
+        /// write took the lock by itself or rode a batch of random length —
+        /// rings of 1–64 so both wrap.
+        #[test]
+        fn batches_of_any_length_record_like_single_calls(
+            writes in proptest::collection::vec(write(), 0..160),
+            cuts in proptest::collection::vec(1usize..12, 1..40),
+            capacity in 1usize..65,
+        ) {
+            let (single, batched) = (sink(capacity), sink(capacity));
+            let mut open = Vec::new();
+            for (i, w) in writes.iter().enumerate() {
+                write_through_handle(&single, SimTime::from_secs(i as u64), &mut open, w);
+            }
+            let (mut open, mut next, mut cuts) = (Vec::new(), 0, cuts.iter().cycle());
+            while next < writes.len() {
+                let len = *cuts.next().expect("cycles");
+                let mut held = batched.batch().expect("a recording sink");
+                for (i, w) in writes.iter().enumerate().skip(next).take(len) {
+                    write_through_batch(&mut held, SimTime::from_secs(i as u64), &mut open, w);
+                }
+                next += len;
+            }
+            prop_assert_eq!(json(&batched), json(&single));
+            prop_assert_eq!(batched.summary().one_line(), single.summary().one_line());
+        }
+
+        /// The borrowed slice is `snapshot().events`, wrapped ring or not,
+        /// and a log that was rotated for it keeps recording — and evicting —
+        /// exactly like one that never was.
+        #[test]
+        fn the_borrowed_slice_is_the_snapshot_and_leaves_the_log_alone(
+            capacity in 1usize..65,
+            before in 0u64..200,
+            after in 0u64..201,
+        ) {
+            let (rotated, plain) = (sink(capacity), sink(capacity));
+            let record = |t: &Telemetry, i: u64| {
+                t.record(SimTime::from_secs(i), EventKind::WorkerAdded { worker: i });
+            };
+            for i in 0..before {
+                record(&rotated, i);
+                record(&plain, i);
+            }
+            let borrowed = rotated.with_events(<[Event]>::to_vec);
+            prop_assert_eq!(&borrowed, &plain.snapshot().events);
+            prop_assert_eq!(&borrowed, &rotated.snapshot().events);
+            prop_assert_eq!(rotated.events(), borrowed);
+            for i in before..before + after {
+                record(&rotated, i);
+                record(&plain, i);
+            }
+            prop_assert_eq!(json(&rotated), json(&plain));
+            prop_assert_eq!(rotated.to_jsonl(), plain.to_jsonl());
+            prop_assert_eq!(rotated.with_events(<[Event]>::to_vec), plain.snapshot().events);
+        }
+    }
+
+    #[test]
+    fn the_null_sink_hands_out_no_batch() {
+        let null = Telemetry::null();
+        assert!(null.batch().is_none());
+        let mut writes = 0;
+        if let Some(mut sink) = null.batch() {
+            sink.record(SimTime::ZERO, EventKind::JobStarted { job: 0 });
+            writes += 1;
+        }
+        assert_eq!(writes, 0, "code behind a null batch never runs");
+        assert_eq!(null.with_events(<[Event]>::len), 0);
+        assert!(Telemetry::default().batch().is_some());
+    }
+
+    /// A label reads, compares and serializes as the `str` it was made from
+    /// on both sides of the inline limit, and costs a span no more room than
+    /// the `String` it replaced.
+    #[test]
+    fn labels_are_strings_on_both_sides_of_the_inline_limit() {
+        assert_eq!(std::mem::size_of::<Label>(), std::mem::size_of::<String>());
+        assert_eq!(LABELS[4].len(), Label::INLINE);
+        assert_eq!(LABELS[7].len(), Label::INLINE);
+        for text in LABELS {
+            let label = Label::from(text);
+            assert_eq!(label.as_str(), text);
+            assert_eq!(&*label, text);
+            assert_eq!(label, text);
+            assert_eq!(label, label.clone());
+            assert_eq!(format!("{label}|{label:?}"), format!("{text}|{text:?}"));
+            let json = serde_json::to_string(&label).unwrap();
+            assert_eq!(json, serde_json::to_string(&text.to_string()).unwrap());
+            assert_eq!(serde_json::from_str::<Label>(&json).unwrap(), label);
+        }
+        let t = Telemetry::default();
+        for text in LABELS {
+            t.span_complete(SimTime::ZERO, SimTime::ZERO, SpanCategory::Job, text, 0, None);
+        }
+        let labels: Vec<String> = t.snapshot().spans.iter().map(|s| s.label.to_string()).collect();
+        assert_eq!(labels, LABELS);
+        let dumped = parse_spans_jsonl(&t.spans_to_jsonl()).expect("round-trips");
+        assert_eq!(dumped, t.snapshot().spans);
+    }
+}

@@ -407,7 +407,7 @@ mod tests {
 
     #[test]
     fn nesting_attributes_self_vs_child_exactly() {
-        let p = with_prof(|| {
+        let mut p = with_prof(|| {
             {
                 let _outer = scope("outer");
                 std::thread::sleep(std::time::Duration::from_millis(2));
@@ -418,6 +418,9 @@ mod tests {
             }
             take_profile()
         });
+        // The flag is process-wide: a test recording events on another thread
+        // while it was up left its `telemetry/record` site in the table too.
+        p.sites.retain(|path, _| path.starts_with("outer"));
         let outer = p.site("outer").copied().expect("outer recorded");
         let inner = p.site("outer;inner").copied().expect("inner nested under outer");
         assert_eq!(outer.calls, 1);
