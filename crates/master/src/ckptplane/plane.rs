@@ -552,6 +552,9 @@ impl CheckpointPlane {
         // Everything committed before the retention window goes, in save
         // order, except what is still hot-resident.
         let window = committed.saturating_sub(self.cfg.retain_per_job);
+        if window == 0 {
+            return;
+        }
         let mut position = 0;
         ids.retain(|id| {
             position += 1;

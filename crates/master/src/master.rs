@@ -354,10 +354,10 @@ impl JobMaster {
     /// the trace with the step and size the handoff carried, and record a
     /// `checkpoint` span over the flash save window.
     fn record_flash_checkpoint(&self) {
+        let Some(mut sink) = self.telemetry.batch() else { return };
         let step = self.engine.samples_done() / u64::from(self.engine.spec().batch_size.max(1));
         let bytes = self.checkpoint_bytes();
         let now = self.engine.now();
-        let Some(mut sink) = self.telemetry.batch() else { return };
         sink.record(now, EventKind::CheckpointSaved { step, bytes });
         sink.spans.complete(
             now,
@@ -470,37 +470,24 @@ impl JobMaster {
 
         // Profile: one evaluation of the cost model serves the fitter's
         // observation and the OOM horizon below.
-        let (observation, thp) = self.engine.observation_and_throughput();
+        let (observation, mut thp) = self.engine.observation_and_throughput();
         if let Some(obs) = observation {
             self.profiler.record_observation(obs);
         }
-        let mut used = std::mem::take(&mut self.scratch.ps_used);
+        let TickScratch { ps_used: used, silent } = &mut self.scratch;
         used.clear();
         used.extend(self.engine.ps_memory_used());
         self.profiler.record_memory(self.engine.now(), used.iter().sum());
-        self.handle_instability(progress, &mut used, thp, &mut events);
-        self.scratch.ps_used = used;
-        events
-    }
 
-    /// The part of a tick after profiling: what the slice's `progress` and
-    /// the profiled per-PS memory `used` / throughput `thp` call for.
-    fn handle_instability(
-        &mut self,
-        progress: dlrover_pstrain::JobProgress,
-        used: &mut Vec<u64>,
-        mut thp: f64,
-        events: &mut Vec<MasterEvent>,
-    ) {
         if let Some(ps) = progress.oom_ps {
             events.push(MasterEvent::Oomed(ps));
-            return;
+            return events;
         }
         if progress.completed && self.completed_at.is_none() {
             self.completed_at = Some(self.engine.now());
             events.push(MasterEvent::Completed(self.engine.now()));
             self.telemetry.record(self.engine.now(), EventKind::JobCompleted { job: self.job_id });
-            return;
+            return events;
         }
 
         // §6.1 liveness: a worker whose heartbeat went stale is a zombie —
@@ -508,10 +495,9 @@ impl JobMaster {
         // re-queues its in-flight shard in full, preserving exactly-once)
         // and surface the event; the driver requests the replacement pod
         // exactly as for a crashed worker.
-        let mut silent = std::mem::take(&mut self.scratch.silent);
         silent.clear();
         silent.extend(self.engine.silent_workers(self.config.silent_worker_timeout));
-        for &idx in &silent {
+        for &idx in silent.iter() {
             self.engine.fail_worker(idx);
             if let Some(mut sink) = self.telemetry.batch() {
                 sink.record(
@@ -531,7 +517,6 @@ impl JobMaster {
             used.extend(self.engine.ps_memory_used());
             thp = self.engine.throughput();
         }
-        self.scratch.silent = silent;
 
         // OOM prevention (§5.3). The engine OOMs *per PS* (used_i >
         // alloc_i), so the forecast must use the binding constraint: scale
@@ -644,6 +629,7 @@ impl JobMaster {
                 }
             }
         }
+        events
     }
 
     /// Detects a hot PS: a partition whose load per effective capacity

@@ -723,13 +723,14 @@ impl PsTrainingEngine {
             remaining = remaining.saturating_sub(consumed);
             let pause_start = self.now;
             self.now += consumed;
-            if let Some(sink) = sink.as_mut().filter(|_| !consumed.is_zero()) {
+            if let (false, Some(sink)) = (consumed.is_zero(), sink.as_mut()) {
+                let track = self.span_track;
                 sink.spans.complete(
                     pause_start,
                     self.now,
                     SpanCategory::Migration,
                     "pause",
-                    self.span_track,
+                    track,
                     None,
                 );
             }

@@ -17,7 +17,10 @@
 //! cluster, and brain, and each component records into the same interleaved
 //! log. Components constructed without a caller-provided handle get a
 //! private default sink, which keeps instrumentation unconditional (no
-//! `Option` plumbing) at the cost of an `Arc` per component. A component
+//! `Option` plumbing) at the cost of an `Arc` per component. Every write
+//! on the handle takes the sink's lock for that one write; a component
+//! that records several things in one call takes [`Telemetry::batch`] once
+//! and writes through it. A component
 //! that is its sink's only writer (a fleet cell) can own the [`Sink`]
 //! itself and record without the handle's lock; [`Sink::merge_ordered`]
 //! and `Telemetry::from` bring it back to a handle for export.

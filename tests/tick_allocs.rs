@@ -131,6 +131,10 @@ fn a_recording_tick_allocates_only_ring_growth() {
     );
 }
 
+/// Steps that take the 4-worker / 2-PS gang about 240 ticks under
+/// [`six_fault_plan`].
+const CHAOS_STEPS: u64 = 64_000;
+
 /// Six faults of six kinds over a job of about 240 ticks.
 fn six_fault_plan() -> FaultPlan {
     let at = |secs: u64, kind: FaultKind| FaultEvent { at: SimTime::from_secs(secs), kind };
@@ -177,7 +181,3 @@ fn a_chaos_job_allocates_per_fault_and_save_not_per_tick() {
         allocs as f64 / ticks as f64
     );
 }
-
-/// Steps that take the 4-worker / 2-PS gang about 240 ticks under
-/// [`six_fault_plan`].
-const CHAOS_STEPS: u64 = 64_000;
