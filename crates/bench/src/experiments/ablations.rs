@@ -17,8 +17,7 @@ use dlrover_optimizer::{
     ScalingAlgorithm,
 };
 use dlrover_perfmodel::{JobShape, ModelCoefficients, ThroughputModel, WorkloadConstants};
-use dlrover_pstrain::CheckpointStore;
-use dlrover_pstrain::{AsyncCostModel, FlashStore, PodState, RdsStore, ShardQueue, ShardingConfig};
+use dlrover_pstrain::{AsyncCostModel, PodState, ShardQueue, ShardingConfig, StorageTier};
 use dlrover_sim::{RngStreams, SimTime};
 use dlrover_telemetry::Telemetry;
 
@@ -34,8 +33,7 @@ enum Section {
 }
 
 fn checkpoint_section() -> Section {
-    let rds = RdsStore::default();
-    let flash = FlashStore::default();
+    let (rds, flash) = (StorageTier::RDS, StorageTier::FLASH);
     let mut rows = Vec::new();
     for gb in [1u64, 5, 20, 100] {
         let bytes = gb * 1_000_000_000;

@@ -28,7 +28,7 @@
 use dlrover_master::{
     CheckpointPlane, CkptPlaneConfig, RestoreSource, WitnessBoard, WitnessConfig,
 };
-use dlrover_pstrain::RdsStore;
+use dlrover_pstrain::StorageTier;
 use dlrover_sim::{RngStreams, SimDuration, SimTime};
 use dlrover_telemetry::{Oracle, Telemetry};
 use rand::Rng;
@@ -249,11 +249,11 @@ fn run_trace(
     // figure while letting the pipe drain JOBS concurrent channels —
     // otherwise any sub-15 s fleet save cadence would diverge the queue
     // unboundedly and durability would lag by hours.
-    let tenant = RdsStore::default();
+    let tenant = StorageTier::RDS;
     let mut plane = CheckpointPlane::new(CkptPlaneConfig {
         interval: policy.interval,
         hot_capacity_bytes: policy.hot_capacity_bytes,
-        remote: RdsStore {
+        remote: StorageTier {
             write_bandwidth: tenant.write_bandwidth * JOBS as f64,
             read_bandwidth: tenant.read_bandwidth * JOBS as f64,
             base_latency: SimDuration::from_secs_f64(

@@ -3,7 +3,7 @@
 
 use dlrover_pstrain::{
     plan_ps_migration, plan_worker_recovery, static_partition_completion_seconds, AsyncCostModel,
-    FlashStore, MigrationStrategy, PodState, PsTrainingEngine, RdsStore, TrainingJobSpec,
+    MigrationStrategy, PodState, PsTrainingEngine, TrainingJobSpec,
 };
 use dlrover_sim::{SimDuration, SimTime};
 use dlrover_telemetry::Telemetry;
@@ -70,13 +70,7 @@ fn hot_ps_case(strategy: MigrationStrategy, telemetry: &Telemetry) -> Outcome {
     for _ in 0..2 {
         e.advance(SLICE);
     }
-    let timeline = plan_ps_migration(
-        strategy,
-        CKPT,
-        SimDuration::from_mins(6),
-        &FlashStore::default(),
-        &RdsStore::default(),
-    );
+    let timeline = plan_ps_migration(strategy, CKPT, SimDuration::from_mins(6));
     if strategy != MigrationStrategy::NoIntervention {
         // Degraded segment: training continues hot while new pods start.
         let mut left = timeline.degraded();
@@ -102,13 +96,8 @@ fn straggler_case(strategy: MigrationStrategy, telemetry: &Telemetry) -> Outcome
         e.advance(SLICE);
     }
     e.set_worker_pod(0, PodState { cpu: CPU, speed: 0.03 });
-    let timeline = plan_worker_recovery(
-        strategy,
-        CKPT,
-        SimDuration::from_secs(45),
-        SimDuration::from_mins(6),
-        &RdsStore::default(),
-    );
+    let timeline =
+        plan_worker_recovery(strategy, CKPT, SimDuration::from_secs(45), SimDuration::from_mins(6));
     let cost = AsyncCostModel::new(e.spec().coefficients, e.spec().constants, e.spec().batch_size);
     let rate = |pod: &PodState, e: &PsTrainingEngine| {
         512.0 / cost.worker_iter_time(pod, e.partitions(), WORKERS)

@@ -22,7 +22,7 @@ use dlrover_cluster::{FleetConfig, FleetJob, FleetWorkload, JobClass, Resources}
 use dlrover_perfmodel::ModelCoefficients;
 use dlrover_pstrain::{
     dynamic_sharding_completion_seconds, plan_ps_migration, static_partition_completion_seconds,
-    AsyncCostModel, FlashStore, MigrationStrategy, PodState, PsPartition, RdsStore,
+    AsyncCostModel, MigrationStrategy, PodState, PsPartition,
 };
 use dlrover_sim::{RngStreams, Sample, SimDuration, SimTime, Uniform};
 use rand::Rng;
@@ -242,8 +242,6 @@ fn evaluate_job<R: Rng + ?Sized>(
                 MigrationStrategy::Seamless,
                 (job.ideal_ps.mem_bytes / 2).max(1_000_000_000) * u64::from(ps_count),
                 SimDuration::from_mins(6),
-                &FlashStore::default(),
-                &RdsStore::default(),
             )
             .pause()
             .as_secs_f64();

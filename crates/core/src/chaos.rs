@@ -40,7 +40,7 @@ use dlrover_master::{
     WitnessConfig,
 };
 use dlrover_optimizer::ResourceAllocation;
-use dlrover_pstrain::{PodState, TrainingJobSpec};
+use dlrover_pstrain::{CheckpointExtent, PodState, TrainingJobSpec};
 use dlrover_sim::{
     FaultEvent, FaultKind, FaultPlan, FaultPlanConfig, RngStreams, SimDuration, SimTime, StreamRng,
 };
@@ -772,9 +772,9 @@ impl<'a> ChaosDriver<'a> {
             return;
         }
         self.last_ckpt = now;
-        let samples = self.master.engine().samples_done();
-        let step = samples / u64::from(self.spec.batch_size.max(1));
-        let bytes = self.spec.memory.total_bytes(samples as f64) as u64;
+        // The engine's spec is the driver's: it was cloned into every
+        // incarnation of the master.
+        let CheckpointExtent { samples, step, bytes } = self.master.engine().checkpoint_extent();
         let saved = self.plane.save(0, 0, step, samples, bytes, now);
         self.witness.observe_save(0, saved.manifest, step, samples, bytes, now);
         self.master.engine_mut().pause(saved.hot_pause);

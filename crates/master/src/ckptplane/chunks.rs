@@ -22,23 +22,25 @@ pub struct ChunkingConfig {
     /// Target chunk size in bytes (the last chunk of a manifest is the
     /// remainder).
     pub chunk_bytes: u64,
-    /// Fraction (permille) of regions whose content is *static*: identical
-    /// across saves and shared across jobs of the same model family.
-    pub static_permille: u32,
-    /// Churn rate (permille) of dynamic regions per training step: after
-    /// `1000 / churn_permille` steps, a dynamic region's content has
-    /// changed and its chunk key rolls over.
-    pub churn_permille: u32,
 }
 
 impl Default for ChunkingConfig {
     fn default() -> Self {
-        // 64 MB chunks; ~60 % of a recommender checkpoint is static
-        // (dense params + saturated embedding rows), and a dynamic region
-        // rolls over roughly every 20 steps.
-        ChunkingConfig { chunk_bytes: 64_000_000, static_permille: 600, churn_permille: 50 }
+        // 64 MB chunks.
+        ChunkingConfig { chunk_bytes: 64_000_000 }
     }
 }
+
+/// Fraction (permille) of regions whose content is *static*: identical
+/// across saves and shared across jobs of the same model family. ~60 % of a
+/// recommender checkpoint is static (dense params + saturated embedding
+/// rows).
+const STATIC_PERMILLE: u64 = 600;
+
+/// Churn rate (permille) of dynamic regions per training step: after
+/// `1000 / CHURN_PERMILLE` steps (roughly every 20), a dynamic region's
+/// content has changed and its chunk key rolls over.
+const CHURN_PERMILLE: u64 = 50;
 
 /// A content-addressed chunk reference: key plus size. Two references with
 /// the same key denote byte-identical content.
@@ -64,7 +66,7 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
 /// at training `step` would serialize.
 ///
 /// Region `r` of the checkpoint is static when `hash(family, r)` falls
-/// under `static_permille` — its key depends only on `(family, r, bytes)`
+/// under `STATIC_PERMILLE` — its key depends only on `(family, r, bytes)`
 /// and is therefore shared by every job of the family and every step.
 /// Dynamic regions version as `(step * churn + phase) / 1000`, so a region
 /// keeps its key for `~1000/churn` steps and then rolls over; phases are
@@ -85,14 +87,13 @@ pub fn manifest_chunks(
         } else {
             chunk.min(total_bytes.max(1))
         };
-        let is_static =
-            mix64(family ^ mix64(r ^ 0x5747_4943)) % 1000 < u64::from(cfg.static_permille);
+        let is_static = mix64(family ^ mix64(r ^ 0x5747_4943)) % 1000 < STATIC_PERMILLE;
         let key = if is_static {
             // Shared across jobs of the family and across steps.
             mix64(mix64(family ^ 0x5354_4154) ^ mix64(r) ^ mix64(bytes))
         } else {
             let phase = mix64(job ^ mix64(r)) % 1000;
-            let version = (step * u64::from(cfg.churn_permille) + phase) / 1000;
+            let version = (step * CHURN_PERMILLE + phase) / 1000;
             mix64(mix64(job ^ 0x44_594e) ^ mix64(r) ^ mix64(version) ^ mix64(bytes))
         };
         out.push(ChunkRef { key, bytes });

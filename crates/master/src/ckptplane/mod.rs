@@ -22,5 +22,5 @@ mod plane;
 pub use chunks::{manifest_chunks, ChunkRef, ChunkStore, ChunkingConfig};
 pub use plane::{
     CheckpointPlane, CkptPlaneConfig, Manifest, PlaneStats, RestoreOutcome, RestoreSource,
-    SaveOutcome,
+    SaveOutcome, RETAIN_PER_JOB,
 };

@@ -16,7 +16,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use dlrover_pstrain::{CheckpointStore, FlashStore, RdsStore};
+use dlrover_pstrain::StorageTier;
 use dlrover_sim::{SimDuration, SimTime};
 use dlrover_telemetry::{EventKind, Telemetry};
 use serde::{Deserialize, Serialize};
@@ -31,31 +31,32 @@ pub struct CkptPlaneConfig {
     /// Hot-tier capacity in bytes (physical, after dedup). Oldest
     /// resident manifests are evicted when exceeded.
     pub hot_capacity_bytes: u64,
-    /// Hot-tier bandwidths and per-operation latency ("less than 1 second
-    /// for a 20 GB model", §5.3).
-    pub hot: FlashStore,
     /// Remote-tier physics (§2.2: throttled RDS). The write bandwidth is
     /// shared by the single FIFO transfer queue, with the per-operation
     /// latency folded into each transfer as equivalent bytes; restores
     /// read beside the queue.
-    pub remote: RdsStore,
+    pub remote: StorageTier,
     /// How checkpoints are cut into content-addressed chunks.
     pub chunking: ChunkingConfig,
-    /// Committed manifests retained per job before the oldest is
-    /// retired and its chunks released. Must be >= 2 so a corrupted
-    /// newest manifest always leaves a fallback.
-    pub retain_per_job: usize,
 }
+
+/// Hot-tier bandwidths and per-operation latency ("less than 1 second for a
+/// 20 GB model", §5.3).
+const HOT: StorageTier = StorageTier::FLASH;
+
+/// Committed manifests retained per job before the oldest is retired and
+/// its chunks released.
+pub const RETAIN_PER_JOB: usize = 3;
+// A corrupted newest manifest must always leave a fallback.
+const _: () = assert!(RETAIN_PER_JOB >= 2);
 
 impl Default for CkptPlaneConfig {
     fn default() -> Self {
         CkptPlaneConfig {
             interval: SimDuration::from_secs(120),
             hot_capacity_bytes: 16_000_000_000,
-            hot: FlashStore::default(),
-            remote: RdsStore::default(),
+            remote: StorageTier::RDS,
             chunking: ChunkingConfig::default(),
-            retain_per_job: 3,
         }
     }
 }
@@ -239,7 +240,6 @@ pub struct CheckpointPlane {
 impl CheckpointPlane {
     /// Creates a plane with the given configuration.
     pub fn new(cfg: CkptPlaneConfig) -> Self {
-        assert!(cfg.retain_per_job >= 2, "retain_per_job must leave a corruption fallback");
         CheckpointPlane {
             cfg,
             telemetry: Telemetry::default(),
@@ -493,7 +493,7 @@ impl CheckpointPlane {
         self.queue
             .push_back(Transfer { manifest: id, cost_bytes: new_remote as f64 + latency_bytes });
 
-        let hot_pause = self.cfg.hot.save_duration(new_hot);
+        let hot_pause = HOT.save_duration(new_hot);
 
         self.stats.saves += 1;
         self.stats.staged_bytes += bytes;
@@ -551,7 +551,7 @@ impl CheckpointPlane {
         );
         // Everything committed before the retention window goes, in save
         // order, except what is still hot-resident.
-        let window = committed.saturating_sub(self.cfg.retain_per_job);
+        let window = committed.saturating_sub(RETAIN_PER_JOB);
         if window == 0 {
             return;
         }
@@ -606,7 +606,7 @@ impl CheckpointPlane {
         if let Some(&id) = self.hot_manifest_of_job.get(&job) {
             let m = &self.manifests[&id];
             if !m.corrupted {
-                let duration = self.cfg.hot.load_duration(m.bytes);
+                let duration = HOT.load_duration(m.bytes);
                 let out = RestoreOutcome {
                     manifest: id,
                     step: m.step,
@@ -839,10 +839,7 @@ mod tests {
         }
         p.advance(SimTime::from_secs(10_000));
         let live = p.by_job.get(&1).unwrap().len();
-        assert!(
-            live <= CkptPlaneConfig::default().retain_per_job + 1,
-            "old manifests retire: {live}"
-        );
+        assert!(live <= RETAIN_PER_JOB + 1, "old manifests retire: {live}");
         assert!(live >= 2, "a corruption fallback always remains");
     }
 

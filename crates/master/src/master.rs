@@ -18,12 +18,12 @@
 use dlrover_optimizer::ResourceAllocation;
 use dlrover_perfmodel::ExecPlan;
 use dlrover_pstrain::{
-    plan_ps_migration, plan_ps_migration_pause, AsyncCostModel, CheckpointStore, EngineCheckpoint,
-    FlashStore, MigrationStrategy, MigrationTimeline, PodState, PsTrainingEngine, RdsStore,
-    ShardQueue, TimelineSegment, TrainingJobSpec,
+    plan_ps_migration, AsyncCostModel, EngineCheckpoint, MigrationStrategy, MigrationTimeline,
+    PodState, PsPartition, PsTrainingEngine, ShardQueue, StorageTier, TimelineSegment,
+    TrainingJobSpec,
 };
 use dlrover_sim::{SimDuration, SimTime};
-use dlrover_telemetry::{EventKind, MigrationKind, SpanCategory, Telemetry};
+use dlrover_telemetry::{EventKind, MigrationKind, Sink, SpanCategory, Telemetry};
 use serde::{Deserialize, Serialize};
 
 use crate::policy::{PolicyDecision, ReconfigRequest};
@@ -34,12 +34,6 @@ use crate::resilience::{BudgetLedger, FailureBudget, JobHealth};
 /// Master configuration knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MasterConfig {
-    /// OOM forecast horizon as a multiple of the estimated remaining time.
-    pub oom_horizon_factor: f64,
-    /// Headroom applied when pre-scaling PS memory.
-    pub oom_headroom: f64,
-    /// Progress-lag factor below which a worker counts as a straggler.
-    pub straggler_lag: f64,
     /// Whether the master auto-scales PS memory on a predicted OOM
     /// (DLRover-RM: yes; baselines: no).
     pub auto_memory_scaling: bool,
@@ -47,9 +41,6 @@ pub struct MasterConfig {
     /// partitions with a seamless migration (§4.3 "PS Stragglers" +
     /// §5.2). Off for the baselines.
     pub auto_ps_rebalance: bool,
-    /// A PS counts as hot when its per-unit-capacity load exceeds the
-    /// mean by this factor (share/(cpu·speed) ratio).
-    pub hot_ps_factor: f64,
     /// Heartbeat staleness past which a live worker counts as hung (§6.1
     /// liveness detection). Healthy workers heartbeat every tick, so this
     /// only needs to exceed the tick interval with margin.
@@ -62,17 +53,23 @@ pub struct MasterConfig {
 impl Default for MasterConfig {
     fn default() -> Self {
         MasterConfig {
-            oom_horizon_factor: 1.0,
-            oom_headroom: 0.5,
-            straggler_lag: 0.5,
             auto_memory_scaling: true,
             auto_ps_rebalance: true,
-            hot_ps_factor: 2.0,
             silent_worker_timeout: SimDuration::from_mins(5),
             failure_budget: FailureBudget::default(),
         }
     }
 }
+
+/// OOM forecast horizon as a multiple of the estimated remaining time.
+const OOM_HORIZON_FACTOR: f64 = 1.0;
+/// Headroom applied when pre-scaling PS memory.
+const OOM_HEADROOM: f64 = 0.5;
+/// Progress-lag factor below which a worker counts as a straggler.
+const STRAGGLER_LAG: f64 = 0.5;
+/// A PS counts as hot when its per-unit-capacity load exceeds the mean by
+/// this factor (share/(cpu·speed) ratio).
+const HOT_PS_FACTOR: f64 = 2.0;
 
 /// Events a tick can surface to the driver / brain.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -118,8 +115,6 @@ pub struct JobMaster {
     profiler: Profiler,
     config: MasterConfig,
     allocation: ResourceAllocation,
-    flash: FlashStore,
-    rds: RdsStore,
     /// Workers waiting out their startup latency: `(ready_at, pod)`.
     pending_workers: Vec<(SimTime, PodState)>,
     completed_at: Option<SimTime>,
@@ -184,32 +179,15 @@ impl JobMaster {
         allocation: ResourceAllocation,
         config: MasterConfig,
     ) -> Self {
-        let constants = spec.constants;
+        let workers = allocation.shape.workers as usize;
+        let (partitions, ps_mem) = Self::ps_layout(&allocation, allocation.shape.ps);
         let engine = PsTrainingEngine::new(
             spec,
-            Self::worker_pods(&allocation),
-            AsyncCostModel::balanced_partitions(allocation.shape.ps, allocation.shape.ps_cpu),
-            Self::ps_mem(&allocation),
+            vec![PodState::new(allocation.shape.worker_cpu); workers],
+            partitions,
+            ps_mem,
         );
-        JobMaster {
-            job_id,
-            engine,
-            profiler: Profiler::new(constants, 256),
-            config,
-            allocation,
-            flash: FlashStore::default(),
-            rds: RdsStore::default(),
-            pending_workers: Vec::new(),
-            completed_at: None,
-            scaling_count: 0,
-            health: JobHealth::Healthy,
-            budget: BudgetLedger::default(),
-            last_ps_recovery: None,
-            pending_reconfig: None,
-            next_window: 0,
-            telemetry: Telemetry::default(),
-            scratch: TickScratch::default(),
-        }
+        Self::around(job_id, engine, allocation, config, 0)
     }
 
     /// Rebuilds a master after a crash (§6 master failover): job state
@@ -233,18 +211,18 @@ impl JobMaster {
         crashed_at: SimTime,
         at: SimTime,
     ) -> (Self, RecoveryOutcome) {
-        let constants = spec.constants;
         let workers = replayed.live_workers.len().max(1);
         let ps = if replayed.ps_count > 0 { replayed.ps_count } else { allocation.shape.ps }.max(1);
         let shards = ShardQueue::resume(spec.total_samples, replayed.samples_done, spec.sharding);
+        let (partitions, ps_mem) = Self::ps_layout(&allocation, ps);
         let engine = PsTrainingEngine::from_checkpoint(
             // The replayed exec plan is the last *committed* one: windows
             // still pending at crash time were rolled back (or their
             // rollback is implied by never having committed).
             EngineCheckpoint { spec, shards, at, exec: replayed.exec },
             vec![PodState::new(allocation.shape.worker_cpu); workers],
-            AsyncCostModel::balanced_partitions(ps, allocation.shape.ps_cpu),
-            vec![(allocation.ps_mem_gb * 1e9) as u64; ps as usize],
+            partitions,
+            ps_mem,
         );
         let outcome = RecoveryOutcome::new(
             RecoveryPath::MasterReplay,
@@ -254,14 +232,25 @@ impl JobMaster {
             replayed.checkpoint_step,
             replayed.live_workers.len() as u32,
         );
-        let master = JobMaster {
+        (Self::around(job_id, engine, allocation, config, replayed.next_window), outcome)
+    }
+
+    /// A fresh incarnation around `engine`: nothing pending, a full relaunch
+    /// budget, no window open. A booted and a replayed master differ only in
+    /// the engine they wrap and in where the window ids resume.
+    fn around(
+        job_id: u64,
+        engine: PsTrainingEngine,
+        allocation: ResourceAllocation,
+        config: MasterConfig,
+        next_window: u64,
+    ) -> Self {
+        JobMaster {
             job_id,
+            profiler: Profiler::new(engine.spec().constants, 256),
             engine,
-            profiler: Profiler::new(constants, 256),
             config,
             allocation,
-            flash: FlashStore::default(),
-            rds: RdsStore::default(),
             pending_workers: Vec::new(),
             completed_at: None,
             scaling_count: 0,
@@ -269,11 +258,10 @@ impl JobMaster {
             budget: BudgetLedger::default(),
             last_ps_recovery: None,
             pending_reconfig: None,
-            next_window: replayed.next_window,
+            next_window,
             telemetry: Telemetry::default(),
             scratch: TickScratch::default(),
-        };
-        (master, outcome)
+        }
     }
 
     /// Routes this master's (and its engine's) telemetry into `sink`, and
@@ -289,17 +277,11 @@ impl JobMaster {
         &self.telemetry
     }
 
-    fn worker_pods(alloc: &ResourceAllocation) -> Vec<PodState> {
-        vec![PodState::new(alloc.shape.worker_cpu); alloc.shape.workers as usize]
-    }
-
-    fn ps_mem(alloc: &ResourceAllocation) -> Vec<u64> {
-        vec![(alloc.ps_mem_gb * 1e9) as u64; alloc.shape.ps as usize]
-    }
-
-    /// Job identifier.
-    pub fn job_id(&self) -> u64 {
-        self.job_id
+    /// `alloc`'s PS side at `ps` pods: balanced partitions and the memory
+    /// allocated to each.
+    fn ps_layout(alloc: &ResourceAllocation, ps: u32) -> (Vec<PsPartition>, Vec<u64>) {
+        let partitions = AsyncCostModel::balanced_partitions(ps, alloc.shape.ps_cpu);
+        (partitions, vec![(alloc.ps_mem_gb * 1e9) as u64; ps as usize])
     }
 
     /// The engine (read access for drivers and tests).
@@ -311,11 +293,6 @@ impl JobMaster {
     /// drivers.
     pub fn engine_mut(&mut self) -> &mut PsTrainingEngine {
         &mut self.engine
-    }
-
-    /// The profiler.
-    pub fn profiler(&self) -> &Profiler {
-        &self.profiler
     }
 
     /// Current allocation.
@@ -338,46 +315,54 @@ impl JobMaster {
         self.health
     }
 
-    /// Relaunch-budget consumption so far.
-    pub fn budget_used(&self) -> BudgetLedger {
-        self.budget
-    }
-
-    /// Constants for the checkpoint size: dense static part + current
-    /// embedding bytes.
-    fn checkpoint_bytes(&self) -> u64 {
-        let spec = self.engine.spec();
-        (spec.memory.total_bytes(self.engine.samples_done() as f64)) as u64
-    }
-
-    /// Every migration starts from a flash checkpoint (§5.2) — note it in
-    /// the trace with the step and size the handoff carried, and record a
-    /// `checkpoint` span over the flash save window.
-    fn record_flash_checkpoint(&self) {
-        let Some(mut sink) = self.telemetry.batch() else { return };
-        let step = self.engine.samples_done() / u64::from(self.engine.spec().batch_size.max(1));
-        let bytes = self.checkpoint_bytes();
+    /// The one migration hand-off (§5.2): prices moving the job's
+    /// parameters through the checkpoint tiers under `strategy` — seamless
+    /// rides [`StorageTier::FLASH`] with `startup` overlapped, stop-and-restart
+    /// round-trips [`StorageTier::RDS`] with `startup` on the critical path —
+    /// records the move's span(s), then the flash checkpoint every migration
+    /// starts from (`CheckpointSaved`, a `flash-save` span, the
+    /// `master.flash_checkpoints` counter), in that order, and returns the
+    /// pause the caller must charge to the engine. `flat` is the category of
+    /// the single span an in-place move (same pods, new layout or plan)
+    /// records over its pause; `None` records the whole timeline instead.
+    ///
+    /// Reshaping and pausing the engine stay with the caller: stop-and-restart
+    /// pauses before it reshapes, every other move after.
+    fn hand_off(
+        &self,
+        strategy: MigrationStrategy,
+        startup: SimDuration,
+        label: &str,
+        flat: Option<SpanCategory>,
+    ) -> SimDuration {
+        let ckpt = self.engine.checkpoint_extent();
+        let timeline = plan_ps_migration(strategy, ckpt.bytes, startup);
+        let pause = timeline.pause();
+        let Some(mut sink) = self.telemetry.batch() else { return pause };
         let now = self.engine.now();
-        sink.record(now, EventKind::CheckpointSaved { step, bytes });
+        match flat {
+            Some(category) => {
+                sink.spans.complete(now, now + pause, category, label, self.job_id, None);
+            }
+            None => self.record_migration_spans(&mut sink, &timeline, label),
+        }
+        sink.record(now, EventKind::CheckpointSaved { step: ckpt.step, bytes: ckpt.bytes });
         sink.spans.complete(
             now,
-            now + self.flash.save_duration(bytes),
+            now + StorageTier::FLASH.save_duration(ckpt.bytes),
             SpanCategory::Checkpoint,
             "flash-save",
             self.job_id,
             None,
         );
         sink.metrics.count("master.flash_checkpoints", 1);
+        pause
     }
 
     /// Records a migration plan as spans: one `migration` parent over the
     /// whole timeline and one child per segment, laid sequentially from
     /// `now` (the timeline executes in order — §5.2 Fig. 10's structure).
-    fn record_migration_spans(&self, timeline: &MigrationTimeline, label: &str) {
-        if timeline.segments.is_empty() {
-            return;
-        }
-        let Some(mut sink) = self.telemetry.batch() else { return };
+    fn record_migration_spans(&self, sink: &mut Sink, timeline: &MigrationTimeline, label: &str) {
         let start = self.engine.now();
         let parent = sink.spans.complete(
             start,
@@ -543,10 +528,10 @@ impl JobMaster {
         };
         if thp > 0.0 {
             let remaining_time = self.engine.remaining_samples() as f64 / thp;
-            let horizon = remaining_time * self.config.oom_horizon_factor;
+            let horizon = remaining_time * OOM_HORIZON_FACTOR;
             if let Some(forecast) = self.profiler.memory().forecast(effective_capacity, horizon) {
                 if forecast.will_oom() {
-                    let required = forecast.required_capacity(self.config.oom_headroom) as u64;
+                    let required = forecast.required_capacity(OOM_HEADROOM) as u64;
                     let at = self.engine.now();
                     if self.config.auto_memory_scaling {
                         self.telemetry.span_complete(
@@ -616,7 +601,7 @@ impl JobMaster {
 
         // Straggler reporting (mitigation is automatic via shard pacing):
         // the sink is locked once, and only when somebody lags.
-        let mut lagging = self.engine.straggling_workers(self.config.straggler_lag).peekable();
+        let mut lagging = self.engine.straggling_workers(STRAGGLER_LAG).peekable();
         if lagging.peek().is_some() {
             let mut sink = self.telemetry.batch();
             for idx in lagging {
@@ -633,7 +618,7 @@ impl JobMaster {
     }
 
     /// Detects a hot PS: a partition whose load per effective capacity
-    /// exceeds the mean by `hot_ps_factor` (tensor skew or a slow pod).
+    /// exceeds the mean by [`HOT_PS_FACTOR`] (tensor skew or a slow pod).
     fn detect_hot_ps(&self) -> Option<usize> {
         let parts = self.engine.partitions();
         if parts.len() < 2 {
@@ -641,7 +626,7 @@ impl JobMaster {
         }
         let ratios = || parts.iter().map(|p| p.share.max(1e-9) / p.pod.effective_cpu());
         let mean = ratios().sum::<f64>() / parts.len() as f64;
-        ratios().position(|r| r > mean * self.config.hot_ps_factor.max(1.0))
+        ratios().position(|r| r > mean * HOT_PS_FACTOR)
     }
 
     /// Seamless hot-PS mitigation: rebalance parameter shares evenly onto
@@ -654,31 +639,17 @@ impl JobMaster {
         if total_cap <= 0.0 {
             return;
         }
-        let rebalanced: Vec<dlrover_pstrain::PsPartition> = parts
+        let rebalanced: Vec<PsPartition> = parts
             .iter()
-            .map(|p| dlrover_pstrain::PsPartition {
-                share: p.pod.effective_cpu() / total_cap,
-                pod: p.pod,
-            })
+            .map(|p| PsPartition { share: p.pod.effective_cpu() / total_cap, pod: p.pod })
             .collect();
         let mem = self.engine.ps_memory_alloc().to_vec();
-        let pause = plan_ps_migration_pause(
+        let pause = self.hand_off(
             MigrationStrategy::Seamless,
-            self.checkpoint_bytes(),
             SimDuration::ZERO,
-            &self.flash,
-            &self.rds,
-        );
-        let now = self.engine.now();
-        self.telemetry.span_complete(
-            now,
-            now + pause,
-            SpanCategory::Rebalance,
             "hot-ps",
-            self.job_id,
-            None,
+            Some(SpanCategory::Rebalance),
         );
-        self.record_flash_checkpoint();
         self.engine.reshape_ps(rebalanced, mem);
         self.engine.pause(pause);
         self.scaling_count += 1;
@@ -702,23 +673,12 @@ impl JobMaster {
             })
             .collect();
         let partitions = self.engine.partitions().to_vec();
-        let pause = plan_ps_migration_pause(
+        let pause = self.hand_off(
             MigrationStrategy::Seamless,
-            self.checkpoint_bytes(),
             SimDuration::ZERO,
-            &self.flash,
-            &self.rds,
-        );
-        let now = self.engine.now();
-        self.telemetry.span_complete(
-            now,
-            now + pause,
-            SpanCategory::Migration,
             "mem-prescale",
-            self.job_id,
-            None,
+            Some(SpanCategory::Migration),
         );
-        self.record_flash_checkpoint();
         let max_gb = per_ps.iter().copied().max().unwrap_or(0) as f64 / 1e9;
         self.engine.reshape_ps(partitions, per_ps);
         self.engine.pause(pause);
@@ -738,8 +698,9 @@ impl JobMaster {
     /// its allocation. Bounded by the relaunch budget: when it drains the
     /// master degrades to the surviving shape instead (§6).
     pub fn replace_failed_worker(&mut self, startup: SimDuration) {
-        let live = (0..self.engine_worker_slots()).filter(|&i| self.engine_worker_alive(i)).count();
-        if live + self.pending_workers.len() >= self.allocation.shape.workers as usize {
+        if self.live_workers().count() + self.pending_workers.len()
+            >= self.allocation.shape.workers as usize
+        {
             self.telemetry.count("master.duplicate_replacements_ignored", 1);
             return;
         }
@@ -761,8 +722,7 @@ impl JobMaster {
         // Degraded jobs hold their shape (§6): a plan change in flight is
         // abandoned, not committed on a job that just lost its budget.
         self.abort_reconfig_if_pending("degraded");
-        let live = (0..self.engine_worker_slots()).filter(|&i| self.engine_worker_alive(i)).count();
-        let feasible = (live + self.pending_workers.len()).max(1) as u32;
+        let feasible = (self.live_workers().count() + self.pending_workers.len()).max(1) as u32;
         self.allocation.shape.workers = feasible;
         self.health.escalate(JobHealth::Degraded);
         self.telemetry.record(
@@ -813,20 +773,12 @@ impl JobMaster {
         }
         slot.pod = PodState::new(self.allocation.shape.ps_cpu);
         let mem = self.engine.ps_memory_alloc().to_vec();
-        let timeline = plan_ps_migration(
-            MigrationStrategy::Seamless,
-            self.checkpoint_bytes(),
-            startup,
-            &self.flash,
-            &self.rds,
-        );
-        self.record_migration_spans(&timeline, "ps-failure");
-        self.record_flash_checkpoint();
+        let pause = self.hand_off(MigrationStrategy::Seamless, startup, "ps-failure", None);
         // The replacement pod lands on a fresh node: whatever interference
         // was pressing on the dead pod does not follow it.
         self.engine.set_ps_mem_pressure(ps, 0);
         self.engine.reshape_ps(partitions, mem);
-        self.engine.pause(timeline.pause());
+        self.engine.pause(pause);
         self.last_ps_recovery = Some((ps, self.engine.now()));
         self.telemetry.count("master.ps_recoveries", 1);
     }
@@ -847,14 +799,22 @@ impl JobMaster {
     /// moment the plan lands — the master clamps the target up to the
     /// live requirement before applying it.
     pub fn apply_decision(&mut self, decision: PolicyDecision, startup: SimDuration) {
-        let mut decision = decision;
-        let used_per_ps = self.engine.ps_memory_used().max().unwrap_or(0) as f64;
-        let floor_gb = used_per_ps * (1.0 + self.config.oom_headroom.max(0.0)) / 1e9;
-        if decision.allocation.ps_mem_gb < floor_gb {
-            decision.allocation.ps_mem_gb = floor_gb;
-        }
-        let target = decision.allocation;
         let strategy = decision.strategy;
+        let seamless = match strategy {
+            // "No intervention" means exactly that: the decision is
+            // advisory and nothing is reshaped, counted, or committed.
+            MigrationStrategy::NoIntervention => return,
+            MigrationStrategy::StopAndRestart => false,
+            MigrationStrategy::Seamless => true,
+        };
+        // Reconfiguration rides the seamless path only.
+        let reconfig = decision.reconfig.filter(|_| seamless);
+        let mut target = decision.allocation;
+        let used_per_ps = self.engine.ps_memory_used().max().unwrap_or(0) as f64;
+        let floor_gb = used_per_ps * (1.0 + OOM_HEADROOM) / 1e9;
+        if target.ps_mem_gb < floor_gb {
+            target.ps_mem_gb = floor_gb;
+        }
         let cur = self.allocation;
         let ps_changed = target.shape.ps != cur.shape.ps
             || (target.shape.ps_cpu - cur.shape.ps_cpu).abs() > 1e-9
@@ -862,75 +822,41 @@ impl JobMaster {
         let workers_changed = target.shape.workers != cur.shape.workers
             || (target.shape.worker_cpu - cur.shape.worker_cpu).abs() > 1e-9;
 
-        // "No intervention" means exactly that: the decision is advisory
-        // and nothing is reshaped, counted, or committed. Reconfiguration
-        // rides the seamless path only, so it is gated the same way.
-        if strategy == MigrationStrategy::NoIntervention {
-            return;
-        }
-        if !ps_changed && !workers_changed {
-            if strategy == MigrationStrategy::Seamless {
-                if let Some(req) = decision.reconfig {
-                    self.begin_reconfig(req);
-                }
-            }
-            return;
-        }
-        self.scaling_count += 1;
-        self.telemetry.record(
-            self.engine.now(),
-            EventKind::ScalingPlanApplied {
-                job: self.job_id,
-                workers: target.shape.workers,
-                ps: target.shape.ps,
-                strategy: migration_kind(strategy),
-            },
-        );
-        self.telemetry.count("master.scaling_ops", 1);
+        if ps_changed || workers_changed {
+            self.scaling_count += 1;
+            self.telemetry.record(
+                self.engine.now(),
+                EventKind::ScalingPlanApplied {
+                    job: self.job_id,
+                    workers: target.shape.workers,
+                    ps: target.shape.ps,
+                    strategy: migration_kind(strategy),
+                },
+            );
+            self.telemetry.count("master.scaling_ops", 1);
 
-        match strategy {
-            MigrationStrategy::NoIntervention => unreachable!("handled above"),
-            MigrationStrategy::StopAndRestart => {
+            if seamless {
+                // Workers: removals immediate (shards hand back), additions
+                // wait out their startup while training continues.
+                self.resize_workers(&target, startup);
+                if ps_changed {
+                    let pause = self.hand_off(strategy, startup, "seamless", None);
+                    self.reshape_ps_now(&target);
+                    self.engine.pause(pause);
+                }
+            } else {
                 // The whole job pauses: checkpoint → redeploy → restore.
-                let timeline = plan_ps_migration(
-                    strategy,
-                    self.checkpoint_bytes(),
-                    startup,
-                    &self.flash,
-                    &self.rds,
-                );
-                self.record_migration_spans(&timeline, "stop-and-restart");
-                self.record_flash_checkpoint();
-                self.engine.pause(timeline.pause());
+                let pause = self.hand_off(strategy, startup, "stop-and-restart", None);
+                self.engine.pause(pause);
                 self.resize_workers(&target, SimDuration::ZERO);
                 if ps_changed {
                     self.reshape_ps_now(&target);
                 }
             }
-            MigrationStrategy::Seamless => {
-                // Workers: removals immediate (shards hand back), additions
-                // wait out their startup while training continues.
-                self.resize_workers(&target, startup);
-                if ps_changed {
-                    let timeline = plan_ps_migration(
-                        strategy,
-                        self.checkpoint_bytes(),
-                        startup,
-                        &self.flash,
-                        &self.rds,
-                    );
-                    self.record_migration_spans(&timeline, "seamless");
-                    self.record_flash_checkpoint();
-                    self.reshape_ps_now(&target);
-                    self.engine.pause(timeline.pause());
-                }
-            }
+            self.allocation = target;
         }
-        self.allocation = target;
-        if strategy == MigrationStrategy::Seamless {
-            if let Some(req) = decision.reconfig {
-                self.begin_reconfig(req);
-            }
+        if let Some(req) = reconfig {
+            self.begin_reconfig(req);
         }
     }
 
@@ -951,23 +877,13 @@ impl JobMaster {
         }
         let window = self.next_window;
         self.next_window += 1;
-        let pause = plan_ps_migration_pause(
+        let pause = self.hand_off(
             MigrationStrategy::Seamless,
-            self.checkpoint_bytes(),
             SimDuration::ZERO,
-            &self.flash,
-            &self.rds,
+            "reconfig",
+            Some(SpanCategory::Migration),
         );
         let now = self.engine.now();
-        self.telemetry.span_complete(
-            now,
-            now + pause,
-            SpanCategory::Migration,
-            "reconfig",
-            self.job_id,
-            None,
-        );
-        self.record_flash_checkpoint();
         if req.relayout {
             self.relayout_shards();
         }
@@ -1015,7 +931,7 @@ impl JobMaster {
         if parts.len() < 2 {
             return;
         }
-        let bytes = self.checkpoint_bytes();
+        let bytes = self.engine.checkpoint_extent().bytes;
         let blocks = dlrover_pstrain::rebalance::dlrm_blocks(26, bytes, bytes / 16);
         let assignment = dlrover_pstrain::rebalance::balance_blocks(&blocks, parts.len());
         let pods: Vec<PodState> = parts.iter().map(|p| p.pod).collect();
@@ -1026,15 +942,12 @@ impl JobMaster {
     }
 
     fn reshape_ps_now(&mut self, target: &ResourceAllocation) {
-        self.engine.reshape_ps(
-            AsyncCostModel::balanced_partitions(target.shape.ps, target.shape.ps_cpu),
-            Self::ps_mem(target),
-        );
+        let (partitions, ps_mem) = Self::ps_layout(target, target.shape.ps);
+        self.engine.reshape_ps(partitions, ps_mem);
     }
 
     fn resize_workers(&mut self, target: &ResourceAllocation, startup: SimDuration) {
-        let live: Vec<usize> =
-            (0..self.engine_worker_slots()).filter(|&i| self.engine_worker_alive(i)).collect();
+        let live: Vec<usize> = self.live_workers().collect();
         let current = live.len() + self.pending_workers.len();
         let want = target.shape.workers as usize;
         let pod = PodState::new(target.shape.worker_cpu);
@@ -1070,13 +983,11 @@ impl JobMaster {
         }
     }
 
-    fn engine_worker_slots(&self) -> usize {
-        // Engine indexes workers densely by addition order; dead slots stay.
-        self.engine.worker_slot_count()
-    }
-
-    fn engine_worker_alive(&self, idx: usize) -> bool {
-        self.engine.worker_is_alive(idx)
+    /// Engine slots of the workers that are up (a hung worker counts until
+    /// the silent-worker detector fails it). The engine indexes workers
+    /// densely by addition order; dead slots keep their index.
+    fn live_workers(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.engine.worker_slot_count()).filter(|&i| self.engine.worker_is_alive(i))
     }
 }
 

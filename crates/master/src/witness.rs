@@ -30,32 +30,25 @@ pub struct WitnessConfig {
     pub peers: u32,
     /// Signatures required for a manifest to count as witnessed.
     pub quorum: u32,
-    /// Save → quorum latency (peer broadcast + co-sign round).
-    pub cosign_latency: SimDuration,
-    /// Heartbeat silence before peers declare the master lost.
-    pub detect_timeout: SimDuration,
-    /// Recoverer election round among reachable peers.
-    pub election_latency: SimDuration,
-    /// Read bandwidth of a pinned peer copy, bytes/s (peer memory,
-    /// flash-tier speed).
-    pub peer_read_bandwidth: f64,
-    /// Fixed per-restore latency on the witness path.
-    pub peer_base_latency: SimDuration,
 }
 
 impl Default for WitnessConfig {
     fn default() -> Self {
-        WitnessConfig {
-            peers: 3,
-            quorum: 2,
-            cosign_latency: SimDuration::from_secs(2),
-            detect_timeout: SimDuration::from_secs(10),
-            election_latency: SimDuration::from_secs(2),
-            peer_read_bandwidth: 10.0e9,
-            peer_base_latency: SimDuration::from_millis(200),
-        }
+        WitnessConfig { peers: 3, quorum: 2 }
     }
 }
+
+/// Save → quorum latency (peer broadcast + co-sign round).
+const COSIGN_LATENCY: SimDuration = SimDuration::from_secs(2);
+/// Heartbeat silence before peers declare the master lost.
+const DETECT_TIMEOUT: SimDuration = SimDuration::from_secs(10);
+/// Recoverer election round among reachable peers.
+const ELECTION_LATENCY: SimDuration = SimDuration::from_secs(2);
+/// Read bandwidth of a pinned peer copy, bytes/s (peer memory, flash-tier
+/// speed).
+const PEER_READ_BANDWIDTH: f64 = 10.0e9;
+/// Fixed per-restore latency on the witness path.
+const PEER_BASE_LATENCY: SimDuration = SimDuration::from_millis(200);
 
 /// A quorum-certified manifest pinned in peer memory.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -173,7 +166,7 @@ impl WitnessBoard {
     }
 
     /// Observes a flash save: starts a co-sign round completing at
-    /// `now + cosign_latency`. The round only pins the manifest if a
+    /// `now + COSIGN_LATENCY`. The round only pins the manifest if a
     /// quorum is still reachable when the signatures land (checked in
     /// [`WitnessBoard::advance`]).
     pub fn observe_save(
@@ -191,7 +184,7 @@ impl WitnessBoard {
             step,
             samples,
             bytes,
-            quorum_at: now + self.cfg.cosign_latency,
+            quorum_at: now + COSIGN_LATENCY,
         });
     }
 
@@ -248,7 +241,7 @@ impl WitnessBoard {
     /// Time from master loss to the recoverer holding the pinned copy:
     /// heartbeat detection plus the election round.
     pub fn takeover_latency(&self) -> SimDuration {
-        self.cfg.detect_timeout + self.cfg.election_latency
+        DETECT_TIMEOUT + ELECTION_LATENCY
     }
 
     /// Restores `job` from its pinned copy, with the read starting at
@@ -264,8 +257,8 @@ impl WitnessBoard {
             return None;
         }
         let pin = *self.pinned.get(&job)?;
-        let duration = self.cfg.peer_base_latency
-            + SimDuration::from_secs_f64(pin.bytes as f64 / self.cfg.peer_read_bandwidth);
+        let duration =
+            PEER_BASE_LATENCY + SimDuration::from_secs_f64(pin.bytes as f64 / PEER_READ_BANDWIDTH);
         self.telemetry.record(
             start_at + duration,
             EventKind::CheckpointRestored {

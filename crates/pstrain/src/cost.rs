@@ -182,41 +182,14 @@ impl AsyncCostModel {
         self.phase_times(worker, partitions, workers).iter().sum()
     }
 
-    /// [`Self::phase_times`] transformed by a Rubick-style execution plan
-    /// via [`dlrover_perfmodel::adjust_phases`] — the *same* function the
+    /// Per-iteration time of `worker` under an execution plan, against
+    /// already-evaluated [`Self::server_phases`] for the same layout and
+    /// `workers`: [`Self::phase_times_on`] transformed by
+    /// [`dlrover_perfmodel::adjust_phases`] — the *same* function the
     /// optimizer prices plans with, so reconfiguration predictions come
-    /// true in simulation. On the default plan this is bit-identical to
-    /// [`Self::phase_times`] (`adjust_phases` early-returns).
-    pub fn phase_times_exec(
-        &self,
-        worker: &PodState,
-        partitions: &[PsPartition],
-        workers: u32,
-        exec: &dlrover_perfmodel::ExecPlan,
-    ) -> [f64; 5] {
-        dlrover_perfmodel::adjust_phases(
-            exec,
-            self.phase_times(worker, partitions, workers),
-            workers,
-        )
-    }
-
-    /// Per-iteration time of `worker` under an execution plan; equals
-    /// [`Self::worker_iter_time`] bit-for-bit on the default plan.
-    pub fn worker_iter_time_exec(
-        &self,
-        worker: &PodState,
-        partitions: &[PsPartition],
-        workers: u32,
-        exec: &dlrover_perfmodel::ExecPlan,
-    ) -> f64 {
-        self.phase_times_exec(worker, partitions, workers, exec).iter().sum()
-    }
-
-    /// [`Self::worker_iter_time_exec`] against already-evaluated
-    /// [`Self::server_phases`] for the same layout and `workers`: the plan
-    /// transform is still applied per worker, after assembly, exactly as
-    /// the optimizer prices it.
+    /// true in simulation — and summed. On the default plan
+    /// `adjust_phases` early-returns, so this equals
+    /// [`Self::worker_iter_time`] bit for bit.
     pub fn worker_iter_time_on(
         &self,
         worker: &PodState,
@@ -329,18 +302,6 @@ impl AsyncCostModel {
             .map(|(u, p)| u * p.pod.cpu)
             .sum();
         ((worker_busy + ps_busy) / total_cores).min(1.0)
-    }
-
-    /// Staleness bound of the slowest worker: how many iterations the
-    /// fastest worker completes per slow-worker iteration. Values ≫ 1 mean
-    /// the straggler submits badly stale gradients (§5.1).
-    pub fn staleness_ratio(&self, workers: &[PodState], partitions: &[PsPartition]) -> f64 {
-        let n = workers.len() as u32;
-        let times: Vec<f64> =
-            workers.iter().map(|wk| self.worker_iter_time(wk, partitions, n)).collect();
-        let fastest = times.iter().cloned().fold(f64::INFINITY, f64::min);
-        let slowest = times.iter().cloned().fold(0.0f64, f64::max);
-        slowest / fastest
     }
 }
 
@@ -546,17 +507,6 @@ mod tests {
     }
 
     #[test]
-    fn straggler_staleness_ratio_explodes() {
-        let m = model();
-        let ps = AsyncCostModel::balanced_partitions(4, 8.0);
-        let healthy = uniform_workers(8, 8.0);
-        assert!((m.staleness_ratio(&healthy, &ps) - 1.0).abs() < 1e-9);
-        let mut one_slow = healthy;
-        one_slow[0].speed = 0.03;
-        assert!(m.staleness_ratio(&one_slow, &ps) > 3.0);
-    }
-
-    #[test]
     fn lookup_fraction_lands_in_paper_band() {
         // Fig. 1a: lookups take 30-48 % of iteration time for typical jobs.
         let m = model();
@@ -661,6 +611,33 @@ mod differential {
     use super::*;
     use dlrover_perfmodel::{adjust_phases, ExecPlan, GradientMode};
     use proptest::prelude::*;
+
+    impl AsyncCostModel {
+        /// [`AsyncCostModel::phase_times`] transformed by an execution plan:
+        /// the whole-layout form [`AsyncCostModel::worker_iter_time_on`]
+        /// replaced in the engine, kept as its reference.
+        fn phase_times_exec(
+            &self,
+            worker: &PodState,
+            partitions: &[PsPartition],
+            workers: u32,
+            exec: &ExecPlan,
+        ) -> [f64; 5] {
+            adjust_phases(exec, self.phase_times(worker, partitions, workers), workers)
+        }
+
+        /// Per-iteration time of `worker` under an execution plan, from
+        /// [`Self::phase_times_exec`].
+        fn worker_iter_time_exec(
+            &self,
+            worker: &PodState,
+            partitions: &[PsPartition],
+            workers: u32,
+            exec: &ExecPlan,
+        ) -> f64 {
+            self.phase_times_exec(worker, partitions, workers, exec).iter().sum()
+        }
+    }
 
     /// The pre-split body of `phase_times`, verbatim.
     fn reference_phase_times(

@@ -81,25 +81,16 @@ pub struct EngineCheckpoint {
     pub exec: ExecPlan,
 }
 
-/// Notable events the engine records.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum EngineEvent {
-    /// A worker was added (index).
-    WorkerAdded(usize),
-    /// A worker failed; its shard was re-queued.
-    WorkerFailed(usize),
-    /// A worker was removed gracefully.
-    WorkerRemoved(usize),
-    /// The PS layout was re-shaped.
-    Reshaped,
-    /// The execution plan changed (gradient mode / batch / replication).
-    Replanned,
-    /// Training paused for a migration.
-    Paused(SimDuration),
-    /// A PS ran out of memory.
-    Oom(usize),
-    /// The job finished.
-    Completed(SimTime),
+/// Size and position of a checkpoint of the training state, from
+/// [`PsTrainingEngine::checkpoint_extent`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CheckpointExtent {
+    /// Samples accounted at save time.
+    pub samples: u64,
+    /// Training step: `samples` over the job's batch size.
+    pub step: u64,
+    /// Serialized size, bytes.
+    pub bytes: u64,
 }
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -130,7 +121,6 @@ pub struct PsTrainingEngine {
     now: SimTime,
     pending_pause: SimDuration,
     next_shard_worker_id: u64,
-    events: Vec<(SimTime, EngineEvent)>,
     oomed: bool,
     telemetry: Telemetry,
     /// Span-timeline lane (the owning job id; 0 for standalone engines).
@@ -213,7 +203,6 @@ impl PsTrainingEngine {
             now: ckpt.at,
             pending_pause: SimDuration::ZERO,
             next_shard_worker_id: 0,
-            events: Vec::new(),
             oomed: false,
             telemetry: Telemetry::default(),
             span_track: 0,
@@ -251,11 +240,6 @@ impl PsTrainingEngine {
     /// The job spec.
     pub fn spec(&self) -> &TrainingJobSpec {
         &self.spec
-    }
-
-    /// Recorded events.
-    pub fn events(&self) -> &[(SimTime, EngineEvent)] {
-        &self.events
     }
 
     /// Live worker pods in slot order (hung workers excluded: a zombie
@@ -323,7 +307,6 @@ impl PsTrainingEngine {
             carry: 0.0,
         });
         let idx = self.workers.len() - 1;
-        self.events.push((self.now, EngineEvent::WorkerAdded(idx)));
         self.telemetry.record(self.now, EventKind::WorkerAdded { worker: idx as u64 });
         idx
     }
@@ -338,7 +321,6 @@ impl PsTrainingEngine {
         slot.hung = false;
         slot.carry = 0.0;
         self.shards.fail_worker(slot.shard_worker_id);
-        self.events.push((self.now, EngineEvent::WorkerFailed(idx)));
         if let Some(mut sink) = self.telemetry.batch() {
             sink.record(self.now, EventKind::WorkerFailed { worker: idx as u64 });
             sink.metrics.count("engine.worker_failures", 1);
@@ -355,7 +337,6 @@ impl PsTrainingEngine {
         slot.alive = false;
         slot.carry = 0.0;
         self.shards.deregister_worker(slot.shard_worker_id);
-        self.events.push((self.now, EngineEvent::WorkerRemoved(idx)));
         self.telemetry.record(self.now, EventKind::WorkerRemoved { worker: idx as u64 });
     }
 
@@ -377,7 +358,6 @@ impl PsTrainingEngine {
         // Interference is per-slot, not per-layout: pressure follows the
         // PS index across a reshape and vanishes for removed slots.
         self.mem_pressure.truncate(self.partitions.len());
-        self.events.push((self.now, EngineEvent::Reshaped));
         self.telemetry.record(self.now, EventKind::PsReshaped { ps: self.partitions.len() as u64 });
     }
 
@@ -402,7 +382,6 @@ impl PsTrainingEngine {
             self.spec.constants,
             exec.effective_batch(self.spec.batch_size),
         );
-        self.events.push((self.now, EngineEvent::Replanned));
     }
 
     /// FNV digest of the trained-sample coverage (see
@@ -426,7 +405,6 @@ impl PsTrainingEngine {
             return;
         }
         self.pending_pause += d;
-        self.events.push((self.now, EngineEvent::Paused(d)));
         if let Some(mut sink) = self.telemetry.batch() {
             sink.record(self.now, EventKind::TrainingPaused { micros: d.as_micros() });
             sink.metrics.observe("engine.pause_seconds", d.as_secs_f64());
@@ -471,6 +449,19 @@ impl PsTrainingEngine {
     /// oracle's no-lost-samples invariant holds across crashes.
     pub fn completed_samples(&self) -> u64 {
         self.shards.completed_samples()
+    }
+
+    /// What a checkpoint taken now carries: the sample watermark, the
+    /// training step it corresponds to and the serialized size (dense
+    /// static part + the embedding rows discovered so far). The master's
+    /// hand-offs and the chaos driver's periodic saves both read it here.
+    pub fn checkpoint_extent(&self) -> CheckpointExtent {
+        let samples = self.samples_done();
+        CheckpointExtent {
+            samples,
+            step: samples / u64::from(self.spec.batch_size.max(1)),
+            bytes: self.spec.memory.total_bytes(samples as f64) as u64,
+        }
     }
 
     /// Remaining samples.
@@ -530,16 +521,6 @@ impl PsTrainingEngine {
         }
         let pods: Vec<PodState> = self.live_pods().collect();
         self.cost.job_cpu_utilisation(&pods, &self.partitions)
-    }
-
-    /// Memory utilisation: PS bytes in use over bytes allocated.
-    pub fn memory_utilisation(&self) -> f64 {
-        let used: u64 = self.ps_memory_used().sum();
-        let alloc: u64 = self.ps_mem_alloc.iter().sum();
-        if alloc == 0 {
-            return 0.0;
-        }
-        (used as f64 / alloc as f64).min(1.0)
     }
 
     /// Memory in use per PS, bytes, in partition order: its parameter share
@@ -833,10 +814,7 @@ impl PsTrainingEngine {
         // Memory / OOM check.
         let oom_ps =
             self.ps_memory_used().zip(&self.ps_mem_alloc).position(|(used, alloc)| used > *alloc);
-        if let Some(ps) = oom_ps {
-            self.oomed = true;
-            self.events.push((self.now, EngineEvent::Oom(ps)));
-        }
+        self.oomed |= oom_ps.is_some();
         if let Some(sink) = sink.as_mut() {
             if shards_acked > 0 {
                 sink.metrics.count("engine.shards_acked", shards_acked);
@@ -850,11 +828,7 @@ impl PsTrainingEngine {
             }
         }
 
-        let completed = self.is_complete();
-        if completed && !self.events.iter().any(|(_, e)| matches!(e, EngineEvent::Completed(_))) {
-            self.events.push((self.now, EngineEvent::Completed(self.now)));
-        }
-        JobProgress { samples: total_new, completed, oom_ps }
+        JobProgress { samples: total_new, completed: self.is_complete(), oom_ps }
     }
 
     /// Runs until completion or OOM, advancing in `slice` steps; returns the
@@ -1381,7 +1355,8 @@ mod tests {
         let result = e.run_to_completion(SLICE, SimTime::from_secs(100_000_000));
         assert!(result.is_none(), "tiny PSes must OOM");
         assert!(e.is_oomed());
-        assert!(e.events().iter().any(|(_, ev)| matches!(ev, EngineEvent::Oom(_))));
+        let events = e.telemetry().snapshot().events;
+        assert!(events.iter().any(|ev| matches!(ev.kind, EventKind::Oomed { .. })));
     }
 
     #[test]

@@ -39,15 +39,16 @@ pub mod sharding;
 #[cfg(test)]
 mod sharding_reference;
 
-pub use ckpt::{CheckpointStore, FlashStore, RdsStore};
+pub use ckpt::StorageTier;
 pub use cost::{
     dynamic_sharding_completion_seconds, static_partition_completion_seconds, AsyncCostModel,
     HybridCostModel, PodState, PsPartition,
 };
-pub use engine::{EngineCheckpoint, EngineEvent, JobProgress, PsTrainingEngine, TrainingJobSpec};
+pub use engine::{
+    CheckpointExtent, EngineCheckpoint, JobProgress, PsTrainingEngine, TrainingJobSpec,
+};
 pub use migration::{
-    plan_ps_migration, plan_ps_migration_pause, plan_worker_recovery, MigrationStrategy,
-    MigrationTimeline, TimelineSegment,
+    plan_ps_migration, plan_worker_recovery, MigrationStrategy, MigrationTimeline, TimelineSegment,
 };
 pub use real::{ElasticEvent, JobCheckpoint, RealModeConfig, RealModeTrainer};
 pub use rebalance::{

@@ -14,7 +14,7 @@
 use dlrover_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
-use crate::ckpt::{CheckpointStore, FlashStore, RdsStore};
+use crate::ckpt::StorageTier;
 
 /// How to react to a hot PS / needed migration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -89,18 +89,19 @@ impl MigrationTimeline {
     }
 }
 
-/// Plans a PS migration (hot PS, PS re-shape, PS failure recovery).
+/// Plans a PS migration (hot PS, PS re-shape, PS failure recovery):
+/// stop-and-restart round-trips the checkpoint through
+/// [`StorageTier::RDS`], seamless hands it off through
+/// [`StorageTier::FLASH`].
 ///
 /// * `ckpt_bytes` — model checkpoint size.
 /// * `pod_startup` — time to deploy + initialise the replacement PSes.
-/// * `flash` / `rds` — the two checkpoint tiers.
 pub fn plan_ps_migration(
     strategy: MigrationStrategy,
     ckpt_bytes: u64,
     pod_startup: SimDuration,
-    flash: &FlashStore,
-    rds: &RdsStore,
 ) -> MigrationTimeline {
+    let (flash, rds) = (StorageTier::FLASH, StorageTier::RDS);
     match strategy {
         MigrationStrategy::NoIntervention => MigrationTimeline { segments: Vec::new() },
         MigrationStrategy::StopAndRestart => MigrationTimeline {
@@ -123,30 +124,19 @@ pub fn plan_ps_migration(
     }
 }
 
-/// Convenience: just the *pause* component of a PS migration plan — what a
-/// job master must charge against training time.
-pub fn plan_ps_migration_pause(
-    strategy: MigrationStrategy,
-    ckpt_bytes: u64,
-    pod_startup: SimDuration,
-    flash: &FlashStore,
-    rds: &RdsStore,
-) -> SimDuration {
-    plan_ps_migration(strategy, ckpt_bytes, pod_startup, flash, rds).pause()
-}
-
 /// Plans a worker-straggler recovery (Fig. 13).
 ///
+/// * `ckpt_bytes` — stop-and-restart checkpoint round trip through
+///   [`StorageTier::RDS`].
 /// * `detection` — heartbeat/progress-lag detection delay.
 /// * `pod_startup` — replacement worker startup (traditional only).
-/// * `rds`/`ckpt_bytes` — stop-and-restart checkpoint round trip.
 pub fn plan_worker_recovery(
     strategy: MigrationStrategy,
     ckpt_bytes: u64,
     detection: SimDuration,
     pod_startup: SimDuration,
-    rds: &RdsStore,
 ) -> MigrationTimeline {
+    let rds = StorageTier::RDS;
     match strategy {
         MigrationStrategy::NoIntervention => MigrationTimeline { segments: Vec::new() },
         // Traditional frameworks restart the whole job to replace a worker.
@@ -174,19 +164,12 @@ mod tests {
 
     const GB: u64 = 1_000_000_000;
 
-    fn stores() -> (FlashStore, RdsStore) {
-        (FlashStore::default(), RdsStore::default())
-    }
-
     #[test]
     fn no_intervention_has_empty_timeline() {
-        let (f, r) = stores();
         let t = plan_ps_migration(
             MigrationStrategy::NoIntervention,
             20 * GB,
             SimDuration::from_mins(5),
-            &f,
-            &r,
         );
         assert_eq!(t.pause(), SimDuration::ZERO);
         assert_eq!(t.total(), SimDuration::ZERO);
@@ -194,9 +177,8 @@ mod tests {
 
     #[test]
     fn stop_and_restart_pauses_for_everything() {
-        let (f, r) = stores();
         let startup = SimDuration::from_mins(6);
-        let t = plan_ps_migration(MigrationStrategy::StopAndRestart, 20 * GB, startup, &f, &r);
+        let t = plan_ps_migration(MigrationStrategy::StopAndRestart, 20 * GB, startup);
         assert_eq!(t.pause(), t.total(), "every segment pauses");
         // Pause spans checkpoint round-trip + init: >10 minutes for 20 GB.
         assert!(t.pause().as_mins_f64() > 10.0, "pause {}", t.pause());
@@ -204,9 +186,8 @@ mod tests {
 
     #[test]
     fn seamless_pause_is_subsecond_scale() {
-        let (f, r) = stores();
         let startup = SimDuration::from_mins(6);
-        let t = plan_ps_migration(MigrationStrategy::Seamless, 20 * GB, startup, &f, &r);
+        let t = plan_ps_migration(MigrationStrategy::Seamless, 20 * GB, startup);
         assert!(t.pause().as_secs_f64() < 5.0, "pause {}", t.pause());
         // Startup rides along as degraded training, not a pause.
         assert_eq!(t.degraded(), startup);
@@ -214,10 +195,9 @@ mod tests {
 
     #[test]
     fn seamless_saves_most_of_the_stop_and_restart_pause() {
-        let (f, r) = stores();
         let startup = SimDuration::from_mins(6);
-        let sr = plan_ps_migration(MigrationStrategy::StopAndRestart, 20 * GB, startup, &f, &r);
-        let sm = plan_ps_migration(MigrationStrategy::Seamless, 20 * GB, startup, &f, &r);
+        let sr = plan_ps_migration(MigrationStrategy::StopAndRestart, 20 * GB, startup);
+        let sm = plan_ps_migration(MigrationStrategy::Seamless, 20 * GB, startup);
         // Fig. 12's claim: ~5 min saved on init + ~3 min on checkpoints.
         let saved = sr.pause().saturating_sub(sm.pause());
         assert!(saved.as_mins_f64() > 8.0, "saved only {saved}");
@@ -225,13 +205,11 @@ mod tests {
 
     #[test]
     fn worker_recovery_sharding_never_pauses() {
-        let r = RdsStore::default();
         let t = plan_worker_recovery(
             MigrationStrategy::Seamless,
             20 * GB,
             SimDuration::from_secs(45),
             SimDuration::from_mins(5),
-            &r,
         );
         assert_eq!(t.pause(), SimDuration::ZERO);
         assert!(t.total().as_mins_f64() < 1.0, "detection within a minute");
@@ -239,13 +217,11 @@ mod tests {
 
     #[test]
     fn worker_recovery_traditional_pays_restart() {
-        let r = RdsStore::default();
         let t = plan_worker_recovery(
             MigrationStrategy::StopAndRestart,
             20 * GB,
             SimDuration::from_secs(45),
             SimDuration::from_mins(5),
-            &r,
         );
         assert!(t.pause().as_mins_f64() > 8.0);
         assert!(t.degraded() > SimDuration::ZERO, "detection time runs degraded");
@@ -263,9 +239,7 @@ mod tests {
 
     #[test]
     fn totals_add_up() {
-        let (f, r) = stores();
-        let t =
-            plan_ps_migration(MigrationStrategy::Seamless, GB, SimDuration::from_mins(3), &f, &r);
+        let t = plan_ps_migration(MigrationStrategy::Seamless, GB, SimDuration::from_mins(3));
         let manual: SimDuration = t.segments.iter().fold(SimDuration::ZERO, |acc, (_, d)| acc + *d);
         assert_eq!(t.total(), manual);
         assert_eq!(t.total(), t.pause() + t.degraded());

@@ -8,7 +8,7 @@
 //! ```
 
 use dlrover_rm::prelude::*;
-use dlrover_rm::pstrain::{plan_ps_migration, plan_worker_recovery, FlashStore, RdsStore};
+use dlrover_rm::pstrain::{plan_ps_migration, plan_worker_recovery};
 
 const STEPS: u64 = 20_000;
 const SLICE: SimDuration = SimDuration::from_secs(30);
@@ -37,13 +37,7 @@ fn hot_ps_run(strategy: MigrationStrategy) -> SimDuration {
     for _ in 0..2 {
         e.advance(SLICE);
     }
-    let timeline = plan_ps_migration(
-        strategy,
-        20 * GB,
-        SimDuration::from_mins(6),
-        &FlashStore::default(),
-        &RdsStore::default(),
-    );
+    let timeline = plan_ps_migration(strategy, 20 * GB, SimDuration::from_mins(6));
     match strategy {
         MigrationStrategy::NoIntervention => {}
         _ => {
@@ -83,7 +77,6 @@ fn straggler_run(strategy: MigrationStrategy) -> SimDuration {
         20 * GB,
         SimDuration::from_secs(45),
         SimDuration::from_mins(6),
-        &RdsStore::default(),
     );
     let per_worker_rate = |pod: &PodState, e: &PsTrainingEngine| {
         512.0

@@ -20,6 +20,7 @@
 //! A constant may change only with a change that means to alter simulated
 //! behaviour, and `results/chaos.json` then changes with it.
 
+use dlrover_rm::master::ckptplane::RETAIN_PER_JOB;
 use dlrover_rm::master::replay::RecoveryPath;
 use dlrover_rm::master::{JobHealth, JobRuntimeProfile, RetryPolicy};
 use dlrover_rm::prelude::*;
@@ -42,10 +43,10 @@ fn at(secs: u64, kind: FaultKind) -> FaultEvent {
 }
 
 /// Digests `(snapshot, report)` of a finished run.
-fn digest_run(sink: &Telemetry, report: &ChaosReport, cfg: &ChaosConfig) -> (u64, u64) {
+fn digest_run(sink: &Telemetry, report: &ChaosReport) -> (u64, u64) {
     assert!(report.jct_us.is_some(), "job must complete");
     assert!(report.oracle.passed(), "{:?}", report.oracle.violations());
-    assert!(report.ckpt.commits > cfg.ckpt.retain_per_job as u64, "retirement must run");
+    assert!(report.ckpt.commits > RETAIN_PER_JOB as u64, "retirement must run");
     let snapshot = serde_json::to_string(&sink.snapshot()).expect("snapshot serializes");
     let report = serde_json::to_string(report).expect("report serializes");
     (fnv(snapshot.as_bytes()), fnv(report.as_bytes()))
@@ -66,7 +67,7 @@ fn run_and_digest(
     let sink = Telemetry::default();
     let report =
         run_chaos_job(&TrainingJobSpec::paper_default(steps), allocation(), plan, cfg, &sink);
-    (digest_run(&sink, &report, cfg), sink, report)
+    (digest_run(&sink, &report), sink, report)
 }
 
 /// Events of the run matching `pred`.
@@ -362,7 +363,7 @@ fn policy_shrinks_then_grows_under_kills_run_is_pinned() {
     assert!(count(&sink, |k| matches!(k, EventKind::RetryAttempt { .. })) >= 2);
     check(
         "policy/shrink_grow",
-        digest_run(&sink, &report, &cfg),
+        digest_run(&sink, &report),
         (0xb468_2b00_eb25_4185, 0x7ac0_c8de_0d00_050b),
     );
 }

@@ -4,7 +4,7 @@
 use dlrover_rm::cluster::{PodPhase, PodRole, PodSpec, Priority};
 use dlrover_rm::master::{CheckpointPlane, CkptPlaneConfig, RestoreSource};
 use dlrover_rm::prelude::*;
-use dlrover_rm::pstrain::{CheckpointStore, RdsStore};
+use dlrover_rm::pstrain::StorageTier;
 
 const SLICE: SimDuration = SimDuration::from_secs(30);
 const FAR: SimTime = SimTime::from_secs(3_600 * 24 * 30);
@@ -227,7 +227,7 @@ fn node_loss_during_flash_checkpoint_falls_back_to_durable_tier() {
     assert!(saved.hot_pause.as_secs_f64() < 1.0, "critical path is the flash write");
     plane.invalidate_hot(0, t0);
     assert!(plane.restore(0, t0).is_none(), "mid-write crash: nothing restorable yet");
-    let flush = RdsStore::default().save_duration(saved.new_bytes);
+    let flush = StorageTier::RDS.save_duration(saved.new_bytes);
     assert!(flush.as_mins_f64() > 3.0, "the RDS flush is asynchronous and slow");
     let margin = SimDuration::from_secs(1);
     assert!(plane.restore(0, t0 + flush - margin).is_none(), "flush still in flight");

@@ -3,8 +3,8 @@
 
 use dlrover_rm::prelude::*;
 use dlrover_rm::pstrain::{
-    balance_blocks, dlrm_blocks, imbalance, partitions_from_assignment, plan_ps_migration_pause,
-    plan_rebalance, FlashStore, PsTrainingEngine, RdsStore,
+    balance_blocks, dlrm_blocks, imbalance, partitions_from_assignment, plan_ps_migration,
+    plan_rebalance, PsTrainingEngine, StorageTier,
 };
 
 const SLICE: SimDuration = SimDuration::from_secs(30);
@@ -36,13 +36,9 @@ fn rebalancing_skewed_tables_recovers_throughput() {
     let plan = plan_rebalance(&blocks, &round_robin, p);
     assert!(plan.imbalance_after < plan.imbalance_before);
     let balanced = partitions_from_assignment(&blocks, &plan.assignment, &pods);
-    let pause = plan_ps_migration_pause(
-        MigrationStrategy::Seamless,
-        plan.moved_bytes,
-        SimDuration::from_mins(5),
-        &FlashStore::default(),
-        &RdsStore::default(),
-    );
+    let pause =
+        plan_ps_migration(MigrationStrategy::Seamless, plan.moved_bytes, SimDuration::from_mins(5))
+            .pause();
     engine.reshape_ps(balanced, vec![256 * GB; p]);
     engine.pause(pause);
     engine.advance(SLICE); // consume the pause
@@ -146,9 +142,7 @@ fn real_mode_flash_checkpoint_cycle_preserves_learning() {
     }
     let ckpt = t.checkpoint();
     // Flash save of this checkpoint is sub-second; RDS would be minutes.
-    let flash = FlashStore::default();
-    let rds = RdsStore::default();
-    use dlrover_rm::pstrain::CheckpointStore;
+    let (flash, rds) = (StorageTier::FLASH, StorageTier::RDS);
     let bytes = ckpt.approx_bytes() as u64;
     assert!(flash.save_duration(bytes) < rds.save_duration(bytes));
 
