@@ -32,13 +32,14 @@ fn alloc(workers: u32, ps: u32, ps_mem_gb: f64) -> ResourceAllocation {
     ResourceAllocation::new(JobShape::new(workers, ps, 8.0, 8.0, 512), 32.0, ps_mem_gb)
 }
 
-/// A `workers` / `ps` master recording into a fresh sink.
+/// A master of `spec` at `allocation`, recording into a fresh sink.
 fn master_on(spec: TrainingJobSpec, allocation: ResourceAllocation) -> JobMaster {
     let mut m = JobMaster::new(1, spec, allocation, MasterConfig::default());
     m.set_telemetry(Telemetry::default());
     m
 }
 
+/// [`master_on`] the 20 000-step paper job with 256 GB per PS.
 fn master(workers: u32, ps: u32) -> JobMaster {
     master_on(TrainingJobSpec::paper_default(20_000), alloc(workers, ps, 256.0))
 }
