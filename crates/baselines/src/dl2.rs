@@ -579,6 +579,41 @@ mod tests {
         assert_eq!(a_params, b_params, "policy weights must replay bit-identically");
     }
 
+    /// Full-precision trajectory pin: seed 42, 4 episodes × 30 ticks, an
+    /// FNV-1a over every decision, the episode mean-reward bits and the
+    /// policy weights' bits. The tournament golden sees rewards only as
+    /// `reward_x1000`, so a float-order slip in the REINFORCE update could
+    /// survive there until it flipped a sampled action; it cannot here.
+    #[test]
+    fn trajectory_is_pinned() {
+        let streams = RngStreams::new(42);
+        let mut p = Dl2Policy::new(start(), space(), &streams, Dl2Config::default());
+        let mut trace = String::new();
+        for _ in 0..4 {
+            let mut alloc = p.initial_allocation();
+            for i in 0..30u64 {
+                let d = p.adjust(&profile(&alloc, 180 * (i + 1), 1_000_000 - i * 10_000));
+                trace.push_str(&format!("{d:?};"));
+                if let Some(d) = d {
+                    alloc = d.allocation;
+                }
+            }
+            p.end_episode();
+        }
+        let bits = p.episode_mean_rewards().iter().map(|r| r.to_bits());
+        let weights = p.mlp.params().iter().map(|w| u64::from(w.to_bits()));
+        let words: Vec<u64> = bits.chain(weights).collect();
+        assert_eq!(fnv(trace.as_bytes(), &words), 0x3879_621c_e312_dadd);
+    }
+
+    /// FNV-1a 64 over `bytes`, then each of `words` little-endian.
+    fn fnv(bytes: &[u8], words: &[u64]) -> u64 {
+        let tail = words.iter().flat_map(|w| w.to_le_bytes());
+        bytes.iter().copied().chain(tail).fold(0xCBF2_9CE4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
     #[test]
     fn different_seeds_explore_differently() {
         let mk = |seed| {

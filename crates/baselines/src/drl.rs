@@ -471,6 +471,41 @@ mod tests {
         assert_eq!(a_q, b_q, "Q table must replay bit-identically");
     }
 
+    /// Full-precision trajectory pin: seed 42, 4 episodes × 30 ticks, an
+    /// FNV-1a over every decision, the episode mean-reward bits and the Q
+    /// table's bits. The tournament golden sees rewards only as
+    /// `reward_x1000`, so a float-order slip in the Q update could survive
+    /// there until it flipped a greedy action; it cannot here.
+    #[test]
+    fn trajectory_is_pinned() {
+        let streams = RngStreams::new(42);
+        let mut p = DrlPolicy::new(start(), space(), &streams, DrlConfig::default());
+        let mut trace = String::new();
+        for _ in 0..4 {
+            let mut alloc = p.initial_allocation();
+            for i in 0..30u64 {
+                let d = p.adjust(&profile(&alloc, 180 * (i + 1)));
+                trace.push_str(&format!("{d:?};"));
+                if let Some(d) = d {
+                    alloc = d.allocation;
+                }
+            }
+            p.end_episode();
+        }
+        let bits = p.episode_mean_rewards().iter().map(|r| r.to_bits());
+        let q = p.q.iter().flat_map(|row| row[..ACTIONS].iter().map(|v| v.to_bits()));
+        let words: Vec<u64> = bits.chain(q).collect();
+        assert_eq!(fnv(trace.as_bytes(), &words), 0xf8e4_7c82_5a92_4862);
+    }
+
+    /// FNV-1a 64 over `bytes`, then each of `words` little-endian.
+    fn fnv(bytes: &[u8], words: &[u64]) -> u64 {
+        let tail = words.iter().flat_map(|w| w.to_le_bytes());
+        bytes.iter().copied().chain(tail).fold(0xCBF2_9CE4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
     #[test]
     fn rewards_improve_with_training() {
         let streams = RngStreams::new(42);
