@@ -14,114 +14,56 @@
 //!   named [`RngStreams`] streams, so training runs are bit-reproducible
 //!   and thread-count independent;
 //! * decisions and per-episode rewards are emitted through
-//!   `dlrover-telemetry` ([`EventKind::PolicyDecisionMade`] /
-//!   [`EventKind::PolicyRewardObserved`]) so a trace alone replays the
-//!   training trajectory.
+//!   `dlrover-telemetry` (`PolicyDecisionMade` / `PolicyRewardObserved`)
+//!   so a trace alone replays the training trajectory.
 //!
 //! Like the other learned/heuristic baselines (ES, Optimus) and unlike
 //! DLRover-RM, every applied action is a stop-and-restart transition — DL2
 //! has no seamless-migration machinery, which is exactly the contrast the
-//! tournament experiment measures.
+//! tournament experiment measures. The rollout around the network is the
+//! one [`crate::DrlPolicy`] shares (`rollout.rs`).
 
 use dlrover_dlrm::mlp::Mlp;
-use dlrover_master::{JobRuntimeProfile, PolicyDecision, ReconfigRequest, SchedulerPolicy};
+use dlrover_master::{JobRuntimeProfile, PolicyDecision, SchedulerPolicy};
 use dlrover_optimizer::{PlanSearchSpace, ResourceAllocation};
-use dlrover_perfmodel::{ExecPlan, GradientMode};
-use dlrover_pstrain::MigrationStrategy;
-use dlrover_sim::{RngStreams, SimTime, StreamRng};
-use dlrover_telemetry::{EventKind, SpanCategory, Telemetry};
+use dlrover_sim::{RngStreams, StreamRng};
+use dlrover_telemetry::Telemetry;
 use rand::RngCore;
+
+use crate::rollout::{Rollout, ACTIONS};
+use crate::LearnedPolicy;
 
 /// Number of state features the policy network sees.
 const FEATURES: usize = 8;
-/// The base action vocabulary: noop, worker ±1, PS ±1.
-const ACTIONS: usize = 5;
-/// Extra plan actions behind [`Dl2Config::reconfig_actions`]: gradient-mode
-/// toggle, PS replicas ±1. The widened head is `ACTIONS + RECONFIG_ACTIONS`.
-const RECONFIG_ACTIONS: usize = 3;
-/// Replica ceiling for the learned policies' replica-step actions (matches
-/// [`dlrover_optimizer::ReconfigSpace::default`]'s `max_replicas`).
-const MAX_REPLICAS: u32 = 3;
 
-/// DL2 hyper-parameters. The defaults are tuned for the tournament's
-/// smoke configuration (a handful of episodes over a 20k-step job).
-#[derive(Debug, Clone, Copy)]
-pub struct Dl2Config {
-    /// Hidden-layer width of the policy MLP.
-    pub hidden: usize,
-    /// Adagrad learning rate for the policy update.
-    pub lr: f32,
-    /// Discount factor for the episode return.
-    pub gamma: f64,
-    /// EMA factor for the REINFORCE baseline (0 = frozen, 1 = last return).
-    pub baseline_beta: f64,
-    /// Initial softmax exploration temperature.
-    pub temperature: f64,
-    /// Per-episode temperature decay (exploration annealing).
-    pub temperature_decay: f64,
-    /// Temperature floor.
-    pub min_temperature: f64,
-    /// Widen the action head with execution-plan actions (gradient-mode
-    /// toggle, PS replicas ±1). `false` (the default) keeps the 5-action
-    /// head and the `"dl2-exploration"` stream trajectory byte-identical to
-    /// the pre-reconfiguration policy — the tournament's golden digests
-    /// are the regression test for that.
-    pub reconfig_actions: bool,
-}
-
-impl Default for Dl2Config {
-    fn default() -> Self {
-        Dl2Config {
-            hidden: 16,
-            lr: 0.1,
-            gamma: 0.9,
-            baseline_beta: 0.3,
-            temperature: 1.5,
-            temperature_decay: 0.8,
-            min_temperature: 0.1,
-            reconfig_actions: false,
-        }
-    }
-}
-
-/// One decision the policy made and (once the next profile arrives) the
-/// reward it earned.
-struct Step {
-    features: [f32; FEATURES],
-    action: usize,
-    reward: f64,
-}
+// Hyper-parameters, tuned for the tournament's smoke configuration (a
+// handful of episodes over a 20k-step job).
+/// Hidden-layer width of the policy MLP.
+const HIDDEN: usize = 16;
+/// Adagrad learning rate for the policy update.
+const LR: f32 = 0.1;
+/// Discount factor for the episode return.
+const GAMMA: f64 = 0.9;
+/// EMA factor for the REINFORCE baseline (0 = frozen, 1 = last return).
+const BASELINE_BETA: f64 = 0.3;
+/// Initial softmax exploration temperature.
+const TEMPERATURE: f64 = 1.5;
+/// Per-episode temperature decay (exploration annealing).
+const TEMPERATURE_DECAY: f64 = 0.8;
+/// Temperature floor.
+const MIN_TEMPERATURE: f64 = 0.1;
 
 /// The DL2 policy-gradient scheduler.
 pub struct Dl2Policy {
-    cfg: Dl2Config,
-    space: PlanSearchSpace,
-    initial: ResourceAllocation,
-    current: ResourceAllocation,
+    run: Rollout<[f32; FEATURES]>,
     mlp: Mlp,
     explore: StreamRng,
     temperature: f64,
     /// REINFORCE baseline: EMA of episode mean returns.
     baseline: f64,
-    baseline_ready: bool,
-    /// Reward normaliser: the *first* observed throughput-per-core, frozen
-    /// so the reward stays stationary across episodes (a running max would
-    /// raise the bar as exploration finds better shapes and mask learning
-    /// progress in the episode-reward curve).
-    reward_scale: f64,
-    /// Width of the action head (5, or 8 with `reconfig_actions`).
-    n_actions: usize,
-    /// The execution plan the job currently runs under (plan actions step
-    /// it; always the default while `reconfig_actions` is off).
-    exec: ExecPlan,
-    /// The last sampled action, waiting for its reward.
-    pending: Option<(SimTime, [f32; FEATURES], usize)>,
-    /// Completed steps of the current episode.
-    steps: Vec<Step>,
-    episode: u32,
-    episode_rewards: Vec<f64>,
-    episode_span: Option<(SimTime, SimTime)>,
-    telemetry: Option<Telemetry>,
+    /// The current episode's rewarded `(features, action)` steps, in step
+    /// order beside the rollout's rewards.
+    steps: Vec<([f32; FEATURES], usize)>,
 }
 
 impl Dl2Policy {
@@ -129,33 +71,15 @@ impl Dl2Policy {
     /// initialisation draws from the `"dl2-init"` stream and exploration
     /// from `"dl2-exploration"`, so two policies built from equal
     /// [`RngStreams`] behave identically.
-    pub fn new(
-        initial: ResourceAllocation,
-        space: PlanSearchSpace,
-        streams: &RngStreams,
-        cfg: Dl2Config,
-    ) -> Self {
+    pub fn new(initial: ResourceAllocation, space: PlanSearchSpace, streams: &RngStreams) -> Self {
         let mlp_seed = streams.stream("dl2-init").next_u64();
-        let n_actions = if cfg.reconfig_actions { ACTIONS + RECONFIG_ACTIONS } else { ACTIONS };
         Dl2Policy {
-            cfg,
-            space,
-            initial,
-            current: initial,
-            mlp: Mlp::new(&[FEATURES, cfg.hidden.max(2), n_actions], mlp_seed),
+            run: Rollout::new(initial, space),
+            mlp: Mlp::new(&[FEATURES, HIDDEN, ACTIONS], mlp_seed),
             explore: streams.stream("dl2-exploration"),
-            temperature: cfg.temperature,
+            temperature: TEMPERATURE,
             baseline: 0.0,
-            baseline_ready: false,
-            reward_scale: 0.0,
-            n_actions,
-            exec: ExecPlan::default(),
-            pending: None,
             steps: Vec::new(),
-            episode: 0,
-            episode_rewards: Vec::new(),
-            episode_span: None,
-            telemetry: None,
         }
     }
 
@@ -163,27 +87,17 @@ impl Dl2Policy {
     /// per-episode policy-eval span.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = Some(telemetry);
+        self.run.telemetry = Some(telemetry);
         self
-    }
-
-    /// Mean normalised reward of each *finished* training episode, in
-    /// episode order (the curve the tournament's shape test audits).
-    pub fn episode_mean_rewards(&self) -> &[f64] {
-        &self.episode_rewards
-    }
-
-    /// Episodes finished so far.
-    pub fn episodes_trained(&self) -> u32 {
-        self.episode
     }
 
     /// Encodes the profile + current allocation into the fixed-width state
     /// vector (DL2 §4.1's job/cluster state, reduced to the single-job
     /// setting). Every feature is scaled into roughly [0, 1].
     fn encode(&self, profile: &JobRuntimeProfile) -> [f32; FEATURES] {
-        let s = &self.space;
-        let shape = self.current.shape;
+        let s = &self.run.space;
+        let current = &self.run.current;
+        let shape = current.shape;
         let frac = |v: f64, lo: f64, hi: f64| {
             if hi > lo {
                 ((v - lo) / (hi - lo)).clamp(0.0, 1.0) as f32
@@ -191,18 +105,12 @@ impl Dl2Policy {
                 0.0
             }
         };
-        let thp_per_core = if self.current.total_cpu() > 0.0 {
-            profile.throughput / self.current.total_cpu()
-        } else {
-            0.0
-        };
+        let thp_per_core =
+            if current.total_cpu() > 0.0 { profile.throughput / current.total_cpu() } else { 0.0 };
         // Squashed around the fixed reward scale: 0.5 at the initial
         // efficiency, approaching 1 as the policy finds better shapes.
-        let thp_norm = if self.reward_scale > 0.0 {
-            thp_per_core / (thp_per_core + self.reward_scale)
-        } else {
-            0.0
-        };
+        let scale = self.run.reward_scale;
+        let thp_norm = if scale > 0.0 { thp_per_core / (thp_per_core + scale) } else { 0.0 };
         let mem_frac = if profile.ps_memory_alloc > 0 {
             profile.ps_memory_used as f64 / profile.ps_memory_alloc as f64
         } else {
@@ -227,24 +135,15 @@ impl Dl2Policy {
         ]
     }
 
-    /// Softmax with temperature over the policy head's logits (5- or
-    /// 8-wide depending on `reconfig_actions`; the arithmetic order is
-    /// unchanged, so the 5-wide path replays the legacy floats exactly).
-    fn action_probs(&self, features: &[f32; FEATURES]) -> Vec<f64> {
+    /// Softmax with temperature over the policy head's logits.
+    fn action_probs(&self, features: &[f32; FEATURES]) -> [f64; ACTIONS] {
         let trace = self.mlp.forward(features);
         let out = trace.output();
-        let t = self.temperature.max(self.cfg.min_temperature);
-        let mut scaled = vec![0.0f64; self.n_actions];
-        for (s, &o) in scaled.iter_mut().zip(out) {
-            *s = f64::from(o) / t;
-        }
+        let t = self.temperature.max(MIN_TEMPERATURE);
+        let scaled: [f64; ACTIONS] = std::array::from_fn(|a| f64::from(out[a]) / t);
         let max = scaled.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let mut probs = vec![0.0f64; self.n_actions];
-        let mut sum = 0.0;
-        for (p, &s) in probs.iter_mut().zip(&scaled) {
-            *p = (s - max).exp();
-            sum += *p;
-        }
+        let mut probs = scaled.map(|s| (s - max).exp());
+        let sum: f64 = probs.iter().sum();
         for p in &mut probs {
             *p /= sum;
         }
@@ -263,144 +162,6 @@ impl Dl2Policy {
         }
         probs.len() - 1
     }
-
-    /// Applies action `a` to the current shape, clamped to the search
-    /// space. Returns the new allocation (== current when the action is a
-    /// noop or clamped out).
-    fn apply_action(&self, a: usize) -> ResourceAllocation {
-        let mut alloc = self.current;
-        let shape = &mut alloc.shape;
-        match a {
-            1 => shape.workers = shape.workers.saturating_add(1).min(self.space.workers.1),
-            2 => shape.workers = shape.workers.saturating_sub(1).max(self.space.workers.0),
-            3 => shape.ps = shape.ps.saturating_add(1).min(self.space.ps.1),
-            4 => shape.ps = shape.ps.saturating_sub(1).max(self.space.ps.0),
-            _ => {}
-        }
-        alloc
-    }
-
-    /// Applies a plan action (5..8, only reachable with `reconfig_actions`)
-    /// to the job's current execution plan, clamping the replica factor
-    /// into `[1, MAX_REPLICAS]`.
-    fn apply_reconfig_action(&self, a: usize) -> ExecPlan {
-        let mut exec = self.exec;
-        match a {
-            5 => {
-                exec.gradient_mode = match exec.gradient_mode {
-                    GradientMode::Async => GradientMode::Sync,
-                    GradientMode::Sync => GradientMode::Async,
-                };
-            }
-            6 => exec.ps_replicas = exec.ps_replicas.max(1).saturating_add(1).min(MAX_REPLICAS),
-            7 => exec.ps_replicas = exec.ps_replicas.max(1).saturating_sub(1).max(1),
-            _ => {}
-        }
-        exec
-    }
-
-    /// Banks the reward for the pending action using the newly observed
-    /// profile (reward = throughput per allocated core, normalised by the
-    /// first observed value — DL2 §4.2's normalised-throughput reward,
-    /// with a stationary scale so the episode curve reflects learning).
-    fn settle_pending(&mut self, profile: &JobRuntimeProfile) {
-        let raw = if self.current.total_cpu() > 0.0 {
-            profile.throughput / self.current.total_cpu()
-        } else {
-            0.0
-        };
-        if self.reward_scale == 0.0 && raw > 0.0 {
-            self.reward_scale = raw;
-        }
-        if let Some((_, features, action)) = self.pending.take() {
-            let reward = if self.reward_scale > 0.0 { raw / self.reward_scale } else { 0.0 };
-            self.steps.push(Step { features, action, reward });
-        }
-    }
-
-    /// Ends a training episode: computes discounted returns, updates the
-    /// policy with REINFORCE-with-baseline (cross-entropy gradient scaled
-    /// by the advantage, applied through the MLP's Adagrad), records the
-    /// episode's mean reward, and anneals exploration. Call between
-    /// [`SchedulerPolicy::initial_allocation`]-delimited rollouts.
-    pub fn end_episode(&mut self) {
-        // The last sampled action never observed a reward; drop it.
-        self.pending = None;
-        let mean_reward = if self.steps.is_empty() {
-            0.0
-        } else {
-            self.steps.iter().map(|s| s.reward).sum::<f64>() / self.steps.len() as f64
-        };
-
-        // Discounted returns, newest step first.
-        let mut returns = vec![0.0f64; self.steps.len()];
-        let mut g = 0.0;
-        for (i, step) in self.steps.iter().enumerate().rev() {
-            g = step.reward + self.cfg.gamma * g;
-            returns[i] = g;
-        }
-        let mean_return = if returns.is_empty() {
-            0.0
-        } else {
-            returns.iter().sum::<f64>() / returns.len() as f64
-        };
-        if !self.baseline_ready {
-            self.baseline = mean_return;
-            self.baseline_ready = true;
-        }
-
-        if !self.steps.is_empty() {
-            let mut grads = vec![0.0f32; self.mlp.param_count()];
-            let scale = 1.0 / self.steps.len() as f32;
-            for (step, &g) in self.steps.iter().zip(&returns) {
-                let advantage = (g - self.baseline) as f32;
-                let trace = self.mlp.forward(&step.features);
-                let out = trace.output();
-                // Softmax at T=1 for the update (temperature only shapes
-                // exploration): d(-log pi(a|s))/d logits = p - onehot(a).
-                let max = out.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                let exps: Vec<f32> = out.iter().map(|&o| (o - max).exp()).collect();
-                let sum: f32 = exps.iter().sum();
-                let mut dlogits: Vec<f32> = exps.iter().map(|e| e / sum).collect();
-                dlogits[step.action] -= 1.0;
-                for d in &mut dlogits {
-                    *d *= advantage * scale;
-                }
-                self.mlp.backward(&trace, &dlogits, &mut grads);
-            }
-            self.mlp.apply_grads(&grads, self.cfg.lr);
-        }
-
-        self.baseline =
-            (1.0 - self.cfg.baseline_beta) * self.baseline + self.cfg.baseline_beta * mean_return;
-        self.episode_rewards.push(mean_reward);
-        if let Some(t) = &self.telemetry {
-            let at = self.episode_span.map(|(_, b)| b).unwrap_or(SimTime::ZERO);
-            t.record(
-                at,
-                EventKind::PolicyRewardObserved {
-                    job: 0,
-                    episode: self.episode,
-                    reward_x1000: (mean_reward * 1000.0).round() as i64,
-                },
-            );
-            if let Some((start, end)) = self.episode_span {
-                t.span_complete(
-                    start,
-                    end,
-                    SpanCategory::PolicyEval,
-                    "dl2-episode",
-                    u64::from(self.episode),
-                    None,
-                );
-            }
-        }
-        self.episode += 1;
-        self.temperature =
-            (self.temperature * self.cfg.temperature_decay).max(self.cfg.min_temperature);
-        self.steps.clear();
-        self.episode_span = None;
-    }
 }
 
 impl SchedulerPolicy for Dl2Policy {
@@ -409,154 +170,97 @@ impl SchedulerPolicy for Dl2Policy {
     }
 
     fn initial_allocation(&mut self) -> ResourceAllocation {
-        // A new rollout starts from the user's request; learning state
-        // (network, baseline, reward scale, temperature) carries over.
-        self.current = self.initial;
-        self.exec = ExecPlan::default();
-        self.pending = None;
-        self.episode_span = None;
-        self.initial
+        self.run.restart()
     }
 
     fn adjust(&mut self, profile: &JobRuntimeProfile) -> Option<PolicyDecision> {
-        self.episode_span = match self.episode_span {
-            None => Some((profile.at, profile.at)),
-            Some((start, _)) => Some((start, profile.at)),
-        };
-        // A restart triggered by the previous action (or a fault) is still
-        // in flight: the job reports no throughput, so any reward measured
-        // now is 0 regardless of the action taken, and acting again would
-        // stack another restart on top of the one in progress. Hold until
-        // a live measurement arrives (DL2 §4.3 assigns each action the
-        // post-adjustment speed, never the transition blackout).
-        if profile.throughput <= 0.0 {
+        if !self.run.live(profile) {
             return None;
         }
         // 1. The profile carries the reward for the previous action.
-        self.settle_pending(profile);
+        if let Some((features, action, _)) = self.run.settle(profile) {
+            self.steps.push((features, action));
+        }
         // 2. Sample the next action from the current policy.
         let features = self.encode(profile);
         let probs = self.action_probs(&features);
         let action = self.sample(&probs);
-        self.pending = Some((profile.at, features, action));
+        self.run.decide(profile, "dl2", features, action)
+    }
+}
 
-        if action >= ACTIONS {
-            // Plan action (flag-gated): the allocation holds its shape and
-            // the change rides the seamless window machinery — the only
-            // path the job master applies reconfigurations on.
-            let target_exec = self.apply_reconfig_action(action);
-            if let Some(t) = &self.telemetry {
-                t.record(
-                    profile.at,
-                    EventKind::PolicyDecisionMade {
-                        job: profile.job_id,
-                        policy: "dl2".to_string(),
-                        action: action as u32,
-                        workers: self.current.shape.workers,
-                        ps: self.current.shape.ps,
-                    },
-                );
-            }
-            if target_exec == self.exec {
-                return None; // clamped (e.g. replicas already at the floor)
-            }
-            self.exec = target_exec;
-            return Some(PolicyDecision {
-                allocation: self.current,
-                strategy: MigrationStrategy::Seamless,
-                reconfig: Some(ReconfigRequest { target: target_exec, relayout: false }),
-            });
+impl LearnedPolicy for Dl2Policy {
+    /// Computes discounted returns, updates the policy with
+    /// REINFORCE-with-baseline (cross-entropy gradient scaled by the
+    /// advantage, applied through the MLP's Adagrad), records the episode's
+    /// mean reward, and anneals exploration.
+    fn end_episode(&mut self) {
+        // Discounted returns, newest step first.
+        let rewards = &self.run.rewards;
+        let mut returns = vec![0.0f64; rewards.len()];
+        let mut g = 0.0;
+        for (i, &reward) in rewards.iter().enumerate().rev() {
+            g = reward + GAMMA * g;
+            returns[i] = g;
+        }
+        let mean_return = if returns.is_empty() {
+            0.0
+        } else {
+            returns.iter().sum::<f64>() / returns.len() as f64
+        };
+        if self.run.episode_rewards.is_empty() {
+            self.baseline = mean_return;
         }
 
-        let target = self.apply_action(action);
-        if let Some(t) = &self.telemetry {
-            t.record(
-                profile.at,
-                EventKind::PolicyDecisionMade {
-                    job: profile.job_id,
-                    policy: "dl2".to_string(),
-                    action: action as u32,
-                    workers: target.shape.workers,
-                    ps: target.shape.ps,
-                },
-            );
+        if !self.steps.is_empty() {
+            let mut grads = vec![0.0f32; self.mlp.param_count()];
+            let scale = 1.0 / self.steps.len() as f32;
+            for (&(features, action), &g) in self.steps.iter().zip(&returns) {
+                let advantage = (g - self.baseline) as f32;
+                let trace = self.mlp.forward(&features);
+                let out = trace.output();
+                // Softmax at T=1 for the update (temperature only shapes
+                // exploration): d(-log pi(a|s))/d logits = p - onehot(a).
+                let max = out.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                let exps: Vec<f32> = out.iter().map(|&o| (o - max).exp()).collect();
+                let sum: f32 = exps.iter().sum();
+                let mut dlogits: Vec<f32> = exps.iter().map(|e| e / sum).collect();
+                dlogits[action] -= 1.0;
+                for d in &mut dlogits {
+                    *d *= advantage * scale;
+                }
+                self.mlp.backward(&trace, &dlogits, &mut grads);
+            }
+            self.mlp.apply_grads(&grads, LR);
         }
-        if target.shape == self.current.shape {
-            return None; // noop or clamped at a space boundary
-        }
-        self.current = target;
-        Some(PolicyDecision {
-            allocation: target,
-            // DL2 has no seamless-migration path: every transition
-            // checkpoints and restarts, like ES/Optimus.
-            strategy: MigrationStrategy::StopAndRestart,
-            reconfig: None,
-        })
+
+        self.baseline = (1.0 - BASELINE_BETA) * self.baseline + BASELINE_BETA * mean_return;
+        self.temperature = (self.temperature * TEMPERATURE_DECAY).max(MIN_TEMPERATURE);
+        self.steps.clear();
+        self.run.end_episode("dl2-episode");
+    }
+
+    fn episode_mean_rewards(&self) -> &[f64] {
+        &self.run.episode_rewards
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlrover_perfmodel::{
-        JobShape, ModelCoefficients, ThroughputModel, ThroughputObservation, WorkloadConstants,
-    };
-
-    fn truth() -> ThroughputModel {
-        ThroughputModel::new(WorkloadConstants::default(), ModelCoefficients::paper_reference())
-    }
-
-    fn profile(alloc: &ResourceAllocation, at_s: u64, remaining: u64) -> JobRuntimeProfile {
-        let t = truth();
-        JobRuntimeProfile {
-            job_id: 0,
-            at: SimTime::from_secs(at_s),
-            throughput: t.throughput(&alloc.shape),
-            remaining_samples: remaining,
-            observation: Some(ThroughputObservation {
-                shape: alloc.shape,
-                iter_time: t.iter_time(&alloc.shape),
-            }),
-            ps_memory_used: 10,
-            ps_memory_alloc: 100,
-            exec: dlrover_perfmodel::ExecPlan::default(),
-            degraded: false,
-        }
-    }
-
-    fn start() -> ResourceAllocation {
-        ResourceAllocation::new(JobShape::new(2, 1, 4.0, 4.0, 512), 8.0, 64.0)
-    }
-
-    fn space() -> PlanSearchSpace {
-        PlanSearchSpace { workers: (1, 8), ps: (1, 4), ..PlanSearchSpace::default() }
-    }
-
-    /// One synthetic rollout: the policy adjusts every "3 minutes" against
-    /// the analytic throughput model. Returns the final allocation.
-    fn rollout(p: &mut Dl2Policy, ticks: u32) -> ResourceAllocation {
-        let mut alloc = p.initial_allocation();
-        for i in 0..ticks {
-            let remaining = 1_000_000u64.saturating_sub(u64::from(i) * 10_000);
-            if let Some(d) = p.adjust(&profile(&alloc, 180 * u64::from(i + 1), remaining)) {
-                assert_eq!(d.strategy, MigrationStrategy::StopAndRestart);
-                alloc = d.allocation;
-            }
-        }
-        alloc
-    }
+    use crate::rollout::testing::{fnv, profile, rollout, space, start};
+    use dlrover_telemetry::EventKind;
 
     #[test]
     fn actions_stay_inside_the_search_space() {
         let streams = RngStreams::new(7);
-        let mut p = Dl2Policy::new(start(), space(), &streams, Dl2Config::default());
+        let mut p = Dl2Policy::new(start(), space(), &streams);
         for ep in 0..3 {
-            let alloc = rollout(&mut p, 30);
+            let (alloc, _) = rollout(&mut p, 30, 10_000);
             assert!((1..=8).contains(&alloc.shape.workers), "episode {ep}: {:?}", alloc.shape);
             assert!((1..=4).contains(&alloc.shape.ps), "episode {ep}: {:?}", alloc.shape);
             p.end_episode();
         }
-        assert_eq!(p.episodes_trained(), 3);
         assert_eq!(p.episode_mean_rewards().len(), 3);
     }
 
@@ -564,10 +268,10 @@ mod tests {
     fn training_is_bit_reproducible() {
         let run = || {
             let streams = RngStreams::new(42);
-            let mut p = Dl2Policy::new(start(), space(), &streams, Dl2Config::default());
+            let mut p = Dl2Policy::new(start(), space(), &streams);
             let mut finals = Vec::new();
             for _ in 0..4 {
-                finals.push(rollout(&mut p, 20).shape);
+                finals.push(rollout(&mut p, 20, 10_000).0.shape);
                 p.end_episode();
             }
             (finals, p.episode_mean_rewards().to_vec(), p.mlp.params().to_vec())
@@ -587,17 +291,10 @@ mod tests {
     #[test]
     fn trajectory_is_pinned() {
         let streams = RngStreams::new(42);
-        let mut p = Dl2Policy::new(start(), space(), &streams, Dl2Config::default());
+        let mut p = Dl2Policy::new(start(), space(), &streams);
         let mut trace = String::new();
         for _ in 0..4 {
-            let mut alloc = p.initial_allocation();
-            for i in 0..30u64 {
-                let d = p.adjust(&profile(&alloc, 180 * (i + 1), 1_000_000 - i * 10_000));
-                trace.push_str(&format!("{d:?};"));
-                if let Some(d) = d {
-                    alloc = d.allocation;
-                }
-            }
+            trace.push_str(&rollout(&mut p, 30, 10_000).1);
             p.end_episode();
         }
         let bits = p.episode_mean_rewards().iter().map(|r| r.to_bits());
@@ -606,19 +303,11 @@ mod tests {
         assert_eq!(fnv(trace.as_bytes(), &words), 0x3879_621c_e312_dadd);
     }
 
-    /// FNV-1a 64 over `bytes`, then each of `words` little-endian.
-    fn fnv(bytes: &[u8], words: &[u64]) -> u64 {
-        let tail = words.iter().flat_map(|w| w.to_le_bytes());
-        bytes.iter().copied().chain(tail).fold(0xCBF2_9CE4_8422_2325, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-        })
-    }
-
     #[test]
     fn different_seeds_explore_differently() {
         let mk = |seed| {
             let streams = RngStreams::new(seed);
-            let mut p = Dl2Policy::new(start(), space(), &streams, Dl2Config::default());
+            let mut p = Dl2Policy::new(start(), space(), &streams);
             let mut actions = Vec::new();
             let mut alloc = p.initial_allocation();
             for i in 0..30 {
@@ -638,9 +327,9 @@ mod tests {
         // plus REINFORCE must lift the mean episode reward from the first
         // episodes to the last ones.
         let streams = RngStreams::new(42);
-        let mut p = Dl2Policy::new(start(), space(), &streams, Dl2Config::default());
+        let mut p = Dl2Policy::new(start(), space(), &streams);
         for _ in 0..8 {
-            rollout(&mut p, 40);
+            rollout(&mut p, 40, 10_000);
             p.end_episode();
         }
         let r = p.episode_mean_rewards();
@@ -650,50 +339,11 @@ mod tests {
     }
 
     #[test]
-    fn reconfig_actions_off_by_default_and_fire_when_enabled() {
-        // Off: no decision ever carries a reconfig request (the tournament
-        // golden digests additionally pin the exact flag-off trajectory).
-        let streams = RngStreams::new(9);
-        let mut p = Dl2Policy::new(start(), space(), &streams, Dl2Config::default());
-        let mut alloc = p.initial_allocation();
-        for i in 0..40 {
-            if let Some(d) = p.adjust(&profile(&alloc, 180 * (i + 1), 1_000_000)) {
-                assert!(d.reconfig.is_none(), "flag-off must never reconfigure");
-                alloc = d.allocation;
-            }
-        }
-        // On: the widened head samples a plan action sooner or later, and
-        // plan-only decisions hold the allocation and ride Seamless.
-        let streams = RngStreams::new(9);
-        let cfg = Dl2Config { reconfig_actions: true, ..Dl2Config::default() };
-        let mut p = Dl2Policy::new(start(), space(), &streams, cfg);
-        let mut saw = 0;
-        for _ in 0..4 {
-            let mut alloc = p.initial_allocation();
-            for i in 0..40 {
-                if let Some(d) = p.adjust(&profile(&alloc, 180 * (i + 1), 1_000_000)) {
-                    if let Some(req) = d.reconfig {
-                        saw += 1;
-                        assert_eq!(d.strategy, MigrationStrategy::Seamless);
-                        assert_eq!(d.allocation.shape, alloc.shape, "plan-only decision");
-                        assert!((1..=3).contains(&req.target.ps_replicas));
-                    } else {
-                        alloc = d.allocation;
-                    }
-                }
-            }
-            p.end_episode();
-        }
-        assert!(saw > 0, "widened action space never sampled a plan action");
-    }
-
-    #[test]
     fn decision_events_flow_through_telemetry() {
         let streams = RngStreams::new(3);
         let telemetry = Telemetry::default();
-        let mut p = Dl2Policy::new(start(), space(), &streams, Dl2Config::default())
-            .with_telemetry(telemetry.clone());
-        rollout(&mut p, 10);
+        let mut p = Dl2Policy::new(start(), space(), &streams).with_telemetry(telemetry.clone());
+        rollout(&mut p, 10, 10_000);
         p.end_episode();
         let snap = telemetry.snapshot();
         assert!(snap.events.iter().any(

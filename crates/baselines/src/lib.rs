@@ -28,7 +28,9 @@
 //! The two learned baselines additionally implement [`LearnedPolicy`]:
 //! they are trained over a sequence of episodes (see
 //! `dlrover_sim::EpisodeSchedule`) and expose their per-episode reward
-//! curve, which the tournament experiment's shape test audits.
+//! curve, which the tournament experiment's shape test audits. Everything
+//! but their learners is one shared rollout (the private `rollout`
+//! module).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,11 +39,12 @@ pub mod dl2;
 pub mod drl;
 pub mod es;
 pub mod optimus;
+mod rollout;
 pub mod statics;
 pub mod well_tuned;
 
-pub use dl2::{Dl2Config, Dl2Policy};
-pub use drl::{DrlConfig, DrlPolicy};
+pub use dl2::Dl2Policy;
+pub use drl::DrlPolicy;
 pub use es::EsPolicy;
 pub use optimus::OptimusPolicy;
 pub use statics::StaticPolicy;
@@ -61,22 +64,4 @@ pub trait LearnedPolicy: dlrover_master::SchedulerPolicy {
 
     /// Mean normalised reward of each finished episode, in episode order.
     fn episode_mean_rewards(&self) -> &[f64];
-}
-
-impl LearnedPolicy for Dl2Policy {
-    fn end_episode(&mut self) {
-        Dl2Policy::end_episode(self);
-    }
-    fn episode_mean_rewards(&self) -> &[f64] {
-        Dl2Policy::episode_mean_rewards(self)
-    }
-}
-
-impl LearnedPolicy for DrlPolicy {
-    fn end_episode(&mut self) {
-        DrlPolicy::end_episode(self);
-    }
-    fn episode_mean_rewards(&self) -> &[f64] {
-        DrlPolicy::episode_mean_rewards(self)
-    }
 }

@@ -105,7 +105,7 @@ fn shard_jct_section(telemetry: &Telemetry) -> Section {
 fn rho_section() -> Section {
     let mut rows = Vec::new();
     for rho in [-2.5, -1.0, 0.0, 1.0, 2.5, 5.0] {
-        let cfg = GreedyConfig { rho, epsilon: 1.0 };
+        let cfg = GreedyConfig { rho };
         let short = priority_weight(1.0e6, 1_000.0, &cfg);
         let long = priority_weight(1.0e9, 1_000.0, &cfg);
         rows.push(serde_json::json!({ "rho": rho, "short_over_long": short / long }));
@@ -172,7 +172,7 @@ fn hypervolume_section(
             eval,
             lower.clone(),
             upper.clone(),
-            Nsga2Config { population: 48, generations: gens, ..Default::default() },
+            Nsga2Config { population: 48, generations: gens },
         )
         .run(&mut RngStreams::new(seed).stream("ablation-hv"));
         let hv = hypervolume_2d(&front, reference);

@@ -25,9 +25,7 @@
 //! that point in the log. `exp ckptplane` exits non-zero on any
 //! violation or shard divergence.
 
-use dlrover_master::{
-    CheckpointPlane, CkptPlaneConfig, RestoreSource, WitnessBoard, WitnessConfig,
-};
+use dlrover_master::{CheckpointPlane, CkptPlaneConfig, RestoreSource, WitnessBoard};
 use dlrover_pstrain::StorageTier;
 use dlrover_sim::{RngStreams, SimDuration, SimTime};
 use dlrover_telemetry::{Oracle, Telemetry};
@@ -263,7 +261,7 @@ fn run_trace(
         ..CkptPlaneConfig::default()
     });
     plane.set_telemetry(telemetry.clone());
-    let mut witness = WitnessBoard::new(WitnessConfig::default());
+    let mut witness = WitnessBoard::new();
     witness.set_telemetry(telemetry.clone());
     for (from, until) in OUTAGES {
         plane.set_remote_outage(SimTime::from_secs(from), SimTime::from_secs(until));

@@ -13,8 +13,8 @@
 //! then race the *same trained instance* through the gauntlet.
 
 use dlrover_baselines::{
-    well_tuned_search, Dl2Config, Dl2Policy, DrlConfig, DrlPolicy, EsPolicy, LearnedPolicy,
-    OptimusPolicy, WellTunedPolicy,
+    well_tuned_search, Dl2Policy, DrlPolicy, EsPolicy, LearnedPolicy, OptimusPolicy,
+    WellTunedPolicy,
 };
 use dlrover_brain::{DlroverPolicy, DlroverPolicyConfig};
 use dlrover_master::SchedulerPolicy;
@@ -212,14 +212,14 @@ fn run_contender(pi: usize, g: &Gauntlet<'_>, episodes: u32) -> RawOutcome {
         }
         "dl2" => {
             let streams = RngStreams::new(seed).fork("tournament-dl2");
-            let policy = Dl2Policy::new(user_request, space, &streams, Dl2Config::default())
-                .with_telemetry(g.sink.clone());
+            let policy =
+                Dl2Policy::new(user_request, space, &streams).with_telemetry(g.sink.clone());
             g.race_learned(policy, episodes)
         }
         "drl" => {
             let streams = RngStreams::new(seed).fork("tournament-drl");
-            let policy = DrlPolicy::new(user_request, space, &streams, DrlConfig::default())
-                .with_telemetry(g.sink.clone());
+            let policy =
+                DrlPolicy::new(user_request, space, &streams).with_telemetry(g.sink.clone());
             g.race_learned(policy, episodes)
         }
         other => unreachable!("unknown roster entry {other}"),

@@ -38,7 +38,7 @@ fn workload_units(root: &RngStreams, n: u64) -> Vec<Unit<'_, Vec<u64>>> {
                 // remap ids and preserve nesting.
                 let start = SimTime::from_micros(draws[0] % 1_000);
                 let end = SimTime::from_micros(draws[0] % 1_000 + 5_000);
-                let parent = t.span_open(start, SpanCategory::Job, "unit", i, None);
+                let parent = t.span_complete(start, end, SpanCategory::Job, "unit", i, None);
                 t.span_complete(
                     SimTime::from_micros(draws[1] % 1_000 + 1_000),
                     SimTime::from_micros(draws[1] % 1_000 + 2_000),
@@ -47,7 +47,6 @@ fn workload_units(root: &RngStreams, n: u64) -> Vec<Unit<'_, Vec<u64>>> {
                     i,
                     Some(parent),
                 );
-                t.span_close(end, parent);
                 t.count("units", 1);
                 t.count(&format!("draws-{}", i % 3), draws.len() as u64);
                 draws

@@ -25,7 +25,7 @@ use dlrover_sim::{RngStreams, StreamRng};
 use serde::{Deserialize, Serialize};
 
 /// Tunables for the DLRover-RM policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DlroverPolicyConfig {
     /// Allocation search space.
     pub space: PlanSearchSpace,
@@ -35,11 +35,6 @@ pub struct DlroverPolicyConfig {
     pub overhead: ScalingOverheadModel,
     /// Workload constants assumed for fitting.
     pub constants: WorkloadConstants,
-    /// Distinct shapes required before trusting the fit (≥ number of
-    /// model coefficients).
-    pub min_distinct_shapes: usize,
-    /// Minimum relative throughput gain to act on a plan (hysteresis).
-    pub improvement_threshold: f64,
     /// Experiment seed for the NSGA-II RNG.
     pub seed: u64,
     /// Optional reconfiguration action space (Rubick-style execution-plan
@@ -62,20 +57,11 @@ impl DlroverPolicyConfig {
     }
 }
 
-impl Default for DlroverPolicyConfig {
-    fn default() -> Self {
-        DlroverPolicyConfig {
-            space: PlanSearchSpace::default(),
-            prices: PriceTable::default(),
-            overhead: ScalingOverheadModel::default(),
-            constants: WorkloadConstants::default(),
-            min_distinct_shapes: 5,
-            improvement_threshold: 0.05,
-            seed: 0,
-            reconfig: None,
-        }
-    }
-}
+/// Distinct shapes required before trusting the fit (≥ number of model
+/// coefficients).
+const MIN_DISTINCT_SHAPES: usize = 5;
+/// Minimum relative throughput gain to act on a plan (hysteresis).
+const IMPROVEMENT_THRESHOLD: f64 = 0.05;
 
 /// The DLRover-RM scheduler policy.
 pub struct DlroverPolicy {
@@ -195,7 +181,7 @@ impl SchedulerPolicy for DlroverPolicy {
         }
 
         // Stage 2a: online model fitting needs shape diversity.
-        if self.distinct_shapes() < self.config.min_distinct_shapes {
+        if self.distinct_shapes() < MIN_DISTINCT_SHAPES {
             let next = self.explore();
             if next != self.current {
                 self.current = next;
@@ -253,7 +239,7 @@ impl SchedulerPolicy for DlroverPolicy {
                     best.exec,
                 );
             }
-            if best.throughput_gain >= self.config.improvement_threshold * current_thp {
+            if best.throughput_gain >= IMPROVEMENT_THRESHOLD * current_thp {
                 self.current = best.allocation;
                 // Ask for a relayout when the replica factor changes: the
                 // embedding shards must be re-spread across the new

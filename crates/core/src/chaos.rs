@@ -37,7 +37,6 @@ use dlrover_master::replay::{RecoveryOutcome, RecoveryPath};
 use dlrover_master::{
     CheckpointPlane, CkptPlaneConfig, JobHealth, JobMaster, MasterEvent, PlaneStats,
     ReplayedJobState, RetryDecision, RetryPolicy, RetrySupervisor, SchedulerPolicy, WitnessBoard,
-    WitnessConfig,
 };
 use dlrover_optimizer::ResourceAllocation;
 use dlrover_pstrain::{CheckpointExtent, PodState, TrainingJobSpec};
@@ -76,16 +75,17 @@ fn driver_retry_policy() -> RetryPolicy {
 }
 
 /// Chaos-run configuration: the single-job runner knobs plus the plan
-/// generator, oracle thresholds, retry policy, and the cluster the job's
-/// pods live in.
+/// generator, retry policy, and the cluster the job's pods live in. The
+/// oracle audits with [`OracleConfig::default`]'s thresholds, the job saves
+/// into a [`CkptPlaneConfig::default`] checkpoint plane (periodic flash
+/// checkpoints, restore charging on recovery), and the master-less
+/// recovery path runs [`WitnessBoard::new`]'s 2-of-3 quorum.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChaosConfig {
     /// Tick cadence, startup model, deadline, master knobs, seed.
     pub runner: RunnerConfig,
     /// Fault-plan generator knobs (for [`run_chaos_suite`]).
     pub plan: FaultPlanConfig,
-    /// Invariant thresholds.
-    pub oracle: OracleConfig,
     /// Backoff policy for denied/parked replacement placements. When it
     /// exhausts, the pod is released and the master degrades to the
     /// surviving shape instead of retrying forever.
@@ -93,12 +93,6 @@ pub struct ChaosConfig {
     /// The cluster hosting the job's pods. Organic churn uses its
     /// `pod_daily_failure_rate`, so scripted and organic failures compose.
     pub cluster: ClusterConfig,
-    /// The tiered checkpoint plane the job saves into (periodic flash
-    /// checkpoints, restore charging on recovery).
-    pub ckpt: CkptPlaneConfig,
-    /// Witness-quorum protocol parameters (the master-less recovery
-    /// path).
-    pub witness: WitnessConfig,
     /// When `true`, a master crash first attempts witness-quorum
     /// recovery (pinned peer copy, no master on the critical path) and
     /// only falls back to event-log replay when the quorum is
@@ -111,13 +105,10 @@ impl Default for ChaosConfig {
         ChaosConfig {
             runner: RunnerConfig::default(),
             plan: FaultPlanConfig::default(),
-            oracle: OracleConfig::default(),
             retry: driver_retry_policy(),
             // Homogeneous nodes: placement-induced slowdown is scripted
             // (StragglerWindow), not sampled, so runs stay interpretable.
             cluster: ClusterConfig { slow_node_fraction: 0.0, ..ClusterConfig::default() },
-            ckpt: CkptPlaneConfig::default(),
-            witness: WitnessConfig::default(),
             prefer_witness: false,
         }
     }
@@ -431,9 +422,9 @@ impl<'a> ChaosDriver<'a> {
         cluster.set_telemetry(telemetry.clone());
         let mut master = JobMaster::new(0, spec.clone(), alloc, cfg.runner.master);
         master.set_telemetry(telemetry.clone());
-        let mut plane = CheckpointPlane::new(cfg.ckpt);
+        let mut plane = CheckpointPlane::new(CkptPlaneConfig::default());
         plane.set_telemetry(telemetry.clone());
-        let mut witness = WitnessBoard::new(cfg.witness);
+        let mut witness = WitnessBoard::new();
         witness.set_telemetry(telemetry.clone());
         telemetry.record(SimTime::ZERO, EventKind::JobStarted { job: 0 });
 
@@ -533,7 +524,7 @@ impl<'a> ChaosDriver<'a> {
         let (mut oracle, auditable) = self.telemetry.with_events(|events| {
             let started = |e: &Event| matches!(e.kind, EventKind::JobStarted { job: 0 });
             (
-                Oracle::new(self.cfg.oracle).check(self.plan, events, &truth),
+                Oracle::new(OracleConfig::default()).check(self.plan, events, &truth),
                 events.iter().any(started),
             )
         });
@@ -768,7 +759,7 @@ impl<'a> ChaosDriver<'a> {
     ///    shared remote pipe, and broadcast to the witness peers.
     fn checkpoint_if_due(&mut self) {
         let now = self.now;
-        if now.saturating_since(self.last_ckpt) < self.cfg.ckpt.interval {
+        if now.saturating_since(self.last_ckpt) < self.plane.config().interval {
             return;
         }
         self.last_ckpt = now;

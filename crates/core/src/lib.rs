@@ -51,8 +51,7 @@ pub mod prelude {
         run_single_job, run_single_job_traced, run_single_job_with, RunReport, RunnerConfig,
     };
     pub use dlrover_baselines::{
-        Dl2Config, Dl2Policy, DrlConfig, DrlPolicy, EsPolicy, LearnedPolicy, OptimusPolicy,
-        StaticPolicy, WellTunedPolicy,
+        Dl2Policy, DrlPolicy, EsPolicy, LearnedPolicy, OptimusPolicy, StaticPolicy, WellTunedPolicy,
     };
     pub use dlrover_brain::{ClusterBrain, ConfigDb, DlroverPolicy, DlroverPolicyConfig};
     pub use dlrover_cluster::{Cluster, ClusterConfig, FleetConfig, FleetWorkload, Resources};

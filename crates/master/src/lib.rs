@@ -36,4 +36,4 @@ pub use replay::{RecoveryOutcome, RecoveryPath, ReplayedJobState};
 pub use resilience::{
     BudgetLedger, FailureBudget, JobHealth, RetryDecision, RetryPolicy, RetrySupervisor,
 };
-pub use witness::{WitnessBoard, WitnessConfig, WitnessRestore};
+pub use witness::{WitnessBoard, WitnessRestore};

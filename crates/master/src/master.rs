@@ -34,12 +34,15 @@ use crate::resilience::{BudgetLedger, FailureBudget, JobHealth};
 /// Master configuration knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MasterConfig {
-    /// Whether the master auto-scales PS memory on a predicted OOM
-    /// (DLRover-RM: yes; baselines: no).
+    /// Whether the master auto-scales PS memory on a predicted OOM (§5.3).
+    /// On by default, and nothing outside tests turns it off: every
+    /// policy — the baselines in fig7, fig10 and the tournament included —
+    /// runs with master-side OOM prevention.
     pub auto_memory_scaling: bool,
     /// Whether the master mitigates hot PSes automatically by rebalancing
     /// partitions with a seamless migration (§4.3 "PS Stragglers" +
-    /// §5.2). Off for the baselines.
+    /// §5.2). On by default for every policy, the baselines included, as
+    /// [`Self::auto_memory_scaling`] is.
     pub auto_ps_rebalance: bool,
     /// Heartbeat staleness past which a live worker counts as hung (§6.1
     /// liveness detection). Healthy workers heartbeat every tick, so this
@@ -659,7 +662,7 @@ impl JobMaster {
     /// PS's *current usage share* (a skewed partition needs its memory where
     /// the parameters actually live), using a seamless (flash-checkpoint)
     /// PS migration.
-    pub fn scale_ps_memory(&mut self, required_bytes: u64) {
+    fn scale_ps_memory(&mut self, required_bytes: u64) {
         let used: Vec<u64> = self.engine.ps_memory_used().collect();
         let used_total: u64 = used.iter().sum::<u64>().max(1);
         let p = self.engine.partitions().len().max(1);

@@ -23,20 +23,11 @@ use dlrover_sim::{SimDuration, SimTime};
 use dlrover_telemetry::{EventKind, Telemetry};
 use serde::{Deserialize, Serialize};
 
-/// Witness-quorum protocol parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct WitnessConfig {
-    /// Co-signing peers per job.
-    pub peers: u32,
-    /// Signatures required for a manifest to count as witnessed.
-    pub quorum: u32,
-}
-
-impl Default for WitnessConfig {
-    fn default() -> Self {
-        WitnessConfig { peers: 3, quorum: 2 }
-    }
-}
+/// Co-signing peers per job.
+const PEERS: u32 = 3;
+/// Signatures required for a manifest to count as witnessed.
+const QUORUM: u32 = 2;
+const _: () = assert!(QUORUM >= 1 && QUORUM <= PEERS, "quorum must be satisfiable");
 
 /// Save → quorum latency (peer broadcast + co-sign round).
 const COSIGN_LATENCY: SimDuration = SimDuration::from_secs(2);
@@ -94,9 +85,8 @@ struct PendingCosign {
 
 /// The witness board: tracks co-sign rounds, partition windows, and the
 /// latest pinned manifest per job.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct WitnessBoard {
-    cfg: WitnessConfig,
     telemetry: Telemetry,
     /// Partition windows `(from, until, peers_out)`; the highest-indexed
     /// `peers_out` peers are unreachable inside the window.
@@ -106,26 +96,14 @@ pub struct WitnessBoard {
 }
 
 impl WitnessBoard {
-    /// Creates a board with the given protocol parameters.
-    pub fn new(cfg: WitnessConfig) -> Self {
-        assert!(cfg.quorum >= 1 && cfg.quorum <= cfg.peers, "quorum must be satisfiable");
-        WitnessBoard {
-            cfg,
-            telemetry: Telemetry::default(),
-            partitions: Vec::new(),
-            pinned: BTreeMap::new(),
-            pending: Vec::new(),
-        }
+    /// Creates a board: three co-signing peers per job, a 2-of-3 quorum.
+    pub fn new() -> Self {
+        WitnessBoard::default()
     }
 
     /// Routes protocol events into `telemetry`.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
-    }
-
-    /// Protocol parameters.
-    pub fn config(&self) -> &WitnessConfig {
-        &self.cfg
     }
 
     /// Declares a partition over `[from, until)` that cuts off
@@ -146,12 +124,12 @@ impl WitnessBoard {
             .map(|&(_, _, n)| n)
             .max()
             .unwrap_or(0);
-        self.cfg.peers.saturating_sub(out)
+        PEERS.saturating_sub(out)
     }
 
     /// Whether a co-sign quorum can assemble at `at`.
     pub fn quorum_available(&self, at: SimTime) -> bool {
-        self.reachable(at) >= self.cfg.quorum
+        self.reachable(at) >= QUORUM
     }
 
     /// Recoverer elected at `at`: the lowest-indexed reachable peer, or
@@ -206,7 +184,7 @@ impl WitnessBoard {
         for i in 0..due {
             let p = self.pending[i];
             let reachable = self.reachable(p.quorum_at);
-            if reachable < self.cfg.quorum {
+            if reachable < QUORUM {
                 continue;
             }
             self.pinned.insert(
@@ -225,7 +203,7 @@ impl WitnessBoard {
                     EventKind::WitnessQuorumReached {
                         job: p.job,
                         manifest: p.manifest,
-                        peers: reachable.min(self.cfg.peers),
+                        peers: reachable.min(PEERS),
                     },
                 );
             }
@@ -307,7 +285,7 @@ mod tests {
     const GB: u64 = 1_000_000_000;
 
     fn board() -> WitnessBoard {
-        WitnessBoard::new(WitnessConfig::default())
+        WitnessBoard::new()
     }
 
     #[test]

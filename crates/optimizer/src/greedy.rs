@@ -44,15 +44,16 @@ impl ClusterCapacity {
 pub struct GreedyConfig {
     /// Priority exponent `ρ` (AntGroup default 2.5).
     pub rho: f64,
-    /// Division-by-zero guard `ε` (seconds).
-    pub epsilon: f64,
 }
 
 impl Default for GreedyConfig {
     fn default() -> Self {
-        GreedyConfig { rho: 2.5, epsilon: 1.0 }
+        GreedyConfig { rho: 2.5 }
     }
 }
+
+/// Division-by-zero guard `ε` of Eqn. 14 (seconds).
+const EPSILON: f64 = 1.0;
 
 /// One job's reallocation request: its current footprint, remaining work,
 /// and candidate plans (typically the NSGA-II Pareto front).
@@ -88,8 +89,7 @@ pub fn priority_weight(
     predicted_throughput: f64,
     config: &GreedyConfig,
 ) -> f64 {
-    let remaining_time =
-        remaining_samples.max(0.0) / predicted_throughput.max(1e-9) + config.epsilon.max(1e-12);
+    let remaining_time = remaining_samples.max(0.0) / predicted_throughput.max(1e-9) + EPSILON;
     remaining_time.powf(-config.rho)
 }
 
@@ -186,7 +186,7 @@ mod tests {
 
     #[test]
     fn rho_zero_equalises_weights() {
-        let cfg = GreedyConfig { rho: 0.0, epsilon: 1.0 };
+        let cfg = GreedyConfig { rho: 0.0 };
         let a = priority_weight(10.0, 1.0, &cfg);
         let b = priority_weight(1e9, 1.0, &cfg);
         assert!((a - 1.0).abs() < 1e-12);
@@ -195,7 +195,7 @@ mod tests {
 
     #[test]
     fn negative_rho_prefers_long_jobs() {
-        let cfg = GreedyConfig { rho: -1.0, epsilon: 1.0 };
+        let cfg = GreedyConfig { rho: -1.0 };
         let short = priority_weight(1_000.0, 100.0, &cfg);
         let long = priority_weight(1_000_000.0, 100.0, &cfg);
         assert!(long > short);

@@ -51,28 +51,21 @@ pub struct Nsga2Config {
     pub population: usize,
     /// Number of generations to evolve.
     pub generations: usize,
-    /// Probability of applying crossover to a mating pair.
-    pub crossover_prob: f64,
-    /// SBX distribution index (larger → offspring closer to parents).
-    pub eta_crossover: f64,
-    /// Per-gene mutation probability (defaults to 1/dim when `None`).
-    pub mutation_prob: Option<f64>,
-    /// Polynomial-mutation distribution index.
-    pub eta_mutation: f64,
 }
 
 impl Default for Nsga2Config {
     fn default() -> Self {
-        Nsga2Config {
-            population: 64,
-            generations: 50,
-            crossover_prob: 0.9,
-            eta_crossover: 15.0,
-            mutation_prob: None,
-            eta_mutation: 20.0,
-        }
+        Nsga2Config { population: 64, generations: 50 }
     }
 }
+
+/// Probability of applying crossover to a mating pair.
+pub(crate) const CROSSOVER_PROB: f64 = 0.9;
+/// SBX distribution index (larger → offspring closer to parents).
+pub(crate) const ETA_CROSSOVER: f64 = 15.0;
+/// Polynomial-mutation distribution index. The per-gene mutation
+/// probability is `1/dim`.
+pub(crate) const ETA_MUTATION: f64 = 20.0;
 
 /// A point on the final Pareto front: genome plus its objective values.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,7 +112,7 @@ where
     pub fn run<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<ParetoPoint> {
         let _p = prof::scope("nsga2/run");
         let dim = self.lower.len();
-        let mutation_prob = self.config.mutation_prob.unwrap_or(1.0 / dim as f64);
+        let mutation_prob = 1.0 / dim as f64;
         let n = self.config.population;
         let row = |r: usize| r * dim..(r + 1) * dim;
 
@@ -159,7 +152,7 @@ where
                 let c2 = if j + 1 < n { rows[n + j + 1] } else { spare };
                 genomes.copy_within(row(p1), c1 * dim);
                 genomes.copy_within(row(p2), c2 * dim);
-                if rng.gen::<f64>() < self.config.crossover_prob {
+                if rng.gen::<f64>() < CROSSOVER_PROB {
                     self.sbx_crossover(&mut genomes, c1 * dim, c2 * dim, rng);
                 }
                 for child in [c1, c2] {
@@ -205,7 +198,7 @@ where
         c2: usize,
         rng: &mut R,
     ) {
-        let eta = self.config.eta_crossover;
+        let eta = ETA_CROSSOVER;
         for d in 0..self.lower.len() {
             let (p1, p2) = (genomes[c1 + d], genomes[c2 + d]);
             if rng.gen::<f64>() > 0.5 || (p1 - p2).abs() < 1e-14 {
@@ -226,7 +219,7 @@ where
 
     /// Polynomial mutation with box-bound clipping.
     fn polynomial_mutation<R: Rng + ?Sized>(&self, genome: &mut [f64], prob: f64, rng: &mut R) {
-        let eta = self.config.eta_mutation;
+        let eta = ETA_MUTATION;
         for (d, gene) in genome.iter_mut().enumerate() {
             if rng.gen::<f64>() >= prob {
                 continue;
@@ -571,7 +564,7 @@ mod tests {
             |g: &[f64]| vec![g[0] * g[0], (g[0] - 2.0) * (g[0] - 2.0)],
             vec![-10.0],
             vec![10.0],
-            Nsga2Config { population: 60, generations: 60, ..Default::default() },
+            Nsga2Config { population: 60, generations: 60 },
         );
         let front = opt.run(&mut rng());
         assert!(front.len() >= 10, "front too small: {}", front.len());
@@ -602,7 +595,7 @@ mod tests {
             eval,
             vec![0.0; dim],
             vec![1.0; dim],
-            Nsga2Config { population: 100, generations: 150, ..Default::default() },
+            Nsga2Config { population: 100, generations: 150 },
         );
         let front = opt.run(&mut rng());
         // Measure average distance to the true front: f2* = 1 - sqrt(f1).
@@ -620,7 +613,7 @@ mod tests {
             |g: &[f64]| vec![g[0], 1.0 / (g[0] + 0.1)],
             vec![0.0],
             vec![5.0],
-            Nsga2Config { population: 32, generations: 20, ..Default::default() },
+            Nsga2Config { population: 32, generations: 20 },
         );
         let front = opt.run(&mut rng());
         for a in &front {
@@ -640,7 +633,7 @@ mod tests {
                 |g: &[f64]| vec![g[0] * g[0], (g[0] - 1.0) * (g[0] - 1.0)],
                 vec![-5.0],
                 vec![5.0],
-                Nsga2Config { population: 16, generations: 10, ..Default::default() },
+                Nsga2Config { population: 16, generations: 10 },
             )
         };
         let f1 = build().run(&mut StdRng::seed_from_u64(99));
@@ -657,7 +650,7 @@ mod tests {
             |g: &[f64]| vec![(g[0] - 3.0) * (g[0] - 3.0)],
             vec![-10.0],
             vec![10.0],
-            Nsga2Config { population: 40, generations: 60, ..Default::default() },
+            Nsga2Config { population: 40, generations: 60 },
         );
         let front = opt.run(&mut rng());
         let best = front.iter().map(|p| p.objectives[0]).fold(f64::INFINITY, f64::min);
@@ -670,7 +663,7 @@ mod tests {
             |g: &[f64]| vec![g[0], -g[1]],
             vec![2.0, -1.0],
             vec![3.0, 1.0],
-            Nsga2Config { population: 24, generations: 15, ..Default::default() },
+            Nsga2Config { population: 24, generations: 15 },
         );
         for p in opt.run(&mut rng()) {
             assert!((2.0..=3.0).contains(&p.genome[0]));
@@ -685,7 +678,7 @@ mod tests {
             |g: &[f64]| vec![g[0]],
             vec![1.5],
             vec![1.5],
-            Nsga2Config { population: 8, generations: 5, ..Default::default() },
+            Nsga2Config { population: 8, generations: 5 },
         );
         for p in opt.run(&mut rng()) {
             assert_eq!(p.genome[0], 1.5);
@@ -724,7 +717,7 @@ mod tests {
                 eval,
                 vec![-10.0],
                 vec![10.0],
-                Nsga2Config { population: 24, generations: gens, ..Default::default() },
+                Nsga2Config { population: 24, generations: gens },
             )
             .run(&mut StdRng::seed_from_u64(3))
         };
@@ -740,7 +733,7 @@ mod tests {
             |g: &[f64]| [g[0], if g[0] > 0.5 { f64::NAN } else { 1.0 }],
             vec![0.0],
             vec![1.0],
-            Nsga2Config { population: 8, generations: 2, ..Default::default() },
+            Nsga2Config { population: 8, generations: 2 },
         );
         let _ = opt.run(&mut rng());
     }
@@ -884,7 +877,7 @@ mod proptests {
                 let y = g[g.len() - 1].round();
                 [x * x, (x - 2.0) * (x - 2.0) + y.abs(), 1e9 - y][..m].to_vec()
             };
-            let config = Nsga2Config { population, generations, ..Default::default() };
+            let config = Nsga2Config { population, generations };
             let (lower, upper) = (vec![-4.0; dim], vec![4.0; dim]);
             let mut rng_new = StdRng::seed_from_u64(seed);
             let mut rng_old = StdRng::seed_from_u64(seed);

@@ -5,7 +5,9 @@
 //! order, and the generation loop around them. Test-only — nothing outside
 //! `#[cfg(test)]` may call into this module.
 
-use crate::nsga2::{dominates, Nsga2Config, ParetoPoint};
+use crate::nsga2::{
+    dominates, Nsga2Config, ParetoPoint, CROSSOVER_PROB, ETA_CROSSOVER, ETA_MUTATION,
+};
 use rand::Rng;
 
 #[derive(Clone)]
@@ -39,7 +41,7 @@ where
         Individual::new(genome, objectives)
     };
     let dim = lower.len();
-    let mutation_prob = config.mutation_prob.unwrap_or(1.0 / dim as f64);
+    let mutation_prob = 1.0 / dim as f64;
     let pop_size = config.population;
 
     let mut population: Vec<Individual> = (0..pop_size)
@@ -56,20 +58,20 @@ where
         while offspring.len() < pop_size {
             let p1 = tournament(&population, rng);
             let p2 = tournament(&population, rng);
-            let (mut c1, mut c2) = if rng.gen::<f64>() < config.crossover_prob {
+            let (mut c1, mut c2) = if rng.gen::<f64>() < CROSSOVER_PROB {
                 sbx_crossover(
                     &population[p1].genome,
                     &population[p2].genome,
                     lower,
                     upper,
-                    config.eta_crossover,
+                    ETA_CROSSOVER,
                     rng,
                 )
             } else {
                 (population[p1].genome.clone(), population[p2].genome.clone())
             };
-            polynomial_mutation(&mut c1, lower, upper, mutation_prob, config.eta_mutation, rng);
-            polynomial_mutation(&mut c2, lower, upper, mutation_prob, config.eta_mutation, rng);
+            polynomial_mutation(&mut c1, lower, upper, mutation_prob, ETA_MUTATION, rng);
+            polynomial_mutation(&mut c2, lower, upper, mutation_prob, ETA_MUTATION, rng);
             offspring.push(make_individual(c1));
             if offspring.len() < pop_size {
                 offspring.push(make_individual(c2));

@@ -444,7 +444,7 @@ mod tests {
     }
 
     #[test]
-    fn reconfig_actions_apply_and_clamp() {
+    fn each_reconfig_action_applies_and_clamps() {
         let plan = ExecPlan::default();
         let (sync, relayout) =
             ReconfigAction::SetGradientMode(GradientMode::Sync).apply(plan, 512, 128, 2048);

@@ -222,7 +222,7 @@ impl Default for NsgaPlanGenerator {
             space: PlanSearchSpace::default(),
             prices: PriceTable::default(),
             overhead: ScalingOverheadModel::default(),
-            nsga: Nsga2Config { population: 48, generations: 30, ..Default::default() },
+            nsga: Nsga2Config { population: 48, generations: 30 },
             reconfig: None,
         }
     }
@@ -809,7 +809,7 @@ mod reconfig_proptests {
         ) {
             let gen = NsgaPlanGenerator {
                 reconfig: Some(ReconfigSpace::default()),
-                nsga: Nsga2Config { population: 24, generations: 10, ..Default::default() },
+                nsga: Nsga2Config { population: 24, generations: 10 },
                 ..NsgaPlanGenerator::default()
             };
             let m = model();

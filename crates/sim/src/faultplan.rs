@@ -61,8 +61,8 @@ pub enum FaultKind {
         /// Suggested PS index (resolved modulo the PS count).
         ps: u32,
         /// Fraction of the PS's *free* headroom consumed, permille.
-        /// Bounded so the predictor has room to react (see
-        /// [`FaultPlanConfig::max_pressure_permille`]).
+        /// Bounded so the predictor has room to react (generated plans
+        /// stay at or below 600).
         headroom_permille: u32,
         /// How long the pressure persists.
         window: SimDuration,
@@ -233,10 +233,10 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
-/// Knobs for [`FaultPlan::generate`]. Defaults produce plans that a
-/// healthy DLRover-RM job must survive: every fault is individually
+/// Knobs for [`FaultPlan::generate`]. Every plan it generates is one a
+/// healthy DLRover-RM job must survive: each fault is individually
 /// recoverable (kills are spaced, pressure is bounded below full headroom,
-/// slowdowns end).
+/// slowdowns end) — the envelope the generator's bounds below fix.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlanConfig {
     /// Number of fault events in the plan.
@@ -245,21 +245,6 @@ pub struct FaultPlanConfig {
     pub horizon: SimDuration,
     /// No fault fires before this offset (lets the job profile a baseline).
     pub warmup: SimDuration,
-    /// Upper bound on [`FaultKind::MemoryPressure`]'s `headroom_permille`.
-    /// Kept below 1000 so the OOM predictor (§5.3) always has a window in
-    /// which prevention is possible.
-    pub max_pressure_permille: u32,
-    /// Lower bound on straggler speed, permille (avoid fully-wedged
-    /// workers, which the paper treats as failures, not stragglers).
-    pub min_straggler_speed_permille: u32,
-    /// Upper bound on network-delay inflation, permille.
-    pub max_delay_factor_permille: u32,
-    /// Longest window for pressure/straggler/delay faults.
-    pub max_window: SimDuration,
-    /// Largest preemption burst, pods.
-    pub max_burst_pods: u32,
-    /// Largest denial-storm filler fleet, pods.
-    pub max_storm_pods: u32,
     /// Include checkpoint-plane faults (remote-tier outage, bandwidth
     /// collapse, manifest corruption, witness partition) in generated
     /// plans. Off by default so pre-existing suites and the learned-policy
@@ -274,16 +259,27 @@ impl Default for FaultPlanConfig {
             events: 6,
             horizon: SimDuration::from_mins(40),
             warmup: SimDuration::from_mins(3),
-            max_pressure_permille: 600,
-            min_straggler_speed_permille: 150,
-            max_delay_factor_permille: 3000,
-            max_window: SimDuration::from_mins(6),
-            max_burst_pods: 4,
-            max_storm_pods: 24,
             ckpt_faults: false,
         }
     }
 }
+
+/// Upper bound on [`FaultKind::MemoryPressure`]'s `headroom_permille`.
+/// Kept below 1000 so the OOM predictor (§5.3) always has a window in which
+/// prevention is possible.
+const MAX_PRESSURE_PERMILLE: u32 = 600;
+/// Lower bound on straggler speed, permille (avoid fully-wedged workers,
+/// which the paper treats as failures, not stragglers).
+const MIN_STRAGGLER_SPEED_PERMILLE: u32 = 150;
+/// Upper bound on network-delay inflation (and bandwidth collapse),
+/// permille.
+const MAX_DELAY_FACTOR_PERMILLE: u32 = 3000;
+/// Longest window for pressure/straggler/delay faults.
+const MAX_WINDOW: SimDuration = SimDuration::from_mins(6);
+/// Largest preemption burst, pods.
+const MAX_BURST_PODS: u32 = 4;
+/// Largest denial-storm filler fleet, pods.
+const MAX_STORM_PODS: u32 = 24;
 
 /// A complete, time-ordered fault script.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
@@ -312,46 +308,39 @@ impl FaultPlan {
         for _ in 0..cfg.events {
             let at = SimTime::from_micros(cfg.warmup.as_micros() + rng.gen_range(0..span));
             let window = SimDuration::from_micros(
-                rng.gen_range(cfg.max_window.as_micros() / 8..=cfg.max_window.as_micros().max(1)),
+                rng.gen_range(MAX_WINDOW.as_micros() / 8..=MAX_WINDOW.as_micros()),
             );
             let kinds = if cfg.ckpt_faults { 13 } else { 9 };
             let kind = match rng.gen_range(0u32..kinds) {
                 0 => FaultKind::WorkerKill { worker: rng.gen_range(0..16) },
                 1 => FaultKind::PsKill { ps: rng.gen_range(0..8) },
                 2 => FaultKind::NodeLoss { node: rng.gen_range(0..64) },
-                3 => FaultKind::PreemptionBurst {
-                    pods: rng.gen_range(1..=cfg.max_burst_pods.max(1)),
-                },
+                3 => FaultKind::PreemptionBurst { pods: rng.gen_range(1..=MAX_BURST_PODS) },
                 4 => FaultKind::MemoryPressure {
                     ps: rng.gen_range(0..8),
-                    headroom_permille: rng
-                        .gen_range(100..=cfg.max_pressure_permille.clamp(100, 999)),
+                    headroom_permille: rng.gen_range(100..=MAX_PRESSURE_PERMILLE),
                     window,
                 },
                 5 => FaultKind::StragglerWindow {
                     worker: rng.gen_range(0..16),
-                    speed_permille: rng
-                        .gen_range(cfg.min_straggler_speed_permille.clamp(1, 999)..1000),
+                    speed_permille: rng.gen_range(MIN_STRAGGLER_SPEED_PERMILLE..1000),
                     window,
                 },
                 6 => FaultKind::NetworkDelay {
-                    factor_permille: rng.gen_range(1100..=cfg.max_delay_factor_permille.max(1101)),
+                    factor_permille: rng.gen_range(1100..=MAX_DELAY_FACTOR_PERMILLE),
                     window,
                 },
-                7 => FaultKind::DenialStorm {
-                    pods: rng.gen_range(1..=cfg.max_storm_pods.max(1)),
-                    window,
-                },
+                7 => FaultKind::DenialStorm { pods: rng.gen_range(1..=MAX_STORM_PODS), window },
                 // Restart downtime stays a fraction of the window bound so a
                 // crash never eats the whole recovery deadline by itself.
                 8 => FaultKind::MasterCrash {
-                    restart: SimDuration::from_micros(rng.gen_range(
-                        cfg.max_window.as_micros() / 16..=(cfg.max_window.as_micros() / 4).max(1),
-                    )),
+                    restart: SimDuration::from_micros(
+                        rng.gen_range(MAX_WINDOW.as_micros() / 16..=MAX_WINDOW.as_micros() / 4),
+                    ),
                 },
                 9 => FaultKind::RemoteTierOutage { window },
                 10 => FaultKind::BandwidthCollapse {
-                    factor_permille: rng.gen_range(1100..=cfg.max_delay_factor_permille.max(1101)),
+                    factor_permille: rng.gen_range(1100..=MAX_DELAY_FACTOR_PERMILLE),
                     window,
                 },
                 11 => FaultKind::ManifestCorruption { manifest: rng.gen_range(0..4) },

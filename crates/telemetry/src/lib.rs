@@ -258,26 +258,8 @@ impl Telemetry {
         self.with_events(<[Event]>::to_vec)
     }
 
-    /// Opens a span starting at `at`; pair with [`Self::span_close`].
-    pub fn span_open(
-        &self,
-        at: SimTime,
-        cat: SpanCategory,
-        label: &str,
-        track: u64,
-        parent: Option<SpanId>,
-    ) -> SpanId {
-        self.batch().map_or(SpanId(0), |mut inner| inner.spans.open(at, cat, label, track, parent))
-    }
-
-    /// Closes an open span at `at` (unmatched ids are counted, not fatal).
-    pub fn span_close(&self, at: SimTime, id: SpanId) {
-        if let Some(mut inner) = self.batch() {
-            inner.spans.close(at, id);
-        }
-    }
-
-    /// Records an already-complete span `[start, end]`.
+    /// Records a complete span `[start, end]`; a parent is recorded
+    /// before its children, which pass its id.
     pub fn span_complete(
         &self,
         start: SimTime,
@@ -396,7 +378,7 @@ pub struct TelemetrySnapshot {
     pub total_events: u64,
     /// Events evicted by the ring buffer.
     pub dropped_events: u64,
-    /// Retained closed spans, close order (oldest first).
+    /// Retained spans, record order (oldest first).
     pub spans: Vec<Span>,
     /// Total spans ever closed (retained + evicted).
     pub total_spans: u64,
@@ -486,8 +468,14 @@ mod tests {
     fn span_handles_share_one_sink_and_surface_drops() {
         let t = Telemetry::default();
         let u = t.clone();
-        let id = u.span_open(SimTime::from_secs(1), SpanCategory::Migration, "pause", 3, None);
-        u.span_close(SimTime::from_secs(2), id);
+        let id = u.span_complete(
+            SimTime::from_secs(1),
+            SimTime::from_secs(2),
+            SpanCategory::Migration,
+            "pause",
+            3,
+            None,
+        );
         t.span_complete(
             SimTime::from_secs(2),
             SimTime::from_secs(3),
@@ -511,7 +499,14 @@ mod tests {
             let t = Telemetry::default();
             t.record(SimTime::from_secs(track), EventKind::JobStarted { job: track });
             t.count("jobs", 1);
-            let p = t.span_open(SimTime::from_secs(track), SpanCategory::Job, "job", track, None);
+            let p = t.span_complete(
+                SimTime::from_secs(track),
+                SimTime::from_secs(track + 2),
+                SpanCategory::Job,
+                "job",
+                track,
+                None,
+            );
             t.span_complete(
                 SimTime::from_secs(track),
                 SimTime::from_secs(track + 1),
@@ -520,7 +515,6 @@ mod tests {
                 track,
                 Some(p),
             );
-            t.span_close(SimTime::from_secs(track + 2), p);
             t
         };
         let parts = [unit(1), unit(2), unit(3)];
@@ -583,16 +577,22 @@ mod tests {
         t.gauge("g", 1.0);
         t.observe("h", 1.0);
         t.sample("s", SimTime::from_secs(1), 1.0);
-        let open = t.span_open(SimTime::from_secs(1), SpanCategory::Job, "job", 0, None);
-        let done = t.span_complete(
+        let parent = t.span_complete(
+            SimTime::from_secs(1),
+            SimTime::from_secs(3),
+            SpanCategory::Job,
+            "job",
+            0,
+            None,
+        );
+        t.span_complete(
             SimTime::from_secs(1),
             SimTime::from_secs(2),
             SpanCategory::Checkpoint,
             "save",
             0,
-            Some(open),
+            Some(parent),
         );
-        t.span_close(SimTime::from_secs(3), done);
         assert_eq!(t.event_count(), 0);
         assert_eq!(t.counter("ticks"), 0);
         assert_eq!(t.span_count(), 0);
@@ -621,7 +621,14 @@ mod tests {
             t.record(SimTime::from_secs(i), EventKind::WorkerAdded { worker: track * 100 + i });
         }
         t.count("units", 1);
-        let p = t.span_open(SimTime::from_secs(track), SpanCategory::Job, "job", track, None);
+        let p = t.span_complete(
+            SimTime::from_secs(track),
+            SimTime::from_secs(track + 2),
+            SpanCategory::Job,
+            "job",
+            track,
+            None,
+        );
         t.span_complete(
             SimTime::from_secs(track),
             SimTime::from_secs(track + 1),
@@ -630,7 +637,6 @@ mod tests {
             track,
             Some(p),
         );
-        t.span_close(SimTime::from_secs(track + 2), p);
         t
     }
 
@@ -700,7 +706,9 @@ mod tests {
     /// The standing witness of the merge path: 64 unit sinks of 4 000
     /// events and 1 200 spans (600 parent/child pairs) each, merged, to the
     /// bytes they merged to before the tail-only merge, the owned sinks and
-    /// every serializer change since.
+    /// every serializer change since. The pairs used to be opened and closed
+    /// around the child; the constant for recording them whole, parent
+    /// first, was taken on the last commit that still had both ways.
     #[test]
     fn merged_unit_corpus_bytes_are_pinned() {
         let parts: Vec<Telemetry> = (0..64u64)
@@ -715,16 +723,9 @@ mod tests {
                 }
                 for i in 0..600u64 {
                     let at = SimTime::from_micros(u * 1_000_000 + i * 10);
-                    let p = t.span_open(at, SpanCategory::Iteration, "slice", u, None);
-                    t.span_complete(
-                        at,
-                        SimTime::from_micros(at.as_micros() + 5),
-                        SpanCategory::IterLookup,
-                        "lookup",
-                        u,
-                        Some(p),
-                    );
-                    t.span_close(SimTime::from_micros(at.as_micros() + 9), p);
+                    let end = |us| SimTime::from_micros(at.as_micros() + us);
+                    let p = t.span_complete(at, end(9), SpanCategory::Iteration, "slice", u, None);
+                    t.span_complete(at, end(5), SpanCategory::IterLookup, "lookup", u, Some(p));
                 }
                 t.count("units", 1);
                 t.observe("iter_s", 0.25 + (u % 7) as f64 * 0.05);
@@ -734,7 +735,7 @@ mod tests {
         let merged = Telemetry::merge_ordered(parts.iter());
         let digest =
             fnv64(merged.to_jsonl().as_bytes()) ^ fnv64(merged.spans_to_jsonl().as_bytes());
-        assert_eq!(digest, 0x31a2_31ce_41e2_a1c1);
+        assert_eq!(digest, 0x1294_3bec_0b9f_5abd);
     }
 
     #[test]
@@ -778,9 +779,9 @@ mod batch_tests {
         Sample(u8, u64),
         Observe(u8, u64),
         Gauge(u8, u64),
-        Open(usize),
-        Close(usize),
-        Complete(usize),
+        /// A span labelled `LABELS[.0]`, the child of the `.1`-th most
+        /// recent span recorded so far (a root when there is none).
+        Complete(usize, usize),
     }
 
     fn write() -> impl Strategy<Value = Write> {
@@ -791,10 +792,8 @@ mod batch_tests {
             (0u8..3, 0u64..900).prop_map(|(n, v)| Write::Sample(n, v)),
             (0u8..3, 0u64..900).prop_map(|(n, v)| Write::Observe(n, v)),
             (0u8..3, 0u64..900).prop_map(|(n, v)| Write::Gauge(n, v)),
-            (0usize..LABELS.len()).prop_map(Write::Open),
-            (0usize..8).prop_map(Write::Close),
-            (0usize..LABELS.len()).prop_map(Write::Complete),
-            (0usize..LABELS.len()).prop_map(Write::Complete),
+            (0usize..LABELS.len(), 0usize..8).prop_map(|(l, k)| Write::Complete(l, k)),
+            (0usize..LABELS.len(), 0usize..8).prop_map(|(l, k)| Write::Complete(l, k)),
         ]
     }
 
@@ -809,71 +808,46 @@ mod batch_tests {
         .into()
     }
 
-    /// The span a `Close(k)` closes: the `k`-th still-open one, or an id that
-    /// was never opened.
-    fn close_target(open: &mut Vec<SpanId>, k: usize) -> SpanId {
-        if open.is_empty() {
-            SpanId(u64::MAX)
-        } else {
-            open.remove(k % open.len())
-        }
+    /// The parent a `Complete(_, k)` names among the spans recorded so far.
+    fn parent(recorded: &[SpanId], k: usize) -> Option<SpanId> {
+        recorded.iter().rev().nth(k).copied()
     }
 
     /// One write through the handle: a batch of one.
-    fn write_through_handle(t: &Telemetry, at: SimTime, open: &mut Vec<SpanId>, w: &Write) {
+    fn write_through_handle(t: &Telemetry, at: SimTime, recorded: &mut Vec<SpanId>, w: &Write) {
         match *w {
             Write::Event(worker) => t.record(at, EventKind::WorkerAdded { worker }),
             Write::Count(n, by) => t.count(NAMES[usize::from(n)], by),
             Write::Sample(n, v) => t.sample(NAMES[usize::from(n)], at, v as f64),
             Write::Observe(n, v) => t.observe(NAMES[usize::from(n)], v as f64 / 7.0),
             Write::Gauge(n, v) => t.gauge(NAMES[usize::from(n)], v as f64),
-            Write::Open(l) => open.push(t.span_open(
+            Write::Complete(l, k) => recorded.push(t.span_complete(
                 at,
-                SpanCategory::Migration,
+                at,
+                SpanCategory::Iteration,
                 LABELS[l],
                 3,
-                open.last().copied(),
+                parent(recorded, k),
             )),
-            Write::Close(k) => t.span_close(at, close_target(open, k)),
-            Write::Complete(l) => {
-                t.span_complete(
-                    at,
-                    at,
-                    SpanCategory::Iteration,
-                    LABELS[l],
-                    3,
-                    open.last().copied(),
-                );
-            }
         }
     }
 
     /// The same write through a held batch.
-    fn write_through_batch(sink: &mut Sink, at: SimTime, open: &mut Vec<SpanId>, w: &Write) {
+    fn write_through_batch(sink: &mut Sink, at: SimTime, recorded: &mut Vec<SpanId>, w: &Write) {
         match *w {
             Write::Event(worker) => sink.record(at, EventKind::WorkerAdded { worker }),
             Write::Count(n, by) => sink.metrics.count(NAMES[usize::from(n)], by),
             Write::Sample(n, v) => sink.metrics.sample(NAMES[usize::from(n)], at, v as f64),
             Write::Observe(n, v) => sink.metrics.observe(NAMES[usize::from(n)], v as f64 / 7.0),
             Write::Gauge(n, v) => sink.metrics.gauge(NAMES[usize::from(n)], v as f64),
-            Write::Open(l) => open.push(sink.spans.open(
+            Write::Complete(l, k) => recorded.push(sink.spans.complete(
                 at,
-                SpanCategory::Migration,
+                at,
+                SpanCategory::Iteration,
                 LABELS[l],
                 3,
-                open.last().copied(),
+                parent(recorded, k),
             )),
-            Write::Close(k) => sink.spans.close(at, close_target(open, k)),
-            Write::Complete(l) => {
-                sink.spans.complete(
-                    at,
-                    at,
-                    SpanCategory::Iteration,
-                    LABELS[l],
-                    3,
-                    open.last().copied(),
-                );
-            }
         }
     }
 
@@ -884,8 +858,8 @@ mod batch_tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(192))]
 
-        /// Any interleaving of events, counters, gauges, samples and span
-        /// opens / closes / completes leaves the same snapshot whether each
+        /// Any interleaving of events, counters, gauges, samples and nested
+        /// spans leaves the same snapshot whether each
         /// write took the lock by itself or rode a batch of random length —
         /// rings of 1–64 so both wrap.
         #[test]
@@ -895,16 +869,16 @@ mod batch_tests {
             capacity in 1usize..65,
         ) {
             let (single, batched) = (sink(capacity), sink(capacity));
-            let mut open = Vec::new();
+            let mut recorded = Vec::new();
             for (i, w) in writes.iter().enumerate() {
-                write_through_handle(&single, SimTime::from_secs(i as u64), &mut open, w);
+                write_through_handle(&single, SimTime::from_secs(i as u64), &mut recorded, w);
             }
-            let (mut open, mut next, mut cuts) = (Vec::new(), 0, cuts.iter().cycle());
+            let (mut recorded, mut next, mut cuts) = (Vec::new(), 0, cuts.iter().cycle());
             while next < writes.len() {
                 let len = *cuts.next().expect("cycles");
                 let mut held = batched.batch().expect("a recording sink");
                 for (i, w) in writes.iter().enumerate().skip(next).take(len) {
-                    write_through_batch(&mut held, SimTime::from_secs(i as u64), &mut open, w);
+                    write_through_batch(&mut held, SimTime::from_secs(i as u64), &mut recorded, w);
                 }
                 next += len;
             }

@@ -10,22 +10,23 @@
 //! Spans follow the same two rules as the event log:
 //!
 //! * **Deterministic.** Start/end stamps are [`SimTime`] (never the wall
-//!   clock), ids are assigned in open order, open spans live in a
-//!   `BTreeMap`, and closed spans serialize in close order — so two runs
-//!   with the same seed produce byte-identical span logs.
-//! * **Bounded.** Closed spans live in a ring buffer; evictions are
-//!   *counted* ([`SpanLog::dropped`]) so a summary never silently pretends
-//!   the log is complete.
+//!   clock), and a span is recorded whole ([`SpanLog::complete`]): ids are
+//!   assigned, and spans serialize, in record order — so two runs with the
+//!   same seed produce byte-identical span logs. A parent is recorded
+//!   before its children, which name it explicitly.
+//! * **Bounded.** Spans live in a ring buffer; evictions are *counted*
+//!   ([`SpanLog::dropped`]) so a summary never silently pretends the log is
+//!   complete.
 
 use dlrover_sim::SimTime;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Default closed-span capacity (spans beyond this evict the oldest).
+/// Default span capacity (spans beyond this evict the oldest).
 pub const DEFAULT_SPAN_CAPACITY: usize = 65_536;
 
-/// Identifier of a span within one [`SpanLog`], assigned at open time.
+/// Identifier of a span within one [`SpanLog`], assigned at record time.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
 )]
@@ -211,14 +212,14 @@ impl Deserialize for Label {
     }
 }
 
-/// One closed (or still-open) phase of virtual time.
+/// One recorded phase of virtual time.
 ///
 /// `track` groups spans that belong to one sequential timeline — a job's
 /// engine, a pod, a per-case experiment lane. Analyzers treat tracks as
 /// Chrome trace `tid`s and sweep each track independently.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Span {
-    /// Log-assigned id (open order; survives ring-buffer eviction).
+    /// Log-assigned id (record order; survives ring-buffer eviction).
     pub id: u64,
     /// Enclosing span's id, if any.
     pub parent: Option<u64>,
@@ -259,11 +260,9 @@ pub struct SpanLog {
     capacity: usize,
     /// Index of the oldest closed span once the buffer has wrapped.
     head: usize,
-    open: BTreeMap<u64, Span>,
     next_id: u64,
     closed_total: u64,
     dropped: u64,
-    unmatched_closes: u64,
 }
 
 impl Default for SpanLog {
@@ -279,58 +278,11 @@ impl SpanLog {
     /// Panics when `capacity` is zero.
     pub fn with_capacity(capacity: usize) -> Self {
         assert!(capacity > 0, "span log capacity must be positive");
-        SpanLog {
-            closed: Vec::new(),
-            capacity,
-            head: 0,
-            open: BTreeMap::new(),
-            next_id: 0,
-            closed_total: 0,
-            dropped: 0,
-            unmatched_closes: 0,
-        }
+        SpanLog { closed: Vec::new(), capacity, head: 0, next_id: 0, closed_total: 0, dropped: 0 }
     }
 
-    /// Opens a span starting at `at`; close it with [`Self::close`].
-    pub fn open(
-        &mut self,
-        at: SimTime,
-        cat: SpanCategory,
-        label: &str,
-        track: u64,
-        parent: Option<SpanId>,
-    ) -> SpanId {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.open.insert(
-            id,
-            Span {
-                id,
-                parent: parent.map(|p| p.0),
-                cat,
-                label: label.into(),
-                track,
-                start_us: at.as_micros(),
-                end_us: at.as_micros(),
-            },
-        );
-        SpanId(id)
-    }
-
-    /// Closes an open span at `at`. A close without a matching open is
-    /// counted ([`Self::unmatched_closes`]) and otherwise ignored; an end
-    /// before the start clamps to the start (spans never run backwards).
-    pub fn close(&mut self, at: SimTime, id: SpanId) {
-        match self.open.remove(&id.0) {
-            Some(mut span) => {
-                span.end_us = at.as_micros().max(span.start_us);
-                self.push_closed(span);
-            }
-            None => self.unmatched_closes += 1,
-        }
-    }
-
-    /// Records an already-complete span `[start, end]` in one call.
+    /// Records a complete span `[start, end]`; an end before the start
+    /// clamps to the start (spans never run backwards).
     pub fn complete(
         &mut self,
         start: SimTime,
@@ -365,7 +317,7 @@ impl SpanLog {
         }
     }
 
-    /// Closed spans currently retained, in close order (oldest first).
+    /// Spans currently retained, in record order (oldest first).
     pub fn iter(&self) -> impl Iterator<Item = &Span> {
         let (wrapped, first) = self.closed.split_at(self.head);
         first.iter().chain(wrapped.iter())
@@ -381,11 +333,6 @@ impl SpanLog {
         self.closed.is_empty()
     }
 
-    /// Spans currently open (opened, not yet closed).
-    pub fn open_count(&self) -> usize {
-        self.open.len()
-    }
-
     /// Total spans ever closed (retained + evicted).
     pub fn total_closed(&self) -> u64 {
         self.closed_total
@@ -394,11 +341,6 @@ impl SpanLog {
     /// Closed spans evicted by the ring buffer.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Closes received for ids that were not open.
-    pub fn unmatched_closes(&self) -> u64 {
-        self.unmatched_closes
     }
 
     /// Retained virtual time per category name, sorted by name.
@@ -418,11 +360,9 @@ impl SpanLog {
     /// shifted by this log's current `next_id`, which keeps (a) absorbed
     /// ids disjoint from existing ones and (b) every absorbed parent link
     /// pointing at the same absorbed span it did in the unit log — even
-    /// when the parent itself was evicted or never closed. Merge order is
-    /// the caller's (sorted-unit-key) order, so the remapped ids are
-    /// independent of thread interleaving. `other`'s evictions and
-    /// unmatched closes are carried over; spans still open in `other` are
-    /// not copied (units are expected to close their spans before merge).
+    /// when the parent itself was evicted. Merge order is the caller's
+    /// (sorted-unit-key) order, so the remapped ids are independent of
+    /// thread interleaving. `other`'s evictions are carried over.
     pub fn absorb(&mut self, other: &SpanLog) {
         self.absorb_owned(other.clone());
     }
@@ -438,7 +378,6 @@ impl SpanLog {
         let offset = self.next_id;
         self.closed_total += other.dropped;
         self.dropped += other.dropped;
-        self.unmatched_closes += other.unmatched_closes;
         // Restore close order (oldest first) in place, then remap the
         // whole id space by the base offset.
         other.closed.rotate_left(other.head);
@@ -489,35 +428,26 @@ mod tests {
         SimTime::from_secs(secs)
     }
 
+    /// A span's open and close stamps and its explicit parent round-trip
+    /// through [`SpanLog::complete`], in record order.
     #[test]
     fn open_close_roundtrip() {
         let mut log = SpanLog::default();
-        let a = log.open(t(1), SpanCategory::Migration, "pause", 7, None);
-        let b = log.open(t(2), SpanCategory::Checkpoint, "save", 7, Some(a));
-        log.close(t(3), b);
-        log.close(t(5), a);
+        let a = log.complete(t(1), t(5), SpanCategory::Migration, "pause", 7, None);
+        let b = log.complete(t(2), t(3), SpanCategory::Checkpoint, "save", 7, Some(a));
         let spans: Vec<&Span> = log.iter().collect();
         assert_eq!(spans.len(), 2);
-        // Close order: b first.
-        assert_eq!(spans[0].cat, SpanCategory::Checkpoint);
-        assert_eq!(spans[0].parent, Some(a.0));
-        assert_eq!(spans[1].dur_us(), 4_000_000);
-        assert_eq!(log.open_count(), 0);
-    }
-
-    #[test]
-    fn unmatched_close_is_counted_not_fatal() {
-        let mut log = SpanLog::default();
-        log.close(t(1), SpanId(99));
-        assert_eq!(log.unmatched_closes(), 1);
-        assert!(log.is_empty());
+        // Record order: the parent first.
+        assert_eq!(spans[1].id, b.0);
+        assert_eq!(spans[1].cat, SpanCategory::Checkpoint);
+        assert_eq!(spans[1].parent, Some(a.0));
+        assert_eq!(spans[0].dur_us(), 4_000_000);
     }
 
     #[test]
     fn backwards_close_clamps_to_start() {
         let mut log = SpanLog::default();
-        let id = log.open(t(10), SpanCategory::Job, "", 0, None);
-        log.close(t(5), id);
+        log.complete(t(10), t(5), SpanCategory::Job, "", 0, None);
         assert_eq!(log.iter().next().unwrap().dur_us(), 0);
     }
 
@@ -538,16 +468,16 @@ mod tests {
     fn jsonl_roundtrips_and_is_deterministic() {
         let build = || {
             let mut log = SpanLog::default();
-            let p = log.open(t(0), SpanCategory::Iteration, "slice", 3, None);
+            let p = log.complete(t(0), t(4), SpanCategory::Iteration, "slice", 3, None);
             log.complete(t(0), t(1), SpanCategory::IterLookup, "", 3, Some(p));
-            log.close(t(4), p);
             log.to_jsonl()
         };
         let a = build();
         assert_eq!(a, build());
         let parsed = parse_spans_jsonl(&a).expect("parses");
         assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[1].cat, SpanCategory::Iteration);
+        assert_eq!(parsed[0].cat, SpanCategory::Iteration);
+        assert_eq!(parsed[1].parent, Some(parsed[0].id));
     }
 
     #[test]
@@ -555,9 +485,8 @@ mod tests {
         // Two units each build a parent/child tree with ids starting at 0.
         let unit = |base: u64| {
             let mut log = SpanLog::default();
-            let p = log.open(t(base), SpanCategory::Job, "job", base, None);
+            let p = log.complete(t(base), t(base + 2), SpanCategory::Job, "job", base, None);
             log.complete(t(base), t(base + 1), SpanCategory::Checkpoint, "save", base, Some(p));
-            log.close(t(base + 2), p);
             log
         };
         let (a, b) = (unit(10), unit(20));
@@ -585,16 +514,14 @@ mod tests {
     }
 
     #[test]
-    fn absorb_carries_drop_and_unmatched_accounting() {
+    fn absorb_carries_drop_accounting() {
         let mut part = SpanLog::with_capacity(1);
         part.complete(t(0), t(1), SpanCategory::Iteration, "", 0, None);
         part.complete(t(1), t(2), SpanCategory::Iteration, "", 0, None); // evicts
-        part.close(t(3), SpanId(999)); // unmatched
         let mut merged = SpanLog::default();
         merged.absorb(&part);
         assert_eq!(merged.total_closed(), 2, "evicted spans still count as closed work");
         assert_eq!(merged.dropped(), 1);
-        assert_eq!(merged.unmatched_closes(), 1);
         // next_id advanced past the part's id space: fresh spans cannot
         // collide with absorbed ones.
         let fresh = merged.complete(t(5), t(6), SpanCategory::Job, "", 0, None);
@@ -609,9 +536,8 @@ mod tests {
         let wrapped = {
             let mut log = SpanLog::with_capacity(2);
             for i in 0..4u64 {
-                let p = log.open(t(i), SpanCategory::Job, "job", i, None);
+                let p = log.complete(t(i), t(i + 2), SpanCategory::Job, "job", i, None);
                 log.complete(t(i), t(i + 1), SpanCategory::Checkpoint, "save", i, Some(p));
-                log.close(t(i + 2), p);
             }
             log
         };

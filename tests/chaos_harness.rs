@@ -100,11 +100,11 @@ fn roster_policy(pi: usize, seed: u64) -> Box<dyn SchedulerPolicy> {
         }
         4 => {
             let streams = RngStreams::new(seed).fork("chaos-roster-dl2");
-            Box::new(Dl2Policy::new(user_request, space, &streams, Dl2Config::default()))
+            Box::new(Dl2Policy::new(user_request, space, &streams))
         }
         5 => {
             let streams = RngStreams::new(seed).fork("chaos-roster-drl");
-            Box::new(DrlPolicy::new(user_request, space, &streams, DrlConfig::default()))
+            Box::new(DrlPolicy::new(user_request, space, &streams))
         }
         other => unreachable!("unknown roster index {other}"),
     }
@@ -309,7 +309,8 @@ fn a_replacement_placed_at_once_may_take_past_the_deadline_to_start() {
     }]);
     let mut cfg = ChaosConfig::default();
     cfg.runner.startup.image_pull_mean_s = 2_400.0;
-    let deadline_us = cfg.oracle.recovery_deadline.as_micros();
+    let oracle = dlrover_rm::telemetry::OracleConfig::default();
+    let deadline_us = oracle.recovery_deadline.as_micros();
     let telemetry = Telemetry::default();
     let report = run_chaos_job(&spec, alloc, &plan, &cfg, &telemetry);
     assert!(report.jct_us.is_some());
@@ -321,7 +322,7 @@ fn a_replacement_placed_at_once_may_take_past_the_deadline_to_start() {
     // joined, the same log is flagged.
     let mut events = telemetry.snapshot().events;
     events.retain(|e| !matches!(e.kind, EventKind::WorkerAdded { .. }));
-    let lost = dlrover_rm::telemetry::Oracle::new(cfg.oracle).check(&plan, &events, &report.truth);
+    let lost = dlrover_rm::telemetry::Oracle::new(oracle).check(&plan, &events, &report.truth);
     assert!(
         lost.violations().iter().any(|v| v.contains("no replacement worker")),
         "{:?}",

@@ -60,7 +60,7 @@ fn dl2_training_and_inference_are_byte_identical() {
         };
         let user_request = ResourceAllocation::new(JobShape::new(4, 2, 4.0, 4.0, 512), 8.0, 64.0);
         let streams = RngStreams::new(42).fork("determinism-dl2");
-        let mut policy = Dl2Policy::new(user_request, space, &streams, Dl2Config::default());
+        let mut policy = Dl2Policy::new(user_request, space, &streams);
         let telemetry = Telemetry::default();
         for episode in 0..2u64 {
             let cfg = RunnerConfig {

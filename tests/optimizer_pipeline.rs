@@ -110,7 +110,7 @@ fn nsga_front_on_the_real_problem_is_nondominated_and_spans() {
         eval,
         vec![1.0, 1.0, space.worker_cpu.0, space.ps_cpu.0],
         vec![f64::from(space.workers.1), f64::from(space.ps.1), space.worker_cpu.1, space.ps_cpu.1],
-        Nsga2Config { population: 48, generations: 30, ..Default::default() },
+        Nsga2Config { population: 48, generations: 30 },
     )
     .run(&mut RngStreams::new(3).stream("pipeline"));
 
@@ -138,7 +138,7 @@ fn greedy_priority_flips_with_rho_sign() {
         let mut brain = ClusterBrain::new(
             ConfigDb::new(10),
             WarmStartConfig::default(),
-            GreedyConfig { rho, epsilon: 1.0 },
+            GreedyConfig { rho },
             NsgaPlanGenerator::default(),
             7,
         );
