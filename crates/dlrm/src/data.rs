@@ -73,6 +73,8 @@ pub struct SyntheticCriteo {
     zipf: Vec<Zipf>,
     dense_dist: LogNormal,
     intercept: f64,
+    /// Planted weight of each dense feature, a function of the seed only.
+    dense_weights: [f64; NUM_DENSE],
 }
 
 impl SyntheticCriteo {
@@ -84,13 +86,16 @@ impl SyntheticCriteo {
             .map(|&c| Zipf::new(c.max(1), config.zipf_exponent))
             .collect();
         let p = config.base_ctr.clamp(0.01, 0.99);
-        SyntheticCriteo {
+        let mut g = SyntheticCriteo {
             zipf,
             dense_dist: LogNormal::new(0.0, 1.0),
             intercept: (p / (1.0 - p)).ln(),
+            dense_weights: [0.0; NUM_DENSE],
             config,
             seed,
-        }
+        };
+        g.dense_weights = std::array::from_fn(|d| g.category_weight(NUM_SPARSE + d, 0) * 0.3);
+        g
     }
 
     /// The generator's configuration.
@@ -135,8 +140,7 @@ impl SyntheticCriteo {
             logit +=
                 self.config.signal_scale * self.category_weight(f, id) / (NUM_SPARSE as f64).sqrt();
         }
-        for (d, &x) in dense.iter().enumerate() {
-            let w = self.category_weight(NUM_SPARSE + d, 0) * 0.3;
+        for (&w, &x) in self.dense_weights.iter().zip(&dense) {
             logit += w * f64::from(x);
         }
         let inter1 = self.category_weight(100, sparse[0] ^ (sparse[1] << 20));

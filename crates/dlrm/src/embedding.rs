@@ -52,6 +52,18 @@ impl Hasher for FoldHasher {
 /// A `HashMap` hashed by [`FoldHasher`].
 type FoldMap<K, V> = HashMap<K, V, BuildHasherDefault<FoldHasher>>;
 
+/// The weights a row of `slot` is materialised with: a function of
+/// `(slot, seed)` only, which is what lets [`EmbeddingTable::peek`] read a
+/// row before it exists.
+fn initial_weights(slot: u64, seed: u64, scale: f32, out: &mut [f32]) {
+    let mut s = splitmix64(slot ^ seed ^ 0xE5B3);
+    for w in out {
+        s = splitmix64(s);
+        let u = (s >> 11) as f32 / (1u64 << 53) as f32;
+        *w = (u - 0.5) * 2.0 * scale;
+    }
+}
+
 /// One embedding table: `virtual_rows` addressable slots, materialised
 /// lazily.
 #[derive(Debug, Clone)]
@@ -109,20 +121,16 @@ impl EmbeddingTable {
 
     /// Arena offset of the row of `id`, materialising it (initial weights,
     /// zero accumulators) on first touch. One map probe.
-    fn row_offset(&mut self, id: u64) -> usize {
+    pub(crate) fn row_offset(&mut self, id: u64) -> usize {
         let slot = self.slot(id);
         match self.index.entry(slot) {
             Entry::Occupied(row) => *row.get(),
             Entry::Vacant(vacant) => {
                 let offset = self.arena.len();
                 vacant.insert(offset);
-                let mut s = splitmix64(slot ^ self.seed ^ 0xE5B3);
-                for _ in 0..self.dim {
-                    s = splitmix64(s);
-                    let u = (s >> 11) as f32 / (1u64 << 53) as f32;
-                    self.arena.push((u - 0.5) * 2.0 * self.init_scale);
-                }
                 self.arena.resize(offset + 2 * self.dim, 0.0);
+                let weights = &mut self.arena[offset..offset + self.dim];
+                initial_weights(slot, self.seed, self.init_scale, weights);
                 offset
             }
         }
@@ -137,6 +145,28 @@ impl EmbeddingTable {
         assert_eq!(out.len(), self.dim, "output buffer dim mismatch");
         let offset = self.row_offset(id);
         out.copy_from_slice(&self.arena[offset..offset + self.dim]);
+    }
+
+    /// [`Self::lookup`] through `&self`: copies the row for `id` into
+    /// `out`, or, when the row does not exist yet, the initial value
+    /// `lookup` would materialise it with. Returns `false` in that case;
+    /// the caller owes the table that row (see `DlrmModel::materialise`).
+    ///
+    /// # Panics
+    /// Panics if `out.len() != dim`.
+    pub(crate) fn peek(&self, id: u64, out: &mut [f32]) -> bool {
+        assert_eq!(out.len(), self.dim, "output buffer dim mismatch");
+        let slot = self.slot(id);
+        match self.index.get(&slot) {
+            Some(&offset) => {
+                out.copy_from_slice(&self.arena[offset..offset + self.dim]);
+                true
+            }
+            None => {
+                initial_weights(slot, self.seed, self.init_scale, out);
+                false
+            }
+        }
     }
 
     /// Read-only lookup: returns zeros for never-seen ids (inference on a
@@ -275,6 +305,28 @@ mod tests {
         let mut t = EmbeddingTable::new(1000, 4, 7);
         t.apply_grad(77, &[0.1; 4], 0.05);
         assert_eq!(t.materialized_rows(), 1);
+    }
+
+    /// `peek` reads what `lookup` would return — the trained row, or the
+    /// row it is about to materialise — bit for bit, and inserts nothing.
+    /// Four slots: most ids share a row with an id seen before.
+    #[test]
+    fn peek_reads_what_lookup_materialises_and_inserts_nothing() {
+        let mut t = EmbeddingTable::new(4, 3, 7);
+        t.apply_grad(1, &[0.5, -0.25, 0.125], 0.1);
+        let (mut peeked, mut looked_up) = ([0.0f32; 3], [0.0f32; 3]);
+        let mut misses = 0;
+        for id in 0..12 {
+            let rows = t.materialized_rows();
+            let hit = t.peek(id, &mut peeked);
+            assert_eq!(t.materialized_rows(), rows, "peek inserted id {id}");
+            t.lookup(id, &mut looked_up);
+            assert_eq!(peeked.map(f32::to_bits), looked_up.map(f32::to_bits), "id {id}");
+            assert_eq!(hit, t.materialized_rows() == rows, "id {id}: hit iff the row existed");
+            misses += usize::from(!hit);
+        }
+        assert_eq!(t.materialized_rows(), 4);
+        assert_eq!(misses, 3, "slot of id 1 was trained before the walk");
     }
 
     #[test]

@@ -35,4 +35,4 @@ pub use data::{DatasetConfig, Sample, SyntheticCriteo};
 pub use embedding::EmbeddingTable;
 pub use metrics::{auc, logloss};
 pub use mlp::Mlp;
-pub use model::{CtrModel, Gradients, ModelCheckpoint, ModelKind};
+pub use model::{CtrModel, GradScratch, Gradients, ModelCheckpoint, ModelKind};

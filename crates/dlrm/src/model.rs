@@ -199,10 +199,13 @@ impl ModelCheckpoint {
     }
 }
 
-/// Per-sample working memory of the forward and backward passes, owned by
-/// the model so that neither allocates once the buffers have grown.
+/// Working memory of one gradient computation — buffers reused so that
+/// neither pass allocates once they have grown — plus the embedding rows
+/// the computation read before they existed. The model owns one for
+/// [`CtrModel::compute_gradients_into`]; a caller of
+/// [`DlrmModel::compute_gradients_shared`] owns one per concurrent batch.
 #[derive(Debug, Clone, Default)]
-struct Scratch {
+pub struct GradScratch {
     /// Assembled input of the current sample: embeddings ‖ dense features.
     x: Vec<f32>,
     /// Deep-tower activations.
@@ -225,6 +228,9 @@ struct Scratch {
     dlogits: Vec<f32>,
     /// The `(id, sample)` pairs of one table while its keys are reduced.
     touches: Vec<(u64, usize)>,
+    /// `(table, id)` of every embedding read that found no row, in read
+    /// order, until [`DlrmModel::materialise`] inserts them.
+    misses: Vec<(usize, u64)>,
 }
 
 /// A trainable CTR model (one of the three families).
@@ -239,7 +245,7 @@ pub struct DlrmModel {
     /// Flat dense parameters *other than* the MLP: cross ‖ head ‖ pairs.
     extra: Vec<f32>,
     extra_acc: Vec<f32>,
-    scratch: Scratch,
+    scratch: GradScratch,
 }
 
 /// The trait face of [`DlrmModel`], kept object-safe for engine plumbing.
@@ -323,7 +329,7 @@ impl DlrmModel {
             extra_acc: vec![0.0; extra.len()],
             extra,
             config,
-            scratch: Scratch::default(),
+            scratch: GradScratch::default(),
         }
     }
 
@@ -341,15 +347,29 @@ impl DlrmModel {
         NUM_SPARSE * self.config.embedding_dim + NUM_DENSE
     }
 
-    /// Assembles the dense input vector of one sample into `x`,
-    /// materialising the embedding rows it touches.
-    fn assemble_input(&mut self, sample: &Sample, x: &mut Vec<f32>) {
+    /// Assembles the dense input vector of one sample into `s.x`. A row
+    /// that does not exist yet reads as the value it will be materialised
+    /// with and is noted in `s.misses`.
+    fn assemble_input(&self, sample: &Sample, s: &mut GradScratch) {
         let d = self.config.embedding_dim;
-        x.resize(self.input_dim(), 0.0);
+        s.x.resize(self.input_dim(), 0.0);
         for (f, &id) in sample.sparse.iter().enumerate() {
-            self.tables[f].lookup(id, &mut x[f * d..(f + 1) * d]);
+            if !self.tables[f].peek(id, &mut s.x[f * d..(f + 1) * d]) {
+                s.misses.push((f, id));
+            }
         }
-        x[NUM_SPARSE * d..].copy_from_slice(&sample.dense);
+        s.x[NUM_SPARSE * d..].copy_from_slice(&sample.dense);
+    }
+
+    /// Inserts the embedding rows `scratch` read before they existed, in
+    /// the order they were read, and empties its list. A row's initial
+    /// value depends on `(slot, seed)` only and an existing row is left
+    /// alone, so the tables end as if the computation had inserted each
+    /// row when it read it.
+    pub fn materialise(&mut self, scratch: &mut GradScratch) {
+        for (f, id) in scratch.misses.drain(..) {
+            self.tables[f].row_offset(id);
+        }
     }
 
     /// Cross-tower forward over `x0`: fills `states` with the per-layer
@@ -376,7 +396,7 @@ impl DlrmModel {
 
     /// Logit of the sample assembled in `s.x`; leaves the per-branch state
     /// backprop needs in `s`.
-    fn forward_logit(&self, sample: &Sample, s: &mut Scratch) -> f32 {
+    fn forward_logit(&self, sample: &Sample, s: &mut GradScratch) -> f32 {
         self.deep.forward_into(&s.x, &mut s.trace);
         let mut logit = s.trace.output()[0];
 
@@ -415,35 +435,26 @@ impl DlrmModel {
         }
         logit
     }
-}
 
-impl CtrModel for DlrmModel {
-    fn predict(&self, batch: &[Sample]) -> Vec<f32> {
-        let d = self.config.embedding_dim;
-        let mut s = Scratch::default();
-        s.x.resize(self.input_dim(), 0.0);
-        batch
-            .iter()
-            .map(|sample| {
-                for (f, &id) in sample.sparse.iter().enumerate() {
-                    self.tables[f].lookup_frozen(id, &mut s.x[f * d..(f + 1) * d]);
-                }
-                s.x[NUM_SPARSE * d..].copy_from_slice(&sample.dense);
-                let logit = self.forward_logit(sample, &mut s);
-                1.0 / (1.0 + (-logit).exp())
-            })
-            .collect()
-    }
-
-    fn compute_gradients_into(&mut self, batch: &[Sample], out: &mut Gradients) {
+    /// [`CtrModel::compute_gradients_into`] through `&self`, so that
+    /// several threads can compute against one model: the embedding rows
+    /// the batch reads before they exist are not inserted but added to
+    /// `s`'s list, and [`Self::materialise`] inserts them later. Until it
+    /// does, the model's rows are those of the moment before this call.
+    ///
+    /// # Panics
+    /// Panics if `batch` is empty.
+    pub fn compute_gradients_shared(
+        &self,
+        batch: &[Sample],
+        out: &mut Gradients,
+        s: &mut GradScratch,
+    ) {
         assert!(!batch.is_empty(), "empty batch");
         let d = self.config.embedding_dim;
         let dim = self.input_dim();
         let inv_n = 1.0 / batch.len() as f32;
 
-        // The scratch leaves the model for the batch so that `&self`
-        // helpers can fill it.
-        let mut s = std::mem::take(&mut self.scratch);
         s.emb_grads.clear();
         s.dlogits.clear();
         out.dense.clear();
@@ -452,8 +463,8 @@ impl CtrModel for DlrmModel {
         let mut total_loss = 0.0f32;
 
         for sample in batch {
-            self.assemble_input(sample, &mut s.x);
-            let logit = self.forward_logit(sample, &mut s);
+            self.assemble_input(sample, s);
+            let logit = self.forward_logit(sample, s);
             let p = 1.0 / (1.0 + (-logit).exp());
             let y = if sample.label { 1.0 } else { 0.0 };
             total_loss += -(y * (p.max(1e-7)).ln() + (1.0 - y) * ((1.0 - p).max(1e-7)).ln());
@@ -561,6 +572,31 @@ impl CtrModel for DlrmModel {
         }
         out.mean_loss = total_loss * inv_n;
         out.samples = batch.len();
+    }
+}
+
+impl CtrModel for DlrmModel {
+    fn predict(&self, batch: &[Sample]) -> Vec<f32> {
+        let d = self.config.embedding_dim;
+        let mut s = GradScratch::default();
+        s.x.resize(self.input_dim(), 0.0);
+        batch
+            .iter()
+            .map(|sample| {
+                for (f, &id) in sample.sparse.iter().enumerate() {
+                    self.tables[f].lookup_frozen(id, &mut s.x[f * d..(f + 1) * d]);
+                }
+                s.x[NUM_SPARSE * d..].copy_from_slice(&sample.dense);
+                let logit = self.forward_logit(sample, &mut s);
+                1.0 / (1.0 + (-logit).exp())
+            })
+            .collect()
+    }
+
+    fn compute_gradients_into(&mut self, batch: &[Sample], out: &mut Gradients) {
+        let mut s = std::mem::take(&mut self.scratch);
+        self.compute_gradients_shared(batch, out, &mut s);
+        self.materialise(&mut s);
         self.scratch = s;
     }
 

@@ -552,6 +552,10 @@ impl RefModel {
         self.tables.iter().chain(self.wide.iter()).map(RefTable::resident_bytes).sum()
     }
 
+    pub(crate) fn materialized_rows(&self) -> usize {
+        self.tables.iter().chain(self.wide.iter()).map(|t| t.rows.len()).sum()
+    }
+
     pub(crate) fn dense_param_count(&self) -> usize {
         self.extra.len() + self.deep.param_count()
     }
@@ -594,7 +598,7 @@ mod differential {
 
     use super::*;
     use crate::data::{DatasetConfig, SyntheticCriteo};
-    use crate::model::{CtrModel, DlrmModel, Gradients};
+    use crate::model::{CtrModel, DlrmModel, GradScratch, Gradients};
 
     fn bits(values: &[f32]) -> Vec<u32> {
         values.iter().map(|v| v.to_bits()).collect()
@@ -634,6 +638,9 @@ mod differential {
     /// `RealModeTrainer::train_round` does — each gradient applied one step
     /// late — with a snapshot/restore into fresh models at `restore_at`,
     /// and holds gradients, checkpoints and predictions equal bit for bit.
+    /// Odd steps take the trainer's concurrent path (`&self` compute, then
+    /// `materialise`), even ones `compute_gradients_into`; after each the
+    /// live tables hold as many rows as the reference's.
     fn run_case(
         kind: ModelKind,
         config: ModelConfig,
@@ -647,13 +654,24 @@ mod differential {
         let mut pending: Option<(Gradients, RefGradients)> = None;
         // Reused across steps, as the trainer reuses its pool.
         let mut g = Gradients::default();
+        let mut scratch = GradScratch::default();
         let mut start = 0u64;
         for (step, &n) in batches.iter().enumerate() {
             let batch = data.batch(start, n);
             start += n as u64;
-            live.compute_gradients_into(&batch, &mut g);
+            if step % 2 == 1 {
+                live.compute_gradients_shared(&batch, &mut g, &mut scratch);
+                live.materialise(&mut scratch);
+            } else {
+                live.compute_gradients_into(&batch, &mut g);
+            }
             let rg = reference.compute_gradients(&batch);
             assert_eq!(canonical_live(&g), canonical_ref(&rg), "gradients, step {}", step);
+            assert_eq!(
+                live.materialized_rows(),
+                reference.materialized_rows(),
+                "rows, step {step}"
+            );
             if let Some((prev, rprev)) = pending.replace((g.clone(), rg)) {
                 live.apply_gradients(&prev);
                 reference.apply_gradients(&rprev);

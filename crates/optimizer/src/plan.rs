@@ -90,7 +90,7 @@ impl PriceTable {
 }
 
 /// One reconfiguration action over the execution plan — the widened action
-/// space of the optimizer (ROADMAP open item 3; Rubick's taxonomy of
+/// space of the optimizer (DESIGN §13; Rubick's taxonomy of
 /// sync/async mode, layout, and batching under a fixed resource envelope).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ReconfigAction {

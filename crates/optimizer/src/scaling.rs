@@ -212,7 +212,7 @@ pub struct NsgaPlanGenerator {
     /// 4-gene resource genome and reproduces the pre-reconfiguration
     /// generator bit-for-bit; `Some` appends a fifth gene that indexes
     /// [`ReconfigSpace::plans`], widening the search from resource amounts
-    /// to execution plans (Rubick; ROADMAP open item 3).
+    /// to execution plans (Rubick; DESIGN §13).
     pub reconfig: Option<ReconfigSpace>,
 }
 
@@ -734,9 +734,9 @@ mod engine_differential {
         assert!(nonempty > 64, "the comparison must mostly be over real fronts: {nonempty}");
     }
 
-    /// ROADMAP 4d: a fit that zeroes every coefficient predicts infinite
-    /// throughput, `TG = ∞ − ∞` is NaN, and the search used to panic on it
-    /// in release builds (`NaN objective`).
+    /// A fit that zeroes every coefficient predicts infinite throughput,
+    /// `TG = ∞ − ∞` is NaN, and the search used to panic on it in release
+    /// builds (`NaN objective`).
     #[test]
     fn unpriceable_model_yields_no_candidates_instead_of_panicking() {
         let zero = ModelCoefficients {

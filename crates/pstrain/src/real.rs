@@ -12,9 +12,23 @@
 //!   training (gradients within a round are mutually stale);
 //! * elastic events (add / remove / fail a worker) can fire between rounds,
 //!   and the shard queue guarantees no sample is dropped or duplicated.
+//!
+//! A round runs in three phases. The caller's thread walks the live
+//! workers in order and does all the shard-queue work, noting each
+//! worker's sample range in a slot. The slots' batches and gradients are
+//! then computed concurrently — they are concurrent workers, and each
+//! reads the round-start model through `&DlrmModel` — on up to
+//! `available_parallelism()` threads, each taking a contiguous run of
+//! slots. Last, the caller's thread inserts the embedding rows the slots
+//! read before they existed, sums the losses and applies the gradients,
+//! all in slot order. Every float operation and reduction order is the
+//! sequential round's, so the trained bits do not depend on the width.
+
+use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
 use dlrover_dlrm::model::{CtrModel, DlrmModel, ModelConfig, ModelKind};
-use dlrover_dlrm::{auc, logloss, DatasetConfig, Gradients, Sample, SyntheticCriteo};
+use dlrover_dlrm::{auc, logloss, DatasetConfig, GradScratch, Gradients, Sample, SyntheticCriteo};
 use dlrover_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -78,6 +92,34 @@ struct RealWorker {
     offset: u64,
 }
 
+/// The buffers of one worker's share of a round, kept between rounds so
+/// that computing it allocates nothing.
+#[derive(Debug, Default)]
+struct Slot {
+    /// First sample index and sample count of this round's batch.
+    start: u64,
+    take: usize,
+    batch: Vec<Sample>,
+    grads: Gradients,
+    scratch: GradScratch,
+}
+
+impl Slot {
+    /// Generates the slot's batch and its gradient against `model`.
+    fn compute(&mut self, dataset: &SyntheticCriteo, model: &DlrmModel) {
+        dataset.batch_into(self.start, self.take, &mut self.batch);
+        model.compute_gradients_shared(&self.batch, &mut self.grads, &mut self.scratch);
+    }
+}
+
+/// Threads a round computes its slots on: resolved once per process, on
+/// first use, because `available_parallelism` reads cgroup files (~12 µs,
+/// more than a trainer's whole construction).
+fn round_width() -> usize {
+    static WIDTH: OnceLock<usize> = OnceLock::new();
+    *WIDTH.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
 /// A full job checkpoint in real-compute mode: model parameters +
 /// optimizer state + the quiesced data-shard frontier. Restoring one
 /// resumes training with exactly-once data accounting — the paper's
@@ -109,10 +151,9 @@ pub struct RealModeTrainer {
     next_worker_id: u64,
     round: u64,
     loss_history: Vec<(u64, f32)>,
-    /// The batch being trained, and one gradient per worker of a round:
-    /// kept between rounds so that a round allocates nothing.
-    batch: Vec<Sample>,
-    grads: Vec<Gradients>,
+    /// One slot per worker that trains in a round, in worker order: the
+    /// first `n` serve a round in which `n` workers train.
+    slots: Vec<Slot>,
 }
 
 impl RealModeTrainer {
@@ -131,8 +172,7 @@ impl RealModeTrainer {
             next_worker_id: 0,
             round: 0,
             loss_history: Vec::new(),
-            batch: Vec::new(),
-            grads: Vec::new(),
+            slots: Vec::new(),
         };
         for _ in 0..initial_workers {
             t.apply(ElasticEvent::AddWorker);
@@ -179,8 +219,7 @@ impl RealModeTrainer {
             next_worker_id: 0,
             round: ckpt.round,
             loss_history: Vec::new(),
-            batch: Vec::new(),
-            grads: Vec::new(),
+            slots: Vec::new(),
         };
         for _ in 0..initial_workers {
             t.apply(ElasticEvent::AddWorker);
@@ -244,12 +283,20 @@ impl RealModeTrainer {
     /// parameters, and the gradients apply sequentially. Returns the round's
     /// mean loss, or `None` when the dataset is drained.
     pub fn train_round(&mut self) -> Option<f32> {
+        self.train_round_with(round_width())
+    }
+
+    /// [`Self::train_round`] with its gradients computed on at most
+    /// `width` threads. Nothing it returns or leaves behind depends on
+    /// `width`; only tests choose it.
+    fn train_round_with(&mut self, width: usize) -> Option<f32> {
         self.round += 1;
         let now = SimTime::from_secs(self.round);
         let batch_size = self.config.sharding.batch_size as u64;
-        // Gradients computed this round: the first `computed` of the pool.
-        let mut computed = 0;
+        // Slots filled this round: the first `used` of the pool.
+        let mut used = 0;
 
+        // Phase 1, in worker order: all shard-queue work.
         for i in 0..self.workers.len() {
             if !self.workers[i].alive {
                 continue;
@@ -272,14 +319,13 @@ impl RealModeTrainer {
             if take == 0 {
                 continue;
             }
-            self.dataset.batch_into(shard.start + offset, take as usize, &mut self.batch);
-            // Gradient against the *round-start* parameters: all gradients
-            // in this round are computed before any is applied below.
-            if computed == self.grads.len() {
-                self.grads.push(Gradients::default());
+            if used == self.slots.len() {
+                self.slots.push(Slot::default());
             }
-            self.model.compute_gradients_into(&self.batch, &mut self.grads[computed]);
-            computed += 1;
+            let slot = &mut self.slots[used];
+            slot.start = shard.start + offset;
+            slot.take = take as usize;
+            used += 1;
             let new_offset = offset + take;
             self.shards.heartbeat(wid, new_offset, now);
             if new_offset >= shard.len {
@@ -290,13 +336,39 @@ impl RealModeTrainer {
             }
         }
         // No live worker, or none of them got data.
-        if computed == 0 {
+        if used == 0 {
             return None;
         }
-        let grads = &self.grads[..computed];
-        let mean_loss = grads.iter().map(|g| g.mean_loss).sum::<f32>() / grads.len() as f32;
-        for g in grads {
-            self.model.apply_gradients(g);
+        let slots = &mut self.slots[..used];
+
+        // Phase 2: every gradient against the round-start parameters, on
+        // `min(width, used)` threads that each take a contiguous run of
+        // slots; this thread computes the first run itself.
+        let (dataset, model) = (&self.dataset, &self.model);
+        let compute = |run: &mut [Slot]| run.iter_mut().for_each(|s| s.compute(dataset, model));
+        let threads = width.min(used);
+        if threads <= 1 {
+            compute(slots);
+        } else {
+            std::thread::scope(|scope| {
+                let mut runs = slots.chunks_mut(used.div_ceil(threads));
+                let own = runs.next().expect("a round with slots has a first run");
+                for run in runs {
+                    scope.spawn(move || compute(run));
+                }
+                compute(own);
+            });
+        }
+
+        // Phase 3, in slot order on this thread: rows grown on a helper
+        // thread would live in that thread's malloc arena, so every
+        // insertion and every update happens here.
+        for slot in slots.iter_mut() {
+            self.model.materialise(&mut slot.scratch);
+        }
+        let mean_loss = slots.iter().map(|slot| slot.grads.mean_loss).sum::<f32>() / used as f32;
+        for slot in slots.iter() {
+            self.model.apply_gradients(&slot.grads);
         }
         self.loss_history.push((self.round, mean_loss));
         Some(mean_loss)
@@ -489,6 +561,102 @@ mod tests {
         let ckpt = t.checkpoint();
         let _ =
             RealModeTrainer::from_checkpoint(RealModeConfig::small(ModelKind::Dcn, 22), ckpt, 2);
+    }
+
+    /// What a run leaves behind, each part an FNV-1a over its bits.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Outcome {
+        losses: u64,
+        checkpoint: u64,
+        materialized_rows: usize,
+        embedding_bytes: usize,
+        coverage: u64,
+        rounds_without_data: Vec<u64>,
+    }
+
+    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+        words.into_iter().fold(0xcbf2_9ce4_8422_2325, |mut h, w| {
+            for b in w.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            h
+        })
+    }
+
+    /// Trains under the Fig. 8 churn schedule, then narrows the gang to
+    /// one live worker, fails it (a round with no live worker) and adds
+    /// two, with every round's gradients computed on `width` threads.
+    fn run_at_width(kind: ModelKind, width: usize) -> Outcome {
+        let mut config = RealModeConfig::small(kind, 42);
+        config.total_samples = 64 * 64 * 12;
+        let mut t = RealModeTrainer::new(config, 3);
+        let mut rounds_without_data = Vec::new();
+        let mut round = 0u64;
+        while !t.is_complete() {
+            match round {
+                40 => t.apply(ElasticEvent::FailWorker(0)),
+                70 | 100 => t.apply(ElasticEvent::AddWorker),
+                150 => t.apply(ElasticEvent::RemoveWorker(1)),
+                200 => {
+                    t.apply(ElasticEvent::FailWorker(2));
+                    t.apply(ElasticEvent::FailWorker(3));
+                    assert_eq!(t.live_workers(), 1);
+                }
+                210 => t.apply(ElasticEvent::FailWorker(4)),
+                211 => {
+                    t.apply(ElasticEvent::AddWorker);
+                    t.apply(ElasticEvent::AddWorker);
+                }
+                _ => {}
+            }
+            if t.train_round_with(width).is_none() {
+                rounds_without_data.push(round);
+            }
+            round += 1;
+            assert!(round < 10_000, "wedged");
+        }
+        let ckpt = t.checkpoint();
+        let m = &ckpt.model;
+        let floats = m.dense.iter().chain(&m.dense_acc).copied();
+        let rows = m.tables.iter().chain(&m.wide).flatten();
+        let row_words = rows.flat_map(|(slot, w, a)| {
+            std::iter::once(*slot).chain(w.iter().chain(a).map(|v| u64::from(v.to_bits())))
+        });
+        Outcome {
+            losses: fnv(t.loss_history().iter().flat_map(|&(r, l)| [r, u64::from(l.to_bits())])),
+            checkpoint: fnv(floats.map(|v| u64::from(v.to_bits())).chain(row_words)),
+            materialized_rows: t.model.materialized_rows(),
+            embedding_bytes: t.embedding_bytes(),
+            coverage: ckpt.shards.coverage_digest(),
+            rounds_without_data,
+        }
+    }
+
+    /// The round's concurrency is invisible: widths 2, 3 and 8 (more
+    /// threads than slots) leave every trained bit, every row and the
+    /// shard accounting as the inline width 1 does.
+    fn assert_width_invariant(kind: ModelKind) {
+        let inline = run_at_width(kind, 1);
+        assert_eq!(inline.rounds_without_data, vec![210], "{kind:?}");
+        for width in [2, 3, 8] {
+            assert_eq!(run_at_width(kind, width), inline, "{kind:?} at width {width}");
+        }
+    }
+
+    #[test]
+    fn wide_deep_results_do_not_depend_on_the_round_width() {
+        assert_width_invariant(ModelKind::WideDeep);
+    }
+
+    #[test]
+    fn xdeepfm_results_do_not_depend_on_the_round_width() {
+        assert_width_invariant(ModelKind::XDeepFm);
+    }
+
+    #[test]
+    fn dcn_results_do_not_depend_on_the_round_width() {
+        assert_width_invariant(ModelKind::Dcn);
     }
 
     #[test]

@@ -316,7 +316,7 @@ impl Oracle {
         )
     }
 
-    /// Reconfiguration invariant (ROADMAP open item 3): every
+    /// Reconfiguration invariant (DESIGN §13): every
     /// reconfiguration window resolves **exactly once** — it either
     /// commits (`ReconfigApplied`) or aborts (`ReconfigRolledBack`), never
     /// both and never twice — a reconfig never loses samples (the
