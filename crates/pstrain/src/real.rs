@@ -17,14 +17,17 @@
 //! workers in order and does all the shard-queue work, noting each
 //! worker's sample range in a slot. The slots' batches and gradients are
 //! then computed concurrently — they are concurrent workers, and each
-//! reads the round-start model through `&DlrmModel` — on up to
-//! `available_parallelism()` threads, each taking a contiguous run of
-//! slots. Last, the caller's thread inserts the embedding rows the slots
+//! reads the round-start model through `&DlrmModel` — on the caller's
+//! thread plus one helper per idle core (counted across every trainer in
+//! the process, so rounds running side by side do not oversubscribe the
+//! machine), each taking a contiguous run of slots. Last, the caller's
+//! thread inserts the embedding rows the slots
 //! read before they existed, sums the losses and applies the gradients,
 //! all in slot order. Every float operation and reduction order is the
 //! sequential round's, so the trained bits do not depend on the width.
 
 use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::OnceLock;
 
 use dlrover_dlrm::model::{CtrModel, DlrmModel, ModelConfig, ModelKind};
@@ -112,12 +115,63 @@ impl Slot {
     }
 }
 
-/// Threads a round computes its slots on: resolved once per process, on
-/// first use, because `available_parallelism` reads cgroup files (~12 µs,
-/// more than a trainer's whole construction).
-fn round_width() -> usize {
-    static WIDTH: OnceLock<usize> = OnceLock::new();
-    *WIDTH.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+/// Cores no round is computing on, shared by every trainer in the
+/// process, so that rounds running side by side (fig8's units) split the
+/// machine instead of each spawning helpers for all of it. Set on first
+/// use to `available_parallelism()`, which reads cgroup files (~12 µs,
+/// more than a trainer's whole construction); below zero while more
+/// rounds compute than there are cores.
+fn idle_cores() -> &'static AtomicIsize {
+    static IDLE: OnceLock<AtomicIsize> = OnceLock::new();
+    IDLE.get_or_init(|| {
+        AtomicIsize::new(std::thread::available_parallelism().map_or(1, NonZeroUsize::get) as isize)
+    })
+}
+
+/// The cores one round runs on: the caller's for the whole round, the
+/// helpers' for its compute phase. Dropping it gives back what it holds.
+struct Cores {
+    /// Threads to compute on: the caller's and its helpers'.
+    threads: usize,
+    /// Where the cores came from; `None` for a test's forced width.
+    pool: Option<&'static AtomicIsize>,
+}
+
+impl Cores {
+    /// Takes the caller's core, even when none is idle (a computing round
+    /// counts against every other round's helpers), and up to `slots - 1`
+    /// idle ones for helpers.
+    fn take(pool: &'static AtomicIsize, slots: usize) -> Cores {
+        let helpers = |idle: isize| (idle - 1).clamp(0, slots as isize - 1);
+        let before = pool
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |idle| {
+                Some(idle - 1 - helpers(idle))
+            })
+            .unwrap_or_else(|idle| idle);
+        Cores { threads: 1 + helpers(before) as usize, pool: Some(pool) }
+    }
+
+    /// Gives the helpers' cores back and keeps the caller's.
+    fn release_helpers(&mut self) {
+        if let Some(pool) = self.pool {
+            pool.fetch_add(self.threads as isize - 1, Ordering::Relaxed);
+        }
+        self.threads = 1;
+    }
+
+    /// `threads` threads that no pool counts: a test's forced width.
+    #[cfg(test)]
+    fn fixed(threads: usize) -> Cores {
+        Cores { threads, pool: None }
+    }
+}
+
+impl Drop for Cores {
+    fn drop(&mut self) {
+        if let Some(pool) = self.pool {
+            pool.fetch_add(self.threads as isize, Ordering::Relaxed);
+        }
+    }
 }
 
 /// A full job checkpoint in real-compute mode: model parameters +
@@ -283,13 +337,13 @@ impl RealModeTrainer {
     /// parameters, and the gradients apply sequentially. Returns the round's
     /// mean loss, or `None` when the dataset is drained.
     pub fn train_round(&mut self) -> Option<f32> {
-        self.train_round_with(round_width())
+        self.train_round_with(|slots| Cores::take(idle_cores(), slots))
     }
 
-    /// [`Self::train_round`] with its gradients computed on at most
-    /// `width` threads. Nothing it returns or leaves behind depends on
-    /// `width`; only tests choose it.
-    fn train_round_with(&mut self, width: usize) -> Option<f32> {
+    /// [`Self::train_round`] with its gradients computed on the cores
+    /// `cores` hands it for the round's slot count. Nothing it returns or
+    /// leaves behind depends on how many; only tests force a number.
+    fn train_round_with(&mut self, cores: impl FnOnce(usize) -> Cores) -> Option<f32> {
         self.round += 1;
         let now = SimTime::from_secs(self.round);
         let batch_size = self.config.sharding.batch_size as u64;
@@ -342,23 +396,22 @@ impl RealModeTrainer {
         let slots = &mut self.slots[..used];
 
         // Phase 2: every gradient against the round-start parameters, on
-        // `min(width, used)` threads that each take a contiguous run of
-        // slots; this thread computes the first run itself.
+        // the round's cores, each thread over a contiguous run of slots;
+        // this thread computes the first run itself (with one core, the
+        // only run). The helpers' cores go back after the join; this
+        // thread's, when the round ends.
         let (dataset, model) = (&self.dataset, &self.model);
         let compute = |run: &mut [Slot]| run.iter_mut().for_each(|s| s.compute(dataset, model));
-        let threads = width.min(used);
-        if threads <= 1 {
-            compute(slots);
-        } else {
-            std::thread::scope(|scope| {
-                let mut runs = slots.chunks_mut(used.div_ceil(threads));
-                let own = runs.next().expect("a round with slots has a first run");
-                for run in runs {
-                    scope.spawn(move || compute(run));
-                }
-                compute(own);
-            });
-        }
+        let mut cores = cores(used);
+        std::thread::scope(|scope| {
+            let mut runs = slots.chunks_mut(used.div_ceil(cores.threads.clamp(1, used)));
+            let own = runs.next().expect("a round with slots has a first run");
+            for run in runs {
+                scope.spawn(move || compute(run));
+            }
+            compute(own);
+        });
+        cores.release_helpers();
 
         // Phase 3, in slot order on this thread: rows grown on a helper
         // thread would live in that thread's malloc arena, so every
@@ -610,7 +663,7 @@ mod tests {
                 }
                 _ => {}
             }
-            if t.train_round_with(width).is_none() {
+            if t.train_round_with(|_| Cores::fixed(width)).is_none() {
                 rounds_without_data.push(round);
             }
             round += 1;
@@ -635,13 +688,37 @@ mod tests {
 
     /// The round's concurrency is invisible: widths 2, 3 and 8 (more
     /// threads than slots) leave every trained bit, every row and the
-    /// shard accounting as the inline width 1 does.
+    /// shard accounting as width 1, one thread, does.
     fn assert_width_invariant(kind: ModelKind) {
-        let inline = run_at_width(kind, 1);
-        assert_eq!(inline.rounds_without_data, vec![210], "{kind:?}");
+        let one = run_at_width(kind, 1);
+        assert_eq!(one.rounds_without_data, vec![210], "{kind:?}");
         for width in [2, 3, 8] {
-            assert_eq!(run_at_width(kind, width), inline, "{kind:?} at width {width}");
+            assert_eq!(run_at_width(kind, width), one, "{kind:?} at width {width}");
         }
+    }
+
+    /// Rounds computing side by side split the machine: a round always
+    /// has its own core, takes helpers only from idle ones, gives the
+    /// helpers back after its join and its own core at its end.
+    #[test]
+    fn side_by_side_rounds_share_the_idle_cores() {
+        static POOL: AtomicIsize = AtomicIsize::new(2);
+        let idle = || POOL.load(Ordering::Relaxed);
+        let mut first = Cores::take(&POOL, 3);
+        assert_eq!((first.threads, idle()), (2, 0));
+        let second = Cores::take(&POOL, 3);
+        assert_eq!((second.threads, idle()), (1, -1));
+        first.release_helpers();
+        assert_eq!((first.threads, idle()), (1, 0), "the first round's apply still runs");
+        drop(first);
+        assert_eq!(idle(), 1);
+        let third = Cores::take(&POOL, 3);
+        assert_eq!((third.threads, idle()), (1, 0), "the second round still holds its core");
+        drop((second, third));
+        let single = Cores::take(&POOL, 1);
+        assert_eq!((single.threads, idle()), (1, 1), "one slot wants no helper");
+        drop(single);
+        assert_eq!(idle(), 2);
     }
 
     #[test]
