@@ -26,9 +26,6 @@
 //! order of RNG draws, cluster calls and telemetry records inside a tick is
 //! pinned by `tests/chaos_snapshot_golden.rs`.
 
-use std::collections::BTreeMap;
-use std::collections::VecDeque;
-
 use dlrover_cluster::{
     Cluster, ClusterConfig, ClusterEvent, NodeId, PodId, PodPhase, PodRole, PodSpec, Priority,
     Resources,
@@ -161,80 +158,90 @@ impl JobPod {
     }
 }
 
-/// A placed replacement whose startup has not finished.
-#[derive(Debug, Clone, Copy)]
-struct Starting {
-    ready_at: SimTime,
-    pod: PodId,
-    role: JobPod,
+/// Where a pod request of the job stands: `Parked` → `Starting` →
+/// `Ready` → `Bound`. A placement that sticks at once enters at
+/// `Starting`, a PS replacement skips `Ready`, a policy scale-up joins at
+/// `Ready` (worker) or `Bound` (PS).
+#[derive(Debug)]
+enum Stage {
+    /// Not admitted yet: frozen by a denial storm (no pod) or parked by the
+    /// cluster pending capacity; the retry supervisor paces the attempts
+    /// made under `op`.
+    Parked { op: String },
+    /// Placed; its start-up ends at `ready_at`.
+    Starting { ready_at: SimTime },
+    /// A Running worker waiting for the master to materialise a slot.
+    Ready,
+    /// Serving: a worker on engine slot `slot`, a PS on partition `slot`.
+    /// A killed PS keeps its entry, pod terminal, until its replacement
+    /// finishes starting and takes the partition over.
+    Bound { slot: usize },
 }
 
-/// A replacement the scheduler has not yet admitted: either the request
-/// is frozen by an active denial storm (`pod: None`) or the cluster
-/// parked the pod pending capacity (`pod: Some`). The retry supervisor
-/// paces further attempts.
+/// One pod request of the job; `pod` is `None` only while a denial storm
+/// keeps a parked request off the cluster.
 #[derive(Debug)]
-struct Parked {
-    op: String,
+struct PodEntry {
     role: JobPod,
     pod: Option<PodId>,
+    stage: Stage,
 }
 
-/// The job's cluster pods, by what the driver is doing with each. A live
-/// pod of the job sits in exactly one collection (the step-wise proptest
-/// checks it between ticks); the driver's phases move pods
-/// parked → starting → ready → bound, and a kill takes one out.
+/// The job's pods, one entry per request, so a live pod is held once, at
+/// one stage (the step-wise proptest checks that no live pod of the job
+/// is held twice or not at all). A stage change moves an entry to the
+/// back, so promotion, retry polling and FIFO binding read their stage in
+/// arrival order; bound entries are found by slot, never by position.
 #[derive(Debug, Default)]
-struct JobPods {
-    /// Engine worker slot → the Running pod bound to it.
-    workers: BTreeMap<usize, PodId>,
-    /// Partition index → its pod. A killed PS keeps its (terminal) entry
-    /// until the replacement finishes starting and takes the slot.
-    ps: Vec<PodId>,
-    /// Running worker pods waiting for the master to materialise an engine
-    /// slot, bound in FIFO order.
-    ready: VecDeque<PodId>,
-    starting: Vec<Starting>,
-    parked: Vec<Parked>,
-}
+struct JobPods(Vec<PodEntry>);
 
 impl JobPods {
-    fn worker_slot_of(&self, pod: PodId) -> Option<usize> {
-        self.workers.iter().find(|(_, &p)| p == pod).map(|(&idx, _)| idx)
+    fn push(&mut self, role: JobPod, pod: Option<PodId>, stage: Stage) {
+        self.0.push(PodEntry { role, pod, stage });
     }
 
-    fn partition_of(&self, pod: PodId) -> Option<usize> {
-        self.ps.iter().position(|&p| p == pod)
+    /// The index of the entry bound to worker slot (or partition) `slot`.
+    fn bound_at(&self, worker: bool, slot: usize) -> Option<usize> {
+        (self.0.iter()).position(|e| {
+            e.role.is_worker() == worker && matches!(e.stage, Stage::Bound { slot: s } if s == slot)
+        })
     }
 
-    /// Worker pods the job holds or has asked for, bound or not.
-    fn tracked_workers(&self) -> usize {
-        self.workers.len()
-            + self.ready.len()
-            + self.starting.iter().filter(|s| s.role.is_worker()).count()
-            + self.parked.iter().filter(|p| p.role.is_worker()).count()
+    fn bound_pod(&self, worker: bool, slot: usize) -> Option<PodId> {
+        self.bound_at(worker, slot).and_then(|i| self.0[i].pod)
     }
 
-    /// Every pod held, collection by collection.
+    /// Takes the worker bound to engine slot `slot` out of the ledger.
+    fn unbind_worker(&mut self, slot: usize) -> Option<PodId> {
+        self.bound_at(true, slot).and_then(|i| self.0.remove(i).pod)
+    }
+
+    /// Binds the longest-waiting ready worker to engine slot `slot`.
+    fn bind_first_ready(&mut self, slot: usize) {
+        if let Some(i) = self.0.iter().position(|e| matches!(e.stage, Stage::Ready)) {
+            let mut entry = self.0.remove(i);
+            entry.stage = Stage::Bound { slot };
+            self.0.push(entry);
+        }
+    }
+
+    /// Partitions the job holds a pod for, live or awaiting a replacement.
+    fn ps_count(&self) -> usize {
+        (self.0.iter())
+            .filter(|e| !e.role.is_worker() && matches!(e.stage, Stage::Bound { .. }))
+            .count()
+    }
+
+    /// The role and slot `pod` is bound to.
+    fn binding_of(&self, pod: PodId) -> Option<(JobPod, usize)> {
+        self.0.iter().find_map(|e| match e.stage {
+            Stage::Bound { slot } if e.pod == Some(pod) => Some((e.role, slot)),
+            _ => None,
+        })
+    }
+
     fn held(&self) -> impl Iterator<Item = PodId> + '_ {
-        (self.workers.values().copied())
-            .chain(self.ps.iter().copied())
-            .chain(self.ready.iter().copied())
-            .chain(self.starting.iter().map(|s| s.pod))
-            .chain(self.parked.iter().filter_map(|p| p.pod))
-    }
-
-    /// Forgets every worker pod that is not bound to an engine slot
-    /// (starting, parked, ready) and returns them. PS placements stay: they
-    /// carry their partition index.
-    fn take_unbound_workers(&mut self) -> Vec<PodId> {
-        let starting = self.starting.iter().filter(|s| s.role.is_worker()).map(|s| s.pod);
-        let parked = self.parked.iter().filter(|p| p.role.is_worker()).filter_map(|p| p.pod);
-        let released = starting.chain(parked).chain(self.ready.iter().copied()).collect();
-        self.starting.retain(|s| !s.role.is_worker());
-        self.parked.retain(|p| !p.role.is_worker());
-        self.ready.clear();
-        released
+        self.0.iter().filter_map(|e| e.pod)
     }
 }
 
@@ -457,13 +464,13 @@ impl<'a> ChaosDriver<'a> {
             jct: None,
             oomed: false,
         };
-        for idx in 0..driver.master.engine().worker_slot_count() {
-            let id = driver.place_initial(JobPod::Worker);
-            driver.pods.workers.insert(idx, id);
+        for slot in 0..driver.master.engine().worker_slot_count() {
+            let pod = driver.place_initial(JobPod::Worker);
+            driver.pods.push(JobPod::Worker, Some(pod), Stage::Bound { slot });
         }
-        for idx in 0..driver.master.engine().partitions().len() {
-            let id = driver.place_initial(JobPod::Ps(idx));
-            driver.pods.ps.push(id);
+        for slot in 0..driver.master.engine().partitions().len() {
+            let pod = driver.place_initial(JobPod::Ps(slot));
+            driver.pods.push(JobPod::Ps(slot), Some(pod), Stage::Bound { slot });
         }
         driver
     }
@@ -611,15 +618,16 @@ impl<'a> ChaosDriver<'a> {
         id
     }
 
-    /// A replacement was placed: sample its startup, tell the master (which
-    /// materialises a worker's engine slot after the same delay; a PS
-    /// replacement was announced by `handle_ps_failure`), and wait.
-    fn begin_startup(&mut self, pod: PodId, role: JobPod) {
+    /// A replacement was placed: sample its startup and tell the master
+    /// (which materialises a worker's engine slot after the same delay; a
+    /// PS replacement was announced by `handle_ps_failure`). Returns the
+    /// stage the request waits in.
+    fn begin_startup(&mut self, role: JobPod) -> Stage {
         let startup = self.sample_startup();
         if role.is_worker() {
             self.master.replace_failed_worker(startup);
         }
-        self.pods.starting.push(Starting { ready_at: self.now + startup, pod, role });
+        Stage::Starting { ready_at: self.now + startup }
     }
 
     /// Asks the scheduler for a replacement pod. Immediately-placeable
@@ -639,15 +647,18 @@ impl<'a> ChaosDriver<'a> {
             // loop retries with backoff.
             let _ = self.retries.poll(&op, self.now);
             self.telemetry.count("chaos.storm_denials", 1);
-            self.pods.parked.push(Parked { op, role, pod: None });
+            self.pods.push(role, None, Stage::Parked { op });
             return;
         }
         match self.cluster.request_pod(self.pod_spec(role), self.now) {
-            Ok((id, _)) if self.is_starting(id) => self.begin_startup(id, role),
+            Ok((id, _)) if self.is_starting(id) => {
+                let stage = self.begin_startup(role);
+                self.pods.push(role, Some(id), stage);
+            }
             Ok((id, _)) => {
                 // Cluster parked it (capacity/cordon).
                 let _ = self.retries.poll(&op, self.now);
-                self.pods.parked.push(Parked { op, role, pod: Some(id) });
+                self.pods.push(role, Some(id), Stage::Parked { op });
             }
             Err(_) => {
                 self.master.record_scale_denial();
@@ -659,7 +670,7 @@ impl<'a> ChaosDriver<'a> {
     /// for a replacement (elastic recovery, §6.2).
     fn kill_worker(&mut self, idx: usize, pod: PodId) {
         self.cluster.fail_pod(pod);
-        self.pods.workers.remove(&idx);
+        self.pods.unbind_worker(idx);
         self.master.engine_mut().fail_worker(idx);
         self.request_replacement(JobPod::Worker);
     }
@@ -669,8 +680,8 @@ impl<'a> ChaosDriver<'a> {
     /// sub-second pause, §5.3), remote tier otherwise (waiting out any
     /// outage window). The replacement pod follows through the normal
     /// placement path.
-    fn kill_ps(&mut self, idx: usize) {
-        self.cluster.fail_pod(self.pods.ps[idx]);
+    fn kill_ps(&mut self, idx: usize, pod: PodId) {
+        self.cluster.fail_pod(pod);
         let startup = self.sample_startup();
         self.master.handle_ps_failure(idx, startup);
         if let Some(r) = self.plane.restore(0, self.now) {
@@ -685,10 +696,10 @@ impl<'a> ChaosDriver<'a> {
     /// cluster already failed or preempted is a no-op; pods that are not
     /// bound (starting, ready, service pods) are nobody's slot to recover.
     fn lose_pod(&mut self, pod: PodId) {
-        if let Some(idx) = self.pods.worker_slot_of(pod) {
-            self.kill_worker(idx, pod);
-        } else if let Some(idx) = self.pods.partition_of(pod) {
-            self.kill_ps(idx);
+        match self.pods.binding_of(pod) {
+            Some((JobPod::Worker, slot)) => self.kill_worker(slot, pod),
+            Some((JobPod::Ps(_), idx)) => self.kill_ps(idx, pod),
+            None => {}
         }
     }
 
@@ -775,32 +786,38 @@ impl<'a> ChaosDriver<'a> {
     ///    the master materialises the matching engine worker in the same
     ///    tick (same ready time, same clock).
     fn promote_started(&mut self) {
-        for s in std::mem::take(&mut self.pods.starting) {
-            if !self.is_live(s.pod) {
-                continue; // killed while starting (e.g. node loss)
-            }
-            if s.ready_at > self.now {
-                self.pods.starting.push(s);
+        let mut i = 0;
+        while let Some(e) = self.pods.0.get(i) {
+            let (Stage::Starting { ready_at }, Some(pod)) = (&e.stage, e.pod) else {
+                i += 1;
+                continue;
+            };
+            let (role, live) = (e.role, self.is_live(pod));
+            if live && *ready_at > self.now {
+                i += 1;
                 continue;
             }
-            match s.role {
+            let mut entry = self.pods.0.remove(i);
+            match role {
+                _ if !live => {} // killed while starting (e.g. node loss)
                 JobPod::Worker => {
-                    self.start_running(s.pod);
-                    self.pods.ready.push_back(s.pod);
+                    self.start_running(pod);
+                    entry.stage = Stage::Ready;
+                    self.pods.0.push(entry);
                 }
-                JobPod::Ps(idx) if idx < self.pods.ps.len() => {
-                    self.start_running(s.pod);
-                    self.pods.ps[idx] = s.pod;
-                }
-                JobPod::Ps(_) => {
+                JobPod::Ps(idx) => match self.pods.bound_at(false, idx) {
+                    Some(held) => {
+                        self.start_running(pod);
+                        self.pods.0[held].pod = Some(pod);
+                    }
                     // A policy scale-down removed this partition while its
                     // replacement was still starting: the pod has nothing
                     // to serve, so retire it instead of leaking it. (No RNG
                     // draw — organic churn only covers pods that actually
-                    // join the job; the static-gang path never shrinks
-                    // `ps`, so it never takes this branch.)
-                    self.cluster.terminate_pod(s.pod, PodPhase::Succeeded);
-                }
+                    // join the job; the static-gang path never removes a
+                    // partition, so it never takes this branch.)
+                    None => self.cluster.terminate_pod(pod, PodPhase::Succeeded),
+                },
             }
         }
     }
@@ -882,9 +899,9 @@ impl<'a> ChaosDriver<'a> {
 
     fn kill_nth_live_worker(&mut self, fault: &FaultEvent, worker: u32) {
         let engine = self.master.engine();
-        let live: Vec<(usize, PodId)> = (self.pods.workers.iter())
-            .filter(|(&i, _)| engine.worker_is_alive(i))
-            .map(|(&i, &p)| (i, p))
+        let live: Vec<(usize, PodId)> = (0..engine.worker_slot_count())
+            .filter(|&i| engine.worker_is_alive(i))
+            .filter_map(|i| Some((i, self.pods.bound_pod(true, i)?)))
             .collect();
         if !live.is_empty() {
             let (idx, pod) = live[worker as usize % live.len()];
@@ -896,12 +913,14 @@ impl<'a> ChaosDriver<'a> {
     /// Targets only partitions whose cluster pod is live: a kill aimed at a
     /// mid-recovery slot is skipped like any other dead target.
     fn kill_nth_live_ps(&mut self, fault: &FaultEvent, ps: u32) {
-        let live: Vec<usize> =
-            (0..self.pods.ps.len()).filter(|&i| self.is_live(self.pods.ps[i])).collect();
+        let live: Vec<(usize, PodId)> = (0..self.pods.ps_count())
+            .filter_map(|i| Some((i, self.pods.bound_pod(false, i)?)))
+            .filter(|&(_, pod)| self.is_live(pod))
+            .collect();
         if !live.is_empty() {
-            let idx = live[ps as usize % live.len()];
+            let (idx, pod) = live[ps as usize % live.len()];
             self.mark(fault);
-            self.kill_ps(idx);
+            self.kill_ps(idx, pod);
         }
     }
 
@@ -972,6 +991,7 @@ impl<'a> ChaosDriver<'a> {
         // gone, so whichever path recovers must pay a real restore.
         self.plane.invalidate_hot(0, now);
         let (replayed, path, resume_at) = self.recover_job_state(restart);
+        let old_slots = self.master.engine().worker_slot_count();
         let outcome = RecoveryOutcome::new(
             path,
             now,
@@ -1015,18 +1035,23 @@ impl<'a> ChaosDriver<'a> {
         // In-flight worker replacement intents died with the old master:
         // release their pods, re-adopt the surviving bound pods onto the
         // rebuilt engine's slots in index order, and re-request the rest.
-        for id in self.pods.take_unbound_workers() {
-            self.cluster.terminate_pod(id, PodPhase::Succeeded);
-        }
-        let slots = self.master.engine().worker_slot_count();
-        let bound = std::mem::take(&mut self.pods.workers);
-        for (i, id) in bound.into_values().enumerate() {
-            if i < slots {
-                self.pods.workers.insert(i, id);
-            } else {
-                self.cluster.terminate_pod(id, PodPhase::Succeeded);
+        let mut rebound = 0;
+        for slot in 0..old_slots {
+            if let Some(i) = self.pods.bound_at(true, slot) {
+                self.pods.0[i].stage = Stage::Bound { slot: rebound };
+                rebound += 1;
             }
         }
+        let slots = self.master.engine().worker_slot_count();
+        let cluster = &mut self.cluster;
+        self.pods.0.retain(|e| {
+            let released =
+                e.role.is_worker() && !matches!(e.stage, Stage::Bound { slot } if slot < slots);
+            if let (true, Some(id)) = (released, e.pod) {
+                cluster.terminate_pod(id, PodPhase::Succeeded);
+            }
+            !released
+        });
         for _ in slots..self.alloc.shape.workers as usize {
             self.request_replacement(JobPod::Worker);
         }
@@ -1073,8 +1098,8 @@ impl<'a> ChaosDriver<'a> {
         let mut due = Vec::new();
         expire(&mut self.effects.organic, self.now, |pod| due.push(pod));
         for pod in due {
-            let slot_already_dead = (self.pods.worker_slot_of(pod))
-                .is_some_and(|idx| !self.master.engine().worker_is_alive(idx));
+            let slot_already_dead = matches!(self.pods.binding_of(pod),
+                Some((JobPod::Worker, slot)) if !self.master.engine().worker_is_alive(slot));
             if self.is_live(pod) && !slot_already_dead {
                 self.lose_pod(pod);
             }
@@ -1111,11 +1136,16 @@ impl<'a> ChaosDriver<'a> {
     ///     the surviving shape instead of retrying forever.
     fn retry_parked(&mut self) {
         let now = self.now;
-        for mut p in std::mem::take(&mut self.pods.parked) {
-            match self.retries.poll(&p.op, now) {
-                RetryDecision::Wait => self.pods.parked.push(p),
+        let mut i = 0;
+        while let Some(e) = self.pods.0.get(i) {
+            let (role, Stage::Parked { op }) = (e.role, &e.stage) else {
+                i += 1;
+                continue;
+            };
+            match self.retries.poll(op, now) {
+                RetryDecision::Wait => i += 1,
                 RetryDecision::Exhausted => {
-                    if let Some(id) = p.pod {
+                    if let Some(id) = self.pods.0.remove(i).pod {
                         self.cluster.terminate_pod(id, PodPhase::Succeeded);
                     }
                     self.master.record_scale_denial();
@@ -1124,26 +1154,30 @@ impl<'a> ChaosDriver<'a> {
                 RetryDecision::Attempt(_) if now < self.effects.storm_until => {
                     // Admission frozen: the attempt is denied outright.
                     self.telemetry.count("chaos.storm_denials", 1);
-                    self.pods.parked.push(p);
+                    i += 1;
                 }
                 RetryDecision::Attempt(_) => {
-                    if p.pod.is_none() {
-                        let spec = self.pod_spec(p.role);
-                        p.pod = self.cluster.request_pod(spec, now).ok().map(|(id, _)| id);
-                    }
-                    let Some(id) = p.pod else {
+                    let spec = self.pod_spec(role);
+                    let e = &mut self.pods.0[i];
+                    e.pod = e.pod.or_else(|| self.cluster.request_pod(spec, now).ok().map(|r| r.0));
+                    let Some(id) = e.pod else {
+                        self.pods.0.remove(i);
                         self.master.record_scale_denial();
                         continue;
                     };
                     if self.cluster.pod(id).map(|x| x.phase()) == Some(PodPhase::Pending) {
                         self.cluster.schedule_pending();
                     }
-                    if self.is_starting(id) {
-                        self.retries.succeed(&p.op);
-                        self.begin_startup(id, p.role);
-                    } else {
-                        self.pods.parked.push(p);
+                    if !self.is_starting(id) {
+                        i += 1;
+                        continue;
                     }
+                    let mut entry = self.pods.0.remove(i);
+                    if let Stage::Parked { op } = &entry.stage {
+                        self.retries.succeed(op);
+                    }
+                    entry.stage = self.begin_startup(role);
+                    self.pods.0.push(entry);
                 }
             }
         }
@@ -1171,36 +1205,38 @@ impl<'a> ChaosDriver<'a> {
         // committed allocation is the reconcile target.
         self.alloc = self.master.allocation();
 
-        // Release pods whose engine slots the resize removed (fault-killed
-        // slots already left `workers` via the kill machinery, so only
-        // policy removals match).
+        // Release pods whose engine slots or partitions the resize removed
+        // (fault-killed workers already left the ledger via the kill
+        // machinery, so only policy removals match).
         let engine = self.master.engine();
         let partitions = engine.partitions().len();
-        let removed: Vec<usize> = (self.pods.workers.keys().copied())
-            .filter(|&i| i >= engine.worker_slot_count() || !engine.worker_is_alive(i))
-            .collect();
-        for i in removed {
-            if let Some(id) = self.pods.workers.remove(&i) {
-                self.cluster.terminate_pod(id, PodPhase::Succeeded);
+        let cluster = &mut self.cluster;
+        self.pods.0.retain(|e| {
+            let removed = match (e.role, &e.stage) {
+                (JobPod::Worker, &Stage::Bound { slot }) => !engine.worker_is_alive(slot),
+                (JobPod::Ps(_), &Stage::Bound { slot }) => slot >= partitions,
+                _ => false,
+            };
+            if let (true, Some(id)) = (removed, e.pod) {
+                cluster.terminate_pod(id, PodPhase::Succeeded);
             }
-        }
-        while self.pods.ps.len() > partitions {
-            let id = self.pods.ps.pop().expect("len checked");
-            self.cluster.terminate_pod(id, PodPhase::Succeeded);
-        }
+            !removed
+        });
 
         // Grow the cluster-side fleet toward the new target. Scale-ups the
         // cluster cannot admit right now are dropped as denials rather than
         // parked: the master's engine already runs the new slots, so a
         // late-arriving pod would have nothing to bind to.
-        for _ in self.pods.tracked_workers()..self.alloc.shape.workers as usize {
-            if let Some(id) = self.scale_up_one(JobPod::Worker) {
-                self.pods.ready.push_back(id);
+        let held_workers = self.pods.0.iter().filter(|e| e.role.is_worker()).count();
+        for _ in held_workers..self.alloc.shape.workers as usize {
+            if let Some(pod) = self.scale_up_one(JobPod::Worker) {
+                self.pods.push(JobPod::Worker, Some(pod), Stage::Ready);
             }
         }
-        while self.pods.ps.len() < partitions {
-            let Some(id) = self.scale_up_one(JobPod::Ps(self.pods.ps.len())) else { break };
-            self.pods.ps.push(id);
+        while self.pods.ps_count() < partitions {
+            let slot = self.pods.ps_count();
+            let Some(pod) = self.scale_up_one(JobPod::Ps(slot)) else { break };
+            self.pods.push(JobPod::Ps(slot), Some(pod), Stage::Bound { slot });
         }
     }
 
@@ -1242,7 +1278,7 @@ impl<'a> ChaosDriver<'a> {
                     // re-queued its shard; the driver fails the
                     // still-Running cluster pod and requests a replacement
                     // through the normal path.
-                    if let Some(pod) = self.pods.workers.remove(&idx) {
+                    if let Some(pod) = self.pods.unbind_worker(idx) {
                         self.cluster.fail_pod(pod);
                     }
                     self.request_replacement(JobPod::Worker);
@@ -1259,11 +1295,9 @@ impl<'a> ChaosDriver<'a> {
     ///    (already Running) cluster pods, in FIFO order.
     fn bind_ready_workers(&mut self) {
         let engine = self.master.engine();
-        for idx in 0..engine.worker_slot_count() {
-            if engine.worker_is_alive(idx) && !self.pods.workers.contains_key(&idx) {
-                if let Some(id) = self.pods.ready.pop_front() {
-                    self.pods.workers.insert(idx, id);
-                }
+        for slot in 0..engine.worker_slot_count() {
+            if engine.worker_is_alive(slot) && self.pods.bound_at(true, slot).is_none() {
+                self.pods.bind_first_ready(slot);
             }
         }
     }
@@ -1722,8 +1756,8 @@ mod proptests {
     use proptest::prelude::*;
 
     impl ChaosDriver<'_> {
-        /// Live pods of the job that are not held by exactly one of the
-        /// driver's collections, with how many hold each.
+        /// Live pods of the job that are not held by exactly one ledger
+        /// entry, with how many hold each.
         fn misheld_pods(&self) -> Vec<(PodId, usize)> {
             (self.cluster.pods())
                 .filter(|p| p.spec.job_id == 0 && !p.phase().is_terminal())
@@ -1798,7 +1832,7 @@ mod proptests {
         /// Generated plans of every fault kind, on clusters small enough
         /// that node losses park replacements and bursts preempt the job,
         /// under the static gang and under a policy that reshapes it: every
-        /// live pod of the job stays in exactly one collection between
+        /// live pod of the job is held by exactly one ledger entry between
         /// ticks, and the drain leaves nothing behind.
         #[test]
         fn pods_are_conserved_between_ticks(
