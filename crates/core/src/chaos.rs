@@ -14,7 +14,7 @@
 //! regime — replacements go through the [`RetrySupervisor`] backoff path
 //! and fall back to the degraded shape when it exhausts), and a master
 //! crash rebuilds job state from an event-log replay
-//! ([`ReplayedJobState`], §6).
+//! ([`ReplayedJobState`], §6) around the pods the job still holds.
 //!
 //! Everything is virtual-time and seeded: the same
 //! `(seed, plan)` pair replays the same run byte-for-byte, which is what
@@ -978,8 +978,11 @@ impl<'a> ChaosDriver<'a> {
 
     /// The master process dies and a new one is rebuilt from the event log
     /// (or, when preferred and available, from the witness quorum's pinned
-    /// copy); surviving bound pods are re-adopted and any worker deficit is
-    /// re-requested through the fresh master.
+    /// copy). The pods outlive it, and nothing is terminated or
+    /// re-requested: the bound workers become the rebuilt engine's slots in
+    /// slot order, replacements still starting or ready are announced to
+    /// the new master with their remaining start-up (so each joins when it
+    /// would have joined the old one), and parked requests stay parked.
     fn crash_master(&mut self, restart: SimDuration) {
         let now = self.now;
         // An in-flight reconfiguration window dies with the master's
@@ -991,32 +994,37 @@ impl<'a> ChaosDriver<'a> {
         // gone, so whichever path recovers must pay a real restore.
         self.plane.invalidate_hot(0, now);
         let (replayed, path, resume_at) = self.recover_job_state(restart);
-        let old_slots = self.master.engine().worker_slot_count();
+        let mut workers = 0;
+        for slot in 0..self.master.engine().worker_slot_count() {
+            if let Some(i) = self.pods.bound_at(true, slot) {
+                self.pods.0[i].stage = Stage::Bound { slot: workers };
+                workers += 1;
+            }
+        }
         let outcome = RecoveryOutcome::new(
             path,
             now,
             resume_at,
             replayed.samples_done,
             replayed.checkpoint_step,
-            replayed.live_workers.len() as u32,
+            workers as u32,
         );
-        let (mut rebuilt, _) = JobMaster::from_replay(
+        self.master = JobMaster::from_replay(
             0,
             self.spec.clone(),
             self.alloc,
             self.cfg.runner.master,
             &replayed,
-            now,
+            workers,
             resume_at,
         );
-        rebuilt.set_telemetry(self.telemetry.clone());
-        self.master = rebuilt;
+        self.master.set_telemetry(self.telemetry.clone());
         self.telemetry.record(
             resume_at,
             EventKind::MasterRestarted {
                 job: 0,
                 samples_done: replayed.samples_done,
-                workers: replayed.live_workers.len() as u32,
+                workers: workers as u32,
             },
         );
         self.telemetry.record(
@@ -1031,29 +1039,18 @@ impl<'a> ChaosDriver<'a> {
         self.telemetry.count("chaos.master_restarts", 1);
         self.master_restarts += 1;
         self.recoveries.push(outcome);
-
-        // In-flight worker replacement intents died with the old master:
-        // release their pods, re-adopt the surviving bound pods onto the
-        // rebuilt engine's slots in index order, and re-request the rest.
-        let mut rebound = 0;
-        for slot in 0..old_slots {
-            if let Some(i) = self.pods.bound_at(true, slot) {
-                self.pods.0[i].stage = Stage::Bound { slot: rebound };
-                rebound += 1;
-            }
-        }
-        let slots = self.master.engine().worker_slot_count();
-        let cluster = &mut self.cluster;
-        self.pods.0.retain(|e| {
-            let released =
-                e.role.is_worker() && !matches!(e.stage, Stage::Bound { slot } if slot < slots);
-            if let (true, Some(id)) = (released, e.pod) {
-                cluster.terminate_pod(id, PodPhase::Succeeded);
-            }
-            !released
-        });
-        for _ in slots..self.alloc.shape.workers as usize {
-            self.request_replacement(JobPod::Worker);
+        // A pod that finished starting while the master was down is promoted
+        // at the rebuilt master's first tick boundary, and joins there.
+        for e in &self.pods.0 {
+            let live = e.role.is_worker() && e.pod.is_some_and(|pod| self.is_live(pod));
+            let startup = match e.stage {
+                Stage::Starting { ready_at } if live => {
+                    ready_at.saturating_since(resume_at).max(self.cfg.runner.profile_interval)
+                }
+                Stage::Ready if live => SimDuration::ZERO,
+                _ => continue,
+            };
+            self.master.replace_failed_worker(startup);
         }
     }
 
@@ -1745,6 +1742,120 @@ mod tests {
             "exhaustion must degrade the job"
         );
     }
+
+    impl ChaosDriver<'_> {
+        /// The live engine worker slots and the slots the ledger binds a
+        /// worker pod to, both ascending: equal when every live slot has its
+        /// pod and every bound pod a live slot.
+        pub(super) fn worker_slots(&self) -> (Vec<usize>, Vec<usize>) {
+            let engine = self.master.engine();
+            let live = (0..engine.worker_slot_count()).filter(|&i| engine.worker_is_alive(i));
+            let worker_slot = |e: &PodEntry| match (e.role, &e.stage) {
+                (JobPod::Worker, &Stage::Bound { slot }) => Some(slot),
+                _ => None,
+            };
+            let mut bound: Vec<usize> = self.pods.0.iter().filter_map(worker_slot).collect();
+            bound.sort_unstable();
+            (live.collect(), bound)
+        }
+    }
+
+    /// A 40 000-step job on the static 4w/2p gang: long enough that a
+    /// crash at 900 s lands mid-run.
+    fn long_spec() -> TrainingJobSpec {
+        TrainingJobSpec::paper_default(40_000)
+    }
+
+    fn crash_at(secs: u64) -> FaultEvent {
+        let restart = SimDuration::from_secs(45);
+        FaultEvent { at: SimTime::from_secs(secs), kind: FaultKind::MasterCrash { restart } }
+    }
+
+    /// Job-0 pods requested at or after `events[from]`.
+    fn requested_from(events: &[Event], from: usize) -> Vec<u64> {
+        let job0 = |e: &Event| match e.kind {
+            EventKind::PodRequested { job: 0, pod } => Some(pod),
+            _ => None,
+        };
+        events[from..].iter().filter_map(job0).collect()
+    }
+
+    /// Index of the `n`th (from 0) `FaultInjected` marker.
+    fn marker(events: &[Event], n: u64) -> usize {
+        let is_marker =
+            |e: &Event| matches!(e.kind, EventKind::FaultInjected { fault, .. } if fault == n);
+        events.iter().position(is_marker).expect("fault delivered")
+    }
+
+    /// A master crash kills no pods: the rebuilt master re-adopts the whole
+    /// static gang and asks the cluster for nothing.
+    #[test]
+    fn master_crash_readopts_the_whole_gang() {
+        let plan = FaultPlan::from_events(vec![crash_at(900)]);
+        let telemetry = Telemetry::default();
+        let cfg = ChaosConfig::default();
+        let report = run_chaos_job(&long_spec(), allocation(), &plan, &cfg, &telemetry);
+        assert!(report.oracle.passed(), "{:?}", report.oracle.violations());
+        assert_eq!(report.recoveries[0].workers_readopted, 4);
+        let events = telemetry.events();
+        let crash = marker(&events, 0);
+        let restarted = events[crash..].iter().find_map(|e| match e.kind {
+            EventKind::MasterRestarted { workers, .. } => Some(workers),
+            _ => None,
+        });
+        assert_eq!(restarted, Some(4));
+        assert_eq!(requested_from(&events, crash), Vec::<u64>::new(), "no pod re-requested");
+    }
+
+    /// A crash inside a replacement's start-up keeps the replacement: the
+    /// kill asks for exactly one pod, and that pod is the one bound once it
+    /// has started.
+    #[test]
+    fn master_crash_keeps_a_starting_replacement() {
+        let kill =
+            FaultEvent { at: SimTime::from_secs(120), kind: FaultKind::WorkerKill { worker: 1 } };
+        let plan = FaultPlan::from_events(vec![kill, crash_at(150)]);
+        let (spec, cfg, telemetry) = (long_spec(), ChaosConfig::default(), Telemetry::default());
+        let baseline = baseline_jct(&spec, allocation(), &cfg.runner);
+        let mut driver = ChaosDriver::new(&spec, allocation(), &plan, &cfg, &telemetry, baseline);
+        while driver.step(None) {}
+        let events = telemetry.events();
+        let requested = requested_from(&events, marker(&events, 0));
+        assert_eq!(requested.len(), 1, "one replacement for one kill: {requested:?}");
+        let pod = PodId(requested[0]);
+        let running_at = driver.cluster.pod(pod).and_then(|p| p.running_at);
+        assert!(running_at > Some(SimTime::from_secs(150)), "the crash lands inside its start-up");
+        assert!(matches!(driver.pods.binding_of(pod), Some((JobPod::Worker, _))));
+        let report = driver.finish();
+        assert!(report.oracle.passed(), "{:?}", report.oracle.violations());
+        assert_eq!(report.recoveries[0].workers_readopted, 3);
+    }
+
+    /// The one-node node loss of the `node_loss/parked` pin, then a crash
+    /// while every replacement is still parked: the rebuilt master has no
+    /// worker slot until a replacement is placed and starts, and at no tick
+    /// does a live engine slot lack its pod.
+    #[test]
+    fn master_crash_while_replacements_are_parked_runs_no_podless_slot() {
+        let cfg = ChaosConfig {
+            cluster: ClusterConfig { nodes: 1, ..ChaosConfig::default().cluster },
+            ..ChaosConfig::default()
+        };
+        let loss =
+            FaultEvent { at: SimTime::from_secs(300), kind: FaultKind::NodeLoss { node: 0 } };
+        let plan = FaultPlan::from_events(vec![loss, crash_at(600)]);
+        let (spec, telemetry) = (long_spec(), Telemetry::default());
+        let baseline = baseline_jct(&spec, allocation(), &cfg.runner);
+        let mut driver = ChaosDriver::new(&spec, allocation(), &plan, &cfg, &telemetry, baseline);
+        while driver.step(None) {
+            let (live, bound) = driver.worker_slots();
+            assert_eq!(live, bound, "{}: live engine slots vs bound pods", driver.now);
+        }
+        let report = driver.finish();
+        assert!(report.oracle.passed(), "{:?}", report.oracle.violations());
+        assert_eq!(report.recoveries[0].workers_readopted, 0);
+        assert_eq!(report.truth.samples_done, report.truth.total_samples);
+    }
 }
 
 #[cfg(test)]
@@ -1765,11 +1876,32 @@ mod proptests {
                 .filter(|&(_, holders)| holders != 1)
                 .collect()
         }
+
+        /// The five facts a replay recovers, read off the live run: the
+        /// engine's acked watermark, PS count and plan (neither the static
+        /// gang nor `EsPolicy` opens a reconfiguration window, so the
+        /// engine's plan is the committed one), and the windows the master
+        /// resolved, from its commit and rollback counters. The checkpoint
+        /// step has no live holder — a hand-off's flash checkpoint is
+        /// recorded only in the log — so it is the fold's own.
+        fn live_projection(&self, replayed: &ReplayedJobState) -> ReplayedJobState {
+            let engine = self.master.engine();
+            let resolved = ["master.reconfigs_committed", "master.reconfigs_rolled_back"];
+            ReplayedJobState {
+                samples_done: engine.completed_samples(),
+                checkpoint_step: replayed.checkpoint_step,
+                ps_count: engine.partitions().len() as u32,
+                exec: *engine.exec_plan(),
+                next_window: resolved.iter().map(|c| self.telemetry.counter(c)).sum(),
+            }
+        }
     }
 
-    /// Steps a job to its end, checking pod conservation after every tick:
-    /// the end-of-run `no_leaks` audit runs after a drain that would hide a
-    /// pod tracked twice, or not at all, in the middle of the run.
+    /// Steps a job to its end, checking after every tick that the live run
+    /// and a replay of its log so far agree, that pods are conserved (the
+    /// end-of-run `no_leaks` audit runs after a drain that would hide a pod
+    /// tracked twice, or not at all, in the middle of the run) and, under
+    /// the static gang, that every live engine slot has its bound pod.
     fn run_stepwise(
         alloc: ResourceAllocation,
         mut policy: Option<&mut dyn SchedulerPolicy>,
@@ -1779,18 +1911,85 @@ mod proptests {
         let spec = TrainingJobSpec::paper_default(20_000);
         let telemetry = Telemetry::default();
         let baseline = baseline_jct(&spec, alloc, &cfg.runner);
+        let static_gang = policy.is_none();
+        let mut ever_bound = std::collections::BTreeSet::new();
         let mut driver = ChaosDriver::new(&spec, alloc, plan, cfg, &telemetry, baseline);
         while driver.step(policy.as_deref_mut()) {
+            let at = format!("seed {}, {}", cfg.runner.seed, driver.now);
             let misheld = driver.misheld_pods();
-            assert!(
-                misheld.is_empty(),
-                "t={}: (pod, holders) {:?} in {:?}",
-                driver.now,
-                misheld,
-                driver.pods
-            );
+            assert!(misheld.is_empty(), "{at}: (pod, holders) {misheld:?} in {:?}", driver.pods);
+            let mut replayed = telemetry.with_events(ReplayedJobState::from_events);
+            if replayed.ps_count == 0 {
+                // Never reshaped: `from_replay` resumes at the allocation's.
+                replayed.ps_count = driver.alloc.shape.ps;
+            }
+            let live = driver.live_projection(&replayed);
+            if !static_gang {
+                // A policy scale-down hands a removed worker's shard back
+                // with its trained prefix counted done and no `ShardAcked`
+                // for it, so there the log may trail the engine.
+                assert!(replayed.samples_done <= live.samples_done, "{at}: {replayed:?}");
+                replayed.samples_done = live.samples_done;
+            }
+            assert_eq!(replayed, live, "{at}: replay vs live");
+            if static_gang {
+                // The master materialises a slot for each replacement it
+                // was told of, so a replacement pod lost before it joined (a
+                // node loss or burst during its start-up) leaves its slot
+                // without a pod; every other live slot has its pod.
+                let bound_now = (driver.pods.0.iter())
+                    .filter(|e| e.role.is_worker() && matches!(e.stage, Stage::Bound { .. }));
+                ever_bound.extend(bound_now.filter_map(|e| e.pod));
+                let lost_in_flight = (driver.cluster.pods())
+                    .filter(|p| p.spec.role == PodRole::Worker && p.placed_at.is_some())
+                    .filter(|p| p.phase().is_terminal() && !ever_bound.contains(&p.id))
+                    .count();
+                let (live, bound) = driver.worker_slots();
+                assert!(
+                    bound.iter().all(|s| live.contains(s))
+                        && live.len() <= bound.len() + lost_in_flight,
+                    "{at}: live slots {live:?}, bound {bound:?}, {lost_in_flight} lost in flight"
+                );
+            }
         }
         driver.finish()
+    }
+
+    /// Generated plan `seed` on `nodes` nodes with `events` faults, plus
+    /// one of the two families the benchmark's chaos inputs filter out
+    /// (`family` 1: a master crash 30 s after the plan's first kill, 2: a
+    /// second kill on the first kill's tick; 0: the plan as generated),
+    /// stepped under the static gang or ES; returns the pods leaked. The
+    /// job needs about two hours; a day's deadline ends the runs in which
+    /// every replacement exhausted its retries (they wait for a worker that
+    /// never comes) while the sink's ring still holds the whole log.
+    fn conserved_plan(seed: u64, nodes: usize, events: u32, policy: bool, family: u32) -> u64 {
+        let mut cfg = ChaosConfig::default();
+        cfg.runner.seed = seed;
+        cfg.runner.deadline = SimTime::from_secs(24 * 3_600);
+        cfg.cluster.nodes = nodes;
+        cfg.plan = FaultPlanConfig { events, ckpt_faults: true, ..FaultPlanConfig::default() };
+        let mut plan = FaultPlan::generate(&cfg.plan, &RngStreams::new(seed), 0);
+        if let Some(&kill) = plan.events.iter().find(|e| e.kind.is_kill()) {
+            let restart = SimDuration::from_secs(45);
+            let graft = match family {
+                1 => {
+                    Some((kill.at + SimDuration::from_secs(30), FaultKind::MasterCrash { restart }))
+                }
+                2 => {
+                    Some((kill.at, FaultKind::WorkerKill { worker: kill.kind.target() as u32 + 1 }))
+                }
+                _ => None,
+            };
+            if let Some((at, kind)) = graft {
+                plan.events.push(FaultEvent { at, kind });
+                plan = FaultPlan::from_events(plan.events);
+            }
+        }
+        let space = PlanSearchSpace { workers: (1, 12), ps: (1, 4), ..PlanSearchSpace::default() };
+        let mut es = dlrover_baselines::EsPolicy::new(allocation(), space, 1);
+        let policy = policy.then_some(&mut es as &mut dyn SchedulerPolicy);
+        run_stepwise(allocation(), policy, &plan, &cfg).truth.leaked_pods
     }
 
     fn allocation() -> ResourceAllocation {
@@ -1831,27 +2030,32 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(128))]
         /// Generated plans of every fault kind, on clusters small enough
         /// that node losses park replacements and bursts preempt the job,
-        /// under the static gang and under a policy that reshapes it: every
-        /// live pod of the job is held by exactly one ledger entry between
-        /// ticks, and the drain leaves nothing behind.
+        /// with a crash inside a kill's recovery or two kills on one tick
+        /// grafted on, under the static gang and under a policy that
+        /// reshapes it: `run_stepwise`'s checks hold at every tick, and the
+        /// drain leaves nothing behind.
         #[test]
         fn pods_are_conserved_between_ticks(
             seed in 0u64..1_000,
             nodes in 1usize..4,
             events in 1u32..10,
             with_policy in proptest::bool::ANY,
+            family in 0u32..3,
         ) {
-            let mut cfg = ChaosConfig::default();
-            cfg.runner.seed = seed;
-            cfg.cluster.nodes = nodes;
-            cfg.plan = FaultPlanConfig { events, ckpt_faults: true, ..FaultPlanConfig::default() };
-            let plan = FaultPlan::generate(&cfg.plan, &RngStreams::new(seed), 0);
-            let space =
-                PlanSearchSpace { workers: (1, 12), ps: (1, 4), ..PlanSearchSpace::default() };
-            let mut es = dlrover_baselines::EsPolicy::new(allocation(), space, 1);
-            let policy = with_policy.then_some(&mut es as &mut dyn SchedulerPolicy);
-            let report = run_stepwise(allocation(), policy, &plan, &cfg);
-            prop_assert_eq!(report.truth.leaked_pods, 0);
+            prop_assert_eq!(conserved_plan(seed, nodes, events, with_policy, family), 0);
+        }
+    }
+
+    /// The same checks over 4 000 plans, every combination of cluster size,
+    /// fault count, policy and family about 25 times. Run by CI's
+    /// `cargo test --release -p dlrover-rm -- --ignored`.
+    #[test]
+    #[ignore = "4 000 stepped chaos runs; release build"]
+    fn pods_are_conserved_between_ticks_over_4000_plans() {
+        for seed in 0..4_000u64 {
+            let (nodes, events) = (1 + seed as usize % 3, 1 + (seed / 3 % 9) as u32);
+            let (policy, family) = (seed / 27 % 2 == 1, (seed / 54 % 3) as u32);
+            assert_eq!(conserved_plan(seed, nodes, events, policy, family), 0, "seed {seed}");
         }
     }
 }

@@ -28,7 +28,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::policy::{PolicyDecision, ReconfigRequest};
 use crate::profiler::{JobRuntimeProfile, Profiler};
-use crate::replay::{RecoveryOutcome, RecoveryPath, ReplayedJobState};
+use crate::replay::ReplayedJobState;
 use crate::resilience::{BudgetLedger, FailureBudget, JobHealth};
 
 /// Master configuration knobs.
@@ -175,46 +175,42 @@ fn migration_kind(strategy: MigrationStrategy) -> MigrationKind {
 }
 
 impl JobMaster {
-    /// Creates a master and boots the job at `allocation`.
+    /// Creates a master and boots the job at `allocation`: the master a
+    /// replay of the empty log rebuilds, with every worker of the
+    /// allocation, at t = 0.
     pub fn new(
         job_id: u64,
         spec: TrainingJobSpec,
         allocation: ResourceAllocation,
         config: MasterConfig,
     ) -> Self {
+        let boot = ReplayedJobState::from_events(&[]);
         let workers = allocation.shape.workers as usize;
-        let (partitions, ps_mem) = Self::ps_layout(&allocation, allocation.shape.ps);
-        let engine = PsTrainingEngine::new(
-            spec,
-            vec![PodState::new(allocation.shape.worker_cpu); workers],
-            partitions,
-            ps_mem,
-        );
-        Self::around(job_id, engine, allocation, config, 0)
+        Self::from_replay(job_id, spec, allocation, config, &boot, workers, SimTime::ZERO)
     }
 
-    /// Rebuilds a master after a crash (§6 master failover): job state
-    /// comes from an event-log replay ([`ReplayedJobState`]), the data
-    /// frontier resumes at the acked-sample watermark (in-flight shards at
-    /// crash time re-train — the engine's bounded-rollback contract), and
-    /// the live pods are re-adopted at the allocation's shape rather than
-    /// relaunched. `crashed_at` is the crash instant and `at` the restart
-    /// instant (crash time + restart window); the gap is charged to the
-    /// returned [`RecoveryOutcome`] so replay and witness recovery report
-    /// downtime in the same units. The restarted master starts with a
-    /// fresh health ladder and relaunch budget (the budgets protect the
-    /// *incarnation*, and the chaos plan's fault budget bounds
-    /// incarnations).
+    /// Rebuilds a master after a crash (§6 master failover), resuming at
+    /// `at` (crash time + restart window). What only the log knows comes
+    /// from an event-log replay ([`ReplayedJobState`]): the data frontier
+    /// resumes at the acked-sample watermark (in-flight shards at crash
+    /// time re-train — the engine's bounded-rollback contract), on the last
+    /// committed plan and PS layout, with window ids resuming past the
+    /// last one. The pods are not the log's: the `workers` still bound at
+    /// the crash are re-adopted as engine slots `0..workers` (possibly
+    /// none), and replacements still starting reach the rebuilt master
+    /// through [`Self::replace_failed_worker`]. Every incarnation starts
+    /// with nothing pending, no window open, a fresh health ladder and a
+    /// full relaunch budget (the budgets protect the *incarnation*, and the
+    /// chaos plan's fault budget bounds incarnations).
     pub fn from_replay(
         job_id: u64,
         spec: TrainingJobSpec,
         allocation: ResourceAllocation,
         config: MasterConfig,
         replayed: &ReplayedJobState,
-        crashed_at: SimTime,
+        workers: usize,
         at: SimTime,
-    ) -> (Self, RecoveryOutcome) {
-        let workers = replayed.live_workers.len().max(1);
+    ) -> Self {
         let ps = if replayed.ps_count > 0 { replayed.ps_count } else { allocation.shape.ps }.max(1);
         let shards = ShardQueue::resume(spec.total_samples, replayed.samples_done, spec.sharding);
         let (partitions, ps_mem) = Self::ps_layout(&allocation, ps);
@@ -227,27 +223,6 @@ impl JobMaster {
             partitions,
             ps_mem,
         );
-        let outcome = RecoveryOutcome::new(
-            RecoveryPath::MasterReplay,
-            crashed_at,
-            at,
-            replayed.samples_done,
-            replayed.checkpoint_step,
-            replayed.live_workers.len() as u32,
-        );
-        (Self::around(job_id, engine, allocation, config, replayed.next_window), outcome)
-    }
-
-    /// A fresh incarnation around `engine`: nothing pending, a full relaunch
-    /// budget, no window open. A booted and a replayed master differ only in
-    /// the engine they wrap and in where the window ids resume.
-    fn around(
-        job_id: u64,
-        engine: PsTrainingEngine,
-        allocation: ResourceAllocation,
-        config: MasterConfig,
-        next_window: u64,
-    ) -> Self {
         JobMaster {
             job_id,
             profiler: Profiler::new(engine.spec().constants, 256),
@@ -261,7 +236,7 @@ impl JobMaster {
             budget: BudgetLedger::default(),
             last_ps_recovery: None,
             pending_reconfig: None,
-            next_window,
+            next_window: replayed.next_window,
             telemetry: Telemetry::default(),
             scratch: TickScratch::default(),
         }
@@ -1629,21 +1604,19 @@ mod tests {
         assert!(replayed.samples_done > 0, "acked work visible in the log");
         assert!(replayed.samples_done <= m.engine().samples_done());
         let restart_at = crash_at + SimDuration::from_secs(120);
-        let (mut m2, recovery) = JobMaster::from_replay(
+        let workers = m.engine().live_pods().count();
+        let mut m2 = JobMaster::from_replay(
             7,
             spec,
             m.allocation(),
             MasterConfig::default(),
             &replayed,
-            crash_at,
+            workers,
             restart_at,
         );
-        assert_eq!(recovery.path, crate::replay::RecoveryPath::MasterReplay);
-        assert_eq!(recovery.downtime, SimDuration::from_secs(120));
-        assert_eq!(recovery.samples_done, replayed.samples_done);
         assert_eq!(m2.engine().now(), restart_at);
         assert_eq!(m2.engine().samples_done(), replayed.samples_done, "watermark adopted");
-        assert_eq!(m2.engine().live_pods().count(), replayed.live_workers.len().max(1));
+        assert_eq!(m2.engine().live_pods().count(), 4, "every bound worker re-adopted");
         let done = run_to_end(&mut m2, 100_000).expect("restarted job completes");
         assert!(done > restart_at);
         assert_eq!(
@@ -1651,6 +1624,37 @@ mod tests {
             m2.engine().spec().total_samples,
             "no omission, no duplication across failover"
         );
+    }
+
+    /// A master that died with no worker bound (every pod lost, the
+    /// replacements not yet placed) comes back with no engine slot, and
+    /// trains again once a replacement is announced and has started.
+    #[test]
+    fn failover_with_no_bound_worker_waits_for_a_replacement() {
+        use crate::replay::ReplayedJobState;
+
+        let spec = TrainingJobSpec::paper_default(20_000);
+        let replayed = ReplayedJobState::from_events(&[]);
+        let at = SimTime::from_secs(600);
+        let mut m = JobMaster::from_replay(
+            7,
+            spec,
+            alloc(4, 2, 8.0, 256.0),
+            MasterConfig::default(),
+            &replayed,
+            0,
+            at,
+        );
+        assert_eq!(m.engine().worker_slot_count(), 0);
+        m.tick(DT);
+        assert_eq!(m.engine().samples_done(), 0, "nothing trains without a worker");
+        m.replace_failed_worker(SimDuration::from_secs(30));
+        m.tick(DT);
+        assert_eq!(m.engine().live_pods().count(), 0, "still starting");
+        m.tick(DT);
+        assert_eq!(m.engine().live_pods().count(), 1);
+        run_to_end(&mut m, 100_000).expect("completes on the replacement");
+        assert_eq!(m.engine().samples_done(), m.engine().spec().total_samples);
     }
 
     #[test]

@@ -5,21 +5,21 @@
 //! survives master restarts because every state transition it cares about
 //! is durable — in this reproduction the durable store *is* the
 //! deterministic telemetry event log. [`ReplayedJobState::from_events`]
-//! folds a log back into the three facts a restarted master needs:
+//! folds a log back into what only the log knows of a job:
 //!
 //! * the **sample watermark** — how much data is irrevocably trained
 //!   (the sum of shard acks; in-flight shards at crash time are lost and
 //!   retrain, which is exactly the engine's bounded-rollback contract, §5.1);
 //! * the **checkpoint watermark** — the last flash-checkpoint step (§6.2),
 //!   which must never regress except across a failure;
-//! * the **live pod set** — workers added minus workers failed/removed,
-//!   plus the last PS layout, so the restarted master re-adopts running
-//!   pods instead of relaunching them.
+//! * the last **PS layout**, **committed execution plan** and
+//!   **reconfiguration-window id**.
+//!
+//! Pods are not in it: they outlive the master, and whoever holds them
+//! (the chaos driver) tells the rebuilt master how many to re-adopt.
 //!
 //! The replay is a pure fold over `&[Event]`: no clocks, no entropy, so a
 //! failover inside a chaos run replays bit-identically per seed.
-
-use std::collections::BTreeSet;
 
 use dlrover_sim::{SimDuration, SimTime};
 use dlrover_telemetry::{Event, EventKind};
@@ -94,8 +94,6 @@ pub struct ReplayedJobState {
     pub samples_done: u64,
     /// Step of the newest flash checkpoint (`0` when none was written).
     pub checkpoint_step: u64,
-    /// Engine indices of workers believed alive at crash time.
-    pub live_workers: BTreeSet<u64>,
     /// PS count of the last applied layout (`0` when never reshaped —
     /// callers fall back to the nominal allocation).
     pub ps_count: u32,
@@ -115,7 +113,6 @@ impl ReplayedJobState {
         let mut state = ReplayedJobState {
             samples_done: 0,
             checkpoint_step: 0,
-            live_workers: BTreeSet::new(),
             ps_count: 0,
             exec: dlrover_perfmodel::ExecPlan::default(),
             next_window: 0,
@@ -126,12 +123,6 @@ impl ReplayedJobState {
                 EventKind::CheckpointSaved { step, .. }
                 | EventKind::CheckpointStaged { step, .. } => {
                     state.checkpoint_step = state.checkpoint_step.max(*step);
-                }
-                EventKind::WorkerAdded { worker } => {
-                    state.live_workers.insert(*worker);
-                }
-                EventKind::WorkerFailed { worker } | EventKind::WorkerRemoved { worker } => {
-                    state.live_workers.remove(worker);
                 }
                 EventKind::PsReshaped { ps } => state.ps_count = *ps as u32,
                 EventKind::ReconfigApplied { window, mode, batch, replicas, .. } => {
@@ -166,8 +157,10 @@ mod tests {
         Event { at_us: seq * 1_000_000, seq, kind }
     }
 
+    /// Worker events are the pods' business, not the log's: whoever holds
+    /// the pods re-adopts them, so the fold skips them.
     #[test]
-    fn replay_folds_watermarks_and_pod_set() {
+    fn replay_folds_watermarks_and_ignores_worker_events() {
         let log = vec![
             ev(0, EventKind::WorkerAdded { worker: 0 }),
             ev(1, EventKind::WorkerAdded { worker: 1 }),
@@ -178,12 +171,16 @@ mod tests {
             ev(6, EventKind::ShardAcked { worker: 2, len: 512 }),
             ev(7, EventKind::CheckpointSaved { step: 9, bytes: 10 }),
             ev(8, EventKind::PsReshaped { ps: 3 }),
+            ev(9, EventKind::WorkerRemoved { worker: 2 }),
         ];
         let s = ReplayedJobState::from_events(&log);
         assert_eq!(s.samples_done, 1512);
         assert_eq!(s.checkpoint_step, 9);
-        assert_eq!(s.live_workers, BTreeSet::from([0, 2]));
         assert_eq!(s.ps_count, 3);
+        let not_workers = |e: &&Event| !e.kind.name().starts_with("Worker");
+        let without: Vec<Event> = log.iter().filter(not_workers).cloned().collect();
+        assert_eq!(without.len(), 5);
+        assert_eq!(ReplayedJobState::from_events(&without), s);
     }
 
     #[test]
@@ -191,7 +188,6 @@ mod tests {
         let s = ReplayedJobState::from_events(&[]);
         assert_eq!(s.samples_done, 0);
         assert_eq!(s.checkpoint_step, 0);
-        assert!(s.live_workers.is_empty());
         assert_eq!(s.ps_count, 0);
     }
 

@@ -152,6 +152,7 @@ impl PsTrainingEngine {
         partitions: Vec<PsPartition>,
         ps_mem_alloc: Vec<u64>,
     ) -> Self {
+        assert!(!workers.is_empty(), "job needs at least one worker");
         let shards = ShardQueue::new(spec.total_samples, spec.sharding);
         Self::from_checkpoint(
             EngineCheckpoint { spec, shards, at: SimTime::ZERO, exec: ExecPlan::default() },
@@ -172,18 +173,20 @@ impl PsTrainingEngine {
     }
 
     /// Reconstructs an engine from a checkpoint with a fresh pod layout
-    /// (the restored job may run on completely different resources).
+    /// (the restored job may run on completely different resources). The
+    /// worker list may be empty — a job restored while every worker pod is
+    /// still being replaced — and training waits for [`Self::add_worker`],
+    /// as it does once every worker has died.
     ///
     /// # Panics
-    /// Panics on empty `workers`/`partitions` or mismatched memory vector,
-    /// as in [`Self::new`].
+    /// Panics on empty `partitions` or mismatched memory vector, as in
+    /// [`Self::new`].
     pub fn from_checkpoint(
         ckpt: EngineCheckpoint,
         workers: Vec<PodState>,
         partitions: Vec<PsPartition>,
         ps_mem_alloc: Vec<u64>,
     ) -> Self {
-        assert!(!workers.is_empty(), "job needs at least one worker");
         assert!(!partitions.is_empty(), "job needs at least one PS");
         assert_eq!(partitions.len(), ps_mem_alloc.len(), "per-PS memory required");
         let cost = AsyncCostModel::new(
@@ -1432,6 +1435,26 @@ mod tests {
             vec![256 * 1024 * 1024 * 1024u64; 2],
         );
         assert_eq!(restored.now(), SimTime::from_secs(300));
+    }
+
+    #[test]
+    fn restore_with_no_worker_trains_once_one_is_added() {
+        let mut e = engine(10_000, 4, 2, 8.0);
+        e.advance(SLICE * 10);
+        let done = e.completed_samples();
+        let mut restored = PsTrainingEngine::from_checkpoint(
+            e.checkpoint(),
+            Vec::new(),
+            AsyncCostModel::balanced_partitions(2, 8.0),
+            vec![256 * 1024 * 1024 * 1024u64; 2],
+        );
+        assert_eq!(restored.worker_slot_count(), 0);
+        restored.advance(SLICE);
+        assert_eq!(restored.completed_samples(), done, "no worker, no progress");
+        restored.add_worker(PodState::new(8.0));
+        let end = restored.run_to_completion(SLICE, SimTime::from_secs(100_000_000));
+        assert!(end.is_some(), "the added worker finishes the job");
+        assert_eq!(restored.samples_done(), restored.spec().total_samples);
     }
 
     #[test]

@@ -103,14 +103,14 @@ fn master_crash_plan() -> FaultPlan {
 #[test]
 fn master_crash_replay_run_is_pinned() {
     let got = digests(40_000, &master_crash_plan(), &ChaosConfig::default());
-    check("master_crash/replay", got, (0xb6dc_f925_3d1f_4de2, 0x9617_d6bb_369d_7fff));
+    check("master_crash/replay", got, (0x9d74_a57a_e470_3e8f, 0xf437_4a2f_d4ee_b799));
 }
 
 #[test]
 fn master_crash_witness_run_is_pinned() {
     let cfg = ChaosConfig { prefer_witness: true, ..ChaosConfig::default() };
     let got = digests(40_000, &master_crash_plan(), &cfg);
-    check("master_crash/witness", got, (0x6d9b_6059_d149_c539, 0xdb2e_62dc_ed0f_0274));
+    check("master_crash/witness", got, (0x0628_1b8b_f8e5_adb5, 0xfc73_2f50_296d_3a32));
 }
 
 #[test]
@@ -245,8 +245,8 @@ fn memory_pressure_and_network_delay_run_is_pinned() {
 
 /// `prefer_witness` with the quorum partitioned away at crash time falls
 /// back to replay. A worker and a PS die just before the crash, so the crash
-/// arm also runs with a worker replacement (released, re-requested through
-/// the rebuilt master) and a PS replacement (kept) still starting.
+/// arm also runs with a worker replacement (announced to the rebuilt master
+/// with its remaining start-up) and a PS replacement still starting.
 #[test]
 fn witness_partition_falls_back_to_replay_run_is_pinned() {
     let plan = FaultPlan::from_events(vec![
@@ -259,7 +259,7 @@ fn witness_partition_falls_back_to_replay_run_is_pinned() {
     let (got, _, report) = run_and_digest(40_000, &plan, &cfg);
     assert_eq!(report.recoveries.len(), 1);
     assert_eq!(report.recoveries[0].path, RecoveryPath::MasterReplay);
-    check("witness_partition/replay", got, (0x6bbf_7dd0_d750_164d, 0x4ea4_2759_1d9b_7948));
+    check("witness_partition/replay", got, (0xd7fa_8ea7_e5e5_f278, 0x1f0e_d8e9_3176_4d70));
 }
 
 /// A worker and a PS are killed, and a second PS kill lands at t = 390 s —

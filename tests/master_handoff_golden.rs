@@ -13,8 +13,10 @@
 //!
 //! The constants were recorded on 08b7ed9, where the six hand-offs were six
 //! written-out copies and `JobMaster::new` / `from_replay` two struct
-//! literals. A constant may change only with a change that means to alter
-//! simulated behaviour.
+//! literals; `from_replay`'s snapshot digest was re-recorded when the
+//! rebuilt master began re-adopting the workers it is told of (it used to
+//! rebuild one). A constant may change only with a change that means to
+//! alter simulated behaviour.
 
 use dlrover_rm::master::{MasterEvent, ReplayedJobState};
 use dlrover_rm::prelude::*;
@@ -180,9 +182,10 @@ fn rolled_back_reconfig_window_is_pinned() {
     check("reconfig_rollback", &m, (0x92c3_49c6_8da8_9f07, 0x926c_286a_1a9d_7c02));
 }
 
-/// A master rebuilt from its predecessor's event log, ten ticks on. The old
-/// master committed window 0, so the next window the rebuilt one opens must
-/// be window 1: `next_window` crosses the failover.
+/// A master rebuilt from its predecessor's event log, re-adopting its four
+/// workers, ten ticks on. The old master committed window 0, so the next
+/// window the rebuilt one opens must be window 1: `next_window` crosses the
+/// failover.
 #[test]
 fn from_replay_then_ten_ticks_is_pinned() {
     let spec = TrainingJobSpec::paper_default(20_000);
@@ -196,13 +199,15 @@ fn from_replay_then_ten_ticks_is_pinned() {
     let crashed_at = old.engine().now();
     let replayed = ReplayedJobState::from_events(&old.telemetry().snapshot().events);
     assert_eq!(replayed.next_window, 1);
-    let (mut m, _) = JobMaster::from_replay(
+    let workers = old.engine().live_pods().count();
+    assert_eq!(workers, 4);
+    let mut m = JobMaster::from_replay(
         1,
         spec,
         old.allocation(),
         MasterConfig::default(),
         &replayed,
-        crashed_at,
+        workers,
         crashed_at + SimDuration::from_secs(45),
     );
     m.set_telemetry(Telemetry::default());
@@ -219,5 +224,5 @@ fn from_replay_then_ten_ticks_is_pinned() {
         events.iter().any(|e| matches!(e.kind, EventKind::ReconfigApplied { window: 1, .. })),
         "the rebuilt master's first window is window 1"
     );
-    check("from_replay", &m, (0x38bf_ac61_a2e7_764d, 0xac7d_1e8d_c2ee_d1b9));
+    check("from_replay", &m, (0xe989_30bd_a6fd_5cc0, 0xac7d_1e8d_c2ee_d1b9));
 }
