@@ -1631,8 +1631,6 @@ mod tests {
     /// trains again once a replacement is announced and has started.
     #[test]
     fn failover_with_no_bound_worker_waits_for_a_replacement() {
-        use crate::replay::ReplayedJobState;
-
         let spec = TrainingJobSpec::paper_default(20_000);
         let replayed = ReplayedJobState::from_events(&[]);
         let at = SimTime::from_secs(600);
