@@ -20,7 +20,7 @@ use dlrover_perfmodel::ExecPlan;
 use dlrover_pstrain::{
     plan_ps_migration, AsyncCostModel, EngineCheckpoint, MigrationStrategy, MigrationTimeline,
     PodState, PsPartition, PsTrainingEngine, ShardQueue, StorageTier, TimelineSegment,
-    TrainingJobSpec,
+    TrainingJobSpec, WorkerState,
 };
 use dlrover_sim::{SimDuration, SimTime};
 use dlrover_telemetry::{EventKind, MigrationKind, Sink, SpanCategory, Telemetry};
@@ -118,8 +118,6 @@ pub struct JobMaster {
     profiler: Profiler,
     config: MasterConfig,
     allocation: ResourceAllocation,
-    /// Workers waiting out their startup latency: `(ready_at, pod)`.
-    pending_workers: Vec<(SimTime, PodState)>,
     completed_at: Option<SimTime>,
     scaling_count: u32,
     /// Health ladder (Healthy → Degraded → Failed), monotone.
@@ -185,8 +183,8 @@ impl JobMaster {
         config: MasterConfig,
     ) -> Self {
         let boot = ReplayedJobState::from_events(&[]);
-        let workers = allocation.shape.workers as usize;
-        Self::from_replay(job_id, spec, allocation, config, &boot, workers, SimTime::ZERO)
+        let workers = vec![None; allocation.shape.workers as usize];
+        Self::from_replay(job_id, spec, allocation, config, &boot, &workers, SimTime::ZERO)
     }
 
     /// Rebuilds a master after a crash (§6 master failover), resuming at
@@ -195,41 +193,47 @@ impl JobMaster {
     /// resumes at the acked-sample watermark (in-flight shards at crash
     /// time re-train — the engine's bounded-rollback contract), on the last
     /// committed plan and PS layout, with window ids resuming past the
-    /// last one. The pods are not the log's: the `workers` still bound at
-    /// the crash are re-adopted as engine slots `0..workers` (possibly
-    /// none), and replacements still starting reach the rebuilt master
-    /// through [`Self::replace_failed_worker`]. Every incarnation starts
-    /// with nothing pending, no window open, a fresh health ladder and a
-    /// full relaunch budget (the budgets protect the *incarnation*, and the
-    /// chaos plan's fault budget bounds incarnations).
+    /// last one. The pods are not the log's: the caller's worker pods are
+    /// re-adopted as engine slots `0..workers.len()` (possibly none), each
+    /// live when its ready time is `None` (it had joined) and starting until
+    /// `Some(ready_at)` otherwise. Every incarnation starts with no window
+    /// open, a fresh health ladder and a full relaunch budget (the budgets
+    /// protect the *incarnation*, and the chaos plan's fault budget bounds
+    /// incarnations).
     pub fn from_replay(
         job_id: u64,
         spec: TrainingJobSpec,
         allocation: ResourceAllocation,
         config: MasterConfig,
         replayed: &ReplayedJobState,
-        workers: usize,
+        workers: &[Option<SimTime>],
         at: SimTime,
     ) -> Self {
         let ps = if replayed.ps_count > 0 { replayed.ps_count } else { allocation.shape.ps }.max(1);
         let shards = ShardQueue::resume(spec.total_samples, replayed.samples_done, spec.sharding);
         let (partitions, ps_mem) = Self::ps_layout(&allocation, ps);
-        let engine = PsTrainingEngine::from_checkpoint(
+        let mut engine = PsTrainingEngine::from_checkpoint(
             // The replayed exec plan is the last *committed* one: windows
             // still pending at crash time were rolled back (or their
             // rollback is implied by never having committed).
             EngineCheckpoint { spec, shards, at, exec: replayed.exec },
-            vec![PodState::new(allocation.shape.worker_cpu); workers],
+            Vec::new(),
             partitions,
             ps_mem,
         );
+        let pod = PodState::new(allocation.shape.worker_cpu);
+        for ready in workers {
+            match *ready {
+                None => engine.add_worker(pod),
+                Some(ready_at) => engine.start_worker(pod, ready_at),
+            };
+        }
         JobMaster {
             job_id,
             profiler: Profiler::new(engine.spec().constants, 256),
             engine,
             config,
             allocation,
-            pending_workers: Vec::new(),
             completed_at: None,
             scaling_count: 0,
             health: JobHealth::Healthy,
@@ -391,17 +395,6 @@ impl JobMaster {
         {
             return events; // terminal: nothing to do
         }
-
-        // Materialise workers whose startup completed, in request order.
-        let now = self.engine.now();
-        let engine = &mut self.engine;
-        self.pending_workers.retain(|&(ready_at, pod)| {
-            let ready = ready_at <= now;
-            if ready {
-                engine.add_worker(pod);
-            }
-            !ready
-        });
 
         let progress = self.engine.advance(dt);
 
@@ -664,32 +657,26 @@ impl JobMaster {
         self.scaling_count += 1;
     }
 
-    /// Requests a replacement for a failed worker: a fresh pod with the
-    /// allocation's worker shape joins after `startup` (the sampled pod
-    /// preparation latency). The dynamic sharding layer (§6.1) already
-    /// requeued the dead worker's shard, so no data handling is needed —
-    /// this is the master's half of the §6 recovery loop, driven by chaos
-    /// plans and organic pod failures alike.
-    /// Idempotent under duplicate failure delivery: a replacement is only
-    /// scheduled while the job is actually below its worker target, so
-    /// re-delivering the same failure report cannot balloon the job past
-    /// its allocation. Bounded by the relaunch budget: when it drains the
-    /// master degrades to the surviving shape instead (§6).
-    pub fn replace_failed_worker(&mut self, startup: SimDuration) {
-        if self.live_workers().count() + self.pending_workers.len()
-            >= self.allocation.shape.workers as usize
-        {
+    /// Requests a replacement for a failed worker: opens an engine slot for a
+    /// fresh pod of the allocation's worker shape, starting for `startup` (the
+    /// sampled pod preparation latency), and returns it — the master's half
+    /// of the §6 recovery loop (dynamic sharding, §6.1, already requeued the
+    /// dead worker's shard). Refuses (`None`) when the job already holds its
+    /// worker target, so a duplicate failure report cannot balloon the job,
+    /// and when the relaunch budget is drained: the job degrades instead.
+    pub fn replace_failed_worker(&mut self, startup: SimDuration) -> Option<usize> {
+        if self.held_workers().count() >= self.allocation.shape.workers as usize {
             self.telemetry.count("master.duplicate_replacements_ignored", 1);
-            return;
+            return None;
         }
         if !self.budget.try_worker(&self.config.failure_budget) {
             self.degrade_to_live_shape();
-            return;
+            return None;
         }
         let pod = PodState::new(self.allocation.shape.worker_cpu);
-        let ready = self.engine.now() + startup;
-        self.pending_workers.push((ready, pod));
+        let slot = self.engine.start_worker(pod, self.engine.now() + startup);
         self.telemetry.count("master.worker_replacements", 1);
+        Some(slot)
     }
 
     /// Degraded mode (§6): adopt the best *feasible* plan — the shape the
@@ -700,7 +687,7 @@ impl JobMaster {
         // Degraded jobs hold their shape (§6): a plan change in flight is
         // abandoned, not committed on a job that just lost its budget.
         self.abort_reconfig_if_pending("degraded");
-        let feasible = (self.live_workers().count() + self.pending_workers.len()).max(1) as u32;
+        let feasible = self.held_workers().count().max(1) as u32;
         self.allocation.shape.workers = feasible;
         self.health.escalate(JobHealth::Degraded);
         self.telemetry.record(
@@ -761,10 +748,10 @@ impl JobMaster {
         self.telemetry.count("master.ps_recoveries", 1);
     }
 
-    /// Workers requested but not yet materialised (replacements and
-    /// scale-outs in their startup window).
+    /// Worker slots still starting (replacements and scale-outs in their
+    /// startup window).
     pub fn pending_worker_count(&self) -> usize {
-        self.pending_workers.len()
+        self.held_workers().filter(|&i| self.is_starting(i)).count()
     }
 
     /// Applies a policy decision: reshapes workers and PSes with the
@@ -925,47 +912,42 @@ impl JobMaster {
     }
 
     fn resize_workers(&mut self, target: &ResourceAllocation, startup: SimDuration) {
-        let live: Vec<usize> = self.live_workers().collect();
-        let current = live.len() + self.pending_workers.len();
         let want = target.shape.workers as usize;
         let pod = PodState::new(target.shape.worker_cpu);
+        // Live workers first and starting ones after, each in slot order, so
+        // a shrink drops the latest requests first.
+        let mut held: Vec<usize> = self.held_workers().collect();
+        held.sort_by_key(|&i| self.is_starting(i));
 
         // Vertical change applies to every live worker and to workers
         // still waiting out their startup (they must come up at the new
         // size, not the one from the decision that created them).
-        for &i in &live {
+        for &i in &held {
             self.engine.set_worker_pod(i, pod);
         }
-        for (_, pending) in self.pending_workers.iter_mut() {
-            *pending = pod;
+        let ready_at = self.engine.now() + startup;
+        for _ in held.len()..want {
+            if startup.is_zero() {
+                self.engine.add_worker(pod);
+            } else {
+                self.engine.start_worker(pod, ready_at);
+            }
         }
-        if want > current {
-            let ready_at = self.engine.now() + startup;
-            for _ in 0..(want - current) {
-                if startup.is_zero() {
-                    self.engine.add_worker(pod);
-                } else {
-                    self.pending_workers.push((ready_at, pod));
-                }
-            }
-        } else if want < current {
-            let mut to_remove = current - want;
-            // Drop queued-but-not-started workers first.
-            while to_remove > 0 && !self.pending_workers.is_empty() {
-                self.pending_workers.pop();
-                to_remove -= 1;
-            }
-            for &i in live.iter().rev().take(to_remove) {
-                self.engine.remove_worker(i);
-            }
+        for &i in held.iter().rev().take(held.len().saturating_sub(want)) {
+            self.engine.remove_worker(i);
         }
     }
 
-    /// Engine slots of the workers that are up (a hung worker counts until
-    /// the silent-worker detector fails it). The engine indexes workers
-    /// densely by addition order; dead slots keep their index.
-    fn live_workers(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.engine.worker_slot_count()).filter(|&i| self.engine.worker_is_alive(i))
+    fn is_starting(&self, slot: usize) -> bool {
+        matches!(self.engine.worker_state(slot), WorkerState::Starting { .. })
+    }
+
+    /// Engine slots of the workers the job holds: up (a hung worker counts
+    /// until the silent-worker detector fails it) or starting. Slots are
+    /// numbered in request order and keep their index once gone.
+    fn held_workers(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.engine.worker_slot_count())
+            .filter(|&i| self.engine.worker_state(i) != WorkerState::Gone)
     }
 }
 
@@ -1604,14 +1586,14 @@ mod tests {
         assert!(replayed.samples_done > 0, "acked work visible in the log");
         assert!(replayed.samples_done <= m.engine().samples_done());
         let restart_at = crash_at + SimDuration::from_secs(120);
-        let workers = m.engine().live_pods().count();
+        let workers = vec![None; m.engine().live_pods().count()];
         let mut m2 = JobMaster::from_replay(
             7,
             spec,
             m.allocation(),
             MasterConfig::default(),
             &replayed,
-            workers,
+            &workers,
             restart_at,
         );
         assert_eq!(m2.engine().now(), restart_at);
@@ -1640,7 +1622,7 @@ mod tests {
             alloc(4, 2, 8.0, 256.0),
             MasterConfig::default(),
             &replayed,
-            0,
+            &[],
             at,
         );
         assert_eq!(m.engine().worker_slot_count(), 0);
@@ -1656,7 +1638,7 @@ mod tests {
     }
 
     #[test]
-    fn pending_workers_join_after_startup() {
+    fn starting_workers_join_after_startup() {
         let mut m = master(1_000_000, 2, 2, 8.0);
         m.tick(DT);
         m.apply_decision(

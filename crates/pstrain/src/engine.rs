@@ -93,14 +93,30 @@ pub struct CheckpointExtent {
     pub bytes: u64,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Where a worker slot stands: it opens `Starting` or `Live` and ends
+/// `Gone`, keeping its index, which is also its shard-queue id (registered
+/// exactly while the slot is `Live` or `Hung`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WorkerState {
+    /// Its pod is starting; it joins at the head of the first
+    /// [`PsTrainingEngine::advance`] at or past `ready_at`.
+    Starting {
+        /// When the pod's start-up ends.
+        ready_at: SimTime,
+    },
+    /// Training and heartbeating.
+    Live,
+    /// A zombie: the process is up (the slot keeps its shard) but training
+    /// and heartbeats have stopped. Only failure clears it.
+    Hung,
+    /// Failed or removed.
+    Gone,
+}
+
+#[derive(Debug, Clone)]
 struct WorkerSlot {
     pod: PodState,
-    shard_worker_id: u64,
-    alive: bool,
-    /// A zombie: the process is up (slot stays alive and keeps its shard)
-    /// but training and heartbeats have stopped. Only failure clears it.
-    hung: bool,
+    state: WorkerState,
     /// Fractional sample progress carried between slices.
     carry: f64,
 }
@@ -120,7 +136,6 @@ pub struct PsTrainingEngine {
     shards: ShardQueue,
     now: SimTime,
     pending_pause: SimDuration,
-    next_shard_worker_id: u64,
     oomed: bool,
     telemetry: Telemetry,
     /// Span-timeline lane (the owning job id; 0 for standalone engines).
@@ -205,7 +220,6 @@ impl PsTrainingEngine {
             shards: ckpt.shards,
             now: ckpt.at,
             pending_pause: SimDuration::ZERO,
-            next_shard_worker_id: 0,
             oomed: false,
             telemetry: Telemetry::default(),
             span_track: 0,
@@ -248,22 +262,7 @@ impl PsTrainingEngine {
     /// Live worker pods in slot order (hung workers excluded: a zombie
     /// contributes no compute).
     pub fn live_pods(&self) -> impl Iterator<Item = PodState> + '_ {
-        self.workers.iter().filter(|w| w.alive && !w.hung).map(|w| w.pod)
-    }
-
-    /// The slots whose shard-queue id `ids` (the queue's, ascending)
-    /// yields. An id is minted from a counter as its slot is pushed and
-    /// stays registered only while the slot is alive, so the slots ascend
-    /// too and every id meets its slot: one pass joins the two.
-    fn slots_of<'a>(
-        &'a self,
-        ids: impl Iterator<Item = u64> + 'a,
-    ) -> impl Iterator<Item = (usize, &'a WorkerSlot)> + 'a {
-        let mut ids = ids.peekable();
-        self.workers
-            .iter()
-            .enumerate()
-            .filter(move |(_, w)| ids.next_if_eq(&w.shard_worker_id).is_some())
+        self.workers.iter().filter(|w| w.state == WorkerState::Live).map(|w| w.pod)
     }
 
     /// Hangs a live worker: its pod stays up and it keeps any checked-out
@@ -274,21 +273,19 @@ impl PsTrainingEngine {
     /// does exactly that.
     pub fn hang_worker(&mut self, idx: usize) {
         if let Some(slot) = self.workers.get_mut(idx) {
-            if slot.alive {
-                slot.hung = true;
+            if slot.state == WorkerState::Live {
+                slot.state = WorkerState::Hung;
                 slot.carry = 0.0;
             }
         }
     }
 
-    /// Engine indices of live workers whose last heartbeat is older than
+    /// Engine indices of joined workers whose last heartbeat is older than
     /// `timeout` — the failure detector's candidates (§6.1). Healthy
     /// workers heartbeat every [`Self::advance`] slice (even while paused
     /// or waiting on a drained queue), so only hung workers go silent.
     pub fn silent_workers(&self, timeout: SimDuration) -> impl Iterator<Item = usize> + '_ {
-        self.slots_of(self.shards.silent_workers(self.now, timeout))
-            .filter(|(_, w)| w.alive)
-            .map(|(i, _)| i)
+        self.shards.silent_workers(self.now, timeout).map(|id| id as usize)
     }
 
     /// Current PS partitions.
@@ -299,48 +296,62 @@ impl PsTrainingEngine {
     /// Adds a worker; it immediately starts pulling shards. Returns its
     /// index.
     pub fn add_worker(&mut self, pod: PodState) -> usize {
-        let id = self.next_shard_worker_id;
-        self.next_shard_worker_id += 1;
-        self.shards.register_worker(id, self.now);
-        self.workers.push(WorkerSlot {
-            pod,
-            shard_worker_id: id,
-            alive: true,
-            hung: false,
-            carry: 0.0,
-        });
-        let idx = self.workers.len() - 1;
+        let idx = self.start_worker(pod, self.now);
+        self.workers[idx].state = WorkerState::Live;
+        self.shards.register_worker(idx as u64, self.now);
         self.telemetry.record(self.now, EventKind::WorkerAdded { worker: idx as u64 });
         idx
     }
 
+    /// Opens a slot for a worker whose pod is starting: it joins at the head
+    /// of the first [`Self::advance`] at or past `ready_at` and until then
+    /// holds no shard and trains nothing. Returns its index.
+    pub fn start_worker(&mut self, pod: PodState, ready_at: SimTime) -> usize {
+        self.workers.push(WorkerSlot {
+            pod,
+            state: WorkerState::Starting { ready_at },
+            carry: 0.0,
+        });
+        self.workers.len() - 1
+    }
+
+    /// Ends slot `idx`; true when it had joined (its id is registered). A
+    /// starting slot leaves no record: it never trained.
+    fn end_slot(&mut self, idx: usize) -> bool {
+        let joined = self.worker_is_alive(idx);
+        let Some(slot) = self.workers.get_mut(idx) else { return false };
+        slot.state = WorkerState::Gone;
+        slot.carry = 0.0;
+        joined
+    }
+
     /// Fails a worker: its in-flight shard re-queues in full.
     pub fn fail_worker(&mut self, idx: usize) {
-        let Some(slot) = self.workers.get_mut(idx) else { return };
-        if !slot.alive {
+        if !self.end_slot(idx) {
             return;
         }
-        slot.alive = false;
-        slot.hung = false;
-        slot.carry = 0.0;
-        self.shards.fail_worker(slot.shard_worker_id);
+        self.shards.fail_worker(idx as u64);
         if let Some(mut sink) = self.telemetry.batch() {
             sink.record(self.now, EventKind::WorkerFailed { worker: idx as u64 });
             sink.metrics.count("engine.worker_failures", 1);
         }
     }
 
-    /// Removes a worker gracefully (scale-down): processed work is kept.
+    /// Removes a worker gracefully (scale-down): the prefix of its shard it
+    /// trained is acked, the rest re-queues.
     pub fn remove_worker(&mut self, idx: usize) {
-        let Some(slot) = self.workers.get_mut(idx) else { return };
-        if !slot.alive {
+        if !self.end_slot(idx) {
             return;
         }
-        // Flush fractional progress as a final heartbeat before handoff.
-        slot.alive = false;
-        slot.carry = 0.0;
-        self.shards.deregister_worker(slot.shard_worker_id);
-        self.telemetry.record(self.now, EventKind::WorkerRemoved { worker: idx as u64 });
+        let id = idx as u64;
+        let prefix = self.shards.worker(id).map_or(0, |p| p.offset_in_shard);
+        self.shards.deregister_worker(id);
+        if let Some(mut sink) = self.telemetry.batch() {
+            if prefix > 0 {
+                sink.record(self.now, EventKind::ShardAcked { worker: id, len: prefix });
+            }
+            sink.record(self.now, EventKind::WorkerRemoved { worker: id });
+        }
     }
 
     /// Changes a live worker's pod state (vertical scaling / contention).
@@ -421,14 +432,14 @@ impl PsTrainingEngine {
     /// in-flight offset is discarded, because the gradients from that
     /// prefix may be lost (§5.1 failure recovery re-trains the shard).
     pub fn samples_done(&self) -> u64 {
-        // The queue's own in-flight sum equals the sum over live slots
-        // because a slot is alive exactly while its id is registered:
-        // `fail_worker`/`remove_worker` drop both sides, and a hung worker
-        // is alive *and* registered.
+        // The queue's own in-flight sum equals the sum over joined slots
+        // because a slot is up exactly while its id is registered: joining
+        // registers it, `fail_worker`/`remove_worker` drop both sides, and
+        // a hung worker is up *and* registered.
         debug_assert_eq!(
             self.shards.in_flight_samples(),
             self.in_flight_over_live_slots(),
-            "engine slot alive <=> shard-queue id registered"
+            "engine slot up <=> shard-queue id registered"
         );
         self.shards.completed_samples() + self.shards.in_flight_samples()
     }
@@ -437,10 +448,9 @@ impl PsTrainingEngine {
     /// [`Self::samples_done`] used before the queue kept the sum's operands
     /// dense; kept as its cross-check.
     fn in_flight_over_live_slots(&self) -> u64 {
-        self.workers
-            .iter()
-            .filter(|w| w.alive)
-            .filter_map(|w| self.shards.worker(w.shard_worker_id))
+        (0..self.workers.len())
+            .filter(|&i| self.worker_is_alive(i))
+            .filter_map(|i| self.shards.worker(i as u64))
             .map(|p| p.offset_in_shard)
             .sum()
     }
@@ -569,17 +579,22 @@ impl PsTrainingEngine {
         self.workers.len()
     }
 
-    /// True when the worker at `idx` is alive.
+    /// Where the worker slot at `idx` stands (`Gone` past the last slot).
+    pub fn worker_state(&self, idx: usize) -> WorkerState {
+        self.workers.get(idx).map_or(WorkerState::Gone, |w| w.state)
+    }
+
+    /// True when the worker at `idx` has joined and not left (a hung worker
+    /// counts until it is failed).
     pub fn worker_is_alive(&self, idx: usize) -> bool {
-        self.workers.get(idx).is_some_and(|w| w.alive)
+        matches!(self.worker_state(idx), WorkerState::Live | WorkerState::Hung)
     }
 
     /// Engine indices of workers whose progress lags the median by more
     /// than `lag_factor` (see [`ShardQueue::stragglers`]).
     pub fn straggling_workers(&self, lag_factor: f64) -> impl Iterator<Item = usize> + '_ {
-        self.slots_of(self.shards.stragglers(lag_factor))
-            .filter(|(_, w)| w.alive && !w.hung)
-            .map(|(i, _)| i)
+        (self.shards.stragglers(lag_factor).map(|id| id as usize))
+            .filter(|&i| self.workers[i].state == WorkerState::Live)
     }
 
     /// A profiling observation of the current configuration, suitable for
@@ -684,21 +699,31 @@ impl PsTrainingEngine {
     /// migration pauses. An offset of zero leaves shard progress untouched
     /// (heartbeats are monotone).
     fn liveness_heartbeats(workers: &[WorkerSlot], shards: &mut ShardQueue, now: SimTime) {
-        for w in workers {
-            if w.alive && !w.hung {
-                shards.heartbeat(w.shard_worker_id, 0, now);
+        for (i, w) in workers.iter().enumerate() {
+            if w.state == WorkerState::Live {
+                shards.heartbeat(i as u64, 0, now);
             }
         }
     }
 
-    /// Advances virtual time by `dt`, consuming pending pauses first, then
-    /// training. Returns the slice's progress.
+    /// Advances virtual time by `dt`: starting workers whose start-up has
+    /// ended join first, in slot order, then pending pauses are consumed,
+    /// then the job trains. Returns the slice's progress.
     pub fn advance(&mut self, dt: SimDuration) -> JobProgress {
         // Everything the slice records goes through one acquisition; with
         // the null sink (`None`) the span arithmetic is skipped with it.
         // The guard borrows `self.telemetry`, so the body below touches the
         // other fields directly and calls no `&mut self` method.
         let mut sink = self.telemetry.batch();
+        for (i, w) in self.workers.iter_mut().enumerate() {
+            if matches!(w.state, WorkerState::Starting { ready_at } if ready_at <= self.now) {
+                w.state = WorkerState::Live;
+                self.shards.register_worker(i as u64, self.now);
+                if let Some(sink) = sink.as_mut() {
+                    sink.record(self.now, EventKind::WorkerAdded { worker: i as u64 });
+                }
+            }
+        }
         let mut remaining = dt;
         // Consume pause.
         if !self.pending_pause.is_zero() {
@@ -741,12 +766,12 @@ impl PsTrainingEngine {
             // Per-worker rates under the current layout and execution plan
             // (bit-identical to the legacy path on the default plan).
             rates.clear();
-            rates.extend(self.workers.iter().enumerate().filter(|(_, w)| w.alive && !w.hung).map(
-                |(i, w)| {
-                    let iter_time = self.cost.worker_iter_time_on(&w.pod, &server, n, &self.exec);
-                    (i, f64::from(self.cost.batch_size) / iter_time)
-                },
-            ));
+            let live =
+                self.workers.iter().enumerate().filter(|(_, w)| w.state == WorkerState::Live);
+            rates.extend(live.map(|(i, w)| {
+                let iter_time = self.cost.worker_iter_time_on(&w.pod, &server, n, &self.exec);
+                (i, f64::from(self.cost.batch_size) / iter_time)
+            }));
             let mut max_rate = rates.iter().map(|&(_, r)| r).fold(0.0f64, f64::max).max(1e-12);
             stragglers.extend(rates.iter().filter(|&&(_, r)| r < max_rate / 3.0).map(|&(i, _)| i));
             if self.exec.gradient_mode == GradientMode::Sync {
@@ -761,7 +786,7 @@ impl PsTrainingEngine {
             for &(i, rate) in rates.iter() {
                 let mut budget = rate * dt_s + self.workers[i].carry;
                 let pace = (rate / max_rate).clamp(0.01, 1.0);
-                let wid = self.workers[i].shard_worker_id;
+                let wid = i as u64;
                 let mut produced = 0.0f64;
                 loop {
                     // The worker's shard and its offset in it, checking one
@@ -1017,7 +1042,7 @@ mod getter_reference {
     use proptest::prelude::*;
 
     fn workers(e: &PsTrainingEngine) -> Vec<PodState> {
-        e.workers.iter().filter(|w| w.alive && !w.hung).map(|w| w.pod).collect()
+        e.workers.iter().filter(|w| w.state == WorkerState::Live).map(|w| w.pod).collect()
     }
 
     fn exec_throughput(e: &PsTrainingEngine, pods: &[PodState]) -> f64 {
@@ -1069,7 +1094,7 @@ mod getter_reference {
     fn silent_workers(e: &PsTrainingEngine, timeout: SimDuration) -> Vec<usize> {
         let ids: Vec<u64> = e.shards.silent_workers(e.now, timeout).collect();
         (e.workers.iter().enumerate())
-            .filter(|(_, w)| w.alive && ids.contains(&w.shard_worker_id))
+            .filter(|&(i, _)| e.worker_is_alive(i) && ids.contains(&(i as u64)))
             .map(|(i, _)| i)
             .collect()
     }
@@ -1077,7 +1102,7 @@ mod getter_reference {
     fn straggling_workers(e: &PsTrainingEngine, lag_factor: f64) -> Vec<usize> {
         let ids: Vec<u64> = e.shards.stragglers(lag_factor).collect();
         (e.workers.iter().enumerate())
-            .filter(|(_, w)| w.alive && !w.hung && ids.contains(&w.shard_worker_id))
+            .filter(|&(i, w)| w.state == WorkerState::Live && ids.contains(&(i as u64)))
             .map(|(i, _)| i)
             .collect()
     }
@@ -1332,10 +1357,8 @@ mod tests {
         e.advance(SLICE);
         // The slow worker's current shard should be smaller than a fast
         // worker's (pace-shrunken).
-        let slow_shard =
-            e.shards.worker(e.workers[0].shard_worker_id).and_then(|s| s.current_shard);
-        let fast_shard =
-            e.shards.worker(e.workers[1].shard_worker_id).and_then(|s| s.current_shard);
+        let slow_shard = e.shards.worker(0).and_then(|s| s.current_shard);
+        let fast_shard = e.shards.worker(1).and_then(|s| s.current_shard);
         if let (Some(slow), Some(fast)) = (slow_shard, fast_shard) {
             assert!(
                 slow.len < fast.len,

@@ -45,7 +45,7 @@ pub use cost::{
     HybridCostModel, PodState, PsPartition,
 };
 pub use engine::{
-    CheckpointExtent, EngineCheckpoint, JobProgress, PsTrainingEngine, TrainingJobSpec,
+    CheckpointExtent, EngineCheckpoint, JobProgress, PsTrainingEngine, TrainingJobSpec, WorkerState,
 };
 pub use migration::{
     plan_ps_migration, plan_worker_recovery, MigrationStrategy, MigrationTimeline, TimelineSegment,

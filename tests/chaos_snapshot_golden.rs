@@ -142,7 +142,8 @@ fn fault_free_run_is_pinned() {
 /// The job's six pods all pack onto node 0 (best-fit), so losing it kills the
 /// whole gang at once; the replacements land on node 1 through the fast
 /// path. The burst of High-priority quarter-node service pods then has to
-/// preempt training pods to fit on the two-node cluster.
+/// preempt training pods to fit on the two-node cluster, among them a
+/// replacement still starting, whose engine slot fails with it.
 #[test]
 fn node_loss_then_preemption_burst_run_is_pinned() {
     let cfg = ChaosConfig {
@@ -157,7 +158,7 @@ fn node_loss_then_preemption_burst_run_is_pinned() {
     assert_eq!(report.faults_injected, 2);
     assert_eq!(count(&sink, |k| matches!(k, EventKind::PodFailed { .. })), 6, "whole gang lost");
     assert!(count(&sink, |k| matches!(k, EventKind::PodPreempted { .. })) >= 2);
-    check("node_loss/burst", got, (0x42e5_d090_e209_bf7c, 0x7bdd_8501_64a9_671c));
+    check("node_loss/burst", got, (0x80f8_ab10_2b52_b369, 0x3615_6186_caeb_ff2b));
 }
 
 /// A one-node cluster loses its node: every replacement is parked by the
@@ -175,7 +176,7 @@ fn node_loss_on_a_one_node_cluster_parks_replacements_run_is_pinned() {
     assert!(count(&sink, |k| matches!(k, EventKind::RetryAttempt { .. })) > 6);
     assert_eq!(count(&sink, |k| matches!(k, EventKind::RetryExhausted { .. })), 0);
     assert_eq!(report.health, JobHealth::Healthy);
-    check("node_loss/parked", got, (0x2e3c_8a4f_57f4_77ec, 0x0dac_5aff_75f1_ce64));
+    check("node_loss/parked", got, (0x9453_f604_eda7_44ba, 0x0dac_5aff_75f1_ce64));
 }
 
 /// A worker dies inside a denial storm: the request is frozen
@@ -245,8 +246,8 @@ fn memory_pressure_and_network_delay_run_is_pinned() {
 
 /// `prefer_witness` with the quorum partitioned away at crash time falls
 /// back to replay. A worker and a PS die just before the crash, so the crash
-/// arm also runs with a worker replacement (announced to the rebuilt master
-/// with its remaining start-up) and a PS replacement still starting.
+/// arm also runs with a worker replacement (re-adopted by the rebuilt master
+/// as a starting slot) and a PS replacement still starting.
 #[test]
 fn witness_partition_falls_back_to_replay_run_is_pinned() {
     let plan = FaultPlan::from_events(vec![
@@ -259,7 +260,7 @@ fn witness_partition_falls_back_to_replay_run_is_pinned() {
     let (got, _, report) = run_and_digest(40_000, &plan, &cfg);
     assert_eq!(report.recoveries.len(), 1);
     assert_eq!(report.recoveries[0].path, RecoveryPath::MasterReplay);
-    check("witness_partition/replay", got, (0xd7fa_8ea7_e5e5_f278, 0x1f0e_d8e9_3176_4d70));
+    check("witness_partition/replay", got, (0x4bac_f57b_0ec6_337c, 0x91df_e63a_692d_ab1f));
 }
 
 /// A worker and a PS are killed, and a second PS kill lands at t = 390 s —
@@ -364,6 +365,6 @@ fn policy_shrinks_then_grows_under_kills_run_is_pinned() {
     check(
         "policy/shrink_grow",
         digest_run(&sink, &report),
-        (0xb468_2b00_eb25_4185, 0x7ac0_c8de_0d00_050b),
+        (0xa2c2_c831_72b0_0020, 0x7ac0_c8de_0d00_050b),
     );
 }

@@ -199,15 +199,15 @@ fn from_replay_then_ten_ticks_is_pinned() {
     let crashed_at = old.engine().now();
     let replayed = ReplayedJobState::from_events(&old.telemetry().snapshot().events);
     assert_eq!(replayed.next_window, 1);
-    let workers = old.engine().live_pods().count();
-    assert_eq!(workers, 4);
+    let workers = vec![None; old.engine().live_pods().count()];
+    assert_eq!(workers.len(), 4);
     let mut m = JobMaster::from_replay(
         1,
         spec,
         old.allocation(),
         MasterConfig::default(),
         &replayed,
-        workers,
+        &workers,
         crashed_at + SimDuration::from_secs(45),
     );
     m.set_telemetry(Telemetry::default());
