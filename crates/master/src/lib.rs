@@ -8,9 +8,9 @@
 //!   optimizer;
 //! * the **executor** ([`master::JobMaster`]) applies resource plans coming
 //!   back from the brain: it orchestrates seamless migrations, feeds data
-//!   shards to workers (via the engine's shard queue), detects failed and
-//!   straggling workers from heartbeats, and pre-scales PS memory when the
-//!   OOM predictor fires.
+//!   shards to workers (via the engine's shard queue, which paces slow
+//!   workers itself), detects failed and silent workers from heartbeats,
+//!   and pre-scales PS memory when the OOM predictor fires.
 //!
 //! The [`policy`] module defines the `SchedulerPolicy` trait through which
 //! the DLRover-RM brain *and* the baseline schedulers (ES, Optimus, static)

@@ -12,8 +12,8 @@
 //!   schedulers get);
 //! * **OOM prevention** (§5.3): the master forecasts PS memory from
 //!   profiler samples and, when auto-scaling is enabled, pre-scales PS
-//!   memory before the allocation is exceeded. With it disabled (the
-//!   baseline behaviour), the engine eventually OOMs and the job dies.
+//!   memory before the allocation is exceeded. With it disabled, the
+//!   engine eventually OOMs and the job dies.
 
 use dlrover_optimizer::ResourceAllocation;
 use dlrover_perfmodel::ExecPlan;
@@ -68,8 +68,6 @@ impl Default for MasterConfig {
 const OOM_HORIZON_FACTOR: f64 = 1.0;
 /// Headroom applied when pre-scaling PS memory.
 const OOM_HEADROOM: f64 = 0.5;
-/// Progress-lag factor below which a worker counts as a straggler.
-const STRAGGLER_LAG: f64 = 0.5;
 /// A PS counts as hot when its per-unit-capacity load exceeds the mean by
 /// this factor (share/(cpu·speed) ratio).
 const HOT_PS_FACTOR: f64 = 2.0;
@@ -92,8 +90,6 @@ pub enum MasterEvent {
         /// New total PS memory in bytes.
         new_alloc_bytes: u64,
     },
-    /// A worker lags its peers; dynamic sharding is already pacing it.
-    Straggler(usize),
     /// A hot PS was detected and the partitions were rebalanced onto the
     /// healthy pods via a seamless migration.
     HotPsMitigated {
@@ -567,22 +563,6 @@ impl JobMaster {
                     self.engine.now(),
                     EventKind::HotPsDetected { job: self.job_id, ps: ps as u64 },
                 );
-            }
-        }
-
-        // Straggler reporting (mitigation is automatic via shard pacing):
-        // the sink is locked once, and only when somebody lags.
-        let mut lagging = self.engine.straggling_workers(STRAGGLER_LAG).peekable();
-        if lagging.peek().is_some() {
-            let mut sink = self.telemetry.batch();
-            for idx in lagging {
-                events.push(MasterEvent::Straggler(idx));
-                if let Some(sink) = sink.as_mut() {
-                    sink.record(
-                        self.engine.now(),
-                        EventKind::StragglerDetected { job: self.job_id, worker: idx as u64 },
-                    );
-                }
             }
         }
         events
@@ -1285,21 +1265,6 @@ mod tests {
         );
         let dead = run_to_end(&mut without, 200_000);
         assert!(dead.is_none(), "baseline should OOM");
-    }
-
-    #[test]
-    fn straggler_event_is_reported() {
-        let mut m = master(1_000_000, 4, 2, 8.0);
-        m.tick(DT);
-        m.engine_mut().set_worker_pod(0, PodState { cpu: 8.0, speed: 0.03 });
-        let mut saw = false;
-        for _ in 0..200 {
-            if m.tick(DT).iter().any(|e| matches!(e, MasterEvent::Straggler(_))) {
-                saw = true;
-                break;
-            }
-        }
-        assert!(saw, "straggler never detected");
     }
 
     #[test]

@@ -590,13 +590,6 @@ impl PsTrainingEngine {
         matches!(self.worker_state(idx), WorkerState::Live | WorkerState::Hung)
     }
 
-    /// Engine indices of workers whose progress lags the median by more
-    /// than `lag_factor` (see [`ShardQueue::stragglers`]).
-    pub fn straggling_workers(&self, lag_factor: f64) -> impl Iterator<Item = usize> + '_ {
-        (self.shards.stragglers(lag_factor).map(|id| id as usize))
-            .filter(|&i| self.workers[i].state == WorkerState::Live)
-    }
-
     /// A profiling observation of the current configuration, suitable for
     /// the online model fitter: the homogeneous-equivalent shape plus the
     /// *measured* mean iteration time.
@@ -788,6 +781,8 @@ impl PsTrainingEngine {
                 let pace = (rate / max_rate).clamp(0.01, 1.0);
                 let wid = i as u64;
                 let mut produced = 0.0f64;
+                // Samples of the shards this worker completes in the slice.
+                let mut acked = 0u64;
                 loop {
                     // The worker's shard and its offset in it, checking one
                     // out (offset 0) when it holds none.
@@ -795,15 +790,7 @@ impl PsTrainingEngine {
                     let (shard, state_off) = match state.current_shard {
                         Some(shard) => (shard, state.offset_in_shard),
                         None => match self.shards.checkout(wid, pace, self.now) {
-                            Some(shard) => {
-                                if let Some(sink) = sink.as_mut() {
-                                    sink.record(
-                                        self.now,
-                                        EventKind::ShardCheckedOut { worker: wid, len: shard.len },
-                                    );
-                                }
-                                (shard, 0)
-                            }
+                            Some(shard) => (shard, 0),
                             None => break, // dataset drained
                         },
                     };
@@ -812,13 +799,7 @@ impl PsTrainingEngine {
                         budget -= left_in_shard;
                         produced += left_in_shard;
                         self.shards.heartbeat(wid, shard.len, self.now);
-                        let acked = self.shards.complete(wid, self.now);
-                        if let Some(sink) = sink.as_mut() {
-                            sink.record(
-                                self.now,
-                                EventKind::ShardAcked { worker: wid, len: acked.len },
-                            );
-                        }
+                        acked += self.shards.complete(wid, self.now).len;
                         shards_acked += 1;
                     } else {
                         let whole = budget.floor() as u64;
@@ -832,6 +813,11 @@ impl PsTrainingEngine {
                 if budget > 0.0 {
                     // Drained mid-slice: drop the leftover budget.
                     self.workers[i].carry = 0.0;
+                }
+                // One ack per worker per slice: the replay sums the lengths,
+                // so its watermark at every slice boundary is the queue's.
+                if let (true, Some(sink)) = (acked > 0, sink.as_mut()) {
+                    sink.record(self.now, EventKind::ShardAcked { worker: wid, len: acked });
                 }
                 total_new += produced;
             }
@@ -1099,14 +1085,6 @@ mod getter_reference {
             .collect()
     }
 
-    fn straggling_workers(e: &PsTrainingEngine, lag_factor: f64) -> Vec<usize> {
-        let ids: Vec<u64> = e.shards.stragglers(lag_factor).collect();
-        (e.workers.iter().enumerate())
-            .filter(|&(i, w)| w.state == WorkerState::Live && ids.contains(&(i as u64)))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     fn assert_getters_agree(e: &PsTrainingEngine) {
         let (obs, thp) = e.observation_and_throughput();
         assert_eq!(thp.to_bits(), throughput(e).to_bits());
@@ -1114,10 +1092,6 @@ mod getter_reference {
         assert_eq!(obs, observation(e));
         assert_eq!(e.observation(), observation(e));
         assert_eq!(e.live_pods().collect::<Vec<_>>(), workers(e));
-        for lag in [0.0, 0.3, 0.5, 0.9, 1.0] {
-            let got: Vec<usize> = e.straggling_workers(lag).collect();
-            assert_eq!(got, straggling_workers(e, lag));
-        }
         for secs in [0, 45, 100, 400] {
             let timeout = SimDuration::from_secs(secs);
             let got: Vec<usize> = e.silent_workers(timeout).collect();
@@ -1136,7 +1110,7 @@ mod getter_reference {
             steps in 50u64..40_000,
             ops in proptest::collection::vec((0u8..6, 0u8..96, 1u16..200), 0..24),
         ) {
-            // Two-batch shards: a 30 s slice spans many, so totals spread.
+            // Two-batch shards: a 30 s slice spans many.
             let mut spec = TrainingJobSpec::paper_default(steps);
             spec.sharding.batches_per_shard = 2;
             spec.sharding.min_batches_per_shard = 1;
@@ -1154,7 +1128,7 @@ mod getter_reference {
                 ExecPlan { gradient_mode: GradientMode::Sync, ps_replicas: 2, batch_size: 0 },
                 ExecPlan { gradient_mode: GradientMode::Async, ps_replicas: 3, batch_size: 1024 },
             ][plan]);
-            assert_getters_agree(&e); // nobody has trained: a median of zero
+            assert_getters_agree(&e); // nobody has trained yet
             for (op, who, arg) in ops {
                 let who = usize::from(who) % e.worker_slot_count();
                 match op {
@@ -1367,6 +1341,35 @@ mod tests {
                 fast.len
             );
         }
+    }
+
+    /// The `straggler` span is a rate signal: a slow worker is flagged from
+    /// its first slice, and equal-speed newcomers — far behind in samples
+    /// trained, not in pace — never are.
+    #[test]
+    fn straggler_spans_flag_slow_workers_not_newcomers() {
+        let sink = Telemetry::default();
+        let mut e = engine(1_000_000, 4, 2, 8.0);
+        e.set_telemetry(sink.clone());
+        e.set_worker_pod(2, PodState { cpu: 8.0, speed: 0.03 });
+        let flagged = |sink: &Telemetry| -> Vec<String> {
+            let spans = sink.snapshot().spans;
+            let stragglers = spans.iter().filter(|s| s.cat == SpanCategory::Straggler);
+            stragglers.map(|s| s.label.to_string()).collect()
+        };
+        e.advance(SLICE);
+        assert_eq!(flagged(&sink), ["w2"], "flagged in its first slice");
+        for _ in 1..40 {
+            e.advance(SLICE); // 20 minutes in
+        }
+        let before = flagged(&sink).len();
+        assert_eq!(e.add_worker(PodState::new(8.0)), 4);
+        assert_eq!(e.add_worker(PodState::new(8.0)), 5);
+        for _ in 0..40 {
+            e.advance(SLICE);
+        }
+        let after = flagged(&sink).split_off(before);
+        assert_eq!(after, vec!["w2"; 40], "only the slow worker, once per slice");
     }
 
     #[test]

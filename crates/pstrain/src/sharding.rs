@@ -14,7 +14,7 @@
 //!    global data re-partitioning.
 //!
 //! Progress offsets piggyback on worker heartbeats; the job master uses them
-//! for liveness, straggler detection, and completion accounting.
+//! for liveness and completion accounting.
 
 use dlrover_sim::SimTime;
 use serde::{Deserialize, Serialize};
@@ -62,21 +62,12 @@ impl Default for ShardingConfig {
 /// Per-worker progress bookkeeping, fed by heartbeats.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkerProgress {
-    /// Samples processed across all completed shards.
-    pub completed_samples: u64,
     /// Samples processed within the currently held shard.
     pub offset_in_shard: u64,
     /// Last heartbeat time.
     pub last_heartbeat: SimTime,
     /// Shard currently checked out, if any.
     pub current_shard: Option<DataShard>,
-}
-
-impl WorkerProgress {
-    /// Total samples this worker has processed (completed + in-flight).
-    pub fn total_samples(&self) -> u64 {
-        self.completed_samples + self.offset_in_shard
-    }
 }
 
 /// The shards queue plus worker accounting.
@@ -132,12 +123,8 @@ impl ShardQueue {
     /// Position of `worker`, registering it first when unknown.
     fn slot_or_register(&mut self, worker: u64, now: SimTime) -> usize {
         self.slot(worker).unwrap_or_else(|i| {
-            let fresh = WorkerProgress {
-                completed_samples: 0,
-                offset_in_shard: 0,
-                last_heartbeat: now,
-                current_shard: None,
-            };
+            let fresh =
+                WorkerProgress { offset_in_shard: 0, last_heartbeat: now, current_shard: None };
             self.workers.insert(i, (worker, fresh));
             i
         })
@@ -268,7 +255,6 @@ impl ShardQueue {
     pub fn complete(&mut self, worker: u64, now: SimTime) -> DataShard {
         let state = self.worker_mut(worker).expect("unknown worker");
         let shard = state.current_shard.take().expect("worker holds no shard");
-        state.completed_samples += shard.len;
         state.offset_in_shard = 0;
         state.last_heartbeat = now;
         self.completed_samples += shard.len;
@@ -286,45 +272,6 @@ impl ShardQueue {
             .iter()
             .filter(move |(_, s)| now.saturating_since(s.last_heartbeat) > timeout)
             .map(|&(id, _)| id)
-    }
-
-    /// Straggler detection: workers whose total progress lags the median of
-    /// their peers by more than `lag_factor` (e.g. 0.5 = less than half the
-    /// median progress), ascending by id.
-    pub fn stragglers(&self, lag_factor: f64) -> impl Iterator<Item = u64> + '_ {
-        let threshold = self.straggler_threshold(lag_factor);
-        self.workers
-            .iter()
-            .filter(move |(_, s)| threshold.is_some_and(|t| s.total_samples() < t))
-            .map(|&(id, _)| id)
-    }
-
-    /// The progress below which a worker counts as a straggler: the upper
-    /// median of the workers' totals times `lag_factor`. `None` when nobody
-    /// can lag — fewer than two workers, or a median of zero.
-    fn straggler_threshold(&self, lag_factor: f64) -> Option<u64> {
-        /// Gangs up to this size find their median on the stack; the master
-        /// asks every tick.
-        const INLINE: usize = 64;
-        let n = self.workers.len();
-        if n < 2 {
-            return None;
-        }
-        let (mut inline, mut spilled) = ([0u64; INLINE], Vec::new());
-        let totals = if n <= INLINE {
-            &mut inline[..n]
-        } else {
-            spilled.resize(n, 0);
-            &mut spilled[..]
-        };
-        for (total, (_, s)) in totals.iter_mut().zip(&self.workers) {
-            *total = s.total_samples();
-        }
-        let median = *totals.select_nth_unstable(n / 2).1;
-        if median == 0 {
-            return None;
-        }
-        Some((median as f64 * lag_factor.clamp(0.0, 1.0)) as u64)
     }
 
     /// Worker state (for the job master).
@@ -545,32 +492,6 @@ mod tests {
     }
 
     #[test]
-    fn straggler_detection_by_progress_lag() {
-        let mut q = ShardQueue::new(1_000_000, cfg(10, 100));
-        for w in 1..=4 {
-            q.checkout(w, 1.0, t(0)).unwrap();
-        }
-        // Workers 1-3 cruise; worker 4 crawls.
-        for w in 1..=3u64 {
-            q.heartbeat(w, 1000, t(1));
-            q.complete(w, t(1));
-            q.checkout(w, 1.0, t(1)).unwrap();
-            q.heartbeat(w, 500, t(2));
-        }
-        q.heartbeat(4, 100, t(2));
-        let stragglers: Vec<u64> = q.stragglers(0.5).collect();
-        assert_eq!(stragglers, vec![4]);
-    }
-
-    #[test]
-    fn no_stragglers_with_single_worker() {
-        let mut q = ShardQueue::new(10_000, cfg(10, 100));
-        q.checkout(1, 1.0, t(0)).unwrap();
-        q.heartbeat(1, 10, t(1));
-        assert_eq!(q.stragglers(0.5).count(), 0);
-    }
-
-    #[test]
     fn quiesced_requeues_in_flight_work() {
         let mut q = ShardQueue::new(10_000, cfg(10, 100));
         q.checkout(1, 1.0, t(0)).unwrap();
@@ -767,14 +688,13 @@ mod proptests {
     }
 
     /// Ops for the differential walk: the exactly-once walk above plus
-    /// registration, the detectors and quiescing, over ids that arrive
-    /// out of order and get re-registered after removal.
+    /// registration, the silent-worker detector and quiescing, over ids
+    /// that arrive out of order and get re-registered after removal.
     #[derive(Debug, Clone)]
     enum DiffOp {
         Register(u64),
         Queue(Op),
         Silent(u64),
-        Stragglers(f64),
         Quiesce,
     }
 
@@ -785,7 +705,6 @@ mod proptests {
             op_strategy().prop_map(DiffOp::Queue),
             op_strategy().prop_map(DiffOp::Queue),
             (0u64..40).prop_map(DiffOp::Silent),
-            (0.0f64..1.0).prop_map(DiffOp::Stragglers),
             Just(DiffOp::Quiesce),
         ]
     }
@@ -856,12 +775,6 @@ mod proptests {
                             reference.silent_workers(now, timeout)
                         );
                     }
-                    DiffOp::Stragglers(lag) => {
-                        prop_assert_eq!(
-                            live.stragglers(lag).collect::<Vec<_>>(),
-                            reference.stragglers(lag)
-                        );
-                    }
                     DiffOp::Quiesce => {
                         live = live.quiesced();
                         reference = reference.quiesced();
@@ -883,17 +796,14 @@ mod proptests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
-        /// The detectors on gangs of 1–96 workers — across the size where
-        /// the median's scratch leaves the stack — against the B-tree
-        /// queue's sort-a-copy bodies: workers that never checked out (a
-        /// median of 0 when they are the majority), workers mid-shard,
-        /// workers several shards in, a queue small enough to drain, stale
-        /// and fresh heartbeats.
+        /// The silent-worker detector on gangs of 1–96 workers against the
+        /// B-tree queue's body: workers that never checked out, workers
+        /// mid-shard, workers several shards in, a queue small enough to
+        /// drain, stale and fresh heartbeats.
         #[test]
         fn detectors_match_the_reference_on_large_gangs(
             progress in proptest::collection::vec((0u64..4, 0u64..600, 0u64..90), 1..97),
             total in 2_000u64..400_000,
-            lags in proptest::collection::vec(0.0f64..1.2, 1..4),
         ) {
             use crate::sharding_reference::ShardQueue as RefQueue;
             let cfg = ShardingConfig {
@@ -919,9 +829,6 @@ mod proptests {
                         break; // stays mid-shard
                     }
                 }
-            }
-            for lag in lags {
-                prop_assert_eq!(live.stragglers(lag).collect::<Vec<_>>(), reference.stragglers(lag));
             }
             for timeout in [0u64, 20, 45, 89] {
                 let (now, timeout) = (SimTime::from_secs(90), dlrover_sim::SimDuration::from_secs(timeout));

@@ -1,6 +1,7 @@
 //! The `BTreeMap`-backed [`ShardQueue`](crate::ShardQueue) this crate
-//! shipped with through PR 14, kept verbatim (visibility and serde derives
-//! aside) as the reference the id-sorted-`Vec` queue is tested against:
+//! first shipped with, kept verbatim (visibility, serde derives and the
+//! since-deleted progress-lag detector aside) as the reference the
+//! id-sorted-`Vec` queue is tested against:
 //! same return values, same full state, same `coverage_digest` under any
 //! interleaving of the API.
 
@@ -83,7 +84,6 @@ impl ShardQueue {
     /// Registers a worker (idempotent).
     pub(crate) fn register_worker(&mut self, worker: u64, now: SimTime) {
         self.workers.entry(worker).or_insert(WorkerProgress {
-            completed_samples: 0,
             offset_in_shard: 0,
             last_heartbeat: now,
             current_shard: None,
@@ -173,7 +173,6 @@ impl ShardQueue {
     pub(crate) fn complete(&mut self, worker: u64, now: SimTime) -> DataShard {
         let state = self.workers.get_mut(&worker).expect("unknown worker");
         let shard = state.current_shard.take().expect("worker holds no shard");
-        state.completed_samples += shard.len;
         state.offset_in_shard = 0;
         state.last_heartbeat = now;
         self.completed_samples += shard.len;
@@ -190,27 +189,6 @@ impl ShardQueue {
         self.workers
             .iter()
             .filter(|(_, s)| now.saturating_since(s.last_heartbeat) > timeout)
-            .map(|(&id, _)| id)
-            .collect()
-    }
-
-    /// Straggler detection: workers whose total progress lags the median of
-    /// their peers by more than `lag_factor` (e.g. 0.5 = less than half the
-    /// median progress).
-    pub(crate) fn stragglers(&self, lag_factor: f64) -> Vec<u64> {
-        if self.workers.len() < 2 {
-            return Vec::new();
-        }
-        let mut totals: Vec<u64> = self.workers.values().map(|s| s.total_samples()).collect();
-        totals.sort_unstable();
-        let median = totals[totals.len() / 2];
-        if median == 0 {
-            return Vec::new();
-        }
-        let threshold = (median as f64 * lag_factor.clamp(0.0, 1.0)) as u64;
-        self.workers
-            .iter()
-            .filter(|(_, s)| s.total_samples() < threshold)
             .map(|(&id, _)| id)
             .collect()
     }

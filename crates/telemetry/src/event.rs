@@ -2,7 +2,7 @@
 //!
 //! One flat enum covers every subsystem — pod lifecycle, scheduling,
 //! scaling plans, migrations, checkpoints, data sharding, OOM prediction,
-//! straggler detection, and the brain's three-stage decisions — so a single
+//! hot-PS detection, and the brain's three-stage decisions — so a single
 //! trace interleaves the full causal story of a run. Variants carry only
 //! primitive fields: the telemetry crate sits *below* every runtime crate
 //! and cannot name their types.
@@ -100,18 +100,12 @@ pub enum EventKind {
     },
 
     // --- Data sharding (pstrain) ---
-    /// A worker checked a data shard out of the queue.
-    ShardCheckedOut {
-        /// Shard-queue worker id.
-        worker: u64,
-        /// Shard length in samples.
-        len: u64,
-    },
-    /// A worker reported a shard fully trained (the ack).
+    /// A worker's acks over one engine slice: the shards it fully trained,
+    /// or the trained prefix of the shard it left on a graceful removal.
     ShardAcked {
         /// Shard-queue worker id.
         worker: u64,
-        /// Shard length in samples.
+        /// Samples acked.
         len: u64,
     },
 
@@ -157,13 +151,6 @@ pub enum EventKind {
         job: u64,
         /// Index of the PS that hit its wall.
         ps: u64,
-    },
-    /// A worker lags its peers; dynamic sharding is pacing it.
-    StragglerDetected {
-        /// Job id.
-        job: u64,
-        /// Engine worker index.
-        worker: u64,
     },
     /// A hot PS was detected but auto-rebalancing is disabled.
     HotPsDetected {
@@ -476,14 +463,12 @@ impl EventKind {
             EventKind::WorkerFailed { .. } => "WorkerFailed",
             EventKind::PsReshaped { .. } => "PsReshaped",
             EventKind::TrainingPaused { .. } => "TrainingPaused",
-            EventKind::ShardCheckedOut { .. } => "ShardCheckedOut",
             EventKind::ShardAcked { .. } => "ShardAcked",
             EventKind::CheckpointSaved { .. } => "CheckpointSaved",
             EventKind::ScalingPlanApplied { .. } => "ScalingPlanApplied",
             EventKind::OomPredicted { .. } => "OomPredicted",
             EventKind::OomPrevented { .. } => "OomPrevented",
             EventKind::Oomed { .. } => "Oomed",
-            EventKind::StragglerDetected { .. } => "StragglerDetected",
             EventKind::HotPsDetected { .. } => "HotPsDetected",
             EventKind::HotPsMitigated { .. } => "HotPsMitigated",
             EventKind::JobAdmitted { .. } => "JobAdmitted",

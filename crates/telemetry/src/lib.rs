@@ -54,7 +54,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 pub struct Sink {
     /// The event ring.
     pub log: EventLog,
-    /// Counters, gauges, histograms, series.
+    /// Counters, histograms, series.
     pub metrics: MetricsRegistry,
     /// The span ring.
     pub spans: SpanLog,
@@ -203,13 +203,6 @@ impl Telemetry {
     pub fn count(&self, name: &str, n: u64) {
         if let Some(mut inner) = self.batch() {
             inner.metrics.count(name, n);
-        }
-    }
-
-    /// Sets gauge `name` to `value`.
-    pub fn gauge(&self, name: &str, value: f64) {
-        if let Some(mut inner) = self.batch() {
-            inner.metrics.gauge(name, value);
         }
     }
 
@@ -574,7 +567,6 @@ mod tests {
         t.reserve_events(100);
         t.record(SimTime::from_secs(1), EventKind::JobStarted { job: 7 });
         t.count("ticks", 3);
-        t.gauge("g", 1.0);
         t.observe("h", 1.0);
         t.sample("s", SimTime::from_secs(1), 1.0);
         let parent = t.span_complete(
@@ -778,7 +770,6 @@ mod batch_tests {
         Count(u8, u64),
         Sample(u8, u64),
         Observe(u8, u64),
-        Gauge(u8, u64),
         /// A span labelled `LABELS[.0]`, the child of the `.1`-th most
         /// recent span recorded so far (a root when there is none).
         Complete(usize, usize),
@@ -791,7 +782,6 @@ mod batch_tests {
             (0u8..3, 1u64..9).prop_map(|(n, by)| Write::Count(n, by)),
             (0u8..3, 0u64..900).prop_map(|(n, v)| Write::Sample(n, v)),
             (0u8..3, 0u64..900).prop_map(|(n, v)| Write::Observe(n, v)),
-            (0u8..3, 0u64..900).prop_map(|(n, v)| Write::Gauge(n, v)),
             (0usize..LABELS.len(), 0usize..8).prop_map(|(l, k)| Write::Complete(l, k)),
             (0usize..LABELS.len(), 0usize..8).prop_map(|(l, k)| Write::Complete(l, k)),
         ]
@@ -820,7 +810,6 @@ mod batch_tests {
             Write::Count(n, by) => t.count(NAMES[usize::from(n)], by),
             Write::Sample(n, v) => t.sample(NAMES[usize::from(n)], at, v as f64),
             Write::Observe(n, v) => t.observe(NAMES[usize::from(n)], v as f64 / 7.0),
-            Write::Gauge(n, v) => t.gauge(NAMES[usize::from(n)], v as f64),
             Write::Complete(l, k) => recorded.push(t.span_complete(
                 at,
                 at,
@@ -839,7 +828,6 @@ mod batch_tests {
             Write::Count(n, by) => sink.metrics.count(NAMES[usize::from(n)], by),
             Write::Sample(n, v) => sink.metrics.sample(NAMES[usize::from(n)], at, v as f64),
             Write::Observe(n, v) => sink.metrics.observe(NAMES[usize::from(n)], v as f64 / 7.0),
-            Write::Gauge(n, v) => sink.metrics.gauge(NAMES[usize::from(n)], v as f64),
             Write::Complete(l, k) => recorded.push(sink.spans.complete(
                 at,
                 at,
@@ -858,10 +846,10 @@ mod batch_tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(192))]
 
-        /// Any interleaving of events, counters, gauges, samples and nested
-        /// spans leaves the same snapshot whether each
-        /// write took the lock by itself or rode a batch of random length —
-        /// rings of 1–64 so both wrap.
+        /// Any interleaving of events, counters, observations, samples and
+        /// nested spans leaves the same snapshot whether each write took the
+        /// lock by itself or rode a batch of random length — rings of 1–64
+        /// so both wrap.
         #[test]
         fn batches_of_any_length_record_like_single_calls(
             writes in proptest::collection::vec(write(), 0..160),

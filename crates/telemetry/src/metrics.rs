@@ -1,4 +1,4 @@
-//! Named counters, gauges, histograms, and virtual-time series.
+//! Named counters, histograms, and virtual-time series.
 //!
 //! Everything is keyed by `BTreeMap`, so serialized registries are
 //! deterministically ordered; everything is stamped with [`SimTime`], so a
@@ -194,8 +194,8 @@ impl TimeSeries {
 
     /// Merges `other`'s buckets into this series (bucket widths must
     /// match). Same-index buckets combine sums and counts; `last` takes
-    /// `other`'s value, consistent with the registry's merge-order
-    /// last-wins rule for gauges. The result is re-sorted by bucket index.
+    /// `other`'s value (merge order is fixed, so this is deterministic).
+    /// The result is re-sorted by bucket index.
     fn absorb(&mut self, other: &TimeSeries) {
         assert_eq!(
             self.bucket_us, other.bucket_us,
@@ -222,13 +222,11 @@ impl TimeSeries {
 /// Default time-series bucket width.
 pub const DEFAULT_SERIES_BUCKET: SimDuration = SimDuration::from_secs(60);
 
-/// The registry: named counters, gauges, histograms, and time series.
+/// The registry: named counters, histograms, and time series.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct MetricsRegistry {
     /// Monotonic counters.
     pub counters: BTreeMap<String, u64>,
-    /// Last-write-wins gauges.
-    pub gauges: BTreeMap<String, f64>,
     /// Fixed-bucket histograms.
     pub histograms: BTreeMap<String, Histogram>,
     /// Virtual-time series.
@@ -242,16 +240,6 @@ impl MetricsRegistry {
             Some(c) => *c += n,
             None => {
                 self.counters.insert(name.to_string(), n);
-            }
-        }
-    }
-
-    /// Sets gauge `name` to `value`.
-    pub fn gauge(&mut self, name: &str, value: f64) {
-        match self.gauges.get_mut(name) {
-            Some(g) => *g = value,
-            None => {
-                self.gauges.insert(name.to_string(), value);
             }
         }
     }
@@ -283,10 +271,7 @@ impl MetricsRegistry {
     /// parallel experiment engine's per-unit merge; callers absorb unit
     /// registries in sorted-unit-key order).
     ///
-    /// Counters and histograms combine losslessly. Gauges are last-write
-    /// wins in merge order — deterministic because merge order is fixed,
-    /// but units that both set the same gauge should expect the
-    /// highest-keyed unit's value to survive. Time series merge
+    /// Counters and histograms combine losslessly; time series merge
     /// bucket-wise (see [`TimeSeries`]).
     pub fn absorb(&mut self, other: &MetricsRegistry) {
         self.absorb_owned(other.clone());
@@ -303,9 +288,6 @@ impl MetricsRegistry {
                     self.counters.insert(name, n);
                 }
             }
-        }
-        for (name, v) in other.gauges {
-            self.gauges.insert(name, v);
         }
         for (name, h) in other.histograms {
             match self.histograms.get_mut(&name) {
@@ -330,11 +312,6 @@ impl MetricsRegistry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Gauge value, if ever set.
-    pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
     /// Histogram by name.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
@@ -351,15 +328,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_and_gauges() {
+    fn counters_accumulate() {
         let mut m = MetricsRegistry::default();
         m.count("scalings", 1);
         m.count("scalings", 2);
-        m.gauge("throughput", 10.0);
-        m.gauge("throughput", 12.5);
         assert_eq!(m.counter("scalings"), 3);
         assert_eq!(m.counter("absent"), 0);
-        assert_eq!(m.gauge_value("throughput"), Some(12.5));
     }
 
     #[test]
@@ -419,13 +393,11 @@ mod tests {
     fn absorb_owned_matches_absorb() {
         let mut a = MetricsRegistry::default();
         a.count("iters", 3);
-        a.gauge("thp", 1.0);
         a.observe("lat", 0.5);
         a.sample("s", SimTime::from_secs(10), 1.0);
         let mut b = MetricsRegistry::default();
         b.count("iters", 4);
         b.count("fresh", 1);
-        b.gauge("thp", 2.0);
         b.observe("lat", 5.0);
         b.observe("lat2", 0.125);
         b.sample("s", SimTime::from_secs(30), 3.0);
@@ -457,19 +429,16 @@ mod tests {
     fn absorb_combines_counters_histograms_and_series() {
         let mut a = MetricsRegistry::default();
         a.count("iters", 3);
-        a.gauge("thp", 1.0);
         a.observe("lat", 0.5);
         a.sample("s", SimTime::from_secs(10), 1.0);
         let mut b = MetricsRegistry::default();
         b.count("iters", 4);
-        b.gauge("thp", 2.0);
         b.observe("lat", 5.0);
         b.sample("s", SimTime::from_secs(30), 3.0); // same bucket as a's
         b.sample("s", SimTime::from_secs(70), 9.0);
 
         a.absorb(&b);
         assert_eq!(a.counter("iters"), 7);
-        assert_eq!(a.gauge_value("thp"), Some(2.0), "gauges are merge-order last-wins");
         let h = a.histogram("lat").unwrap();
         assert_eq!(h.count, 2);
         assert_eq!(h.min, 0.5);

@@ -6,7 +6,8 @@
 //! costs the allocator is a number this file pins: a fault-free tick against
 //! the null sink allocates nothing, against a recording sink only the two
 //! rings' amortised growth, and a whole chaos job a few allocations per
-//! fault, save and recovery — not per tick.
+//! fault, save and recovery — not per tick. What a steady tick records is
+//! pinned too: one shard ack per worker that acked, nothing else.
 //!
 //! The counter is per thread (the harness runs tests on parallel threads) and
 //! counts `alloc`, `alloc_zeroed` and `realloc` calls; frees are not counted.
@@ -86,13 +87,15 @@ fn steady_master(sink: Telemetry) -> JobMaster {
     master
 }
 
-/// Allocations of `TICKS` fault-free ticks after the warm-up.
-fn steady_tick_allocations(sink: Telemetry) -> u64 {
-    let mut master = steady_master(sink);
+/// Allocations of `TICKS` fault-free ticks after the warm-up, and the events
+/// `sink` had recorded when they began.
+fn steady_tick_allocations(sink: &Telemetry) -> (u64, u64) {
+    let mut master = steady_master(sink.clone());
     for _ in 0..WARM_UP {
         // The memory forecast's one pre-scale of this long job lands here.
         master.tick(TICK);
     }
+    let warm_up_events = sink.event_count();
     let (allocs, ()) = allocations_during(|| {
         for _ in 0..TICKS {
             let events = master.tick(TICK);
@@ -103,12 +106,12 @@ fn steady_tick_allocations(sink: Telemetry) -> u64 {
     assert!(master.engine().samples_done() > 0);
     // Shown by `--nocapture`.
     eprintln!("{allocs} allocations over {TICKS} fault-free ticks");
-    allocs
+    (allocs, warm_up_events)
 }
 
 #[test]
 fn a_fault_free_tick_against_the_null_sink_allocates_nothing() {
-    let allocs = steady_tick_allocations(Telemetry::null());
+    let (allocs, _) = steady_tick_allocations(&Telemetry::null());
     assert_eq!(
         allocs,
         0,
@@ -120,8 +123,19 @@ fn a_fault_free_tick_against_the_null_sink_allocates_nothing() {
 #[test]
 fn a_recording_tick_allocates_only_ring_growth() {
     let sink = Telemetry::default();
-    let allocs = steady_tick_allocations(sink.clone());
-    assert!(sink.event_count() > 10 * TICKS as u64, "the sink must be the one recording");
+    let (allocs, warm_up_events) = steady_tick_allocations(&sink);
+    // The record budget: a steady tick records only its shard acks, at most
+    // one per live worker (8) per tick, and the sink is the one recording.
+    let steady: Vec<EventKind> =
+        (sink.events().into_iter()).filter(|e| e.seq >= warm_up_events).map(|e| e.kind).collect();
+    let other = steady.iter().find(|k| !matches!(k, EventKind::ShardAcked { .. }));
+    assert!(
+        other.is_none() && (TICKS..=8 * TICKS).contains(&steady.len()),
+        "{} events over {TICKS} steady ticks, want {TICKS}..={} ShardAcked and nothing else; \
+         first other: {other:?}",
+        steady.len(),
+        8 * TICKS
+    );
     assert!(sink.span_count() >= 5 * TICKS as u64);
     // The event and span rings grow by doubling: ~25 reallocations.
     assert!(
@@ -172,9 +186,13 @@ fn a_chaos_job_allocates_per_fault_and_save_not_per_tick() {
     let (allocs, report) = allocations_during(|| run_chaos_job(&spec, alloc, &plan, &cfg, &sink));
     assert!(report.oracle.passed(), "{:?}", report.oracle.violations());
     assert_eq!(report.faults_injected, 6);
-    let ticks = report.jct_us.expect("the job completes") / TICK.as_micros();
+    let jct_us = report.jct_us.expect("the job completes");
+    let ticks = jct_us / TICK.as_micros();
     assert!((220..=260).contains(&ticks), "the job ran {ticks} ticks, meant to be about 240");
     eprintln!("{allocs} allocations over a {ticks}-tick chaos job and its baseline run");
+    let events = sink.event_count();
+    let per_hour = events as f64 * 3.6e9 / jct_us as f64;
+    eprintln!("{events} events recorded: {per_hour:.0} per simulated hour");
     assert!(
         allocs <= 1_500,
         "{allocs} allocations over {ticks} ticks (+ the fault-free baseline run) = {:.1} per tick",
