@@ -34,7 +34,6 @@ pub fn blocking_rank(cat: SpanCategory) -> u32 {
         SpanCategory::Scheduling => 40,
         SpanCategory::Planning => 30,
         SpanCategory::PolicyEval => 25,
-        SpanCategory::OomPredict => 20,
         SpanCategory::Job => 10,
     }
 }
@@ -264,10 +263,10 @@ mod tests {
     fn instant_spans_carry_no_time() {
         let spans = vec![
             span(0, None, SpanCategory::Iteration, 1, 0, 10),
-            span(1, None, SpanCategory::OomPredict, 1, 5, 5),
+            span(1, None, SpanCategory::PolicyEval, 1, 5, 5),
         ];
         let cp = critical_path(&spans);
-        assert_eq!(cp.fraction("oom-predict"), 0.0);
+        assert_eq!(cp.fraction("policy-eval"), 0.0);
         assert_eq!(cp.phases_us["iteration"], 10_000_000);
     }
 

@@ -11,12 +11,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use dlrover_sim::{RngStreams, SimTime};
-use dlrover_telemetry::{EventKind, SpanCategory, Telemetry};
+use dlrover_telemetry::{EventKind, PodKind, SpanCategory, Telemetry};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::node::{Node, NodeId};
-use crate::pod::{Pod, PodId, PodPhase, PodSpec, Priority};
+use crate::pod::{Pod, PodId, PodPhase, PodRole, PodSpec, Priority};
 use crate::resources::Resources;
 use crate::store::PodTable;
 
@@ -105,6 +105,18 @@ pub enum ClusterEvent {
     PodFailed(PodId),
     /// A node went down.
     NodeFailed(NodeId),
+}
+
+/// The `PodRequested` record of pod `id`, its role mirrored into the
+/// telemetry vocabulary (the telemetry crate sits below the cluster and
+/// cannot name its types).
+fn requested(spec: &PodSpec, id: PodId) -> EventKind {
+    let role = match spec.role {
+        PodRole::Worker => PodKind::Worker,
+        PodRole::ParameterServer => PodKind::ParameterServer,
+        PodRole::Other => PodKind::Other,
+    };
+    EventKind::PodRequested { job: spec.job_id, pod: id.0, role }
 }
 
 /// The simulated cluster.
@@ -244,11 +256,6 @@ impl Cluster {
         self.nodes.iter().fold(Resources::ZERO, |acc, n| acc + n.allocated)
     }
 
-    /// Free capacity across healthy nodes.
-    pub fn total_free(&self) -> Resources {
-        self.total_capacity().saturating_sub(&self.total_allocated())
-    }
-
     /// Submits a pod. If it fits nowhere right now it parks in the pending
     /// queue (FIFO, high priority first) and will be placed by
     /// [`Self::schedule_pending`]. High-priority pods may preempt.
@@ -276,11 +283,10 @@ impl Cluster {
             node_speed: 1.0,
         });
         self.pending.push(id);
-        self.telemetry.record(now, EventKind::PodRequested { job: spec.job_id, pod: id.0 });
+        self.telemetry.record(now, requested(&spec, id));
         let events = self.schedule_pending();
         if self.pending.contains(&id) {
             // A denial for now; `schedule_pending` may grant it later.
-            self.telemetry.record(now, EventKind::PodPending { pod: id.0 });
             self.telemetry.count("cluster.denials", 1);
             let reason = self.denial_reason(&spec.resources);
             self.telemetry.count(&format!("cluster.denials.{}", reason.name()), 1);
@@ -495,7 +501,7 @@ impl Cluster {
         trial.telemetry = self.telemetry.clone();
         *self = trial;
         for (id, spec) in ids.iter().zip(specs) {
-            self.telemetry.record(now, EventKind::PodRequested { job: spec.job_id, pod: id.0 });
+            self.telemetry.record(now, requested(spec, *id));
         }
         self.record_events(&events);
         Some((ids, events))

@@ -100,17 +100,6 @@ impl FleetJob {
         (need as f64 / req as f64).min(1.0)
     }
 
-    /// Expected memory utilisation under the user's request.
-    pub fn expected_mem_utilisation(&self) -> f64 {
-        let need = self.ideal_worker.mem_bytes * u64::from(self.workers)
-            + self.ideal_ps.mem_bytes * u64::from(self.ps);
-        let req = self.total_requested().mem_bytes;
-        if req == 0 {
-            return 0.0;
-        }
-        (need as f64 / req as f64).min(1.0)
-    }
-
     /// True when the user under-provisioned CPU (slow-training pathology).
     pub fn cpu_starved(&self) -> bool {
         self.requested_worker.cpu_millis < self.ideal_worker.cpu_millis

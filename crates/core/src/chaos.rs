@@ -996,7 +996,7 @@ impl<'a> ChaosDriver<'a> {
         // The job's caching pods die with the master — the hot tier copy is
         // gone, so whichever path recovers must pay a real restore.
         self.plane.invalidate_hot(0, now);
-        let (replayed, path, resume_at) = self.recover_job_state(restart);
+        let (replayed, path, resume_at, step) = self.recover_job_state(restart);
         // A pod whose start-up ends while the master is down is promoted at
         // the rebuilt master's first tick boundary, and joins there.
         let first_tick = resume_at + self.cfg.runner.profile_interval;
@@ -1014,14 +1014,8 @@ impl<'a> ChaosDriver<'a> {
             });
         }
         let readopted = workers.len() as u32;
-        let outcome = RecoveryOutcome::new(
-            path,
-            now,
-            resume_at,
-            replayed.samples_done,
-            replayed.checkpoint_step,
-            readopted,
-        );
+        let outcome =
+            RecoveryOutcome::new(path, now, resume_at, replayed.samples_done, step, readopted);
         self.master = JobMaster::from_replay(
             0,
             self.spec.clone(),
@@ -1055,17 +1049,18 @@ impl<'a> ChaosDriver<'a> {
     }
 
     /// The job state a crashed master restarts from, which path produced it,
-    /// and when training resumes. Witness path (when preferred and the
-    /// quorum stands): the surviving peers detect the silence, elect a
-    /// recoverer, and read the pinned quorum-certified copy at peer-memory
-    /// speed — no restarted master and no remote tier on the critical path,
-    /// so a concurrent `RemoteTierOutage` does not gate it. Replay path:
-    /// wait out the restart window, then restore the durable copy through
-    /// the plane (which waits out any outage window).
+    /// when training resumes, and the step of the manifest it restored (0
+    /// when there was none). Witness path (when preferred and the quorum
+    /// stands): the surviving peers detect the silence, elect a recoverer,
+    /// and read the pinned quorum-certified copy at peer-memory speed — no
+    /// restarted master and no remote tier on the critical path, so a
+    /// concurrent `RemoteTierOutage` does not gate it. Replay path: wait out
+    /// the restart window, then restore the durable copy through the plane
+    /// (which waits out any outage window).
     fn recover_job_state(
         &mut self,
         restart: SimDuration,
-    ) -> (ReplayedJobState, RecoveryPath, SimTime) {
+    ) -> (ReplayedJobState, RecoveryPath, SimTime, u64) {
         let now = self.now;
         let mut replayed = self.telemetry.with_events(ReplayedJobState::from_events);
         let witness_start = now + self.witness.takeover_latency();
@@ -1077,14 +1072,13 @@ impl<'a> ChaosDriver<'a> {
                 // its watermark retrain (the engine's bounded-rollback
                 // contract).
                 replayed.samples_done = w.samples.min(replayed.samples_done);
-                replayed.checkpoint_step = replayed.checkpoint_step.max(w.step);
-                (replayed, RecoveryPath::WitnessQuorum, witness_start + w.duration)
+                (replayed, RecoveryPath::WitnessQuorum, witness_start + w.duration, w.step)
             }
             None => {
                 let restart_at = now + restart;
                 let restore = self.plane.restore(0, restart_at);
                 let resume_at = restore.map_or(restart_at, |r| r.resume_at().max(restart_at));
-                (replayed, RecoveryPath::MasterReplay, resume_at)
+                (replayed, RecoveryPath::MasterReplay, resume_at, restore.map_or(0, |r| r.step))
             }
         }
     }
@@ -1779,7 +1773,7 @@ mod tests {
     /// Job-0 pods requested at or after `events[from]`.
     fn requested_from(events: &[Event], from: usize) -> Vec<u64> {
         let job0 = |e: &Event| match e.kind {
-            EventKind::PodRequested { job: 0, pod } => Some(pod),
+            EventKind::PodRequested { job: 0, pod, .. } => Some(pod),
             _ => None,
         };
         events[from..].iter().filter_map(job0).collect()
@@ -1886,6 +1880,42 @@ mod tests {
         assert!(report.oracle.passed(), "{:?}", report.oracle.violations());
         assert_eq!(report.recoveries[0].workers_readopted, 0);
         assert_eq!(report.truth.samples_done, report.truth.total_samples);
+    }
+
+    /// The newest manifest (the 240 s save) is corrupted, a PS kill's
+    /// hand-off follows, then a crash before the next periodic save: the
+    /// replay path restores the 120 s manifest and the witness path its
+    /// pinned 240 s copy, and each reports the step it restored — not the
+    /// newest save's, nor the hand-off's, which no checkpoint holds.
+    #[test]
+    fn master_crash_reports_the_step_it_restored() {
+        let plan = FaultPlan::from_events(vec![
+            FaultEvent {
+                at: SimTime::from_secs(270),
+                kind: FaultKind::ManifestCorruption { manifest: 0 },
+            },
+            FaultEvent { at: SimTime::from_secs(300), kind: FaultKind::PsKill { ps: 0 } },
+            crash_at(330),
+        ]);
+        for prefer_witness in [false, true] {
+            let cfg = ChaosConfig { prefer_witness, ..ChaosConfig::default() };
+            let telemetry = Telemetry::default();
+            let report = run_chaos_job(&long_spec(), allocation(), &plan, &cfg, &telemetry);
+            assert!(report.oracle.passed(), "{:?}", report.oracle.violations());
+            let events = telemetry.events();
+            let after_crash = &events[marker(&events, 2)..];
+            let restored = after_crash.iter().find_map(|e| match e.kind {
+                EventKind::CheckpointRestored { step, .. } => Some(step),
+                _ => None,
+            });
+            let recovered = after_crash.iter().find_map(|e| match e.kind {
+                EventKind::JobRecovered { step, .. } => Some(step),
+                _ => None,
+            });
+            assert!(restored.is_some_and(|step| step > 0), "witness {prefer_witness}");
+            assert_eq!(recovered, restored, "witness {prefer_witness}");
+            assert_eq!(Some(report.recoveries[0].checkpoint_step), restored);
+        }
     }
 
     /// Steps a static-gang job of `spec` under `plan` and `cfg` to its end,
@@ -2050,19 +2080,16 @@ mod proptests {
                 .collect()
         }
 
-        /// The five facts a replay recovers, read off the live run: the
+        /// The four facts a replay recovers, read off the live run: the
         /// engine's acked watermark, PS count and plan (neither the static
         /// gang nor `EsPolicy` opens a reconfiguration window, so the
         /// engine's plan is the committed one), and the windows the master
-        /// resolved, from its commit and rollback counters. The checkpoint
-        /// step has no live holder — a hand-off's flash checkpoint is
-        /// recorded only in the log — so it is the fold's own.
-        fn live_projection(&self, replayed: &ReplayedJobState) -> ReplayedJobState {
+        /// resolved, from its commit and rollback counters.
+        fn live_projection(&self) -> ReplayedJobState {
             let engine = self.master.engine();
             let resolved = ["master.reconfigs_committed", "master.reconfigs_rolled_back"];
             ReplayedJobState {
                 samples_done: engine.completed_samples(),
-                checkpoint_step: replayed.checkpoint_step,
                 ps_count: engine.partitions().len() as u32,
                 exec: *engine.exec_plan(),
                 next_window: resolved.iter().map(|c| self.telemetry.counter(c)).sum(),
@@ -2095,7 +2122,7 @@ mod proptests {
                 // Never reshaped: `from_replay` resumes at the allocation's.
                 replayed.ps_count = driver.alloc.shape.ps;
             }
-            assert_eq!(replayed, driver.live_projection(&replayed), "{at}: replay vs live");
+            assert_eq!(replayed, driver.live_projection(), "{at}: replay vs live");
             let (held, bound) = driver.worker_slots();
             assert_eq!(held, bound, "{at}: held worker slots vs bound pods");
             assert_eq!(driver.slots_out_of_step(), [], "{at}: live slots vs running pods");

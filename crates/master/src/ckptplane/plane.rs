@@ -12,7 +12,9 @@
 //! lands remotely ([`Manifest::committed_at`]). Restores that cannot be
 //! served from the hot tier must wait for both a committed manifest and
 //! a reachable remote tier — the no-uncommitted-restore invariant the
-//! oracle audits.
+//! oracle audits. The plane's manifests are a job's only checkpoints: a
+//! restore reads nothing else, and the oracle's monotonicity check audits
+//! their `CheckpointStaged` records.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -295,17 +297,6 @@ impl CheckpointPlane {
         self.hot.stored_bytes()
     }
 
-    /// Physical bytes resident in the remote tier (committed or
-    /// in-flight).
-    pub fn remote_bytes(&self) -> u64 {
-        self.remote.stored_bytes()
-    }
-
-    /// Manifests queued behind the remote write pipe.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Whether `job` has staged any manifest (committed or in-flight).
     pub fn has_manifests(&self, job: u64) -> bool {
         self.by_job.get(&job).is_some_and(|ids| !ids.is_empty())
@@ -327,14 +318,9 @@ impl CheckpointPlane {
         }
     }
 
-    /// Whether `at` falls inside a remote outage window.
-    pub fn remote_unreachable(&self, at: SimTime) -> bool {
-        self.outages.iter().any(|&(from, until)| at >= from && at < until)
-    }
-
     /// First instant at or after `at` where the remote tier is
     /// reachable (chained outage windows are walked through).
-    pub fn remote_reachable_at(&self, at: SimTime) -> SimTime {
+    fn remote_reachable_at(&self, at: SimTime) -> SimTime {
         let mut t = at;
         // Windows are few (fault plans schedule a handful); loop until a
         // fixed point.

@@ -19,8 +19,8 @@ use dlrover_optimizer::ResourceAllocation;
 use dlrover_perfmodel::ExecPlan;
 use dlrover_pstrain::{
     plan_ps_migration, AsyncCostModel, EngineCheckpoint, MigrationStrategy, MigrationTimeline,
-    PodState, PsPartition, PsTrainingEngine, ShardQueue, StorageTier, TimelineSegment,
-    TrainingJobSpec, WorkerState,
+    PodState, PsPartition, PsTrainingEngine, ShardQueue, TimelineSegment, TrainingJobSpec,
+    WorkerState,
 };
 use dlrover_sim::{SimDuration, SimTime};
 use dlrover_telemetry::{EventKind, MigrationKind, Sink, SpanCategory, Telemetry};
@@ -84,17 +84,6 @@ pub enum MasterEvent {
     OomPredicted {
         /// Total PS memory (bytes) the forecast says is needed.
         required_bytes: u64,
-    },
-    /// An OOM was forecast and PS memory was pre-scaled seamlessly.
-    OomPrevented {
-        /// New total PS memory in bytes.
-        new_alloc_bytes: u64,
-    },
-    /// A hot PS was detected and the partitions were rebalanced onto the
-    /// healthy pods via a seamless migration.
-    HotPsMitigated {
-        /// Index of the hot PS.
-        ps: usize,
     },
     /// A hot PS was detected but auto-rebalancing is disabled.
     HotPsDetected {
@@ -295,14 +284,14 @@ impl JobMaster {
 
     /// The one migration hand-off (§5.2): prices moving the job's
     /// parameters through the checkpoint tiers under `strategy` — seamless
-    /// rides [`StorageTier::FLASH`] with `startup` overlapped, stop-and-restart
-    /// round-trips [`StorageTier::RDS`] with `startup` on the critical path —
-    /// records the move's span(s), then the flash checkpoint every migration
-    /// starts from (`CheckpointSaved`, a `flash-save` span, the
-    /// `master.flash_checkpoints` counter), in that order, and returns the
-    /// pause the caller must charge to the engine. `flat` is the category of
-    /// the single span an in-place move (same pods, new layout or plan)
-    /// records over its pause; `None` records the whole timeline instead.
+    /// rides `StorageTier::FLASH` with `startup` overlapped, stop-and-restart
+    /// round-trips `StorageTier::RDS` with `startup` on the critical path —
+    /// records the move's span(s) and returns the pause the caller must
+    /// charge to the engine. `flat` is the category of the single span an
+    /// in-place move (same pods, new layout or plan) records over its pause;
+    /// `None` records the whole timeline, whose `save` / `load` segments are
+    /// the hand-off's checkpoint. No checkpoint is recorded: the driver's
+    /// checkpoint plane holds the only ones a restore can read.
     ///
     /// Reshaping and pausing the engine stay with the caller: stop-and-restart
     /// pauses before it reshapes, every other move after.
@@ -313,27 +302,16 @@ impl JobMaster {
         label: &str,
         flat: Option<SpanCategory>,
     ) -> SimDuration {
-        let ckpt = self.engine.checkpoint_extent();
-        let timeline = plan_ps_migration(strategy, ckpt.bytes, startup);
+        let timeline = plan_ps_migration(strategy, self.engine.checkpoint_extent().bytes, startup);
         let pause = timeline.pause();
         let Some(mut sink) = self.telemetry.batch() else { return pause };
-        let now = self.engine.now();
         match flat {
             Some(category) => {
+                let now = self.engine.now();
                 sink.spans.complete(now, now + pause, category, label, self.job_id, None);
             }
             None => self.record_migration_spans(&mut sink, &timeline, label),
         }
-        sink.record(now, EventKind::CheckpointSaved { step: ckpt.step, bytes: ckpt.bytes });
-        sink.spans.complete(
-            now,
-            now + StorageTier::FLASH.save_duration(ckpt.bytes),
-            SpanCategory::Checkpoint,
-            "flash-save",
-            self.job_id,
-            None,
-        );
-        sink.metrics.count("master.flash_checkpoints", 1);
         pause
     }
 
@@ -499,47 +477,20 @@ impl JobMaster {
             if let Some(forecast) = self.profiler.memory().forecast(effective_capacity, horizon) {
                 if forecast.will_oom() {
                     let required = forecast.required_capacity(OOM_HEADROOM) as u64;
-                    let at = self.engine.now();
+                    let (at, job) = (self.engine.now(), self.job_id);
                     if self.config.auto_memory_scaling {
-                        self.telemetry.span_complete(
-                            at,
-                            at,
-                            SpanCategory::OomPredict,
-                            "prevented",
-                            self.job_id,
-                            None,
-                        );
                         self.scale_ps_memory(required);
-                        events.push(MasterEvent::OomPrevented { new_alloc_bytes: required });
                         if let Some(mut sink) = self.telemetry.batch() {
                             sink.record(
-                                self.engine.now(),
-                                EventKind::OomPrevented {
-                                    job: self.job_id,
-                                    new_alloc_bytes: required,
-                                },
+                                at,
+                                EventKind::OomPrevented { job, new_alloc_bytes: required },
                             );
                             sink.metrics.count("master.ooms_prevented", 1);
                         }
                     } else {
                         events.push(MasterEvent::OomPredicted { required_bytes: required });
-                        if let Some(mut sink) = self.telemetry.batch() {
-                            sink.spans.complete(
-                                at,
-                                at,
-                                SpanCategory::OomPredict,
-                                "predicted",
-                                self.job_id,
-                                None,
-                            );
-                            sink.record(
-                                at,
-                                EventKind::OomPredicted {
-                                    job: self.job_id,
-                                    required_bytes: required,
-                                },
-                            );
-                        }
+                        let predicted = EventKind::OomPredicted { job, required_bytes: required };
+                        self.telemetry.record(at, predicted);
                     }
                 }
             }
@@ -549,7 +500,6 @@ impl JobMaster {
         if let Some(ps) = self.detect_hot_ps() {
             if self.config.auto_ps_rebalance {
                 self.rebalance_hot_ps();
-                events.push(MasterEvent::HotPsMitigated { ps });
                 if let Some(mut sink) = self.telemetry.batch() {
                     sink.record(
                         self.engine.now(),
@@ -1004,10 +954,10 @@ mod tests {
         // paused but not reshaped away.
         assert_eq!(m.engine().partitions().len(), before);
         assert_eq!(m.engine().throughput(), 0.0, "paused during flash handoff");
-        let events = m.telemetry().snapshot().events;
-        let count = |name: &str| events.iter().filter(|e| e.kind.name() == name).count();
-        assert_eq!(count("PsReshaped"), 1);
-        assert!(count("CheckpointSaved") >= 1);
+        let snap = m.telemetry().snapshot();
+        assert_eq!(snap.events.iter().filter(|e| e.kind.name() == "PsReshaped").count(), 1);
+        let save = snap.spans.iter().any(|s| &*s.label == "save");
+        assert!(save, "the timeline saves to the flash tier");
         assert_eq!(m.telemetry().counter("master.ps_recoveries"), 1);
         // Out-of-range index is a no-op.
         m.handle_ps_failure(99, SimDuration::from_secs(1));
@@ -1301,17 +1251,10 @@ mod tests {
         spec.memory = dlrover_perfmodel::MemoryModel::new(1.0e9, 4096.0, 3.0e6, 2.0e6);
         let mut m = JobMaster::new(1, spec, alloc(4, 2, 8.0, 2.5), MasterConfig::default());
         // Run until prevention fires at least once.
-        let mut prevented = false;
-        for _ in 0..2_000 {
-            for e in m.tick(DT) {
-                if matches!(e, MasterEvent::OomPrevented { .. }) {
-                    prevented = true;
-                }
-            }
-            if prevented {
-                break;
-            }
-        }
+        let prevented = (0..2_000).any(|_| {
+            m.tick(DT);
+            m.telemetry().counter("master.ooms_prevented") > 0
+        });
         assert!(prevented, "test needs the prevention path");
         // A stale decision asks for the original tiny PS memory.
         m.apply_decision(
@@ -1377,16 +1320,11 @@ mod tests {
     fn healthy_job_triggers_no_hot_ps_events() {
         let mut m = master(20_000, 8, 4, 8.0);
         for _ in 0..50 {
-            for e in m.tick(DT) {
-                assert!(
-                    !matches!(
-                        e,
-                        MasterEvent::HotPsMitigated { .. } | MasterEvent::HotPsDetected { .. }
-                    ),
-                    "false positive hot-PS detection"
-                );
-            }
+            let detected =
+                m.tick(DT).into_iter().any(|e| matches!(e, MasterEvent::HotPsDetected { .. }));
+            assert!(!detected, "false positive hot-PS detection");
         }
+        assert_eq!(m.telemetry().counter("master.hot_ps_mitigations"), 0, "false positive");
     }
 
     #[test]

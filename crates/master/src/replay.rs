@@ -10,13 +10,13 @@
 //! * the **sample watermark** — how much data is irrevocably trained
 //!   (the sum of shard acks; in-flight shards at crash time are lost and
 //!   retrain, which is exactly the engine's bounded-rollback contract, §5.1);
-//! * the **checkpoint watermark** — the last flash-checkpoint step (§6.2),
-//!   which must never regress except across a failure;
 //! * the last **PS layout**, **committed execution plan** and
 //!   **reconfiguration-window id**.
 //!
 //! Pods are not in it: they outlive the master, and whoever holds them
-//! (the chaos driver) tells the rebuilt master how many to re-adopt.
+//! (the chaos driver) tells the rebuilt master how many to re-adopt. Nor
+//! are checkpoints: the checkpoint plane holds them, and a recovery reports
+//! the step of the manifest it restored.
 //!
 //! The replay is a pure fold over `&[Event]`: no clocks, no entropy, so a
 //! failover inside a chaos run replays bit-identically per seed.
@@ -58,7 +58,8 @@ pub struct RecoveryOutcome {
     pub downtime: SimDuration,
     /// Samples watermark the job resumed from.
     pub samples_done: u64,
-    /// Checkpoint step the job resumed from.
+    /// Step of the checkpoint manifest the recovery restored (`0` when
+    /// there was none to restore).
     pub checkpoint_step: u64,
     /// Workers re-adopted instead of relaunched.
     pub workers_readopted: u32,
@@ -92,8 +93,6 @@ pub struct ReplayedJobState {
     /// acks are never retracted, and failed workers' in-flight progress
     /// was never acked.
     pub samples_done: u64,
-    /// Step of the newest flash checkpoint (`0` when none was written).
-    pub checkpoint_step: u64,
     /// PS count of the last applied layout (`0` when never reshaped —
     /// callers fall back to the nominal allocation).
     pub ps_count: u32,
@@ -112,7 +111,6 @@ impl ReplayedJobState {
     pub fn from_events(events: &[Event]) -> Self {
         let mut state = ReplayedJobState {
             samples_done: 0,
-            checkpoint_step: 0,
             ps_count: 0,
             exec: dlrover_perfmodel::ExecPlan::default(),
             next_window: 0,
@@ -120,10 +118,6 @@ impl ReplayedJobState {
         for e in events {
             match &e.kind {
                 EventKind::ShardAcked { len, .. } => state.samples_done += len,
-                EventKind::CheckpointSaved { step, .. }
-                | EventKind::CheckpointStaged { step, .. } => {
-                    state.checkpoint_step = state.checkpoint_step.max(*step);
-                }
                 EventKind::PsReshaped { ps } => state.ps_count = *ps as u32,
                 EventKind::ReconfigApplied { window, mode, batch, replicas, .. } => {
                     state.exec = dlrover_perfmodel::ExecPlan {
@@ -157,29 +151,35 @@ mod tests {
         Event { at_us: seq * 1_000_000, seq, kind }
     }
 
-    /// Worker events are the pods' business, not the log's: whoever holds
-    /// the pods re-adopts them, so the fold skips them.
+    /// Worker and checkpoint events are not the log's to fold: whoever
+    /// holds the pods re-adopts them, and a restore reads the plane.
     #[test]
     fn replay_folds_watermarks_and_ignores_worker_events() {
+        let staged = |step| EventKind::CheckpointStaged {
+            job: 1,
+            manifest: step,
+            step,
+            bytes: 10,
+            new_bytes: 10,
+        };
         let log = vec![
             ev(0, EventKind::WorkerAdded { worker: 0 }),
             ev(1, EventKind::WorkerAdded { worker: 1 }),
             ev(2, EventKind::ShardAcked { worker: 0, len: 1000 }),
-            ev(3, EventKind::CheckpointSaved { step: 4, bytes: 10 }),
+            ev(3, staged(4)),
             ev(4, EventKind::WorkerFailed { worker: 1 }),
             ev(5, EventKind::WorkerAdded { worker: 2 }),
             ev(6, EventKind::ShardAcked { worker: 2, len: 512 }),
-            ev(7, EventKind::CheckpointSaved { step: 9, bytes: 10 }),
+            ev(7, staged(9)),
             ev(8, EventKind::PsReshaped { ps: 3 }),
             ev(9, EventKind::WorkerRemoved { worker: 2 }),
         ];
         let s = ReplayedJobState::from_events(&log);
         assert_eq!(s.samples_done, 1512);
-        assert_eq!(s.checkpoint_step, 9);
         assert_eq!(s.ps_count, 3);
-        let not_workers = |e: &&Event| !e.kind.name().starts_with("Worker");
-        let without: Vec<Event> = log.iter().filter(not_workers).cloned().collect();
-        assert_eq!(without.len(), 5);
+        let folded = |e: &&Event| matches!(e.kind.name(), "ShardAcked" | "PsReshaped");
+        let without: Vec<Event> = log.iter().filter(folded).cloned().collect();
+        assert_eq!(without.len(), 3);
         assert_eq!(ReplayedJobState::from_events(&without), s);
     }
 
@@ -187,26 +187,7 @@ mod tests {
     fn replay_of_empty_log_is_cold_start() {
         let s = ReplayedJobState::from_events(&[]);
         assert_eq!(s.samples_done, 0);
-        assert_eq!(s.checkpoint_step, 0);
         assert_eq!(s.ps_count, 0);
-    }
-
-    #[test]
-    fn plane_staged_checkpoints_advance_the_watermark() {
-        let log = vec![
-            ev(0, EventKind::CheckpointSaved { step: 4, bytes: 10 }),
-            ev(
-                1,
-                EventKind::CheckpointStaged {
-                    job: 1,
-                    manifest: 0,
-                    step: 7,
-                    bytes: 10,
-                    new_bytes: 10,
-                },
-            ),
-        ];
-        assert_eq!(ReplayedJobState::from_events(&log).checkpoint_step, 7);
     }
 
     #[test]

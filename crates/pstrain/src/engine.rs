@@ -419,10 +419,7 @@ impl PsTrainingEngine {
             return;
         }
         self.pending_pause += d;
-        if let Some(mut sink) = self.telemetry.batch() {
-            sink.record(self.now, EventKind::TrainingPaused { micros: d.as_micros() });
-            sink.metrics.observe("engine.pause_seconds", d.as_secs_f64());
-        }
+        self.telemetry.observe("engine.pause_seconds", d.as_secs_f64());
     }
 
     /// Samples fully accounted (completed shards + in-flight progress).

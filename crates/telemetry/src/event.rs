@@ -36,12 +36,16 @@ impl Event {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum EventKind {
     // --- Pod / node lifecycle (cluster) ---
-    /// A pod was submitted to the cluster scheduler.
+    /// A pod was submitted to the cluster scheduler. A request that is not
+    /// granted at once is a scheduling *denial* (no `PodPlaced` at the same
+    /// instant; the cluster counts it under `cluster.denials`).
     PodRequested {
         /// Owning job.
         job: u64,
         /// Cluster-assigned pod id.
         pod: u64,
+        /// What the pod does for its job.
+        role: PodKind,
     },
     /// The scheduler bound a pod to a node (a scheduling *grant*).
     PodPlaced {
@@ -49,12 +53,6 @@ pub enum EventKind {
         pod: u64,
         /// Node the pod landed on.
         node: u32,
-    },
-    /// A pod could not be placed and parked in the pending queue (a
-    /// scheduling *denial*; it may be granted later).
-    PodPending {
-        /// Pod id.
-        pod: u64,
     },
     /// A low-priority pod was evicted to admit a high-priority one.
     PodPreempted {
@@ -93,11 +91,6 @@ pub enum EventKind {
         /// New PS count.
         ps: u64,
     },
-    /// Training paused for a migration critical path.
-    TrainingPaused {
-        /// Pause length in microseconds.
-        micros: u64,
-    },
 
     // --- Data sharding (pstrain) ---
     /// A worker's acks over one engine slice: the shards it fully trained,
@@ -109,14 +102,7 @@ pub enum EventKind {
         len: u64,
     },
 
-    // --- Checkpoints / migration (pstrain, master) ---
-    /// A flash checkpoint was written (synchronous tier).
-    CheckpointSaved {
-        /// Training step at the snapshot.
-        step: u64,
-        /// Serialized size in bytes.
-        bytes: u64,
-    },
+    // --- Migration (master) ---
     /// A scaling plan was applied to a live job.
     ScalingPlanApplied {
         /// Job id.
@@ -436,6 +422,18 @@ pub enum EventKind {
     },
 }
 
+/// A pod's role, mirrored into the telemetry vocabulary (the crate cannot
+/// depend on `dlrover-cluster`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum PodKind {
+    /// Gradient-computing worker.
+    Worker,
+    /// Parameter server.
+    ParameterServer,
+    /// Anything else (job master, background service, …).
+    Other,
+}
+
 /// Migration strategy, mirrored into the telemetry vocabulary (the crate
 /// cannot depend on `dlrover-pstrain`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -454,7 +452,6 @@ impl EventKind {
         match self {
             EventKind::PodRequested { .. } => "PodRequested",
             EventKind::PodPlaced { .. } => "PodPlaced",
-            EventKind::PodPending { .. } => "PodPending",
             EventKind::PodPreempted { .. } => "PodPreempted",
             EventKind::PodFailed { .. } => "PodFailed",
             EventKind::NodeFailed { .. } => "NodeFailed",
@@ -462,9 +459,7 @@ impl EventKind {
             EventKind::WorkerRemoved { .. } => "WorkerRemoved",
             EventKind::WorkerFailed { .. } => "WorkerFailed",
             EventKind::PsReshaped { .. } => "PsReshaped",
-            EventKind::TrainingPaused { .. } => "TrainingPaused",
             EventKind::ShardAcked { .. } => "ShardAcked",
-            EventKind::CheckpointSaved { .. } => "CheckpointSaved",
             EventKind::ScalingPlanApplied { .. } => "ScalingPlanApplied",
             EventKind::OomPredicted { .. } => "OomPredicted",
             EventKind::OomPrevented { .. } => "OomPrevented",

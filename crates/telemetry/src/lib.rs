@@ -35,7 +35,7 @@ pub mod oracle;
 pub mod prof;
 pub mod span;
 
-pub use event::{Event, EventKind, MigrationKind};
+pub use event::{Event, EventKind, MigrationKind, PodKind};
 pub use log::{diff_jsonl, EventLog, LogDiff, DEFAULT_EVENT_CAPACITY};
 pub use metrics::{Histogram, MetricsRegistry, SeriesPoint, TimeSeries};
 pub use oracle::{GroundTruth, Invariant, InvariantCheck, Oracle, OracleConfig, OracleReport};

@@ -268,7 +268,7 @@ mod tests {
     fn jsonl_is_one_line_per_event() {
         let mut log = EventLog::default();
         log.record(stamp(1), EventKind::PodPlaced { pod: 1, node: 2 });
-        log.record(stamp(2), EventKind::PodPending { pod: 3 });
+        log.record(stamp(2), EventKind::PodFailed { pod: 3 });
         let text = log.to_jsonl();
         assert_eq!(text.lines().count(), 2);
         assert!(text.contains("\"PodPlaced\""));

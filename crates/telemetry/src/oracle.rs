@@ -10,9 +10,10 @@
 //!   double-counts a sample, no matter which workers died when.
 //! * **No leaks** — every pod the driver created is terminal at the end
 //!   and the cluster's allocation accounting returns to zero.
-//! * **Checkpoint monotonicity** — flash-checkpoint steps (§6.3) never
-//!   regress except across an intervening failure, where a bounded
-//!   rollback to the last checkpoint is the contract.
+//! * **Checkpoint monotonicity** — a job's staged checkpoint steps (§6.3:
+//!   the plane's `CheckpointStaged` manifests, the only checkpoints a
+//!   restore reads) never regress except across an intervening failure,
+//!   where a bounded rollback to the last checkpoint is the contract.
 //! * **OOM reaction** — the memory predictor (§5.3, Eqn. 14) reacts to
 //!   injected memory pressure before the pod actually OOMs; an `Oomed`
 //!   event is by definition a missed deadline.
@@ -40,7 +41,7 @@
 use dlrover_sim::{FaultPlan, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-use crate::event::{Event, EventKind};
+use crate::event::{Event, EventKind, PodKind};
 
 /// Oracle knobs. Defaults match the paper's operating regime: §2.2 puts
 /// pod preparation at 5–10 minutes (tail past 30 under scarcity), so half
@@ -427,32 +428,34 @@ impl Oracle {
         InvariantCheck { invariant: Invariant::NoLeaks, passed: violations.is_empty(), violations }
     }
 
-    /// §6.3: flash-checkpoint steps move forward; a regression is legal
-    /// only when a failure fired since the previous checkpoint (restore
-    /// rolls back to the last saved step).
+    /// §6.3: each job's staged checkpoint steps move forward; a regression
+    /// is legal only when a failure fired since that job's previous save
+    /// (restore rolls back to the last manifest). Failure records name no
+    /// job, so one excuses the next regression of every job.
     fn check_checkpoint_monotonic(&self, events: &[Event]) -> InvariantCheck {
         let mut violations = Vec::new();
-        let mut last_step: Option<u64> = None;
-        let mut failure_since_last = false;
+        // Per job: the last staged step, and whether a failure fired since.
+        let mut last: std::collections::BTreeMap<u64, (u64, bool)> = Default::default();
         for e in events {
             match &e.kind {
                 EventKind::WorkerFailed { .. }
                 | EventKind::PodFailed { .. }
                 | EventKind::PodPreempted { .. }
                 | EventKind::NodeFailed { .. }
-                | EventKind::FaultInjected { .. } => failure_since_last = true,
-                EventKind::CheckpointSaved { step, .. } => {
-                    if let Some(prev) = last_step {
-                        if *step < prev && !failure_since_last {
+                | EventKind::FaultInjected { .. } => {
+                    last.values_mut().for_each(|(_, failed)| *failed = true);
+                }
+                EventKind::CheckpointStaged { job, step, .. } => {
+                    if let Some(&(prev, false)) = last.get(job) {
+                        if *step < prev {
                             violations.push(format!(
-                                "checkpoint step regressed {prev} -> {step} at t={}s with no \
-                                 intervening failure",
+                                "job {job}: checkpoint step regressed {prev} -> {step} at t={}s \
+                                 with no intervening failure",
                                 e.at().as_secs_f64()
                             ));
                         }
                     }
-                    last_step = Some(*step);
-                    failure_since_last = false;
+                    last.insert(*job, (*step, false));
                 }
                 _ => {}
             }
@@ -535,11 +538,9 @@ impl Oracle {
     /// controls goes, so it passes as long as a `WorkerAdded` still
     /// follows the placement, however long the pod took to start (§2.2:
     /// start-up runs past 30 minutes under scarcity). The latency reported
-    /// stays kill → `WorkerAdded` either way. Pods are matched to kills
-    /// like joins are, greedily and one to one; the log does not carry a
-    /// pod's role, so after a node loss a PS replacement can stand in for
-    /// a worker's. Recovery is
-    /// waived when the job completed first (nothing left to recover),
+    /// stays kill → `WorkerAdded` either way. Worker pods are matched to
+    /// kills like joins are, greedily and one to one. Recovery is waived
+    /// when the job completed first (nothing left to recover),
     /// when the master degraded inside the deadline (falling back to the
     /// surviving shape is the sanctioned alternative to relaunching once
     /// retries or the failure budget are exhausted), or when a scheduler
@@ -735,15 +736,14 @@ impl Oracle {
     }
 }
 
-/// The first pod a job requested at or after index `from`: the index
+/// The first worker pod requested at or after index `from`: the index
 /// just past its `PodRequested` (where the search for the next kill's pod
 /// starts; the end of the log when there is none) and, when the scheduler
-/// granted it, the index of its `PodPlaced`. The service pods of
-/// preemption bursts and denial storms are requested under job `u64::MAX`
-/// and replace nothing.
+/// granted it, the index of its `PodPlaced`. PS replacements and the
+/// service pods of preemption bursts and denial storms replace no worker.
 fn replacement_pod(events: &[Event], from: usize) -> (usize, Option<usize>) {
     let request = events.iter().enumerate().skip(from).find_map(|(r, f)| match f.kind {
-        EventKind::PodRequested { job, pod } if job != u64::MAX => Some((r, pod)),
+        EventKind::PodRequested { pod, role: PodKind::Worker, .. } => Some((r, pod)),
         _ => None,
     });
     let Some((r, pod)) = request else { return (events.len(), None) };
@@ -787,8 +787,8 @@ mod tests {
             ev(100, 0, EventKind::FaultInjected { fault: 0, kind: "WorkerKill".into(), target: 1 }),
             ev(100, 1, EventKind::WorkerFailed { worker: 1 }),
             ev(130, 2, EventKind::WorkerAdded { worker: 3 }),
-            ev(200, 3, EventKind::CheckpointSaved { step: 50, bytes: 1 }),
-            ev(300, 4, EventKind::CheckpointSaved { step: 90, bytes: 1 }),
+            ev(200, 3, staged(0, 50)),
+            ev(300, 4, staged(0, 90)),
             ev(600, 5, EventKind::JobCompleted { job: 0 }),
         ];
         let report = Oracle::default().check(&kill_plan(), &events, &clean_truth());
@@ -812,27 +812,34 @@ mod tests {
         assert!(names.contains(&"no_leaks"));
     }
 
+    /// A plane save of `job` at `step`.
+    fn staged(job: u64, step: u64) -> EventKind {
+        EventKind::CheckpointStaged { job, manifest: step, step, bytes: 1, new_bytes: 1 }
+    }
+
+    fn monotonic_verdict(events: &[Event]) -> InvariantCheck {
+        let report = Oracle::default().check(&FaultPlan::default(), events, &clean_truth());
+        report.checks.into_iter().find(|c| c.invariant == Invariant::CheckpointMonotonic).unwrap()
+    }
+
     #[test]
     fn checkpoint_regression_needs_a_failure() {
-        let legal = vec![
-            ev(100, 0, EventKind::CheckpointSaved { step: 80, bytes: 1 }),
-            ev(150, 1, EventKind::WorkerFailed { worker: 0 }),
-            ev(200, 2, EventKind::CheckpointSaved { step: 75, bytes: 1 }),
-        ];
-        let report = Oracle::default().check(&FaultPlan::default(), &legal, &clean_truth());
-        assert!(report
-            .checks
-            .iter()
-            .all(|c| { c.invariant != Invariant::CheckpointMonotonic || c.passed }));
-
-        let illegal = vec![
-            ev(100, 0, EventKind::CheckpointSaved { step: 80, bytes: 1 }),
-            ev(200, 1, EventKind::CheckpointSaved { step: 75, bytes: 1 }),
-        ];
-        let report = Oracle::default().check(&FaultPlan::default(), &illegal, &clean_truth());
-        let ck =
-            report.checks.iter().find(|c| c.invariant == Invariant::CheckpointMonotonic).unwrap();
+        // Job 1's lower steps in between are its own: each job is audited
+        // against its previous save.
+        let illegal =
+            vec![ev(100, 0, staged(0, 80)), ev(120, 1, staged(1, 10)), ev(200, 2, staged(0, 75))];
+        let ck = monotonic_verdict(&illegal);
         assert!(!ck.passed);
+        assert_eq!(ck.violations.len(), 1, "{:?}", ck.violations);
+        assert!(ck.violations[0].starts_with("job 0: checkpoint step regressed 80 -> 75"));
+
+        let legal = vec![
+            ev(100, 0, staged(0, 80)),
+            ev(150, 1, EventKind::WorkerFailed { worker: 0 }),
+            ev(200, 2, staged(0, 75)),
+        ];
+        let ck = monotonic_verdict(&legal);
+        assert!(ck.passed, "{:?}", ck.violations);
     }
 
     #[test]
@@ -904,19 +911,19 @@ mod tests {
         assert_eq!(report.recovery_latencies_us, vec![30_000_000, 40_000_000]);
     }
 
-    /// A kill at t=100 whose replacement pod 7 is requested by `job` at
+    /// A kill at t=100 whose replacement pod 7, of `role`, is requested at
     /// once, placed at `placed_s` and joins at `joined_s` (each optional),
     /// on a job that runs for hours: the `recovery_deadline` verdict and
     /// the latencies reported.
     fn slow_start_verdict(
-        job: u64,
+        role: PodKind,
         placed_s: Option<u64>,
         joined_s: Option<u64>,
     ) -> (InvariantCheck, Vec<u64>) {
         let mut events = vec![
             ev(100, 0, EventKind::FaultInjected { fault: 0, kind: "WorkerKill".into(), target: 1 }),
             ev(100, 1, EventKind::WorkerFailed { worker: 1 }),
-            ev(100, 2, EventKind::PodRequested { job, pod: 7 }),
+            ev(100, 2, EventKind::PodRequested { job: 0, pod: 7, role }),
         ];
         if let Some(at) = placed_s {
             events.push(ev(at, 3, EventKind::PodPlaced { pod: 7, node: 0 }));
@@ -934,7 +941,7 @@ mod tests {
     fn a_replacement_placed_in_time_may_join_late() {
         // Placed at the kill's instant, 31 minutes to start: the control
         // plane did its part, and the latency says how long it really took.
-        let (ck, latencies) = slow_start_verdict(0, Some(100), Some(100 + 1_860));
+        let (ck, latencies) = slow_start_verdict(PodKind::Worker, Some(100), Some(100 + 1_860));
         assert!(ck.passed, "{:?}", ck.violations);
         assert_eq!(latencies, vec![1_860_000_000]);
     }
@@ -942,15 +949,17 @@ mod tests {
     #[test]
     fn a_late_join_still_needs_a_timely_placement_and_a_join() {
         // Placed in time but never joined: the worker was lost.
-        let (ck, latencies) = slow_start_verdict(0, Some(100), None);
+        let (ck, latencies) = slow_start_verdict(PodKind::Worker, Some(100), None);
         assert!(!ck.passed);
         assert!(latencies.is_empty());
         // Placed only after the deadline: the scheduler sat on it.
-        assert!(!slow_start_verdict(0, Some(100 + 1_801), Some(100 + 1_860)).0.passed);
+        assert!(
+            !slow_start_verdict(PodKind::Worker, Some(100 + 1_801), Some(100 + 1_860)).0.passed
+        );
         // Never placed at all, yet a worker joined late: not this pod's.
-        assert!(!slow_start_verdict(0, None, Some(100 + 1_860)).0.passed);
+        assert!(!slow_start_verdict(PodKind::Worker, None, Some(100 + 1_860)).0.passed);
         // Only a burst's filler pod was placed: it replaces nothing.
-        assert!(!slow_start_verdict(u64::MAX, Some(100), Some(100 + 1_860)).0.passed);
+        assert!(!slow_start_verdict(PodKind::Other, Some(100), Some(100 + 1_860)).0.passed);
     }
 
     #[test]
@@ -960,10 +969,10 @@ mod tests {
         let events = vec![
             ev(100, 0, EventKind::FaultInjected { fault: 0, kind: "NodeLoss".into(), target: 3 }),
             ev(100, 1, EventKind::WorkerFailed { worker: 1 }),
-            ev(100, 2, EventKind::PodRequested { job: 0, pod: 7 }),
+            ev(100, 2, EventKind::PodRequested { job: 0, pod: 7, role: PodKind::Worker }),
             ev(100, 3, EventKind::PodPlaced { pod: 7, node: 0 }),
             ev(100, 4, EventKind::WorkerFailed { worker: 2 }),
-            ev(100, 5, EventKind::PodRequested { job: 0, pod: 8 }),
+            ev(100, 5, EventKind::PodRequested { job: 0, pod: 8, role: PodKind::Worker }),
             ev(1_960, 6, EventKind::WorkerAdded { worker: 9 }),
             ev(1_970, 7, EventKind::WorkerAdded { worker: 10 }),
         ];
@@ -972,6 +981,29 @@ mod tests {
         let ck = report.checks.iter().find(|c| c.invariant == Invariant::RecoveryDeadline).unwrap();
         assert_eq!(ck.violations.len(), 1, "{:?}", ck.violations);
         assert_eq!(report.recovery_latencies_us, vec![1_860_000_000]);
+    }
+
+    #[test]
+    fn a_ps_replacement_does_not_stand_in_for_a_workers() {
+        // One node loss kills a PS and a worker. The PS's replacement is
+        // requested first and placed at once; the worker's is never placed,
+        // and a worker joins only past the deadline. Matched by position
+        // alone, the placed PS pod would excuse the late join.
+        let events = vec![
+            ev(100, 0, EventKind::FaultInjected { fault: 0, kind: "NodeLoss".into(), target: 3 }),
+            ev(100, 1, EventKind::PodFailed { pod: 2 }),
+            ev(100, 2, EventKind::PsReshaped { ps: 2 }),
+            ev(100, 3, EventKind::PodRequested { job: 0, pod: 7, role: PodKind::ParameterServer }),
+            ev(100, 4, EventKind::PodPlaced { pod: 7, node: 1 }),
+            ev(100, 5, EventKind::WorkerFailed { worker: 1 }),
+            ev(100, 6, EventKind::PodRequested { job: 0, pod: 8, role: PodKind::Worker }),
+            ev(1_960, 7, EventKind::WorkerAdded { worker: 9 }),
+        ];
+        let truth = GroundTruth { completed_at: Some(SimTime::from_secs(36_000)), ..clean_truth() };
+        let report = Oracle::default().check(&kill_plan(), &events, &truth);
+        let ck = report.checks.iter().find(|c| c.invariant == Invariant::RecoveryDeadline).unwrap();
+        assert_eq!(ck.violations.len(), 1, "{:?}", ck.violations);
+        assert!(ck.violations[0].contains("no replacement worker"), "{:?}", ck.violations);
     }
 
     #[test]

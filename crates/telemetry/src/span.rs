@@ -68,8 +68,6 @@ pub enum SpanCategory {
     Rebalance,
     /// A worker running far below its peers (§4.2 / Fig. 13).
     Straggler,
-    /// OOM forecasting verdicts (§5.3).
-    OomPredict,
     /// Cluster-level plan generation / selection (Eqns. 11–14).
     Planning,
     /// Per-job policy evaluation (stage-2 adjustment).
@@ -78,7 +76,7 @@ pub enum SpanCategory {
 
 impl SpanCategory {
     /// Every category, in declaration order (for analyzers and tests).
-    pub const ALL: [SpanCategory; 16] = [
+    pub const ALL: [SpanCategory; 15] = [
         SpanCategory::Job,
         SpanCategory::Scheduling,
         SpanCategory::PodStartup,
@@ -92,7 +90,6 @@ impl SpanCategory {
         SpanCategory::Migration,
         SpanCategory::Rebalance,
         SpanCategory::Straggler,
-        SpanCategory::OomPredict,
         SpanCategory::Planning,
         SpanCategory::PolicyEval,
     ];
@@ -114,7 +111,6 @@ impl SpanCategory {
             SpanCategory::Migration => "migration",
             SpanCategory::Rebalance => "rebalance",
             SpanCategory::Straggler => "straggler",
-            SpanCategory::OomPredict => "oom-predict",
             SpanCategory::Planning => "planning",
             SpanCategory::PolicyEval => "policy-eval",
         }
