@@ -48,7 +48,8 @@ pub fn run(_seed: u64) -> String {
                     AsyncCostModel::new(ModelCoefficients::simulation_truth(), constants, 512);
                 let parts = AsyncCostModel::balanced_partitions(2, 2.0);
                 let cmp = hybrid_ref.compare(&cost, &workers, &parts, total_samples);
-                let cpu_util = cost.job_cpu_utilisation(&workers, &parts);
+                let cpu_util =
+                    cost.job_cpu_utilisation(workers.iter().copied(), workers.len() as u32, &parts);
                 (cmp, cpu_util)
             })
         })

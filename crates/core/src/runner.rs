@@ -149,9 +149,10 @@ pub fn run_single_job_with(
         telemetry.sample("runner.steps_per_sec", now, steps_per_s);
         telemetry.sample("runner.allocated_cpu", now, allocated_cpu);
         if allocated_cpu > 0.0 {
-            util_acc += master.engine().cpu_utilisation();
+            let util = master.engine().cpu_utilisation();
+            util_acc += util;
             util_ticks += 1;
-            telemetry.sample("runner.cpu_utilisation", now, master.engine().cpu_utilisation());
+            telemetry.sample("runner.cpu_utilisation", now, util);
         }
 
         // Policy adjustment on its own cadence.

@@ -39,6 +39,12 @@
 //! discovers them in ascending index — any listing that keeps twins in that
 //! order sorts to the same result. `nsga2_reference` keeps the textbook
 //! sort for the differential tests that pin this.
+//!
+//! The sweep compares objectives as integers (`objective_key`), which
+//! must tie exactly where the floats compare equal: `-0.0` is folded onto
+//! `+0.0` first. That is part of the contract: an unfolded `-0.0` splits a
+//! pair of twins, which moves a twin's crowding distance and with it the
+//! survivor.
 
 use dlrover_telemetry::prof;
 use rand::Rng;
@@ -291,6 +297,19 @@ fn objective_order(a: f64, b: f64) -> Ordering {
     a.partial_cmp(&b).expect("NaN objective")
 }
 
+/// An order-preserving integer image of a non-NaN objective: keys compare
+/// as the floats do, equal exactly when the floats are. Adding `0.0` folds
+/// `-0.0` onto `+0.0`; flipping every bit of a negative and the sign bit of
+/// a positive puts the IEEE-754 bit patterns in numeric order.
+fn objective_key(x: f64) -> u64 {
+    let bits = (x + 0.0).to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
 /// Ranks and crowding distances of one population (Deb et al., §III), with
 /// every working array of the sort that produces them. One instance serves
 /// all sorts of a run.
@@ -312,16 +331,18 @@ struct Ranking {
     pos: Vec<usize>,
     /// The front whose crowding sorts are running.
     order: Vec<usize>,
-    /// Sweep: `(f0, f1, position)` in ascending order (keys packed beside
-    /// their position sort faster than positions that point at their keys).
-    sweep: Vec<(f64, f64, usize)>,
-    /// Sweep: where in `sweep` the last member of each front sits; then
-    /// bucket cursors.
-    tails: Vec<usize>,
+    /// Sweep: `(key f0, key f1, position)` in ascending order (keys packed
+    /// beside their position sort faster than positions that point at
+    /// their keys).
+    sweep: Vec<(u64, u64, usize)>,
+    /// Sweep: the keys of each front's latest member.
+    tails: Vec<(u64, u64)>,
     /// Pairwise: bit `j` of row `i` is set when `i` dominates `j`.
     dominated: Vec<u64>,
     /// Pairwise: dominators not yet peeled, per position.
     count: Vec<usize>,
+    /// Selection: one front's `(!crowding bits, position)` keys.
+    keys: Vec<u128>,
     /// Selection: the permuted `rows`.
     permuted: Vec<usize>,
 }
@@ -358,45 +379,49 @@ impl Ranking {
     /// Two objectives: visit the population in `(f0, f1, index)` order; a
     /// point belongs to the first front whose latest member does not
     /// dominate it (that member has the front's smallest `f1`, and fronts
-    /// are ordered, so a binary search finds it). Members of one front tie
-    /// on an objective only when they are twins, so listing each front in
-    /// sweep order — twins by ascending index, as the peel loop discovers
-    /// them — is enough to reproduce the textbook crowding sorts.
+    /// are ordered, so the fronts that dominate it are a prefix — counted,
+    /// as there are few). Members of one front tie on an objective only
+    /// when they are twins, so listing each front in sweep order — twins by
+    /// ascending index, as the peel loop discovers them — is enough to
+    /// reproduce the textbook crowding sorts.
     fn fronts_by_sweep(&mut self, n: usize) {
         let Ranking { rank, f, fronts, starts, sweep, tails, .. } = self;
         sweep.clear();
-        sweep.extend((0..n).map(|p| (f[2 * p], f[2 * p + 1], p)));
-        sweep.sort_unstable_by(|a, b| {
-            objective_order(a.0, b.0).then_with(|| objective_order(a.1, b.1)).then(a.2.cmp(&b.2))
-        });
+        sweep.extend((0..n).map(|p| (objective_key(f[2 * p]), objective_key(f[2 * p + 1]), p)));
+        sweep.sort_unstable();
         tails.clear();
-        for (i, &(f0, f1, p)) in sweep.iter().enumerate() {
-            let k = tails.partition_point(|&t| dominates(&[sweep[t].0, sweep[t].1], &[f0, f1]));
+        for &(f0, f1, p) in sweep.iter() {
+            // Every earlier entry has `f0 ≤` this one's, so a front's latest
+            // member dominates it iff it is better on `f1`, or equal there
+            // and better on `f0`.
+            let k = tails.iter().filter(|&&(t0, t1)| t1 < f1 || (t1 == f1 && t0 < f0)).count();
             if k == tails.len() {
-                tails.push(i);
+                tails.push((f0, f1));
             } else {
-                tails[k] = i;
+                tails[k] = (f0, f1);
             }
             rank[p] = k;
         }
 
         // Bucket the sweep order by front; a counting sort keeps it.
+        // `starts[k + 1]` is front k's cursor and ends as front k+1's start.
         let n_fronts = tails.len();
         starts.clear();
-        starts.resize(n_fronts + 1, 0);
+        starts.resize(n_fronts + 2, 0);
         for &(_, _, p) in sweep.iter() {
-            starts[rank[p] + 1] += 1;
+            starts[rank[p] + 2] += 1;
         }
-        for k in 0..n_fronts {
-            starts[k + 1] += starts[k];
+        for k in 2..starts.len() {
+            starts[k] += starts[k - 1];
         }
-        tails.copy_from_slice(&starts[..n_fronts]);
         fronts.clear();
         fronts.resize(n, 0);
         for &(_, _, p) in sweep.iter() {
-            fronts[tails[rank[p]]] = p;
-            tails[rank[p]] += 1;
+            let cursor = &mut starts[rank[p] + 1];
+            fronts[*cursor] = p;
+            *cursor += 1;
         }
+        starts.pop();
     }
 
     /// Any number of objectives: the textbook sort (pairwise dominance, then
@@ -498,12 +523,21 @@ impl Ranking {
     /// for the next tournaments. The rest are rows free for offspring; their
     /// order is of no consequence.
     fn select(&mut self, rows: &mut Vec<usize>, keep: usize) {
-        let Ranking { rank, crowding, fronts, starts, pos, f, permuted, .. } = self;
+        let Ranking { rank, crowding, fronts, starts, pos, f, keys, permuted, .. } = self;
+        // Crowding is ≥ 0 and never `-0.0`, so its bits order as its values:
+        // one ascending sort of `(!bits, position)` is (crowding desc, position).
         for k in 1..starts.len() {
             if starts[k - 1] < keep {
-                fronts[starts[k - 1]..starts[k]].sort_unstable_by(|&a, &b| {
-                    crowding[b].partial_cmp(&crowding[a]).expect("NaN crowding").then(a.cmp(&b))
-                });
+                let front = &mut fronts[starts[k - 1]..starts[k]];
+                keys.clear();
+                keys.extend(front.iter().map(|&p| {
+                    assert!(!crowding[p].is_nan(), "NaN crowding");
+                    (u128::from(!crowding[p].to_bits()) << 64) | p as u128
+                }));
+                keys.sort_unstable();
+                for (p, &key) in front.iter_mut().zip(keys.iter()) {
+                    *p = key as usize;
+                }
             }
         }
         permuted.clear();
@@ -545,6 +579,33 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(7)
+    }
+
+    #[test]
+    fn objective_keys_order_as_the_floats_do() {
+        let values = [
+            f64::NEG_INFINITY,
+            -f64::MAX,
+            -1e9,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -1e-310,
+            -0.0,
+            0.0,
+            1e-310,
+            f64::MIN_POSITIVE,
+            1.0,
+            1e9 - 2.0,
+            1e9,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for a in values {
+            for b in values {
+                let keys = objective_key(a).cmp(&objective_key(b));
+                assert_eq!(keys, objective_order(a, b), "{a:e} vs {b:e}");
+            }
+        }
     }
 
     #[test]
@@ -763,10 +824,15 @@ mod proptests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use reference::Individual;
+    use std::cell::Cell;
 
     /// `n × m` objectives with the ties the order contract is about planted
     /// in: exact duplicates, equal `f0` with a different rest, values on a
-    /// coarse grid, and `1e9 − gain`-style penalty values.
+    /// coarse grid, `-0.0`/`+0.0` twins, `1e9 − gain`-style penalty values
+    /// (sub-ulp gains collapse onto `1e9` itself) and, at most once each, a
+    /// point at `+∞` and one at `−∞` in every objective. Not more: an ∞ in
+    /// a front of three or more makes its crowding distances NaN.
     fn planted_population(seed: u64, n: usize, m: usize) -> Vec<Vec<f64>> {
         let mut rng = StdRng::seed_from_u64(seed);
         let grid = rng.gen_range(0..3) == 0;
@@ -779,7 +845,7 @@ mod proptests {
                     rng.gen_range(-4.0..4.0)
                 }
             };
-            let kind = if i == 0 { 9 } else { rng.gen_range(0..10) };
+            let kind = if i == 0 { 11 } else { rng.gen_range(0..12) };
             let objectives = match kind {
                 0 | 1 => pop[rng.gen_range(0..i)].clone(),
                 2 | 3 => {
@@ -789,15 +855,151 @@ mod proptests {
                 }
                 4 => {
                     let mut o: Vec<f64> = (0..m).map(|_| fresh(&mut rng)).collect();
-                    let gain = f64::from(rng.gen_range(0..3u32));
+                    let gain = [0.0, 1.0, 2.0, 1e-12, 3e-8][rng.gen_range(0..5usize)];
                     o[m - 1] = if rng.gen::<f64>() < 0.5 { 1e9 - gain } else { -1e9 };
+                    o
+                }
+                5 => {
+                    let mut o: Vec<f64> = (0..m).map(|_| fresh(&mut rng)).collect();
+                    o[rng.gen_range(0..m)] = if rng.gen() { 0.0 } else { -0.0 };
+                    o
+                }
+                6 => {
+                    let mut o = pop[rng.gen_range(0..i)].clone();
+                    o.iter_mut().filter(|v| **v == 0.0).for_each(|v| *v = -*v);
                     o
                 }
                 _ => (0..m).map(|_| fresh(&mut rng)).collect(),
             };
             pop.push(objectives);
         }
+        // Planted last, so no duplicate or shared `f0` spreads them.
+        for infinity in [f64::INFINITY, f64::NEG_INFINITY] {
+            if rng.gen_range(0..3) == 0 {
+                pop[rng.gen_range(0..n)] = vec![infinity; m];
+            }
+        }
         pop
+    }
+
+    /// Positions `0..expected.len()` of `ranking` carry the textbook sort's
+    /// rank and crowding bits.
+    fn same_ranking(ranking: &Ranking, expected: &[Individual], step: &str) {
+        for (i, ind) in expected.iter().enumerate() {
+            prop_assert_eq!(ranking.rank[i], ind.rank, "{}: rank of {}", step, i);
+            prop_assert_eq!(
+                ranking.crowding[i].to_bits(),
+                ind.crowding.to_bits(),
+                "{}: crowding of {}: {} vs {}",
+                step,
+                i,
+                ranking.crowding[i],
+                ind.crowding
+            );
+        }
+    }
+
+    /// The individual whose objectives row `r` holds (`id_at[r]` indexes
+    /// `pop`; its genome is that index).
+    fn individual_at(pop: &[Vec<f64>], id_at: &[usize], r: usize) -> Individual {
+        Individual::new(vec![id_at[r] as f64], pop[id_at[r]].clone())
+    }
+
+    /// Two generations of `assign` + `select` (the first sort on a dirty
+    /// scratch, the second over survivors and offspring) and the last sort
+    /// of a run (the survivors alone), each against the textbook sort of
+    /// the same population: rank and crowding *bits*, survivors and their
+    /// order.
+    fn check_ranking(seed: u64, n: usize, m: usize) {
+        let keep = n / 2;
+        let pop = planted_population(seed, n + (n - keep), m);
+        // Store the population in scattered rows to exercise the gather.
+        let mut rows: Vec<usize> = (0..n).map(|i| (i * 7 + 3) % n).collect();
+        if n.is_multiple_of(7) {
+            rows = (0..n).rev().collect();
+        }
+        let mut objectives = vec![0.0; n * m];
+        let mut id_at = vec![0; n];
+        let write = |objectives: &mut [f64], id_at: &mut [usize], r: usize, id: usize| {
+            objectives[r * m..(r + 1) * m].copy_from_slice(&pop[id]);
+            id_at[r] = id;
+        };
+        for (id, &r) in rows.iter().enumerate() {
+            write(&mut objectives, &mut id_at, r, id);
+        }
+        let mut expected: Vec<Individual> =
+            rows.iter().map(|&r| individual_at(&pop, &id_at, r)).collect();
+        let mut ranking = Ranking::default();
+        // A dirty scratch must not leak into the next sort.
+        ranking.assign(&objectives, m, &rows[..n / 2], n / 4);
+
+        for generation in 0..2 {
+            ranking.assign(&objectives, m, &rows, n);
+            reference::assign_ranks_and_crowding(&mut expected);
+            same_ranking(&ranking, &expected, &format!("sort {generation}"));
+            reference::truncate_to(&mut expected, keep);
+            ranking.select(&mut rows, keep);
+            same_ranking(&ranking, &expected, &format!("selection {generation}"));
+            for (i, ind) in expected.iter().enumerate() {
+                prop_assert_eq!(id_at[rows[i]] as f64, ind.genome[0], "survivor {}", i);
+            }
+            let mut all = rows.clone();
+            all.sort_unstable();
+            prop_assert_eq!(all, (0..n).collect::<Vec<_>>(), "selection must permute the rows");
+            if generation == 0 {
+                for (j, &r) in rows[keep..].iter().enumerate() {
+                    write(&mut objectives, &mut id_at, r, n + j);
+                }
+                expected.extend(rows[keep..].iter().map(|&r| individual_at(&pop, &id_at, r)));
+            }
+        }
+
+        ranking.assign(&objectives, m, &rows[..keep], 0);
+        reference::assign_ranks_and_crowding(&mut expected);
+        for (i, ind) in expected.iter().enumerate() {
+            prop_assert_eq!(ranking.rank[i], ind.rank, "survivors alone: rank of {}", i);
+        }
+    }
+
+    /// Objectives that collapse many genomes onto one point, keep a rounded
+    /// `-0.0` apart from `+0.0` in `f0`, and price the `poison`-th
+    /// evaluation at `+∞` in every objective (a plan the model cannot
+    /// price). Only one: an ∞ in a front of three or more makes its
+    /// crowding distances NaN.
+    fn collapsing(
+        m: usize,
+        poison: usize,
+        calls: &Cell<usize>,
+    ) -> impl Fn(&[f64]) -> Vec<f64> + '_ {
+        move |g| {
+            calls.set(calls.get() + 1);
+            if calls.get() == poison {
+                return vec![f64::INFINITY; m];
+            }
+            let x = g[0].round();
+            let y = g[g.len() - 1].round();
+            let f0 = if x == 0.0 { x } else { x * x };
+            [f0, (x - 2.0) * (x - 2.0) + y.abs(), 1e9 - y][..m].to_vec()
+        }
+    }
+
+    /// A whole run returns the reference engine's front, makes the same
+    /// evaluations and leaves the RNG where it leaves it.
+    fn check_run(seed: u64, population: usize, generations: usize, m: usize, dim: usize) {
+        let config = Nsga2Config { population, generations };
+        let (lower, upper) = (vec![-4.0; dim], vec![4.0; dim]);
+        let poison = 1 + (seed % (population * (generations + 1)) as u64) as usize;
+        let (calls_new, calls_old) = (Cell::new(0), Cell::new(0));
+        let mut rng_new = StdRng::seed_from_u64(seed);
+        let mut rng_old = StdRng::seed_from_u64(seed);
+        let front =
+            Nsga2::new(collapsing(m, poison, &calls_new), lower.clone(), upper.clone(), config)
+                .run(&mut rng_new);
+        let expected =
+            reference::run(collapsing(m, poison, &calls_old), &lower, &upper, config, &mut rng_old);
+        prop_assert_eq!(front, expected);
+        prop_assert_eq!(calls_new.get(), calls_old.get());
+        prop_assert_eq!(rng_new.gen::<u64>(), rng_old.gen::<u64>());
     }
 
     proptest! {
@@ -812,58 +1014,16 @@ mod proptests {
             n in 4usize..257,
             m in 1usize..4,
         ) {
-            let pop = planted_population(seed, n, m);
-            let mut expected: Vec<reference::Individual> = pop
-                .iter()
-                .enumerate()
-                .map(|(i, o)| reference::Individual::new(vec![i as f64], o.clone()))
-                .collect();
-            reference::assign_ranks_and_crowding(&mut expected);
-
-            // Store the population in scattered rows to exercise the gather.
-            let mut rows: Vec<usize> = (0..n).map(|i| (i * 7 + 3) % n).collect();
-            if n % 7 == 0 {
-                rows = (0..n).rev().collect();
-            }
-            let mut objectives = vec![0.0; n * m];
-            for (i, o) in pop.iter().enumerate() {
-                objectives[rows[i] * m..(rows[i] + 1) * m].copy_from_slice(o);
-            }
-            let mut ranking = Ranking::default();
-            // A dirty scratch must not leak into the next sort.
-            ranking.assign(&objectives, m, &rows[..n / 2], n / 4);
-            ranking.assign(&objectives, m, &rows, n);
-            for (i, ind) in expected.iter().enumerate() {
-                prop_assert_eq!(ranking.rank[i], ind.rank, "rank of {} (n={}, m={})", i, n, m);
-                prop_assert_eq!(
-                    ranking.crowding[i].to_bits(),
-                    ind.crowding.to_bits(),
-                    "crowding of {}: {} vs {} (n={}, m={})",
-                    i, ranking.crowding[i], ind.crowding, n, m
-                );
-            }
-
-            let keep = n / 2;
-            reference::truncate_to(&mut expected, keep);
-            let before = rows.clone();
-            ranking.select(&mut rows, keep);
-            for (i, ind) in expected.iter().enumerate() {
-                prop_assert_eq!(rows[i], before[ind.genome[0] as usize], "survivor {}", i);
-                prop_assert_eq!(ranking.rank[i], ind.rank);
-                prop_assert_eq!(ranking.crowding[i].to_bits(), ind.crowding.to_bits());
-            }
-            let mut all = rows.clone();
-            all.sort_unstable();
-            prop_assert_eq!(all, (0..n).collect::<Vec<_>>(), "selection must permute the rows");
+            check_ranking(seed, n, m);
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Whole runs — odd populations included — return the reference
-        /// engine's front and leave the RNG where it leaves it, on problems
-        /// whose objectives collapse many genomes onto one point.
+        /// Whole runs — odd populations included — match the reference
+        /// engine on problems whose objectives collapse many genomes onto
+        /// one point.
         #[test]
         fn run_matches_the_reference_engine(
             seed in 0u64..u64::MAX,
@@ -872,19 +1032,7 @@ mod proptests {
             m in 1usize..4,
             dim in 1usize..5,
         ) {
-            let evaluate = move |g: &[f64]| -> Vec<f64> {
-                let x = g[0].round();
-                let y = g[g.len() - 1].round();
-                [x * x, (x - 2.0) * (x - 2.0) + y.abs(), 1e9 - y][..m].to_vec()
-            };
-            let config = Nsga2Config { population, generations };
-            let (lower, upper) = (vec![-4.0; dim], vec![4.0; dim]);
-            let mut rng_new = StdRng::seed_from_u64(seed);
-            let mut rng_old = StdRng::seed_from_u64(seed);
-            let front = Nsga2::new(evaluate, lower.clone(), upper.clone(), config).run(&mut rng_new);
-            let expected = reference::run(evaluate, &lower, &upper, config, &mut rng_old);
-            prop_assert_eq!(front, expected);
-            prop_assert_eq!(rng_new.gen::<u64>(), rng_old.gen::<u64>());
+            check_run(seed, population, generations, m, dim);
         }
 
         /// dominates() is antisymmetric for arbitrary objective vectors.
@@ -900,6 +1048,39 @@ mod proptests {
         #[test]
         fn domination_irreflexive(a in proptest::collection::vec(-100.0f64..100.0, 4)) {
             prop_assert!(!dominates(&a, &a));
+        }
+    }
+
+    // The two differentials above at 20× their cases, whole runs at
+    // populations up to 256: `cargo test --release -p dlrover-optimizer --
+    // --ignored` (CI runs it).
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(7_680))]
+
+        #[test]
+        #[ignore = "deep differential; run in release with --ignored"]
+        fn ranking_matches_the_textbook_sort_deep(
+            seed in 0u64..u64::MAX,
+            n in 4usize..257,
+            m in 1usize..4,
+        ) {
+            check_ranking(seed, n, m);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(960))]
+
+        #[test]
+        #[ignore = "deep differential; run in release with --ignored"]
+        fn run_matches_the_reference_engine_deep(
+            seed in 0u64..u64::MAX,
+            population in 4usize..257,
+            generations in 0usize..12,
+            m in 1usize..4,
+            dim in 1usize..5,
+        ) {
+            check_run(seed, population, generations, m, dim);
         }
     }
 }

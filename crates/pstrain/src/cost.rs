@@ -243,63 +243,50 @@ impl AsyncCostModel {
         parts.map(|t| t / total)
     }
 
-    /// CPU utilisation of one worker: busy core-seconds per iteration over
-    /// allocated core-seconds. Gradient computation costs `α_grad·m` busy
-    /// core-seconds regardless of the core count, so over-provisioning CPU
-    /// directly lowers utilisation — the §2.2 pathology.
-    pub fn worker_utilisation(
+    /// Whole-job CPU utilisation of the `count` worker pods `workers`
+    /// yields: busy core-seconds over allocated core-seconds, across
+    /// workers and PSes.
+    ///
+    /// A worker's gradient computation costs `α_grad·m` busy core-seconds
+    /// per iteration regardless of its core count, so over-provisioning CPU
+    /// directly lowers utilisation — the §2.2 pathology. A PS takes its
+    /// share of the server-side busy core-seconds per iteration *round*
+    /// (every worker completing one iteration, over the mean iteration
+    /// time): each worker-iteration costs the servers one parameter update
+    /// (`α_upd`) and one batch of lookups (`α_emb·m·D`). One
+    /// [`Self::server_phases`] per call, as in [`Self::throughput_of`].
+    pub fn job_cpu_utilisation(
         &self,
-        worker: &PodState,
+        workers: impl Iterator<Item = PodState>,
+        count: u32,
         partitions: &[PsPartition],
-        workers: u32,
     ) -> f64 {
-        let busy = self.coefficients.alpha_grad * f64::from(self.batch_size);
-        let iter = self.worker_iter_time(worker, partitions, workers);
-        (busy / (worker.cpu.max(1e-9) * iter)).min(1.0)
-    }
-
-    /// Per-PS CPU utilisation: each PS's share of the server-side busy
-    /// core-seconds per iteration *round* (every worker completing one
-    /// iteration) over its allocated core-seconds. Each worker-iteration
-    /// costs the server one parameter update (`α_upd`) and one batch of
-    /// lookups (`α_emb·m·D`), so both terms scale with the worker count.
-    pub fn ps_utilisation(&self, workers: &[PodState], partitions: &[PsPartition]) -> Vec<f64> {
-        let n = workers.len() as u32;
-        if workers.is_empty() {
-            return vec![0.0; partitions.len()];
-        }
-        let mean_iter =
-            workers.iter().map(|w| self.worker_iter_time(w, partitions, n)).sum::<f64>()
-                / workers.len() as f64;
-        let c = self.coefficients;
-        let server_busy = f64::from(n)
-            * (c.alpha_upd
-                + c.alpha_emb * f64::from(self.batch_size) * self.constants.embedding_dim);
-        partitions
-            .iter()
-            .map(|ps| (server_busy * ps.share / (ps.pod.cpu.max(1e-9) * mean_iter)).min(1.0))
-            .collect()
-    }
-
-    /// Whole-job CPU utilisation: busy core-seconds over allocated
-    /// core-seconds, across workers and PSes.
-    pub fn job_cpu_utilisation(&self, workers: &[PodState], partitions: &[PsPartition]) -> f64 {
-        if workers.is_empty() {
+        if count == 0 {
             return 0.0;
         }
-        let n = workers.len() as u32;
-        let total_cores: f64 = workers.iter().map(|w| w.cpu).sum::<f64>()
-            + partitions.iter().map(|p| p.pod.cpu).sum::<f64>();
+        let server = self.server_phases(partitions, count);
+        let busy = self.coefficients.alpha_grad * f64::from(self.batch_size);
+        let (mut worker_cores, mut iter_sum, mut worker_busy) = (0.0, 0.0, 0.0);
+        for w in workers {
+            let iter: f64 = self.phase_times_on(&w, &server).iter().sum();
+            worker_cores += w.cpu;
+            iter_sum += iter;
+            worker_busy += (busy / (w.cpu.max(1e-9) * iter)).min(1.0) * w.cpu;
+        }
+        let total_cores = worker_cores + partitions.iter().map(|p| p.pod.cpu).sum::<f64>();
         if total_cores <= 0.0 {
             return 0.0;
         }
-        let worker_busy: f64 =
-            workers.iter().map(|w| self.worker_utilisation(w, partitions, n) * w.cpu).sum();
-        let ps_busy: f64 = self
-            .ps_utilisation(workers, partitions)
+        let mean_iter = iter_sum / f64::from(count);
+        let c = self.coefficients;
+        let server_busy = f64::from(count)
+            * (c.alpha_upd
+                + c.alpha_emb * f64::from(self.batch_size) * self.constants.embedding_dim);
+        let ps_busy: f64 = partitions
             .iter()
-            .zip(partitions)
-            .map(|(u, p)| u * p.pod.cpu)
+            .map(|ps| {
+                (server_busy * ps.share / (ps.pod.cpu.max(1e-9) * mean_iter)).min(1.0) * ps.pod.cpu
+            })
             .sum();
         ((worker_busy + ps_busy) / total_cores).min(1.0)
     }
@@ -576,20 +563,35 @@ mod tests {
         let m = model();
         let ps4 = AsyncCostModel::balanced_partitions(2, 4.0);
         let ps32 = AsyncCostModel::balanced_partitions(2, 32.0);
-        let lean = m.job_cpu_utilisation(&uniform_workers(4, 4.0), &ps4);
-        let fat = m.job_cpu_utilisation(&uniform_workers(4, 32.0), &ps32);
+        let lean = m.job_cpu_utilisation(uniform_workers(4, 4.0).into_iter(), 4, &ps4);
+        let fat = m.job_cpu_utilisation(uniform_workers(4, 32.0).into_iter(), 4, &ps32);
         assert!(fat < lean, "8x CPU should crater utilisation: {fat} !< {lean}");
         assert!((0.0..=1.0).contains(&lean));
         assert!((0.0..=1.0).contains(&fat));
     }
 
+    /// Trading a PS's cores against its speed at the same product leaves
+    /// every phase time alone, so the job's busy cores show what that PS
+    /// does with its cores: a starved PS runs flat out, so each core it
+    /// loses was busy; a cool one idles, so cores it gains stay idle.
     #[test]
     fn hot_ps_runs_at_full_utilisation() {
         let m = model();
+        let workers = uniform_workers(8, 8.0);
+        let busy_cores = |parts: &[PsPartition]| {
+            let cores: f64 =
+                workers.iter().chain(parts.iter().map(|p| &p.pod)).map(|p| p.cpu).sum();
+            m.job_cpu_utilisation(workers.iter().copied(), 8, parts) * cores
+        };
         let mut parts = AsyncCostModel::balanced_partitions(4, 8.0);
         parts[0].pod = PodState { cpu: 0.3, speed: 1.0 }; // starved PS
-        let utils = m.ps_utilisation(&uniform_workers(8, 8.0), &parts);
-        assert!(utils[0] > utils[1], "starved PS should be busier: {utils:?}");
+        let base = busy_cores(&parts);
+        let mut hot = parts.clone();
+        hot[0].pod = PodState { cpu: 0.15, speed: 2.0 };
+        let mut cool = parts.clone();
+        cool[1].pod = PodState { cpu: 16.0, speed: 0.5 };
+        assert!((base - busy_cores(&hot) - 0.15).abs() < 1e-9, "starved PS should be saturated");
+        assert!((busy_cores(&cool) - base).abs() < 1e-9, "cool PS should idle its extra cores");
     }
 
     #[test]
@@ -676,14 +678,79 @@ mod differential {
             .sum()
     }
 
+    /// CPU utilisation of one worker by definition: busy core-seconds per
+    /// iteration over allocated core-seconds, its own `server_phases`.
+    fn worker_utilisation(
+        model: &AsyncCostModel,
+        worker: &PodState,
+        partitions: &[PsPartition],
+        workers: u32,
+    ) -> f64 {
+        let busy = model.coefficients.alpha_grad * f64::from(model.batch_size);
+        let iter = model.worker_iter_time(worker, partitions, workers);
+        (busy / (worker.cpu.max(1e-9) * iter)).min(1.0)
+    }
+
+    /// Per-PS CPU utilisation by definition: each PS's share of the
+    /// server-side busy core-seconds per iteration round over its allocated
+    /// core-seconds, against the workers' mean iteration time.
+    fn ps_utilisation(
+        model: &AsyncCostModel,
+        workers: &[PodState],
+        partitions: &[PsPartition],
+    ) -> Vec<f64> {
+        let n = workers.len() as u32;
+        if workers.is_empty() {
+            return vec![0.0; partitions.len()];
+        }
+        let mean_iter =
+            workers.iter().map(|w| model.worker_iter_time(w, partitions, n)).sum::<f64>()
+                / workers.len() as f64;
+        let c = model.coefficients;
+        let server_busy = f64::from(n)
+            * (c.alpha_upd
+                + c.alpha_emb * f64::from(model.batch_size) * model.constants.embedding_dim);
+        partitions
+            .iter()
+            .map(|ps| (server_busy * ps.share / (ps.pod.cpu.max(1e-9) * mean_iter)).min(1.0))
+            .collect()
+    }
+
+    /// Whole-job CPU utilisation by definition, per worker and per PS: the
+    /// `2·w` `server_phases` evaluations the one-pass
+    /// [`AsyncCostModel::job_cpu_utilisation`] replaced.
+    fn job_cpu_utilisation(
+        model: &AsyncCostModel,
+        workers: &[PodState],
+        partitions: &[PsPartition],
+    ) -> f64 {
+        if workers.is_empty() {
+            return 0.0;
+        }
+        let n = workers.len() as u32;
+        let total_cores: f64 = workers.iter().map(|w| w.cpu).sum::<f64>()
+            + partitions.iter().map(|p| p.pod.cpu).sum::<f64>();
+        if total_cores <= 0.0 {
+            return 0.0;
+        }
+        let worker_busy: f64 =
+            workers.iter().map(|w| worker_utilisation(model, w, partitions, n) * w.cpu).sum();
+        let ps_busy: f64 = ps_utilisation(model, workers, partitions)
+            .iter()
+            .zip(partitions)
+            .map(|(u, p)| u * p.pod.cpu)
+            .sum();
+        ((worker_busy + ps_busy) / total_cores).min(1.0)
+    }
+
     fn bits(a: [f64; 5]) -> [u64; 5] {
         a.map(f64::to_bits)
     }
 
     /// Skewed shares (normalised), uneven CPUs, and sometimes one PS at the
-    /// paper's 3 % straggler speed.
-    fn layout() -> impl Strategy<Value = Vec<PsPartition>> {
-        (proptest::collection::vec((0.05f64..1.0, 0.5f64..32.0), 1..65), 0usize..128).prop_map(
+    /// paper's 3 % straggler speed; `sizes` PSes.
+    fn layout(sizes: std::ops::Range<usize>) -> impl Strategy<Value = Vec<PsPartition>> {
+        (proptest::collection::vec((0.05f64..1.0, 0.5f64..32.0), sizes), 0usize..128).prop_map(
             |(raw, slow)| {
                 let total: f64 = raw.iter().map(|(s, _)| s).sum();
                 let n = raw.len();
@@ -698,10 +765,11 @@ mod differential {
         )
     }
 
-    fn worker_set() -> impl Strategy<Value = Vec<PodState>> {
+    /// `sizes` workers of mixed CPUs and speeds down to 3 %.
+    fn worker_set(sizes: std::ops::Range<usize>) -> impl Strategy<Value = Vec<PodState>> {
         proptest::collection::vec(
             (0.5f64..32.0, 0.03f64..1.0).prop_map(|(cpu, speed)| PodState { cpu, speed }),
-            1..257,
+            sizes,
         )
     }
 
@@ -717,8 +785,8 @@ mod differential {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
         fn split_phases_match_the_single_body(
-            partitions in layout(),
-            workers in worker_set(),
+            partitions in layout(1..65),
+            workers in worker_set(1..257),
             batch in 1u32..4096,
         ) {
             let model = AsyncCostModel::new(
@@ -748,6 +816,51 @@ mod differential {
                 model.throughput(&workers, &partitions).to_bits(),
                 reference_throughput(&model, &workers, &partitions).to_bits()
             );
+        }
+
+        /// One `server_phases` per call prices utilisation as the per-worker
+        /// definition does, bit for bit.
+        #[test]
+        fn one_pass_utilisation_matches_the_definition(
+            partitions in layout(1..17),
+            workers in worker_set(1..33),
+            batch in 1u32..4096,
+        ) {
+            let model = AsyncCostModel::new(
+                ModelCoefficients::simulation_truth(),
+                WorkloadConstants::default(),
+                batch,
+            );
+            let n = workers.len() as u32;
+            prop_assert_eq!(
+                model.job_cpu_utilisation(workers.iter().copied(), n, &partitions).to_bits(),
+                job_cpu_utilisation(&model, &workers, &partitions).to_bits()
+            );
+        }
+
+        /// The engine prices its live pods only: a hung slot drops out, and
+        /// a paused engine reads 0.
+        #[test]
+        fn engine_utilisation_is_the_definition_over_live_pods(
+            partitions in layout(1..17),
+            workers in worker_set(2..33),
+            hung in 0usize..32,
+        ) {
+            let spec = crate::TrainingJobSpec::paper_default(1_000_000);
+            let model = AsyncCostModel::new(spec.coefficients, spec.constants, spec.batch_size);
+            let mem = vec![1 << 40; partitions.len()];
+            let mut engine =
+                crate::PsTrainingEngine::new(spec, workers.clone(), partitions.clone(), mem);
+            let hung = hung % workers.len();
+            engine.hang_worker(hung);
+            let mut live = workers.clone();
+            live.remove(hung);
+            prop_assert_eq!(
+                engine.cpu_utilisation().to_bits(),
+                job_cpu_utilisation(&model, &live, &partitions).to_bits()
+            );
+            engine.pause(dlrover_sim::SimDuration::from_secs(30));
+            prop_assert_eq!(engine.cpu_utilisation(), 0.0);
         }
     }
 }

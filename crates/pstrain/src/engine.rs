@@ -529,8 +529,8 @@ impl PsTrainingEngine {
         if !self.pending_pause.is_zero() {
             return 0.0;
         }
-        let pods: Vec<PodState> = self.live_pods().collect();
-        self.cost.job_cpu_utilisation(&pods, &self.partitions)
+        let live = self.live_pods().count() as u32;
+        self.cost.job_cpu_utilisation(self.live_pods(), live, &self.partitions)
     }
 
     /// Memory in use per PS, bytes, in partition order: its parameter share

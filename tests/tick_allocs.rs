@@ -6,7 +6,8 @@
 //! costs the allocator is a number this file pins: a fault-free tick against
 //! the null sink allocates nothing, against a recording sink only the two
 //! rings' amortised growth, and a whole chaos job a few allocations per
-//! fault, save and recovery — not per tick. What a steady tick records is
+//! fault, save and recovery — not per tick; the engine reads the runner makes
+//! after each tick allocate nothing either. What a steady tick records is
 //! pinned too: one shard ack per worker that acked, nothing else.
 //!
 //! The counter is per thread (the harness runs tests on parallel threads) and
@@ -118,6 +119,23 @@ fn a_fault_free_tick_against_the_null_sink_allocates_nothing() {
         "{allocs} allocations over {TICKS} ticks = {:.2} per tick",
         allocs as f64 / TICKS as f64
     );
+}
+
+/// What the runner reads off the engine after every tick — throughput and
+/// CPU utilisation — is priced over the live slots in place.
+#[test]
+fn a_runner_ticks_reads_allocate_nothing() {
+    let mut master = steady_master(Telemetry::null());
+    for _ in 0..WARM_UP {
+        master.tick(TICK);
+    }
+    let (allocs, sum) = allocations_during(|| {
+        (0..TICKS)
+            .map(|_| master.engine().throughput() + master.engine().cpu_utilisation())
+            .sum::<f64>()
+    });
+    assert!(sum > 0.0, "the job must be training");
+    assert_eq!(allocs, 0, "{allocs} allocations over {TICKS} reads");
 }
 
 #[test]
