@@ -423,8 +423,7 @@ fn main() {
 mod tests {
     use super::*;
 
-    /// ISSUE-2 satellite: `--filter` takes comma-separated kinds and
-    /// `prefix*` globs.
+    /// `--filter` takes comma-separated kinds and `prefix*` globs.
     #[test]
     fn filter_accepts_kind_lists_and_globs() {
         assert!(filter_matches("JobStarted", "JobStarted"));

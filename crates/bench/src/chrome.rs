@@ -82,7 +82,7 @@ mod tests {
         vec![Event { at_us: 2_000, seq: 0, kind: EventKind::JobStarted { job: 3 } }]
     }
 
-    /// Golden-schema test (ISSUE-2 satellite): every emitted record has the
+    /// Golden-schema test: every emitted record has the
     /// trace-event fields Perfetto requires, with the right types, and the
     /// document round-trips through `serde_json`.
     #[test]

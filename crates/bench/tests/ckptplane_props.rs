@@ -1,4 +1,4 @@
-//! Property test (ISSUE-9 satellite): the content-chunked dedup store
+//! Property test (DESIGN §12): the content-chunked dedup store
 //! round-trips arbitrary write / evict / restore interleavings
 //! byte-identically at any shard count.
 //!

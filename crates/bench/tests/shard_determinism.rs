@@ -1,5 +1,5 @@
-//! Property test (ISSUE-6 satellite): the shard count of the fleet core
-//! is a pure execution knob. For any workload shape, seed, and chaos
+//! Property test: the shard count of the fleet core is a pure execution
+//! knob (DESIGN §9). For any workload shape, seed, and chaos
 //! plan, `ShardedFleet` at K ∈ {1, 2, 4, 7} shards must produce the same
 //! per-cell aggregates (bitwise, via `PartialEq` *and* the order-
 //! sensitive digest) and byte-identical merged telemetry as the

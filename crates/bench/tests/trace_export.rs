@@ -1,5 +1,5 @@
 //! End-to-end trace-export determinism: a seeded traced run must yield a
-//! byte-identical, schema-valid Chrome trace (ISSUE-2 acceptance: the
+//! byte-identical, schema-valid Chrome trace (DESIGN §3 1c: the
 //! `exp trace --chrome` artefact is a reproducible build product, not a
 //! best-effort dump).
 

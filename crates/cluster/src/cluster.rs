@@ -847,8 +847,8 @@ mod tests {
         assert_eq!(c.pod(parked).unwrap().phase, PodPhase::Pending);
     }
 
-    /// ISSUE-4: repeated uncorrelated pod failures on one node blacklist
-    /// it; later placements avoid it even when it has the most free room.
+    /// Repeated uncorrelated pod failures on one node blacklist it; later
+    /// placements avoid it even when it has the most free room (DESIGN §7).
     #[test]
     fn repeated_pod_failures_blacklist_the_node() {
         let mut c = small_cluster();
@@ -913,8 +913,8 @@ mod tests {
         assert_eq!(c.blacklisted_nodes().count(), 0);
     }
 
-    /// ISSUE-4: denial reasons distinguish contention, exhaustion, and
-    /// cordoned capacity.
+    /// Denial reasons distinguish contention, exhaustion, and cordoned
+    /// capacity (DESIGN §7).
     #[test]
     fn denial_reasons_classify_the_shortage() {
         let mut c = small_cluster();

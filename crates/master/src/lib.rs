@@ -32,7 +32,10 @@ pub use ckptplane::{CheckpointPlane, CkptPlaneConfig, PlaneStats, RestoreSource}
 pub use master::{JobMaster, MasterConfig, MasterEvent};
 pub use policy::{PolicyDecision, ReconfigRequest, SchedulerPolicy};
 pub use profiler::{JobRuntimeProfile, Profiler};
-pub use replay::{RecoveryOutcome, RecoveryPath, ReplayedJobState};
+/// The old name of [`JobControl`], kept for the frozen benchmark harness
+/// until the benchmark change (ROADMAP item 3) deletes it.
+pub use replay::JobControl as ReplayedJobState;
+pub use replay::{IllegalTransition, JobControl, RecoveryOutcome, RecoveryPath, Window};
 pub use resilience::{
     BudgetLedger, FailureBudget, JobHealth, RetryDecision, RetryPolicy, RetrySupervisor,
 };

@@ -16,7 +16,6 @@
 //!   engine eventually OOMs and the job dies.
 
 use dlrover_optimizer::ResourceAllocation;
-use dlrover_perfmodel::ExecPlan;
 use dlrover_pstrain::{
     plan_ps_migration, AsyncCostModel, EngineCheckpoint, MigrationStrategy, MigrationTimeline,
     PodState, PsPartition, PsTrainingEngine, ShardQueue, TimelineSegment, TrainingJobSpec,
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::policy::{PolicyDecision, ReconfigRequest};
 use crate::profiler::{JobRuntimeProfile, Profiler};
-use crate::replay::ReplayedJobState;
+use crate::replay::{JobControl, Window};
 use crate::resilience::{BudgetLedger, FailureBudget, JobHealth};
 
 /// Master configuration knobs.
@@ -113,11 +112,9 @@ pub struct JobMaster {
     /// last recovery, so a duplicate delivery of the same failure within
     /// one tick is a no-op rather than a second migration.
     last_ps_recovery: Option<(usize, SimTime)>,
-    /// An execution-plan change in flight: applied to the engine but not
-    /// yet committed as a `ReconfigApplied` event (§5.2 window contract).
-    pending_reconfig: Option<PendingReconfig>,
-    /// Monotone reconfig-window id; survives master failover via replay.
-    next_window: u64,
+    /// The committed plan and the reconfiguration window (§5.2); its
+    /// watermark and PS count are stale, [`Self::control`] reads the engine's.
+    control: JobControl,
     telemetry: Telemetry,
     scratch: TickScratch,
 }
@@ -129,22 +126,6 @@ struct TickScratch {
     ps_used: Vec<u64>,
     /// Engine slots of the workers found silent this tick.
     silent: Vec<usize>,
-}
-
-/// One in-flight reconfiguration window: the engine already runs `target`,
-/// but the change only *commits* (emits `ReconfigApplied`) once the
-/// transition pause has been consumed. A fault landing inside the window
-/// rolls the engine back to `prev` and emits `ReconfigRolledBack` — each
-/// window resolves exactly once, which the telemetry oracle enforces.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct PendingReconfig {
-    target: ExecPlan,
-    relayout: bool,
-    prev: ExecPlan,
-    window: u64,
-    commit_at: SimTime,
-    /// The migration pause charged for the transition (telemetry only).
-    pause: SimDuration,
 }
 
 /// Maps the pstrain strategy into the telemetry vocabulary (the telemetry
@@ -167,14 +148,14 @@ impl JobMaster {
         allocation: ResourceAllocation,
         config: MasterConfig,
     ) -> Self {
-        let boot = ReplayedJobState::from_events(&[]);
+        let boot = JobControl::default();
         let workers = vec![None; allocation.shape.workers as usize];
         Self::from_replay(job_id, spec, allocation, config, &boot, &workers, SimTime::ZERO)
     }
 
     /// Rebuilds a master after a crash (§6 master failover), resuming at
     /// `at` (crash time + restart window). What only the log knows comes
-    /// from an event-log replay ([`ReplayedJobState`]): the data frontier
+    /// from an event-log replay ([`JobControl::on_job`]): the data frontier
     /// resumes at the acked-sample watermark (in-flight shards at crash
     /// time re-train — the engine's bounded-rollback contract), on the last
     /// committed plan and PS layout, with window ids resuming past the
@@ -190,18 +171,15 @@ impl JobMaster {
         spec: TrainingJobSpec,
         allocation: ResourceAllocation,
         config: MasterConfig,
-        replayed: &ReplayedJobState,
+        control: &JobControl,
         workers: &[Option<SimTime>],
         at: SimTime,
     ) -> Self {
-        let ps = if replayed.ps_count > 0 { replayed.ps_count } else { allocation.shape.ps }.max(1);
-        let shards = ShardQueue::resume(spec.total_samples, replayed.samples_done, spec.sharding);
-        let (partitions, ps_mem) = Self::ps_layout(&allocation, ps);
+        let control = control.on_job(spec.batch_size, allocation.shape.ps).as_logged();
+        let shards = ShardQueue::resume(spec.total_samples, control.samples_done, spec.sharding);
+        let (partitions, ps_mem) = Self::ps_layout(&allocation, control.ps_count);
         let mut engine = PsTrainingEngine::from_checkpoint(
-            // The replayed exec plan is the last *committed* one: windows
-            // still pending at crash time were rolled back (or their
-            // rollback is implied by never having committed).
-            EngineCheckpoint { spec, shards, at, exec: replayed.exec },
+            EngineCheckpoint { spec, shards, at, exec: control.exec() },
             Vec::new(),
             partitions,
             ps_mem,
@@ -224,8 +202,7 @@ impl JobMaster {
             health: JobHealth::Healthy,
             budget: BudgetLedger::default(),
             last_ps_recovery: None,
-            pending_reconfig: None,
-            next_window: replayed.next_window,
+            control,
             telemetry: Telemetry::default(),
             scratch: TickScratch::default(),
         }
@@ -280,6 +257,16 @@ impl JobMaster {
     /// Current position on the Healthy → Degraded → Failed ladder.
     pub fn health(&self) -> JobHealth {
         self.health
+    }
+
+    /// The job's control state as a replay of its log so far recovers it:
+    /// the engine's watermark and PS count, the committed plan, and an open
+    /// window read as not yet opened.
+    pub fn control(&self) -> JobControl {
+        let mut control = self.control.as_logged();
+        control.samples_done = self.engine.completed_samples();
+        control.ps_count = self.engine.partitions().len() as u32;
+        control
     }
 
     /// The one migration hand-off (§5.2): prices moving the job's
@@ -375,26 +362,23 @@ impl JobMaster {
         // Commit an in-flight reconfig window once its transition pause has
         // been fully consumed: the new plan survived the migration, so it
         // becomes the job's committed layout (exactly-once per window).
-        if let Some(p) = self.pending_reconfig {
-            if self.engine.now() >= p.commit_at {
-                self.pending_reconfig = None;
-                if let Some(mut sink) = self.telemetry.batch() {
-                    let spec_batch = self.engine.spec().batch_size;
-                    sink.record(
-                        self.engine.now(),
-                        EventKind::ReconfigApplied {
-                            job: self.job_id,
-                            window: p.window,
-                            mode: p.target.gradient_mode.label().to_string(),
-                            batch: p.target.effective_batch(spec_batch),
-                            replicas: p.target.ps_replicas.max(1),
-                            shards: self.engine.partitions().len() as u32,
-                            samples_done: self.engine.completed_samples(),
-                            pause_us: p.pause.as_micros(),
-                        },
-                    );
-                    sink.metrics.count("master.reconfigs_committed", 1);
-                }
+        if let Some((window, pause)) = self.control.commit(self.engine.now()) {
+            if let Some(mut sink) = self.telemetry.batch() {
+                let target = self.control.exec();
+                sink.record(
+                    self.engine.now(),
+                    EventKind::ReconfigApplied {
+                        job: self.job_id,
+                        window,
+                        mode: target.gradient_mode.label().to_string(),
+                        batch: target.effective_batch(self.engine.spec().batch_size),
+                        replicas: target.ps_replicas,
+                        shards: self.engine.partitions().len() as u32,
+                        samples_done: self.engine.completed_samples(),
+                        pause_us: pause.as_micros(),
+                    },
+                );
+                sink.metrics.count("master.reconfigs_committed", 1);
             }
         }
 
@@ -763,15 +747,12 @@ impl JobMaster {
     /// before that rolls it back via [`Self::abort_reconfig_if_pending`].
     /// Degraded jobs hold their shape (§6) — the request is dropped.
     fn begin_reconfig(&mut self, req: ReconfigRequest) {
-        if self.health != JobHealth::Healthy || self.pending_reconfig.is_some() {
+        let target = req.target.normalised(self.engine.spec().batch_size);
+        let open = matches!(self.control.window(), Window::Open { .. });
+        let unchanged = target == self.control.exec() && !req.relayout;
+        if self.health != JobHealth::Healthy || open || unchanged {
             return;
         }
-        let prev = *self.engine.exec_plan();
-        if req.target == prev && !req.relayout {
-            return;
-        }
-        let window = self.next_window;
-        self.next_window += 1;
         let pause = self.hand_off(
             MigrationStrategy::Seamless,
             SimDuration::ZERO,
@@ -782,33 +763,26 @@ impl JobMaster {
         if req.relayout {
             self.relayout_shards();
         }
-        self.engine.set_exec_plan(req.target);
+        self.engine.set_exec_plan(target);
         self.engine.pause(pause);
         self.scaling_count += 1;
-        self.pending_reconfig = Some(PendingReconfig {
-            target: req.target,
-            relayout: req.relayout,
-            prev,
-            window,
-            commit_at: now + pause,
-            pause,
-        });
+        self.control.open(target, now + pause, pause);
         self.telemetry.count("master.reconfigs_started", 1);
     }
 
     /// Rolls back an in-flight reconfiguration window, if any: the engine
-    /// reverts to the previous committed plan and the window resolves as
+    /// reverts to the committed plan and the window resolves as
     /// `ReconfigRolledBack` (exactly once — the oracle's window invariant).
     /// Call sites are the fault paths: a worker/PS/master fault landing
     /// inside the window must not leave a half-applied plan behind.
     pub fn abort_reconfig_if_pending(&mut self, reason: &str) {
-        let Some(p) = self.pending_reconfig.take() else { return };
-        self.engine.set_exec_plan(p.prev);
+        let Some(window) = self.control.roll_back() else { return };
+        self.engine.set_exec_plan(self.control.exec());
         self.telemetry.record(
             self.engine.now(),
             EventKind::ReconfigRolledBack {
                 job: self.job_id,
-                window: p.window,
+                window,
                 reason: reason.to_string(),
                 samples_done: self.engine.completed_samples(),
             },
@@ -1470,8 +1444,6 @@ mod tests {
 
     #[test]
     fn failover_replay_resumes_at_the_acked_watermark() {
-        use crate::replay::ReplayedJobState;
-
         let spec = TrainingJobSpec::paper_default(20_000);
         let sink = Telemetry::default();
         let mut m =
@@ -1485,9 +1457,9 @@ mod tests {
 
         // The master process dies; a new incarnation replays the event log.
         let events = sink.snapshot().events;
-        let replayed = ReplayedJobState::from_events(&events);
+        let replayed = JobControl::from_events(&events).expect("a master's own log is legal");
         assert!(replayed.samples_done > 0, "acked work visible in the log");
-        assert!(replayed.samples_done <= m.engine().samples_done());
+        assert_eq!(replayed.on_job(spec.batch_size, 2), m.control(), "replay vs live");
         let restart_at = crash_at + SimDuration::from_secs(120);
         let workers = vec![None; m.engine().live_pods().count()];
         let mut m2 = JobMaster::from_replay(
@@ -1517,7 +1489,7 @@ mod tests {
     #[test]
     fn failover_with_no_bound_worker_waits_for_a_replacement() {
         let spec = TrainingJobSpec::paper_default(20_000);
-        let replayed = ReplayedJobState::from_events(&[]);
+        let replayed = JobControl::default();
         let at = SimTime::from_secs(600);
         let mut m = JobMaster::from_replay(
             7,

@@ -4,8 +4,9 @@
 //! (Fig. 4: one master pod per job). DLRover's production controller
 //! survives master restarts because every state transition it cares about
 //! is durable — in this reproduction the durable store *is* the
-//! deterministic telemetry event log. [`ReplayedJobState::from_events`]
-//! folds a log back into what only the log knows of a job:
+//! deterministic telemetry event log. [`JobControl::from_events`] folds a
+//! log back into what only the log knows of a job — the same value the
+//! live master keeps its reconfiguration window in:
 //!
 //! * the **sample watermark** — how much data is irrevocably trained
 //!   (the sum of shard acks; in-flight shards at crash time are lost and
@@ -21,6 +22,7 @@
 //! The replay is a pure fold over `&[Event]`: no clocks, no entropy, so a
 //! failover inside a chaos run replays bit-identically per seed.
 
+use dlrover_perfmodel::{ExecPlan, GradientMode};
 use dlrover_sim::{SimDuration, SimTime};
 use dlrover_telemetry::{Event, EventKind};
 use serde::{Deserialize, Serialize};
@@ -85,61 +87,163 @@ impl RecoveryOutcome {
     }
 }
 
-/// Job state recovered from an event-log replay (see the module docs).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplayedJobState {
+/// A job's control state: what a replay of its event log recovers, and the
+/// reconfiguration window of DESIGN §7 "Window contract". The live master
+/// moves a window only through its crate-private `open`, `commit` and
+/// `roll_back`; [`Self::apply`] decodes the log onto the same three.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct JobControl {
     /// Samples irrevocably trained: the sum of acked shard lengths. This
     /// equals the shard queue's completed-samples frontier at crash time —
     /// acks are never retracted, and failed workers' in-flight progress
     /// was never acked.
     pub samples_done: u64,
     /// PS count of the last applied layout (`0` when never reshaped —
-    /// callers fall back to the nominal allocation).
+    /// [`Self::on_job`] falls back to the nominal allocation).
     pub ps_count: u32,
-    /// Last *committed* execution plan: the fold of `ReconfigApplied`
-    /// events. Windows pending at crash time never committed, so the
-    /// restarted job resumes on the plan before them — the rollback half
-    /// of the reconfig-window contract.
-    pub exec: dlrover_perfmodel::ExecPlan,
-    /// Next reconfig-window id: one past the highest id seen (committed or
-    /// rolled back), keeping window ids monotone across failover.
-    pub next_window: u64,
+    exec: ExecPlan,
+    window: Window,
 }
 
-impl ReplayedJobState {
-    /// Folds an event log into recovered job state.
-    pub fn from_events(events: &[Event]) -> Self {
-        let mut state = ReplayedJobState {
-            samples_done: 0,
-            ps_count: 0,
-            exec: dlrover_perfmodel::ExecPlan::default(),
-            next_window: 0,
-        };
-        for e in events {
-            match &e.kind {
-                EventKind::ShardAcked { len, .. } => state.samples_done += len,
-                EventKind::PsReshaped { ps } => state.ps_count = *ps as u32,
-                EventKind::ReconfigApplied { window, mode, batch, replicas, .. } => {
-                    state.exec = dlrover_perfmodel::ExecPlan {
-                        gradient_mode: if mode == "sync" {
-                            dlrover_perfmodel::GradientMode::Sync
-                        } else {
-                            dlrover_perfmodel::GradientMode::Async
-                        },
-                        ps_replicas: (*replicas).max(1),
-                        batch_size: *batch,
-                    };
-                    state.next_window = state.next_window.max(window + 1);
-                }
-                EventKind::ReconfigRolledBack { window, .. } => {
-                    // A rolled-back window leaves the committed plan alone
-                    // but still consumes its id.
-                    state.next_window = state.next_window.max(window + 1);
-                }
-                _ => {}
+/// The reconfiguration window: at most one is open, and ids are dense per
+/// job, so each window resolves exactly once, in order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Window {
+    /// No window is open.
+    Closed {
+        /// Id of the next window.
+        next: u64,
+    },
+    /// The engine runs `target`; it commits once the `pause` charged for
+    /// the switch ends at `commit_at`, unless a fault rolls it back first.
+    Open {
+        /// Window id.
+        id: u64,
+        /// The plan switched to.
+        target: ExecPlan,
+        /// End of the pause.
+        commit_at: SimTime,
+        /// The pause charged for the switch.
+        pause: SimDuration,
+    },
+}
+
+/// A log record resolving a window out of turn: one resolved twice, or one
+/// whose predecessor never resolved.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IllegalTransition {
+    /// The window the record resolves.
+    pub window: u64,
+    /// The only window the state could resolve.
+    pub expected: u64,
+}
+
+impl Default for JobControl {
+    fn default() -> Self {
+        let exec = ExecPlan::default();
+        JobControl { samples_done: 0, ps_count: 0, exec, window: Window::Closed { next: 0 } }
+    }
+}
+
+impl JobControl {
+    /// Folds an event log through [`Self::apply`], from a cold start.
+    pub fn from_events(events: &[Event]) -> Result<Self, IllegalTransition> {
+        let mut control = JobControl::default();
+        events.iter().try_for_each(|e| control.apply(&e.kind))?;
+        Ok(control)
+    }
+
+    /// Applies one log record. No record marks an opening, so a resolution
+    /// opens the next window, then commits it onto the plan it records or
+    /// rolls it back (the log keeps no rolled-back target).
+    pub fn apply(&mut self, kind: &EventKind) -> Result<(), IllegalTransition> {
+        match kind {
+            EventKind::ShardAcked { len, .. } => self.samples_done += len,
+            EventKind::PsReshaped { ps } => self.ps_count = *ps as u32,
+            EventKind::ReconfigApplied { window, mode, batch, replicas, pause_us, .. } => {
+                let gradient_mode =
+                    if mode == "sync" { GradientMode::Sync } else { GradientMode::Async };
+                let target = ExecPlan { gradient_mode, ps_replicas: *replicas, batch_size: *batch };
+                self.reopen(*window, target, *pause_us)?;
+                self.commit(SimTime::ZERO);
             }
+            EventKind::ReconfigRolledBack { window, .. } => {
+                self.reopen(*window, self.exec, 0)?;
+                self.roll_back();
+            }
+            _ => {}
         }
-        state
+        Ok(())
+    }
+
+    /// Opens the window a record resolves, which must be the next one.
+    fn reopen(&mut self, id: u64, plan: ExecPlan, pause_us: u64) -> Result<(), IllegalTransition> {
+        let expected = self.next_window();
+        let pause = SimDuration::from_micros(pause_us);
+        if id != expected || self.open(plan, SimTime::ZERO, pause).is_none() {
+            return Err(IllegalTransition { window: id, expected });
+        }
+        Ok(())
+    }
+
+    fn next_window(&self) -> u64 {
+        match self.window {
+            Window::Closed { next } => next,
+            Window::Open { id, .. } => id,
+        }
+    }
+
+    /// The last committed plan: an open window's rollback returns to it.
+    pub fn exec(&self) -> ExecPlan {
+        self.exec
+    }
+
+    /// The reconfiguration window.
+    pub fn window(&self) -> Window {
+        self.window
+    }
+
+    /// Opens the next window onto `plan`; `None` while one is open.
+    pub(crate) fn open(&mut self, plan: ExecPlan, due: SimTime, pause: SimDuration) -> Option<u64> {
+        let Window::Closed { next } = self.window else { return None };
+        self.window = Window::Open { id: next, target: plan, commit_at: due, pause };
+        Some(next)
+    }
+
+    /// Commits the open window if `now` is past its pause, adopting its
+    /// target; returns its id and pause.
+    pub(crate) fn commit(&mut self, now: SimTime) -> Option<(u64, SimDuration)> {
+        let Window::Open { id, target, commit_at, pause } = self.window else { return None };
+        if now < commit_at {
+            return None;
+        }
+        self.exec = target;
+        self.window = Window::Closed { next: id + 1 };
+        Some((id, pause))
+    }
+
+    /// Rolls the open window back to the committed plan; returns its id.
+    pub(crate) fn roll_back(&mut self) -> Option<u64> {
+        let Window::Open { id, .. } = self.window else { return None };
+        self.window = Window::Closed { next: id + 1 };
+        Some(id)
+    }
+
+    /// This state as its log records it: an open window reads as not yet
+    /// opened, because no record marks an opening.
+    pub(crate) fn as_logged(mut self) -> Self {
+        self.window = Window::Closed { next: self.next_window() };
+        self
+    }
+
+    /// This state in the master's representation, on a job with spec batch
+    /// `spec_batch` and `ps` parameter servers allocated: a log that never
+    /// reshaped runs the allocation's PS count, and the committed plan is
+    /// [`ExecPlan::normalised`] (the log records the effective batch).
+    pub fn on_job(mut self, spec_batch: u32, ps: u32) -> Self {
+        self.ps_count = if self.ps_count > 0 { self.ps_count } else { ps }.max(1);
+        self.exec = self.exec.normalised(spec_batch);
+        self
     }
 }
 
@@ -149,6 +253,29 @@ mod tests {
 
     fn ev(seq: u64, kind: EventKind) -> Event {
         Event { at_us: seq * 1_000_000, seq, kind }
+    }
+
+    fn applied(window: u64) -> EventKind {
+        EventKind::ReconfigApplied {
+            job: 1,
+            window,
+            mode: "sync".to_string(),
+            batch: 512,
+            replicas: 2,
+            shards: 2,
+            samples_done: 100,
+            pause_us: 5,
+        }
+    }
+
+    fn rolled_back(window: u64) -> EventKind {
+        let reason = "master-crash".to_string();
+        EventKind::ReconfigRolledBack { job: 1, window, reason, samples_done: 200 }
+    }
+
+    fn replay(kinds: Vec<EventKind>) -> Result<JobControl, IllegalTransition> {
+        let log: Vec<Event> = kinds.into_iter().enumerate().map(|(i, k)| ev(i as u64, k)).collect();
+        JobControl::from_events(&log)
     }
 
     /// Worker and checkpoint events are not the log's to fold: whoever
@@ -174,20 +301,20 @@ mod tests {
             ev(8, EventKind::PsReshaped { ps: 3 }),
             ev(9, EventKind::WorkerRemoved { worker: 2 }),
         ];
-        let s = ReplayedJobState::from_events(&log);
+        let s = JobControl::from_events(&log).unwrap();
         assert_eq!(s.samples_done, 1512);
         assert_eq!(s.ps_count, 3);
         let folded = |e: &&Event| matches!(e.kind.name(), "ShardAcked" | "PsReshaped");
         let without: Vec<Event> = log.iter().filter(folded).cloned().collect();
         assert_eq!(without.len(), 3);
-        assert_eq!(ReplayedJobState::from_events(&without), s);
+        assert_eq!(JobControl::from_events(&without), Ok(s));
     }
 
     #[test]
     fn replay_of_empty_log_is_cold_start() {
-        let s = ReplayedJobState::from_events(&[]);
-        assert_eq!(s.samples_done, 0);
-        assert_eq!(s.ps_count, 0);
+        assert_eq!(JobControl::from_events(&[]), Ok(JobControl::default()));
+        let cold = JobControl::default().on_job(512, 2);
+        assert_eq!((cold.samples_done, cold.ps_count, cold.exec()), (0, 2, ExecPlan::default()));
     }
 
     #[test]
@@ -205,39 +332,52 @@ mod tests {
         assert_eq!(RecoveryPath::MasterReplay.label(), "master-replay");
     }
 
+    /// A committed window's plan is adopted, in the effective batch the log
+    /// records until [`JobControl::on_job`] normalises it; a rolled-back
+    /// window keeps the committed plan but consumes its id.
     #[test]
     fn replay_adopts_committed_plans_and_window_ids() {
-        let log = vec![
-            ev(
-                0,
-                EventKind::ReconfigApplied {
-                    job: 1,
-                    window: 0,
-                    mode: "sync".to_string(),
-                    batch: 512,
-                    replicas: 2,
-                    shards: 2,
-                    samples_done: 100,
-                    pause_us: 5,
-                },
-            ),
-            // A later window that never committed: the crash rolled it
-            // back, so the committed plan stays, but its id is consumed.
-            ev(
-                1,
-                EventKind::ReconfigRolledBack {
-                    job: 1,
-                    window: 1,
-                    reason: "master-crash".to_string(),
-                    samples_done: 200,
-                },
-            ),
-        ];
-        let s = ReplayedJobState::from_events(&log);
-        assert_eq!(s.exec.gradient_mode, dlrover_perfmodel::GradientMode::Sync);
-        assert_eq!(s.exec.ps_replicas, 2);
-        assert_eq!(s.exec.batch_size, 512);
-        assert_eq!(s.next_window, 2);
+        let s = replay(vec![applied(0), rolled_back(1)]).unwrap();
+        let sync = ExecPlan { gradient_mode: GradientMode::Sync, ps_replicas: 2, batch_size: 512 };
+        assert_eq!(s.exec(), sync);
+        assert_eq!(s.window(), Window::Closed { next: 2 });
+        assert_eq!(s.on_job(512, 2).exec(), ExecPlan { batch_size: 0, ..sync });
+        assert_eq!(s.on_job(256, 2).exec(), sync);
+    }
+
+    /// The live transitions: one window open at a time, committed once its
+    /// pause is consumed or rolled back to the committed plan, and read as
+    /// not yet opened while open.
+    #[test]
+    fn a_window_opens_once_and_resolves_once() {
+        let mut c = JobControl::default();
+        let sync = ExecPlan { gradient_mode: GradientMode::Sync, ..ExecPlan::default() };
+        let (at, pause) = (SimTime::from_secs(10), SimDuration::from_secs(2));
+        assert_eq!(c.open(sync, at, pause), Some(0));
+        assert_eq!(c.open(sync, at, pause), None, "one window at a time");
+        assert_eq!(c.as_logged(), JobControl::default(), "no record marks an opening");
+        assert_eq!(c.commit(SimTime::from_secs(9)), None, "the pause is not consumed yet");
+        assert_eq!(c.commit(at), Some((0, pause)));
+        assert_eq!((c.exec(), c.commit(at), c.roll_back()), (sync, None, None));
+        assert_eq!(c.open(ExecPlan::default(), at, pause), Some(1));
+        assert_eq!(c.roll_back(), Some(1));
+        assert_eq!((c.exec(), c.window()), (sync, Window::Closed { next: 2 }));
+        assert_eq!(replay(vec![applied(0), rolled_back(1)]).map(|r| r.window()), Ok(c.window()));
+    }
+
+    /// A log that resolves a window twice, or resolves one before its
+    /// predecessor, is not a log this job could have written.
+    #[test]
+    fn out_of_turn_resolutions_are_illegal() {
+        let twice = replay(vec![applied(0), rolled_back(0)]);
+        assert_eq!(twice, Err(IllegalTransition { window: 0, expected: 1 }));
+        let skipped = replay(vec![applied(0), applied(2)]);
+        assert_eq!(skipped, Err(IllegalTransition { window: 2, expected: 1 }));
+        assert_eq!(replay(vec![rolled_back(1)]).unwrap_err().expected, 0);
+        // An open window is resolved by the live transitions, not by a record.
+        let mut open = JobControl::default();
+        open.open(ExecPlan::default(), SimTime::ZERO, SimDuration::ZERO);
+        assert!(open.apply(&applied(0)).is_err());
     }
 
     #[test]
@@ -246,6 +386,6 @@ mod tests {
             ev(0, EventKind::WorkerAdded { worker: 0 }),
             ev(1, EventKind::ShardAcked { worker: 0, len: 77 }),
         ];
-        assert_eq!(ReplayedJobState::from_events(&log), ReplayedJobState::from_events(&log));
+        assert_eq!(JobControl::from_events(&log), JobControl::from_events(&log));
     }
 }

@@ -407,8 +407,8 @@ mod proptests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-        /// ISSUE-4 satellite: any schedule is bit-reproducible per seed and
-        /// respects both its attempt budget and its deadline.
+        /// Any schedule is bit-reproducible per seed and respects both its
+        /// attempt budget and its deadline (DESIGN §7).
         #[test]
         fn schedules_are_reproducible_and_bounded(
             p in arb_policy(),

@@ -196,13 +196,9 @@ impl ReconfigSpace {
                         spec_batch.max(1) >> step.unsigned_abs()
                     }
                     .max(1);
-                    let plan = ExecPlan {
-                        gradient_mode: mode,
-                        ps_replicas: replicas,
-                        // Normalise "spec batch" to 0 so plan equality (and
-                        // dedup) ignores the representation.
-                        batch_size: if batch == spec_batch.max(1) { 0 } else { batch },
-                    };
+                    let plan =
+                        ExecPlan { gradient_mode: mode, ps_replicas: replicas, batch_size: batch }
+                            .normalised(spec_batch);
                     if !out.contains(&plan) {
                         out.push(plan);
                     }

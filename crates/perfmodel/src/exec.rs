@@ -93,6 +93,19 @@ impl ExecPlan {
         }
     }
 
+    /// The plan in its one representation for a job whose spec batch is
+    /// `spec_batch`: the spec's own batch is stored as `0` and the replica
+    /// count is at least 1, so two plans that run alike compare equal —
+    /// which [`Self::is_default`]'s fast path and plan dedup rely on.
+    pub fn normalised(self, spec_batch: u32) -> ExecPlan {
+        let batch = self.effective_batch(spec_batch);
+        ExecPlan {
+            gradient_mode: self.gradient_mode,
+            ps_replicas: self.ps_replicas.max(1),
+            batch_size: if batch == spec_batch.max(1) { 0 } else { batch },
+        }
+    }
+
     /// True when the plan leaves per-iteration phase times untouched for
     /// the given spec batch — such a plan can change *layout* but not
     /// throughput, which is what the differential-equivalence harness
@@ -209,6 +222,10 @@ mod tests {
         assert_eq!(p.effective_batch(512), 1024);
         assert!(!p.is_throughput_neutral(512));
         assert!(p.is_throughput_neutral(1024));
+        // The spec batch has one representation, `0`.
+        assert_eq!(p.normalised(1024), ExecPlan::default());
+        assert_eq!(p.normalised(512), p);
+        assert!(ExecPlan { ps_replicas: 0, ..p }.normalised(1024).is_default());
     }
 
     #[test]

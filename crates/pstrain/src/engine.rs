@@ -957,8 +957,8 @@ mod proptests {
 
         /// The spans a chaos-driven engine records form well-formed trees
         /// (children nest within their parents in SimTime, parents exist)
-        /// and identical replays serialize byte-identically (ISSUE-2
-        /// satellite; engine-driven half of the span proptests).
+        /// and identical replays serialize byte-identically (DESIGN §3 1c;
+        /// the engine-driven half of the span proptests).
         #[test]
         fn recorded_span_trees_are_well_formed(ops in proptest::collection::vec(op(), 1..30)) {
             let run = |ops: &[Op]| {

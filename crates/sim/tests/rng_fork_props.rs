@@ -1,5 +1,5 @@
 //! Property tests for `RngStreams::fork` — the unit-lineage API of the
-//! parallel experiment engine (ISSUE-5 satellite).
+//! parallel experiment engine (DESIGN §8).
 //!
 //! The contract under test: a forked factory's draws are a pure function of
 //! `(root seed, fork key)`. Sibling forks may draw any amount, in any order,

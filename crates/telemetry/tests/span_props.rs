@@ -1,6 +1,6 @@
 //! Property tests for the span log: well-formedness and determinism.
 //!
-//! These are the log-level halves of the ISSUE-2 satellite ("children
+//! These are the log-level halves of DESIGN §3 1c's span rules ("children
 //! nest strictly within parents in SimTime, and same-seed span logs are
 //! byte-identical"); the engine-driven halves live in `dlrover-pstrain`,
 //! where real instrumentation produces the trees.

@@ -220,24 +220,12 @@ impl SchedulerPolicy for TogglePolicy {
     }
 }
 
-/// Asserts the window exactly-once contract directly on an event log:
-/// every window id resolves as `ReconfigApplied` xor `ReconfigRolledBack`,
-/// exactly once.
+/// Asserts the window exactly-once contract directly on an event log: the
+/// job's control state folds it, so every window id resolves as
+/// `ReconfigApplied` xor `ReconfigRolledBack`, once and in order.
 fn assert_windows_resolve_once(events: &[dlrover_rm::telemetry::Event]) {
-    use std::collections::BTreeMap;
-    let mut seen: BTreeMap<(u64, u64), usize> = BTreeMap::new();
-    for e in events {
-        match &e.kind {
-            EventKind::ReconfigApplied { job, window, .. }
-            | EventKind::ReconfigRolledBack { job, window, .. } => {
-                *seen.entry((*job, *window)).or_insert(0) += 1;
-            }
-            _ => {}
-        }
-    }
-    for ((job, window), n) in seen {
-        assert_eq!(n, 1, "job {job} window {window} resolved {n} times");
-    }
+    let folded = dlrover_rm::master::JobControl::from_events(events);
+    assert!(folded.is_ok(), "a window resolved out of turn: {folded:?}");
 }
 
 #[test]
@@ -285,7 +273,7 @@ fn reconfig_windows_survive_worker_kill_master_crash_and_tier_outage() {
         .collect();
     assert!(!applied.is_empty(), "the toggle policy must commit windows under chaos");
     // Window ids stay strictly monotone in commit order, including across
-    // the master failover (the replay fold seeds `next_window` past every
+    // the master failover (the replay fold resumes the window id past every
     // resolved id, so the rebuilt master never reuses one).
     for w in applied.windows(2) {
         assert!(w[0] < w[1], "window ids must stay monotone across failover: {applied:?}");

@@ -24,7 +24,7 @@
 //! stopped recording a pause as an event, with every second digest
 //! unchanged.
 
-use dlrover_rm::master::ReplayedJobState;
+use dlrover_rm::master::{JobControl, Window};
 use dlrover_rm::prelude::*;
 
 const DT: SimDuration = SimDuration::from_secs(30);
@@ -195,8 +195,9 @@ fn rolled_back_reconfig_window_is_pinned() {
 
 /// A master rebuilt from its predecessor's event log, re-adopting its four
 /// workers, ten ticks on. The old master committed window 0, so the next
-/// window the rebuilt one opens must be window 1: `next_window` crosses the
-/// failover.
+/// window the rebuilt one opens must be window 1: the window id crosses the
+/// failover. The log records the committed plan's effective batch; the
+/// rebuilt master stores the spec batch as `0`, as its predecessor did.
 #[test]
 fn from_replay_then_ten_ticks_is_pinned() {
     let spec = TrainingJobSpec::paper_default(20_000);
@@ -208,8 +209,8 @@ fn from_replay_then_ten_ticks_is_pinned() {
     assert_eq!(count(&old, "ReconfigApplied"), 1);
 
     let crashed_at = old.engine().now();
-    let replayed = ReplayedJobState::from_events(&old.telemetry().snapshot().events);
-    assert_eq!(replayed.next_window, 1);
+    let replayed = JobControl::from_events(&old.telemetry().snapshot().events).expect("legal log");
+    assert_eq!(replayed.window(), Window::Closed { next: 1 });
     let workers = vec![None; old.engine().live_pods().count()];
     assert_eq!(workers.len(), 4);
     let mut m = JobMaster::from_replay(
@@ -222,11 +223,8 @@ fn from_replay_then_ten_ticks_is_pinned() {
         crashed_at + SimDuration::from_secs(45),
     );
     m.set_telemetry(Telemetry::default());
-    assert_eq!(
-        m.engine().exec_plan().gradient_mode,
-        GradientMode::Sync,
-        "the committed plan is adopted"
-    );
+    assert_eq!(m.engine().exec_plan(), old.engine().exec_plan(), "the committed plan is adopted");
+    assert_eq!(m.control().exec(), old.control().exec());
     let back = ReconfigRequest { target: ExecPlan::default(), relayout: false };
     m.apply_decision(decision(m.allocation(), MigrationStrategy::Seamless, Some(back)), DT);
     ticks(&mut m, 10);
