@@ -23,7 +23,7 @@
 //! tournament experiment measures. The rollout around the network is the
 //! one [`crate::DrlPolicy`] shares (`rollout.rs`).
 
-use dlrover_dlrm::mlp::Mlp;
+use dlrover_dlrm::Mlp;
 use dlrover_master::{JobRuntimeProfile, PolicyDecision, SchedulerPolicy};
 use dlrover_optimizer::{PlanSearchSpace, ResourceAllocation};
 use dlrover_sim::{RngStreams, StreamRng};

@@ -34,14 +34,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod dl2;
-pub mod drl;
-pub mod es;
-pub mod optimus;
+mod dl2;
+mod drl;
+mod es;
+mod optimus;
 mod rollout;
-pub mod statics;
-pub mod well_tuned;
+mod statics;
+mod well_tuned;
 
 pub use dl2::Dl2Policy;
 pub use drl::DrlPolicy;

@@ -15,7 +15,7 @@ use serde_json::{json, Value};
 /// (`{"traceEvents": [...]}`). `pid` is always 1 (one simulated system);
 /// `tid` is the span's track, so jobs/pods appear as separate rows. Pass an
 /// empty `events` slice to export spans only.
-pub fn chrome_trace(spans: &[Span], events: &[Event]) -> Value {
+pub(crate) fn chrome_trace(spans: &[Span], events: &[Event]) -> Value {
     let mut out: Vec<Value> = Vec::with_capacity(spans.len() + events.len());
     for s in spans {
         let name = if s.label.is_empty() { s.cat.name().to_string() } else { s.label.to_string() };

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 /// handoffs, rebalancing data moves) outrank degraded running, which
 /// outranks normal iteration phases; the job root ranks below everything so
 /// it only catches otherwise-unattributed time.
-pub fn blocking_rank(cat: SpanCategory) -> u32 {
+pub(crate) fn blocking_rank(cat: SpanCategory) -> u32 {
     match cat {
         SpanCategory::Checkpoint => 110,
         SpanCategory::Rebalance => 100,
@@ -66,18 +66,13 @@ impl CritPath {
         }
         *self.phases_us.get(phase).unwrap_or(&0) as f64 / self.makespan_us as f64
     }
-
-    /// Sum of fractions over several phases.
-    pub fn fraction_of(&self, phases: &[&str]) -> f64 {
-        phases.iter().map(|p| self.fraction(p)).sum()
-    }
 }
 
 /// Attributes every elementary interval of `[min start, max end]` to the
 /// highest-[`blocking_rank`] span covering it. O(S log S) via a boundary
 /// sweep. Zero-length (instant) spans carry no time and are skipped; an
 /// empty input produces an all-zero result.
-pub fn critical_path(spans: &[Span]) -> CritPath {
+pub(crate) fn critical_path(spans: &[Span]) -> CritPath {
     // Depth (distance to root) refines the rank tie-break: a child span is
     // more specific than its parent of equal rank.
     let mut depth: BTreeMap<u64, u32> = BTreeMap::new();
@@ -171,7 +166,7 @@ pub fn critical_path(spans: &[Span]) -> CritPath {
 }
 
 /// Runs [`critical_path`] independently per track, sorted by track id.
-pub fn critical_path_by_track(spans: &[Span]) -> BTreeMap<u64, CritPath> {
+pub(crate) fn critical_path_by_track(spans: &[Span]) -> BTreeMap<u64, CritPath> {
     let mut tracks: BTreeMap<u64, Vec<Span>> = BTreeMap::new();
     for s in spans {
         tracks.entry(s.track).or_default().push(s.clone());

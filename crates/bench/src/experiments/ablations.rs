@@ -195,7 +195,7 @@ fn hot_ps_section(constants: WorkloadConstants) -> Section {
 }
 
 /// Runs all ablations.
-pub fn run(seed: u64) -> String {
+pub(crate) fn run(seed: u64) -> String {
     let mut r = Report::new("ablations", "design-choice ablations");
     let constants = WorkloadConstants::default();
     let truth = ThroughputModel::new(constants, ModelCoefficients::simulation_truth());

@@ -72,7 +72,7 @@ fn chaos_units<'a>(
 
 /// Runs `plans` generated fault plans at `seed`; returns the rendered
 /// report and the total invariant-violation count (CI gates on zero).
-pub fn run_chaos(seed: u64, plans: u64) -> (String, usize) {
+pub(crate) fn run_chaos(seed: u64, plans: u64) -> (String, usize) {
     let (spec, alloc) = job();
     // `ckpt_faults` opts the generated plans into the checkpoint-plane
     // fault kinds (remote outages, bandwidth collapses, manifest
@@ -144,7 +144,7 @@ pub fn run_chaos(seed: u64, plans: u64) -> (String, usize) {
 
 /// Registry entry point: the default suite unless the command line sizes
 /// it with `--plans`.
-pub fn run(args: &RunArgs) -> (String, usize) {
+pub(crate) fn run(args: &RunArgs) -> (String, usize) {
     run_chaos(args.seed, args.plans.unwrap_or(DEFAULT_PLANS))
 }
 

@@ -25,7 +25,10 @@
 //! that point in the log. `exp ckptplane` exits non-zero on any
 //! violation or shard divergence.
 
-use dlrover_master::{CheckpointPlane, CkptPlaneConfig, RestoreSource, WitnessBoard};
+use dlrover_master::{
+    restore_after_master_loss, CheckpointPlane, CkptPlaneConfig, RecoveryPath, RestoreSource,
+    WitnessBoard,
+};
 use dlrover_pstrain::StorageTier;
 use dlrover_sim::{RngStreams, SimDuration, SimTime};
 use dlrover_telemetry::{Oracle, Telemetry};
@@ -46,7 +49,7 @@ const BATCH: u64 = 1024;
 /// Trace horizon: 8 virtual hours.
 const HORIZON: SimTime = SimTime::from_secs(8 * 3600);
 /// Master-replay restart window charged before the plane restore starts
-/// (detection + pod relaunch + event-log replay, as in the chaos driver).
+/// (detection + pod relaunch + event-log replay).
 const REPLAY_RESTART: SimDuration = SimDuration::from_secs(45);
 
 /// Remote-tier outage windows `(from, until)` in trace seconds.
@@ -294,15 +297,6 @@ fn run_trace(
         corrupt_fallbacks: 0,
         digest: 0,
     };
-    // The master-replay leg: restart window, then restore through the
-    // plane (waiting out any outage). Returns (resume, samples resumed).
-    let replay = |plane: &mut CheckpointPlane, job: u64, at: SimTime| {
-        let restart_at = at + REPLAY_RESTART;
-        match plane.restore(job, restart_at) {
-            Some(r) => (r.resume_at().max(restart_at), r.samples),
-            None => (restart_at, 0), // nothing durable yet: cold start
-        }
-    };
     for ev in &events {
         plane.advance(ev.at);
         witness.advance(ev.at);
@@ -320,29 +314,25 @@ fn run_trace(
                 // Hot copies die with the master's pods; only the
                 // remote tier or a witness peer can serve the restore.
                 plane.invalidate_hot(ev.job, ev.at);
-                let (resume, resumed_samples) = if path == "witness-quorum" {
-                    let start = ev.at + witness.takeover_latency();
-                    match witness.restore(ev.job, start) {
-                        Some(w) => {
-                            out.witness_served += 1;
-                            (start + w.duration, w.samples)
-                        }
-                        None => {
-                            out.witness_fallbacks += 1;
-                            let (r, s) = replay(&mut plane, ev.job, ev.at);
-                            if s == 0 {
-                                out.cold_restores += 1;
-                            }
-                            (r, s)
+                let prefer_witness = path == "witness-quorum";
+                let (served, resume, restored) = restore_after_master_loss(
+                    ev.job,
+                    ev.at,
+                    REPLAY_RESTART,
+                    prefer_witness,
+                    &mut witness,
+                    &mut plane,
+                );
+                let resumed_samples = restored.map_or(0, |(samples, _)| samples);
+                match served {
+                    RecoveryPath::WitnessQuorum => out.witness_served += 1,
+                    RecoveryPath::MasterReplay => {
+                        out.witness_fallbacks += u64::from(prefer_witness);
+                        if resumed_samples == 0 {
+                            out.cold_restores += 1;
                         }
                     }
-                } else {
-                    let (r, s) = replay(&mut plane, ev.job, ev.at);
-                    if s == 0 {
-                        out.cold_restores += 1;
-                    }
-                    (r, s)
-                };
+                }
                 let down = resume.saturating_since(ev.at);
                 out.crash_latencies_us.push(down.as_micros());
                 let redo = samples_at(ev.job, ev.at).saturating_sub(resumed_samples) as f64
@@ -475,7 +465,7 @@ fn run_unit(policy: &Policy, path: &'static str, seed: u64, telemetry: &Telemetr
 /// Runs the full sweep at `seed`; returns the rendered report, the
 /// number of durability violations, and whether every unit was
 /// shard-invariant (CI gates on `0` and `true`).
-pub fn run_ckptplane(seed: u64) -> (String, usize, bool) {
+pub(crate) fn run_ckptplane(seed: u64) -> (String, usize, bool) {
     let paths: [&'static str; 2] = ["master-replay", "witness-quorum"];
     let policy_set = policies();
     let units: Vec<Unit<'_, SweepRow>> = policy_set
@@ -570,7 +560,7 @@ pub fn run_ckptplane(seed: u64) -> (String, usize, bool) {
 
 /// Registry entry point. A shard-count divergence counts as one more
 /// violation, so `exp` gates on both with the one number.
-pub fn run(args: &RunArgs) -> (String, usize) {
+pub(crate) fn run(args: &RunArgs) -> (String, usize) {
     let (text, violations, shard_invariant) = run_ckptplane(args.seed);
     (text, violations + usize::from(!shard_invariant))
 }

@@ -10,7 +10,7 @@ use crate::report::Report;
 
 /// Fig. 1(a). One unit per representative production job (five analytic
 /// evaluations of the cost model, no RNG).
-pub fn run_fig1a(_seed: u64) -> String {
+pub(crate) fn run_fig1a(_seed: u64) -> String {
     let mut r = Report::new("fig1a", "CPU time distribution per operator across DLRM jobs");
     r.line("Per-phase share of one training iteration (percent).");
     r.row(
@@ -77,7 +77,7 @@ pub fn run_fig1a(_seed: u64) -> String {
 
 /// Fig. 1(b). A single unit: the 15-hour memory trajectory is one
 /// sequential analytic evaluation.
-pub fn run_fig1b(_seed: u64) -> String {
+pub(crate) fn run_fig1b(_seed: u64) -> String {
     let mut r = Report::new("fig1b", "memory demand of one DLRM job over 15 hours");
     const TB: f64 = 1_099_511_627_776.0;
     let units = vec![Unit::new("0/memory-trajectory".to_string(), move |_t| {

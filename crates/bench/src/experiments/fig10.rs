@@ -44,7 +44,7 @@ fn series_at_minutes(report: &RunReport, minutes: &[u32]) -> Vec<f64> {
 }
 
 /// Runs the Fig. 10 cold-start ramp comparison.
-pub fn run(seed: u64) -> String {
+pub(crate) fn run(seed: u64) -> String {
     let mut r = Report::new("fig10", "cold-start throughput ramp (steps/s over time)");
     let testbed_startup = dlrover_cluster::StartupLatencyModel {
         scheduling_mean_s: 15.0,

@@ -38,7 +38,7 @@ fn fit_stage(seed: u64, truth: &ThroughputModel) -> (ThroughputModel, f64, usize
 /// Execution is two-stage: a single fit unit (the observation stream is
 /// sequential), then four independent sweep units that share the fitted
 /// model by clone.
-pub fn run(seed: u64) -> String {
+pub(crate) fn run(seed: u64) -> String {
     let mut r = Report::new("fig11", "throughput model: sampled points vs NNLS fit");
     let constants = WorkloadConstants::default();
     let truth = ThroughputModel::new(constants, ModelCoefficients::simulation_truth());

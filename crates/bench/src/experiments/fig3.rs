@@ -94,7 +94,7 @@ fn pod_level_pending(seed: u64, telemetry: &Telemetry) -> Vec<f64> {
 /// Execution: two units — the aggregate fleet study and the pod-level
 /// gang-scheduling cross-check — each self-seeded from `seed`, so they can
 /// run on separate threads without sharing RNG state.
-pub fn run(seed: u64) -> String {
+pub(crate) fn run(seed: u64) -> String {
     let mut r = Report::new("fig3", "fleet utilisation CDF and pending times (static era)");
     let cfg = FleetStudyConfig { dlrover_fraction: 0.0, seed, ..Default::default() };
     let cfg_ref = &cfg;

@@ -78,7 +78,7 @@ fn policy_for(
 }
 
 /// Runs the Fig. 7 comparison.
-pub fn run(seed: u64) -> String {
+pub(crate) fn run(seed: u64) -> String {
     let mut r = Report::new("fig7", "JCT by scheduler and model (200k steps, batch 512)");
     // The 20-node testbed restarts pods much faster than the production
     // cloud: images are cached and scheduling is uncontended.

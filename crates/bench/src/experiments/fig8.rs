@@ -50,7 +50,7 @@ fn run_one(kind: ModelKind, seed: u64, elastic: bool) -> (Vec<CurvePoint>, f64, 
 }
 
 /// Runs the Fig. 8 convergence comparison.
-pub fn run(seed: u64) -> String {
+pub(crate) fn run(seed: u64) -> String {
     let mut r =
         Report::new("fig8", "convergence under elasticity vs well-tuned static (real training)");
     let mut units = Vec::new();

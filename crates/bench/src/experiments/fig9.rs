@@ -139,7 +139,7 @@ fn month_study(seed: u64) -> (Vec<serde_json::Value>, Vec<f64>, Vec<f64>) {
 }
 
 /// Runs the Fig. 9 warm-starting study.
-pub fn run(seed: u64) -> String {
+pub(crate) fn run(seed: u64) -> String {
     let mut r = Report::new("fig9", "warm-starting: initial vs final configuration");
     let constants = WorkloadConstants::default();
 

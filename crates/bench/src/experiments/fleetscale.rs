@@ -59,7 +59,7 @@ pub fn run_pooled(fleet: &mut ShardedFleet) -> u64 {
 /// One (target, shard count) execution: deterministic outcome plus the
 /// wall-clock rates the stdout table prints. The `*_per_sec` fields never
 /// enter `results/fleetscale.json` — only
-/// [`TargetSweep::deterministic_json`] is serialized there.
+/// `TargetSweep::deterministic_json` is serialized there.
 #[derive(Debug, Clone)]
 pub struct ShardRun {
     /// Shard count this execution used.
@@ -98,7 +98,7 @@ impl TargetSweep {
     /// The seed-reproducible slice of the sweep: everything except
     /// wall-clock. This is what `results/fleetscale.json` carries, so the
     /// artefact is byte-identical run-to-run at a fixed seed.
-    pub fn deterministic_json(&self) -> serde_json::Value {
+    pub(crate) fn deterministic_json(&self) -> serde_json::Value {
         let runs: Vec<serde_json::Value> = self
             .runs
             .iter()
@@ -145,7 +145,7 @@ fn measure(cfg: &FleetScaleConfig, shard_count: u32, seed: u64) -> (ShardRun, Fl
 
 /// Sweeps `shard_counts` over a fleet sized for `target_pods` and checks
 /// that every count lands on identical aggregates and telemetry.
-pub fn sweep_target(target_pods: u64, shard_counts: &[u32], seed: u64) -> TargetSweep {
+pub(crate) fn sweep_target(target_pods: u64, shard_counts: &[u32], seed: u64) -> TargetSweep {
     let cfg = FleetScaleConfig::for_target_pods(target_pods);
     sweep_config(&cfg, target_pods, shard_counts, seed)
 }
@@ -153,7 +153,7 @@ pub fn sweep_target(target_pods: u64, shard_counts: &[u32], seed: u64) -> Target
 /// [`sweep_target`] over an explicit config (tests use small fleets).
 /// Shard counts above the cell count clamp to it, and a fleet is run once
 /// per *effective* count: `[1, 2, 4, 8]` on three cells is `[1, 2, 3]`.
-pub fn sweep_config(
+pub(crate) fn sweep_config(
     cfg: &FleetScaleConfig,
     target_pods: u64,
     shard_counts: &[u32],

@@ -30,7 +30,7 @@ use serde::Serialize;
 
 /// Why a job failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum FailureCause {
+pub(crate) enum FailureCause {
     /// A PS ran out of memory.
     Oom,
     /// The job could never be scheduled (pending past the timeout).
@@ -41,7 +41,7 @@ pub enum FailureCause {
 
 /// One job's simulated outcome.
 #[derive(Debug, Clone, Serialize)]
-pub struct JobOutcome {
+pub(crate) struct JobOutcome {
     /// Fleet job id.
     pub job_id: u64,
     /// Whether the job ran under DLRover-RM.
@@ -74,7 +74,7 @@ pub struct JobOutcome {
 
 /// Study configuration.
 #[derive(Debug, Clone)]
-pub struct FleetStudyConfig {
+pub(crate) struct FleetStudyConfig {
     /// Workload generator settings.
     pub fleet: FleetConfig,
     /// Cluster CPU capacity (cores) for the admission queue.
@@ -261,7 +261,7 @@ fn evaluate_job<R: Rng + ?Sized>(
 }
 
 /// Runs the fleet study: admission queueing + per-job evaluation.
-pub fn run_fleet(cfg: &FleetStudyConfig) -> Vec<JobOutcome> {
+pub(crate) fn run_fleet(cfg: &FleetStudyConfig) -> Vec<JobOutcome> {
     let streams = RngStreams::new(cfg.seed);
     let workload = FleetWorkload::generate(&cfg.fleet, &streams);
     let mut rng = streams.stream("fleet-study");
@@ -432,7 +432,7 @@ pub fn run_fleet(cfg: &FleetStudyConfig) -> Vec<JobOutcome> {
 
 /// Aggregate metrics over a set of outcomes.
 #[derive(Debug, Clone, Serialize)]
-pub struct FleetAggregate {
+pub(crate) struct FleetAggregate {
     /// Number of jobs.
     pub jobs: usize,
     /// Job completion rate.
@@ -454,7 +454,7 @@ pub struct FleetAggregate {
 }
 
 /// Summarises outcomes.
-pub fn aggregate(outcomes: &[JobOutcome]) -> FleetAggregate {
+pub(crate) fn aggregate(outcomes: &[JobOutcome]) -> FleetAggregate {
     let n = outcomes.len().max(1) as f64;
     let completed = outcomes.iter().filter(|o| o.jct.is_some()).count() as f64;
     let mean = |f: &dyn Fn(&JobOutcome) -> f64| -> f64 { outcomes.iter().map(f).sum::<f64>() / n };

@@ -29,7 +29,7 @@ impl RunArgs {
 pub type Runner = (&'static str, &'static str, fn(&RunArgs) -> (String, usize));
 
 /// Every experiment, in paper order. Shared by the `exp` binary's
-/// dispatcher, the [`crate::fixture`] test fixture, and the
+/// dispatcher, the `crate::fixture` test fixture, and the
 /// [`crate::golden`] regression corpus, so the three can never drift.
 pub const REGISTRY: &[Runner] = &[
     ("fig1a", "operator time distribution (lookup share)", |a| (fig1::run_fig1a(a.seed), 0)),
@@ -57,25 +57,25 @@ pub const REGISTRY: &[Runner] = &[
     ("reconfig", "execution-plan reconfiguration ablation under PS contention", reconfig::run),
 ];
 
-pub mod ablations;
-pub mod chaos;
-pub mod ckptplane;
-pub mod fig1;
-pub mod fig10;
-pub mod fig11;
-pub mod fig12_13;
-pub mod fig3;
-pub mod fig7;
-pub mod fig8;
-pub mod fig9;
+mod ablations;
+mod chaos;
+mod ckptplane;
+mod fig1;
+mod fig10;
+mod fig11;
+mod fig12_13;
+mod fig3;
+mod fig7;
+mod fig8;
+mod fig9;
 pub mod fleetscale;
-pub mod fleetstudy;
-pub mod production;
-pub mod reconfig;
-pub mod resilience;
-pub mod table1;
-pub mod table2;
-pub mod tournament;
+mod fleetstudy;
+mod production;
+mod reconfig;
+mod resilience;
+mod table1;
+mod table2;
+mod tournament;
 
 /// Common helpers shared by the experiment modules.
 pub mod common {

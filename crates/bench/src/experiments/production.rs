@@ -17,7 +17,7 @@ fn study(fraction: f64, seed: u64) -> Vec<JobOutcome> {
 ///
 /// Execution: one unit per month — thirteen independent fleet studies at
 /// `seed + month`, merged in month order.
-pub fn run_fig14(seed: u64) -> String {
+pub(crate) fn run_fig14(seed: u64) -> String {
     let mut r = Report::new("fig14", "12-month progressive migration: utilisation and JCR");
     r.row(
         &[
@@ -115,7 +115,7 @@ fn jct_minutes(outcomes: &[JobOutcome], filter: impl Fn(&JobOutcome) -> bool) ->
 
 /// Fig. 15: cluster-level JCT CDFs (all jobs, hot-PS jobs, CPU-starved
 /// jobs) before vs after.
-pub fn run_fig15(seed: u64) -> String {
+pub(crate) fn run_fig15(seed: u64) -> String {
     let mut r = Report::new("fig15", "cluster-level JCT before vs after DLRover-RM");
     let (before, after, telemetry) = before_after(seed);
 
@@ -166,7 +166,7 @@ pub fn run_fig15(seed: u64) -> String {
 }
 
 /// Table 4: failure rates before vs after migration.
-pub fn run_table4(seed: u64) -> String {
+pub(crate) fn run_table4(seed: u64) -> String {
     let mut r = Report::new("table4", "failure/slow-training rates before vs after");
     let (before, after, telemetry) = before_after(seed);
     let rate = |outcomes: &[JobOutcome], f: &dyn Fn(&JobOutcome) -> bool| -> f64 {

@@ -143,7 +143,7 @@ fn run_mode(mode: &str, plans: u64, cfg: &ChaosConfig, sink: &Telemetry) -> Mode
 /// Runs the ablation: both arms over one clean run plus `plans` chaos
 /// plans, prints the two-row table, and returns the rendered report plus
 /// the total invariant-violation count (the CLI gates on zero).
-pub fn run_reconfig(seed: u64, plans: u64) -> (String, usize) {
+pub(crate) fn run_reconfig(seed: u64, plans: u64) -> (String, usize) {
     let cfg = ChaosConfig {
         runner: RunnerConfig { seed, ..RunnerConfig::default() },
         plan: FaultPlanConfig::default(),
@@ -212,7 +212,7 @@ pub fn run_reconfig(seed: u64, plans: u64) -> (String, usize) {
 
 /// Registry entry point: the default sweep unless the command line sizes
 /// it with `--plans`.
-pub fn run(args: &RunArgs) -> (String, usize) {
+pub(crate) fn run(args: &RunArgs) -> (String, usize) {
     run_reconfig(args.seed, args.plans.unwrap_or(DEFAULT_PLANS))
 }
 
@@ -230,8 +230,8 @@ mod tests {
         rows.iter().find(|r| r["mode"] == mode).unwrap_or_else(|| panic!("no row for {mode}"))
     }
 
-    /// Headline shape (the ISSUE's acceptance gate): at the canonical
-    /// seed, reconfig-on strictly dominates reconfig-off on fault-free JCT
+    /// Headline shape (DESIGN §13: widening the action space must pay for
+    /// itself): at the canonical seed, reconfig-on strictly dominates reconfig-off on fault-free JCT
     /// or goodput under chaos, actually commits windows, and nobody
     /// violates the oracle.
     #[test]

@@ -151,7 +151,7 @@ fn scenarios() -> Vec<(&'static str, FaultPlan)> {
 /// Execution: one unit per scenario (six fault kinds plus the two
 /// drained-budget cases) — every scenario already self-seeds from
 /// `cfg.runner.seed` inside `run_chaos_job`, so units are independent.
-pub fn run_resilience(seed: u64) -> (String, f64, f64) {
+pub(crate) fn run_resilience(seed: u64) -> (String, f64, f64) {
     let cfg = ChaosConfig {
         runner: RunnerConfig { seed, ..RunnerConfig::default() },
         ..ChaosConfig::default()
@@ -261,7 +261,7 @@ pub fn run_resilience(seed: u64) -> (String, f64, f64) {
 }
 
 /// `EXPERIMENTS`-table entry (used by `exp all`).
-pub fn run(seed: u64) -> String {
+pub(crate) fn run(seed: u64) -> String {
     run_resilience(seed).0
 }
 

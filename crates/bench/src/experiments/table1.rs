@@ -10,7 +10,7 @@ use crate::report::Report;
 
 /// Runs the Table 1 comparison. One unit per workload (two independent
 /// analytic cost evaluations).
-pub fn run(_seed: u64) -> String {
+pub(crate) fn run(_seed: u64) -> String {
     let mut r = Report::new("table1", "CPU-only vs hybrid training cost (AWS pricing)");
     r.row(
         &[

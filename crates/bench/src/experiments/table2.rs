@@ -9,7 +9,7 @@ use crate::parallel::{merge_telemetry, run_units_auto, Unit};
 use crate::report::Report;
 
 /// Runs the Table 2 summary. A single unit: one fleet generation pass.
-pub fn run(seed: u64) -> String {
+pub(crate) fn run(seed: u64) -> String {
     let mut r = Report::new("table2", "job mix in the shared cluster");
     let units = vec![Unit::new("0/job-mix".to_string(), move |_t| {
         // A bigger fleet than the default so per-class statistics stabilise.

@@ -282,7 +282,7 @@ fn score(raw: Vec<(String, RawOutcome)>, deadline: SimTime) -> Vec<PolicyRow> {
 /// through one clean run plus `plans` chaos plans, and prints the rank
 /// table. Returns the rendered report and the total invariant-violation
 /// count (CI gates on zero).
-pub fn run_tournament(seed: u64, plans: u64, episodes: u32) -> (String, usize) {
+pub(crate) fn run_tournament(seed: u64, plans: u64, episodes: u32) -> (String, usize) {
     let (spec, _) = job();
     let cfg = ChaosConfig {
         runner: RunnerConfig { seed, ..RunnerConfig::default() },
@@ -360,7 +360,7 @@ pub fn run_tournament(seed: u64, plans: u64, episodes: u32) -> (String, usize) {
 
 /// Registry entry point: the default gauntlet unless the command line
 /// sizes it with `--plans` / `--episodes`.
-pub fn run(args: &RunArgs) -> (String, usize) {
+pub(crate) fn run(args: &RunArgs) -> (String, usize) {
     run_tournament(
         args.seed,
         args.plans.unwrap_or(DEFAULT_PLANS),

@@ -22,11 +22,11 @@ use crate::results_dir;
 
 /// The seed the committed `results/` artefacts, the golden corpus, and all
 /// fixture-backed tests use.
-pub const CANONICAL_SEED: u64 = 42;
+pub(crate) const CANONICAL_SEED: u64 = 42;
 
 /// One experiment's cached output: rendered report text plus the three
 /// artefacts the run wrote.
-pub struct ExperimentRun {
+pub(crate) struct ExperimentRun {
     /// The rendered report (what `run(seed)` returned).
     pub text: String,
     /// Parsed `results/<id>.json`.
@@ -45,7 +45,7 @@ static CELLS: [OnceLock<ExperimentRun>; REGISTRY.len()] =
 ///
 /// # Panics
 /// Panics on an unknown id or when the run fails to produce its artefacts.
-pub fn canonical(id: &str) -> &'static ExperimentRun {
+pub(crate) fn canonical(id: &str) -> &'static ExperimentRun {
     let idx = REGISTRY
         .iter()
         .position(|(rid, _, _)| *rid == id)

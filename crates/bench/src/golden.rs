@@ -6,7 +6,7 @@
 //! holds one small file per experiment with FNV-1a 64 digests of the
 //! `.trace.jsonl` and `.spans.jsonl` bytes; a tier-1 test per experiment
 //! (see the test module here) re-runs the experiment via the shared
-//! [`crate::fixture`] and asserts the digests match.
+//! `crate::fixture` and asserts the digests match.
 //!
 //! A mismatch means the run's *telemetry* changed — an event added,
 //! reordered, or re-stamped — which is either a regression or an
@@ -72,7 +72,7 @@ impl GoldenDigest {
 }
 
 /// The committed corpus directory, `<workspace root>/tests/golden`.
-pub fn golden_dir() -> PathBuf {
+pub(crate) fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").join("tests").join("golden")
 }
 

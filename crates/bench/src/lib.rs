@@ -11,18 +11,21 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod chrome;
-pub mod critpath;
+mod chrome;
+mod critpath;
 pub mod experiments;
-pub mod fixture;
 pub mod golden;
 pub mod parallel;
-pub mod report;
+mod report;
 pub mod sysmetrics;
 
-pub use chrome::{chrome_trace, chrome_trace_json};
-pub use critpath::{critical_path, critical_path_by_track, critpath_report, CritPath};
-pub use parallel::{merge_telemetry, run_units, run_units_auto, Unit, UnitOutput};
+pub use chrome::chrome_trace_json;
+pub use critpath::{critpath_report, CritPath, CritPathReport};
+pub use parallel::{merge_telemetry, run_units, Unit, UnitOutput};
 pub use report::{dump_profile, results_dir, Report};
 pub use sysmetrics::{events_per_sec, format_bytes, peak_rss_bytes};
+
+#[cfg(test)]
+mod fixture;

@@ -66,13 +66,13 @@ pub struct UnitOutput<T> {
 /// Thread-count override set by the `exp` CLI (0 = not set).
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Sets the pool width used by [`run_units_auto`] (the `--threads N` CLI
+/// Sets the pool width used by `run_units_auto` (the `--threads N` CLI
 /// flag). `0` restores the default, the machine's available parallelism.
 pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::SeqCst);
 }
 
-/// The pool width [`run_units_auto`] will use: the [`set_threads`]
+/// The pool width `run_units_auto` will use: the [`set_threads`]
 /// override, else the machine's available parallelism.
 pub fn threads() -> usize {
     let n = THREAD_OVERRIDE.load(Ordering::SeqCst);
@@ -134,7 +134,7 @@ pub fn run_units<T: Send>(units: Vec<Unit<'_, T>>, threads: usize) -> Vec<UnitOu
 }
 
 /// [`run_units`] at the globally configured width (see [`threads`]).
-pub fn run_units_auto<T: Send>(units: Vec<Unit<'_, T>>) -> Vec<UnitOutput<T>> {
+pub(crate) fn run_units_auto<T: Send>(units: Vec<Unit<'_, T>>) -> Vec<UnitOutput<T>> {
     let width = threads();
     run_units(units, width)
 }

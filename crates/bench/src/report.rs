@@ -54,7 +54,7 @@ fn default_results_dir() -> PathBuf {
 /// therefore leaves either the previous artefact or the complete new one —
 /// never a truncated `results/<id>.json` for a CI byte-diff to chase. On
 /// failure the temp file is removed and the destination is untouched.
-pub fn atomic_write(path: &Path, contents: &[u8]) -> std::io::Result<()> {
+pub(crate) fn atomic_write(path: &Path, contents: &[u8]) -> std::io::Result<()> {
     let file_name = path
         .file_name()
         .and_then(|n| n.to_str())
@@ -199,14 +199,14 @@ impl Report {
 }
 
 /// Percentile of a *sorted* slice (p in [0, 100]).
-pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+pub(crate) fn percentile(sorted: &[f64], p: f64) -> f64 {
     assert!(!sorted.is_empty(), "percentile of empty slice");
     let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
     sorted[idx.min(sorted.len() - 1)]
 }
 
 /// Sorts a vector and returns it (convenience for percentile chains).
-pub fn sorted(mut v: Vec<f64>) -> Vec<f64> {
+pub(crate) fn sorted(mut v: Vec<f64>) -> Vec<f64> {
     v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in metric"));
     v
 }

@@ -3,7 +3,7 @@
 //! the merged telemetry artefacts (event log, span log, counters, golden
 //! digest) are byte-identical to the single-threaded run.
 //!
-//! This is the ISSUE's satellite-2 acceptance in miniature: `exp all
+//! This is DESIGN §8's determinism contract in miniature: `exp all
 //! --threads N` only differs from `--threads 1` in wall-clock, never in
 //! bytes. The units here draw from forked [`RngStreams`] lineages, record
 //! events, nest spans, and bump counters — every store the real

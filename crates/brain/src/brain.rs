@@ -44,10 +44,10 @@ pub struct ClusterBrain {
     generator: NsgaPlanGenerator,
     rng: StreamRng,
     telemetry: Telemetry,
-    /// Last time a caller reported via [`ClusterBrain::set_clock`]; stamps
-    /// admission/replan events (the brain itself is clock-free).
-    clock: SimTime,
 }
+
+/// Stamp of admission and replan events: the brain is clock-free.
+const CLOCK: SimTime = SimTime::ZERO;
 
 impl ClusterBrain {
     /// Creates a brain with the given plan generator and greedy settings.
@@ -65,13 +65,7 @@ impl ClusterBrain {
             generator,
             rng: RngStreams::new(seed).stream("cluster-brain"),
             telemetry: Telemetry::default(),
-            clock: SimTime::ZERO,
         }
-    }
-
-    /// Read access to the config DB.
-    pub fn config_db(&self) -> &ConfigDb {
-        &self.config_db
     }
 
     /// Routes this brain's events and metrics into a shared sink.
@@ -84,11 +78,6 @@ impl ClusterBrain {
         &self.telemetry
     }
 
-    /// Updates the virtual time used to stamp subsequent decisions.
-    pub fn set_clock(&mut self, now: SimTime) {
-        self.clock = now;
-    }
-
     /// Stage 1: admission — warm-start from history, falling back to the
     /// conservative cold-start allocation.
     pub fn admit(&self, metadata: &JobMetadata, batch: u32) -> ResourceAllocation {
@@ -98,7 +87,7 @@ impl ClusterBrain {
             .unwrap_or_else(|| DlroverPolicy::cold_start_allocation(&self.generator.space, batch));
         // Admission happens before a job id exists; `job: 0` marks that.
         self.telemetry.record(
-            self.clock,
+            CLOCK,
             EventKind::JobAdmitted {
                 job: 0,
                 workers: alloc.shape.workers,
@@ -109,20 +98,8 @@ impl ClusterBrain {
         self.telemetry.count(if warm_start { "brain.warm_starts" } else { "brain.cold_starts" }, 1);
         // Admission is an instantaneous verdict in virtual time; record it
         // as a zero-length `policy-eval` span on the brain's lane (track 0).
-        self.telemetry.span_complete(
-            self.clock,
-            self.clock,
-            SpanCategory::PolicyEval,
-            "admit",
-            0,
-            None,
-        );
+        self.telemetry.span_complete(CLOCK, CLOCK, SpanCategory::PolicyEval, "admit", 0, None);
         alloc
-    }
-
-    /// Records a completed job so future submissions warm-start from it.
-    pub fn record_completion(&mut self, metadata: JobMetadata, final_alloc: ResourceAllocation) {
-        self.config_db.record(metadata, final_alloc);
     }
 
     /// Cluster-level replanning: generates NSGA-II candidates per job and
@@ -146,7 +123,7 @@ impl ClusterBrain {
         let picks = select_plans(&candidates, free, &self.greedy);
         for p in &picks {
             self.telemetry.record(
-                self.clock,
+                CLOCK,
                 EventKind::PlanSelected {
                     job: p.job_id,
                     gain_x1000: (p.plan.throughput_gain.max(0.0) * 1000.0) as u64,
@@ -155,8 +132,8 @@ impl ClusterBrain {
         }
         self.telemetry.count("brain.replan_rounds", 1);
         self.telemetry.span_complete(
-            self.clock,
-            self.clock,
+            CLOCK,
+            CLOCK,
             SpanCategory::Planning,
             &format!("replan j{}", jobs.len()),
             0,
@@ -210,11 +187,18 @@ mod tests {
 
     #[test]
     fn admit_warm_starts_with_history() {
-        let mut b = brain();
         let big = ResourceAllocation::new(JobShape::new(20, 8, 16.0, 16.0, 512), 64.0, 128.0);
+        let mut history = ConfigDb::new(100);
         for _ in 0..5 {
-            b.record_completion(meta("alice"), big);
+            history.record(meta("alice"), big);
         }
+        let b = ClusterBrain::new(
+            history,
+            WarmStartConfig::default(),
+            GreedyConfig::default(),
+            NsgaPlanGenerator::default(),
+            7,
+        );
         let a = b.admit(&meta("alice"), 512);
         assert_eq!(a.shape.workers, 20, "history should dominate");
     }

@@ -60,11 +60,6 @@ impl ConfigDb {
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("ConfigDb is always serialisable")
     }
-
-    /// Restores a DB from JSON.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
-    }
 }
 
 #[cfg(test)]
@@ -112,7 +107,7 @@ mod tests {
         let mut db = ConfigDb::new(10);
         db.record(meta("wide_deep", "bob"), alloc(4));
         let json = db.to_json();
-        let restored = ConfigDb::from_json(&json).unwrap();
+        let restored: ConfigDb = serde_json::from_str(&json).unwrap();
         assert_eq!(restored, db);
     }
 

@@ -214,7 +214,7 @@ impl SchedulerPolicy for DlroverPolicy {
         let greedy_cfg = dlrover_optimizer::GreedyConfig::default();
         let benefit = |c: &dlrover_optimizer::PlanCandidate| {
             c.resource_efficiency()
-                * dlrover_optimizer::greedy::priority_weight(
+                * dlrover_optimizer::priority_weight(
                     profile.remaining_samples as f64,
                     c.predicted_throughput,
                     &greedy_cfg,

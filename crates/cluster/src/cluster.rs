@@ -71,7 +71,7 @@ pub enum ScheduleError {
 /// (shrinking the ask only helps against capacity problems, not against a
 /// fully cordoned fleet).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DenialReason {
+pub(crate) enum DenialReason {
     /// No healthy, non-blacklisted node has enough free capacity, but the
     /// cluster-wide free pool could hold the request — fragmentation or
     /// transient contention; worth retrying.
@@ -85,7 +85,7 @@ pub enum DenialReason {
 
 impl DenialReason {
     /// Stable short name, for counters and reports.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             DenialReason::Contention => "contention",
             DenialReason::CapacityExhausted => "capacity_exhausted",
@@ -246,11 +246,6 @@ impl Cluster {
         self.pods.values()
     }
 
-    /// Total capacity across healthy nodes.
-    pub fn total_capacity(&self) -> Resources {
-        self.nodes.iter().filter(|n| n.healthy).fold(Resources::ZERO, |acc, n| acc + n.capacity)
-    }
-
     /// Total resources currently allocated.
     pub fn total_allocated(&self) -> Resources {
         self.nodes.iter().fold(Resources::ZERO, |acc, n| acc + n.allocated)
@@ -342,7 +337,7 @@ impl Cluster {
     /// Why a request that fits *some* node shape is parked right now. See
     /// [`DenialReason`]; callers use this to choose between backing off
     /// (contention) and shrinking the ask (capacity exhausted).
-    pub fn denial_reason(&self, req: &Resources) -> DenialReason {
+    pub(crate) fn denial_reason(&self, req: &Resources) -> DenialReason {
         let cordoned_would_fit = self.nodes.iter().any(|n| {
             (!n.healthy || self.blacklisted.contains(&n.id.0))
                 && n.capacity.saturating_sub(&n.allocated).fits(req)
@@ -359,11 +354,6 @@ impl Cluster {
         } else {
             DenialReason::CapacityExhausted
         }
-    }
-
-    /// Nodes currently blacklisted for repeated uncorrelated pod failures.
-    pub fn blacklisted_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.blacklisted.iter().map(|&n| NodeId(n))
     }
 
     /// Counts one uncorrelated pod failure against `node`; crossing the
@@ -456,7 +446,7 @@ impl Cluster {
     /// pending queue — they neither admit parked pods as a side effect nor
     /// compete with them inside the trial. (Callers that mix both APIs
     /// decide queue order themselves.)
-    pub fn try_place_gang(
+    pub(crate) fn try_place_gang(
         &mut self,
         specs: &[PodSpec],
         now: SimTime,
@@ -614,11 +604,6 @@ impl Cluster {
         let delay_s = -(1.0 - u).ln() / lambda;
         Some(dlrover_sim::SimDuration::from_secs_f64(delay_s))
     }
-
-    /// Number of pending pods.
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 #[cfg(test)]
@@ -696,14 +681,14 @@ mod tests {
         let (id, events) = c.request_pod(spec(4.0, 8.0, Priority::Low), SimTime::ZERO).unwrap();
         assert!(events.is_empty());
         assert_eq!(c.pod(id).unwrap().phase, PodPhase::Pending);
-        assert_eq!(c.pending_count(), 1);
+        assert_eq!(c.pending.len(), 1);
 
         // Terminating one pod frees room; schedule_pending picks it up.
         let victim = PodId(0);
         c.terminate_pod(victim, PodPhase::Succeeded);
         let events = c.schedule_pending();
         assert!(matches!(events[0], ClusterEvent::PodPlaced(p, _) if p == id));
-        assert_eq!(c.pending_count(), 0);
+        assert_eq!(c.pending.len(), 0);
     }
 
     #[test]
@@ -747,14 +732,17 @@ mod tests {
         let mut c = small_cluster();
         let (id, ev) = c.request_pod(spec(4.0, 8.0, Priority::Low), SimTime::ZERO).unwrap();
         let ClusterEvent::PodPlaced(_, node) = ev[0] else { panic!() };
-        let cap_before = c.total_capacity();
+        let healthy_cpu = |c: &Cluster| {
+            c.nodes.iter().filter(|n| n.healthy).map(|n| n.capacity.cpu_millis).sum::<u64>()
+        };
+        let cap_before = healthy_cpu(&c);
         let events = c.fail_node(node);
         assert!(events.contains(&ClusterEvent::NodeFailed(node)));
         assert!(events.contains(&ClusterEvent::PodFailed(id)));
         assert_eq!(c.pod(id).unwrap().phase, PodPhase::Failed);
-        assert!(c.total_capacity().cpu_millis < cap_before.cpu_millis);
+        assert!(healthy_cpu(&c) < cap_before);
         c.recover_node(node);
-        assert_eq!(c.total_capacity(), cap_before);
+        assert_eq!(healthy_cpu(&c), cap_before);
     }
 
     #[test]
@@ -866,7 +854,7 @@ mod tests {
             assert_eq!(n, bad_node, "best-fit lands on the fuller node");
             c.fail_pod(id);
         }
-        assert_eq!(c.blacklisted_nodes().collect::<Vec<_>>(), vec![bad_node]);
+        assert_eq!(c.blacklisted.iter().copied().collect::<Vec<_>>(), vec![bad_node.0]);
         let snap = sink.snapshot();
         assert_eq!(
             snap.events
@@ -896,7 +884,7 @@ mod tests {
             c.fail_node(node);
             c.recover_node(node);
         }
-        assert_eq!(c.blacklisted_nodes().count(), 0, "correlated failures are exempt");
+        assert_eq!(c.blacklisted.len(), 0, "correlated failures are exempt");
     }
 
     #[test]
@@ -910,7 +898,7 @@ mod tests {
                 c.request_pod(spec(1.0, 1.0, Priority::Low), SimTime::from_secs(k)).unwrap();
             c.fail_pod(id);
         }
-        assert_eq!(c.blacklisted_nodes().count(), 0);
+        assert_eq!(c.blacklisted.len(), 0);
     }
 
     /// Denial reasons distinguish contention, exhaustion, and cordoned
@@ -956,10 +944,10 @@ mod tests {
                 c.request_pod(spec(8.0, 8.0, *prio), SimTime::from_secs(i as u64)).unwrap();
             parked.push(id);
         }
-        assert_eq!(c.pending_count(), 4);
+        assert_eq!(c.pending.len(), 4);
         // An empty pass leaves the queue intact (and seeds the scratch).
         assert!(c.schedule_pending().is_empty());
-        assert_eq!(c.pending_count(), 4);
+        assert_eq!(c.pending.len(), 4);
         // Free both nodes; one pass then grants the two highs (FIFO within
         // the class) and leaves the lows parked — exactly what the old
         // clone-the-queue implementation did.
@@ -975,7 +963,7 @@ mod tests {
             })
             .collect();
         assert_eq!(placed, vec![parked[1], parked[3]], "highs first, FIFO within class");
-        assert_eq!(c.pending_count(), 2);
+        assert_eq!(c.pending.len(), 2);
         assert!(c.scratch.capacity() >= 4, "drain buffer retained across passes");
         assert!(c.scratch.is_empty(), "scratch holds no pods between passes");
     }

@@ -17,7 +17,7 @@ use dlrover_sim::SimTime;
 
 /// A message in flight between two cells.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Envelope<M> {
+pub(crate) struct Envelope<M> {
     /// Delivery time (clamped up to the epoch barrier by the router — the
     /// barrier is the lookahead that keeps cross-shard delivery causal).
     pub at: SimTime,
@@ -41,7 +41,7 @@ impl<M> Envelope<M> {
 
 /// Collects per-shard outboxes and replays them in a canonical order.
 #[derive(Debug, Clone)]
-pub struct Exchange<M> {
+pub(crate) struct Exchange<M> {
     inbox: Vec<Envelope<M>>,
 }
 
@@ -53,28 +53,13 @@ impl<M> Default for Exchange<M> {
 
 impl<M> Exchange<M> {
     /// Creates an empty exchange.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Exchange { inbox: Vec::new() }
     }
 
-    /// Number of undelivered envelopes.
-    pub fn len(&self) -> usize {
-        self.inbox.len()
-    }
-
-    /// True when nothing is in flight.
-    pub fn is_empty(&self) -> bool {
-        self.inbox.is_empty()
-    }
-
     /// Absorbs one shard's outbox (any production order).
-    pub fn collect(&mut self, outbox: Vec<Envelope<M>>) {
+    pub(crate) fn collect(&mut self, outbox: Vec<Envelope<M>>) {
         self.inbox.extend(outbox);
-    }
-
-    /// Earliest delivery time currently in flight.
-    pub fn next_delivery(&self) -> Option<SimTime> {
-        self.inbox.iter().map(|e| e.at).min()
     }
 
     /// Drains all envelopes in canonical `(dst, at, src, seq)` order.
@@ -82,7 +67,7 @@ impl<M> Exchange<M> {
     /// The result is independent of the order outboxes were collected in and
     /// of the order envelopes were produced within a shard — duplicate keys
     /// cannot occur because `seq` is monotone per sender.
-    pub fn drain_sorted(&mut self) -> Vec<Envelope<M>> {
+    pub(crate) fn drain_sorted(&mut self) -> Vec<Envelope<M>> {
         let mut pending = std::mem::take(&mut self.inbox);
         pending.sort_unstable_by_key(|e| e.key());
         pending
@@ -113,23 +98,12 @@ mod tests {
         let f = forward.drain_sorted();
         let r = reverse.drain_sorted();
         assert_eq!(f, r);
+        assert!(forward.inbox.is_empty(), "a drain delivers each envelope once");
         let keys: Vec<(u32, u64, u32, u64)> =
             f.iter().map(|e| (e.dst, e.at.as_micros(), e.src, e.seq)).collect();
         assert_eq!(
             keys,
             vec![(0, 10, 1, 5), (0, 10, 2, 0), (1, 50, 0, 2), (1, 50, 0, 3), (2, 5, 0, 1)]
         );
-    }
-
-    #[test]
-    fn next_delivery_and_len() {
-        let mut x = Exchange::new();
-        assert!(x.is_empty());
-        assert_eq!(x.next_delivery(), None);
-        x.collect(vec![env(0, 30, 0, 0), env(1, 12, 0, 1)]);
-        assert_eq!(x.len(), 2);
-        assert_eq!(x.next_delivery(), Some(SimTime::from_micros(12)));
-        x.drain_sorted();
-        assert!(x.is_empty());
     }
 }

@@ -83,14 +83,14 @@ pub struct FleetJob {
 
 impl FleetJob {
     /// Total requested resources across all pods.
-    pub fn total_requested(&self) -> Resources {
+    pub(crate) fn total_requested(&self) -> Resources {
         self.requested_worker.scale(f64::from(self.workers))
             + self.requested_ps.scale(f64::from(self.ps))
     }
 
     /// Expected CPU utilisation under the user's (static) request:
     /// ideal demand over requested, capped at 1.
-    pub fn expected_cpu_utilisation(&self) -> f64 {
+    pub(crate) fn expected_cpu_utilisation(&self) -> f64 {
         let need = self.ideal_worker.cpu_millis * u64::from(self.workers)
             + self.ideal_ps.cpu_millis * u64::from(self.ps);
         let req = self.total_requested().cpu_millis;

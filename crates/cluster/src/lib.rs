@@ -8,15 +8,15 @@
 //! from the cluster resource scheduler"). This crate provides exactly that
 //! interface as a deterministic simulation:
 //!
-//! * [`resources`] — CPU/memory vectors with saturating arithmetic.
-//! * [`node`] / [`pod`] — machines with heterogeneous CPU speed; pods with
+//! * [`Resources`] — CPU/memory vectors with saturating arithmetic.
+//! * [`Node`] / [`Pod`] — machines with heterogeneous CPU speed; pods with
 //!   the usual phase machine (Pending → Starting → Running → terminal).
-//! * [`cluster`] — best-fit bin-packing placement, priority preemption,
+//! * [`Cluster`] — best-fit bin-packing placement, priority preemption,
 //!   node failure injection, background co-located services that breathe
 //!   with a diurnal pattern (the "workload consolidation" of Table 2).
-//! * [`startup`] — pod start-up latency model (scheduling + image pull +
+//! * [`StartupLatencyModel`] — pod start-up latency model (scheduling + image pull +
 //!   init), the dominant term of stop-and-restart scaling overhead (§2.2).
-//! * [`fleet`] — a workload generator that reproduces the fleet pathologies
+//! * [`FleetWorkload`] — a workload generator that reproduces the fleet pathologies
 //!   of §2.2: log-normally over-provisioned user requests, heavy-tailed job
 //!   sizes, Poisson arrivals, and a configurable job mix.
 //!
@@ -24,32 +24,33 @@
 //! paper's production footprint — 62K+ concurrent jobs, million-pod fleets
 //! (§1, Table 4) — without giving up bit-reproducibility:
 //!
-//! * [`store`] — generational-slab job storage and a paged pod table.
-//! * [`timerwheel`] — hierarchical timer wheel, O(1) event scheduling.
-//! * [`exchange`] — key-sorted, order-independent cross-shard messaging.
-//! * [`shard`] — the sharded fleet simulation itself; K = 1 is the
+//! * [`GenSlab`] / [`PodTable`] — generational-slab job storage and a
+//!   paged pod table.
+//! * [`TimerWheel`] — hierarchical timer wheel, O(1) event scheduling.
+//! * the exchange — key-sorted, order-independent cross-shard messaging.
+//! * [`ShardedFleet`] — the sharded fleet simulation itself; K = 1 is the
 //!   unsharded baseline, and any K produces byte-identical results.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod cluster;
-pub mod driver;
-pub mod exchange;
-pub mod fleet;
-pub mod node;
-pub mod pod;
+mod cluster;
+mod driver;
+mod exchange;
+mod fleet;
+mod node;
+mod pod;
 #[cfg(test)]
 mod queue;
-pub mod resources;
-pub mod shard;
-pub mod startup;
-pub mod store;
-pub mod timerwheel;
+mod resources;
+mod shard;
+mod startup;
+mod store;
+mod timerwheel;
 
-pub use cluster::{Cluster, ClusterConfig, ClusterEvent, DenialReason, ScheduleError};
+pub use cluster::{Cluster, ClusterConfig, ClusterEvent, ScheduleError};
 pub use driver::{drive_fleet, GangJob, GangOutcome};
-pub use exchange::{Envelope, Exchange};
 pub use fleet::{FleetConfig, FleetJob, FleetWorkload, JobClass};
 pub use node::{Node, NodeId};
 pub use pod::{Pod, PodId, PodPhase, PodRole, PodSpec, Priority};
@@ -60,4 +61,4 @@ pub use shard::{
 };
 pub use startup::StartupLatencyModel;
 pub use store::{GenSlab, PodTable, SlabKey};
-pub use timerwheel::TimerWheel;
+pub use timerwheel::{ScheduledEvent, TimerWheel};

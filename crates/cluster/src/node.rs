@@ -58,14 +58,6 @@ impl Node {
     pub fn release(&mut self, req: Resources) {
         self.allocated = self.allocated.saturating_sub(&req);
     }
-
-    /// CPU utilisation fraction of this node (allocated / capacity).
-    pub fn cpu_allocation_ratio(&self) -> f64 {
-        if self.capacity.cpu_millis == 0 {
-            return 0.0;
-        }
-        self.allocated.cpu_millis as f64 / self.capacity.cpu_millis as f64
-    }
 }
 
 #[cfg(test)]
@@ -101,13 +93,5 @@ mod tests {
         n.reserve(Resources::new(1.0, 1.0));
         n.release(Resources::new(10.0, 10.0));
         assert_eq!(n.allocated, Resources::ZERO);
-    }
-
-    #[test]
-    fn allocation_ratio() {
-        let mut n = node();
-        assert_eq!(n.cpu_allocation_ratio(), 0.0);
-        n.reserve(Resources::new(16.0, 8.0));
-        assert!((n.cpu_allocation_ratio() - 0.5).abs() < 1e-9);
     }
 }

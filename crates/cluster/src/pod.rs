@@ -51,7 +51,7 @@ pub enum PodPhase {
 
 impl PodPhase {
     /// True for phases that hold node resources.
-    pub fn holds_resources(&self) -> bool {
+    pub(crate) fn holds_resources(&self) -> bool {
         matches!(self, PodPhase::Starting | PodPhase::Running)
     }
 

@@ -37,7 +37,7 @@ impl<E> Ord for ScheduledEvent<E> {
 
 /// A deterministic min-heap of timed events.
 #[derive(Debug, Clone)]
-pub struct EventQueue<E> {
+pub(crate) struct EventQueue<E> {
     heap: BinaryHeap<ScheduledEvent<E>>,
     next_seq: u64,
     now: SimTime,
@@ -51,23 +51,23 @@ impl<E> Default for EventQueue<E> {
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue with the clock at time zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventQueue { heap: BinaryHeap::new(), next_seq: 0, now: SimTime::ZERO }
     }
 
     /// The current virtual time: the fire time of the last popped event
     /// (or zero before anything fired).
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         self.now
     }
 
     /// Number of pending events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.heap.len()
     }
 
     /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
 
@@ -76,7 +76,7 @@ impl<E> EventQueue<E> {
     /// # Panics
     /// Panics in debug builds if `at` is before the current virtual time —
     /// scheduling into the past indicates a logic error in the caller.
-    pub fn push(&mut self, at: SimTime, event: E) -> u64 {
+    pub(crate) fn push(&mut self, at: SimTime, event: E) -> u64 {
         debug_assert!(at >= self.now, "scheduling into the past: {:?} < {:?}", at, self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -85,19 +85,19 @@ impl<E> EventQueue<E> {
     }
 
     /// Pops the earliest event and advances the clock to its fire time.
-    pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
+    pub(crate) fn pop(&mut self) -> Option<ScheduledEvent<E>> {
         let ev = self.heap.pop()?;
         self.now = ev.at;
         Some(ev)
     }
 
     /// Fire time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.at)
     }
 
     /// Drops all pending events (the clock is left where it is).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.heap.clear();
     }
 }

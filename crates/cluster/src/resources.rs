@@ -33,7 +33,7 @@ impl Resources {
     }
 
     /// Builds from raw millicores and bytes.
-    pub const fn from_raw(cpu_millis: u64, mem_bytes: u64) -> Self {
+    pub(crate) const fn from_raw(cpu_millis: u64, mem_bytes: u64) -> Self {
         Resources { cpu_millis, mem_bytes }
     }
 
@@ -61,7 +61,7 @@ impl Resources {
     }
 
     /// Element-wise minimum.
-    pub fn component_min(&self, other: &Resources) -> Resources {
+    pub(crate) fn component_min(&self, other: &Resources) -> Resources {
         Resources {
             cpu_millis: self.cpu_millis.min(other.cpu_millis),
             mem_bytes: self.mem_bytes.min(other.mem_bytes),
@@ -84,7 +84,7 @@ impl Resources {
 }
 
 /// Bytes per GiB.
-pub const GIB: u64 = 1024 * 1024 * 1024;
+pub(crate) const GIB: u64 = 1024 * 1024 * 1024;
 
 impl Add for Resources {
     type Output = Resources;

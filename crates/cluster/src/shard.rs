@@ -917,8 +917,7 @@ impl ShardedFleet {
     /// count) — a shard-count-independent mapping.
     ///
     /// # Panics
-    /// Panics when `cfg` fails [`FleetScaleConfig::validate`]; use
-    /// [`ShardedFleet::try_with_chaos`] for a configuration from outside.
+    /// Panics when `cfg` fails [`FleetScaleConfig::validate`].
     pub fn with_chaos(
         cfg: &FleetScaleConfig,
         shard_count: u32,
@@ -931,7 +930,7 @@ impl ShardedFleet {
 
     /// [`ShardedFleet::with_chaos`], reporting a degenerate configuration
     /// as a typed error.
-    pub fn try_with_chaos(
+    pub(crate) fn try_with_chaos(
         cfg: &FleetScaleConfig,
         shard_count: u32,
         seed: u64,

@@ -35,7 +35,7 @@ impl SlabKey {
     }
 
     /// Generation the key was minted under.
-    pub fn generation(self) -> u32 {
+    pub(crate) fn generation(self) -> u32 {
         (self.0 >> 32) as u32
     }
 
@@ -69,7 +69,6 @@ struct SlabEntry<T> {
 pub struct GenSlab<T> {
     entries: Vec<SlabEntry<T>>,
     free: Vec<u32>,
-    len: usize,
 }
 
 impl<T> Default for GenSlab<T> {
@@ -81,27 +80,16 @@ impl<T> Default for GenSlab<T> {
 impl<T> GenSlab<T> {
     /// Creates an empty slab.
     pub fn new() -> Self {
-        GenSlab { entries: Vec::new(), free: Vec::new(), len: 0 }
+        GenSlab { entries: Vec::new(), free: Vec::new() }
     }
 
     /// Creates an empty slab with room for `cap` entries.
-    pub fn with_capacity(cap: usize) -> Self {
-        GenSlab { entries: Vec::with_capacity(cap), free: Vec::new(), len: 0 }
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no entries are live.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    pub(crate) fn with_capacity(cap: usize) -> Self {
+        GenSlab { entries: Vec::with_capacity(cap), free: Vec::new() }
     }
 
     /// Inserts a value, reusing a freed slot when available.
     pub fn insert(&mut self, value: T) -> SlabKey {
-        self.len += 1;
         if let Some(slot) = self.free.pop() {
             let entry = &mut self.entries[slot as usize];
             debug_assert!(entry.value.is_none(), "free-list slot still occupied");
@@ -124,7 +112,7 @@ impl<T> GenSlab<T> {
     }
 
     /// Mutable lookup; stale or foreign keys return `None`.
-    pub fn get_mut(&mut self, key: SlabKey) -> Option<&mut T> {
+    pub(crate) fn get_mut(&mut self, key: SlabKey) -> Option<&mut T> {
         let entry = self.entries.get_mut(key.slot() as usize)?;
         if entry.generation != key.generation() {
             return None;
@@ -142,12 +130,11 @@ impl<T> GenSlab<T> {
         let value = entry.value.take()?;
         entry.generation = entry.generation.wrapping_add(1);
         self.free.push(key.slot());
-        self.len -= 1;
         Some(value)
     }
 
     /// Iterates live entries in ascending slot order.
-    pub fn iter(&self) -> impl Iterator<Item = (SlabKey, &T)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (SlabKey, &T)> {
         self.entries.iter().enumerate().filter_map(|(slot, e)| {
             e.value.as_ref().map(|v| (SlabKey::pack(slot as u32, e.generation), v))
         })
@@ -170,8 +157,8 @@ const PAGE_SIZE: usize = 1 << PAGE_BITS;
 /// scale (PAPER.md Table 4).
 ///
 /// The table is the one writer of [`Pod::phase`]: `insert` and
-/// [`Self::set_phase`] keep `live[page]` equal to the page's non-terminal
-/// pods, which is what lets [`Self::reap_terminal`] run in O(pages).
+/// `Self::set_phase` keep `live[page]` equal to the page's non-terminal
+/// pods, which is what lets `Self::reap_terminal` run in O(pages).
 #[derive(Debug, Clone, Default)]
 pub struct PodTable {
     pages: Vec<Option<Vec<Pod>>>,
@@ -200,7 +187,7 @@ impl PodTable {
     }
 
     /// Total pods ever inserted, including reaped ones.
-    pub fn total_inserted(&self) -> u64 {
+    pub(crate) fn total_inserted(&self) -> u64 {
         self.inserted
     }
 
@@ -231,7 +218,7 @@ impl PodTable {
 
     /// Mutable lookup; returns `None` for unknown or reaped ids. Every
     /// field but the phase may be written through it — the phase goes
-    /// through [`Self::set_phase`].
+    /// through `Self::set_phase`.
     pub fn get_mut(&mut self, id: PodId) -> Option<&mut Pod> {
         let page = self.pages.get_mut((id.0 >> PAGE_BITS) as usize)?.as_mut()?;
         page.get_mut((id.0 & (PAGE_SIZE as u64 - 1)) as usize)
@@ -245,7 +232,7 @@ impl PodTable {
     /// # Panics
     /// Panics in debug builds on a terminal → live transition: a terminal
     /// pod's page may already be reaped, so nothing may revive one.
-    pub fn set_phase(&mut self, id: PodId, phase: PodPhase) -> Option<&mut Pod> {
+    pub(crate) fn set_phase(&mut self, id: PodId, phase: PodPhase) -> Option<&mut Pod> {
         let page_idx = (id.0 >> PAGE_BITS) as usize;
         let page = self.pages.get_mut(page_idx)?.as_mut()?;
         let pod = page.get_mut((id.0 & (PAGE_SIZE as u64 - 1)) as usize)?;
@@ -273,7 +260,7 @@ impl PodTable {
     /// only reap once they no longer dereference finished pods (the sharded
     /// fleet reaps at epoch barriers; the classic [`crate::Cluster`] never
     /// reaps).
-    pub fn reap_terminal(&mut self) -> usize {
+    pub(crate) fn reap_terminal(&mut self) -> usize {
         let mut reclaimed = 0usize;
         let full_pages = (self.inserted >> PAGE_BITS) as usize;
         for (page, live) in self.pages.iter_mut().zip(&self.live).take(full_pages) {
@@ -335,7 +322,7 @@ mod tests {
         let mut slab = GenSlab::new();
         let a = slab.insert(10u32);
         let b = slab.insert(20u32);
-        assert_eq!(slab.len(), 2);
+        assert_eq!(slab.iter().count(), 2);
         assert_eq!(slab.get(a), Some(&10));
         *slab.get_mut(b).unwrap() = 21;
         assert_eq!(slab.remove(a), Some(10));
@@ -354,13 +341,13 @@ mod tests {
     #[test]
     fn slab_len_tracks_inserts_and_removes() {
         let mut slab = GenSlab::with_capacity(4);
-        assert!(slab.is_empty());
+        assert_eq!(slab.iter().count(), 0);
         let keys: Vec<SlabKey> = (0..10).map(|i| slab.insert(i)).collect();
-        assert_eq!(slab.len(), 10);
+        assert_eq!(slab.iter().count(), 10);
         for k in &keys[..5] {
             slab.remove(*k);
         }
-        assert_eq!(slab.len(), 5);
+        assert_eq!(slab.iter().count(), 5);
     }
 
     #[test]

@@ -156,7 +156,7 @@ impl<E> TimerWheel<E> {
     /// Takes `&mut self` because peeking may cascade wheel levels to locate
     /// the next occupied slot; the observable state (pending set, clock,
     /// pop order) is unchanged.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
         if self.ready.is_empty() && !self.advance() {
             return None;
         }

@@ -30,10 +30,10 @@ use dlrover_cluster::{
     Cluster, ClusterConfig, ClusterEvent, NodeId, PodId, PodPhase, PodRole, PodSpec, Priority,
     Resources,
 };
-use dlrover_master::replay::{RecoveryOutcome, RecoveryPath};
 use dlrover_master::{
-    CheckpointPlane, CkptPlaneConfig, JobControl, JobHealth, JobMaster, MasterEvent, PlaneStats,
-    RetryDecision, RetryPolicy, RetrySupervisor, SchedulerPolicy, WitnessBoard,
+    restore_after_master_loss, CheckpointPlane, CkptPlaneConfig, JobControl, JobHealth, JobMaster,
+    MasterEvent, PlaneStats, RecoveryOutcome, RecoveryPath, RetryDecision, RetryPolicy,
+    RetrySupervisor, SchedulerPolicy, WitnessBoard,
 };
 use dlrover_optimizer::ResourceAllocation;
 use dlrover_pstrain::{CheckpointExtent, PodState, TrainingJobSpec, WorkerState};
@@ -1050,37 +1050,27 @@ impl<'a> ChaosDriver<'a> {
 
     /// The job state a crashed master restarts from, which path produced it,
     /// when training resumes, and the step of the manifest it restored (0
-    /// when there was none). Witness path (when preferred and the quorum
-    /// stands): the surviving peers detect the silence, elect a recoverer,
-    /// and read the pinned quorum-certified copy at peer-memory speed — no
-    /// restarted master and no remote tier on the critical path, so a
-    /// concurrent `RemoteTierOutage` does not gate it. Replay path: wait out
-    /// the restart window, then restore the durable copy through the plane
-    /// (which waits out any outage window).
+    /// when there was none); the restore itself is
+    /// [`restore_after_master_loss`]. On the witness path the pinned
+    /// manifest is the recovery truth: samples past its watermark retrain
+    /// (the engine's bounded-rollback contract).
     fn recover_job_state(
         &mut self,
         restart: SimDuration,
     ) -> (JobControl, RecoveryPath, SimTime, u64) {
-        let now = self.now;
         let mut replayed = self.telemetry.with_events(JobControl::from_events).expect("legal log");
-        let witness_start = now + self.witness.takeover_latency();
-        let pinned =
-            if self.cfg.prefer_witness { self.witness.restore(0, witness_start) } else { None };
-        match pinned {
-            Some(w) => {
-                // The pinned manifest is the recovery truth: samples past
-                // its watermark retrain (the engine's bounded-rollback
-                // contract).
-                replayed.samples_done = w.samples.min(replayed.samples_done);
-                (replayed, RecoveryPath::WitnessQuorum, witness_start + w.duration, w.step)
-            }
-            None => {
-                let restart_at = now + restart;
-                let restore = self.plane.restore(0, restart_at);
-                let resume_at = restore.map_or(restart_at, |r| r.resume_at().max(restart_at));
-                (replayed, RecoveryPath::MasterReplay, resume_at, restore.map_or(0, |r| r.step))
-            }
+        let (path, resume_at, restored) = restore_after_master_loss(
+            0,
+            self.now,
+            restart,
+            self.cfg.prefer_witness,
+            &mut self.witness,
+            &mut self.plane,
+        );
+        if let (RecoveryPath::WitnessQuorum, Some((samples, _))) = (path, restored) {
+            replayed.samples_done = samples.min(replayed.samples_done);
         }
+        (replayed, path, resume_at, restored.map_or(0, |(_, step)| step))
     }
 
     /// 3. Organic churn due now: same kill machinery, no FaultInjected

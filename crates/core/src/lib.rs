@@ -37,6 +37,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(clippy::too_many_lines)]
 
 pub mod chaos;
@@ -81,7 +82,6 @@ pub mod prelude {
 pub use dlrover_baselines as baselines;
 pub use dlrover_brain as brain;
 pub use dlrover_cluster as cluster;
-pub use dlrover_dlrm as dlrm;
 pub use dlrover_master as master;
 pub use dlrover_optimizer as optimizer;
 pub use dlrover_perfmodel as perfmodel;

@@ -23,9 +23,9 @@ use serde::{Deserialize, Serialize};
 use dlrover_sim::{splitmix64, LogNormal, RngStreams, Sample as SampleDist, Zipf};
 
 /// Number of dense (integer) features, as in Criteo.
-pub const NUM_DENSE: usize = 13;
+pub(crate) const NUM_DENSE: usize = 13;
 /// Number of categorical features, as in Criteo.
-pub const NUM_SPARSE: usize = 26;
+pub(crate) const NUM_SPARSE: usize = 26;
 
 /// One training sample.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

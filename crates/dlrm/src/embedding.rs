@@ -115,7 +115,7 @@ impl EmbeddingTable {
     }
 
     /// Resident bytes: weights + accumulators, 4 bytes each.
-    pub fn resident_bytes(&self) -> usize {
+    pub(crate) fn resident_bytes(&self) -> usize {
         self.index.len() * self.dim * 4 * 2
     }
 
@@ -171,7 +171,7 @@ impl EmbeddingTable {
 
     /// Read-only lookup: returns zeros for never-seen ids (inference on a
     /// frozen model must not allocate).
-    pub fn lookup_frozen(&self, id: u64, out: &mut [f32]) {
+    pub(crate) fn lookup_frozen(&self, id: u64, out: &mut [f32]) {
         assert_eq!(out.len(), self.dim, "output buffer dim mismatch");
         match self.index.get(&self.slot(id)) {
             Some(&offset) => out.copy_from_slice(&self.arena[offset..offset + self.dim]),
@@ -184,7 +184,7 @@ impl EmbeddingTable {
     ///
     /// # Panics
     /// Panics if `grad.len() != dim`.
-    pub fn apply_grad(&mut self, id: u64, grad: &[f32], lr: f32) {
+    pub(crate) fn apply_grad(&mut self, id: u64, grad: &[f32], lr: f32) {
         assert_eq!(grad.len(), self.dim, "gradient dim mismatch");
         let offset = self.row_offset(id);
         let (weights, acc) = self.arena[offset..offset + 2 * self.dim].split_at_mut(self.dim);
@@ -196,7 +196,7 @@ impl EmbeddingTable {
 
     /// Serialises the materialised rows (used by checkpointing). Row order
     /// is sorted by slot for determinism.
-    pub fn export_rows(&self) -> Vec<(u64, Vec<f32>, Vec<f32>)> {
+    pub(crate) fn export_rows(&self) -> Vec<(u64, Vec<f32>, Vec<f32>)> {
         let mut rows: Vec<(u64, usize)> = self.index.iter().map(|(&s, &o)| (s, o)).collect();
         rows.sort_unstable();
         rows.into_iter()
@@ -214,7 +214,7 @@ impl EmbeddingTable {
     /// Panics if a row's weights or accumulators are not `dim` wide, or if
     /// a slot occurs twice: in the flat arena a short row would misalign
     /// every row behind it.
-    pub fn import_rows(&mut self, rows: &[(u64, Vec<f32>, Vec<f32>)]) {
+    pub(crate) fn import_rows(&mut self, rows: &[(u64, Vec<f32>, Vec<f32>)]) {
         self.index.clear();
         self.arena.clear();
         self.arena.reserve(rows.len() * 2 * self.dim);

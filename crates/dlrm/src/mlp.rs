@@ -21,7 +21,7 @@ pub struct Mlp {
 const LANES: usize = 8;
 
 /// Intermediate activations retained for backprop. Reusable: a trace
-/// handed back to [`Mlp::forward_into`] keeps its buffer.
+/// handed back to `Mlp::forward_into` keeps its buffer.
 #[derive(Debug, Clone, Default)]
 pub struct ForwardTrace {
     /// Post-activation values of every layer back to back, the input first.
@@ -75,13 +75,8 @@ impl Mlp {
         self.params.len()
     }
 
-    /// Input width.
-    pub fn input_dim(&self) -> usize {
-        self.dims[0]
-    }
-
     /// Output width.
-    pub fn output_dim(&self) -> usize {
+    pub(crate) fn output_dim(&self) -> usize {
         *self.dims.last().expect("dims nonempty")
     }
 
@@ -94,7 +89,7 @@ impl Mlp {
     ///
     /// # Panics
     /// Panics on length mismatch.
-    pub fn set_params(&mut self, params: &[f32]) {
+    pub(crate) fn set_params(&mut self, params: &[f32]) {
         assert_eq!(params.len(), self.params.len(), "param length mismatch");
         self.params.copy_from_slice(params);
     }
@@ -108,7 +103,7 @@ impl Mlp {
     ///
     /// # Panics
     /// Panics on length mismatch.
-    pub fn set_accumulators(&mut self, acc: &[f32]) {
+    pub(crate) fn set_accumulators(&mut self, acc: &[f32]) {
         assert_eq!(acc.len(), self.acc.len(), "accumulator length mismatch");
         self.acc.copy_from_slice(acc);
     }
@@ -116,7 +111,7 @@ impl Mlp {
     /// Forward pass retaining activations for a later [`Self::backward`].
     ///
     /// # Panics
-    /// Panics if `input.len() != input_dim()`.
+    /// Panics if `input.len()` is not the first layer width.
     pub fn forward(&self, input: &[f32]) -> ForwardTrace {
         let mut trace = ForwardTrace::default();
         self.forward_into(input, &mut trace);
@@ -128,8 +123,8 @@ impl Mlp {
     /// `bias + Σ_i w[o][i]·x[i]` summed left to right.
     ///
     /// # Panics
-    /// Panics if `input.len() != input_dim()`.
-    pub fn forward_into(&self, input: &[f32], trace: &mut ForwardTrace) {
+    /// Panics if `input.len()` is not the first layer width.
+    pub(crate) fn forward_into(&self, input: &[f32], trace: &mut ForwardTrace) {
         assert_eq!(input.len(), self.dims[0], "input dim mismatch");
         trace.output_dim = self.output_dim();
         let acts = &mut trace.activations;
@@ -199,7 +194,7 @@ impl Mlp {
     ///
     /// # Panics
     /// Panics on shape mismatches.
-    pub fn backward_into<'a>(
+    pub(crate) fn backward_into<'a>(
         &self,
         trace: &ForwardTrace,
         output_grad: &[f32],
@@ -280,7 +275,6 @@ mod tests {
     fn param_count_matches_layout() {
         let m = Mlp::new(&[4, 8, 2], 1);
         assert_eq!(m.param_count(), 4 * 8 + 8 + 8 * 2 + 2);
-        assert_eq!(m.input_dim(), 4);
         assert_eq!(m.output_dim(), 2);
     }
 

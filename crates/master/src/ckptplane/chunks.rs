@@ -71,7 +71,7 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
 /// Dynamic regions version as `(step * churn + phase) / 1000`, so a region
 /// keeps its key for `~1000/churn` steps and then rolls over; phases are
 /// staggered per region so rollovers spread instead of thundering.
-pub fn manifest_chunks(
+pub(crate) fn manifest_chunks(
     job: u64,
     family: u64,
     step: u64,
@@ -139,7 +139,7 @@ type KeyMap<V> = std::collections::HashMap<u64, V, std::hash::BuildHasherDefault
 /// Nothing but [`Self::digest`] iterates it, and that sorts first: map
 /// order never reaches a result. Equality is set equality.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct ChunkStore {
+pub(crate) struct ChunkStore {
     entries: KeyMap<ChunkEntry>,
     stored_bytes: u64,
 }
@@ -153,7 +153,7 @@ struct ChunkEntry {
 impl ChunkStore {
     /// Adds a reference to `chunk`, storing it if absent. Returns `true`
     /// when the chunk was newly stored (bytes must be transferred).
-    pub fn acquire(&mut self, chunk: ChunkRef) -> bool {
+    pub(crate) fn acquire(&mut self, chunk: ChunkRef) -> bool {
         use std::collections::hash_map::Entry;
         match self.entries.entry(chunk.key) {
             Entry::Occupied(mut e) => {
@@ -170,7 +170,7 @@ impl ChunkStore {
 
     /// Drops a reference to `key`. Returns the bytes freed (non-zero only
     /// when the last reference dropped). Unknown keys are ignored.
-    pub fn release(&mut self, key: u64) -> u64 {
+    pub(crate) fn release(&mut self, key: u64) -> u64 {
         use std::collections::hash_map::Entry;
         let Entry::Occupied(mut e) = self.entries.entry(key) else { return 0 };
         e.get_mut().refs -= 1;
@@ -183,20 +183,10 @@ impl ChunkStore {
         }
     }
 
-    /// Whether `key` is resident.
-    pub fn contains(&self, key: u64) -> bool {
-        self.entries.contains_key(&key)
-    }
-
     /// Physical bytes resident (each chunk counted once regardless of
     /// reference count).
-    pub fn stored_bytes(&self) -> u64 {
+    pub(crate) fn stored_bytes(&self) -> u64 {
         self.stored_bytes
-    }
-
-    /// Number of distinct chunks resident.
-    pub fn chunk_count(&self) -> usize {
-        self.entries.len()
     }
 
     /// Digest of the store's full state (keys, sizes, refcounts, total),
@@ -205,7 +195,7 @@ impl ChunkStore {
     /// interleavings. The fold is a chain, so entries are visited in
     /// ascending key order — the order `results/ckptplane.json` and the
     /// cross-shard comparison were recorded in.
-    pub fn digest(&self) -> u64 {
+    pub(crate) fn digest(&self) -> u64 {
         let mut entries: Vec<(u64, ChunkEntry)> =
             self.entries.iter().map(|(&key, &e)| (key, e)).collect();
         entries.sort_unstable_by_key(|&(key, _)| key);
@@ -263,16 +253,8 @@ pub(crate) mod reference {
             }
         }
 
-        pub(crate) fn contains(&self, key: u64) -> bool {
-            self.entries.contains_key(&key)
-        }
-
         pub(crate) fn stored_bytes(&self) -> u64 {
             self.stored_bytes
-        }
-
-        pub(crate) fn chunk_count(&self) -> usize {
-            self.entries.len()
         }
 
         pub(crate) fn digest(&self) -> u64 {
@@ -344,7 +326,7 @@ mod tests {
         assert_eq!(s.release(key), 0, "one ref remains");
         assert_eq!(s.release(key), 100, "last ref frees");
         assert_eq!(s.stored_bytes(), 0);
-        assert!(!s.contains(key));
+        assert!(!s.entries.contains_key(&key));
     }
 
     #[test]
@@ -455,12 +437,7 @@ mod differential {
                     }
                 }
                 prop_assert_eq!(live.stored_bytes(), reference.stored_bytes());
-                prop_assert_eq!(live.chunk_count(), reference.chunk_count());
                 prop_assert_eq!(live.digest(), reference.digest());
-            }
-            for c in &pool {
-                prop_assert_eq!(live.contains(c.key), reference.contains(c.key));
-            }
-        }
+            }        }
     }
 }

@@ -19,7 +19,7 @@
 mod chunks;
 mod plane;
 
-pub use chunks::{manifest_chunks, ChunkRef, ChunkStore, ChunkingConfig};
+pub use chunks::{ChunkRef, ChunkingConfig};
 pub use plane::{
     CheckpointPlane, CkptPlaneConfig, Manifest, PlaneStats, RestoreOutcome, RestoreSource,
     SaveOutcome, RETAIN_PER_JOB,

@@ -292,11 +292,6 @@ impl CheckpointPlane {
         self.manifests.get(&id)
     }
 
-    /// Physical bytes resident in the hot tier.
-    pub fn hot_bytes(&self) -> u64 {
-        self.hot.stored_bytes()
-    }
-
     /// Whether `job` has staged any manifest (committed or in-flight).
     pub fn has_manifests(&self, job: u64) -> bool {
         self.by_job.get(&job).is_some_and(|ids| !ids.is_empty())
@@ -728,7 +723,7 @@ mod tests {
         p.save(1, 1, 100, 0, 4 * GB, SimTime::from_secs(100));
         p.save(2, 2, 100, 0, 4 * GB, SimTime::from_secs(110));
         assert!(p.stats().hot_evictions >= 1, "capacity forces eviction");
-        assert!(p.hot_bytes() <= 6 * GB);
+        assert!(p.hot.stored_bytes() <= 6 * GB);
         // Job 1 was evicted; before its manifest commits a restore finds nothing.
         assert!(
             p.restore(1, SimTime::from_secs(111)).is_none(),

@@ -2,41 +2,45 @@
 //!
 //! Each training job gets one master pod hosting two subcomponents:
 //!
-//! * the **profiler** ([`profiler`]) monitors runtime statistics — iteration
-//!   timings for the throughput model, per-PS memory samples for the OOM
-//!   predictor — and periodically reports them to the cluster brain's
-//!   optimizer;
-//! * the **executor** ([`master::JobMaster`]) applies resource plans coming
+//! * the **profiler** monitors runtime statistics — iteration timings for
+//!   the throughput model, per-PS memory samples for the OOM predictor —
+//!   and periodically reports them to the cluster brain's optimizer
+//!   ([`JobRuntimeProfile`]);
+//! * the **executor** ([`JobMaster`]) applies resource plans coming
 //!   back from the brain: it orchestrates seamless migrations, feeds data
 //!   shards to workers (via the engine's shard queue, which paces slow
 //!   workers itself), detects failed and silent workers from heartbeats,
 //!   and pre-scales PS memory when the OOM predictor fires.
 //!
-//! The [`policy`] module defines the `SchedulerPolicy` trait through which
+//! The [`SchedulerPolicy`] trait is the interface through which
 //! the DLRover-RM brain *and* the baseline schedulers (ES, Optimus, static)
 //! drive the same job master — keeping the comparison in Figs. 7/10 apples
 //! to apples.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod ckptplane;
-pub mod master;
-pub mod policy;
-pub mod profiler;
-pub mod replay;
+mod ckptplane;
+mod master;
+mod policy;
+mod profiler;
+mod replay;
 pub mod resilience;
-pub mod witness;
+mod witness;
 
-pub use ckptplane::{CheckpointPlane, CkptPlaneConfig, PlaneStats, RestoreSource};
+pub use ckptplane::{
+    CheckpointPlane, ChunkRef, ChunkingConfig, CkptPlaneConfig, Manifest, PlaneStats,
+    RestoreOutcome, RestoreSource, SaveOutcome, RETAIN_PER_JOB,
+};
 pub use master::{JobMaster, MasterConfig, MasterEvent};
 pub use policy::{PolicyDecision, ReconfigRequest, SchedulerPolicy};
-pub use profiler::{JobRuntimeProfile, Profiler};
+pub use profiler::JobRuntimeProfile;
 /// The old name of [`JobControl`], kept for the frozen benchmark harness
 /// until the benchmark change (ROADMAP item 3) deletes it.
 pub use replay::JobControl as ReplayedJobState;
-pub use replay::{IllegalTransition, JobControl, RecoveryOutcome, RecoveryPath, Window};
-pub use resilience::{
-    BudgetLedger, FailureBudget, JobHealth, RetryDecision, RetryPolicy, RetrySupervisor,
+pub use replay::{
+    restore_after_master_loss, IllegalTransition, JobControl, RecoveryOutcome, RecoveryPath, Window,
 };
-pub use witness::{WitnessBoard, WitnessRestore};
+pub use resilience::{FailureBudget, JobHealth, RetryDecision, RetryPolicy, RetrySupervisor};
+pub use witness::{PinnedManifest, WitnessBoard, WitnessRestore};

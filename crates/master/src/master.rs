@@ -193,7 +193,7 @@ impl JobMaster {
         }
         JobMaster {
             job_id,
-            profiler: Profiler::new(engine.spec().constants, 256),
+            profiler: Profiler::new(256),
             engine,
             config,
             allocation,
@@ -382,12 +382,8 @@ impl JobMaster {
             }
         }
 
-        // Profile: one evaluation of the cost model serves the fitter's
-        // observation and the OOM horizon below.
-        let (observation, mut thp) = self.engine.observation_and_throughput();
-        if let Some(obs) = observation {
-            self.profiler.record_observation(obs);
-        }
+        // Profile: the pause-blind throughput sets the OOM horizon below.
+        let (_, mut thp) = self.engine.observation_and_throughput();
         let TickScratch { ps_used: used, silent } = &mut self.scratch;
         used.clear();
         used.extend(self.engine.ps_memory_used());
@@ -801,11 +797,10 @@ impl JobMaster {
             return;
         }
         let bytes = self.engine.checkpoint_extent().bytes;
-        let blocks = dlrover_pstrain::rebalance::dlrm_blocks(26, bytes, bytes / 16);
-        let assignment = dlrover_pstrain::rebalance::balance_blocks(&blocks, parts.len());
+        let blocks = dlrover_pstrain::dlrm_blocks(26, bytes, bytes / 16);
+        let assignment = dlrover_pstrain::balance_blocks(&blocks, parts.len());
         let pods: Vec<PodState> = parts.iter().map(|p| p.pod).collect();
-        let rebalanced =
-            dlrover_pstrain::rebalance::partitions_from_assignment(&blocks, &assignment, &pods);
+        let rebalanced = dlrover_pstrain::partitions_from_assignment(&blocks, &assignment, &pods);
         let mem = self.engine.ps_memory_alloc().to_vec();
         self.engine.reshape_ps(rebalanced, mem);
     }

@@ -27,6 +27,8 @@ use dlrover_sim::{SimDuration, SimTime};
 use dlrover_telemetry::{Event, EventKind};
 use serde::{Deserialize, Serialize};
 
+use crate::{CheckpointPlane, WitnessBoard};
+
 /// Which recovery path brought a job back after a master loss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RecoveryPath {
@@ -84,6 +86,40 @@ impl RecoveryOutcome {
             checkpoint_step,
             workers_readopted,
         }
+    }
+}
+
+/// The master-loss restore decision (§6), for every caller. When the
+/// witness path is preferred and the quorum stands once the peers have
+/// detected the loss and elected a recoverer, the surviving peers restore the
+/// pinned copy at peer-memory speed: no restarted master and no remote
+/// tier on the critical path, so a remote outage does not gate it.
+/// Otherwise the job waits out the `restart` window, restores through the
+/// plane (which waits out any outage) and resumes at the later of the two;
+/// with nothing staged it cold-starts at the restart.
+///
+/// Returns the path, the instant training resumes and the restored
+/// manifest's `(samples, step)`, `None` when nothing was restored.
+pub fn restore_after_master_loss(
+    job: u64,
+    lost_at: SimTime,
+    restart: SimDuration,
+    prefer_witness: bool,
+    witness: &mut WitnessBoard,
+    plane: &mut CheckpointPlane,
+) -> (RecoveryPath, SimTime, Option<(u64, u64)>) {
+    if prefer_witness {
+        let start = lost_at + witness.takeover_latency();
+        if let Some(w) = witness.restore(job, start) {
+            return (RecoveryPath::WitnessQuorum, start + w.duration, Some((w.samples, w.step)));
+        }
+    }
+    let restart_at = lost_at + restart;
+    match plane.restore(job, restart_at) {
+        Some(r) => {
+            (RecoveryPath::MasterReplay, r.resume_at().max(restart_at), Some((r.samples, r.step)))
+        }
+        None => (RecoveryPath::MasterReplay, restart_at, None),
     }
 }
 
@@ -330,6 +366,35 @@ mod tests {
         assert_eq!(out.downtime, SimDuration::from_secs(12));
         assert_eq!(out.path.label(), "witness-quorum");
         assert_eq!(RecoveryPath::MasterReplay.label(), "master-replay");
+    }
+
+    /// The three outcomes of a master loss: the quorum serves the pinned
+    /// copy; partitioned below quorum, the plane serves after the restart
+    /// window; with nothing staged, the job cold-starts at the restart.
+    #[test]
+    fn master_loss_restores_by_quorum_then_plane_then_cold_start() {
+        const GB: u64 = 1 << 30;
+        let mut plane = CheckpointPlane::new(crate::CkptPlaneConfig::default());
+        let mut witness = WitnessBoard::new();
+        let restart = SimDuration::from_secs(45);
+        let saved = plane.save(1, 1, 7, 4096, GB, SimTime::from_secs(100));
+        witness.observe_save(1, saved.manifest, 7, 4096, GB, SimTime::from_secs(100));
+
+        let lost = SimTime::from_secs(2_000);
+        let (path, resume, restored) =
+            restore_after_master_loss(1, lost, restart, true, &mut witness, &mut plane);
+        assert_eq!((path, restored), (RecoveryPath::WitnessQuorum, Some((4096, 7))));
+        assert!(resume > lost + witness.takeover_latency() && resume < lost + restart);
+
+        witness.partition(2, SimTime::from_secs(3_000), SimTime::from_secs(4_000));
+        let lost = SimTime::from_secs(3_100);
+        let (path, resume, restored) =
+            restore_after_master_loss(1, lost, restart, true, &mut witness, &mut plane);
+        assert_eq!((path, restored), (RecoveryPath::MasterReplay, Some((4096, 7))));
+        assert!(resume >= lost + restart);
+
+        let cold = restore_after_master_loss(2, lost, restart, true, &mut witness, &mut plane);
+        assert_eq!(cold, (RecoveryPath::MasterReplay, lost + restart, None));
     }
 
     /// A committed window's plan is adopted, in the effective batch the log

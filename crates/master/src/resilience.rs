@@ -143,7 +143,6 @@ pub struct RetrySupervisor {
     rng: StreamRng,
     telemetry: Telemetry,
     ops: BTreeMap<String, OpState>,
-    exhausted_ops: u64,
 }
 
 impl RetrySupervisor {
@@ -151,7 +150,7 @@ impl RetrySupervisor {
     /// [`RngStreams`](dlrover_sim::RngStreams) stream so jitter replays
     /// deterministically.
     pub fn new(policy: RetryPolicy, rng: StreamRng, telemetry: Telemetry) -> Self {
-        RetrySupervisor { policy, rng, telemetry, ops: BTreeMap::new(), exhausted_ops: 0 }
+        RetrySupervisor { policy, rng, telemetry, ops: BTreeMap::new() }
     }
 
     /// The governing policy.
@@ -180,7 +179,6 @@ impl RetrySupervisor {
             now.saturating_since(state.started) > self.policy.deadline && state.attempts > 0;
         if state.attempts >= self.policy.max_attempts || past_deadline {
             state.gave_up = true;
-            self.exhausted_ops += 1;
             self.telemetry.record(
                 now,
                 EventKind::RetryExhausted { op: op.to_string(), attempts: state.attempts },
@@ -206,11 +204,6 @@ impl RetrySupervisor {
     /// True when `op` has an unfinished attempt sequence in flight.
     pub fn in_flight(&self, op: &str) -> bool {
         self.ops.get(op).is_some_and(|s| !s.gave_up)
-    }
-
-    /// Operations that exhausted their policy since construction.
-    pub fn exhausted_ops(&self) -> u64 {
-        self.exhausted_ops
     }
 }
 
@@ -245,7 +238,7 @@ pub struct BudgetLedger {
 impl BudgetLedger {
     /// Consumes one worker relaunch; `false` when the budget is dry (the
     /// ledger is unchanged and the caller must degrade).
-    pub fn try_worker(&mut self, budget: &FailureBudget) -> bool {
+    pub(crate) fn try_worker(&mut self, budget: &FailureBudget) -> bool {
         if self.worker_used >= budget.worker_relaunches {
             return false;
         }
@@ -254,7 +247,7 @@ impl BudgetLedger {
     }
 
     /// Consumes one PS relaunch; `false` when the budget is dry.
-    pub fn try_ps(&mut self, budget: &FailureBudget) -> bool {
+    pub(crate) fn try_ps(&mut self, budget: &FailureBudget) -> bool {
         if self.ps_used >= budget.ps_relaunches {
             return false;
         }
@@ -279,7 +272,7 @@ pub enum JobHealth {
 
 impl JobHealth {
     /// Moves the ladder toward `next`, never back.
-    pub fn escalate(&mut self, next: JobHealth) {
+    pub(crate) fn escalate(&mut self, next: JobHealth) {
         let rank = |h: &JobHealth| match h {
             JobHealth::Healthy => 0,
             JobHealth::Degraded => 1,
@@ -336,7 +329,7 @@ mod tests {
                 RetryDecision::Attempt(_) | RetryDecision::Wait => {}
             }
         }
-        assert_eq!(sup.exhausted_ops(), 1);
+        assert_eq!(sink.snapshot().metrics.counter("resilience.retry_exhausted"), 1);
         // After exhaustion the supervisor stays quiet.
         now += SimDuration::from_secs(120);
         assert_eq!(sup.poll("op", now), RetryDecision::Wait);

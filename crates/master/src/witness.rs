@@ -116,7 +116,7 @@ impl WitnessBoard {
 
     /// Peers reachable at `at` (partition windows overlap by max, not
     /// sum — they model the same racks dropping).
-    pub fn reachable(&self, at: SimTime) -> u32 {
+    pub(crate) fn reachable(&self, at: SimTime) -> u32 {
         let out = self
             .partitions
             .iter()
@@ -128,19 +128,8 @@ impl WitnessBoard {
     }
 
     /// Whether a co-sign quorum can assemble at `at`.
-    pub fn quorum_available(&self, at: SimTime) -> bool {
+    pub(crate) fn quorum_available(&self, at: SimTime) -> bool {
         self.reachable(at) >= QUORUM
-    }
-
-    /// Recoverer elected at `at`: the lowest-indexed reachable peer, or
-    /// `None` when the quorum cannot assemble (recovery falls back to
-    /// master replay).
-    pub fn elect_recoverer(&self, at: SimTime) -> Option<u32> {
-        if self.quorum_available(at) {
-            Some(0)
-        } else {
-            None
-        }
     }
 
     /// Observes a flash save: starts a co-sign round completing at
@@ -218,7 +207,7 @@ impl WitnessBoard {
 
     /// Time from master loss to the recoverer holding the pinned copy:
     /// heartbeat detection plus the election round.
-    pub fn takeover_latency(&self) -> SimDuration {
+    pub(crate) fn takeover_latency(&self) -> SimDuration {
         DETECT_TIMEOUT + ELECTION_LATENCY
     }
 
@@ -336,7 +325,6 @@ mod tests {
         b.advance(SimTime::from_secs(200));
         assert!(b.latest(1).is_none(), "1 reachable peer < quorum 2");
         assert!(!b.quorum_available(SimTime::from_secs(300)));
-        assert!(b.elect_recoverer(SimTime::from_secs(300)).is_none());
         // After the window, quorum recovers but the dropped round is gone.
         assert!(b.quorum_available(SimTime::from_secs(600)));
         assert!(b.restore(1, SimTime::from_secs(600)).is_none(), "nothing was pinned");
@@ -359,7 +347,6 @@ mod tests {
         let out = b.restore(1, SimTime::from_secs(200)).unwrap();
         assert!(out.duration.as_secs_f64() < 1.0, "pinned copy reads at peer-memory speed");
         assert_eq!(out.samples, 51_200);
-        assert_eq!(b.elect_recoverer(SimTime::from_secs(200)), Some(0));
     }
 
     #[test]

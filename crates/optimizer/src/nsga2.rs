@@ -247,7 +247,7 @@ where
 
 /// True if `a` Pareto-dominates `b` (no worse in all objectives, strictly
 /// better in at least one; all objectives minimized).
-pub fn dominates(a: &[f64], b: &[f64]) -> bool {
+pub(crate) fn dominates(a: &[f64], b: &[f64]) -> bool {
     debug_assert_eq!(a.len(), b.len());
     let mut strictly_better = false;
     for (x, y) in a.iter().zip(b) {

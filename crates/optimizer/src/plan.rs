@@ -70,19 +70,12 @@ impl PriceTable {
         alloc.total_cpu() * self.cpu_core_hour + alloc.total_mem_gb() * self.mem_gb_hour
     }
 
-    /// `RC` of the *additional* resources when moving `from → to`; negative
-    /// when scaling down. The optimizer uses `max(δ, ε)` so shrinking plans
-    /// are still comparable.
-    pub fn delta_cost(&self, from: &ResourceAllocation, to: &ResourceAllocation) -> f64 {
-        self.resource_cost(to) - self.resource_cost(from)
-    }
-
     /// `RC(A, E)`: hourly price of an allocation *under an execution plan*.
     /// Extends Eqn. 7 to the reconfiguration layer: each extra PS replica
     /// hosts a full copy of the parameters, so PS memory is charged
     /// `× replicas` — the genuine RC/TG trade-off behind replication
     /// (Rubick's plan costing applied to the paper's price model).
-    pub fn plan_resource_cost(&self, alloc: &ResourceAllocation, exec: &ExecPlan) -> f64 {
+    pub(crate) fn plan_resource_cost(&self, alloc: &ResourceAllocation, exec: &ExecPlan) -> f64 {
         let replicas = f64::from(exec.ps_replicas.max(1));
         let replica_mem = f64::from(alloc.shape.ps) * alloc.ps_mem_gb * (replicas - 1.0);
         self.resource_cost(alloc) + replica_mem * self.mem_gb_hour
@@ -311,7 +304,12 @@ impl ScalingOverheadModel {
     /// the same `seamless_pause_s` as a PS reshape (§5.2) — and falls back
     /// to the full restart pause for stop-and-restart schedulers.
     /// An unchanged plan (and no relayout) costs nothing.
-    pub fn reconfig_pause_seconds(&self, from: &ExecPlan, to: &ExecPlan, relayout: bool) -> f64 {
+    pub(crate) fn reconfig_pause_seconds(
+        &self,
+        from: &ExecPlan,
+        to: &ExecPlan,
+        relayout: bool,
+    ) -> f64 {
         if from == to && !relayout {
             return 0.0;
         }
@@ -320,21 +318,6 @@ impl ScalingOverheadModel {
         } else {
             self.ps_restart_pause_s
         }
-    }
-
-    /// `TG` of a pure reconfiguration (Eqn. 8 with the reconfig pause in
-    /// place of the scaling pause): throughput delta minus the amortised
-    /// samples lost to the plan-switch handoff.
-    pub fn reconfig_gain(
-        &self,
-        thp_old: f64,
-        thp_new: f64,
-        from: &ExecPlan,
-        to: &ExecPlan,
-        relayout: bool,
-    ) -> f64 {
-        let pause = self.reconfig_pause_seconds(from, to, relayout);
-        (thp_new - thp_old) - thp_new * pause / self.horizon_s.max(1.0)
     }
 }
 
@@ -360,16 +343,6 @@ mod tests {
         assert_eq!(prices.resource_cost(&a), 12.0);
         let prices2 = PriceTable { cpu_core_hour: 0.0, mem_gb_hour: 2.0 };
         assert_eq!(prices2.resource_cost(&a), 2.0 * (2.0 * 8.0 + 8.0));
-    }
-
-    #[test]
-    fn delta_cost_signed() {
-        let prices = PriceTable::default();
-        let small = alloc(2, 1, 4.0, 4.0, 8.0, 8.0);
-        let big = alloc(4, 2, 8.0, 8.0, 16.0, 16.0);
-        assert!(prices.delta_cost(&small, &big) > 0.0);
-        assert!(prices.delta_cost(&big, &small) < 0.0);
-        assert_eq!(prices.delta_cost(&small, &small), 0.0);
     }
 
     #[test]
@@ -506,17 +479,5 @@ mod tests {
         assert_eq!(m.reconfig_pause_seconds(&a, &a, true), m.seamless_pause_s);
         let stop = ScalingOverheadModel { seamless: false, ..Default::default() };
         assert_eq!(stop.reconfig_pause_seconds(&a, &b, false), stop.ps_restart_pause_s);
-    }
-
-    #[test]
-    fn reconfig_gain_nets_out_the_pause() {
-        let m = ScalingOverheadModel::default();
-        let a = ExecPlan::default();
-        let b = ExecPlan { gradient_mode: GradientMode::Sync, ..a };
-        let gain = m.reconfig_gain(100.0, 120.0, &a, &b, false);
-        assert!(gain < 20.0 && gain > 0.0, "gain {gain}");
-        // A tiny improvement over a short horizon is not worth the pause.
-        let short = ScalingOverheadModel { horizon_s: 30.0, ..Default::default() };
-        assert!(short.reconfig_gain(100.0, 101.0, &a, &b, false) < 0.0);
     }
 }

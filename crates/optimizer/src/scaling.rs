@@ -184,7 +184,7 @@ pub fn power_grid(lo: f64, hi: f64) -> Vec<f64> {
 }
 
 /// Power-of-two grid over an integer range, boundary included.
-pub fn power_count_grid(lo: u32, hi: u32) -> Vec<u32> {
+pub(crate) fn power_count_grid(lo: u32, hi: u32) -> Vec<u32> {
     let mut v = Vec::new();
     let mut c = lo.max(1);
     while c <= hi {
@@ -264,7 +264,7 @@ impl NsgaPlanGenerator {
     /// allocation running under `current_exec`. The reconfig handoff pause
     /// (`ScalingOverheadModel::reconfig_pause_seconds`) is charged on top
     /// of the resource-scaling pause, and PS replicas are charged in `RC`
-    /// via [`PriceTable::plan_resource_cost`].
+    /// via `PriceTable::plan_resource_cost`.
     pub fn score_with_plan(
         &self,
         model: &ThroughputModel,

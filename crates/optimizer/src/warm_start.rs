@@ -69,7 +69,7 @@ impl Default for WarmStartConfig {
 /// numeric fields contribute `1 − |a−b|/max(a,b)` (ratio similarity, robust
 /// to scale). Weights favour the model family and owner, which dominate
 /// configuration reuse in practice.
-pub fn similarity(a: &JobMetadata, b: &JobMetadata) -> f64 {
+pub(crate) fn similarity(a: &JobMetadata, b: &JobMetadata) -> f64 {
     fn ratio_sim(x: f64, y: f64) -> f64 {
         let hi = x.max(y);
         if hi <= 0.0 {

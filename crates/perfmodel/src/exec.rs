@@ -23,12 +23,12 @@ use crate::throughput::IterationBreakdown;
 
 /// Multiplicative penalty on the synchronisation phase when running in
 /// synchronous mode: the barrier serialises the slowest worker's exchange.
-pub const SYNC_BARRIER_PENALTY: f64 = 0.25;
+pub(crate) const SYNC_BARRIER_PENALTY: f64 = 0.25;
 
 /// Fraction of embedding lookups a second (and further) replica absorbs.
 /// Lookups are reads, so replicas shard the read load; the gain saturates
 /// rather than scaling linearly because hot rows stay hot.
-pub const LOOKUP_REPLICA_GAIN: f64 = 0.7;
+pub(crate) const LOOKUP_REPLICA_GAIN: f64 = 0.7;
 
 /// How gradients reach the parameter servers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -138,7 +138,7 @@ impl ExecPlan {
 /// * **Sync mode**: tree aggregation turns `w` individual parameter updates
 ///   into `1 + log2(w)` aggregated ones, scaling the update phase by
 ///   `(1 + log2 w)/w` — a large win exactly when the update term dominates
-///   (PS-squeezed jobs). The barrier costs [`SYNC_BARRIER_PENALTY`] extra
+///   (PS-squeezed jobs). The barrier costs `SYNC_BARRIER_PENALTY` extra
 ///   on the synchronisation phase.
 /// * **`r` PS replicas**: writes fan out to every replica (update and sync
 ///   scale by `r`), while lookups — reads, 30–48 % of iteration time per

@@ -11,7 +11,7 @@
 //!
 //! and the job throughput is `Ψ = w·m / (T_comp + T_comm)` (Eqn. 1). The α/β
 //! coefficients are fitted online from runtime profiles with **non-negative
-//! least squares** (the paper uses SciPy's NNLS; [`mod@nnls`] is a from-scratch
+//! least squares** (the paper uses SciPy's NNLS; the crate's `nnls` is a from-scratch
 //! Lawson–Hanson implementation), minimising error in a relative sense so the
 //! reported goodness metric is the RMSLE the paper quotes.
 //!
@@ -22,17 +22,17 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod exec;
-pub mod linalg;
-pub mod memory;
-pub mod nnls;
-pub mod throughput;
+mod exec;
+mod linalg;
+mod memory;
+mod nnls;
+mod throughput;
 
 pub use exec::{adjust_phases, ExecPlan, GradientMode};
-pub use linalg::Matrix;
 pub use memory::{MemoryModel, MemoryPredictor, MemorySample, OomForecast};
-pub use nnls::{nnls, NnlsError};
+pub use nnls::NnlsError;
 pub use throughput::{
     distinct_shape_count, rmsle, IterationBreakdown, JobShape, ModelCoefficients, ThroughputModel,
     ThroughputObservation, WorkloadConstants,

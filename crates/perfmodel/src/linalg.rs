@@ -10,7 +10,7 @@ use std::ops::{Index, IndexMut};
 
 /// A dense row-major matrix of `f64`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Matrix {
+pub(crate) struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
@@ -18,7 +18,7 @@ pub struct Matrix {
 
 /// Error returned by [`Matrix::solve`] when the system is singular.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SingularMatrix;
+pub(crate) struct SingularMatrix;
 
 impl fmt::Display for SingularMatrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -30,7 +30,7 @@ impl std::error::Error for SingularMatrix {}
 
 impl Matrix {
     /// Creates a zero matrix of shape `rows × cols`.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         Matrix { rows, cols, data: vec![0.0; rows * cols] }
     }
 
@@ -38,83 +38,37 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics if `data.len() != rows * cols`.
-    pub fn from_rows(rows: usize, cols: usize, data: Vec<f64>) -> Self {
+    pub(crate) fn from_rows(rows: usize, cols: usize, data: Vec<f64>) -> Self {
         assert_eq!(data.len(), rows * cols, "shape mismatch");
         Matrix { rows, cols, data }
     }
 
-    /// The identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Number of rows.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
     /// A view of row `r`.
-    pub fn row(&self, r: usize) -> &[f64] {
+    pub(crate) fn row(&self, r: usize) -> &[f64] {
         &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Extracts column `c` as an owned vector.
-    pub fn col(&self, c: usize) -> Vec<f64> {
-        (0..self.rows).map(|r| self[(r, c)]).collect()
-    }
-
-    /// Transposed copy.
-    pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                t[(c, r)] = self[(r, c)];
-            }
-        }
-        t
     }
 
     /// Matrix–vector product `A·x`.
     ///
     /// # Panics
     /// Panics if `x.len() != self.cols()`.
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.cols, "matvec shape mismatch");
         (0..self.rows).map(|r| self.row(r).iter().zip(x).map(|(a, b)| a * b).sum()).collect()
     }
 
-    /// Matrix product `A·B`.
-    ///
-    /// # Panics
-    /// Panics if the inner dimensions disagree.
-    pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.cols, rhs.rows, "matmul shape mismatch");
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for r in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(r, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                for c in 0..rhs.cols {
-                    out[(r, c)] += a * rhs[(k, c)];
-                }
-            }
-        }
-        out
-    }
-
     /// Gram matrix `Aᵀ·A` (used for normal equations).
-    pub fn gram(&self) -> Matrix {
+    pub(crate) fn gram(&self) -> Matrix {
         let mut g = Matrix::zeros(self.cols, self.cols);
         for r in 0..self.rows {
             let row = self.row(r);
@@ -141,7 +95,7 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics if `y.len() != self.rows()`.
-    pub fn t_matvec(&self, y: &[f64]) -> Vec<f64> {
+    pub(crate) fn t_matvec(&self, y: &[f64]) -> Vec<f64> {
         assert_eq!(y.len(), self.rows, "t_matvec shape mismatch");
         let mut out = vec![0.0; self.cols];
         for (r, &yr) in y.iter().enumerate() {
@@ -162,7 +116,7 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics if `A` is not square or `b.len() != rows`.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, SingularMatrix> {
+    pub(crate) fn solve(&self, b: &[f64]) -> Result<Vec<f64>, SingularMatrix> {
         assert_eq!(self.rows, self.cols, "solve requires a square matrix");
         assert_eq!(b.len(), self.rows, "rhs length mismatch");
         let n = self.rows;
@@ -230,24 +184,16 @@ impl IndexMut<(usize, usize)> for Matrix {
     }
 }
 
-/// Dot product of two equal-length slices.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-/// Euclidean norm of a slice.
-pub fn norm2(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn identity_solve_is_identity() {
-        let a = Matrix::identity(4);
+        let mut a = Matrix::zeros(4, 4);
+        for i in 0..4 {
+            a[(i, i)] = 1.0;
+        }
         let b = vec![1.0, 2.0, 3.0, 4.0];
         assert_eq!(a.solve(&b).unwrap(), b);
     }
@@ -277,35 +223,19 @@ mod tests {
     }
 
     #[test]
-    fn matvec_and_matmul_agree() {
-        let a = Matrix::from_rows(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let x = vec![1.0, 0.5, -1.0];
-        let expected = a.matvec(&x);
-        let xm = Matrix::from_rows(3, 1, x);
-        let prod = a.matmul(&xm);
-        assert!((prod[(0, 0)] - expected[0]).abs() < 1e-12);
-        assert!((prod[(1, 0)] - expected[1]).abs() < 1e-12);
-    }
-
-    #[test]
     fn gram_matches_explicit_transpose_product() {
         let a = Matrix::from_rows(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let g = a.gram();
-        let expect = a.transpose().matmul(&a);
-        assert_eq!(g, expect);
+        // Aᵀ·A written out: columns (1, 3, 5) and (2, 4, 6).
+        let expect = Matrix::from_rows(2, 2, vec![35.0, 44.0, 44.0, 56.0]);
+        assert_eq!(a.gram(), expect);
     }
 
     #[test]
     fn t_matvec_matches_transpose() {
         let a = Matrix::from_rows(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let y = vec![1.0, -1.0, 2.0];
-        assert_eq!(a.t_matvec(&y), a.transpose().matvec(&y));
-    }
-
-    #[test]
-    fn transpose_involutes() {
-        let a = Matrix::from_rows(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(a.transpose().transpose(), a);
+        // Aᵀ·y written out: 1 − 3 + 10 and 2 − 4 + 12.
+        assert_eq!(a.t_matvec(&y), vec![8.0, 10.0]);
     }
 
     #[test]
@@ -327,11 +257,5 @@ mod tests {
         for (xs, xt) in x.iter().zip(&x_true) {
             assert!((xs - xt).abs() < 1e-9, "{xs} vs {xt}");
         }
-    }
-
-    #[test]
-    fn dot_and_norm() {
-        assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-        assert_eq!(norm2(&[3.0, 4.0]), 5.0);
     }
 }

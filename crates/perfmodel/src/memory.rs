@@ -53,7 +53,7 @@ impl MemoryModel {
     }
 
     /// Distinct categories discovered after consuming `samples` data points.
-    pub fn categories_after(&self, samples: f64) -> f64 {
+    pub(crate) fn categories_after(&self, samples: f64) -> f64 {
         self.max_categories * (1.0 - (-samples.max(0.0) / self.discovery_tau).exp())
     }
 

@@ -14,7 +14,7 @@
 
 use crate::linalg::Matrix;
 
-/// Error conditions for [`nnls`].
+/// Error conditions for `nnls`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NnlsError {
     /// `b.len()` does not match the number of rows of `a`.
@@ -35,7 +35,7 @@ impl std::fmt::Display for NnlsError {
 impl std::error::Error for NnlsError {}
 
 /// Solves `min ‖A·x − b‖₂, x ≥ 0` and returns `(x, residual_norm)`.
-pub fn nnls(a: &Matrix, b: &[f64]) -> Result<(Vec<f64>, f64), NnlsError> {
+pub(crate) fn nnls(a: &Matrix, b: &[f64]) -> Result<(Vec<f64>, f64), NnlsError> {
     if b.len() != a.rows() {
         return Err(NnlsError::ShapeMismatch);
     }
@@ -176,7 +176,7 @@ mod tests {
 
     #[test]
     fn all_zero_when_b_negative_orthant() {
-        let a = Matrix::identity(3);
+        let a = Matrix::from_rows(3, 3, vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]);
         let b = vec![-1.0, -2.0, -3.0];
         let (x, r) = nnls(&a, &b).unwrap();
         assert_close(&x, &[0.0, 0.0, 0.0], 1e-12);
@@ -217,7 +217,7 @@ mod tests {
 
     #[test]
     fn shape_mismatch_rejected() {
-        let a = Matrix::identity(2);
+        let a = Matrix::from_rows(2, 2, vec![1.0, 0.0, 0.0, 1.0]);
         assert_eq!(nnls(&a, &[1.0]), Err(NnlsError::ShapeMismatch));
     }
 

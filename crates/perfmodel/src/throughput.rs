@@ -143,14 +143,8 @@ impl ModelCoefficients {
         }
     }
 
-    /// Coefficients as the feature-aligned vector
-    /// `[α_grad, α_upd, α_sync, α_emb, β_total]`.
-    pub fn as_vec(&self) -> [f64; 5] {
-        [self.alpha_grad, self.alpha_upd, self.alpha_sync, self.alpha_emb, self.beta_total]
-    }
-
     /// Builds coefficients from the feature-aligned vector.
-    pub fn from_vec(v: &[f64]) -> Self {
+    pub(crate) fn from_vec(v: &[f64]) -> Self {
         assert_eq!(v.len(), 5, "coefficient vector must have 5 entries");
         ModelCoefficients {
             alpha_grad: v[0],
@@ -181,12 +175,6 @@ impl IterationBreakdown {
     /// Total iteration time.
     pub fn total(&self) -> f64 {
         self.grad + self.update + self.sync + self.lookup + self.overhead
-    }
-
-    /// Fraction of the iteration spent in embedding lookups — the paper's
-    /// headline observation is that this is 30–48 %.
-    pub fn lookup_fraction(&self) -> f64 {
-        self.lookup / self.total()
     }
 }
 
@@ -241,11 +229,6 @@ impl ThroughputModel {
         f64::from(shape.workers) * f64::from(shape.batch_size) / t
     }
 
-    /// Predicted steps (iterations) per second across the whole job.
-    pub fn steps_per_second(&self, shape: &JobShape) -> f64 {
-        f64::from(shape.workers) / self.iter_time(shape)
-    }
-
     /// Fits coefficients from runtime observations with NNLS.
     ///
     /// Each row is scaled by `1 / T_measured`, which turns the squared error
@@ -288,7 +271,7 @@ impl ThroughputModel {
 
 /// Number of distinct job shapes among observations — the NNLS fit is only
 /// well-posed with at least as many distinct shapes as coefficients, so the
-/// profiler, the DLRover policy, and Optimus all gate on this count.
+/// DLRover policy and Optimus both gate on this count.
 pub fn distinct_shape_count(observations: &[ThroughputObservation]) -> usize {
     let mut shapes: Vec<(u32, u32, u64, u64)> = observations
         .iter()
@@ -377,7 +360,8 @@ mod tests {
         // The simulator's ground truth should land lookups in roughly the
         // 30-48 % band the paper reports for production jobs (Fig. 1a).
         let m = reference_model();
-        let frac = m.breakdown(&shape(8, 4, 8.0, 8.0)).lookup_fraction();
+        let b = m.breakdown(&shape(8, 4, 8.0, 8.0));
+        let frac = b.lookup / b.total();
         assert!((0.25..0.60).contains(&frac), "lookup fraction {frac} out of plausible band");
     }
 
@@ -455,7 +439,8 @@ mod tests {
             })
             .collect();
         let (fitted, _) = ThroughputModel::fit(truth.constants, &obs).unwrap();
-        for v in fitted.coefficients.as_vec() {
+        let c = fitted.coefficients;
+        for v in [c.alpha_grad, c.alpha_upd, c.alpha_sync, c.alpha_emb, c.beta_total] {
             assert!(v >= 0.0, "{:?}", fitted.coefficients);
         }
     }
@@ -485,17 +470,21 @@ mod tests {
     }
 
     #[test]
-    fn steps_per_second_consistent_with_throughput() {
-        let m = reference_model();
-        let s = shape(4, 2, 8.0, 8.0);
-        let steps = m.steps_per_second(&s);
-        let thp = m.throughput(&s);
-        assert!((steps * f64::from(s.batch_size) - thp).abs() < 1e-9);
-    }
-
-    #[test]
     fn total_cpu_accounts_both_roles() {
         let s = shape(4, 2, 8.0, 16.0);
         assert_eq!(s.total_cpu(), 4.0 * 8.0 + 2.0 * 16.0);
+    }
+
+    #[test]
+    fn distinct_shape_count_ignores_repeats() {
+        let obs: Vec<_> = [1u32, 2, 4]
+            .iter()
+            .flat_map(|&w| {
+                let s = shape(w, 1, 4.0, 4.0);
+                [1.0, 1.1].map(|iter_time| ThroughputObservation { shape: s, iter_time })
+            })
+            .collect();
+        assert_eq!(obs.len(), 6);
+        assert_eq!(distinct_shape_count(&obs), 3);
     }
 }

@@ -129,7 +129,7 @@ impl AsyncCostModel {
     /// lookup phase inherits the same slowdown (a slow or overloaded PS
     /// serves its partition's lookups late). `T_sync` is bandwidth-bound
     /// and keeps the plain `1/p`.
-    pub fn server_phases(&self, partitions: &[PsPartition], workers: u32) -> [f64; 4] {
+    pub(crate) fn server_phases(&self, partitions: &[PsPartition], workers: u32) -> [f64; 4] {
         let c = self.coefficients;
         let m = f64::from(self.batch_size);
         let w = f64::from(workers.max(1));
@@ -147,7 +147,7 @@ impl AsyncCostModel {
     /// iteration of `worker` against already-evaluated
     /// [`Self::server_phases`]: its own gradient computation in front of
     /// the shared server side.
-    pub fn phase_times_on(&self, worker: &PodState, server: &[f64; 4]) -> [f64; 5] {
+    pub(crate) fn phase_times_on(&self, worker: &PodState, server: &[f64; 4]) -> [f64; 5] {
         let t_grad =
             self.coefficients.alpha_grad * f64::from(self.batch_size) / worker.effective_cpu();
         [t_grad, server[0], server[1], server[2], server[3]]
@@ -158,7 +158,7 @@ impl AsyncCostModel {
     /// of truth shared by [`Self::worker_iter_time`] and
     /// [`Self::phase_fractions`]: [`Self::phase_times_on`] over
     /// [`Self::server_phases`].
-    pub fn phase_times(
+    pub(crate) fn phase_times(
         &self,
         worker: &PodState,
         partitions: &[PsPartition],
@@ -190,7 +190,7 @@ impl AsyncCostModel {
     /// true in simulation — and summed. On the default plan
     /// `adjust_phases` early-returns, so this equals
     /// [`Self::worker_iter_time`] bit for bit.
-    pub fn worker_iter_time_on(
+    pub(crate) fn worker_iter_time_on(
         &self,
         worker: &PodState,
         server: &[f64; 4],
@@ -214,7 +214,7 @@ impl AsyncCostModel {
 
     /// [`Self::throughput`] of the `count` pods `workers` yields, for a
     /// caller whose worker set is not a slice (the engine's live slots).
-    pub fn throughput_of(
+    pub(crate) fn throughput_of(
         &self,
         workers: impl Iterator<Item = PodState>,
         count: u32,
@@ -254,7 +254,7 @@ impl AsyncCostModel {
     /// (every worker completing one iteration, over the mean iteration
     /// time): each worker-iteration costs the servers one parameter update
     /// (`α_upd`) and one batch of lookups (`α_emb·m·D`). One
-    /// [`Self::server_phases`] per call, as in [`Self::throughput_of`].
+    /// `Self::server_phases` per call, as in `Self::throughput_of`.
     pub fn job_cpu_utilisation(
         &self,
         workers: impl Iterator<Item = PodState>,

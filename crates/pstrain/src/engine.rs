@@ -560,12 +560,6 @@ impl PsTrainingEngine {
         self.mem_pressure[idx] = bytes;
     }
 
-    /// Current external memory pressure per PS, bytes (empty when none
-    /// was ever injected).
-    pub fn ps_mem_pressure(&self) -> &[u64] {
-        &self.mem_pressure
-    }
-
     /// Per-PS memory allocations.
     pub fn ps_memory_alloc(&self) -> &[u64] {
         &self.ps_mem_alloc
@@ -1226,7 +1220,7 @@ mod tests {
         // Reshape to one PS: the pressured slot disappears with its slot.
         let parts = AsyncCostModel::balanced_partitions(1, 8.0);
         e.reshape_ps(parts, vec![256 * 1024 * 1024 * 1024u64]);
-        assert!(e.ps_mem_pressure().iter().all(|&b| b == 0));
+        assert!(e.mem_pressure.iter().all(|&b| b == 0));
         // A checkpoint restore starts pressure-free.
         e.set_ps_mem_pressure(0, 5_000_000);
         let restored = PsTrainingEngine::from_checkpoint(
@@ -1235,7 +1229,7 @@ mod tests {
             AsyncCostModel::balanced_partitions(2, 8.0),
             vec![256 * 1024 * 1024 * 1024u64; 2],
         );
-        assert!(restored.ps_mem_pressure().is_empty());
+        assert!(restored.mem_pressure.is_empty());
     }
 
     #[test]

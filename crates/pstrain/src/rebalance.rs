@@ -30,7 +30,7 @@ pub struct ParamBlock {
 }
 
 /// Assignment of blocks to PSes: `assignment[ps]` lists block indices.
-pub type Assignment = Vec<Vec<u32>>;
+pub(crate) type Assignment = Vec<Vec<u32>>;
 
 /// LPT greedy: sort blocks by size descending, always give the next block
 /// to the least-loaded server. Returns the assignment.
@@ -57,7 +57,7 @@ pub fn balance_blocks(blocks: &[ParamBlock], servers: usize) -> Assignment {
 }
 
 /// Per-server byte loads of an assignment.
-pub fn loads(blocks: &[ParamBlock], assignment: &Assignment) -> Vec<u64> {
+pub(crate) fn loads(blocks: &[ParamBlock], assignment: &Assignment) -> Vec<u64> {
     let size_of = |id: u32| blocks.iter().find(|b| b.id == id).map(|b| b.bytes).unwrap_or(0);
     assignment.iter().map(|ids| ids.iter().map(|&id| size_of(id)).sum()).collect()
 }

@@ -172,7 +172,7 @@ impl ShardQueue {
     /// Removes a worker *gracefully* (e.g. scale-down): its unfinished data
     /// returns to the queue **minus what it already processed**, so nothing
     /// is trained twice.
-    pub fn deregister_worker(&mut self, worker: u64) {
+    pub(crate) fn deregister_worker(&mut self, worker: u64) {
         let Some(state) = self.take_worker(worker) else { return };
         if let Some(shard) = state.current_shard {
             // The processed prefix counts as done; the tail is re-queued.
@@ -281,14 +281,14 @@ impl ShardQueue {
     }
 
     /// Registered workers, ascending.
-    pub fn worker_ids(&self) -> Vec<u64> {
+    pub(crate) fn worker_ids(&self) -> Vec<u64> {
         self.workers.iter().map(|&(id, _)| id).collect()
     }
 
     /// Samples processed inside shards still checked out, summed over every
     /// registered worker (completed shards are in
     /// [`Self::completed_samples`]).
-    pub fn in_flight_samples(&self) -> u64 {
+    pub(crate) fn in_flight_samples(&self) -> u64 {
         self.workers.iter().map(|(_, s)| s.offset_in_shard).sum()
     }
 
@@ -300,11 +300,6 @@ impl ShardQueue {
     /// Samples in the epoch.
     pub fn total_samples(&self) -> u64 {
         self.total_samples
-    }
-
-    /// Shards still waiting in the queue.
-    pub fn pending_shards(&self) -> usize {
-        self.pending.len()
     }
 
     /// A quiesced copy for checkpointing: every in-flight shard is returned
@@ -323,7 +318,7 @@ impl ShardQueue {
 
     /// True when every sample has been consumed by a completed shard and no
     /// worker holds an in-flight shard.
-    pub fn is_drained(&self) -> bool {
+    pub(crate) fn is_drained(&self) -> bool {
         self.pending.is_empty()
             && self.workers.iter().all(|(_, s)| s.current_shard.is_none())
             && self.completed_samples >= self.total_samples
@@ -501,7 +496,7 @@ mod tests {
         let snap = q.quiesced();
         // Completed work is preserved; in-flight shard is back in the queue.
         assert_eq!(snap.completed_samples(), 1000);
-        assert_eq!(snap.pending_shards(), q.pending_shards() + 1);
+        assert_eq!(snap.pending.len(), q.pending.len() + 1);
         assert!(snap.worker_ids().is_empty());
         // The original queue is untouched.
         assert_eq!(q.worker_ids().len(), 2);

@@ -47,34 +47,6 @@ impl Sample for Uniform {
     }
 }
 
-/// Bernoulli distribution: returns 1.0 with probability `p`, else 0.0.
-#[derive(Debug, Clone, Copy)]
-pub struct Bernoulli {
-    p: f64,
-}
-
-impl Bernoulli {
-    /// Creates a Bernoulli with success probability `p` (clamped to `[0,1]`).
-    pub fn new(p: f64) -> Self {
-        Bernoulli { p: p.clamp(0.0, 1.0) }
-    }
-
-    /// Draws a boolean outcome.
-    pub fn flip<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
-        rng.gen::<f64>() < self.p
-    }
-}
-
-impl Sample for Bernoulli {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        if self.flip(rng) {
-            1.0
-        } else {
-            0.0
-        }
-    }
-}
-
 /// Normal (Gaussian) distribution, sampled via Box–Muller.
 #[derive(Debug, Clone, Copy)]
 pub struct Normal {
@@ -319,19 +291,6 @@ mod tests {
     fn degenerate_uniform_returns_point() {
         let d = Uniform::new(3.0, 3.0);
         assert_eq!(d.sample(&mut rng()), 3.0);
-    }
-
-    #[test]
-    fn bernoulli_frequency_matches_p() {
-        let d = Bernoulli::new(0.3);
-        let m = mean_of(&d, 100_000);
-        assert!((m - 0.3).abs() < 0.01, "got {m}");
-    }
-
-    #[test]
-    fn bernoulli_clamps_p() {
-        assert!(Bernoulli::new(2.0).flip(&mut rng()));
-        assert!(!Bernoulli::new(-1.0).flip(&mut rng()));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! The kernel provides:
 //!
 //! * [`SimTime`] / [`SimDuration`] — a microsecond-resolution virtual clock.
-//! * [`RngStreams`] / [`distributions`] — named, independently seeded random
+//! * [`RngStreams`] / [`Sample`] — named, independently seeded random
 //!   streams plus the latency/size distributions the cluster model needs
 //!   (normal, log-normal, exponential, Zipf, …). Streams are derived from the
 //!   experiment seed with SplitMix64 so adding a new stochastic component
@@ -17,14 +17,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod distributions;
-pub mod episode;
-pub mod faultplan;
-pub mod rng;
-pub mod time;
+mod distributions;
+mod episode;
+mod faultplan;
+mod rng;
+mod time;
 
-pub use distributions::{Bernoulli, Exponential, LogNormal, Normal, Pareto, Sample, Uniform, Zipf};
+pub use distributions::{Exponential, LogNormal, Normal, Pareto, Sample, Uniform, Zipf};
 pub use episode::{Episode, EpisodeSchedule};
 pub use faultplan::{FaultEvent, FaultKind, FaultPlan, FaultPlanConfig};
 pub use rng::{splitmix64, RngStreams, StreamRng};

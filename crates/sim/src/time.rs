@@ -58,11 +58,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked subtraction producing a duration.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -120,11 +115,6 @@ impl SimDuration {
     /// Length in minutes, as a float.
     pub fn as_mins_f64(self) -> f64 {
         self.as_secs_f64() / 60.0
-    }
-
-    /// Length in hours, as a float.
-    pub fn as_hours_f64(self) -> f64 {
-        self.as_secs_f64() / 3_600.0
     }
 
     /// True if the duration is zero.
@@ -254,7 +244,7 @@ mod tests {
         assert_eq!(SimDuration::from_millis(5).as_micros(), 5_000);
         assert_eq!(SimDuration::from_mins(2).as_secs_f64(), 120.0);
         assert_eq!(SimDuration::from_hours(1).as_mins_f64(), 60.0);
-        assert_eq!(SimDuration::from_days(2).as_hours_f64(), 48.0);
+        assert_eq!(SimDuration::from_days(2).as_mins_f64(), 2_880.0);
         let t = SimTime::from_secs_f64(1.25);
         assert_eq!(t.as_micros(), 1_250_000);
         assert!((t.as_secs_f64() - 1.25).abs() < 1e-12);
@@ -280,8 +270,6 @@ mod tests {
         let late = SimTime::from_secs(9);
         assert_eq!(late.saturating_since(early), SimDuration::from_secs(4));
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
-        assert_eq!(early.checked_since(late), None);
-        assert_eq!(late.checked_since(early), Some(SimDuration::from_secs(4)));
     }
 
     #[test]

@@ -27,21 +27,20 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod event;
-pub mod log;
-pub mod metrics;
-pub mod oracle;
+mod event;
+mod log;
+mod metrics;
+mod oracle;
 pub mod prof;
-pub mod span;
+mod span;
 
 pub use event::{Event, EventKind, MigrationKind, PodKind};
-pub use log::{diff_jsonl, EventLog, LogDiff, DEFAULT_EVENT_CAPACITY};
+pub use log::{diff_jsonl, EventLog, LogDiff};
 pub use metrics::{Histogram, MetricsRegistry, SeriesPoint, TimeSeries};
 pub use oracle::{GroundTruth, Invariant, InvariantCheck, Oracle, OracleConfig, OracleReport};
-pub use span::{
-    parse_spans_jsonl, Label, Span, SpanCategory, SpanId, SpanLog, DEFAULT_SPAN_CAPACITY,
-};
+pub use span::{parse_spans_jsonl, Label, Span, SpanCategory, SpanId, SpanLog};
 
 use dlrover_sim::SimTime;
 use serde::Serialize;
@@ -236,7 +235,7 @@ impl Telemetry {
     }
 
     /// Hands `read` the retained events, oldest first, as a slice borrowed
-    /// from the ring under the lock ([`EventLog::make_contiguous`]) — the
+    /// from the ring under the lock (`EventLog::make_contiguous`) — the
     /// `events` of [`Self::snapshot`] without a copy. Empty for the null
     /// sink.
     pub fn with_events<R>(&self, read: impl FnOnce(&[Event]) -> R) -> R {
@@ -279,8 +278,8 @@ impl Telemetry {
 
     /// Absorbs another sink's state into this one (`other` is left
     /// untouched). Events are re-sequenced and span ids remapped in absorb
-    /// order; see [`EventLog::absorb_owned`], [`SpanLog::absorb_owned`],
-    /// and [`MetricsRegistry::absorb_owned`] for the per-store rules.
+    /// order; see `EventLog::absorb_owned`, `SpanLog::absorb_owned`,
+    /// and `MetricsRegistry::absorb_owned` for the per-store rules.
     ///
     /// Cost: one snapshot copy of `other`'s spans, metrics and the events
     /// this sink's ring can still retain ([`EventLog::tail`]); the merge
@@ -397,7 +396,7 @@ pub struct TelemetrySummary {
     /// Final counter values.
     pub counters: std::collections::BTreeMap<String, u64>,
     /// Per-histogram p95 (deterministic bucket interpolation, see
-    /// [`Histogram::quantile`]), name-ordered.
+    /// `Histogram::quantile`), name-ordered.
     pub hist_p95: Vec<(String, f64)>,
 }
 
@@ -430,6 +429,7 @@ impl TelemetrySummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::DEFAULT_EVENT_CAPACITY;
 
     #[test]
     fn clones_share_one_sink() {

@@ -13,7 +13,7 @@ use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Default event capacity (events beyond this evict the oldest).
-pub const DEFAULT_EVENT_CAPACITY: usize = 65_536;
+pub(crate) const DEFAULT_EVENT_CAPACITY: usize = 65_536;
 
 /// Ring-buffered event log. See the module docs.
 #[derive(Debug, Clone)]
@@ -75,7 +75,7 @@ impl EventLog {
     /// The ring's storage is rotated in place so the oldest event sits at
     /// index 0; what the log holds — order, sequence numbers, drop count,
     /// every later record and eviction — is what it was.
-    pub fn make_contiguous(&mut self) -> &[Event] {
+    pub(crate) fn make_contiguous(&mut self) -> &[Event] {
         self.buf.rotate_left(self.head);
         self.head = 0;
         &self.buf
@@ -97,7 +97,7 @@ impl EventLog {
     }
 
     /// Total events ever recorded (retained + evicted).
-    pub fn total_recorded(&self) -> u64 {
+    pub(crate) fn total_recorded(&self) -> u64 {
         self.next_seq
     }
 
@@ -107,7 +107,7 @@ impl EventLog {
     }
 
     /// Count of retained events per kind name, sorted by name.
-    pub fn kind_counts(&self) -> BTreeMap<&'static str, u64> {
+    pub(crate) fn kind_counts(&self) -> BTreeMap<&'static str, u64> {
         let mut counts: BTreeMap<&'static str, u64> = BTreeMap::new();
         for e in self.iter() {
             *counts.entry(e.kind.name()).or_insert(0) += 1;
@@ -116,7 +116,7 @@ impl EventLog {
     }
 
     /// The `n` most frequent kinds, descending by count (name-ordered ties).
-    pub fn top_kinds(&self, n: usize) -> Vec<(&'static str, u64)> {
+    pub(crate) fn top_kinds(&self, n: usize) -> Vec<(&'static str, u64)> {
         let mut v: Vec<(&'static str, u64)> = self.kind_counts().into_iter().collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
         v.truncate(n);
@@ -165,7 +165,7 @@ impl EventLog {
     /// per-event `kind` clone), sequence numbers are rewritten in place,
     /// and when the target ring has room the batch lands via one bulk
     /// append. Byte-for-byte the same merged log as [`Self::absorb`].
-    pub fn absorb_owned(&mut self, mut other: EventLog) {
+    pub(crate) fn absorb_owned(&mut self, mut other: EventLog) {
         self.next_seq += other.dropped;
         self.dropped += other.dropped;
         other.buf.rotate_left(other.head);

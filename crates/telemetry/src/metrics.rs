@@ -84,7 +84,7 @@ impl Histogram {
     /// overflow bucket up to `max`, and the result is clamped to
     /// `[min, max]` so a single-value histogram reports that value
     /// exactly. Returns 0 when empty.
-    pub fn quantile(&self, q: f64) -> f64 {
+    pub(crate) fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -110,17 +110,17 @@ impl Histogram {
         self.max
     }
 
-    /// Median estimate (see [`Self::quantile`]).
+    /// Median estimate (see `Self::quantile`).
     pub fn p50(&self) -> f64 {
         self.quantile(0.50)
     }
 
-    /// 95th-percentile estimate (see [`Self::quantile`]).
+    /// 95th-percentile estimate (see `Self::quantile`).
     pub fn p95(&self) -> f64 {
         self.quantile(0.95)
     }
 
-    /// 99th-percentile estimate (see [`Self::quantile`]).
+    /// 99th-percentile estimate (see `Self::quantile`).
     pub fn p99(&self) -> f64 {
         self.quantile(0.99)
     }
@@ -220,7 +220,7 @@ impl TimeSeries {
 }
 
 /// Default time-series bucket width.
-pub const DEFAULT_SERIES_BUCKET: SimDuration = SimDuration::from_secs(60);
+pub(crate) const DEFAULT_SERIES_BUCKET: SimDuration = SimDuration::from_secs(60);
 
 /// The registry: named counters, histograms, and time series.
 #[derive(Debug, Clone, Default, Serialize)]
@@ -256,7 +256,7 @@ impl MetricsRegistry {
     }
 
     /// Appends a `(at, value)` sample to series `name`, aggregating into
-    /// [`DEFAULT_SERIES_BUCKET`]-wide virtual-time buckets.
+    /// `DEFAULT_SERIES_BUCKET`-wide virtual-time buckets.
     pub fn sample(&mut self, name: &str, at: SimTime, value: f64) {
         if let Some(s) = self.series.get_mut(name) {
             s.sample(at, value);
@@ -280,7 +280,7 @@ impl MetricsRegistry {
     /// [`Self::absorb`], consuming the other registry: names and payloads
     /// *move* in where this registry has no entry yet (the common case in
     /// a merge into a fresh sink), instead of being cloned key by key.
-    pub fn absorb_owned(&mut self, other: MetricsRegistry) {
+    pub(crate) fn absorb_owned(&mut self, other: MetricsRegistry) {
         for (name, n) in other.counters {
             match self.counters.get_mut(&name) {
                 Some(mine) => *mine += n,
@@ -310,16 +310,6 @@ impl MetricsRegistry {
     /// Counter value (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Histogram by name.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Series by name.
-    pub fn time_series(&self, name: &str) -> Option<&TimeSeries> {
-        self.series.get(name)
     }
 }
 
@@ -417,7 +407,7 @@ mod tests {
         m.sample("thp", SimTime::from_secs(10), 1.0);
         m.sample("thp", SimTime::from_secs(50), 3.0);
         m.sample("thp", SimTime::from_secs(70), 5.0);
-        let s = m.time_series("thp").unwrap();
+        let s = &m.series["thp"];
         assert_eq!(s.points.len(), 2);
         assert_eq!(s.points[0].count, 2);
         assert_eq!(s.points[0].mean(), 2.0);
@@ -439,11 +429,11 @@ mod tests {
 
         a.absorb(&b);
         assert_eq!(a.counter("iters"), 7);
-        let h = a.histogram("lat").unwrap();
+        let h = &a.histograms["lat"];
         assert_eq!(h.count, 2);
         assert_eq!(h.min, 0.5);
         assert_eq!(h.max, 5.0);
-        let s = a.time_series("s").unwrap();
+        let s = &a.series["s"];
         assert_eq!(s.points.len(), 2);
         assert_eq!(s.points[0].count, 2);
         assert_eq!(s.points[0].sum, 4.0);

@@ -326,7 +326,7 @@ impl Oracle {
     /// consistent layout (≥ 1 replica, ≥ 1 shard, ≥ 1 batch, a known
     /// gradient mode). Standalone like [`Oracle::check_durability`] so
     /// event-log-only drivers can audit reconfigurations too.
-    pub fn check_reconfig_consistency(events: &[Event]) -> InvariantCheck {
+    pub(crate) fn check_reconfig_consistency(events: &[Event]) -> InvariantCheck {
         use std::collections::BTreeMap;
         let mut resolved: BTreeMap<(u64, u64), &'static str> = BTreeMap::new();
         let mut watermark: BTreeMap<u64, u64> = BTreeMap::new();

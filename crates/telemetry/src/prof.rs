@@ -33,8 +33,8 @@
 //! its outermost scope closes (and, as a backstop, on an explicit
 //! [`flush`] or when the thread exits).
 //!
-//! Sites also carry throughput counters: [`add_items`] / [`add_bytes`]
-//! attribute work units to the innermost active scope, which turns the
+//! Sites also carry a throughput counter: [`add_items`] attributes work
+//! units to the innermost active scope, which turns the
 //! timer table into items-per-second rates for free.
 //!
 //! # Folded-stack export
@@ -87,8 +87,6 @@ pub struct SiteStats {
     pub self_ns: u64,
     /// Work items attributed via [`add_items`].
     pub items: u64,
-    /// Bytes attributed via [`add_bytes`].
-    pub bytes: u64,
 }
 
 impl SiteStats {
@@ -97,7 +95,6 @@ impl SiteStats {
         self.total_ns += other.total_ns;
         self.self_ns += other.self_ns;
         self.items += other.items;
-        self.bytes += other.bytes;
     }
 }
 
@@ -180,12 +177,6 @@ impl ThreadProf {
     fn add_items(&mut self, n: u64) {
         if let Some(f) = self.stack.last() {
             self.nodes[f.node].stats.items += n;
-        }
-    }
-
-    fn add_bytes(&mut self, n: u64) {
-        if let Some(f) = self.stack.last() {
-            self.nodes[f.node].stats.bytes += n;
         }
     }
 
@@ -277,14 +268,6 @@ pub fn add_items(n: u64) {
     }
 }
 
-/// Attributes `n` bytes to the innermost active scope on this thread
-/// (no-op when profiling is off or no scope is open).
-pub fn add_bytes(n: u64) {
-    if enabled() {
-        TLS.with(|tls| tls.borrow_mut().add_bytes(n));
-    }
-}
-
 /// Folds the *current thread's* accumulators into the global table. Every
 /// thread already does so whenever its outermost scope closes, so this is a
 /// backstop; call it with no scope open.
@@ -302,7 +285,7 @@ pub struct Profile {
 impl Profile {
     /// Total self-time nanoseconds across all sites (equals the sum of
     /// root totals when every guard closed cleanly).
-    pub fn total_self_ns(&self) -> u64 {
+    pub(crate) fn total_self_ns(&self) -> u64 {
         self.sites.values().map(|s| s.self_ns).sum()
     }
 
@@ -311,20 +294,8 @@ impl Profile {
         self.sites.get(path)
     }
 
-    /// Sums stats over every path whose *last* segment is `site`,
-    /// regardless of where in the tree it was reached from.
-    pub fn by_site(&self, site: &str) -> SiteStats {
-        let mut acc = SiteStats::default();
-        for (path, stats) in &self.sites {
-            if path.rsplit(';').next() == Some(site) {
-                acc.merge(stats);
-            }
-        }
-        acc
-    }
-
     /// The path with the most self time and its share of
-    /// [`Profile::total_self_ns`]; `None` for an empty profile.
+    /// `Profile::total_self_ns`; `None` for an empty profile.
     pub fn hottest(&self) -> Option<(&str, f64)> {
         let (path, stats) = self.sites.iter().max_by_key(|(_, s)| s.self_ns)?;
         Some((path, stats.self_ns as f64 / self.total_self_ns().max(1) as f64))
@@ -432,7 +403,7 @@ mod tests {
     }
 
     #[test]
-    fn items_and_bytes_attach_to_innermost_scope() {
+    fn items_attach_to_innermost_scope() {
         let p = with_prof(|| {
             {
                 let _a = scope("a");
@@ -440,18 +411,12 @@ mod tests {
                 {
                     let _b = scope("b");
                     add_items(7);
-                    add_bytes(100);
                 }
-                add_bytes(5);
             }
             take_profile()
         });
         assert_eq!(p.site("a").unwrap().items, 3);
-        assert_eq!(p.site("a").unwrap().bytes, 5);
         assert_eq!(p.site("a;b").unwrap().items, 7);
-        assert_eq!(p.site("a;b").unwrap().bytes, 100);
-        // by_site sums across paths ending in the segment.
-        assert_eq!(p.by_site("b").items, 7);
     }
 
     #[test]
@@ -485,9 +450,8 @@ mod tests {
             }
             take_profile()
         });
-        assert!(p.site("a;merge").is_some());
-        assert!(p.site("b;merge").is_some());
-        assert_eq!(p.by_site("merge").calls, 2);
+        assert_eq!(p.site("a;merge").map(|s| s.calls), Some(1));
+        assert_eq!(p.site("b;merge").map(|s| s.calls), Some(1));
     }
 
     #[test]
@@ -524,19 +488,10 @@ mod tests {
     #[test]
     fn profile_merge_sums_shared_paths() {
         let mut a = Profile::default();
-        a.sites.insert(
-            "x".into(),
-            SiteStats { calls: 1, total_ns: 10, self_ns: 10, items: 2, bytes: 0 },
-        );
+        a.sites.insert("x".into(), SiteStats { calls: 1, total_ns: 10, self_ns: 10, items: 2 });
         let mut b = Profile::default();
-        b.sites.insert(
-            "x".into(),
-            SiteStats { calls: 2, total_ns: 30, self_ns: 20, items: 3, bytes: 7 },
-        );
-        b.sites.insert(
-            "y".into(),
-            SiteStats { calls: 1, total_ns: 5, self_ns: 5, items: 0, bytes: 0 },
-        );
+        b.sites.insert("x".into(), SiteStats { calls: 2, total_ns: 30, self_ns: 20, items: 3 });
+        b.sites.insert("y".into(), SiteStats { calls: 1, total_ns: 5, self_ns: 5, items: 0 });
         a.merge(&b);
         assert_eq!(a.site("x").unwrap().calls, 3);
         assert_eq!(a.site("x").unwrap().total_ns, 40);

@@ -20,11 +20,10 @@
 
 use dlrover_sim::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Default span capacity (spans beyond this evict the oldest).
-pub const DEFAULT_SPAN_CAPACITY: usize = 65_536;
+pub(crate) const DEFAULT_SPAN_CAPACITY: usize = 65_536;
 
 /// Identifier of a span within one [`SpanLog`], assigned at record time.
 #[derive(
@@ -120,7 +119,7 @@ impl SpanCategory {
 /// A span's free-form detail, stored inside the span when it is short.
 ///
 /// Labels are overwhelmingly fixed words (`"slice"`, `"pause"`, `"w3"`), and
-/// a tick records several spans, so up to [`Label::INLINE`] bytes live in
+/// a tick records several spans, so up to `Label::INLINE` bytes live in
 /// the span itself and only a longer label goes to the heap. Either way it
 /// reads as a `str` (it derefs to one) and serializes as a JSON string; the
 /// size is a `String`'s.
@@ -135,7 +134,7 @@ enum Repr {
 
 impl Label {
     /// Longest label, in bytes, stored without a heap allocation.
-    pub const INLINE: usize = 22;
+    pub(crate) const INLINE: usize = 22;
 
     /// The label's text.
     pub fn as_str(&self) -> &str {
@@ -241,11 +240,6 @@ impl Span {
     pub fn end(&self) -> SimTime {
         SimTime::from_micros(self.end_us)
     }
-
-    /// Duration in microseconds.
-    pub fn dur_us(&self) -> u64 {
-        self.end_us.saturating_sub(self.start_us)
-    }
 }
 
 /// Ring-buffered span log. See the module docs for the determinism and
@@ -339,15 +333,6 @@ impl SpanLog {
         self.dropped
     }
 
-    /// Retained virtual time per category name, sorted by name.
-    pub fn category_totals(&self) -> BTreeMap<&'static str, u64> {
-        let mut totals: BTreeMap<&'static str, u64> = BTreeMap::new();
-        for s in self.iter() {
-            *totals.entry(s.cat.name()).or_insert(0) += s.dur_us();
-        }
-        totals
-    }
-
     /// Appends every closed span retained by `other`, remapping ids into
     /// this log's id space so parent/child nesting survives the merge.
     ///
@@ -370,7 +355,7 @@ impl SpanLog {
     /// when the target ring has room the batch lands via one bulk append.
     /// Byte-for-byte the same merged log as [`Self::absorb`] — only the
     /// copies are gone.
-    pub fn absorb_owned(&mut self, mut other: SpanLog) {
+    pub(crate) fn absorb_owned(&mut self, mut other: SpanLog) {
         let offset = self.next_id;
         self.closed_total += other.dropped;
         self.dropped += other.dropped;
@@ -419,6 +404,7 @@ pub fn parse_spans_jsonl(text: &str) -> Option<Vec<Span>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dlrover_sim::SimDuration;
 
     fn t(secs: u64) -> SimTime {
         SimTime::from_secs(secs)
@@ -437,14 +423,15 @@ mod tests {
         assert_eq!(spans[1].id, b.0);
         assert_eq!(spans[1].cat, SpanCategory::Checkpoint);
         assert_eq!(spans[1].parent, Some(a.0));
-        assert_eq!(spans[0].dur_us(), 4_000_000);
+        assert_eq!(spans[0].end() - spans[0].start(), SimDuration::from_secs(4));
     }
 
     #[test]
     fn backwards_close_clamps_to_start() {
         let mut log = SpanLog::default();
         log.complete(t(10), t(5), SpanCategory::Job, "", 0, None);
-        assert_eq!(log.iter().next().unwrap().dur_us(), 0);
+        let span = log.iter().next().unwrap();
+        assert_eq!(span.end(), span.start());
     }
 
     #[test]
@@ -564,14 +551,5 @@ mod tests {
         }
         assert_eq!(SpanCategory::IterLookup.name(), "iteration/lookup");
         assert_eq!(SpanCategory::PodStartup.name(), "pod-startup");
-    }
-
-    #[test]
-    fn category_totals_sum_durations() {
-        let mut log = SpanLog::default();
-        log.complete(t(0), t(2), SpanCategory::Migration, "", 0, None);
-        log.complete(t(5), t(6), SpanCategory::Migration, "", 0, None);
-        let totals = log.category_totals();
-        assert_eq!(totals["migration"], 3_000_000);
     }
 }

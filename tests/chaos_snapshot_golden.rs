@@ -27,8 +27,8 @@
 //! event, no instant OOM span) and `PodRequested` gained the pod's role,
 //! with every report digest unchanged.
 
-use dlrover_rm::master::ckptplane::RETAIN_PER_JOB;
-use dlrover_rm::master::replay::RecoveryPath;
+use dlrover_rm::master::RecoveryPath;
+use dlrover_rm::master::RETAIN_PER_JOB;
 use dlrover_rm::master::{JobHealth, JobRuntimeProfile, RetryPolicy};
 use dlrover_rm::prelude::*;
 use dlrover_rm::sim::{FaultEvent, FaultKind, FaultPlan};
