@@ -6,8 +6,8 @@
 //! sub-second for a 20 GB model) with finite capacity and
 //! oldest-save-first eviction, and a throttled *remote* tier (RDS,
 //! §2.2: "5-10 minutes" for a full checkpoint) behind a single shared
-//! FIFO transfer queue. Checkpoints
-//! are content-chunked ([`ChunkStore`]) so consecutive saves and family
+//! FIFO transfer queue. Checkpoints are content-chunked into one chunk
+//! table with a reference count per tier, so consecutive saves and family
 //! peers dedup against each other, and a checkpoint is *durable* only
 //! once its manifest record lands remotely — the commit record the
 //! durability oracle invariants audit.
@@ -19,7 +19,7 @@
 mod chunks;
 mod plane;
 
-pub use chunks::{ChunkRef, ChunkingConfig};
+pub use chunks::ChunkingConfig;
 pub use plane::{
     CheckpointPlane, CkptPlaneConfig, Manifest, PlaneStats, RestoreOutcome, RestoreSource,
     SaveOutcome, RETAIN_PER_JOB,

@@ -30,8 +30,8 @@ pub mod resilience;
 mod witness;
 
 pub use ckptplane::{
-    CheckpointPlane, ChunkRef, ChunkingConfig, CkptPlaneConfig, Manifest, PlaneStats,
-    RestoreOutcome, RestoreSource, SaveOutcome, RETAIN_PER_JOB,
+    CheckpointPlane, ChunkingConfig, CkptPlaneConfig, Manifest, PlaneStats, RestoreOutcome,
+    RestoreSource, SaveOutcome, RETAIN_PER_JOB,
 };
 pub use master::{JobMaster, MasterConfig, MasterEvent};
 pub use policy::{PolicyDecision, ReconfigRequest, SchedulerPolicy};
