@@ -346,9 +346,10 @@ mod tests {
         rollout(&mut p, 10, 10_000);
         p.end_episode();
         let snap = telemetry.snapshot();
-        assert!(snap.events.iter().any(
-            |e| matches!(&e.kind, EventKind::PolicyDecisionMade { policy, .. } if policy == "dl2")
-        ));
+        assert!(snap
+            .events
+            .iter()
+            .any(|e| matches!(&e.kind, EventKind::PolicyDecisionMade(d) if d.policy == "dl2")));
         assert!(snap
             .events
             .iter()

@@ -249,9 +249,10 @@ mod tests {
         rollout(&mut p, 10, 0);
         p.end_episode();
         let snap = telemetry.snapshot();
-        assert!(snap.events.iter().any(
-            |e| matches!(&e.kind, EventKind::PolicyDecisionMade { policy, .. } if policy == "drl")
-        ));
+        assert!(snap
+            .events
+            .iter()
+            .any(|e| matches!(&e.kind, EventKind::PolicyDecisionMade(d) if d.policy == "drl")));
         assert!(snap
             .events
             .iter()

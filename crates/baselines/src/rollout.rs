@@ -12,7 +12,7 @@ use dlrover_master::{JobRuntimeProfile, PolicyDecision};
 use dlrover_optimizer::{PlanSearchSpace, ResourceAllocation};
 use dlrover_pstrain::MigrationStrategy;
 use dlrover_sim::SimTime;
-use dlrover_telemetry::{EventKind, SpanCategory, Telemetry};
+use dlrover_telemetry::{EventKind, PolicyDecisionMade, SpanCategory, Telemetry};
 
 /// The action vocabulary: noop, worker +1, worker −1, PS +1, PS −1, each
 /// clamped to the search space.
@@ -104,7 +104,7 @@ impl<S> Rollout<S> {
     pub(crate) fn decide(
         &mut self,
         profile: &JobRuntimeProfile,
-        policy: &str,
+        policy: &'static str,
         state: S,
         action: usize,
     ) -> Option<PolicyDecision> {
@@ -121,13 +121,14 @@ impl<S> Rollout<S> {
         if let Some(t) = &self.telemetry {
             t.record(
                 profile.at,
-                EventKind::PolicyDecisionMade {
+                PolicyDecisionMade {
                     job: profile.job_id,
-                    policy: policy.to_string(),
+                    policy: policy.into(),
                     action: action as u32,
                     workers: target.shape.workers,
                     ps: target.shape.ps,
-                },
+                }
+                .into(),
             );
         }
         if target.shape == self.current.shape {

@@ -54,7 +54,7 @@ use crate::node::{Node, NodeId};
 use crate::pod::{Pod, PodId, PodPhase, PodRole, PodSpec, Priority};
 use crate::resources::Resources;
 use crate::store::{GenSlab, PodTable, SlabKey};
-use crate::timerwheel::TimerWheel;
+use crate::timerwheel::{ScheduledEvent, TimerWheel};
 
 /// How long a lost node stays out of its cell (mirrors `driver.rs`).
 const NODE_OUTAGE: SimDuration = SimDuration::from_mins(15);
@@ -252,7 +252,9 @@ enum FleetEv {
     /// Submit workload job `wl_idx` of `cell`.
     Submit { cell: u32, wl_idx: u32 },
     /// A forwarded job arrives in `cell` (delivered at an epoch barrier).
-    Deliver { cell: u32, spec: JobSpec },
+    /// The spec is boxed: inline, its 72 bytes would set the size of every
+    /// wheel entry, though only forwarded jobs carry one.
+    Deliver { cell: u32, spec: Box<JobSpec> },
     /// A pending job re-attempts placement.
     Retry { cell: u32, key: SlabKey },
     /// A running job completes.
@@ -262,6 +264,8 @@ enum FleetEv {
     /// Scripted chaos.
     Chaos { cell: u32, action: ChaosAction },
 }
+
+const _: () = assert!(std::mem::size_of::<ScheduledEvent<FleetEv>>() <= 40);
 
 impl FleetEv {
     fn cell(&self) -> u32 {
@@ -635,7 +639,7 @@ impl FleetShard {
             }
             FleetEv::Deliver { spec, .. } => {
                 cell.agg.jobs_forwarded_in += 1;
-                Self::arrive(cell, &mut self.wheel, &self.cfg, spec, now);
+                Self::arrive(cell, &mut self.wheel, &self.cfg, *spec, now);
             }
             FleetEv::Retry { key, .. } => {
                 let Some(job) = cell.jobs.get(key) else { return };
@@ -1170,7 +1174,7 @@ impl ShardedFleet {
                 .rev()
                 .find(|s| s.first_cell <= env.dst)
                 .expect("destination shard exists");
-            shard.wheel.push(env.at, FleetEv::Deliver { cell: env.dst, spec: env.msg });
+            shard.wheel.push(env.at, FleetEv::Deliver { cell: env.dst, spec: Box::new(env.msg) });
         }
         dlrover_telemetry::prof::add_items(delivered);
     }

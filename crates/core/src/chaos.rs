@@ -41,8 +41,8 @@ use dlrover_sim::{
     FaultEvent, FaultKind, FaultPlan, FaultPlanConfig, RngStreams, SimDuration, SimTime, StreamRng,
 };
 use dlrover_telemetry::{
-    Event, EventKind, GroundTruth, Invariant, Oracle, OracleConfig, OracleReport, SpanCategory,
-    Telemetry,
+    Event, EventKind, FaultInjected, GroundTruth, Invariant, JobRecovered, Oracle, OracleConfig,
+    OracleReport, SpanCategory, Telemetry,
 };
 use serde::{Deserialize, Serialize};
 
@@ -735,11 +735,12 @@ impl<'a> ChaosDriver<'a> {
     fn mark(&mut self, fault: &FaultEvent) {
         self.telemetry.record(
             self.now,
-            EventKind::FaultInjected {
+            FaultInjected {
                 fault: self.faults_injected,
-                kind: fault.kind.name().to_string(),
+                kind: fault.kind.name().into(),
                 target: fault.kind.target(),
-            },
+            }
+            .into(),
         );
         self.faults_injected += 1;
     }
@@ -1036,12 +1037,13 @@ impl<'a> ChaosDriver<'a> {
         );
         self.telemetry.record(
             resume_at,
-            EventKind::JobRecovered {
+            JobRecovered {
                 job: 0,
-                path: outcome.path.label().to_string(),
+                path: outcome.path.label().into(),
                 latency_us: outcome.downtime.as_micros(),
                 step: outcome.checkpoint_step,
-            },
+            }
+            .into(),
         );
         self.telemetry.count("chaos.master_restarts", 1);
         self.master_restarts += 1;
@@ -1501,7 +1503,7 @@ mod tests {
             .events
             .iter()
             .filter_map(|e| match &e.kind {
-                EventKind::RetryAttempt { attempt, .. } => Some(*attempt),
+                EventKind::RetryAttempt(r) => Some(r.attempt),
                 _ => None,
             })
             .max()
@@ -1771,8 +1773,7 @@ mod tests {
 
     /// Index of the `n`th (from 0) `FaultInjected` marker.
     fn marker(events: &[Event], n: u64) -> usize {
-        let is_marker =
-            |e: &Event| matches!(e.kind, EventKind::FaultInjected { fault, .. } if fault == n);
+        let is_marker = |e: &Event| matches!(&e.kind, EventKind::FaultInjected(f) if f.fault == n);
         events.iter().position(is_marker).expect("fault delivered")
     }
 
@@ -1894,12 +1895,12 @@ mod tests {
             assert!(report.oracle.passed(), "{:?}", report.oracle.violations());
             let events = telemetry.events();
             let after_crash = &events[marker(&events, 2)..];
-            let restored = after_crash.iter().find_map(|e| match e.kind {
-                EventKind::CheckpointRestored { step, .. } => Some(step),
+            let restored = after_crash.iter().find_map(|e| match &e.kind {
+                EventKind::CheckpointRestored(r) => Some(r.step),
                 _ => None,
             });
-            let recovered = after_crash.iter().find_map(|e| match e.kind {
-                EventKind::JobRecovered { step, .. } => Some(step),
+            let recovered = after_crash.iter().find_map(|e| match &e.kind {
+                EventKind::JobRecovered(r) => Some(r.step),
                 _ => None,
             });
             assert!(restored.is_some_and(|step| step > 0), "witness {prefer_witness}");
@@ -2217,7 +2218,7 @@ mod proptests {
             let events = telemetry.events();
             let rolled_back: Vec<&str> = (events.iter())
                 .filter_map(|e| match &e.kind {
-                    EventKind::ReconfigRolledBack { reason, .. } => Some(reason.as_str()),
+                    EventKind::ReconfigRolledBack(r) => Some(r.reason.as_ref()),
                     _ => None,
                 })
                 .collect();

@@ -20,7 +20,9 @@ use std::collections::{BTreeMap, VecDeque};
 
 use dlrover_pstrain::StorageTier;
 use dlrover_sim::{SimDuration, SimTime};
-use dlrover_telemetry::{prof, EventKind, Telemetry};
+use dlrover_telemetry::{
+    prof, CheckpointCommitted, CheckpointRestored, CheckpointStaged, EventKind, Telemetry,
+};
 use serde::{Deserialize, Serialize};
 
 use super::chunks::{mix64, ChunkTable, ChunkingConfig, Tier};
@@ -396,7 +398,7 @@ impl CheckpointPlane {
                 self.stats.commits += 1;
                 self.outbox.push((
                     finish,
-                    EventKind::CheckpointCommitted { job: m.job, manifest: id, step: m.step },
+                    CheckpointCommitted { job: m.job, manifest: id, step: m.step }.into(),
                 ));
                 let job = m.job;
                 self.retire_old_manifests(job);
@@ -479,7 +481,7 @@ impl CheckpointPlane {
         self.stats.dedup_bytes += dedup;
         self.outbox.push((
             now,
-            EventKind::CheckpointStaged { job, manifest: id, step, bytes, new_bytes: new_remote },
+            CheckpointStaged { job, manifest: id, step, bytes, new_bytes: new_remote }.into(),
         ));
         self.flush_events();
         SaveOutcome { manifest: id, hot_pause, new_bytes: new_remote, dedup_bytes: dedup }
@@ -634,13 +636,14 @@ impl CheckpointPlane {
         self.stats.restored_bytes += out.bytes;
         self.outbox.push((
             out.resume_at(),
-            EventKind::CheckpointRestored {
+            CheckpointRestored {
                 job,
                 manifest: out.manifest,
                 step: out.step,
                 bytes: out.bytes,
-                source: out.source.label().to_string(),
-            },
+                source: out.source.label().into(),
+            }
+            .into(),
         ));
     }
 

@@ -36,8 +36,9 @@ pub use ckptplane::{
 pub use master::{JobMaster, MasterConfig, MasterEvent};
 pub use policy::{PolicyDecision, ReconfigRequest, SchedulerPolicy};
 pub use profiler::JobRuntimeProfile;
-/// The old name of [`JobControl`], kept for the frozen benchmark harness
-/// until the benchmark change (ROADMAP item 3) deletes it.
+/// The old name of [`JobControl`] (DESIGN §7), kept because the benchmark
+/// harness (DESIGN §10) still imports it; the next change to `benchmark/`
+/// moves that import to `JobControl` and deletes this alias.
 pub use replay::JobControl as ReplayedJobState;
 pub use replay::{
     restore_after_master_loss, IllegalTransition, JobControl, RecoveryOutcome, RecoveryPath, Window,

@@ -22,7 +22,9 @@ use dlrover_pstrain::{
     WorkerState,
 };
 use dlrover_sim::{SimDuration, SimTime};
-use dlrover_telemetry::{EventKind, MigrationKind, Sink, SpanCategory, Telemetry};
+use dlrover_telemetry::{
+    EventKind, MigrationKind, ReconfigApplied, ReconfigRolledBack, Sink, SpanCategory, Telemetry,
+};
 use serde::{Deserialize, Serialize};
 
 use crate::policy::{PolicyDecision, ReconfigRequest};
@@ -367,16 +369,17 @@ impl JobMaster {
                 let target = self.control.exec();
                 sink.record(
                     self.engine.now(),
-                    EventKind::ReconfigApplied {
+                    ReconfigApplied {
                         job: self.job_id,
                         window,
-                        mode: target.gradient_mode.label().to_string(),
+                        mode: target.gradient_mode.label().into(),
                         batch: target.effective_batch(self.engine.spec().batch_size),
                         replicas: target.ps_replicas,
                         shards: self.engine.partitions().len() as u32,
                         samples_done: self.engine.completed_samples(),
                         pause_us: pause.as_micros(),
-                    },
+                    }
+                    .into(),
                 );
                 sink.metrics.count("master.reconfigs_committed", 1);
             }
@@ -771,17 +774,18 @@ impl JobMaster {
     /// `ReconfigRolledBack` (exactly once — the oracle's window invariant).
     /// Call sites are the fault paths: a worker/PS/master fault landing
     /// inside the window must not leave a half-applied plan behind.
-    pub fn abort_reconfig_if_pending(&mut self, reason: &str) {
+    pub fn abort_reconfig_if_pending(&mut self, reason: &'static str) {
         let Some(window) = self.control.roll_back() else { return };
         self.engine.set_exec_plan(self.control.exec());
         self.telemetry.record(
             self.engine.now(),
-            EventKind::ReconfigRolledBack {
+            ReconfigRolledBack {
                 job: self.job_id,
                 window,
-                reason: reason.to_string(),
+                reason: reason.into(),
                 samples_done: self.engine.completed_samples(),
-            },
+            }
+            .into(),
         );
         self.telemetry.count("master.reconfigs_rolled_back", 1);
     }
@@ -979,13 +983,11 @@ mod tests {
         let applied: Vec<_> =
             events.iter().filter(|e| e.kind.name() == "ReconfigApplied").collect();
         assert_eq!(applied.len(), 1, "a window commits exactly once");
-        if let EventKind::ReconfigApplied { window, mode, replicas, samples_done, .. } =
-            &applied[0].kind
-        {
-            assert_eq!(*window, 0, "first window id");
-            assert_eq!(mode, "sync");
-            assert_eq!(*replicas, 2);
-            assert!(*samples_done > 0, "commit records the acked watermark");
+        if let EventKind::ReconfigApplied(r) = &applied[0].kind {
+            assert_eq!(r.window, 0, "first window id");
+            assert_eq!(r.mode, "sync");
+            assert_eq!(r.replicas, 2);
+            assert!(r.samples_done > 0, "commit records the acked watermark");
         }
         assert_eq!(m.telemetry().counter("master.reconfigs_started"), 1);
         assert_eq!(m.telemetry().counter("master.reconfigs_committed"), 1);
@@ -1013,9 +1015,9 @@ mod tests {
         let rolled: Vec<_> =
             events.iter().filter(|e| e.kind.name() == "ReconfigRolledBack").collect();
         assert_eq!(rolled.len(), 1, "a window rolls back exactly once");
-        if let EventKind::ReconfigRolledBack { window, reason, .. } = &rolled[0].kind {
-            assert_eq!(*window, 0);
-            assert_eq!(reason, "degraded");
+        if let EventKind::ReconfigRolledBack(r) = &rolled[0].kind {
+            assert_eq!(r.window, 0);
+            assert_eq!(r.reason, "degraded");
         }
         // A second abort is a no-op: the window is already settled.
         m.abort_reconfig_if_pending("again");

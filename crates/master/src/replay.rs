@@ -196,15 +196,16 @@ impl JobControl {
         match kind {
             EventKind::ShardAcked { len, .. } => self.samples_done += len,
             EventKind::PsReshaped { ps } => self.ps_count = *ps as u32,
-            EventKind::ReconfigApplied { window, mode, batch, replicas, pause_us, .. } => {
+            EventKind::ReconfigApplied(r) => {
                 let gradient_mode =
-                    if mode == "sync" { GradientMode::Sync } else { GradientMode::Async };
-                let target = ExecPlan { gradient_mode, ps_replicas: *replicas, batch_size: *batch };
-                self.reopen(*window, target, *pause_us)?;
+                    if r.mode == "sync" { GradientMode::Sync } else { GradientMode::Async };
+                let target =
+                    ExecPlan { gradient_mode, ps_replicas: r.replicas, batch_size: r.batch };
+                self.reopen(r.window, target, r.pause_us)?;
                 self.commit(SimTime::ZERO);
             }
-            EventKind::ReconfigRolledBack { window, .. } => {
-                self.reopen(*window, self.exec, 0)?;
+            EventKind::ReconfigRolledBack(r) => {
+                self.reopen(r.window, self.exec, 0)?;
                 self.roll_back();
             }
             _ => {}
@@ -286,27 +287,29 @@ impl JobControl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dlrover_telemetry::{CheckpointStaged, ReconfigApplied, ReconfigRolledBack};
 
     fn ev(seq: u64, kind: EventKind) -> Event {
         Event { at_us: seq * 1_000_000, seq, kind }
     }
 
     fn applied(window: u64) -> EventKind {
-        EventKind::ReconfigApplied {
+        ReconfigApplied {
             job: 1,
             window,
-            mode: "sync".to_string(),
+            mode: "sync".into(),
             batch: 512,
             replicas: 2,
             shards: 2,
             samples_done: 100,
             pause_us: 5,
         }
+        .into()
     }
 
     fn rolled_back(window: u64) -> EventKind {
-        let reason = "master-crash".to_string();
-        EventKind::ReconfigRolledBack { job: 1, window, reason, samples_done: 200 }
+        ReconfigRolledBack { job: 1, window, reason: "master-crash".into(), samples_done: 200 }
+            .into()
     }
 
     fn replay(kinds: Vec<EventKind>) -> Result<JobControl, IllegalTransition> {
@@ -318,12 +321,8 @@ mod tests {
     /// holds the pods re-adopts them, and a restore reads the plane.
     #[test]
     fn replay_folds_watermarks_and_ignores_worker_events() {
-        let staged = |step| EventKind::CheckpointStaged {
-            job: 1,
-            manifest: step,
-            step,
-            bytes: 10,
-            new_bytes: 10,
+        let staged = |step| {
+            CheckpointStaged { job: 1, manifest: step, step, bytes: 10, new_bytes: 10 }.into()
         };
         let log = vec![
             ev(0, EventKind::WorkerAdded { worker: 0 }),

@@ -14,9 +14,8 @@
 //!   functions of `(policy, start, rng-state)` so replays are
 //!   bit-identical.
 //! * [`RetrySupervisor`] — tracks many concurrent operations against one
-//!   policy, emitting [`EventKind::RetryAttempt`] /
-//!   [`EventKind::RetryExhausted`] telemetry that the oracle's
-//!   no-retry-storm invariant audits.
+//!   policy, emitting [`RetryAttempt`] / [`RetryExhausted`] telemetry
+//!   records that the oracle's no-retry-storm invariant audits.
 //! * [`FailureBudget`] / [`BudgetLedger`] — bounded relaunches per
 //!   worker/PS; when the budget drains the job degrades (keeps training on
 //!   the surviving shape) instead of retrying forever.
@@ -29,7 +28,7 @@
 use std::collections::BTreeMap;
 
 use dlrover_sim::{SimDuration, SimTime, StreamRng};
-use dlrover_telemetry::{EventKind, Telemetry};
+use dlrover_telemetry::{RetryAttempt, RetryExhausted, Telemetry};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -160,8 +159,8 @@ impl RetrySupervisor {
 
     /// Decides whether `op` should run at `now`. The first poll for an
     /// unknown operation is always `Attempt(1)`. Each `Attempt` emits a
-    /// [`EventKind::RetryAttempt`]; crossing the attempt cap or deadline
-    /// emits [`EventKind::RetryExhausted`] once and answers `Exhausted`.
+    /// [`RetryAttempt`]; crossing the attempt cap or deadline emits
+    /// [`RetryExhausted`] once and answers `Exhausted`.
     pub fn poll(&mut self, op: &str, now: SimTime) -> RetryDecision {
         let state = self.ops.entry(op.to_string()).or_insert(OpState {
             started: now,
@@ -181,7 +180,7 @@ impl RetrySupervisor {
             state.gave_up = true;
             self.telemetry.record(
                 now,
-                EventKind::RetryExhausted { op: op.to_string(), attempts: state.attempts },
+                RetryExhausted { op: op.to_string(), attempts: state.attempts }.into(),
             );
             self.telemetry.count("resilience.retry_exhausted", 1);
             return RetryDecision::Exhausted;
@@ -190,7 +189,7 @@ impl RetrySupervisor {
         let wait = self.policy.backoff(state.attempts, &mut self.rng);
         state.next_due = now + wait;
         self.telemetry
-            .record(now, EventKind::RetryAttempt { op: op.to_string(), attempt: state.attempts });
+            .record(now, RetryAttempt { op: op.to_string(), attempt: state.attempts }.into());
         self.telemetry.count("resilience.retry_attempts", 1);
         RetryDecision::Attempt(state.attempts)
     }
@@ -288,6 +287,7 @@ impl JobHealth {
 mod tests {
     use super::*;
     use dlrover_sim::RngStreams;
+    use dlrover_telemetry::EventKind;
 
     fn policy() -> RetryPolicy {
         RetryPolicy::default()

@@ -20,7 +20,7 @@
 use std::collections::BTreeMap;
 
 use dlrover_sim::{SimDuration, SimTime};
-use dlrover_telemetry::{EventKind, Telemetry};
+use dlrover_telemetry::{CheckpointRestored, EventKind, Telemetry};
 use serde::{Deserialize, Serialize};
 
 /// Co-signing peers per job.
@@ -228,13 +228,14 @@ impl WitnessBoard {
             PEER_BASE_LATENCY + SimDuration::from_secs_f64(pin.bytes as f64 / PEER_READ_BANDWIDTH);
         self.telemetry.record(
             start_at + duration,
-            EventKind::CheckpointRestored {
+            CheckpointRestored {
                 job,
                 manifest: pin.manifest,
                 step: pin.step,
                 bytes: pin.bytes,
-                source: "witness".to_string(),
-            },
+                source: "witness".into(),
+            }
+            .into(),
         );
         Some(WitnessRestore {
             manifest: pin.manifest,

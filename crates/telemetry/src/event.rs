@@ -6,6 +6,16 @@
 //! trace interleaves the full causal story of a run. Variants carry only
 //! primitive fields: the telemetry crate sits *below* every runtime crate
 //! and cannot name their types.
+//!
+//! A fleet holds hundreds of thousands of ring slots, and each one is as
+//! wide as the widest variant, so every variant that would not fit the
+//! 24-byte [`EventKind`] keeps its fields behind one `Box` (a rare record
+//! pays one allocation; the per-tick ones stay inline). A field that only
+//! ever holds a fixed name is a `Cow<'static, str>`: recorded borrowed,
+//! owned only when parsed back. The JSON is the same either way — a
+//! newtype variant over a struct serializes as the struct variant would.
+
+use std::borrow::Cow;
 
 use dlrover_sim::SimTime;
 use serde::{Deserialize, Serialize};
@@ -24,6 +34,9 @@ pub struct Event {
     /// What happened.
     pub kind: EventKind,
 }
+
+const _: () = assert!(std::mem::size_of::<Event>() <= 40);
+const _: () = assert!(std::mem::size_of::<EventKind>() <= 24);
 
 impl Event {
     /// The event's virtual-time stamp.
@@ -197,20 +210,10 @@ pub enum EventKind {
     // --- Resilience layer (master, cluster) ---
     /// A supervised control-plane operation was (re)attempted under a
     /// retry policy. `attempt` is 1-based; attempt 1 is the initial try.
-    RetryAttempt {
-        /// Stable operation name (e.g. `"replace_worker"`).
-        op: String,
-        /// 1-based attempt number under the governing policy.
-        attempt: u32,
-    },
+    RetryAttempt(Box<RetryAttempt>),
     /// A retry policy gave up on an operation: the budget or deadline was
     /// exhausted and the caller must degrade instead of retrying forever.
-    RetryExhausted {
-        /// Stable operation name.
-        op: String,
-        /// Total attempts made before giving up.
-        attempts: u32,
-    },
+    RetryExhausted(Box<RetryExhausted>),
     /// Repeated pod failures on one node crossed the blacklist threshold;
     /// the scheduler stops placing pods there for the rest of the run.
     NodeBlacklisted {
@@ -254,18 +257,7 @@ pub enum EventKind {
     /// decision is *applied*), this marks the policy's own draw — noop
     /// actions included — so training trajectories can be replayed from
     /// the trace alone.
-    PolicyDecisionMade {
-        /// Job id.
-        job: u64,
-        /// Stable policy name (e.g. `"dl2"`, `"drl"`).
-        policy: String,
-        /// Action index in the policy's fixed action vocabulary.
-        action: u32,
-        /// Worker count after the action.
-        workers: u32,
-        /// PS count after the action.
-        ps: u32,
-    },
+    PolicyDecisionMade(Box<PolicyDecisionMade>),
     /// A learned policy finished an episode and observed its mean reward
     /// (fixed-point, ×1000) — the signal its next update trains on.
     PolicyRewardObserved {
@@ -282,45 +274,16 @@ pub enum EventKind {
     /// are staged and its transfer to the remote tier is enqueued. The
     /// checkpoint is NOT durable yet — only [`EventKind::CheckpointCommitted`]
     /// makes it restorable from the remote tier.
-    CheckpointStaged {
-        /// Owning job.
-        job: u64,
-        /// Plane-assigned manifest id (unique per save).
-        manifest: u64,
-        /// Training step at the snapshot.
-        step: u64,
-        /// Logical checkpoint size in bytes.
-        bytes: u64,
-        /// Bytes actually new to the plane (after content-chunk dedup).
-        new_bytes: u64,
-    },
+    CheckpointStaged(Box<CheckpointStaged>),
     /// A manifest (and all its chunks) finished transferring to the remote
     /// tier: the crash-consistent commit record. Restores from the remote
     /// tier may only target committed manifests.
-    CheckpointCommitted {
-        /// Owning job.
-        job: u64,
-        /// Manifest id.
-        manifest: u64,
-        /// Training step of the committed checkpoint.
-        step: u64,
-    },
+    CheckpointCommitted(Box<CheckpointCommitted>),
     /// A job restored from a checkpoint manifest. `source` is the tier the
     /// bytes came from: `"hot"` (in-memory copy), `"remote"` (committed
     /// manifest in the durable tier), or `"witness"` (peer-pinned,
     /// quorum-co-signed copy).
-    CheckpointRestored {
-        /// Owning job.
-        job: u64,
-        /// Manifest id restored from.
-        manifest: u64,
-        /// Training step restored to.
-        step: u64,
-        /// Bytes read for the restore.
-        bytes: u64,
-        /// Tier the restore read: `"hot"`, `"remote"`, or `"witness"`.
-        source: String,
-    },
+    CheckpointRestored(Box<CheckpointRestored>),
     /// A manifest's hot-tier copy was dropped (capacity eviction, a newer
     /// save superseding it, or invalidation when its owner crashed). Until
     /// its commit record lands, the manifest is unrestorable.
@@ -357,16 +320,7 @@ pub enum EventKind {
     /// `"witness-quorum"` (peer-elected recoverer restoring the co-signed
     /// manifest). Both paths report latency in the same unit so
     /// experiments can compare them row-for-row.
-    JobRecovered {
-        /// Job id.
-        job: u64,
-        /// Stable recovery-path name.
-        path: String,
-        /// Crash-to-resume downtime in microseconds (restore included).
-        latency_us: u64,
-        /// Training step the job resumed from.
-        step: u64,
-    },
+    JobRecovered(Box<JobRecovered>),
 
     // --- Chaos harness (sim::faultplan) ---
     /// The chaos driver injected one scripted fault from a
@@ -374,52 +328,185 @@ pub enum EventKind {
     /// [`FaultKind::name`](dlrover_sim::FaultKind::name) string and
     /// `target` the resolved target index, so the oracle can match each
     /// injection to the recovery that must follow it.
-    FaultInjected {
-        /// Position of the event in its plan.
-        fault: u64,
-        /// Stable fault-kind name (e.g. `"WorkerKill"`).
-        kind: String,
-        /// Resolved target index (worker/PS/node) or burst size.
-        target: u64,
-    },
+    FaultInjected(Box<FaultInjected>),
 
     // --- Execution-plan reconfiguration (master, optimizer) ---
     /// A reconfiguration window committed: the job now runs under the new
     /// execution plan (Rubick-style plan switch riding the §5.2 seamless
     /// migration path). `samples_done` is the training watermark at commit
     /// — the oracle's reconfig invariant checks it never regresses.
-    ReconfigApplied {
-        /// Job id.
-        job: u64,
-        /// Monotone reconfiguration-window id (unique per job run).
-        window: u64,
-        /// Gradient mode label (`"async"` / `"sync"`).
-        mode: String,
-        /// Effective per-worker batch size under the new plan.
-        batch: u32,
-        /// PS replication factor.
-        replicas: u32,
-        /// Embedding-shard count of the layout (PS partitions).
-        shards: u32,
-        /// Samples-done watermark at commit time.
-        samples_done: u64,
-        /// Training pause charged for the handoff, microseconds.
-        pause_us: u64,
-    },
+    ReconfigApplied(Box<ReconfigApplied>),
     /// An open reconfiguration window was rolled back — a fault landed
     /// inside the window, so the job reverted to its previous committed
     /// plan. Exactly one of `ReconfigApplied`/`ReconfigRolledBack` must be
     /// observed per window id.
-    ReconfigRolledBack {
-        /// Job id.
-        job: u64,
-        /// Window id that was aborted.
-        window: u64,
-        /// Why the window was aborted (e.g. `"master-crash"`).
-        reason: String,
-        /// Samples-done watermark at rollback time.
-        samples_done: u64,
-    },
+    ReconfigRolledBack(Box<ReconfigRolledBack>),
+}
+
+/// `payload.into()` records a boxed variant: `CheckpointStaged { .. }.into()`
+/// is `EventKind::CheckpointStaged(Box::new(CheckpointStaged { .. }))`.
+macro_rules! boxed_variants {
+    ($($name:ident),*) => {$(
+        impl From<$name> for EventKind {
+            fn from(fields: $name) -> Self {
+                EventKind::$name(Box::new(fields))
+            }
+        }
+    )*};
+}
+boxed_variants!(
+    RetryAttempt,
+    RetryExhausted,
+    PolicyDecisionMade,
+    CheckpointStaged,
+    CheckpointCommitted,
+    CheckpointRestored,
+    JobRecovered,
+    FaultInjected,
+    ReconfigApplied,
+    ReconfigRolledBack
+);
+
+/// Fields of [`EventKind::RetryAttempt`]; boxed because 28 bytes of fields and a
+/// tag do not fit the 24 bytes [`EventKind`] is held to.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct RetryAttempt {
+    /// Stable operation name (e.g. `"replace_worker"`).
+    pub op: String,
+    /// 1-based attempt number under the governing policy.
+    pub attempt: u32,
+}
+
+/// Fields of [`EventKind::RetryExhausted`]; boxed because 28 bytes of fields and a
+/// tag do not fit the 24 bytes [`EventKind`] is held to.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct RetryExhausted {
+    /// Stable operation name.
+    pub op: String,
+    /// Total attempts made before giving up.
+    pub attempts: u32,
+}
+
+/// Fields of [`EventKind::PolicyDecisionMade`]; boxed because 44 bytes of fields and a
+/// tag do not fit the 24 bytes [`EventKind`] is held to.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct PolicyDecisionMade {
+    /// Job id.
+    pub job: u64,
+    /// Stable policy name (e.g. `"dl2"`, `"drl"`).
+    pub policy: Cow<'static, str>,
+    /// Action index in the policy's fixed action vocabulary.
+    pub action: u32,
+    /// Worker count after the action.
+    pub workers: u32,
+    /// PS count after the action.
+    pub ps: u32,
+}
+
+/// Fields of [`EventKind::CheckpointStaged`]; boxed because 40 bytes of fields and a
+/// tag do not fit the 24 bytes [`EventKind`] is held to.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct CheckpointStaged {
+    /// Owning job.
+    pub job: u64,
+    /// Plane-assigned manifest id (unique per save).
+    pub manifest: u64,
+    /// Training step at the snapshot.
+    pub step: u64,
+    /// Logical checkpoint size in bytes.
+    pub bytes: u64,
+    /// Bytes actually new to the plane (after content-chunk dedup).
+    pub new_bytes: u64,
+}
+
+/// Fields of [`EventKind::CheckpointCommitted`]; boxed because 24 bytes of fields and a
+/// tag do not fit the 24 bytes [`EventKind`] is held to.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct CheckpointCommitted {
+    /// Owning job.
+    pub job: u64,
+    /// Manifest id.
+    pub manifest: u64,
+    /// Training step of the committed checkpoint.
+    pub step: u64,
+}
+
+/// Fields of [`EventKind::CheckpointRestored`]; boxed because 56 bytes of fields and a
+/// tag do not fit the 24 bytes [`EventKind`] is held to.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct CheckpointRestored {
+    /// Owning job.
+    pub job: u64,
+    /// Manifest id restored from.
+    pub manifest: u64,
+    /// Training step restored to.
+    pub step: u64,
+    /// Bytes read for the restore.
+    pub bytes: u64,
+    /// Tier the restore read: `"hot"`, `"remote"`, or `"witness"`.
+    pub source: Cow<'static, str>,
+}
+
+/// Fields of [`EventKind::JobRecovered`]; boxed because 48 bytes of fields and a
+/// tag do not fit the 24 bytes [`EventKind`] is held to.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct JobRecovered {
+    /// Job id.
+    pub job: u64,
+    /// Stable recovery-path name.
+    pub path: Cow<'static, str>,
+    /// Crash-to-resume downtime in microseconds (restore included).
+    pub latency_us: u64,
+    /// Training step the job resumed from.
+    pub step: u64,
+}
+
+/// Fields of [`EventKind::FaultInjected`]; boxed because 40 bytes of fields and a
+/// tag do not fit the 24 bytes [`EventKind`] is held to.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct FaultInjected {
+    /// Position of the event in its plan.
+    pub fault: u64,
+    /// Stable fault-kind name (e.g. `"WorkerKill"`).
+    pub kind: Cow<'static, str>,
+    /// Resolved target index (worker/PS/node) or burst size.
+    pub target: u64,
+}
+
+/// Fields of [`EventKind::ReconfigApplied`]; boxed because 68 bytes of fields and a
+/// tag do not fit the 24 bytes [`EventKind`] is held to.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ReconfigApplied {
+    /// Job id.
+    pub job: u64,
+    /// Monotone reconfiguration-window id (unique per job run).
+    pub window: u64,
+    /// Gradient mode label (`"async"` / `"sync"`).
+    pub mode: Cow<'static, str>,
+    /// Effective per-worker batch size under the new plan.
+    pub batch: u32,
+    /// PS replication factor.
+    pub replicas: u32,
+    /// Embedding-shard count of the layout (PS partitions).
+    pub shards: u32,
+    /// Samples-done watermark at commit time.
+    pub samples_done: u64,
+    /// Training pause charged for the handoff, microseconds.
+    pub pause_us: u64,
+}
+
+/// Fields of [`EventKind::ReconfigRolledBack`]; boxed because 48 bytes of fields and a
+/// tag do not fit the 24 bytes [`EventKind`] is held to.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ReconfigRolledBack {
+    /// Job id.
+    pub job: u64,
+    /// Window id that was aborted.
+    pub window: u64,
+    /// Why the window was aborted (e.g. `"master-crash"`).
+    pub reason: Cow<'static, str>,
+    /// Samples-done watermark at rollback time.
+    pub samples_done: u64,
 }
 
 /// A pod's role, mirrored into the telemetry vocabulary (the crate cannot
@@ -520,7 +607,7 @@ mod tests {
         assert_eq!(EventKind::PodPlaced { pod: 0, node: 0 }.name(), "PodPlaced");
         assert_eq!(EventKind::OomPrevented { job: 1, new_alloc_bytes: 2 }.name(), "OomPrevented");
         assert_eq!(
-            EventKind::RetryAttempt { op: "replace_worker".into(), attempt: 2 }.name(),
+            EventKind::from(RetryAttempt { op: "replace_worker".into(), attempt: 2 }).name(),
             "RetryAttempt"
         );
         assert_eq!(EventKind::NodeBlacklisted { node: 3, failures: 3 }.name(), "NodeBlacklisted");
@@ -529,13 +616,13 @@ mod tests {
             "MasterRestarted"
         );
         assert_eq!(
-            EventKind::PolicyDecisionMade {
+            EventKind::from(PolicyDecisionMade {
                 job: 0,
                 policy: "dl2".into(),
                 action: 1,
                 workers: 3,
                 ps: 2
-            }
+            })
             .name(),
             "PolicyDecisionMade"
         );
@@ -544,33 +631,39 @@ mod tests {
             "PolicyRewardObserved"
         );
         assert_eq!(
-            EventKind::CheckpointStaged { job: 0, manifest: 1, step: 2, bytes: 3, new_bytes: 4 }
-                .name(),
+            EventKind::from(CheckpointStaged {
+                job: 0,
+                manifest: 1,
+                step: 2,
+                bytes: 3,
+                new_bytes: 4
+            })
+            .name(),
             "CheckpointStaged"
         );
         assert_eq!(
-            EventKind::CheckpointRestored {
+            EventKind::from(CheckpointRestored {
                 job: 0,
                 manifest: 1,
                 step: 2,
                 bytes: 3,
                 source: "remote".into()
-            }
+            })
             .name(),
             "CheckpointRestored"
         );
         assert_eq!(
-            EventKind::JobRecovered {
+            EventKind::from(JobRecovered {
                 job: 0,
                 path: "witness-quorum".into(),
                 latency_us: 5,
                 step: 2
-            }
+            })
             .name(),
             "JobRecovered"
         );
         assert_eq!(
-            EventKind::ReconfigApplied {
+            EventKind::from(ReconfigApplied {
                 job: 0,
                 window: 1,
                 mode: "sync".into(),
@@ -579,17 +672,17 @@ mod tests {
                 shards: 4,
                 samples_done: 9000,
                 pause_us: 20_000_000
-            }
+            })
             .name(),
             "ReconfigApplied"
         );
         assert_eq!(
-            EventKind::ReconfigRolledBack {
+            EventKind::from(ReconfigRolledBack {
                 job: 0,
                 window: 1,
                 reason: "master-crash".into(),
                 samples_done: 9000
-            }
+            })
             .name(),
             "ReconfigRolledBack"
         );
@@ -600,7 +693,7 @@ mod tests {
         let e = Event {
             at_us: 3_000_000,
             seq: 9,
-            kind: EventKind::ReconfigApplied {
+            kind: ReconfigApplied {
                 job: 2,
                 window: 0,
                 mode: "async".into(),
@@ -609,10 +702,216 @@ mod tests {
                 shards: 2,
                 samples_done: 4096,
                 pause_us: 0,
-            },
+            }
+            .into(),
         };
         let s = serde_json::to_string(&e).unwrap();
         let back: Event = serde_json::from_str(&s).unwrap();
         assert_eq!(back, e);
+    }
+
+    /// One value of every variant against the JSON line the struct-variant
+    /// enum wrote for it before the wide variants were boxed: a boxed
+    /// payload must serialize exactly as the fields it replaced, and parse
+    /// back to the same value.
+    #[test]
+    fn every_variant_serializes_as_before() {
+        let cases: Vec<(EventKind, &str)> = vec![
+            (
+                EventKind::PodRequested {
+                    job: 1000003,
+                    pod: 2000006,
+                    role: PodKind::ParameterServer,
+                },
+                r#"{"PodRequested":{"job":1000003,"pod":2000006,"role":"ParameterServer"}}"#,
+            ),
+            (
+                EventKind::PodPlaced { pod: 4000012, node: 5 },
+                r#"{"PodPlaced":{"pod":4000012,"node":5}}"#,
+            ),
+            (EventKind::PodPreempted { pod: 6000018 }, r#"{"PodPreempted":{"pod":6000018}}"#),
+            (EventKind::PodFailed { pod: 7000021 }, r#"{"PodFailed":{"pod":7000021}}"#),
+            (EventKind::NodeFailed { node: 8 }, r#"{"NodeFailed":{"node":8}}"#),
+            (EventKind::WorkerAdded { worker: 9000027 }, r#"{"WorkerAdded":{"worker":9000027}}"#),
+            (
+                EventKind::WorkerRemoved { worker: 10000030 },
+                r#"{"WorkerRemoved":{"worker":10000030}}"#,
+            ),
+            (
+                EventKind::WorkerFailed { worker: 11000033 },
+                r#"{"WorkerFailed":{"worker":11000033}}"#,
+            ),
+            (EventKind::PsReshaped { ps: 12000036 }, r#"{"PsReshaped":{"ps":12000036}}"#),
+            (
+                EventKind::ShardAcked { worker: 13000039, len: 14000042 },
+                r#"{"ShardAcked":{"worker":13000039,"len":14000042}}"#,
+            ),
+            (
+                EventKind::ScalingPlanApplied {
+                    job: 15000045,
+                    workers: 16,
+                    ps: 17,
+                    strategy: MigrationKind::StopAndRestart,
+                },
+                r#"{"ScalingPlanApplied":{"job":15000045,"workers":16,"ps":17,"strategy":"StopAndRestart"}}"#,
+            ),
+            (
+                EventKind::OomPredicted { job: 19000057, required_bytes: 20000060 },
+                r#"{"OomPredicted":{"job":19000057,"required_bytes":20000060}}"#,
+            ),
+            (
+                EventKind::OomPrevented { job: 21000063, new_alloc_bytes: 22000066 },
+                r#"{"OomPrevented":{"job":21000063,"new_alloc_bytes":22000066}}"#,
+            ),
+            (
+                EventKind::Oomed { job: 23000069, ps: 24000072 },
+                r#"{"Oomed":{"job":23000069,"ps":24000072}}"#,
+            ),
+            (
+                EventKind::HotPsDetected { job: 25000075, ps: 26000078 },
+                r#"{"HotPsDetected":{"job":25000075,"ps":26000078}}"#,
+            ),
+            (
+                EventKind::HotPsMitigated { job: 27000081, ps: 28000084 },
+                r#"{"HotPsMitigated":{"job":27000081,"ps":28000084}}"#,
+            ),
+            (
+                EventKind::JobAdmitted { job: 29000087, workers: 30, ps: 31, warm_start: true },
+                r#"{"JobAdmitted":{"job":29000087,"workers":30,"ps":31,"warm_start":true}}"#,
+            ),
+            (
+                EventKind::PolicyAdjusted { job: 33000099, workers: 34, ps: 35 },
+                r#"{"PolicyAdjusted":{"job":33000099,"workers":34,"ps":35}}"#,
+            ),
+            (
+                EventKind::PlanSelected { job: 36000108, gain_x1000: 37000111 },
+                r#"{"PlanSelected":{"job":36000108,"gain_x1000":37000111}}"#,
+            ),
+            (EventKind::JobStarted { job: 38000114 }, r#"{"JobStarted":{"job":38000114}}"#),
+            (EventKind::JobCompleted { job: 39000117 }, r#"{"JobCompleted":{"job":39000117}}"#),
+            (
+                RetryAttempt { op: "replace-ps1-3".into(), attempt: 41 }.into(),
+                r#"{"RetryAttempt":{"op":"replace-ps1-3","attempt":41}}"#,
+            ),
+            (
+                RetryExhausted { op: "replace-ps1-3".into(), attempts: 43 }.into(),
+                r#"{"RetryExhausted":{"op":"replace-ps1-3","attempts":43}}"#,
+            ),
+            (
+                EventKind::NodeBlacklisted { node: 44, failures: 45 },
+                r#"{"NodeBlacklisted":{"node":44,"failures":45}}"#,
+            ),
+            (
+                EventKind::JobDegraded { job: 46000138, workers: 47, ps: 48 },
+                r#"{"JobDegraded":{"job":46000138,"workers":47,"ps":48}}"#,
+            ),
+            (
+                EventKind::MasterRestarted { job: 49000147, samples_done: 50000150, workers: 51 },
+                r#"{"MasterRestarted":{"job":49000147,"samples_done":50000150,"workers":51}}"#,
+            ),
+            (
+                EventKind::SilentWorkerDetected { job: 52000156, worker: 53000159 },
+                r#"{"SilentWorkerDetected":{"job":52000156,"worker":53000159}}"#,
+            ),
+            (
+                PolicyDecisionMade {
+                    job: 54000162,
+                    policy: "dl2".into(),
+                    action: 56,
+                    workers: 57,
+                    ps: 58,
+                }
+                .into(),
+                r#"{"PolicyDecisionMade":{"job":54000162,"policy":"dl2","action":56,"workers":57,"ps":58}}"#,
+            ),
+            (
+                EventKind::PolicyRewardObserved { job: 59000177, episode: 60, reward_x1000: -61 },
+                r#"{"PolicyRewardObserved":{"job":59000177,"episode":60,"reward_x1000":-61}}"#,
+            ),
+            (
+                CheckpointStaged {
+                    job: 62000186,
+                    manifest: 63000189,
+                    step: 64000192,
+                    bytes: 65000195,
+                    new_bytes: 66000198,
+                }
+                .into(),
+                r#"{"CheckpointStaged":{"job":62000186,"manifest":63000189,"step":64000192,"bytes":65000195,"new_bytes":66000198}}"#,
+            ),
+            (
+                CheckpointCommitted { job: 67000201, manifest: 68000204, step: 69000207 }.into(),
+                r#"{"CheckpointCommitted":{"job":67000201,"manifest":68000204,"step":69000207}}"#,
+            ),
+            (
+                CheckpointRestored {
+                    job: 70000210,
+                    manifest: 71000213,
+                    step: 72000216,
+                    bytes: 73000219,
+                    source: "witness".into(),
+                }
+                .into(),
+                r#"{"CheckpointRestored":{"job":70000210,"manifest":71000213,"step":72000216,"bytes":73000219,"source":"witness"}}"#,
+            ),
+            (
+                EventKind::CheckpointHotEvicted { job: 75000225, manifest: 76000228 },
+                r#"{"CheckpointHotEvicted":{"job":75000225,"manifest":76000228}}"#,
+            ),
+            (
+                EventKind::ManifestCorrupted { job: 77000231, manifest: 78000234 },
+                r#"{"ManifestCorrupted":{"job":77000231,"manifest":78000234}}"#,
+            ),
+            (
+                EventKind::WitnessQuorumReached { job: 79000237, manifest: 80000240, peers: 81 },
+                r#"{"WitnessQuorumReached":{"job":79000237,"manifest":80000240,"peers":81}}"#,
+            ),
+            (
+                JobRecovered {
+                    job: 82000246,
+                    path: "witness-quorum".into(),
+                    latency_us: 84000252,
+                    step: 85000255,
+                }
+                .into(),
+                r#"{"JobRecovered":{"job":82000246,"path":"witness-quorum","latency_us":84000252,"step":85000255}}"#,
+            ),
+            (
+                FaultInjected { fault: 86000258, kind: "MemoryPressure".into(), target: 88000264 }
+                    .into(),
+                r#"{"FaultInjected":{"fault":86000258,"kind":"MemoryPressure","target":88000264}}"#,
+            ),
+            (
+                ReconfigApplied {
+                    job: 89000267,
+                    window: 90000270,
+                    mode: "sync".into(),
+                    batch: 92,
+                    replicas: 93,
+                    shards: 94,
+                    samples_done: 95000285,
+                    pause_us: 96000288,
+                }
+                .into(),
+                r#"{"ReconfigApplied":{"job":89000267,"window":90000270,"mode":"sync","batch":92,"replicas":93,"shards":94,"samples_done":95000285,"pause_us":96000288}}"#,
+            ),
+            (
+                ReconfigRolledBack {
+                    job: 97000291,
+                    window: 98000294,
+                    reason: "master-crash".into(),
+                    samples_done: 100000300,
+                }
+                .into(),
+                r#"{"ReconfigRolledBack":{"job":97000291,"window":98000294,"reason":"master-crash","samples_done":100000300}}"#,
+            ),
+        ];
+        let names: std::collections::BTreeSet<_> = cases.iter().map(|(k, _)| k.name()).collect();
+        assert_eq!(names.len(), 39, "one case per variant");
+        for (kind, json) in cases {
+            assert_eq!(serde_json::to_string(&kind).unwrap(), json, "{}", kind.name());
+            let back: EventKind = serde_json::from_str(json).unwrap();
+            assert_eq!(back, kind, "{}", kind.name());
+        }
     }
 }

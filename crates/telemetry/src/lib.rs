@@ -36,7 +36,11 @@ mod oracle;
 pub mod prof;
 mod span;
 
-pub use event::{Event, EventKind, MigrationKind, PodKind};
+pub use event::{
+    CheckpointCommitted, CheckpointRestored, CheckpointStaged, Event, EventKind, FaultInjected,
+    JobRecovered, MigrationKind, PodKind, PolicyDecisionMade, ReconfigApplied, ReconfigRolledBack,
+    RetryAttempt, RetryExhausted,
+};
 pub use log::{diff_jsonl, EventLog, LogDiff};
 pub use metrics::{Histogram, MetricsRegistry, SeriesPoint, TimeSeries};
 pub use oracle::{GroundTruth, Invariant, InvariantCheck, Oracle, OracleConfig, OracleReport};

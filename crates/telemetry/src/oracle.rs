@@ -41,7 +41,10 @@
 use dlrover_sim::{FaultPlan, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-use crate::event::{Event, EventKind, PodKind};
+use crate::event::{
+    CheckpointRestored, CheckpointStaged, Event, EventKind, FaultInjected, PodKind,
+    ReconfigApplied, ReconfigRolledBack, RetryAttempt,
+};
 
 /// Oracle knobs. Defaults match the paper's operating regime: §2.2 puts
 /// pod preparation at 5–10 minutes (tail past 30 under scarcity), so half
@@ -255,11 +258,11 @@ impl Oracle {
         let mut bytes_violations = Vec::new();
         for e in events {
             match &e.kind {
-                EventKind::CheckpointStaged { job, manifest, bytes, .. } => {
-                    staged_bytes.insert((*job, *manifest), *bytes);
+                EventKind::CheckpointStaged(c) => {
+                    staged_bytes.insert((c.job, c.manifest), c.bytes);
                 }
-                EventKind::CheckpointCommitted { job, manifest, .. } => {
-                    committed.insert((*job, *manifest));
+                EventKind::CheckpointCommitted(c) => {
+                    committed.insert((c.job, c.manifest));
                 }
                 EventKind::WitnessQuorumReached { job, manifest, .. } => {
                     witnessed.insert((*job, *manifest));
@@ -270,9 +273,10 @@ impl Oracle {
                 EventKind::ManifestCorrupted { job, manifest } => {
                     corrupted.insert((*job, *manifest));
                 }
-                EventKind::CheckpointRestored { job, manifest, bytes, source, .. } => {
+                EventKind::CheckpointRestored(r) => {
+                    let CheckpointRestored { job, manifest, bytes, source, .. } = &**r;
                     let key = (*job, *manifest);
-                    let legitimate = match source.as_str() {
+                    let legitimate = match source.as_ref() {
                         "hot" => {
                             staged_bytes.contains_key(&key)
                                 && !hot_dead.contains(&key)
@@ -343,16 +347,17 @@ impl Oracle {
         };
         for e in events {
             match &e.kind {
-                EventKind::ReconfigApplied {
-                    job,
-                    window,
-                    mode,
-                    batch,
-                    replicas,
-                    shards,
-                    samples_done,
-                    ..
-                } => {
+                EventKind::ReconfigApplied(r) => {
+                    let ReconfigApplied {
+                        job,
+                        window,
+                        mode,
+                        batch,
+                        replicas,
+                        shards,
+                        samples_done,
+                        ..
+                    } = &**r;
                     if let Some(prev) = resolved.insert((*job, *window), "applied") {
                         violations.push(format!(
                             "job {job}: reconfig window {window} resolved twice \
@@ -373,7 +378,8 @@ impl Oracle {
                     }
                     check_watermark(*job, *samples_done, "ReconfigApplied", &mut violations);
                 }
-                EventKind::ReconfigRolledBack { job, window, samples_done, .. } => {
+                EventKind::ReconfigRolledBack(r) => {
+                    let ReconfigRolledBack { job, window, samples_done, .. } = &**r;
                     if let Some(prev) = resolved.insert((*job, *window), "rolled back") {
                         violations.push(format!(
                             "job {job}: reconfig window {window} resolved twice \
@@ -445,7 +451,8 @@ impl Oracle {
                 | EventKind::FaultInjected { .. } => {
                     last.values_mut().for_each(|(_, failed)| *failed = true);
                 }
-                EventKind::CheckpointStaged { job, step, .. } => {
+                EventKind::CheckpointStaged(c) => {
+                    let CheckpointStaged { job, step, .. } = &**c;
                     if let Some(&(prev, false)) = last.get(job) {
                         if *step < prev {
                             violations.push(format!(
@@ -475,7 +482,7 @@ impl Oracle {
         let mut open_pressure: Vec<u64> = Vec::new(); // injection at_us, FIFO
         for e in events {
             match &e.kind {
-                EventKind::FaultInjected { kind, .. } if kind == "MemoryPressure" => {
+                EventKind::FaultInjected(f) if f.kind == "MemoryPressure" => {
                     open_pressure.push(e.at_us);
                 }
                 EventKind::OomPrevented { .. } => {
@@ -561,7 +568,8 @@ impl Oracle {
         // Likewise for the replacement pods the job requested.
         let mut next_request = 0usize;
         for (i, e) in events.iter().enumerate() {
-            let EventKind::FaultInjected { fault, kind, .. } = &e.kind else { continue };
+            let EventKind::FaultInjected(f) = &e.kind else { continue };
+            let FaultInjected { fault, kind, .. } = &**f;
             let is_ps_kill = kind == "PsKill";
             let is_kill = is_ps_kill
                 || kind == "WorkerKill"
@@ -686,7 +694,8 @@ impl Oracle {
     fn check_no_retry_storm(&self, events: &[Event]) -> InvariantCheck {
         let mut worst: std::collections::BTreeMap<&str, u32> = std::collections::BTreeMap::new();
         for e in events {
-            if let EventKind::RetryAttempt { op, attempt } = &e.kind {
+            if let EventKind::RetryAttempt(r) = &e.kind {
+                let RetryAttempt { op, attempt } = &**r;
                 let w = worst.entry(op.as_str()).or_insert(0);
                 *w = (*w).max(*attempt);
             }
@@ -756,6 +765,7 @@ fn replacement_pod(events: &[Event], from: usize) -> (usize, Option<usize>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{CheckpointCommitted, JobRecovered, RetryExhausted};
     use dlrover_sim::{FaultEvent, FaultKind};
 
     fn ev(at_s: u64, seq: u64, kind: EventKind) -> Event {
@@ -784,7 +794,7 @@ mod tests {
     #[test]
     fn clean_run_passes_every_invariant() {
         let events = vec![
-            ev(100, 0, EventKind::FaultInjected { fault: 0, kind: "WorkerKill".into(), target: 1 }),
+            ev(100, 0, FaultInjected { fault: 0, kind: "WorkerKill".into(), target: 1 }.into()),
             ev(100, 1, EventKind::WorkerFailed { worker: 1 }),
             ev(130, 2, EventKind::WorkerAdded { worker: 3 }),
             ev(200, 3, staged(0, 50)),
@@ -814,7 +824,7 @@ mod tests {
 
     /// A plane save of `job` at `step`.
     fn staged(job: u64, step: u64) -> EventKind {
-        EventKind::CheckpointStaged { job, manifest: step, step, bytes: 1, new_bytes: 1 }
+        CheckpointStaged { job, manifest: step, step, bytes: 1, new_bytes: 1 }.into()
     }
 
     fn monotonic_verdict(events: &[Event]) -> InvariantCheck {
@@ -845,11 +855,7 @@ mod tests {
     #[test]
     fn an_actual_oom_is_a_missed_deadline() {
         let events = vec![
-            ev(
-                100,
-                0,
-                EventKind::FaultInjected { fault: 0, kind: "MemoryPressure".into(), target: 0 },
-            ),
+            ev(100, 0, FaultInjected { fault: 0, kind: "MemoryPressure".into(), target: 0 }.into()),
             ev(160, 1, EventKind::Oomed { job: 0, ps: 0 }),
         ];
         let report = Oracle::default().check(&FaultPlan::default(), &events, &clean_truth());
@@ -857,11 +863,7 @@ mod tests {
         assert!(!ck.passed);
 
         let prevented = vec![
-            ev(
-                100,
-                0,
-                EventKind::FaultInjected { fault: 0, kind: "MemoryPressure".into(), target: 0 },
-            ),
+            ev(100, 0, FaultInjected { fault: 0, kind: "MemoryPressure".into(), target: 0 }.into()),
             ev(130, 1, EventKind::OomPrevented { job: 0, new_alloc_bytes: 1 }),
         ];
         let report = Oracle::default().check(&FaultPlan::default(), &prevented, &clean_truth());
@@ -872,7 +874,7 @@ mod tests {
     #[test]
     fn missing_recovery_violates_unless_job_completed_first() {
         let events = vec![
-            ev(100, 0, EventKind::FaultInjected { fault: 0, kind: "WorkerKill".into(), target: 1 }),
+            ev(100, 0, FaultInjected { fault: 0, kind: "WorkerKill".into(), target: 1 }.into()),
             ev(100, 1, EventKind::WorkerFailed { worker: 1 }),
         ];
         // Job ran on for hours with no replacement: violation.
@@ -894,8 +896,7 @@ mod tests {
         // replacement. Counting victims up to the end of the instant made
         // fault 0 claim both failures and both replacements, leaving
         // fault 1 with a false "no replacement worker".
-        let marker =
-            |fault| EventKind::FaultInjected { fault, kind: "WorkerKill".into(), target: 0 };
+        let marker = |fault| FaultInjected { fault, kind: "WorkerKill".into(), target: 0 }.into();
         let events = vec![
             ev(100, 0, marker(0)),
             ev(100, 1, EventKind::WorkerFailed { worker: 1 }),
@@ -921,7 +922,7 @@ mod tests {
         joined_s: Option<u64>,
     ) -> (InvariantCheck, Vec<u64>) {
         let mut events = vec![
-            ev(100, 0, EventKind::FaultInjected { fault: 0, kind: "WorkerKill".into(), target: 1 }),
+            ev(100, 0, FaultInjected { fault: 0, kind: "WorkerKill".into(), target: 1 }.into()),
             ev(100, 1, EventKind::WorkerFailed { worker: 1 }),
             ev(100, 2, EventKind::PodRequested { job: 0, pod: 7, role }),
         ];
@@ -967,7 +968,7 @@ mod tests {
         // One node loss kills two workers; one replacement pod is placed at
         // once, the other never. Both joins are late: only one is excused.
         let events = vec![
-            ev(100, 0, EventKind::FaultInjected { fault: 0, kind: "NodeLoss".into(), target: 3 }),
+            ev(100, 0, FaultInjected { fault: 0, kind: "NodeLoss".into(), target: 3 }.into()),
             ev(100, 1, EventKind::WorkerFailed { worker: 1 }),
             ev(100, 2, EventKind::PodRequested { job: 0, pod: 7, role: PodKind::Worker }),
             ev(100, 3, EventKind::PodPlaced { pod: 7, node: 0 }),
@@ -990,7 +991,7 @@ mod tests {
         // and a worker joins only past the deadline. Matched by position
         // alone, the placed PS pod would excuse the late join.
         let events = vec![
-            ev(100, 0, EventKind::FaultInjected { fault: 0, kind: "NodeLoss".into(), target: 3 }),
+            ev(100, 0, FaultInjected { fault: 0, kind: "NodeLoss".into(), target: 3 }.into()),
             ev(100, 1, EventKind::PodFailed { pod: 2 }),
             ev(100, 2, EventKind::PsReshaped { ps: 2 }),
             ev(100, 3, EventKind::PodRequested { job: 0, pod: 7, role: PodKind::ParameterServer }),
@@ -1009,11 +1010,7 @@ mod tests {
     #[test]
     fn same_instant_degradation_after_the_marker_waives_the_deadline() {
         let kill = |seq| {
-            ev(
-                100,
-                seq,
-                EventKind::FaultInjected { fault: 0, kind: "WorkerKill".into(), target: 1 },
-            )
+            ev(100, seq, FaultInjected { fault: 0, kind: "WorkerKill".into(), target: 1 }.into())
         };
         let degraded = |seq| ev(100, seq, EventKind::JobDegraded { job: 0, workers: 3, ps: 2 });
         let truth = GroundTruth { completed_at: Some(SimTime::from_secs(36_000)), ..clean_truth() };
@@ -1046,9 +1043,9 @@ mod tests {
     #[test]
     fn bounded_retries_pass_but_a_storm_is_flagged() {
         let bounded = vec![
-            ev(100, 0, EventKind::RetryAttempt { op: "replace_worker".into(), attempt: 1 }),
-            ev(105, 1, EventKind::RetryAttempt { op: "replace_worker".into(), attempt: 2 }),
-            ev(115, 2, EventKind::RetryExhausted { op: "replace_worker".into(), attempts: 2 }),
+            ev(100, 0, RetryAttempt { op: "replace_worker".into(), attempt: 1 }.into()),
+            ev(105, 1, RetryAttempt { op: "replace_worker".into(), attempt: 2 }.into()),
+            ev(115, 2, RetryExhausted { op: "replace_worker".into(), attempts: 2 }.into()),
         ];
         let report = Oracle::default().check(&FaultPlan::default(), &bounded, &clean_truth());
         assert!(report.passed(), "{:?}", report.violations());
@@ -1059,7 +1056,7 @@ mod tests {
                 ev(
                     100 + i,
                     i,
-                    EventKind::RetryAttempt { op: "scale_out".into(), attempt: i as u32 + 1 },
+                    RetryAttempt { op: "scale_out".into(), attempt: i as u32 + 1 }.into(),
                 )
             })
             .collect();
@@ -1099,24 +1096,20 @@ mod tests {
             ev(
                 10,
                 0,
-                EventKind::CheckpointStaged {
-                    job: 0,
-                    manifest: 1,
-                    step: 5,
-                    bytes: 100,
-                    new_bytes: 100,
-                },
+                CheckpointStaged { job: 0, manifest: 1, step: 5, bytes: 100, new_bytes: 100 }
+                    .into(),
             ),
             ev(
                 50,
                 1,
-                EventKind::CheckpointRestored {
+                CheckpointRestored {
                     job: 0,
                     manifest: 1,
                     step: 5,
                     bytes: 100,
                     source: "remote".into(),
-                },
+                }
+                .into(),
             ),
         ];
         let (durable, bytes_ok) = Oracle::check_durability(&bad);
@@ -1128,25 +1121,21 @@ mod tests {
             ev(
                 10,
                 0,
-                EventKind::CheckpointStaged {
-                    job: 0,
-                    manifest: 1,
-                    step: 5,
-                    bytes: 100,
-                    new_bytes: 100,
-                },
+                CheckpointStaged { job: 0, manifest: 1, step: 5, bytes: 100, new_bytes: 100 }
+                    .into(),
             ),
-            ev(40, 1, EventKind::CheckpointCommitted { job: 0, manifest: 1, step: 5 }),
+            ev(40, 1, CheckpointCommitted { job: 0, manifest: 1, step: 5 }.into()),
             ev(
                 50,
                 2,
-                EventKind::CheckpointRestored {
+                CheckpointRestored {
                     job: 0,
                     manifest: 1,
                     step: 5,
                     bytes: 100,
                     source: "remote".into(),
-                },
+                }
+                .into(),
             ),
         ];
         let (durable, bytes_ok) = Oracle::check_durability(&good);
@@ -1162,50 +1151,47 @@ mod tests {
             ev(
                 10,
                 0,
-                EventKind::CheckpointStaged {
-                    job: 1,
-                    manifest: 7,
-                    step: 3,
-                    bytes: 64,
-                    new_bytes: 64,
-                },
+                CheckpointStaged { job: 1, manifest: 7, step: 3, bytes: 64, new_bytes: 64 }.into(),
             ),
             ev(15, 1, EventKind::CheckpointHotEvicted { job: 1, manifest: 7 }),
             ev(
                 20,
                 2,
-                EventKind::CheckpointRestored {
+                CheckpointRestored {
                     job: 1,
                     manifest: 7,
                     step: 3,
                     bytes: 64,
                     source: "hot".into(),
-                },
+                }
+                .into(),
             ),
             ev(30, 3, EventKind::WitnessQuorumReached { job: 2, manifest: 9, peers: 3 }),
             ev(
                 35,
                 4,
-                EventKind::CheckpointRestored {
+                CheckpointRestored {
                     job: 2,
                     manifest: 9,
                     step: 1,
                     bytes: 10,
                     source: "witness".into(),
-                },
+                }
+                .into(),
             ),
-            ev(40, 5, EventKind::CheckpointCommitted { job: 3, manifest: 11, step: 2 }),
+            ev(40, 5, CheckpointCommitted { job: 3, manifest: 11, step: 2 }.into()),
             ev(41, 6, EventKind::ManifestCorrupted { job: 3, manifest: 11 }),
             ev(
                 45,
                 7,
-                EventKind::CheckpointRestored {
+                CheckpointRestored {
                     job: 3,
                     manifest: 11,
                     step: 2,
                     bytes: 5,
                     source: "remote".into(),
-                },
+                }
+                .into(),
             ),
         ];
         let (durable, _) = Oracle::check_durability(&events);
@@ -1221,25 +1207,20 @@ mod tests {
             ev(
                 10,
                 0,
-                EventKind::CheckpointStaged {
-                    job: 0,
-                    manifest: 1,
-                    step: 5,
-                    bytes: 100,
-                    new_bytes: 40,
-                },
+                CheckpointStaged { job: 0, manifest: 1, step: 5, bytes: 100, new_bytes: 40 }.into(),
             ),
-            ev(20, 1, EventKind::CheckpointCommitted { job: 0, manifest: 1, step: 5 }),
+            ev(20, 1, CheckpointCommitted { job: 0, manifest: 1, step: 5 }.into()),
             ev(
                 30,
                 2,
-                EventKind::CheckpointRestored {
+                CheckpointRestored {
                     job: 0,
                     manifest: 1,
                     step: 5,
                     bytes: 150,
                     source: "remote".into(),
-                },
+                }
+                .into(),
             ),
         ];
         let (_, bytes_ok) = Oracle::check_durability(&events);
@@ -1261,20 +1242,17 @@ mod tests {
         }]);
         // Recovered (witness path) 90s later: latency recorded.
         let good = vec![
-            ev(
-                100,
-                0,
-                EventKind::FaultInjected { fault: 0, kind: "MasterCrash".into(), target: 0 },
-            ),
+            ev(100, 0, FaultInjected { fault: 0, kind: "MasterCrash".into(), target: 0 }.into()),
             ev(
                 190,
                 1,
-                EventKind::JobRecovered {
+                JobRecovered {
                     job: 0,
                     path: "witness-quorum".into(),
                     latency_us: 90_000_000,
                     step: 4,
-                },
+                }
+                .into(),
             ),
         ];
         let truth = GroundTruth { completed_at: Some(SimTime::from_secs(36_000)), ..clean_truth() };
@@ -1287,7 +1265,7 @@ mod tests {
         let bad = vec![ev(
             100,
             0,
-            EventKind::FaultInjected { fault: 0, kind: "MasterCrash".into(), target: 0 },
+            FaultInjected { fault: 0, kind: "MasterCrash".into(), target: 0 }.into(),
         )];
         let report = Oracle::default().check(&crash_plan, &bad, &truth);
         let ck = report.checks.iter().find(|c| c.invariant == Invariant::RecoveryDeadline).unwrap();
@@ -1308,7 +1286,7 @@ mod tests {
         ev(
             10 * (seq + 1),
             seq,
-            EventKind::ReconfigApplied {
+            ReconfigApplied {
                 job: 0,
                 window,
                 mode: "sync".into(),
@@ -1317,7 +1295,8 @@ mod tests {
                 shards: 2,
                 samples_done,
                 pause_us: 20_000_000,
-            },
+            }
+            .into(),
         )
     }
 
@@ -1329,12 +1308,13 @@ mod tests {
             ev(
                 30,
                 1,
-                EventKind::ReconfigRolledBack {
+                ReconfigRolledBack {
                     job: 0,
                     window: 1,
                     reason: "master-crash".into(),
                     samples_done: 2_000,
-                },
+                }
+                .into(),
             ),
         ];
         assert!(Oracle::check_reconfig_consistency(&clean).passed);
@@ -1350,12 +1330,13 @@ mod tests {
             ev(
                 30,
                 1,
-                EventKind::ReconfigRolledBack {
+                ReconfigRolledBack {
                     job: 0,
                     window: 0,
                     reason: "late".into(),
                     samples_done: 1_500,
-                },
+                }
+                .into(),
             ),
         ];
         assert!(!Oracle::check_reconfig_consistency(&apply_then_rollback).passed);
@@ -1374,7 +1355,7 @@ mod tests {
         let degenerate = vec![ev(
             10,
             0,
-            EventKind::ReconfigApplied {
+            ReconfigApplied {
                 job: 0,
                 window: 0,
                 mode: "warp".into(),
@@ -1383,7 +1364,8 @@ mod tests {
                 shards: 0,
                 samples_done: 0,
                 pause_us: 0,
-            },
+            }
+            .into(),
         )];
         let ck = Oracle::check_reconfig_consistency(&degenerate);
         assert!(!ck.passed);

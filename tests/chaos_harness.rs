@@ -267,7 +267,7 @@ fn reconfig_windows_survive_worker_kill_master_crash_and_tier_outage() {
     let applied: Vec<u64> = events
         .iter()
         .filter_map(|e| match &e.kind {
-            EventKind::ReconfigApplied { window, .. } => Some(*window),
+            EventKind::ReconfigApplied(r) => Some(r.window),
             _ => None,
         })
         .collect();

@@ -230,7 +230,7 @@ fn from_replay_then_ten_ticks_is_pinned() {
     ticks(&mut m, 10);
     let events = m.telemetry().snapshot().events;
     assert!(
-        events.iter().any(|e| matches!(e.kind, EventKind::ReconfigApplied { window: 1, .. })),
+        events.iter().any(|e| matches!(&e.kind, EventKind::ReconfigApplied(r) if r.window == 1)),
         "the rebuilt master's first window is window 1"
     );
     check("from_replay", &m, (0xdd60_9155_216c_13d7, 0xac7d_1e8d_c2ee_d1b9));
