@@ -24,7 +24,10 @@
 //! job one `profile_interval` tick per `step`, each tick the same ordered
 //! phases (DESIGN.md §6); the public functions step it to the end. The
 //! order of RNG draws, cluster calls and telemetry records inside a tick is
-//! pinned by `tests/chaos_snapshot_golden.rs`.
+//! pinned by `tests/chaos_snapshot_golden.rs`. The fault-free reference run
+//! that the oracle's bounded-slowdown check compares against computes beside
+//! the faulted run, on an idle core when one is free
+//! ([`dlrover_sim::idle_cores`]); only the audit at the end reads it.
 
 use dlrover_cluster::{
     Cluster, ClusterConfig, ClusterEvent, NodeId, PodId, PodPhase, PodRole, PodSpec, Priority,
@@ -38,11 +41,12 @@ use dlrover_master::{
 use dlrover_optimizer::ResourceAllocation;
 use dlrover_pstrain::{CheckpointExtent, PodState, TrainingJobSpec, WorkerState};
 use dlrover_sim::{
-    FaultEvent, FaultKind, FaultPlan, FaultPlanConfig, RngStreams, SimDuration, SimTime, StreamRng,
+    idle_cores, Cores, FaultEvent, FaultKind, FaultPlan, FaultPlanConfig, RngStreams, SimDuration,
+    SimTime, StreamRng,
 };
 use dlrover_telemetry::{
-    Event, EventKind, FaultInjected, GroundTruth, Invariant, JobRecovered, Oracle, OracleConfig,
-    OracleReport, SpanCategory, Telemetry,
+    prof, Event, EventKind, FaultInjected, GroundTruth, Invariant, JobRecovered, Oracle,
+    OracleConfig, OracleReport, SpanCategory, Telemetry,
 };
 use serde::{Deserialize, Serialize};
 
@@ -279,6 +283,7 @@ fn baseline_jct(
     alloc: ResourceAllocation,
     cfg: &RunnerConfig,
 ) -> SimDuration {
+    let _p = prof::scope("chaos/reference");
     let mut master = JobMaster::new(0, spec.clone(), alloc, cfg.master);
     master.set_telemetry(Telemetry::null());
     while master.engine().now() < cfg.deadline {
@@ -294,6 +299,12 @@ fn baseline_jct(
     cfg.deadline.saturating_since(SimTime::ZERO)
 }
 
+/// The cores a chaos job's reference run takes: the caller's, and one
+/// idle core for a helper when there is one.
+fn reference_cores() -> Cores {
+    Cores::take(idle_cores(), 2)
+}
+
 /// Runs one job under `plan`, recording everything (including
 /// [`EventKind::FaultInjected`] markers) into `telemetry`, and audits the
 /// stream with the oracle. See the module docs for how each fault kind is
@@ -305,8 +316,7 @@ pub fn run_chaos_job(
     cfg: &ChaosConfig,
     telemetry: &Telemetry,
 ) -> ChaosReport {
-    let baseline = baseline_jct(spec, alloc, &cfg.runner);
-    ChaosDriver::new(spec, alloc, plan, cfg, telemetry, baseline).run(None)
+    run_chaos_job_on(reference_cores(), spec, alloc, plan, cfg, telemetry, None)
 }
 
 /// Like [`run_chaos_job`], but a [`SchedulerPolicy`] drives the job's
@@ -326,8 +336,29 @@ pub fn run_chaos_job_with_policy(
     telemetry: &Telemetry,
 ) -> ChaosReport {
     let alloc = policy.initial_allocation();
-    let baseline = baseline_jct(spec, alloc, &cfg.runner);
-    ChaosDriver::new(spec, alloc, plan, cfg, telemetry, baseline).run(Some(policy))
+    run_chaos_job_on(reference_cores(), spec, alloc, plan, cfg, telemetry, Some(policy))
+}
+
+/// [`run_chaos_job_with_policy`] (or, without a policy, [`run_chaos_job`])
+/// with the job's [`baseline_jct`] computed beside the faulted run: on a
+/// helper when `cores` holds one, else on this thread first. No `step`
+/// reads the reference (only [`ChaosDriver::finish`] does) and it records
+/// nothing, so nothing this returns or records depends on where it ran;
+/// only tests pick the pool.
+fn run_chaos_job_on(
+    cores: Cores,
+    spec: &TrainingJobSpec,
+    alloc: ResourceAllocation,
+    plan: &FaultPlan,
+    cfg: &ChaosConfig,
+    telemetry: &Telemetry,
+    policy: Option<&mut (dyn SchedulerPolicy + '_)>,
+) -> ChaosReport {
+    let (baseline, driver) = cores.beside(
+        || baseline_jct(spec, alloc, &cfg.runner),
+        || ChaosDriver::new(spec, alloc, plan, cfg, telemetry).run(policy),
+    );
+    driver.finish(baseline)
 }
 
 /// Generates `plans` fault plans from the config's seed and runs each one
@@ -340,17 +371,34 @@ pub fn run_chaos_suite(
     plans: u64,
     cfg: &ChaosConfig,
 ) -> Vec<(FaultPlan, ChaosReport)> {
+    run_chaos_suite_on(reference_cores(), spec, alloc, plans, cfg)
+}
+
+/// [`run_chaos_suite`] with its one reference run beside plan 0 on `cores`.
+fn run_chaos_suite_on(
+    cores: Cores,
+    spec: &TrainingJobSpec,
+    alloc: ResourceAllocation,
+    plans: u64,
+    cfg: &ChaosConfig,
+) -> Vec<(FaultPlan, ChaosReport)> {
+    if plans == 0 {
+        return Vec::new();
+    }
     let streams = RngStreams::new(cfg.runner.seed);
-    // A pure function of `(spec, alloc, cfg.runner)`: once for all plans.
-    let baseline = baseline_jct(spec, alloc, &cfg.runner);
-    (0..plans)
-        .map(|i| {
-            let plan = FaultPlan::generate(&cfg.plan, &streams, i);
-            let telemetry = Telemetry::default();
-            let report = ChaosDriver::new(spec, alloc, &plan, cfg, &telemetry, baseline).run(None);
-            (plan, report)
-        })
-        .collect()
+    let plan = |i| FaultPlan::generate(&cfg.plan, &streams, i);
+    let first = plan(0);
+    let report = run_chaos_job_on(cores, spec, alloc, &first, cfg, &Telemetry::default(), None);
+    // A pure function of `(spec, alloc, cfg.runner)`: computed beside plan 0,
+    // reused for the rest.
+    let baseline = SimDuration::from_micros(report.baseline_jct_us);
+    let rest = (1..plans).map(|i| {
+        let (plan, telemetry) = (plan(i), Telemetry::default());
+        let report =
+            ChaosDriver::new(spec, alloc, &plan, cfg, &telemetry).run(None).finish(baseline);
+        (plan, report)
+    });
+    std::iter::once((first, report)).chain(rest).collect()
 }
 
 /// One chaos job, advanced a `profile_interval` tick at a time: the
@@ -364,8 +412,6 @@ struct ChaosDriver<'a> {
     plan: &'a FaultPlan,
     cfg: &'a ChaosConfig,
     telemetry: &'a Telemetry,
-    /// [`baseline_jct`] of the same `(spec, alloc, cfg.runner)`.
-    baseline: SimDuration,
 
     cluster: Cluster,
     master: JobMaster,
@@ -412,7 +458,6 @@ impl<'a> ChaosDriver<'a> {
         plan: &'a FaultPlan,
         cfg: &'a ChaosConfig,
         telemetry: &'a Telemetry,
-        baseline: SimDuration,
     ) -> Self {
         let streams = RngStreams::new(cfg.runner.seed);
         let startup_rng = streams.stream("chaos-startup");
@@ -434,7 +479,6 @@ impl<'a> ChaosDriver<'a> {
             plan,
             cfg,
             telemetry,
-            baseline,
             cluster,
             master,
             plane,
@@ -469,10 +513,10 @@ impl<'a> ChaosDriver<'a> {
         driver
     }
 
-    /// Steps the job to its end (or the deadline) and audits it.
-    fn run(mut self, mut policy: Option<&mut (dyn SchedulerPolicy + '_)>) -> ChaosReport {
+    /// Steps the job to its end (or the deadline).
+    fn run(mut self, mut policy: Option<&mut (dyn SchedulerPolicy + '_)>) -> Self {
         while self.step(policy.as_deref_mut()) {}
-        self.finish()
+        self
     }
 
     /// Runs one `profile_interval` tick. Returns `false` — having done
@@ -500,10 +544,12 @@ impl<'a> ChaosDriver<'a> {
         !self.done
     }
 
-    /// Releases every pod the harness still holds and audits the run.
-    /// Anything left non-terminal (or any allocation still held) after the
-    /// drain is a leak — exactly what the oracle's NoLeaks invariant flags.
-    fn finish(mut self) -> ChaosReport {
+    /// Releases every pod the harness still holds and audits the run
+    /// against `baseline`, the [`baseline_jct`] of the same `(spec, alloc,
+    /// cfg.runner)`. Anything left non-terminal (or any allocation still
+    /// held) after the drain is a leak — exactly what the oracle's NoLeaks
+    /// invariant flags.
+    fn finish(mut self, baseline: SimDuration) -> ChaosReport {
         let end = self.master.engine().now();
         self.telemetry.span_complete(SimTime::ZERO, end, SpanCategory::Job, "chaos", 0, None);
         let service_pods = self.effects.service_pod_ends.iter().map(|&(_, id)| id);
@@ -516,7 +562,7 @@ impl<'a> ChaosDriver<'a> {
             total_samples: self.spec.total_samples,
             samples_done: self.master.engine().samples_done(),
             completed_at: self.master.completed_at(),
-            baseline_jct: self.baseline,
+            baseline_jct: baseline,
             leaked_pods,
             leaked_cpu_millis: leaked.cpu_millis,
             leaked_mem_bytes: leaked.mem_bytes,
@@ -546,7 +592,7 @@ impl<'a> ChaosDriver<'a> {
             plan_len: self.plan.len(),
             faults_injected: self.faults_injected,
             jct_us: self.jct.map(|d| d.as_micros()),
-            baseline_jct_us: self.baseline.as_micros(),
+            baseline_jct_us: baseline.as_micros(),
             oomed: self.oomed,
             health: self.master.health(),
             master_restarts: self.master_restarts,
@@ -1305,6 +1351,76 @@ mod tests {
         assert_send::<ChaosReport>();
     }
 
+    /// Where the reference run computes moves no result: each job runs once
+    /// through a pool with no idle core (the reference runs first, on this
+    /// thread) and once through a pool with one idle beside this thread's
+    /// (the reference runs on a helper, beside the faulted run), and the two
+    /// agree on every report field, oracle verdicts included, and on the
+    /// whole sink: events, spans and metrics. Covers 16 generated plans, an
+    /// ES-driven run, the suite, and a job whose reference dies of OOM only
+    /// under `cfg.runner.master` (its pre-scale turned off), so a reference
+    /// handed any other master config is caught.
+    #[test]
+    fn the_reference_run_moves_no_result_wherever_it_runs() {
+        use std::sync::atomic::{AtomicIsize, Ordering};
+        static BUSY: AtomicIsize = AtomicIsize::new(0);
+        static IDLE: AtomicIsize = AtomicIsize::new(2);
+        let on_both = |what: &str, run: &mut dyn FnMut(Cores, &Telemetry) -> ChaosReport| {
+            let runs = [(&BUSY, 1), (&IDLE, 2)].map(|(pool, threads)| {
+                let cores = Cores::take(pool, 2);
+                assert_eq!(cores.threads(), threads, "{what}");
+                let sink = Telemetry::default();
+                let report = run(cores, &sink);
+                (report, serde_json::to_string(&sink.snapshot()).expect("snapshot serializes"))
+            });
+            let [(inline, inline_sink), (beside, beside_sink)] = runs;
+            assert_eq!(inline, beside, "{what}: report");
+            assert!(inline_sink == beside_sink, "{what}: recorded stream");
+            assert_eq!((BUSY.load(Ordering::Relaxed), IDLE.load(Ordering::Relaxed)), (0, 2));
+            inline
+        };
+
+        let cfg = ChaosConfig::default();
+        let streams = RngStreams::new(cfg.runner.seed);
+        for i in 0..16 {
+            let plan = FaultPlan::generate(&cfg.plan, &streams, i);
+            let report = on_both(&format!("plan {i}"), &mut |cores, sink| {
+                run_chaos_job_on(cores, &spec(), allocation(), &plan, &cfg, sink, None)
+            });
+            assert!(report.oracle.passed(), "plan {i}: {:?}", report.oracle.violations());
+        }
+
+        let space = dlrover_optimizer::PlanSearchSpace {
+            workers: (1, 12),
+            ps: (1, 4),
+            ..dlrover_optimizer::PlanSearchSpace::default()
+        };
+        let plan = FaultPlan::generate(&cfg.plan, &streams, 0);
+        on_both("es", &mut |cores, sink| {
+            let mut es = dlrover_baselines::EsPolicy::new(allocation(), space, 1);
+            run_chaos_job_on(cores, &spec(), allocation(), &plan, &cfg, sink, Some(&mut es))
+        });
+
+        let suite = [&BUSY, &IDLE]
+            .map(|pool| run_chaos_suite_on(Cores::take(pool, 2), &spec(), allocation(), 3, &cfg));
+        assert_eq!(suite[0], suite[1], "suite");
+
+        let mut spec = spec();
+        spec.memory = dlrover_perfmodel::MemoryModel::new(1.0e9, 4096.0, 3.0e6, 2.0e6);
+        let alloc = ResourceAllocation::new(JobShape::new(4, 2, 4.0, 4.0, 512), 8.0, 2.5);
+        let mut cfg = ChaosConfig::default();
+        cfg.runner.master.auto_memory_scaling = false;
+        let report = on_both("no pre-scale", &mut |cores, sink| {
+            run_chaos_job_on(cores, &spec, alloc, &FaultPlan::default(), &cfg, sink, None)
+        });
+        assert!(report.oomed, "the faulted run dies of OOM without the master's pre-scale");
+        assert_eq!(
+            report.baseline_jct_us,
+            cfg.runner.deadline.saturating_since(SimTime::ZERO).as_micros(),
+            "the reference runs under cfg.runner.master too, so it dies of OOM as well"
+        );
+    }
+
     #[test]
     fn never_adjusting_policy_reduces_to_the_static_gang() {
         // A policy that never intervenes must reproduce the plain driver's
@@ -1717,6 +1833,13 @@ mod tests {
     }
 
     impl ChaosDriver<'_> {
+        /// [`ChaosDriver::finish`] against the reference run of the test
+        /// gang, [`allocation`].
+        pub(super) fn finish_with_reference(self) -> ChaosReport {
+            let baseline = baseline_jct(self.spec, allocation(), &self.cfg.runner);
+            self.finish(baseline)
+        }
+
         /// The engine worker slots the job holds (serving or starting) and
         /// the slots the ledger binds a worker pod to, both ascending: equal
         /// when every held slot has its pod and every bound pod a held slot.
@@ -1806,8 +1929,7 @@ mod tests {
             FaultEvent { at: SimTime::from_secs(120), kind: FaultKind::WorkerKill { worker: 1 } };
         let plan = FaultPlan::from_events(vec![kill, crash_at(150)]);
         let (spec, cfg, telemetry) = (long_spec(), ChaosConfig::default(), Telemetry::default());
-        let baseline = baseline_jct(&spec, allocation(), &cfg.runner);
-        let mut driver = ChaosDriver::new(&spec, allocation(), &plan, &cfg, &telemetry, baseline);
+        let mut driver = ChaosDriver::new(&spec, allocation(), &plan, &cfg, &telemetry);
         while driver.step(None) {}
         let events = telemetry.events();
         let requested = requested_from(&events, marker(&events, 0));
@@ -1816,7 +1938,7 @@ mod tests {
         let running_at = driver.cluster.pod(pod).and_then(|p| p.running_at);
         assert!(running_at > Some(SimTime::from_secs(150)), "the crash lands inside its start-up");
         assert!(matches!(driver.pods.binding_of(pod), Some((JobPod::Worker, _))));
-        let report = driver.finish();
+        let report = driver.finish_with_reference();
         assert!(report.oracle.passed(), "{:?}", report.oracle.violations());
         assert_eq!(report.recoveries[0].workers_readopted, 4, "three serving, one starting");
     }
@@ -1843,7 +1965,7 @@ mod tests {
             _ => None,
         });
         assert!(resumed.is_some_and(|at| at < running_at), "ran at {running_at}, {resumed:?}");
-        let report = driver.finish();
+        let report = driver.finish_with_reference();
         assert!(report.oracle.passed(), "{:?}", report.oracle.violations());
     }
 
@@ -1861,13 +1983,12 @@ mod tests {
             FaultEvent { at: SimTime::from_secs(300), kind: FaultKind::NodeLoss { node: 0 } };
         let plan = FaultPlan::from_events(vec![loss, crash_at(600)]);
         let (spec, telemetry) = (long_spec(), Telemetry::default());
-        let baseline = baseline_jct(&spec, allocation(), &cfg.runner);
-        let mut driver = ChaosDriver::new(&spec, allocation(), &plan, &cfg, &telemetry, baseline);
+        let mut driver = ChaosDriver::new(&spec, allocation(), &plan, &cfg, &telemetry);
         while driver.step(None) {
             let (held, bound) = driver.worker_slots();
             assert_eq!(held, bound, "{}: held engine slots vs bound pods", driver.now);
         }
-        let report = driver.finish();
+        let report = driver.finish_with_reference();
         assert!(report.oracle.passed(), "{:?}", report.oracle.violations());
         assert_eq!(report.recoveries[0].workers_readopted, 0);
         assert_eq!(report.truth.samples_done, report.truth.total_samples);
@@ -1919,8 +2040,7 @@ mod tests {
         telemetry: &'a Telemetry,
         mut policy: Option<&mut dyn SchedulerPolicy>,
     ) -> ChaosDriver<'a> {
-        let baseline = baseline_jct(spec, allocation(), &cfg.runner);
-        let mut driver = ChaosDriver::new(spec, allocation(), plan, cfg, telemetry, baseline);
+        let mut driver = ChaosDriver::new(spec, allocation(), plan, cfg, telemetry);
         while driver.step(policy.as_deref_mut()) {
             let (held, bound) = driver.worker_slots();
             assert_eq!(held, bound, "{}: held engine slots vs bound pods", driver.now);
@@ -1959,7 +2079,7 @@ mod tests {
             (PodPhase::Failed, None),
             "lost while starting"
         );
-        let report = driver.finish();
+        let report = driver.finish_with_reference();
         assert!(report.oracle.passed(), "{:?}", report.oracle.violations());
         assert_eq!(report.truth.samples_done, report.truth.total_samples);
     }
@@ -1977,8 +2097,7 @@ mod tests {
         let cfg = ChaosConfig::default();
         assert_eq!(cfg.runner.master.failure_budget.worker_relaunches, 12);
         let (spec, telemetry) = (TrainingJobSpec::paper_default(200_000), Telemetry::default());
-        let baseline = baseline_jct(&spec, allocation(), &cfg.runner);
-        let mut driver = ChaosDriver::new(&spec, allocation(), &plan, &cfg, &telemetry, baseline);
+        let mut driver = ChaosDriver::new(&spec, allocation(), &plan, &cfg, &telemetry);
         while driver.step(None) {}
         assert_eq!(driver.faults_injected, 13);
         let unslotted: Vec<PodId> = (driver.cluster.pods())
@@ -1991,7 +2110,7 @@ mod tests {
         let refused = PodId(requested_from(&events, marker(&events, 12))[0]);
         let refused = driver.cluster.pod(refused).expect("requested");
         assert!(refused.phase().is_terminal() && refused.running_at.is_none(), "{refused:?}");
-        let report = driver.finish();
+        let report = driver.finish_with_reference();
         assert_eq!(report.health, JobHealth::Degraded);
         assert!(report.oracle.passed(), "{:?}", report.oracle.violations());
     }
@@ -2012,7 +2131,7 @@ mod tests {
         let mut es = dlrover_baselines::EsPolicy::new(allocation(), space, 1);
         let (spec, plan, telemetry) = (spec(), FaultPlan::default(), Telemetry::default());
         let driver = step_checking_slots(&spec, &plan, &cfg, &telemetry, Some(&mut es));
-        let report = driver.finish();
+        let report = driver.finish_with_reference();
         assert_eq!(report.health, JobHealth::Degraded, "the scale-up was denied");
         assert!(report.oracle.passed(), "{:?}", report.oracle.violations());
         assert_eq!(report.truth.samples_done, report.truth.total_samples);
@@ -2034,8 +2153,7 @@ mod tests {
             FaultEvent { at: SimTime::from_secs(120), kind: FaultKind::WorkerKill { worker: 1 } };
         let plan = FaultPlan::from_events(vec![kill]);
         let (spec, telemetry) = (long_spec(), Telemetry::default());
-        let baseline = baseline_jct(&spec, allocation(), &cfg.runner);
-        let mut driver = ChaosDriver::new(&spec, allocation(), &plan, &cfg, &telemetry, baseline);
+        let mut driver = ChaosDriver::new(&spec, allocation(), &plan, &cfg, &telemetry);
         let timed_out = SimTime::from_secs(120) + STARTUP_TIMEOUT;
         while driver.step(None) && driver.now < timed_out {}
         let events = telemetry.events();
@@ -2124,8 +2242,7 @@ mod proptests {
         cfg: &ChaosConfig,
         telemetry: &Telemetry,
     ) -> ChaosReport {
-        let baseline = baseline_jct(spec, allocation(), &cfg.runner);
-        let mut driver = ChaosDriver::new(spec, allocation(), plan, cfg, telemetry, baseline);
+        let mut driver = ChaosDriver::new(spec, allocation(), plan, cfg, telemetry);
         let (mut replayed, mut folded) = (JobControl::default(), 0);
         while driver.step(policy.as_deref_mut()) {
             let at = format!("seed {}, {}", cfg.runner.seed, driver.now);
@@ -2144,7 +2261,7 @@ mod proptests {
             assert_eq!(held, bound, "{at}: held worker slots vs bound pods");
             assert_eq!(driver.slots_out_of_step(), [], "{at}: live slots vs running pods");
         }
-        driver.finish()
+        driver.finish_with_reference()
     }
 
     /// Generated plan `seed` on `nodes` nodes with `events` faults, plus one

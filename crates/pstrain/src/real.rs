@@ -18,21 +18,17 @@
 //! worker's sample range in a slot. The slots' batches and gradients are
 //! then computed concurrently — they are concurrent workers, and each
 //! reads the round-start model through `&DlrmModel` — on the caller's
-//! thread plus one helper per idle core (counted across every trainer in
-//! the process, so rounds running side by side do not oversubscribe the
-//! machine), each taking a contiguous run of slots. Last, the caller's
-//! thread inserts the embedding rows the slots
-//! read before they existed, sums the losses and applies the gradients,
-//! all in slot order. Every float operation and reduction order is the
-//! sequential round's, so the trained bits do not depend on the width.
-
-use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicIsize, Ordering};
-use std::sync::OnceLock;
+//! thread plus one helper per idle core (`dlrover_sim::idle_cores`, one
+//! count for the whole process, so rounds running side by side do not
+//! oversubscribe the machine), each taking a contiguous run of slots. Last,
+//! the caller's thread inserts the embedding rows the slots read before
+//! they existed, sums the losses and applies the gradients, all in slot
+//! order. Every float operation and reduction order is the sequential
+//! round's, so the trained bits do not depend on the width.
 
 use dlrover_dlrm::model::{CtrModel, DlrmModel, ModelConfig, ModelKind};
 use dlrover_dlrm::{auc, logloss, DatasetConfig, GradScratch, Gradients, Sample, SyntheticCriteo};
-use dlrover_sim::SimTime;
+use dlrover_sim::{idle_cores, Cores, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::sharding::{ShardQueue, ShardingConfig};
@@ -112,65 +108,6 @@ impl Slot {
     fn compute(&mut self, dataset: &SyntheticCriteo, model: &DlrmModel) {
         dataset.batch_into(self.start, self.take, &mut self.batch);
         model.compute_gradients_shared(&self.batch, &mut self.grads, &mut self.scratch);
-    }
-}
-
-/// Cores no round is computing on, shared by every trainer in the
-/// process, so that rounds running side by side (fig8's units) split the
-/// machine instead of each spawning helpers for all of it. Set on first
-/// use to `available_parallelism()`, which reads cgroup files (~12 µs,
-/// more than a trainer's whole construction); below zero while more
-/// rounds compute than there are cores.
-fn idle_cores() -> &'static AtomicIsize {
-    static IDLE: OnceLock<AtomicIsize> = OnceLock::new();
-    IDLE.get_or_init(|| {
-        AtomicIsize::new(std::thread::available_parallelism().map_or(1, NonZeroUsize::get) as isize)
-    })
-}
-
-/// The cores one round runs on: the caller's for the whole round, the
-/// helpers' for its compute phase. Dropping it gives back what it holds.
-struct Cores {
-    /// Threads to compute on: the caller's and its helpers'.
-    threads: usize,
-    /// Where the cores came from; `None` for a test's forced width.
-    pool: Option<&'static AtomicIsize>,
-}
-
-impl Cores {
-    /// Takes the caller's core, even when none is idle (a computing round
-    /// counts against every other round's helpers), and up to `slots - 1`
-    /// idle ones for helpers.
-    fn take(pool: &'static AtomicIsize, slots: usize) -> Cores {
-        let helpers = |idle: isize| (idle - 1).clamp(0, slots as isize - 1);
-        let before = pool
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |idle| {
-                Some(idle - 1 - helpers(idle))
-            })
-            .unwrap_or_else(|idle| idle);
-        Cores { threads: 1 + helpers(before) as usize, pool: Some(pool) }
-    }
-
-    /// Gives the helpers' cores back and keeps the caller's.
-    fn release_helpers(&mut self) {
-        if let Some(pool) = self.pool {
-            pool.fetch_add(self.threads as isize - 1, Ordering::Relaxed);
-        }
-        self.threads = 1;
-    }
-
-    /// `threads` threads that no pool counts: a test's forced width.
-    #[cfg(test)]
-    fn fixed(threads: usize) -> Cores {
-        Cores { threads, pool: None }
-    }
-}
-
-impl Drop for Cores {
-    fn drop(&mut self) {
-        if let Some(pool) = self.pool {
-            pool.fetch_add(self.threads as isize, Ordering::Relaxed);
-        }
     }
 }
 
@@ -404,7 +341,7 @@ impl RealModeTrainer {
         let compute = |run: &mut [Slot]| run.iter_mut().for_each(|s| s.compute(dataset, model));
         let mut cores = cores(used);
         std::thread::scope(|scope| {
-            let mut runs = slots.chunks_mut(used.div_ceil(cores.threads.clamp(1, used)));
+            let mut runs = slots.chunks_mut(used.div_ceil(cores.threads().clamp(1, used)));
             let own = runs.next().expect("a round with slots has a first run");
             for run in runs {
                 scope.spawn(move || compute(run));
@@ -456,6 +393,7 @@ impl RealModeTrainer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicIsize;
 
     const EVAL_START: u64 = 50_000_000;
 
@@ -644,6 +582,8 @@ mod tests {
         let mut config = RealModeConfig::small(kind, 42);
         config.total_samples = 64 * 64 * 12;
         let mut t = RealModeTrainer::new(config, 3);
+        // No other round takes from this pool, so every round gets it all.
+        let pool = Box::leak(Box::new(AtomicIsize::new(width as isize)));
         let mut rounds_without_data = Vec::new();
         let mut round = 0u64;
         while !t.is_complete() {
@@ -663,7 +603,7 @@ mod tests {
                 }
                 _ => {}
             }
-            if t.train_round_with(|_| Cores::fixed(width)).is_none() {
+            if t.train_round_with(|slots| Cores::take(pool, slots)).is_none() {
                 rounds_without_data.push(round);
             }
             round += 1;
@@ -695,30 +635,6 @@ mod tests {
         for width in [2, 3, 8] {
             assert_eq!(run_at_width(kind, width), one, "{kind:?} at width {width}");
         }
-    }
-
-    /// Rounds computing side by side split the machine: a round always
-    /// has its own core, takes helpers only from idle ones, gives the
-    /// helpers back after its join and its own core at its end.
-    #[test]
-    fn side_by_side_rounds_share_the_idle_cores() {
-        static POOL: AtomicIsize = AtomicIsize::new(2);
-        let idle = || POOL.load(Ordering::Relaxed);
-        let mut first = Cores::take(&POOL, 3);
-        assert_eq!((first.threads, idle()), (2, 0));
-        let second = Cores::take(&POOL, 3);
-        assert_eq!((second.threads, idle()), (1, -1));
-        first.release_helpers();
-        assert_eq!((first.threads, idle()), (1, 0), "the first round's apply still runs");
-        drop(first);
-        assert_eq!(idle(), 1);
-        let third = Cores::take(&POOL, 3);
-        assert_eq!((third.threads, idle()), (1, 0), "the second round still holds its core");
-        drop((second, third));
-        let single = Cores::take(&POOL, 1);
-        assert_eq!((single.threads, idle()), (1, 1), "one slot wants no helper");
-        drop(single);
-        assert_eq!(idle(), 2);
     }
 
     #[test]

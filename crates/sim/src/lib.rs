@@ -14,17 +14,22 @@
 //!   (normal, log-normal, exponential, Zipf, …). Streams are derived from the
 //!   experiment seed with SplitMix64 so adding a new stochastic component
 //!   never perturbs the draws of an existing one.
+//! * [`Cores`] / [`idle_cores`] — the process-wide count of idle cores
+//!   that a real-mode round's gradients and a chaos job's reference run
+//!   take their helper threads from; wall-clock only, never a result.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
+mod cores;
 mod distributions;
 mod episode;
 mod faultplan;
 mod rng;
 mod time;
 
+pub use cores::{idle_cores, Cores};
 pub use distributions::{Exponential, LogNormal, Normal, Pareto, Sample, Uniform, Zipf};
 pub use episode::{Episode, EpisodeSchedule};
 pub use faultplan::{FaultEvent, FaultKind, FaultPlan, FaultPlanConfig};

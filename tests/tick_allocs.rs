@@ -17,9 +17,10 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::Ordering;
 
 use dlrover_rm::prelude::*;
-use dlrover_rm::sim::{FaultEvent, FaultKind, FaultPlan};
+use dlrover_rm::sim::{idle_cores, Cores, FaultEvent, FaultKind, FaultPlan};
 
 thread_local! {
     /// Allocator calls made by this thread. Const-initialised and without a
@@ -201,7 +202,14 @@ fn a_chaos_job_allocates_per_fault_and_save_not_per_tick() {
     let plan = six_fault_plan();
     let cfg = ChaosConfig::default();
     let sink = Telemetry::default();
+    // The job's reference run computes on a helper when a core is idle, and
+    // this counter is per thread: holding every idle core keeps it inline,
+    // on the counted thread.
+    let all = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let held = Cores::take(idle_cores(), all);
+    assert!(idle_cores().load(Ordering::Relaxed) <= 0, "a core left idle");
     let (allocs, report) = allocations_during(|| run_chaos_job(&spec, alloc, &plan, &cfg, &sink));
+    drop(held);
     assert!(report.oracle.passed(), "{:?}", report.oracle.violations());
     assert_eq!(report.faults_injected, 6);
     let jct_us = report.jct_us.expect("the job completes");
