@@ -24,9 +24,10 @@
 //! coarse (milliseconds to tens of seconds each), so a lock-free deque
 //! would buy nothing; see DESIGN.md §8.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use dlrover_sim::{idle_cores, Cores};
 use dlrover_telemetry::Telemetry;
 
 /// One independent piece of experiment work: a unique key (sort position in
@@ -92,10 +93,24 @@ pub fn threads() -> usize {
 /// independent of the thread count, including `threads == 1`, which runs
 /// the units inline on the caller's thread in submission order.
 ///
+/// Each thread computing units counts its core in the process-wide idle
+/// count (`dlrover_sim::idle_cores`) while it runs them, so work inside a
+/// unit that spreads over idle cores (a real-mode round, a chaos job's
+/// reference run, a fleet shard's lanes) gets only the cores no unit holds.
+///
 /// # Panics
 /// Panics when two units share a key (the merge order would be ambiguous),
 /// and propagates any panic raised inside a unit.
 pub fn run_units<T: Send>(units: Vec<Unit<'_, T>>, threads: usize) -> Vec<UnitOutput<T>> {
+    run_units_on(units, threads, idle_cores())
+}
+
+/// [`run_units`], counting the computing threads' cores in `pool`.
+fn run_units_on<T: Send>(
+    units: Vec<Unit<'_, T>>,
+    threads: usize,
+    pool: &'static AtomicIsize,
+) -> Vec<UnitOutput<T>> {
     {
         let mut keys: Vec<&str> = units.iter().map(|u| u.key()).collect();
         keys.sort_unstable();
@@ -105,7 +120,7 @@ pub fn run_units<T: Send>(units: Vec<Unit<'_, T>>, threads: usize) -> Vec<UnitOu
     }
     let n = units.len();
     let mut outputs: Vec<UnitOutput<T>> = if threads <= 1 || n <= 1 {
-        units.into_iter().map(run_one).collect()
+        Cores::counted(pool, || units.into_iter().map(run_one).collect())
     } else {
         let slots: Vec<Mutex<Option<Unit<'_, T>>>> =
             units.into_iter().map(|u| Mutex::new(Some(u))).collect();
@@ -113,15 +128,20 @@ pub fn run_units<T: Send>(units: Vec<Unit<'_, T>>, threads: usize) -> Vec<UnitOu
         let cursor = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..threads.min(n) {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let unit =
-                        slots[i].lock().expect("unit slot").take().expect("each unit taken once");
-                    let out = run_one(unit);
-                    *done[i].lock().expect("output slot") = Some(out);
+                scope.spawn(|| {
+                    Cores::counted(pool, || loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        let unit = slots[i]
+                            .lock()
+                            .expect("unit slot")
+                            .take()
+                            .expect("each unit taken once");
+                        let out = run_one(unit);
+                        *done[i].lock().expect("output slot") = Some(out);
+                    })
                 });
             }
         });
@@ -245,5 +265,42 @@ mod tests {
         assert_eq!(threads(), 3);
         set_threads(0);
         assert!(threads() >= 1);
+    }
+
+    /// What each of two units saw: the threads a `take` of `slots` gave it
+    /// while both units were computing. The units meet at a barrier before
+    /// and after their takes, so neither worker has stopped counting.
+    fn threads_per_unit(pool: &'static AtomicIsize, slots: usize) -> Vec<usize> {
+        let met = std::sync::Barrier::new(2);
+        let units: Vec<Unit<'_, usize>> = (0..2)
+            .map(|i| {
+                let met = &met;
+                Unit::new(format!("{i}"), move |_: &Telemetry| {
+                    met.wait();
+                    let cores = Cores::take(pool, slots);
+                    met.wait();
+                    cores.threads()
+                })
+            })
+            .collect();
+        run_units_on(units, 2, pool).into_iter().map(|o| o.value).collect()
+    }
+
+    /// The pool's workers count their cores while they compute: with the
+    /// pool filling the machine no unit gets a helper, with cores left over
+    /// the units get them, and every core comes back.
+    #[test]
+    fn units_take_helpers_only_from_cores_no_worker_holds() {
+        static FULL: AtomicIsize = AtomicIsize::new(2);
+        assert_eq!(threads_per_unit(&FULL, 3), [1, 1]);
+        assert_eq!(FULL.load(Ordering::Relaxed), 2);
+        static SPARE: AtomicIsize = AtomicIsize::new(4);
+        assert_eq!(threads_per_unit(&SPARE, 2), [2, 2]);
+        assert_eq!(SPARE.load(Ordering::Relaxed), 4);
+        // One unit runs inline on the caller, whose core is counted once.
+        static INLINE: AtomicIsize = AtomicIsize::new(2);
+        let unit = Unit::new("0", |_: &Telemetry| Cores::take(&INLINE, 3).threads());
+        assert_eq!(run_units_on(vec![unit], 1, &INLINE)[0].value, 2);
+        assert_eq!(INLINE.load(Ordering::Relaxed), 2);
     }
 }

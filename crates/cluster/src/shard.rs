@@ -12,11 +12,13 @@
 //!   [`PodTable`], its generational [`GenSlab`] of live jobs, its own RNG
 //!   lineage (`root.fork("cell/<c>")`), and its own fixed-capacity telemetry
 //!   sink. `C` depends only on the configuration — never on the shard count.
-//! * **Shards** are execution groups of consecutive cells. Each
-//!   [`FleetShard`] drives its cells with one hierarchical [`TimerWheel`];
-//!   `K = 1` is the unsharded baseline (one wheel interleaving every cell in
-//!   global time order), `K > 1` shards run independently between barriers
-//!   and can be spread over the parallel unit pool.
+//! * **Lanes** are groups of at most 16 consecutive cells, each driven by
+//!   one hierarchical [`TimerWheel`]; an epoch runs a shard's busy lanes
+//!   over the idle cores (`dlrover_sim::idle_cores`).
+//! * **Shards** are what an epoch hands out: consecutive cells, cut into
+//!   lanes. `K = 1` is the unsharded baseline, `K > 1` shards run
+//!   independently between barriers and can be spread over the parallel
+//!   unit pool.
 //! * Cells only interact by **forwarding** jobs that stay pending too long to
 //!   the next cell (spill-over between sub-clusters). Forwarded jobs travel
 //!   as [`Envelope`]s and are delivered at epoch barriers through the
@@ -25,13 +27,13 @@
 //!
 //! # Determinism argument
 //!
-//! Results are bit-identical for any shard count K (and any thread count)
-//! because no observable quantity depends on how cells are grouped:
+//! Results are bit-identical for any shard count K, lane width and thread
+//! count because no observable quantity depends on how cells are grouped:
 //!
 //! 1. Within an epoch, cells are fully independent — all randomness comes
-//!    from per-cell streams, all state is per-cell, and a shard's wheel
+//!    from per-cell streams, all state is per-cell, and a lane's wheel
 //!    preserves the relative `(time, seq)` order of each cell's events (a
-//!    cell's pushes form a subsequence of its shard's pushes, so same-time
+//!    cell's pushes form a subsequence of its lane's pushes, so same-time
 //!    events of one cell keep their FIFO order under any interleaving).
 //! 2. Cross-cell messages are only delivered at barriers, in the canonical
 //!    `(dst, at, src, seq)` order of [`Exchange::drain_sorted`], with
@@ -40,10 +42,15 @@
 //!    which is a property of the union of cells, not of the sharding.
 //! 4. Aggregates and telemetry are merged in ascending cell order.
 //!
-//! The `shard_count_is_invariant` tests below and the cross-K proptest in
-//! `dlrover-bench` enforce this bit-for-bit.
+//! The `shard_count_is_invariant` and `lane_width_and_idle_cores_are_invariant`
+//! tests below and the cross-K proptest in `dlrover-bench` enforce this
+//! bit-for-bit.
 
-use dlrover_sim::{FaultKind, FaultPlan, RngStreams, SimDuration, SimTime, StreamRng};
+use std::sync::atomic::AtomicIsize;
+
+use dlrover_sim::{
+    idle_cores, Cores, FaultKind, FaultPlan, RngStreams, SimDuration, SimTime, StreamRng,
+};
 use dlrover_telemetry::{EventKind, Sink, Telemetry};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -245,7 +252,7 @@ enum ChaosAction {
     CkptStall(SimDuration),
 }
 
-/// Wheel events. Every event names its cell; a shard's wheel multiplexes the
+/// Wheel events. Every event names its cell; a lane's wheel multiplexes the
 /// cells it owns.
 #[derive(Debug, Clone)]
 enum FleetEv {
@@ -588,17 +595,30 @@ impl Cell {
     }
 }
 
-/// A group of consecutive cells driven by one timer wheel.
+/// Cells one timer wheel drives at most. Run one after another, 16-cell
+/// lanes are as fast as one wheel for every cell (a wheel per cell is
+/// ~10% slower), and a 1M-pod fleet's 245 cells make 16 lanes for an
+/// epoch to spread over the idle cores.
+const LANE_CELLS: u32 = 16;
+
+/// Busy cells that pay for one more thread in an epoch. A cell's epoch is
+/// ~4 µs of work and a helper's spawn and join ~50 µs, so an epoch spreads
+/// only when each thread gets at least this many cells: a 100K-pod
+/// fleet's 25 cells stay on the caller's thread, where a helper per epoch
+/// made them slower.
+const CELLS_PER_THREAD: usize = 32;
+
+/// A group of consecutive cells handed out for an epoch.
 ///
 /// Obtained from [`ShardedFleet::begin_epoch`]; shards are `Send`, so the
 /// bench layer can run one epoch per shard on the parallel unit pool and
-/// hand them back to [`ShardedFleet::finish_epoch`].
+/// hand them back to [`ShardedFleet::finish_epoch`]. Inside, the cells
+/// form lanes of at most 16, each with its own timer wheel, and an epoch
+/// runs the lanes over the idle cores.
 #[derive(Debug)]
 pub struct FleetShard {
     first_cell: u32,
-    cells: Vec<Cell>,
-    wheel: TimerWheel<FleetEv>,
-    outbox: Vec<Envelope<JobSpec>>,
+    lanes: Vec<Lane>,
     cfg: FleetScaleConfig,
 }
 
@@ -608,15 +628,58 @@ impl FleetShard {
         self.first_cell
     }
 
-    /// Runs this shard's cells up to (excluding) `bound`.
+    /// Runs this shard's cells up to (excluding) `bound`: every lane with
+    /// an event before it, in contiguous runs over the caller's core and
+    /// the idle ones (`dlrover_sim::idle_cores`), at least 32 busy cells
+    /// to a thread.
     pub fn run_epoch(&mut self, bound: SimTime) {
+        self.run_epoch_on(idle_cores(), bound);
+    }
+
+    /// [`Self::run_epoch`] with the idle cores counted in `pool`; returns
+    /// the number of threads the lanes ran on.
+    fn run_epoch_on(&mut self, pool: &'static AtomicIsize, bound: SimTime) -> usize {
         let _p = dlrover_telemetry::prof::scope("shard/epoch");
+        // A lane with nothing to do has reaped since its last change.
+        let mut busy: Vec<&mut Lane> = self
+            .lanes
+            .iter_mut()
+            .filter_map(|lane| lane.due_before(bound).then_some(lane))
+            .collect();
+        let cells: usize = busy.iter().map(|lane| lane.cells.len()).sum();
+        let cfg = &self.cfg;
+        Cores::take(pool, (cells / CELLS_PER_THREAD).max(1)).split(&mut busy, |run, lanes| {
+            // On a helper, the run is that thread's root frame.
+            let _p = (run > 0).then(|| dlrover_telemetry::prof::scope("shard/epoch"));
+            lanes.iter_mut().for_each(|lane| lane.run_epoch(cfg, bound));
+        })
+    }
+}
+
+/// Consecutive cells driven by one timer wheel. Cells meet only at the
+/// epoch barrier, so how they group into lanes moves no result.
+#[derive(Debug)]
+struct Lane {
+    first_cell: u32,
+    cells: Vec<Cell>,
+    wheel: TimerWheel<FleetEv>,
+    outbox: Vec<Envelope<JobSpec>>,
+}
+
+impl Lane {
+    /// Whether the wheel holds an event before `bound`.
+    fn due_before(&mut self, bound: SimTime) -> bool {
+        self.wheel.peek_time().is_some_and(|t| t < bound)
+    }
+
+    /// Runs this lane's cells up to (excluding) `bound`.
+    fn run_epoch(&mut self, cfg: &FleetScaleConfig, bound: SimTime) {
         while let Some(t) = self.wheel.peek_time() {
             if t >= bound {
                 break;
             }
             let ev = self.wheel.pop().expect("peeked event");
-            self.handle(ev.at, ev.event, bound);
+            self.handle(cfg, ev.at, ev.event, bound);
         }
         // Epoch housekeeping: reclaim pod pages that went fully terminal.
         let _reap = dlrover_telemetry::prof::scope("shard/reap");
@@ -625,7 +688,7 @@ impl FleetShard {
         }
     }
 
-    fn handle(&mut self, now: SimTime, ev: FleetEv, bound: SimTime) {
+    fn handle(&mut self, cfg: &FleetScaleConfig, now: SimTime, ev: FleetEv, bound: SimTime) {
         let local = (ev.cell() - self.first_cell) as usize;
         let cell = &mut self.cells[local];
         cell.agg.wheel_events += 1;
@@ -635,11 +698,11 @@ impl FleetShard {
                 let spec = cell.workload[wl_idx as usize];
                 cell.agg.jobs_submitted += 1;
                 debug_assert_eq!(c, cell.id);
-                Self::arrive(cell, &mut self.wheel, &self.cfg, spec, now);
+                Self::arrive(cell, &mut self.wheel, cfg, spec, now);
             }
             FleetEv::Deliver { spec, .. } => {
                 cell.agg.jobs_forwarded_in += 1;
-                Self::arrive(cell, &mut self.wheel, &self.cfg, *spec, now);
+                Self::arrive(cell, &mut self.wheel, cfg, *spec, now);
             }
             FleetEv::Retry { key, .. } => {
                 let Some(job) = cell.jobs.get(key) else { return };
@@ -652,16 +715,16 @@ impl FleetShard {
                     // forwarding — every cell shares the remote tier, so
                     // hopping would not help); try again after backoff.
                     self.wheel
-                        .push(now + self.cfg.retry_interval, FleetEv::Retry { cell: cell.id, key });
+                        .push(now + cfg.retry_interval, FleetEv::Retry { cell: cell.id, key });
                     return;
                 }
                 if cell.retry_place(key) {
                     cell.pending.retain(|k| *k != key);
-                    Self::admit(cell, &mut self.wheel, &self.cfg, key, now);
-                } else if now.saturating_since(arrived_at) >= self.cfg.forward_after {
+                    Self::admit(cell, &mut self.wheel, cfg, key, now);
+                } else if now.saturating_since(arrived_at) >= cfg.forward_after {
                     cell.pending.retain(|k| *k != key);
                     let job = cell.jobs.remove(key).expect("pending job in slab");
-                    if job.spec.hops >= self.cfg.hop_limit || self.cfg.cells <= 1 {
+                    if job.spec.hops >= cfg.hop_limit || cfg.cells <= 1 {
                         cell.agg.jobs_gave_up += 1;
                     } else {
                         cell.agg.jobs_forwarded_out += 1;
@@ -672,14 +735,14 @@ impl FleetShard {
                         self.outbox.push(Envelope {
                             at: bound,
                             src: cell.id,
-                            dst: (cell.id + 1) % self.cfg.cells,
+                            dst: (cell.id + 1) % cfg.cells,
                             seq,
                             msg: spec,
                         });
                     }
                 } else {
                     self.wheel
-                        .push(now + self.cfg.retry_interval, FleetEv::Retry { cell: cell.id, key });
+                        .push(now + cfg.retry_interval, FleetEv::Retry { cell: cell.id, key });
                 }
             }
             FleetEv::Finish { key, .. } => {
@@ -696,7 +759,7 @@ impl FleetShard {
                 cell.agg.completion_us_sum +=
                     now.saturating_since(job.spec.submitted_at).as_micros();
                 // Freed capacity: admit pending jobs in arrival order.
-                Self::admit_pending(cell, &mut self.wheel, &self.cfg, now);
+                Self::admit_pending(cell, &mut self.wheel, cfg, now);
             }
             FleetEv::PodFail { key, pod, .. } => {
                 if cell.kill_pod(key, pod, now, PodPhase::Failed) {
@@ -706,7 +769,7 @@ impl FleetShard {
             }
             FleetEv::Chaos { action, .. } => {
                 Self::chaos(cell, now, action);
-                Self::admit_pending(cell, &mut self.wheel, &self.cfg, now);
+                Self::admit_pending(cell, &mut self.wheel, cfg, now);
             }
         }
     }
@@ -903,6 +966,8 @@ pub struct ShardedFleet {
     shards: Vec<FleetShard>,
     exchange: Exchange<JobSpec>,
     cfg: FleetScaleConfig,
+    /// Cells per lane: [`LANE_CELLS`] but in tests.
+    lane_cells: u32,
     planned_pods: u64,
 }
 
@@ -937,6 +1002,17 @@ impl ShardedFleet {
     pub(crate) fn try_with_chaos(
         cfg: &FleetScaleConfig,
         shard_count: u32,
+        seed: u64,
+        plan: Option<&FaultPlan>,
+    ) -> Result<Self, FleetConfigError> {
+        Self::build(cfg, shard_count, LANE_CELLS, seed, plan)
+    }
+
+    /// [`ShardedFleet::try_with_chaos`] with lanes of `lane_cells` cells.
+    fn build(
+        cfg: &FleetScaleConfig,
+        shard_count: u32,
+        lane_cells: u32,
         seed: u64,
         plan: Option<&FaultPlan>,
     ) -> Result<Self, FleetConfigError> {
@@ -1002,34 +1078,37 @@ impl ShardedFleet {
         let extra = cfg.cells % shard_count;
         let mut next_cell = 0u32;
         for s in 0..shard_count {
-            let count = per + u32::from(s < extra);
             let first_cell = next_cell;
-            let mut wheel = TimerWheel::new();
-            let mut cells = Vec::with_capacity(count as usize);
-            for c in first_cell..first_cell + count {
-                let (cell, pods) = Self::build_cell(
-                    cfg,
-                    c,
-                    &root,
-                    std::mem::take(&mut chaos_per_cell[c as usize]),
-                    &mut wheel,
-                );
-                planned_pods += pods;
-                cells.push(cell);
+            next_cell += per + u32::from(s < extra);
+            let mut lanes = Vec::new();
+            for lane_first in (first_cell..next_cell).step_by(lane_cells as usize) {
+                let mut wheel = TimerWheel::new();
+                let mut cells = Vec::new();
+                for c in lane_first..(lane_first + lane_cells).min(next_cell) {
+                    let (cell, pods) = Self::build_cell(
+                        cfg,
+                        c,
+                        &root,
+                        std::mem::take(&mut chaos_per_cell[c as usize]),
+                        &mut wheel,
+                    );
+                    planned_pods += pods;
+                    cells.push(cell);
+                }
+                lanes.push(Lane { first_cell: lane_first, cells, wheel, outbox: Vec::new() });
             }
-            next_cell += count;
-            shards.push(FleetShard {
-                first_cell,
-                cells,
-                wheel,
-                outbox: Vec::new(),
-                cfg: cfg.clone(),
-            });
+            shards.push(FleetShard { first_cell, lanes, cfg: cfg.clone() });
         }
-        Ok(ShardedFleet { shards, exchange: Exchange::new(), cfg: cfg.clone(), planned_pods })
+        Ok(ShardedFleet {
+            shards,
+            exchange: Exchange::new(),
+            cfg: cfg.clone(),
+            lane_cells,
+            planned_pods,
+        })
     }
 
-    /// Generates one cell's nodes and workload and seeds its shard's wheel;
+    /// Generates one cell's nodes and workload and seeds its lane's wheel;
     /// returns the cell plus its planned pod count.
     fn build_cell(
         cfg: &FleetScaleConfig,
@@ -1081,7 +1160,8 @@ impl ShardedFleet {
 
         // Seed the wheel: submits (in workload order) merged with chaos (in
         // plan order), stably sorted by time. The per-cell push order is a
-        // pure function of the cell, so it is identical at every shard count.
+        // pure function of the cell, so it is identical at every shard
+        // count and lane width.
         let mut init: Vec<(SimTime, u32, FleetEv)> = specs
             .iter()
             .enumerate()
@@ -1135,22 +1215,17 @@ impl ShardedFleet {
     /// must run each shard to the bound (serially or on the unit pool) and
     /// return them via [`ShardedFleet::finish_epoch`].
     pub fn begin_epoch(&mut self) -> Option<(SimTime, Vec<FleetShard>)> {
-        let mut next: Option<SimTime> = None;
-        for s in &mut self.shards {
-            if let Some(t) = s.wheel.peek_time() {
-                next = Some(next.map_or(t, |n| n.min(t)));
-            }
-        }
-        let t = next?;
+        let lanes = self.shards.iter_mut().flat_map(|s| &mut s.lanes);
+        let t = lanes.filter_map(|lane| lane.wheel.peek_time()).min()?;
         let epoch = self.cfg.epoch.as_micros();
         let bound =
             SimTime::from_micros((t.as_micros() / epoch).saturating_add(1).saturating_mul(epoch));
         Some((bound, std::mem::take(&mut self.shards)))
     }
 
-    /// Accepts the shards back after an epoch and routes their outboxes:
-    /// envelopes merge through the exchange in canonical order and are
-    /// pushed into the destination shards' wheels.
+    /// Accepts the shards back after an epoch and routes their lanes'
+    /// outboxes: envelopes merge through the exchange in canonical order
+    /// and are pushed into the destination lanes' wheels.
     ///
     /// # Panics
     /// Panics if the shards are not returned in ascending id order (the
@@ -1161,20 +1236,17 @@ impl ShardedFleet {
             "shards must be returned in ascending order"
         );
         let _p = dlrover_telemetry::prof::scope("shard/exchange");
-        for shard in &mut shards {
-            self.exchange.collect(std::mem::take(&mut shard.outbox));
+        for lane in shards.iter_mut().flat_map(|s| &mut s.lanes) {
+            self.exchange.collect(std::mem::take(&mut lane.outbox));
         }
         self.shards = shards;
         let mut delivered = 0u64;
         for env in self.exchange.drain_sorted() {
             delivered += 1;
-            let shard = self
-                .shards
-                .iter_mut()
-                .rev()
-                .find(|s| s.first_cell <= env.dst)
-                .expect("destination shard exists");
-            shard.wheel.push(env.at, FleetEv::Deliver { cell: env.dst, spec: Box::new(env.msg) });
+            let shard = self.shards.partition_point(|s| s.first_cell <= env.dst) - 1;
+            let shard = &mut self.shards[shard];
+            let lane = &mut shard.lanes[((env.dst - shard.first_cell) / self.lane_cells) as usize];
+            lane.wheel.push(env.at, FleetEv::Deliver { cell: env.dst, spec: Box::new(env.msg) });
         }
         dlrover_telemetry::prof::add_items(delivered);
     }
@@ -1197,11 +1269,14 @@ impl ShardedFleet {
         self.aggregates()
     }
 
+    /// The cells in ascending order.
+    fn cells(&self) -> impl Iterator<Item = &Cell> {
+        self.shards.iter().flat_map(|s| &s.lanes).flat_map(|lane| &lane.cells)
+    }
+
     /// Per-cell aggregates in ascending cell order.
     pub fn aggregates(&self) -> FleetAggregates {
-        FleetAggregates {
-            cells: self.shards.iter().flat_map(|s| s.cells.iter().map(|c| c.agg.clone())).collect(),
-        }
+        FleetAggregates { cells: self.cells().map(|c| c.agg.clone()).collect() }
     }
 
     /// Cell telemetry merged in ascending cell order (the same key-sorted
@@ -1211,10 +1286,9 @@ impl ShardedFleet {
     /// their own — and, like a counter that was never incremented, a zero
     /// sum creates no key.
     pub fn merged_telemetry(&self) -> Telemetry {
-        let cells = || self.shards.iter().flat_map(|s| &s.cells);
-        let mut merged = Sink::merge_ordered(cells().map(|c| &c.telemetry));
+        let mut merged = Sink::merge_ordered(self.cells().map(|c| &c.telemetry));
         let mut totals = CellAggregates::default().counters();
-        for cell in cells() {
+        for cell in self.cells() {
             for (total, (_, n)) in totals.iter_mut().zip(cell.agg.counters()) {
                 total.1 += n;
             }
@@ -1229,7 +1303,7 @@ impl ShardedFleet {
 
     /// Pods currently resident across all pod tables (after reaping).
     pub fn resident_pods(&self) -> usize {
-        self.shards.iter().flat_map(|s| &s.cells).map(|c| c.pods.len()).sum()
+        self.cells().map(|c| c.pods.len()).sum()
     }
 }
 
@@ -1238,6 +1312,8 @@ mod tests {
     use super::*;
     use dlrover_sim::{FaultEvent, FaultPlanConfig};
     use proptest::prelude::*;
+    use std::ptr;
+    use std::sync::atomic::Ordering;
 
     fn small_cfg() -> FleetScaleConfig {
         FleetScaleConfig::small(3, 12, 4)
@@ -1314,6 +1390,68 @@ mod tests {
         assert_eq!(runs[0], runs[2]);
         let clean = run(&cfg, 1, 5).0;
         assert_ne!(runs[0].0, clean, "chaos must perturb the fleet");
+    }
+
+    /// Aggregates, their digest, merged event bytes and merged counters of
+    /// a run with lanes of `lane_cells`, stepped epoch by epoch with idle
+    /// cores counted in `pool`.
+    fn run_lanes(
+        cfg: &FleetScaleConfig,
+        shards: u32,
+        lane_cells: u32,
+        pool: &'static AtomicIsize,
+        plan: Option<&FaultPlan>,
+    ) -> ((u64, RunOutput), usize) {
+        let mut fleet = ShardedFleet::build(cfg, shards, lane_cells, 13, plan).expect("valid");
+        let mut widest = 0;
+        while let Some((bound, mut shards)) = fleet.begin_epoch() {
+            for shard in &mut shards {
+                widest = widest.max(shard.run_epoch_on(pool, bound));
+            }
+            fleet.finish_epoch(shards);
+        }
+        let agg = fleet.aggregates();
+        let merged = fleet.merged_telemetry();
+        ((agg.digest(), (agg, merged.to_jsonl(), merged.summary().counters)), widest)
+    }
+
+    /// Lanes of 1, 3, 16 and all 130 cells, run inline (no idle core) or
+    /// over a helper (two idle cores), on one and on two shards, with and
+    /// without routed chaos: every run equals one lane run serially.
+    /// Starved cells forward jobs, so envelopes cross lanes, and 65 cells
+    /// to a shard are enough for a helper wherever a shard has two lanes.
+    #[test]
+    fn lane_width_and_idle_cores_are_invariant() {
+        static BUSY: AtomicIsize = AtomicIsize::new(0);
+        static IDLE: AtomicIsize = AtomicIsize::new(2);
+        let mut cfg = FleetScaleConfig::small(130, 10, 2);
+        cfg.nodes_per_cell = 3;
+        let plan = FaultPlan::generate(
+            &FaultPlanConfig {
+                events: 24,
+                horizon: SimDuration::from_hours(2),
+                warmup: SimDuration::from_secs(30),
+                ..FaultPlanConfig::default()
+            },
+            &RngStreams::new(31),
+            0,
+        );
+        for plan in [None, Some(&plan)] {
+            let (serial, _) = run_lanes(&cfg, 1, cfg.cells, &BUSY, plan);
+            assert!(serial.1 .0.totals().jobs_forwarded > 0, "envelopes must cross lanes");
+            for (shards, lane_cells, pool) in [1, 2]
+                .into_iter()
+                .flat_map(|k| [1, 3, 16, cfg.cells].map(|w| (k, w)))
+                .flat_map(|(k, w)| [(k, w, &BUSY), (k, w, &IDLE)])
+            {
+                let (run, widest) = run_lanes(&cfg, shards, lane_cells, pool, plan);
+                let at = (shards, lane_cells, pool.load(Ordering::Relaxed), plan.is_some());
+                assert_eq!(run, serial, "(shards, lane cells, idle cores, chaos) = {at:?}");
+                let helper = ptr::eq(pool, &IDLE) && lane_cells < cfg.cells / shards;
+                assert_eq!(widest, 1 + usize::from(helper), "threads at {at:?}");
+            }
+        }
+        assert_eq!((BUSY.load(Ordering::Relaxed), IDLE.load(Ordering::Relaxed)), (0, 2));
     }
 
     #[test]
@@ -1500,12 +1638,14 @@ mod tests {
     ) -> ([RunOutput; 2], u64) {
         let run = |always_place: bool| {
             let mut fleet = ShardedFleet::with_chaos(cfg, shards, seed, plan);
-            for cell in fleet.shards.iter_mut().flat_map(|s| &mut s.cells) {
+            for cell in
+                fleet.shards.iter_mut().flat_map(|s| &mut s.lanes).flat_map(|l| &mut l.cells)
+            {
                 cell.probe.always_place = always_place;
             }
             let agg = fleet.run_to_completion();
             let merged = fleet.merged_telemetry();
-            let skipped = fleet.shards.iter().flat_map(|s| &s.cells).map(|c| c.probe.skipped).sum();
+            let skipped = fleet.cells().map(|c| c.probe.skipped).sum();
             ((agg, merged.to_jsonl(), merged.summary().counters), skipped)
         };
         let (gated, skipped) = run(false);
@@ -1557,18 +1697,19 @@ mod tests {
     fn retry_places_after_another_gang_reserved() {
         let cfg = FleetScaleConfig::small(1, 0, 0);
         let mut fleet = ShardedFleet::new(&cfg, 1, 1);
-        let shard = &mut fleet.shards[0];
+        let lane = &mut fleet.shards[0].lanes[0];
         let (nodes, spec) = anomaly();
-        shard.cells[0].nodes = nodes;
+        lane.cells[0].nodes = nodes;
         let t = SimTime::from_secs(1);
-        FleetShard::arrive(&mut shard.cells[0], &mut shard.wheel, &cfg, spec, t);
-        assert_eq!(shard.cells[0].pending.len(), 1, "the gang does not fit yet");
+        Lane::arrive(&mut lane.cells[0], &mut lane.wheel, &cfg, spec, t);
+        assert_eq!(lane.cells[0].pending.len(), 1, "the gang does not fit yet");
         let filler = gang(1, Resources::from_raw(1, 0), 0, Resources::ZERO);
-        FleetShard::arrive(&mut shard.cells[0], &mut shard.wheel, &cfg, filler, t);
-        assert_eq!(shard.cells[0].agg.jobs_admitted, 1, "the filler takes 1 cpu of node A");
-        shard.run_epoch(t + cfg.retry_interval + SimDuration::from_secs(1));
-        assert_eq!(shard.cells[0].agg.jobs_admitted, 2, "the retry must run the placement");
-        assert!(shard.cells[0].pending.is_empty());
+        Lane::arrive(&mut lane.cells[0], &mut lane.wheel, &cfg, filler, t);
+        assert_eq!(lane.cells[0].agg.jobs_admitted, 1, "the filler takes 1 cpu of node A");
+        fleet.shards[0].run_epoch(t + cfg.retry_interval + SimDuration::from_secs(1));
+        let cell = &fleet.shards[0].lanes[0].cells[0];
+        assert_eq!(cell.agg.jobs_admitted, 2, "the retry must run the placement");
+        assert!(cell.pending.is_empty());
     }
 
     fn fault_strategy() -> impl Strategy<Value = FaultEvent> {

@@ -338,17 +338,8 @@ impl RealModeTrainer {
         // only run). The helpers' cores go back after the join; this
         // thread's, when the round ends.
         let (dataset, model) = (&self.dataset, &self.model);
-        let compute = |run: &mut [Slot]| run.iter_mut().for_each(|s| s.compute(dataset, model));
         let mut cores = cores(used);
-        std::thread::scope(|scope| {
-            let mut runs = slots.chunks_mut(used.div_ceil(cores.threads().clamp(1, used)));
-            let own = runs.next().expect("a round with slots has a first run");
-            for run in runs {
-                scope.spawn(move || compute(run));
-            }
-            compute(own);
-        });
-        cores.release_helpers();
+        cores.split(slots, |_, run| run.iter_mut().for_each(|s| s.compute(dataset, model)));
 
         // Phase 3, in slot order on this thread: rows grown on a helper
         // thread would live in that thread's malloc arena, so every

@@ -1,14 +1,19 @@
 //! The machine's idle cores, one count per process.
 //!
-//! Two kinds of work can spread over spare cores without moving a result:
-//! a real-mode round's gradients (`dlrover_pstrain::real`) and a chaos
-//! job's fault-free reference run (`dlrover_rm::chaos`). Both take their
-//! helpers' cores from the one count [`idle_cores`] returns, so work
-//! running side by side (the `exp` pool's units, a round beside a chaos
-//! job) splits the machine instead of each spawning helpers for all of it.
-//! When no core is idle, the work runs on its caller's thread alone.
+//! Three kinds of work can spread over spare cores without moving a
+//! result: a real-mode round's gradients (`dlrover_pstrain::real`), a
+//! chaos job's fault-free reference run (`dlrover_rm::chaos`) and a fleet
+//! shard's lanes (`dlrover_cluster::shard`). All take their helpers' cores
+//! from the one count [`idle_cores`] returns, and the `exp` unit pool's
+//! workers count their own cores in it while they compute
+//! ([`Cores::counted`]), so work running side by side (the pool's units, a
+//! round beside a chaos job) splits the machine instead of each spawning
+//! helpers for all of it. When no core is idle, the work runs on its
+//! caller's thread alone.
 
+use std::cell::Cell;
 use std::num::NonZeroUsize;
+use std::ptr;
 use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::OnceLock;
 
@@ -23,38 +28,94 @@ pub fn idle_cores() -> &'static AtomicIsize {
     })
 }
 
+thread_local! {
+    /// The pool this thread's core is counted in by an enclosing
+    /// [`Cores::counted`]; null outside one.
+    static COUNTED_IN: Cell<*const AtomicIsize> = const { Cell::new(ptr::null()) };
+}
+
 /// The cores one caller runs on: its own for as long as it holds this,
 /// its helpers' while they compute. Dropping it gives back what it holds.
 #[derive(Debug)]
 pub struct Cores {
-    /// Threads to compute on: the caller's and its helpers'.
-    threads: usize,
+    /// Idle cores taken for helper threads.
+    helpers: usize,
+    /// Whether this holds the caller's own core; not inside
+    /// [`Cores::counted`] on the same pool, which holds it already.
+    own: bool,
     pool: &'static AtomicIsize,
 }
 
 impl Cores {
     /// Takes the caller's core, even when none is idle (a computing caller
     /// counts against every other caller's helpers), and up to `slots - 1`
-    /// idle ones for helpers.
+    /// idle ones for helpers. Inside [`Cores::counted`] on the same pool
+    /// the caller's core is counted already and only helpers are taken.
     pub fn take(pool: &'static AtomicIsize, slots: usize) -> Cores {
-        let helpers = |idle: isize| (idle - 1).clamp(0, slots as isize - 1);
+        let own = COUNTED_IN.get() != ptr::from_ref(pool);
+        let helpers = |idle: isize| (idle - isize::from(own)).clamp(0, slots as isize - 1);
         let before = pool
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |idle| {
-                Some(idle - 1 - helpers(idle))
+                Some(idle - isize::from(own) - helpers(idle))
             })
             .unwrap_or_else(|idle| idle);
-        Cores { threads: 1 + helpers(before) as usize, pool }
+        Cores { helpers: helpers(before) as usize, own, pool }
+    }
+
+    /// Runs `work` with the calling thread's core counted in `pool`, as
+    /// the `exp` unit pool's workers do while they compute: whatever
+    /// `work` takes from `pool` on this thread is helpers only.
+    pub fn counted<R>(pool: &'static AtomicIsize, work: impl FnOnce() -> R) -> R {
+        /// Puts back the thread's previous mark, also when `work` panics.
+        struct Restore(*const AtomicIsize);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                COUNTED_IN.set(self.0);
+            }
+        }
+        let _own = Cores::take(pool, 1);
+        let _restore = Restore(COUNTED_IN.replace(ptr::from_ref(pool)));
+        work()
     }
 
     /// Threads to compute on: the caller's and its helpers'.
     pub fn threads(&self) -> usize {
-        self.threads
+        1 + self.helpers
     }
 
     /// Gives the helpers' cores back and keeps the caller's.
     pub fn release_helpers(&mut self) {
-        self.pool.fetch_add(self.threads as isize - 1, Ordering::Relaxed);
-        self.threads = 1;
+        self.pool.fetch_add(self.helpers as isize, Ordering::Relaxed);
+        self.helpers = 0;
+    }
+
+    /// Runs `work` over `items` cut into contiguous runs, one per thread:
+    /// run 0 on the caller's thread, each other run on a scoped helper,
+    /// with its index. Then gives the helpers' cores back and keeps the
+    /// caller's; returns the number of runs. A panic in any run reaches
+    /// the caller.
+    pub fn split<T: Send>(
+        &mut self,
+        items: &mut [T],
+        work: impl Fn(usize, &mut [T]) + Sync,
+    ) -> usize {
+        let per = items.len().div_ceil(self.threads().min(items.len()).max(1));
+        let runs = items.len().div_ceil(per.max(1)).max(1);
+        if runs == 1 {
+            work(0, items);
+        } else {
+            let mut chunks = items.chunks_mut(per).enumerate();
+            let (_, own) = chunks.next().expect("two runs or more");
+            let work = &work;
+            std::thread::scope(|scope| {
+                for (run, chunk) in chunks {
+                    scope.spawn(move || work(run, chunk));
+                }
+                work(0, own);
+            });
+        }
+        self.release_helpers();
+        runs
     }
 
     /// Runs `main` on the caller's thread and `side` beside it on a helper,
@@ -66,11 +127,11 @@ impl Cores {
         side: impl FnOnce() -> S + Send,
         main: impl FnOnce() -> M,
     ) -> (S, M) {
-        if self.threads == 1 {
+        if self.helpers == 0 {
             return (side(), main());
         }
-        let helpers = Cores { threads: self.threads - 1, pool: self.pool };
-        self.threads = 1;
+        let helpers = Cores { helpers: self.helpers, own: false, pool: self.pool };
+        self.helpers = 0;
         std::thread::scope(|scope| {
             let side = scope.spawn(move || {
                 let out = side();
@@ -85,7 +146,7 @@ impl Cores {
 
 impl Drop for Cores {
     fn drop(&mut self) {
-        self.pool.fetch_add(self.threads as isize, Ordering::Relaxed);
+        self.pool.fetch_add(self.helpers as isize + isize::from(self.own), Ordering::Relaxed);
     }
 }
 
@@ -160,5 +221,54 @@ mod tests {
         assert!(caught.is_err());
         assert!(main_ran);
         assert_eq!(POOL.load(Ordering::Relaxed), 2);
+    }
+
+    /// `split` cuts the items into contiguous runs that cover each once,
+    /// runs the first on the caller's thread and the others on helpers,
+    /// then gives the helpers' cores back and keeps the caller's.
+    #[test]
+    fn split_runs_contiguous_runs_and_returns_the_helpers() {
+        static POOL: AtomicIsize = AtomicIsize::new(3);
+        let idle = || POOL.load(Ordering::Relaxed);
+        let caller = std::thread::current().id();
+        let mut items = [(usize::MAX, false); 7];
+        let mut cores = Cores::take(&POOL, 8);
+        assert_eq!((cores.threads(), idle()), (3, 0));
+        let runs = cores.split(&mut items, |run, chunk| {
+            let on_caller = std::thread::current().id() == caller;
+            chunk.iter_mut().for_each(|item| *item = (run, on_caller));
+        });
+        assert_eq!(runs, 3);
+        let run_of: Vec<usize> = items.iter().map(|&(run, _)| run).collect();
+        assert_eq!(run_of, [0, 0, 0, 1, 1, 1, 2]);
+        assert!(items.iter().all(|&(run, on_caller)| on_caller == (run == 0)));
+        assert_eq!((cores.threads(), idle()), (1, 2));
+        assert_eq!(cores.split(&mut items[..1], |run, _| assert_eq!(run, 0)), 1);
+        drop(cores);
+        assert_eq!(idle(), 3);
+    }
+
+    /// A thread inside `counted` is counted once: its own takes, and a
+    /// `counted` nested in it, take helpers only; a panic still puts the
+    /// core back.
+    #[test]
+    fn a_counted_thread_takes_only_helpers() {
+        static POOL: AtomicIsize = AtomicIsize::new(2);
+        let idle = || POOL.load(Ordering::Relaxed);
+        Cores::counted(&POOL, || {
+            assert_eq!(idle(), 1);
+            let cores = Cores::take(&POOL, 3);
+            assert_eq!((cores.threads(), idle()), (2, 0), "the caller's core is counted once");
+            drop(cores);
+            Cores::counted(&POOL, || assert_eq!(idle(), 1));
+            assert_eq!(idle(), 1);
+        });
+        assert_eq!(idle(), 2);
+        let caught = std::panic::catch_unwind(|| Cores::counted(&POOL, || panic!("unit")));
+        assert!(caught.is_err());
+        let cores = Cores::take(&POOL, 1);
+        assert_eq!(idle(), 1, "outside `counted`, the caller's core is taken again");
+        drop(cores);
+        assert_eq!(idle(), 2);
     }
 }
